@@ -14,7 +14,7 @@ from loopcells import fixtures, models, observables, spectral
 
 np.set_printoptions(precision=6, suppress=True, linewidth=120)
 
-H, masks = models.build_xxz(4)
+H = models.build_xxz(4)[0].toarray()
 print("Hamiltonian on the six up-down configurations with two up spins:")
 print(H.real)
 print()

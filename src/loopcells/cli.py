@@ -285,7 +285,7 @@ def run_fixture_checks() -> list[tuple[str, bool, str]]:
         ok = diff <= tol
         results.append((name, ok, f"max deviation {diff:.3g}"))
 
-    H, _ = models.build_xxz(4)
+    H = models.build_xxz(4)[0].toarray()
     check("spin L=4 hamiltonian", H, fx.SPIN_L4_HAMILTONIAN)
     clusters = spectral.full_spectrum(H)
     check(

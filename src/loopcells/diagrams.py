@@ -157,17 +157,6 @@ def validate(state: LinkState) -> None:
         raise ValueError("unbalanced arcs")
 
 
-def mirror(state: LinkState) -> LinkState:
-    """Flip a diagram upside down.
-
-    Sites keep their horizontal positions, arcs keep their endpoints and
-    strings still run to the (now opposite) boundary, so the stored data is
-    unchanged; the flip only matters for how :func:`glue` interprets the
-    diagram (arcs opening downward instead of upward).
-    """
-    return state
-
-
 def reflect(state: LinkState) -> LinkState:
     """Flip a diagram left to right (site ``i`` to site ``L - 1 - i``)."""
     n = state.size
@@ -287,7 +276,11 @@ def sector_indices(basis: tuple[LinkState, ...], n_strings: int) -> list[int]:
 
 @dataclass(frozen=True)
 class GlueResult:
-    """Topology of ``mirror(bra)`` glued on top of ``ket``.
+    """Topology of the upside-down image of ``bra`` glued on top of ``ket``.
+
+    Flipping a diagram leaves its stored data unchanged (arcs keep their
+    endpoints, strings run to the opposite boundary); :func:`glue` only
+    reads the bra's arcs as opening downward.
 
     ``bra_contractions`` lists pairs of *bra* string labels (1-based, left to
     right) joined to each other through the picture; ``ket_contractions``

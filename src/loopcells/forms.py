@@ -7,8 +7,10 @@ the mirror image of one basis diagram on top of another
 (:func:`loopcells.diagrams.glue`):
 
 * :func:`loop_gram` -- periodic all-arc basis, weight ``n`` per closed loop;
-* :func:`dilute_gram` -- dilute basis: zero unless the empty sites agree and
-  no closed loop forms (loops carry weight zero), weight one otherwise;
+* :func:`dilute_sector_gram` -- dilute basis (sparse, any sub-basis): zero
+  unless the empty sites agree and no closed loop forms (loops carry weight
+  zero), weight one otherwise; :func:`dilute_gram` is its dense view on a
+  whole parity basis;
 * :func:`link_gram` -- open arc/string basis at loop weight one, where
   contracting a string pair whose left label is even costs ``y``;
 * :func:`identity_gram` -- the spin-chain pairing (Euclidean components,
@@ -115,9 +117,9 @@ def fast_loop_count_matrix(basis: tuple[LinkState, ...]) -> np.ndarray:
 def dilute_sector_gram(basis: tuple[LinkState, ...]):
     """Sparse dilute Gram matrix on an arbitrary sub-basis.
 
-    Same entries as :func:`dilute_gram` (one per loop-free gluing with
-    matching empty sites), but grouping states by their occupation mask so
-    only compatible pairs are glued; returned as a CSR matrix because large
+    An entry is one for each loop-free gluing with matching empty sites and
+    zero otherwise; states are grouped by their occupation mask so only
+    compatible pairs are glued.  Returned as a CSR matrix because large
     sector bases make the dense form wasteful.
     """
     import scipy.sparse as sp
@@ -147,20 +149,14 @@ def identity_gram(dim: int, tag: str = "spin") -> BilinearForm:
 
 
 def dilute_gram(L: int, parity: str = "even") -> BilinearForm:
-    """Gram matrix of the dilute basis.
+    """Dense Gram matrix of the dilute basis (see :func:`dilute_sector_gram`).
 
     An entry vanishes when the empty sites differ or when the gluing closes
     any loop; every surviving gluing (string contractions and through lines
     included) has weight one.
     """
     basis = enumerate_dilute(L, parity)
-    dim = len(basis)
-    gram = np.zeros((dim, dim))
-    for a in range(dim):
-        for b in range(a, dim):
-            res = glue(basis[a], basis[b])
-            if res.mask_match and res.loops == 0:
-                gram[a, b] = gram[b, a] = 1.0
+    gram = dilute_sector_gram(basis).toarray()
     return BilinearForm(f"dilute:{L}:{parity}", gram, basis)
 
 

@@ -3,8 +3,8 @@
 All builders share the bases of :mod:`loopcells.diagrams`:
 
 * :func:`build_xxz` -- the open anisotropic spin chain at ``q = exp(i pi/3)``
-  with its boundary field, in the zero-magnetization sector (dense), plus a
-  sparse variant for large sizes;
+  with its boundary field, in the zero-magnetization sector (sparse; dense
+  callers take ``.toarray()``);
 * :func:`build_ising` -- the critical transverse-field chain on a ring;
 * :func:`build_dense_loop_T` -- one row of the dense loop model on a
   cylinder: two staggered half-rows of plaquettes, each plaquette the sum of
@@ -42,8 +42,8 @@ from .tl import dense_generators, open_generators, spin_generators, spin_sector_
 # Spin chains
 
 
-def build_xxz(L: int, q: complex | None = None) -> tuple[np.ndarray, list[int]]:
-    """Dense zero-magnetization Hamiltonian of the open anisotropic chain.
+def build_xxz(L: int, q: complex | None = None) -> tuple[sp.csr_matrix, list[int]]:
+    """Sparse zero-magnetization Hamiltonian of the open anisotropic chain.
 
     ``H = sum_i [sx sx + sy sy + ((q+1/q)/2) sz sz] + ((q-1/q)/2)(sz_1 - sz_L)``
 
@@ -52,27 +52,6 @@ def build_xxz(L: int, q: complex | None = None) -> tuple[np.ndarray, list[int]]:
     """
     if L % 2:
         raise ValueError("zero-magnetization sector needs even L")
-    q = fixtures.Q_VALUE if q is None else q
-    masks = spin_sector_basis(L, up_count=L // 2)
-    index = {m: k for k, m in enumerate(masks)}
-    dim = len(masks)
-    H = np.zeros((dim, dim), dtype=complex)
-    nhalf = (q + 1 / q) / 2
-    delta = (q - 1 / q) / 2
-    for col, m in enumerate(masks):
-        spins = [1 - 2 * ((m >> (L - s)) & 1) for s in range(1, L + 1)]
-        diag = sum(nhalf * spins[i] * spins[i + 1] for i in range(L - 1))
-        diag += delta * (spins[0] - spins[L - 1])
-        H[col, col] = diag
-        for i in range(L - 1):
-            if spins[i] != spins[i + 1]:
-                flipped = m ^ ((1 << (L - 1 - i)) | (1 << (L - 2 - i)))
-                H[index[flipped], col] += 2.0
-    return H, masks
-
-
-def build_xxz_sparse(L: int, q: complex | None = None) -> tuple[sp.csr_matrix, list[int]]:
-    """Sparse variant of :func:`build_xxz` for large chains."""
     q = fixtures.Q_VALUE if q is None else q
     masks = spin_sector_basis(L, up_count=L // 2)
     index = {m: k for k, m in enumerate(masks)}
@@ -155,10 +134,17 @@ class TransferOperator:
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.dim, self.dim)
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         for f in self.factors:
             v = f @ v
         return v
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.apply(v)
 
     def matrix(self) -> np.ndarray:
         out = reduce(lambda acc, f: f @ acc, self.factors, sp.identity(self.dim, format="csr"))

@@ -33,6 +33,7 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import OptimizeWarning, brentq, curve_fit
 
@@ -121,7 +122,7 @@ def _xxz_product_vector(L: int, q: complex) -> tuple[np.ndarray, list[int]]:
     """Unnormalized trousers coefficients on the width-L zero-magnetization basis."""
     half = L // 2
     H_half, half_masks = models.build_xxz(half, q)
-    _, g = spectral.ground_state(H_half, "min", gram=np.eye(len(half_masks)))
+    _, g = spectral.ground_state(H_half.toarray(), "min", gram=np.eye(len(half_masks)))
     masks = spin_sector_basis(L, L // 2)
     index = {m: k for k, m in enumerate(masks)}
     vec = np.zeros(len(masks), dtype=complex)
@@ -143,9 +144,45 @@ def trousers_xxz(L: int, q: complex | None = None, side: str = "right") -> Trous
     q = fixtures.Q_VALUE if q is None else q
     vec, masks = _xxz_product_vector(L, q)
     H, _ = models.build_xxz(L, q)
-    _, v0 = spectral.ground_state(H, "min", gram=np.eye(len(masks)))
+    _, v0 = spectral.ground_state(H.toarray(), "min", gram=np.eye(len(masks)))
     vec = vec / (vec @ v0)
     return TrousersState("xxz", L, side, vec, "overlap with ground = 1")
+
+
+def _fourth_level_cell(H: np.ndarray, L: int, gram, cluster_tol: float):
+    """Rank-two cell at the fourth distinct level of a dense chain, with its ground.
+
+    Returns ``(level, v, w, e0, v0)``; the ground state is normalized to
+    bilinear square one under ``gram``.
+    """
+    clusters = spectral.full_spectrum(H, cluster_tol)
+    c3 = spectral.level_cluster(clusters, 3)
+    if c3.size != 2:
+        raise spectral.ClusterSizeError(
+            f"fourth level of the L={L} chain is not a double cluster: {c3}"
+        )
+    cell = spectral.extract_jordan_cell(H, c3.value)
+    e0, v0 = spectral.ground_state(H, "min", gram=gram)
+    return c3.value, cell.vector, cell.partner, e0, v0
+
+
+def _pair_b(v_r, w_r, v_l, w_l, bra, ket, gram):
+    """The coupling ``4 <bra|G w_r> <w_l|G ket> / <v_l|G w_r>`` and its gauge sensitivity.
+
+    ``(v_r, w_r)`` is the right cell and ``(v_l, w_l)`` the left one, with
+    the partners already scaled to the model's convention; ``bra``/``ket``
+    are the trousers states and ``gram`` the invariant form.  The gauge
+    sensitivity is the larger normalized overlap of a trousers state with a
+    cell eigenvector, which is what the partner's gauge freedom can move.
+    """
+    g_w = gram @ w_r
+    g_ket = gram @ ket
+    b = 4 * (bra @ g_w) * (w_l @ g_ket) / (v_l @ g_w)
+    gauge = max(
+        abs(bra @ (gram @ v_r) / np.linalg.norm(v_r)),
+        abs(v_l @ g_ket / np.linalg.norm(v_l)),
+    )
+    return b, float(gauge)
 
 
 def b_xxz(
@@ -167,20 +204,11 @@ def b_xxz(
         raise ValueError("b for the spin chain needs L a multiple of 4")
     q = fixtures.Q_VALUE if q is None else q
     v_f = fixtures.FERMI_VELOCITY
+    H, masks = models.build_xxz(L, q)
+    identity = sp.identity(len(masks), format="csr")
     if comb(L, L // 2) <= spectral.DENSE_LIMIT:
-        H, masks = models.build_xxz(L, q)
-        clusters = spectral.full_spectrum(H, cluster_tol)
-        c3 = spectral.level_cluster(clusters, 3)
-        if c3.size != 2:
-            raise spectral.ClusterSizeError(
-                f"fourth level of the L={L} chain is not a double cluster: {c3}"
-            )
-        cell = spectral.extract_jordan_cell(H, c3.value)
-        v3, w = cell.vector, cell.partner
-        e0, v0 = spectral.ground_state(H, "min", gram=np.eye(len(masks)))
-        level = c3.value
+        level, v3, w, e0, v0 = _fourth_level_cell(H.toarray(), L, identity, cluster_tol)
     else:
-        H, masks = models.build_xxz_sparse(L, q)
         # (L-1)/2 - 2 sum e_i with e_i spectra in [0, n] bounds E0 from below
         sigma = -1.5 * (L - 1) - 1.0
         vals, vecs = spla.eigs(H.tocsc(), k=16, sigma=sigma)
@@ -192,17 +220,13 @@ def b_xxz(
         v0 = vecs[:, k0]
         v0 = spectral.sign_fix(v0 / np.sqrt(complex(v0 @ v0)))
     v3 = cell_scale * v3
-    w = cell_scale * w
-    w_tilde = (np.pi * v_f / L) * w
+    w_tilde = (np.pi * v_f / L) * (cell_scale * w)
     trousers, _ = _xxz_product_vector(L, q)
     trousers = trousers / (trousers @ v0)
-    num = trousers @ w_tilde
-    den = v3 @ w_tilde
-    b = 4 * num**2 / den
-    gauge = abs(trousers @ (v3 / np.linalg.norm(v3)))
+    b, gauge = _pair_b(v3, w_tilde, v3, w_tilde, trousers, trousers, identity)
     delta = spectral.hamiltonian_delta(L, level.real, complex(e0).real, v_f)
     return BMeasurement(
-        "xxz", L, float(b.real), float(gauge), float(delta), complex(level),
+        "xxz", L, float(b.real), gauge, float(delta), complex(level),
         "hamiltonian", float(abs(b.imag)),
     )
 
@@ -280,13 +304,8 @@ def b_polymer(
     T00, T02, T22, idx0, idx2 = models.dilute_blocks(row, row.ket_row)
     M00, M02, M22, _, _ = models.dilute_blocks(row, row.bra_row)
     dim0 = len(idx0)
-    solver = (
-        spectral.block_jordan_cell
-        if dim0 <= spectral.DENSE_LIMIT
-        else spectral.block_jordan_cell_sparse
-    )
-    lam1, v_r, w_r = solver(T00, T02, T22)
-    lam1_left, v_l, w_l = solver(M00, M02, M22)
+    lam1, v_r, w_r = spectral.block_jordan_cell(T00, T02, T22)
+    lam1_left, v_l, w_l = spectral.block_jordan_cell(M00, M02, M22)
     if abs(lam1_left - lam1) > 1e-9 * abs(lam1):
         raise ArithmeticError(
             f"bra and ket rows disagree on the cell eigenvalue: {lam1} vs {lam1_left}"
@@ -299,27 +318,19 @@ def b_polymer(
         out[idx2] = stacked[dim0:]
         return out
 
-    v_r, w_r = right_scale * scatter(v_r), right_scale * scatter(w_r)
-    v_l, w_l = left_scale * scatter(v_l), left_scale * scatter(w_l)
     factor = -(2 / np.sqrt(3.0)) * (np.pi / L) * lam1
-    wt_r = factor * w_r
-    wt_l = factor * w_l
-    gram = forms.dilute_sector_gram(row.basis)
-    trousers_bra = _dilute_product_vector(L, x, row.basis, "left")
-    trousers_ket = _dilute_product_vector(L, x, row.basis, "right")
-    g_wt_r = gram @ wt_r
-    g_ket = gram @ trousers_ket
-    num_right = trousers_bra @ g_wt_r
-    num_left = wt_l @ g_ket
-    den = v_l @ g_wt_r
-    b = 4 * num_right * num_left / den
-    gauge = max(
-        abs(trousers_bra @ (gram @ v_r) / np.linalg.norm(v_r)),
-        abs(v_l @ g_ket / np.linalg.norm(v_l)),
+    b, gauge = _pair_b(
+        right_scale * scatter(v_r),
+        factor * (right_scale * scatter(w_r)),
+        left_scale * scatter(v_l),
+        factor * (left_scale * scatter(w_l)),
+        _dilute_product_vector(L, x, row.basis, "left"),
+        _dilute_product_vector(L, x, row.basis, "right"),
+        forms.dilute_sector_gram(row.basis),
     )
     delta = spectral.transfer_delta(L, lam1, lam0)
     return BMeasurement(
-        "polymer", L, float(b), float(gauge), float(delta), complex(lam1), "transfer"
+        "polymer", L, float(b), gauge, float(delta), complex(lam1), "transfer"
     )
 
 
@@ -372,29 +383,17 @@ def b_deformed(
         raise ValueError("b for the open chain needs even L")
     v_f = fixtures.FERMI_VELOCITY
     H = models.build_percolation_H(L, y)
-    clusters = spectral.full_spectrum(H, cluster_tol)
-    c3 = spectral.level_cluster(clusters, 3)
-    if c3.size != 2:
-        raise spectral.ClusterSizeError(
-            f"fourth level of the L={L} chain is not a double cluster: {c3}"
-        )
-    cell = spectral.extract_jordan_cell(H, c3.value)
-    v3 = cell_scale * cell.vector
-    w = cell_scale * cell.partner
-    w_tilde = (np.pi * v_f / L) * w
     gram = forms.link_gram(L, y).gram
-    e0, v0 = spectral.ground_state(H, "min", gram=gram)
+    level, v3, w, e0, v0 = _fourth_level_cell(H, L, gram, cluster_tol)
+    v3 = cell_scale * v3
+    w_tilde = (np.pi * v_f / L) * (cell_scale * w)
     trousers = _open_product_vector(L, y)
     trousers = trousers / (trousers @ gram @ v0)
-    g_wt = gram @ w_tilde
-    num = trousers @ g_wt
-    den = v3 @ g_wt
-    b = 4 * num**2 / den
-    gauge = abs(trousers @ (gram @ v3) / np.linalg.norm(v3))
-    delta = spectral.hamiltonian_delta(L, c3.value.real, complex(e0).real, v_f)
+    b, gauge = _pair_b(v3, w_tilde, v3, w_tilde, trousers, trousers, gram)
+    delta = spectral.hamiltonian_delta(L, level.real, complex(e0).real, v_f)
     return BMeasurement(
-        f"deformed:y={y}", L, float(b.real), float(gauge), float(delta),
-        complex(c3.value), "hamiltonian", float(abs(b.imag)),
+        f"deformed:y={y}", L, float(b.real), gauge, float(delta),
+        complex(level), "hamiltonian", float(abs(b.imag)),
     )
 
 
@@ -553,28 +552,6 @@ def _boundary_loop_row(L: int) -> np.ndarray:
     return np.array([glue(boundary, s).loops for s in basis], dtype=np.int64)
 
 
-def _transfer_perron(op: models.TransferOperator, positive: bool) -> tuple[float, np.ndarray]:
-    """Leading eigenpair of a factored transfer row."""
-    dim = op.dim
-    if not positive:
-        if dim > spectral.DENSE_LIMIT:
-            raise ValueError("nonpositive weights need the dense path; size too large")
-        vals, vecs = np.linalg.eig(op.matrix())
-        k = int(np.argmax(np.abs(vals)))
-        v = vecs[:, k].real
-        return float(vals[k].real), v / np.linalg.norm(v)
-    v = np.ones(dim) / np.sqrt(dim)
-    lam = 0.0
-    for _ in range(100000):
-        nv = op.apply(v)
-        nlam = float(np.linalg.norm(nv))
-        nv = nv / nlam
-        if abs(nlam - lam) <= 1e-14 * nlam and float(np.linalg.norm(nv - v)) <= 1e-13:
-            return nlam, nv
-        v, lam = nv, nlam
-    return lam, v
-
-
 def _loop_quadratic_form(v: np.ndarray, counts: np.ndarray, n: float) -> float:
     """``v^T G v`` for ``G = n ** counts`` without materializing G."""
     total = 0.0
@@ -601,7 +578,15 @@ def loop_boundary_entropy(n: float, n1: float, sizes=(12, 14, 16, 18)) -> LoopEn
         if L % 2:
             raise ValueError("the cylinder row needs even sizes")
         op = models.build_dense_loop_T(L, n)
-        _, v = _transfer_perron(op, positive=n > 0)
+        if n > 0:
+            _, v = spectral.perron_pair(op)
+        elif op.dim > spectral.DENSE_LIMIT:
+            raise ValueError("nonpositive weights need the dense path; size too large")
+        else:
+            vals, vecs = np.linalg.eig(op.matrix())
+            k = int(np.argmax(np.abs(vals)))
+            v = vecs[:, k].real
+            v = v / np.linalg.norm(v)
         counts = _dense_loop_counts(L)
         v = v / np.sqrt(_loop_quadratic_form(v, counts, n))
         overlap = float(np.power(float(n1), _boundary_loop_row(L)) @ v)

@@ -15,9 +15,13 @@ couplings are insensitive to it (their residual sensitivity is reported as
 the overlap of the probe state with ``v``).
 
 For block upper-triangular transfer rows (string sectors that only feed
-downward) :func:`block_jordan_cell` exploits the structure directly, and
-:func:`sparse_jordan_cell` does the same with shift-inverted iterations for
-matrices too large to decompose densely.
+downward) :func:`block_jordan_cell` exploits the structure directly with
+inverse iteration on one sparse LU factorization of the zero-string block,
+and :func:`sparse_jordan_cell` uses shift-inverted iterations for operators
+too large to decompose densely.  The leading (Perron) eigenpairs that both
+the transfer rows and the entropy fits need come from the single power
+iteration :func:`perron_pair`, which raises :class:`ConvergenceError`
+rather than return an unconverged iterate.
 """
 
 from __future__ import annotations
@@ -65,11 +69,6 @@ def full_spectrum(A: np.ndarray, rel_tol: float = 1e-5) -> list[Cluster]:
     if A.shape[0] > DENSE_LIMIT:
         raise ValueError(f"dense spectra are limited to dimension {DENSE_LIMIT}")
     return cluster_eigenvalues(sla.eigvals(A), rel_tol)
-
-
-def distinct_levels(clusters: list[Cluster]) -> list[Cluster]:
-    """Clusters ordered by real part (they already are); alias for readability."""
-    return clusters
 
 
 def ground_state(
@@ -158,7 +157,6 @@ class JordanCell:
     vector: np.ndarray
     partner: np.ndarray
     cluster_size: int
-    nilpotent_rank_gap: float
     residual_v: float
     residual_w: float
 
@@ -169,6 +167,10 @@ class DiagonalizableLevelError(ValueError):
 
 class ClusterSizeError(ValueError):
     """Raised when the requested cluster is not a size-two degeneracy."""
+
+
+class ConvergenceError(ArithmeticError):
+    """Raised when an iterative solve reaches its iteration limit unconverged."""
 
 
 def extract_jordan_cell(
@@ -203,8 +205,7 @@ def extract_jordan_cell(
     w = w - (np.vdot(v, w) / np.vdot(v, v)) * v
     res_v = float(np.linalg.norm(shifted @ v) / max(np.linalg.norm(A), 1e-300))
     res_w = float(np.linalg.norm(shifted @ w - v) / max(np.linalg.norm(v), 1e-300))
-    gap = float(s[-1] / s[-2]) if len(s) >= 2 else 0.0
-    return JordanCell(level, v, w, 2, gap, res_v, res_w)
+    return JordanCell(level, v, w, 2, res_v, res_w)
 
 
 def level_cluster(clusters: list[Cluster], index: int) -> Cluster:
@@ -218,16 +219,19 @@ def level_cluster(clusters: list[Cluster], index: int) -> Cluster:
 # Structured paths
 
 
-def perron_pair(M: sp.spmatrix | np.ndarray, tol: float = 1e-14, max_iter: int = 100000):
-    """Leading eigenvalue and positive eigenvector of a nonnegative matrix.
+def perron_pair(M, tol: float = 1e-14, max_iter: int = 100000):
+    """Leading eigenvalue and positive eigenvector of a nonnegative operator.
 
-    Deterministic power iteration from the all-ones vector; for very small
-    matrices a dense decomposition is used instead.
+    ``M`` is a dense or sparse matrix, or any operator with ``shape`` and
+    ``@`` such as a factored transfer row.  Deterministic power iteration
+    from the all-ones vector stops once the eigenvalue moves by at most
+    ``tol`` relative and the normalized vector by at most ``1e-13``; an
+    unconverged run raises :class:`ConvergenceError` after ``max_iter``
+    steps.  Operators of dimension two or less are decomposed densely.
     """
     dim = M.shape[0]
     if dim <= 2:
-        dense = M.toarray() if sp.issparse(M) else np.asarray(M)
-        vals, vecs = np.linalg.eig(dense)
+        vals, vecs = np.linalg.eig(M @ np.eye(dim))
         k = int(np.argmax(vals.real))
         v = vecs[:, k].real
         v = v * np.sign(v[np.argmax(np.abs(v))])
@@ -238,12 +242,10 @@ def perron_pair(M: sp.spmatrix | np.ndarray, tol: float = 1e-14, max_iter: int =
         nv = M @ v
         nlam = float(np.linalg.norm(nv))
         nv = nv / nlam
-        if abs(nlam - lam) <= tol * nlam and float(np.linalg.norm(nv - v)) <= 1e-12:
-            v = nv
-            lam = nlam
-            break
+        if abs(nlam - lam) <= tol * nlam and float(np.linalg.norm(nv - v)) <= 1e-13:
+            return nlam, nv
         v, lam = nv, nlam
-    return lam, v
+    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
 
 
 def _eig_near(M, sigma: complex, k: int = 1, v0=None):
@@ -264,46 +266,16 @@ def block_jordan_cell(T00, T02, T22, rank_cut: float = 1e-9):
     """Jordan data of ``[[T00, T02], [0, T22]]`` at the leading level of ``T22``.
 
     The eigenvector at that level lives purely in the first (zero-string)
-    block; the partner's second-block component is fixed by the solvability
-    condition against the left null vector of ``T00 - lambda``, and its
-    first-block component is the minimal-norm solution of the remaining
-    singular system.  Returns ``(lambda1, v, w)`` in stacked coordinates,
-    with the minimal-norm gauge applied to ``w``.
-    """
-    T00 = T00.toarray() if sp.issparse(T00) else np.asarray(T00)
-    T02 = T02.toarray() if sp.issparse(T02) else np.asarray(T02)
-    T22 = T22.toarray() if sp.issparse(T22) else np.asarray(T22)
-    lam1, u2 = perron_pair(T22)
-    n0 = T00.shape[0]
-    shifted = T00 - lam1 * np.eye(n0)
-    uu, ss, vvh = np.linalg.svd(shifted)
-    scale = ss[0] if ss[0] > 0 else 1.0
-    if ss[-1] > rank_cut * scale:
-        raise DiagonalizableLevelError(
-            f"leading two-string level {lam1} is not shared by the zero-string sector"
-        )
-    v0 = vvh[-1].conj()
-    ell0 = uu[:, -1].conj()
-    denom = ell0 @ (T02 @ u2)
-    if abs(denom) < 1e-300:
-        raise DiagonalizableLevelError("the sectors decouple at this level; no cell")
-    c = (ell0 @ v0) / denom
-    rhs = v0 - c * (T02 @ u2)
-    w0, *_ = np.linalg.lstsq(shifted, rhs, rcond=rank_cut)
-    v = np.concatenate([v0, np.zeros_like(u2)])
-    w = np.concatenate([w0, c * u2])
-    w = w - (np.vdot(v, w) / np.vdot(v, v)) * v
-    return lam1, v, w
-
-
-def block_jordan_cell_sparse(T00, T02, T22):
-    """Sparse variant of :func:`block_jordan_cell` for large sectors.
-
-    The leading two-string eigenvalue comes from power iteration; the shared
-    zero-string eigenvector and its left companion come from inverse
-    iteration on the LU factors of the singular shift (transposed solves for
-    the left side); the partner's zero-string part solves a bordered system
-    that pins the kernel component to zero.
+    block.  The leading two-string eigenvalue comes from power iteration;
+    the shared zero-string eigenvector and its left companion come from
+    inverse iteration on the LU factors of the singular shift (transposed
+    solves for the left side), and both must leave a residual below
+    ``rank_cut`` times the norm of the shift, otherwise the level is not
+    shared.  The partner's second-block component is fixed by the
+    solvability condition against the left null vector, and its first-block
+    component solves a bordered system that pins the kernel component to
+    zero.  Returns ``(lambda1, v, w)`` in stacked coordinates, with the
+    minimal-norm gauge applied to ``w``.
     """
     T00 = sp.csc_matrix(T00)
     T02 = sp.csr_matrix(T02)
@@ -323,6 +295,11 @@ def block_jordan_cell_sparse(T00, T02, T22):
     for _ in range(4):
         ell0 = lu.solve(ell0, trans="T")
         ell0 = ell0 / np.linalg.norm(ell0)
+    cut = rank_cut * spla.norm(shifted)
+    if np.linalg.norm(shifted @ v0) > cut or np.linalg.norm(shifted.T @ ell0) > cut:
+        raise DiagonalizableLevelError(
+            f"leading two-string level {lam1} is not shared by the zero-string sector"
+        )
     denom = ell0 @ (T02 @ u2)
     if abs(denom) < 1e-300:
         raise DiagonalizableLevelError("the sectors decouple at this level; no cell")

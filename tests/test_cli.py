@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -175,3 +176,48 @@ class TestFixtureChecks:
         assert len(results) >= 20
         failures = [name for name, ok, _ in results if not ok]
         assert failures == []
+
+
+class TestGoldenReports:
+    """Printed ``b``, ``delta`` and ``level`` columns, pinned byte for byte."""
+
+    @staticmethod
+    def columns(out: str, names: tuple[str, ...]) -> list[tuple[str, ...]]:
+        header, *lines = out.splitlines()
+        starts = [m.start() for m in re.finditer(r"\S+", header)]
+        spans = dict(zip(header.split(), zip(starts, starts[1:] + [None])))
+        return [tuple(line[slice(*spans[n])].strip() for n in names) for line in lines]
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["xxz-b", "--sizes", "4,8"],
+                [
+                    ("-1.3603495", "1.4702104", "+1.5"),
+                    ("-0.87029923", "1.7655316", "-6.89738981591"),
+                ],
+            ),
+            (
+                ["polymer-b", "--sizes", "2,4,6"],
+                [
+                    ("0.68080104", "1.3540055", "+0.0857864376269"),
+                    ("0.66431319", "1.6301103", "+0.228014397775"),
+                    ("0.67031926", "1.7399207", "+0.349254044659"),
+                    ("0.6995844", "", ""),
+                ],
+            ),
+            (
+                ["deformed-b", "--sizes", "4,6", "--model-param", "y=2.0"],
+                [
+                    ("-1.3603495", "1.4702104", "+1.5"),
+                    ("-0.20288899", "1.6671812", "-2.96410161514"),
+                ],
+            ),
+        ],
+        ids=["xxz-b", "polymer-b", "deformed-b"],
+    )
+    def test_b_delta_level_columns(self, capsys, argv, expected):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert self.columns(out, ("b", "delta", "level")) == expected

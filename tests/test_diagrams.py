@@ -180,10 +180,6 @@ class TestConcatenate:
         assert c.to_text() == "(.)||"
         dg.validate(c)
 
-    def test_mirror_is_identity_on_data(self):
-        s = state("(())")
-        assert dg.mirror(s) == s
-
 
 class TestReflect:
     @pytest.mark.parametrize(

@@ -89,6 +89,7 @@ class TestSpinForm:
 
     def test_xxz_hamiltonian_self_adjoint(self):
         H, masks = models.build_xxz(4)
+        H = H.toarray()
         form = forms.identity_gram(len(masks))
         assert forms.adjointness_matrix_defect(H, form) < 1e-12
         assert forms.selfadjointness_defect(H, form) < 1e-10
