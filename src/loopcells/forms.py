@@ -2,11 +2,15 @@
 
 All pairings here are bilinear, never sesquilinear: ``pairing(u, v) =
 sum_ij u_i G_ij v_j`` with no complex conjugation, so "norms" may vanish or
-be negative.  The Gram matrices ``G`` are symmetric and are built by gluing
-the mirror image of one basis diagram on top of another
-(:func:`loopcells.diagrams.glue`):
+be negative.  The Gram matrices ``G`` are symmetric; except for the loop
+form they are built by gluing the mirror image of one basis diagram on top
+of another (:func:`loopcells.diagrams.glue`):
 
-* :func:`loop_gram` -- periodic all-arc basis, weight ``n`` per closed loop;
+* :func:`loop_gram` -- periodic all-arc basis, weight ``n`` per closed loop,
+  the dense view of ``M^T M`` for the sparse singlet factor ``M`` of
+  :func:`singlet_factor` (each arc a q-singlet, ``q + 1/q = n``), so a
+  square ``v^T G v`` is the bilinear ``(Mv)^T (Mv)`` and no ``dim x dim``
+  table is needed; :func:`loop_count_matrix` is the diagrammatic oracle;
 * :func:`dilute_sector_gram` -- dilute basis (sparse, any sub-basis): zero
   unless the empty sites agree and no closed loop forms (loops carry weight
   zero), weight one otherwise; :func:`dilute_gram` is its dense view on a
@@ -18,17 +22,19 @@ the mirror image of one basis diagram on top of another
 
 :func:`selfadjointness_defect` measures ``max |pairing(Au, v) -
 pairing(u, Av)|`` over random vectors, normalized by the operator and vector
-scales.
+scales; it and :func:`adjointness_matrix_defect` accept dense or sparse
+operators.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .diagrams import LinkState, enumerate_dense, enumerate_dilute, enumerate_open, glue
+from .spectral import _dense
 from .tl import contraction_weight
 
 
@@ -54,16 +60,62 @@ def pairing(u: np.ndarray, gram: np.ndarray, v: np.ndarray) -> complex:
 
 
 def loop_gram(L: int, weight: complex) -> BilinearForm:
-    """Gram matrix of the periodic dense basis: ``weight`` per closed loop."""
+    """Gram matrix of the periodic dense basis: ``weight`` per closed loop.
+
+    The dense view of ``M^T M`` for the :func:`singlet_factor` ``M``.
+    """
+    m = singlet_factor(L, weight)
+    gram = (m.T @ m).toarray()
+    if not isinstance(weight, complex):
+        gram = gram.real
+    return BilinearForm(f"dense:{L}", gram, enumerate_dense(L))
+
+
+def singlet_factor(L: int, n: complex) -> sp.csr_matrix:
+    """Sparse ``M`` with ``M^T M`` the weight-``n`` loop Gram (Pasquier-Saleur).
+
+    Column ``k`` is the state ``enumerate_dense(L)[k]`` written in the spin
+    basis: each arc ``(i, j)``, ``i < j``, becomes the singlet
+    ``q^{-1/2}|up_i down_j> - q^{1/2}|down_i up_j>`` with ``q + 1/q = n``,
+    and the product carries the sign ``(-1)^(number of nested arc pairs)``.
+    Two singlets glued along a loop contract to ``q + 1/q = n`` without
+    conjugation, so ``(M^T M)_ab = n ** loops(a, b)``.  Row ``r`` is the spin
+    mask ``r`` (bit set = down spin, site 1 = most significant bit); every
+    column holds ``2^(L/2)`` nonzeros.
+    """
     basis = enumerate_dense(L)
-    counts = loop_count_matrix(basis)
-    w = complex(weight) if isinstance(weight, complex) else float(weight)
-    gram = np.power(w, counts.astype(np.int64))
-    return BilinearForm(f"dense:{L}", gram, basis)
+    dim, arcs = len(basis), L // 2
+    n = complex(n)
+    q = (n + np.sqrt(n * n - 4)) / 2
+    root = np.sqrt(q)
+    partner = np.array([s.partner for s in basis], dtype=np.int64)
+    opener = partner > np.arange(L)
+    # nested pairs: every arc counts the arcs still open where it opens
+    step = np.where(opener, 1, -1)
+    depth = np.cumsum(step, axis=1) - step
+    sign = 1 - 2 * (np.sum(depth * opener, axis=1) % 2)
+    left = np.nonzero(opener)[1].reshape(dim, arcs)
+    right = np.take_along_axis(partner, left, axis=1)
+    bit_left = 1 << (L - 1 - left)
+    bit_right = 1 << (L - 1 - right)
+    # choice bit k set: arc k reads down-up (weight -q^{1/2}), else up-down
+    choices = (np.arange(1 << arcs)[:, None] >> np.arange(arcs)) & 1
+    masks = bit_right.sum(axis=1)[:, None] + (bit_left - bit_right) @ choices.T
+    flips = choices.sum(axis=1)
+    weights = (1 / root) ** (arcs - flips) * (-root) ** flips
+    data = sign[:, None] * weights[None, :]
+    m = sp.csc_matrix(
+        (data.ravel(), masks.ravel(), np.arange(dim + 1) * (1 << arcs)),
+        shape=(1 << L, dim),
+    )
+    return m.tocsr()
 
 
 def loop_count_matrix(basis: tuple[LinkState, ...]) -> np.ndarray:
-    """Closed-loop counts of every mirror-gluing of two basis states."""
+    """Closed-loop counts of every mirror-gluing of two basis states.
+
+    The diagrammatic oracle for :func:`singlet_factor`: ``O(dim^2)`` gluings.
+    """
     dim = len(basis)
     counts = np.zeros((dim, dim), dtype=np.int8)
     for a in range(dim):
@@ -71,47 +123,6 @@ def loop_count_matrix(basis: tuple[LinkState, ...]) -> np.ndarray:
             c = glue(basis[a], basis[b]).loops
             counts[a, b] = counts[b, a] = c
     return counts
-
-
-def fast_loop_count_matrix(basis: tuple[LinkState, ...]) -> np.ndarray:
-    """Drop-in accelerated :func:`loop_count_matrix` for all-arc bases.
-
-    Gluing two perfect matchings produces only closed cycles, so the count
-    reduces to a cycle walk over two partner tables, which a compiled kernel
-    handles when numba is installed; otherwise the diagrammatic path runs.
-    """
-    try:
-        # the default layer probe warns on old TBB installs; workqueue always works
-        os.environ.setdefault("NUMBA_THREADING_LAYER", "workqueue")
-        from numba import njit, prange
-    except ImportError:
-        return loop_count_matrix(basis)
-    partners = np.array([s.partner for s in basis], dtype=np.int8)
-
-    @njit(parallel=True, cache=True)
-    def kernel(p):
-        dim, width = p.shape
-        out = np.zeros((dim, dim), dtype=np.int8)
-        for a in prange(dim):
-            seen = np.zeros(width, dtype=np.bool_)
-            for b in range(a, dim):
-                seen[:] = False
-                loops = 0
-                for start in range(width):
-                    if seen[start]:
-                        continue
-                    loops += 1
-                    i = start
-                    while not seen[i]:
-                        seen[i] = True
-                        j = p[a, i]
-                        seen[j] = True
-                        i = p[b, j]
-                out[a, b] = loops
-                out[b, a] = loops
-        return out
-
-    return kernel(partners)
 
 
 def dilute_sector_gram(basis: tuple[LinkState, ...]):
@@ -122,8 +133,6 @@ def dilute_sector_gram(basis: tuple[LinkState, ...]):
     compatible pairs are glued.  Returned as a CSR matrix because large
     sector bases make the dense form wasteful.
     """
-    import scipy.sparse as sp
-
     groups: dict[int, list[int]] = {}
     for k, s in enumerate(basis):
         groups.setdefault(s.occupied_mask, []).append(k)
@@ -195,7 +204,7 @@ def selfadjointness_defect(
     Sampling random complex vectors; the exact criterion is
     ``G A = A^T G``, which the sampled defect bounds from below.
     """
-    op = np.asarray(op)
+    op = _dense(op)
     if op.shape[0] != form.dim:
         raise ValueError(f"operator dimension {op.shape[0]} != form dimension {form.dim}")
     rng = np.random.default_rng(seed)
@@ -212,7 +221,7 @@ def selfadjointness_defect(
 
 def adjointness_matrix_defect(op: np.ndarray, form: BilinearForm) -> float:
     """Direct matrix criterion: ``max |G A - A^T G|`` over entries, normalized."""
-    op = np.asarray(op)
+    op = _dense(op)
     lhs = form.gram @ op
     rhs = op.T @ form.gram
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)

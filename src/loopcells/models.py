@@ -5,10 +5,13 @@ All builders share the bases of :mod:`loopcells.diagrams`:
 * :func:`build_xxz` -- the open anisotropic spin chain at ``q = exp(i pi/3)``
   with its boundary field, in the zero-magnetization sector (sparse; dense
   callers take ``.toarray()``);
-* :func:`build_ising` -- the critical transverse-field chain on a ring;
+* :func:`build_ising` -- the critical transverse-field chain on a ring
+  (CSR assembled directly: one vectorized XOR per bond for the diagonal,
+  one sorted row of single flips per state);
 * :func:`build_dense_loop_T` -- one row of the dense loop model on a
   cylinder: two staggered half-rows of plaquettes, each plaquette the sum of
-  an identity tile and a cup-cap tile;
+  an identity tile and a cup-cap tile, kept as sparse factors built from the
+  sparse :func:`loopcells.tl.dense_generators`;
 * :func:`build_dilute_T` -- one row of the dilute loop model on a strip,
   assembled from lozenge tiles and boundary half-tiles, together with the
   reversed-order row that evolves bra states;
@@ -92,22 +95,21 @@ def build_ising(L: int) -> sp.csr_matrix:
     entries, so its ground state has strictly positive amplitudes.
     """
     dim = 1 << L
-    diag = np.zeros(dim)
-    for mask in range(dim):
-        s = 0
-        for i in range(L):
-            si = 1 - 2 * ((mask >> i) & 1)
-            sj = 1 - 2 * ((mask >> ((i + 1) % L)) & 1)
-            s += si * sj
-        diag[mask] = -s
-    rows = np.repeat(np.arange(dim), L)
-    cols = np.empty(dim * L, dtype=np.int64)
+    masks = np.arange(dim)
+    # each bond adds sz sz = +1 on aligned spins and -1 on anti-aligned ones
+    broken = np.zeros(dim, dtype=np.int64)
     for i in range(L):
-        cols[i::L] = np.arange(dim) ^ (1 << i)
-    data = -np.ones(dim * L)
-    H = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim))
-    H = H + sp.diags(diag)
-    return H.tocsr()
+        broken += ((masks >> i) ^ (masks >> ((i + 1) % L))) & 1
+    diag = (2 * broken - L).astype(float)
+    # row r holds r itself and its L single flips, sorted into CSR order
+    cols = masks[:, None] ^ np.concatenate([[0], 1 << np.arange(L)])
+    cols.sort(axis=1)
+    data = np.where(cols == masks[:, None], diag[:, None], -1.0)
+    H = sp.csr_matrix(
+        (data.ravel(), cols.ravel(), np.arange(dim + 1) * (L + 1)), shape=(dim, dim)
+    )
+    H.eliminate_zeros()  # states with half their bonds broken have no diagonal
+    return H
 
 
 def ising_boundary_vectors(L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,11 +162,12 @@ def build_dense_loop_T(L: int, n: float) -> TransferOperator:
     """
     if L % 2:
         raise ValueError("the cylinder row needs even L")
+    basis = enumerate_dense(L)
     es = dense_generators(L, n)
-    eye = np.eye(len(enumerate_dense(L)))
-    lower = [sp.csr_matrix(eye + es[i]) for i in range(0, L, 2)]
-    upper = [sp.csr_matrix(eye + es[i]) for i in range(1, L, 2)]
-    return TransferOperator(enumerate_dense(L), lower + upper)
+    eye = sp.identity(len(basis), format="csr")
+    lower = [eye + es[i] for i in range(0, L, 2)]
+    upper = [eye + es[i] for i in range(1, L, 2)]
+    return TransferOperator(basis, lower + upper)
 
 
 # ---------------------------------------------------------------------------

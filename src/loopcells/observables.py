@@ -528,18 +528,15 @@ def ising_boundary_entropy(sizes=(12, 14, 16, 18), bc: str = "fixed") -> FitResu
     f_values = []
     for L in sorted(sizes):
         H = models.build_ising(L)
-        _, vecs = spla.eigsh(H, k=1, which="SA")
+        # the ground state is a positive Perron vector, so the all-ones start
+        # overlaps it and makes the solve deterministic
+        _, vecs = spla.eigsh(H, k=1, which="SA", v0=np.ones(H.shape[0]))
         v = vecs[:, 0]
         v = v * np.sign(v[int(np.argmax(np.abs(v)))])
         fixed_vec, free_vec = models.ising_boundary_vectors(L)
         overlap = float(v @ (fixed_vec if bc == "fixed" else free_vec))
         f_values.append(-np.log(overlap))
     return _inverse_power_fit(sorted(sizes), f_values)
-
-
-@lru_cache(maxsize=8)
-def _dense_loop_counts(L: int) -> np.ndarray:
-    return forms.fast_loop_count_matrix(enumerate_dense(L))
 
 
 @lru_cache(maxsize=8)
@@ -552,13 +549,21 @@ def _boundary_loop_row(L: int) -> np.ndarray:
     return np.array([glue(boundary, s).loops for s in basis], dtype=np.int64)
 
 
-def _loop_quadratic_form(v: np.ndarray, counts: np.ndarray, n: float) -> float:
-    """``v^T G v`` for ``G = n ** counts`` without materializing G."""
-    total = 0.0
-    for start in range(0, len(v), 512):
-        block = np.power(float(n), counts[start : start + 512].astype(np.float64))
-        total += float(v[start : start + 512] @ (block @ v))
-    return total
+def _loop_normalized(v: np.ndarray, L: int, n: float) -> np.ndarray:
+    """``v`` scaled to bilinear square one under the weight-``n`` loop form.
+
+    The square is ``(Mv)^T (Mv)`` with ``M`` the singlet factor of the loop
+    Gram; a square that is not real and positive leaves no real
+    normalization and raises ``ArithmeticError``.
+    """
+    image = forms.singlet_factor(L, n) @ v
+    square = complex(image @ image)
+    if not (square.real > 0 and abs(square.imag) <= 1e-10 * square.real):
+        raise ArithmeticError(
+            f"loop state at L={L}, n={n} has bilinear square {square}; "
+            "it has no real normalization"
+        )
+    return v / np.sqrt(square.real)
 
 
 def loop_boundary_entropy(n: float, n1: float, sizes=(12, 14, 16, 18)) -> LoopEntropyReport:
@@ -567,7 +572,9 @@ def loop_boundary_entropy(n: float, n1: float, sizes=(12, 14, 16, 18)) -> LoopEn
     The boundary state is the all-adjacent-arcs diagram; every loop closed
     by the final gluing touches the boundary and is weighted ``n1`` instead
     of ``n``.  The ground state is normalized to bilinear square one under
-    the weight-``n`` loop form.
+    the weight-``n`` loop form, through its sparse singlet factor
+    (:func:`loopcells.forms.singlet_factor`); a ground state whose square is
+    not positive raises ``ArithmeticError``.
     """
     if not (-2 < n < 2):
         raise ValueError("the loop weight must satisfy -2 < n < 2")
@@ -587,8 +594,7 @@ def loop_boundary_entropy(n: float, n1: float, sizes=(12, 14, 16, 18)) -> LoopEn
             k = int(np.argmax(np.abs(vals)))
             v = vecs[:, k].real
             v = v / np.linalg.norm(v)
-        counts = _dense_loop_counts(L)
-        v = v / np.sqrt(_loop_quadratic_form(v, counts, n))
+        v = _loop_normalized(v, L, n)
         overlap = float(np.power(float(n1), _boundary_loop_row(L)) @ v)
         f_values.append(-np.log(overlap))
     fit = _inverse_power_fit(sorted(sizes), f_values)

@@ -22,6 +22,9 @@ too large to decompose densely.  The leading (Perron) eigenpairs that both
 the transfer rows and the entropy fits need come from the single power
 iteration :func:`perron_pair`, which raises :class:`ConvergenceError`
 rather than return an unconverged iterate.
+
+The dense routines accept scipy sparse operators too; they densify them
+only up to :data:`DENSE_LIMIT` and refuse larger ones before allocating.
 """
 
 from __future__ import annotations
@@ -34,6 +37,18 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DENSE_LIMIT = 4096
+
+
+def _dense(A) -> np.ndarray:
+    """``A`` as a dense array; sparse input above :data:`DENSE_LIMIT` is refused."""
+    if not sp.issparse(A):
+        return np.asarray(A)
+    if max(A.shape) > DENSE_LIMIT:
+        raise ValueError(
+            f"refusing to densify a {A.shape[0]}x{A.shape[1]} sparse matrix: "
+            f"dense paths are limited to dimension {DENSE_LIMIT}"
+        )
+    return A.toarray()
 
 
 @dataclass(frozen=True)
@@ -64,8 +79,8 @@ def cluster_eigenvalues(eigs: np.ndarray, rel_tol: float = 1e-5) -> list[Cluster
 
 
 def full_spectrum(A: np.ndarray, rel_tol: float = 1e-5) -> list[Cluster]:
-    """All eigenvalue clusters of a dense operator, ascending by real part."""
-    A = np.asarray(A)
+    """All eigenvalue clusters of an operator, ascending by real part."""
+    A = _dense(A)
     if A.shape[0] > DENSE_LIMIT:
         raise ValueError(f"dense spectra are limited to dimension {DENSE_LIMIT}")
     return cluster_eigenvalues(sla.eigvals(A), rel_tol)
@@ -78,7 +93,7 @@ def ground_state(
     normalize_component: int | None = None,
     side: str = "right",
 ) -> tuple[complex, np.ndarray]:
-    """Extremal eigenpair of a dense operator.
+    """Extremal eigenpair of an operator, decomposed densely.
 
     ``which`` selects the smallest or largest real part; ``side="left"``
     returns a row eigenvector (computed from the transpose, no conjugation).
@@ -87,7 +102,7 @@ def ground_state(
     :func:`sign_fix`) unless ``normalize_component`` asks instead for that
     coordinate to equal one.
     """
-    A = np.asarray(A)
+    A = _dense(A)
     if side == "left":
         A = A.T
     eigvals, eigvecs = sla.eig(A)
@@ -126,7 +141,7 @@ def sign_fix(v: np.ndarray) -> np.ndarray:
 
 def geometric_multiplicity(A: np.ndarray, level: complex, rank_cut: float = 1e-8) -> int:
     """Kernel dimension of ``A - level`` from the singular-value profile."""
-    A = np.asarray(A)
+    A = _dense(A)
     s = np.linalg.svd(A - level * np.eye(A.shape[0], dtype=complex), compute_uv=False)
     scale = s[0] if s[0] > 0 else 1.0
     return int(np.sum(s <= rank_cut * scale))
@@ -140,7 +155,7 @@ def nilpotent_norm(A: np.ndarray, level: complex, radius: float) -> float:
     the largest off-diagonal magnitude measures its nilpotent part (zero,
     up to roundoff, exactly when the cluster is diagonalizable).
     """
-    A = np.asarray(A).astype(complex)
+    A = _dense(A).astype(complex)
     t, _, sdim = sla.schur(A, output="complex", sort=lambda z: abs(z - level) <= radius)
     if sdim == 0:
         raise ValueError(f"no eigenvalue within {radius} of {level}")
@@ -186,7 +201,7 @@ def extract_jordan_cell(
     has exactly one singular value below ``rank_cut`` times the matrix norm;
     two of them mean the level is diagonalizable and no coupling exists.
     """
-    A = np.asarray(A)
+    A = _dense(A)
     if cluster_size != 2:
         raise ClusterSizeError(f"rank-two extraction needs a size-2 cluster, got {cluster_size}")
     shifted = A - level * np.eye(A.shape[0], dtype=complex)

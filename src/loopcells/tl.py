@@ -12,12 +12,14 @@ with loop weight ``n``.  This module realises the generators as matrices on
 * the open arc/string basis (:func:`open_generators`), with an optional
   deformation ``y`` that reweights the contraction of a string pair by the
   parity of its labels,
-* the periodic all-arc basis (:func:`dense_generators`),
+* the periodic all-arc basis (:func:`dense_generators`, sparse CSR: each
+  generator maps a basis state to exactly one state),
 * the spin-1/2 chain at anisotropy ``q`` (:func:`spin_generators`), where
   ``n = q + 1/q``.
 
 :func:`check_relations_chain` and :func:`check_relations_periodic` measure how
-well a family of matrices satisfies the defining relations, and
+well a family of matrices (dense or sparse) satisfies the defining
+relations, and
 :func:`conjugate` supports explicit basis-change verifications against known
 block decompositions.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .diagrams import (
     ARC,
@@ -36,6 +39,7 @@ from .diagrams import (
     enumerate_dense,
     enumerate_open,
 )
+from .spectral import _dense
 
 
 def contraction_weight(label: int, y: complex) -> complex:
@@ -99,25 +103,30 @@ def open_generators(L: int, n: complex, y: complex = 1.0) -> list[np.ndarray]:
     return es
 
 
-def dense_generators(L: int, n: complex) -> list[np.ndarray]:
-    """Matrices of ``e_1 .. e_L`` on the periodic all-arc basis (``e_L`` wraps).
+def dense_generators(L: int, n: complex) -> list[sp.csr_matrix]:
+    """Sparse matrices of ``e_1 .. e_L`` on the periodic all-arc basis (``e_L`` wraps).
 
-    On the two-site ring both generators act on the same pair, so ``e_1`` and
-    ``e_2`` coincide as operators and the adjacent-pair relations only become
-    meaningful from ``L = 4`` on; the individual matrices are still the
-    correct contraction operators (used by the width-2 transfer row).
+    Each generator sends a basis state to a single state, so every column
+    holds one entry.  On the two-site ring both generators act on the same
+    pair, so ``e_1`` and ``e_2`` coincide as operators and the adjacent-pair
+    relations only become meaningful from ``L = 4`` on; the individual
+    matrices are still the correct contraction operators (used by the
+    width-2 transfer row).
     """
     basis = enumerate_dense(L)
     index = basis_index(basis)
+    dim = len(basis)
     dtype = np.complex128 if isinstance(n, complex) else np.float64
+    cols = np.arange(dim)
     es = []
     for i in range(L):
         j = (i + 1) % L
-        e = np.zeros((len(basis), len(basis)), dtype=dtype)
+        rows = np.empty(dim, dtype=np.int64)
+        weights = np.empty(dim, dtype=dtype)
         for col, s in enumerate(basis):
-            new, w = _act_adjacent(s, i, j, n, 1.0)
-            e[index[new], col] += w
-        es.append(e)
+            new, weights[col] = _act_adjacent(s, i, j, n, 1.0)
+            rows[col] = index[new]
+        es.append(sp.csr_matrix((weights, (rows, cols)), shape=(dim, dim)))
     return es
 
 
@@ -173,6 +182,7 @@ def spin_generators(L: int, q: complex, masks: Sequence[int] | None = None) -> l
 
 def check_relations_chain(es: Sequence[np.ndarray], n: complex) -> float:
     """Relation residual for an open chain ``e_1 .. e_{L-1}``."""
+    es = [_dense(e) for e in es]
     worst = 0.0
     m = len(es)
     for i in range(m):
@@ -190,6 +200,7 @@ def check_relations_chain(es: Sequence[np.ndarray], n: complex) -> float:
 
 def check_relations_periodic(es: Sequence[np.ndarray], n: complex) -> float:
     """Relation residual for a cylinder family ``e_1 .. e_L`` (indices mod L)."""
+    es = [_dense(e) for e in es]
     worst = 0.0
     m = len(es)
     for i in range(m):

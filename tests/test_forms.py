@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopcells import diagrams as dg
 from loopcells import fixtures as fx
@@ -43,12 +47,38 @@ class TestLoopGram:
             form = forms.loop_gram(L, 1.0)
             np.testing.assert_allclose(form.gram, np.ones((form.dim, form.dim)))
 
+
+@lru_cache(maxsize=None)
+def oracle_counts(L: int) -> np.ndarray:
+    return forms.loop_count_matrix(dg.enumerate_dense(L))
+
+
+def singlet_gram_error(L: int, n: float) -> float:
+    m = forms.singlet_factor(L, n)
+    oracle = np.power(float(n), oracle_counts(L).astype(np.float64))
+    return float(np.max(np.abs((m.T @ m).toarray() - oracle)))
+
+
+class TestSingletFactor:
+    @pytest.mark.parametrize("n", [-1.5, -0.7, 0.0, 0.3, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("L", [2, 4, 6, 8, 10])
+    def test_factor_squares_to_loop_gram(self, L, n):
+        assert singlet_gram_error(L, n) < 1e-12
+
+    @given(st.floats(-1.99, 1.99), st.sampled_from([2, 4, 6, 8]))
+    @settings(max_examples=40, deadline=None)
+    def test_factor_squares_to_loop_gram_for_any_weight(self, n, L):
+        assert singlet_gram_error(L, n) < 1e-12
+
     @pytest.mark.parametrize("L", [2, 4, 6, 8])
-    def test_fast_count_matrix_matches_diagrammatic(self, L):
-        basis = dg.enumerate_dense(L)
-        np.testing.assert_array_equal(
-            forms.fast_loop_count_matrix(basis), forms.loop_count_matrix(basis)
-        )
+    def test_shape_and_one_spin_state_per_choice(self, L):
+        m = forms.singlet_factor(L, 0.7)
+        dim = len(dg.enumerate_dense(L))
+        assert m.shape == (2**L, dim)
+        assert m.nnz == dim * 2 ** (L // 2)
+        # every spin state in a column has zero magnetization
+        rows = m.tocoo().row
+        assert all(bin(int(r)).count("1") == L // 2 for r in rows)
 
 
 class TestLinkGram:
@@ -93,6 +123,12 @@ class TestSpinForm:
         form = forms.identity_gram(len(masks))
         assert forms.adjointness_matrix_defect(H, form) < 1e-12
         assert forms.selfadjointness_defect(H, form) < 1e-10
+
+    def test_defects_accept_sparse_operators(self):
+        H, masks = models.build_xxz(4)
+        form = forms.identity_gram(len(masks))
+        for defect in (forms.adjointness_matrix_defect, forms.selfadjointness_defect):
+            assert defect(H, form) == pytest.approx(defect(H.toarray(), form), rel=1e-12, abs=1e-15)
 
     def test_width_two_singlet_square(self):
         # (q^{-1/2} ud - q^{1/2} du) dotted into itself without conjugation

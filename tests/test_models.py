@@ -57,6 +57,18 @@ class TestIsing:
         )
         np.testing.assert_allclose(H, expect)
 
+    @pytest.mark.parametrize("L", range(2, 9))
+    def test_matches_per_bit_construction(self, L):
+        dim = 1 << L
+        expect = np.zeros((dim, dim))
+        for mask in range(dim):
+            for i in range(L):
+                si = 1 - 2 * ((mask >> i) & 1)
+                sj = 1 - 2 * ((mask >> ((i + 1) % L)) & 1)
+                expect[mask, mask] -= si * sj
+                expect[mask ^ (1 << i), mask] -= 1.0
+        np.testing.assert_array_equal(models.build_ising(L).toarray(), expect)
+
     def test_symmetric(self):
         H = models.build_ising(6)
         assert abs(H - H.T).max() == 0.0

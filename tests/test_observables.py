@@ -5,9 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from loopcells import diagrams as dg
 from loopcells import fixtures as fx
+from loopcells import forms, models, spectral
 from loopcells import observables as obs
-from loopcells import spectral
+
+
+def loop_count_gram(L: int, n: float) -> np.ndarray:
+    """The weight-``n`` loop Gram from diagrammatic loop counts (the oracle)."""
+    counts = forms.loop_count_matrix(dg.enumerate_dense(L))
+    return np.power(n, counts.astype(np.float64))
 
 
 class TestTrousers:
@@ -196,6 +203,12 @@ class TestIsingEntropy:
         with pytest.raises(ValueError, match="unknown boundary condition"):
             obs.ising_boundary_entropy(bc="twisted")
 
+    def test_repeated_calls_agree_exactly(self):
+        first = obs.ising_boundary_entropy(sizes=(8, 10, 12), bc="fixed")
+        second = obs.ising_boundary_entropy(sizes=(8, 10, 12), bc="fixed")
+        assert first.value == second.value
+        assert first.coefficients == second.coefficients
+
 
 class TestLoopEntropy:
     def test_closed_form_vanishes_at_the_symmetric_point(self):
@@ -219,3 +232,40 @@ class TestLoopEntropy:
     def test_row_parity_is_checked(self):
         with pytest.raises(ValueError, match="even sizes"):
             obs.loop_boundary_entropy(1.0, 1.0, sizes=(7, 9))
+
+    def test_normalization_matches_the_loop_count_gram(self):
+        n, n1, sizes = 0.5, 1.0, (6, 8, 10)
+        values = []
+        for L in sizes:
+            _, v = spectral.perron_pair(models.build_dense_loop_T(L, n))
+            v = v / np.sqrt(v @ loop_count_gram(L, n) @ v)
+            boundary = dg.from_text("()" * (L // 2))
+            loops = np.array([dg.glue(boundary, s).loops for s in dg.enumerate_dense(L)])
+            values.append(-np.log(np.power(n1, loops) @ v))
+        expect = obs._inverse_power_fit(sizes, values).value
+        got = obs.loop_boundary_entropy(n, n1, sizes).fit.value
+        assert abs(got - expect) < 1e-10
+
+    def test_nonpositive_weight_ground_state_has_negative_square(self):
+        # the n <= 0 branch decomposes the row densely; at n = -0.5 the
+        # leading state's square under the loop form is negative, so there
+        # is no real normalization and the entropy must not come out NaN
+        n, L = -0.5, 6
+        vals, vecs = np.linalg.eig(models.build_dense_loop_T(L, n).matrix())
+        v = vecs[:, int(np.argmax(np.abs(vals)))].real
+        oracle = v @ loop_count_gram(L, n) @ v
+        image = forms.singlet_factor(L, n) @ v
+        assert oracle < 0
+        assert abs(complex(image @ image) - oracle) < 1e-10
+        with pytest.raises(ArithmeticError, match="L=6, n=-0.5"):
+            obs.loop_boundary_entropy(n, 1.0, sizes=(6, 8, 10))
+
+    @pytest.mark.parametrize("n", [0.3, 0.0])
+    def test_nonpositive_square_raises(self, n):
+        # ()(()) - (()()) has square 2 n^2 (n - 1) <= 0 for these weights
+        index = dg.basis_index(dg.enumerate_dense(6))
+        vec = np.zeros(len(index))
+        vec[index[dg.from_text("()(())")]] = 1.0
+        vec[index[dg.from_text("(()())")]] = -1.0
+        with pytest.raises(ArithmeticError, match=f"L=6, n={n}"):
+            obs._loop_normalized(vec, 6, n)

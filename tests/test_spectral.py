@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from loopcells import spectral
+from loopcells import models, spectral
 
 
 def embedded_jordan(level: float, others: list[float], seed: int = 7) -> np.ndarray:
@@ -118,6 +118,38 @@ class TestMultiplicityProbes:
     def test_nilpotent_norm_empty_radius(self):
         with pytest.raises(ValueError, match="no eigenvalue within"):
             spectral.nilpotent_norm(np.diag([1.0, 2.0]), 10.0, 0.1)
+
+
+def flat(*parts) -> np.ndarray:
+    return np.concatenate([np.ravel(p) for p in parts])
+
+
+def jordan_probe(A) -> np.ndarray:
+    cell = spectral.extract_jordan_cell(A, spectral.full_spectrum(A)[3].value)
+    return flat(cell.value, cell.vector, cell.partner)
+
+
+SPARSE_PROBES = {
+    "full_spectrum": lambda A: flat([c.value for c in spectral.full_spectrum(A)]),
+    "ground_state": lambda A: flat(*spectral.ground_state(A, "min", gram=np.eye(A.shape[0]))),
+    "extract_jordan_cell": jordan_probe,
+    "geometric_multiplicity": lambda A: flat(spectral.geometric_multiplicity(A, 1.5)),
+    "nilpotent_norm": lambda A: flat(spectral.nilpotent_norm(A, 1.5, 1e-4)),
+}
+
+
+class TestSparseInput:
+    @pytest.mark.parametrize("name", sorted(SPARSE_PROBES))
+    def test_sparse_matches_dense(self, name):
+        # the width-4 chain has its rank-two cell at the fourth level, 1.5
+        H = models.build_xxz(4)[0]
+        probe = SPARSE_PROBES[name]
+        np.testing.assert_allclose(probe(H), probe(H.toarray()), rtol=0, atol=1e-12)
+
+    def test_oversized_sparse_input_is_refused_before_densifying(self, monkeypatch):
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 4)
+        with pytest.raises(ValueError, match="refusing to densify a 6x6"):
+            spectral.ground_state(models.build_xxz(4)[0])
 
 
 class TestJordanExtraction:

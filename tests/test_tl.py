@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from loopcells import diagrams as dg
 from loopcells import fixtures as fx
@@ -28,9 +29,22 @@ class TestRelations:
     def test_two_site_ring_is_degenerate(self):
         # both bonds connect the same two sites, so the generators coincide
         # and the adjacent-pair relations do not apply
-        e1, e2 = tl.dense_generators(2, 1.3)
+        e1, e2 = (e.toarray() for e in tl.dense_generators(2, 1.3))
         np.testing.assert_allclose(e1, e2)
         np.testing.assert_allclose(e1, [[1.3]])
+
+    @pytest.mark.parametrize("L", [4, 6, 8])
+    def test_dense_generators_are_sparse_maps(self, L):
+        # a cup-cap generator sends each link state to exactly one state
+        for e in tl.dense_generators(L, 0.7):
+            assert sp.issparse(e) and e.format == "csr"
+            np.testing.assert_array_equal(np.diff(e.tocsc().indptr), 1)
+
+    @pytest.mark.parametrize("L", [3, 5])
+    def test_relation_checks_accept_sparse_input(self, L):
+        es = tl.open_generators(L, 0.3)
+        sparse = [sp.csr_matrix(e) for e in es]
+        assert tl.check_relations_chain(sparse, 0.3) == tl.check_relations_chain(es, 0.3)
 
     @pytest.mark.parametrize("L", [2, 4, 6])
     def test_spin_chain_relations(self, L):
