@@ -30,7 +30,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -149,21 +148,32 @@ def trousers_xxz(L: int, q: complex | None = None, side: str = "right") -> Trous
     return TrousersState("xxz", L, side, vec, "overlap with ground = 1")
 
 
-def _fourth_level_cell(H: np.ndarray, L: int, gram, cluster_tol: float):
-    """Rank-two cell at the fourth distinct level of a dense chain, with its ground.
+def _fourth_level_cell(H, L: int, gram, cluster_tol: float):
+    """Rank-two cell at the fourth distinct level of a chain, with its ground.
 
-    Returns ``(level, v, w, e0, v0)``; the ground state is normalized to
-    bilinear square one under ``gram``.
+    The low spectrum comes from ARPACK's 16 eigenvalues nearest a point
+    below the ground energy (``(L-1)/2 - 2 sum e_i`` with each ``e_i``
+    spectrum in ``[0, 1]`` at loop weight one), or from LAPACK when the
+    chain is too small for ARPACK to return 16 of them.  Returns
+    ``(cell, e0, v0)``; the ground state is normalized to bilinear square
+    one under ``gram``.
     """
-    clusters = spectral.full_spectrum(H, cluster_tol)
-    c3 = spectral.level_cluster(clusters, 3)
+    k = 16
+    if H.shape[0] > k + 1:
+        vals, vecs = spla.eigs(
+            sp.csc_matrix(H), k=k, sigma=-1.5 * (L - 1) - 1.0, v0=np.ones(H.shape[0])
+        )
+    else:
+        vals, vecs = np.linalg.eig(H.toarray() if sp.issparse(H) else H)
+    c3 = spectral.level_cluster(spectral.cluster_eigenvalues(vals, cluster_tol), 3)
     if c3.size != 2:
         raise spectral.ClusterSizeError(
             f"fourth level of the L={L} chain is not a double cluster: {c3}"
         )
     cell = spectral.extract_jordan_cell(H, c3.value)
-    e0, v0 = spectral.ground_state(H, "min", gram=gram)
-    return c3.value, cell.vector, cell.partner, e0, v0
+    k0 = int(np.argmin(vals.real))
+    v0 = spectral.sign_fix(spectral.normalize_bilinear(vecs[:, k0], gram))
+    return cell, vals[k0], v0
 
 
 def _pair_b(v_r, w_r, v_l, w_l, bra, ket, gram):
@@ -197,8 +207,6 @@ def b_xxz(
     cell at the fourth distinct level, rescale its partner into Hamiltonian
     convention units, and pair with the trousers state.  ``cell_scale``
     multiplies the whole cell and must not change the answer (tested).
-    Sizes whose sector outgrows the dense limit go through shift-inverted
-    iteration instead.
     """
     if L % 4:
         raise ValueError("b for the spin chain needs L a multiple of 4")
@@ -206,19 +214,8 @@ def b_xxz(
     v_f = fixtures.FERMI_VELOCITY
     H, masks = models.build_xxz(L, q)
     identity = sp.identity(len(masks), format="csr")
-    if comb(L, L // 2) <= spectral.DENSE_LIMIT:
-        level, v3, w, e0, v0 = _fourth_level_cell(H.toarray(), L, identity, cluster_tol)
-    else:
-        # (L-1)/2 - 2 sum e_i with e_i spectra in [0, n] bounds E0 from below
-        sigma = -1.5 * (L - 1) - 1.0
-        vals, vecs = spla.eigs(H.tocsc(), k=16, sigma=sigma)
-        clusters = spectral.cluster_eigenvalues(vals, cluster_tol)
-        c3 = spectral.level_cluster(clusters, 3)
-        level, v3, w, _ = spectral.sparse_jordan_cell(H, c3.value)
-        k0 = int(np.argmin(np.abs(vals - clusters[0].value)))
-        e0 = vals[k0]
-        v0 = vecs[:, k0]
-        v0 = spectral.sign_fix(v0 / np.sqrt(complex(v0 @ v0)))
+    cell, e0, v0 = _fourth_level_cell(H, L, identity, cluster_tol)
+    level, v3, w = cell.value, cell.vector, cell.partner
     v3 = cell_scale * v3
     w_tilde = (np.pi * v_f / L) * (cell_scale * w)
     trousers, _ = _xxz_product_vector(L, q)
@@ -304,11 +301,12 @@ def b_polymer(
     T00, T02, T22, idx0, idx2 = models.dilute_blocks(row, row.ket_row)
     M00, M02, M22, _, _ = models.dilute_blocks(row, row.bra_row)
     dim0 = len(idx0)
-    lam1, v_r, w_r = spectral.block_jordan_cell(T00, T02, T22)
-    lam1_left, v_l, w_l = spectral.block_jordan_cell(M00, M02, M22)
-    if abs(lam1_left - lam1) > 1e-9 * abs(lam1):
+    right = spectral.block_jordan_cell(T00, T02, T22)
+    left = spectral.block_jordan_cell(M00, M02, M22)
+    lam1 = right.value
+    if abs(left.value - lam1) > 1e-9 * abs(lam1):
         raise ArithmeticError(
-            f"bra and ket rows disagree on the cell eigenvalue: {lam1} vs {lam1_left}"
+            f"bra and ket rows disagree on the cell eigenvalue: {lam1} vs {left.value}"
         )
     lam0, _ = spectral.perron_pair(T00)
 
@@ -320,10 +318,10 @@ def b_polymer(
 
     factor = -(2 / np.sqrt(3.0)) * (np.pi / L) * lam1
     b, gauge = _pair_b(
-        right_scale * scatter(v_r),
-        factor * (right_scale * scatter(w_r)),
-        left_scale * scatter(v_l),
-        factor * (left_scale * scatter(w_l)),
+        right_scale * scatter(right.vector),
+        factor * (right_scale * scatter(right.partner)),
+        left_scale * scatter(left.vector),
+        factor * (left_scale * scatter(left.partner)),
         _dilute_product_vector(L, x, row.basis, "left"),
         _dilute_product_vector(L, x, row.basis, "right"),
         forms.dilute_sector_gram(row.basis),
@@ -384,7 +382,8 @@ def b_deformed(
     v_f = fixtures.FERMI_VELOCITY
     H = models.build_percolation_H(L, y)
     gram = forms.link_gram(L, y).gram
-    level, v3, w, e0, v0 = _fourth_level_cell(H, L, gram, cluster_tol)
+    cell, e0, v0 = _fourth_level_cell(H, L, gram, cluster_tol)
+    level, v3, w = cell.value, cell.vector, cell.partner
     v3 = cell_scale * v3
     w_tilde = (np.pi * v_f / L) * (cell_scale * w)
     trousers = _open_product_vector(L, y)
@@ -571,13 +570,16 @@ def loop_boundary_entropy(n: float, n1: float, sizes=(12, 14, 16, 18)) -> LoopEn
 
     The boundary state is the all-adjacent-arcs diagram; every loop closed
     by the final gluing touches the boundary and is weighted ``n1`` instead
-    of ``n``.  The ground state is normalized to bilinear square one under
-    the weight-``n`` loop form, through its sparse singlet factor
+    of ``n``.  The Perron ground state is normalized to bilinear square one
+    under the weight-``n`` loop form, through its sparse singlet factor
     (:func:`loopcells.forms.singlet_factor`); a ground state whose square is
-    not positive raises ``ArithmeticError``.
+    not positive raises ``ArithmeticError``.  Weights ``n <= 0`` are refused:
+    the row then has no positive leading state, and the one of largest
+    modulus has a negative or vanishing loop-form square at every width
+    tried.
     """
-    if not (-2 < n < 2):
-        raise ValueError("the loop weight must satisfy -2 < n < 2")
+    if not (0 < n < 2):
+        raise ValueError("the loop weight must satisfy 0 < n < 2")
     if n1 <= 0:
         raise ValueError("the boundary loop weight must be positive")
     f_values = []
@@ -585,15 +587,7 @@ def loop_boundary_entropy(n: float, n1: float, sizes=(12, 14, 16, 18)) -> LoopEn
         if L % 2:
             raise ValueError("the cylinder row needs even sizes")
         op = models.build_dense_loop_T(L, n)
-        if n > 0:
-            _, v = spectral.perron_pair(op)
-        elif op.dim > spectral.DENSE_LIMIT:
-            raise ValueError("nonpositive weights need the dense path; size too large")
-        else:
-            vals, vecs = np.linalg.eig(op.matrix())
-            k = int(np.argmax(np.abs(vals)))
-            v = vecs[:, k].real
-            v = v / np.linalg.norm(v)
+        _, v = spectral.perron_pair(op)
         v = _loop_normalized(v, L, n)
         overlap = float(np.power(float(n1), _boundary_loop_row(L)) @ v)
         f_values.append(-np.log(overlap))
@@ -608,10 +602,11 @@ def loop_entropy_exact(n: float, n1: float) -> float:
     With ``n = 2 cos(gamma)`` and ``g = 1 - gamma/pi``, the boundary weight
     determines ``r`` through ``n1 = sin((r+1) gamma)/sin(r gamma)`` and the
     entropy is ``-log[(2g)^(-1/4) (sin(r gamma/g)/sin(r gamma))
-    (sin(gamma)/sin(gamma/g))^(1/2)]``.
+    (sin(gamma)/sin(gamma/g))^(1/2)]``.  It is real only for ``0 < n < 2``
+    (for ``n <= 0``, ``gamma/g >= pi``), so other weights are refused.
     """
-    if not (-2 < n < 2):
-        raise ValueError("the loop weight must satisfy -2 < n < 2")
+    if not (0 < n < 2):
+        raise ValueError("the loop weight must satisfy 0 < n < 2")
     gamma = float(np.arccos(n / 2))
     g = 1 - gamma / np.pi
     if abs(n1 - n) < 1e-12:

@@ -3,25 +3,29 @@
 A defective eigenvalue of a finite-precision matrix splits into a tight
 cluster whose diameter scales like the square root of machine precision, so
 :func:`full_spectrum` groups eigenvalues by a relative gap (default ``1e-5``)
-and reports cluster means.  :func:`extract_jordan_cell` then decides, via the
-singular values of ``A - lambda``, whether a size-two cluster is a genuine
-Jordan cell (one vanishing singular value) or a diagonalizable degeneracy
-(two), and returns the eigenvector ``v`` together with the minimal-norm
-solution ``w`` of ``(A - lambda) w = v``.
+and reports cluster means.
+
+One LU-based solver extracts every Jordan cell.  Its private core takes one
+sparse LU of the singular shift ``A - lambda`` and runs inverse iteration on
+it for the right kernel directions and the left kernel vector; when SuperLU
+finds the shift exactly singular, it refactors once at a tiny identity shift
+and records that shift as :attr:`JordanCell.regularization`.  The partner
+``w`` of ``(A - lambda) w = v`` solves a bordered system with its own LU.
+:func:`extract_jordan_cell` (dense or sparse ``A``) decides the structure
+from the two singular values of ``A - lambda`` on a two-column inverse
+iteration: one vanishing means a genuine cell, two mean a diagonalizable
+degeneracy.  :func:`block_jordan_cell` runs the same core on the zero-string
+block of a block upper-triangular transfer row (string sectors that only
+feed downward).  Both return a :class:`JordanCell` with its residuals.
 
 The ``w`` returned by the solvers is defined up to adding multiples of
 ``v``; the minimal-Euclidean-norm gauge fixes that freedom, and downstream
 couplings are insensitive to it (their residual sensitivity is reported as
 the overlap of the probe state with ``v``).
 
-For block upper-triangular transfer rows (string sectors that only feed
-downward) :func:`block_jordan_cell` exploits the structure directly with
-inverse iteration on one sparse LU factorization of the zero-string block,
-and :func:`sparse_jordan_cell` uses shift-inverted iterations for operators
-too large to decompose densely.  The leading (Perron) eigenpairs that both
-the transfer rows and the entropy fits need come from the single power
-iteration :func:`perron_pair`, which raises :class:`ConvergenceError`
-rather than return an unconverged iterate.
+The leading (Perron) eigenpairs that both the transfer rows and the entropy
+fits need come from the single power iteration :func:`perron_pair`, which
+raises :class:`ConvergenceError` rather than return an unconverged iterate.
 
 The dense routines accept scipy sparse operators too; they densify them
 only up to :data:`DENSE_LIMIT` and refuse larger ones before allocating.
@@ -166,7 +170,11 @@ def nilpotent_norm(A: np.ndarray, level: complex, radius: float) -> float:
 
 @dataclass(frozen=True)
 class JordanCell:
-    """A rank-two cell: ``(A - value) v = 0`` and ``(A - value) w = v``."""
+    """A rank-two cell: ``(A - value) v = 0`` and ``(A - value) w = v``.
+
+    ``regularization`` is the identity shift the LU of ``A - value`` needed
+    because the shift was exactly singular (0.0 when none was applied).
+    """
 
     value: complex
     vector: np.ndarray
@@ -174,6 +182,7 @@ class JordanCell:
     cluster_size: int
     residual_v: float
     residual_w: float
+    regularization: float
 
 
 class DiagonalizableLevelError(ValueError):
@@ -188,39 +197,89 @@ class ConvergenceError(ArithmeticError):
     """Raised when an iterative solve reaches its iteration limit unconverged."""
 
 
+def _kernel_pair(shifted, columns: int = 1):
+    """Right kernel block and left kernel vector of a nearly singular sparse shift.
+
+    One sparse LU of ``shifted`` serves four steps of inverse iteration from
+    a fixed pseudo-random start: ``columns`` orthonormal right directions
+    (kept orthonormal by QR) and one left direction from conjugate-transposed
+    solves, so that ``ell^H shifted`` vanishes.  When SuperLU finds the shift
+    exactly singular it is refactored once at ``shifted + delta I`` with
+    ``delta = 1e-13 ||shifted||_F``; the identity shift moves no eigenvector.
+    Returns ``(X, ell, delta)``, with ``delta = 0.0`` when no shift was needed.
+    """
+    n = shifted.shape[0]
+    try:
+        lu, delta = spla.splu(shifted), 0.0
+    except RuntimeError:
+        delta = 1e-13 * spla.norm(shifted)
+        lu = spla.splu((shifted + delta * sp.identity(n, format="csc")).tocsc())
+    start = np.random.default_rng(0).standard_normal((n, columns + 1))
+    X, ell = start[:, :columns], start[:, columns:]
+    for _ in range(4):
+        X, _ = np.linalg.qr(lu.solve(X))
+        ell, _ = np.linalg.qr(lu.solve(ell, trans="H"))
+    return X, ell[:, 0], delta
+
+
+def _bordered_partner(shifted, v, ell, rhs):
+    """Solution ``w`` of ``shifted w = rhs`` with ``v^H w = 0``.
+
+    ``rhs`` must lie in the range of the singular ``shifted``; the bordered
+    system ``[[shifted, ell], [v^H, 0]]`` is regular because the border
+    column is the left kernel direction (any vector inside the range, such
+    as ``v`` itself, would make it singular), and its border row pins the
+    minimal-norm gauge.  It needs its own factorization.
+    """
+    bordered = sp.bmat([[shifted, ell[:, None]], [v.conj()[None, :], None]], format="csc")
+    return spla.splu(bordered).solve(np.concatenate([rhs, [0.0]]))[:-1]
+
+
+def _jordan_cell(shift, norm: float, value, v, w, regularization: float) -> JordanCell:
+    """A :class:`JordanCell` with the minimal-norm gauge and its residuals.
+
+    ``shift(x)`` applies the full operator minus ``value`` and ``norm`` is
+    the Frobenius norm of the operator, which scales the kernel residual.
+    """
+    w = w - (np.vdot(v, w) / np.vdot(v, v)) * v
+    res_v = float(np.linalg.norm(shift(v)) / max(norm, 1e-300))
+    res_w = float(np.linalg.norm(shift(w) - v) / max(np.linalg.norm(v), 1e-300))
+    return JordanCell(value, v, w, 2, res_v, res_w, regularization)
+
+
 def extract_jordan_cell(
-    A: np.ndarray,
+    A,
     level: complex,
     cluster_size: int = 2,
     rank_cut: float = 1e-8,
 ) -> JordanCell:
     """Eigenvector and minimal-norm Jordan partner at a degenerate level.
 
-    ``level`` should be the cluster mean from :func:`full_spectrum`.  The
-    singular spectrum of ``A - level`` decides the structure: a genuine cell
-    has exactly one singular value below ``rank_cut`` times the matrix norm;
-    two of them mean the level is diagonalizable and no coupling exists.
+    ``A`` is dense or sparse; ``level`` should be the cluster mean (from
+    :func:`full_spectrum` or any eigensolver).  Two-column inverse iteration
+    on one sparse LU of ``A - level`` spans the near-kernel, and the two
+    singular values of ``A - level`` on that span decide the structure: a
+    genuine cell has exactly one below ``rank_cut`` times the Frobenius norm
+    of the shift; two of them mean the level is diagonalizable and no
+    coupling exists.  The partner solves the bordered system of
+    :func:`_bordered_partner`.
     """
-    A = _dense(A)
     if cluster_size != 2:
         raise ClusterSizeError(f"rank-two extraction needs a size-2 cluster, got {cluster_size}")
-    shifted = A - level * np.eye(A.shape[0], dtype=complex)
-    u, s, vh = np.linalg.svd(shifted)
-    scale = s[0] if s[0] > 0 else 1.0
-    null_dim = int(np.sum(s <= rank_cut * scale))
+    A = sp.csc_matrix(A, dtype=complex)
+    shifted = (A - level * sp.identity(A.shape[0], dtype=complex, format="csc")).tocsc()
+    X, ell, regularization = _kernel_pair(shifted, columns=2)
+    _, s, vh = np.linalg.svd(shifted @ X, full_matrices=False)
+    null_dim = int(np.sum(s <= rank_cut * spla.norm(shifted)))
     if null_dim >= 2:
         raise DiagonalizableLevelError(
             f"level {level} is diagonalizable (kernel dimension {null_dim}); no coupling exists"
         )
     if null_dim == 0:
         raise ClusterSizeError(f"level {level} has no kernel at cutoff {rank_cut}")
-    v = vh[-1].conj()
-    w, *_ = np.linalg.lstsq(shifted, v, rcond=rank_cut)
-    # minimal-norm gauge: remove any eigenvector component
-    w = w - (np.vdot(v, w) / np.vdot(v, v)) * v
-    res_v = float(np.linalg.norm(shifted @ v) / max(np.linalg.norm(A), 1e-300))
-    res_w = float(np.linalg.norm(shifted @ w - v) / max(np.linalg.norm(v), 1e-300))
-    return JordanCell(level, v, w, 2, res_v, res_w)
+    v = X @ vh[-1].conj()
+    w = _bordered_partner(shifted, v, ell, v)
+    return _jordan_cell(shifted.dot, spla.norm(A), level, v, w, regularization)
 
 
 def level_cluster(clusters: list[Cluster], index: int) -> Cluster:
@@ -263,53 +322,28 @@ def perron_pair(M, tol: float = 1e-14, max_iter: int = 100000):
     raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
 
 
-def _eig_near(M, sigma: complex, k: int = 1, v0=None):
-    """Eigenpairs of a sparse matrix near ``sigma`` by shift-inverted iteration."""
-    dim = M.shape[0]
-    if dim <= 400:
-        dense = M.toarray() if sp.issparse(M) else np.asarray(M)
-        vals, vecs = np.linalg.eig(dense)
-        order = np.argsort(np.abs(vals - sigma))[:k]
-        return vals[order], vecs[:, order]
-    if v0 is None:
-        v0 = np.ones(dim)
-    vals, vecs = spla.eigs(M.tocsc().astype(complex), k=k, sigma=sigma, v0=v0)
-    return vals, vecs
-
-
-def block_jordan_cell(T00, T02, T22, rank_cut: float = 1e-9):
-    """Jordan data of ``[[T00, T02], [0, T22]]`` at the leading level of ``T22``.
+def block_jordan_cell(T00, T02, T22, rank_cut: float = 1e-9) -> JordanCell:
+    """Jordan cell of ``[[T00, T02], [0, T22]]`` at the leading level of ``T22``.
 
     The eigenvector at that level lives purely in the first (zero-string)
     block.  The leading two-string eigenvalue comes from power iteration;
     the shared zero-string eigenvector and its left companion come from
-    inverse iteration on the LU factors of the singular shift (transposed
-    solves for the left side), and both must leave a residual below
-    ``rank_cut`` times the norm of the shift, otherwise the level is not
-    shared.  The partner's second-block component is fixed by the
-    solvability condition against the left null vector, and its first-block
-    component solves a bordered system that pins the kernel component to
-    zero.  Returns ``(lambda1, v, w)`` in stacked coordinates, with the
-    minimal-norm gauge applied to ``w``.
+    :func:`_kernel_pair` on the singular shift of ``T00``, and both must
+    leave a residual below ``rank_cut`` times the norm of the shift,
+    otherwise the level is not shared.  The partner's second-block component
+    is fixed by the solvability condition against the left null vector, and
+    its first-block component comes from :func:`_bordered_partner`.  The
+    cell is in stacked coordinates, with the minimal-norm gauge applied to
+    the partner.
     """
     T00 = sp.csc_matrix(T00)
     T02 = sp.csr_matrix(T02)
     T22 = sp.csr_matrix(T22)
     lam1, u2 = perron_pair(T22)
-    n0 = T00.shape[0]
+    n0, n2 = T00.shape[0], T22.shape[0]
     shifted = (T00 - lam1 * sp.identity(n0, format="csc")).tocsc()
-    try:
-        lu = spla.splu(shifted)
-    except RuntimeError:
-        lu = spla.splu(shifted + 1e-10 * abs(lam1) * sp.identity(n0, format="csc"))
-    v0 = np.ones(n0)
-    for _ in range(4):
-        v0 = lu.solve(v0)
-        v0 = v0 / np.linalg.norm(v0)
-    ell0 = np.ones(n0)
-    for _ in range(4):
-        ell0 = lu.solve(ell0, trans="T")
-        ell0 = ell0 / np.linalg.norm(ell0)
+    X, ell0, regularization = _kernel_pair(shifted)
+    v0 = X[:, 0]
     cut = rank_cut * spla.norm(shifted)
     if np.linalg.norm(shifted @ v0) > cut or np.linalg.norm(shifted.T @ ell0) > cut:
         raise DiagonalizableLevelError(
@@ -319,52 +353,16 @@ def block_jordan_cell(T00, T02, T22, rank_cut: float = 1e-9):
     if abs(denom) < 1e-300:
         raise DiagonalizableLevelError("the sectors decouple at this level; no cell")
     c = (ell0 @ v0) / denom
-    rhs = v0 - c * (T02 @ u2)
-    bordered = sp.bmat(
-        [[shifted, ell0[:, None]], [v0[None, :], None]], format="csc"
-    )
-    sol = spla.splu(bordered).solve(np.concatenate([rhs, [0.0]]))
-    w0 = sol[:-1]
-    v = np.concatenate([v0, np.zeros_like(u2)])
+    w0 = _bordered_partner(shifted, v0, ell0, v0 - c * (T02 @ u2))
+    v = np.concatenate([v0, np.zeros(n2)])
     w = np.concatenate([w0, c * u2])
-    w = w - (np.vdot(v, w) / np.vdot(v, v)) * v
-    return lam1, v, w
 
+    def shift(x):
+        x0, x2 = x[:n0], x[n0:]
+        return np.concatenate([shifted @ x0 + T02 @ x2, T22 @ x2 - lam1 * x2])
 
-def sparse_jordan_cell(A: sp.spmatrix, level_guess: complex, rank_cut: float = 1e-8):
-    """Eigenvector and minimal-norm partner of a large sparse operator.
-
-    Finds the two eigenvalues nearest ``level_guess``, takes their mean, and
-    refines the kernel vector and its left companion by inverse iteration on
-    the LU factors of the shift.  The partner solves the bordered system
-    ``[[A - mean, ell], [v^H, 0]]``: the border column must be the left
-    kernel direction (any vector inside the range, such as ``v`` itself,
-    would make the system singular), and the border row pins the
-    minimal-norm gauge.
-    """
-    vals, vecs = _eig_near(A, level_guess, k=4)
-    order = np.argsort(np.abs(vals - level_guess))
-    pair = vals[order[:2]]
-    mean = complex(np.mean(pair))
-    dim = A.shape[0]
-    shifted = (A - mean * sp.identity(dim, dtype=complex, format="csr")).tocsc()
-    # inverse iteration at the cluster mean for the true kernel directions
-    lu = spla.splu(shifted + 1e-13 * sp.identity(dim, dtype=complex, format="csc"))
-    v = vecs[:, order[0]]
-    for _ in range(3):
-        v = lu.solve(v)
-        v = v / np.linalg.norm(v)
-    ell = np.ones(dim, dtype=complex)
-    for _ in range(3):
-        ell = lu.solve(ell, trans="H")
-        ell = ell / np.linalg.norm(ell)
-    del lu  # keep a single factorization alive: the bordered solve needs the headroom
-    bordered = sp.bmat([[shifted, ell[:, None]], [v.conj()[None, :], None]], format="csc")
-    blu = spla.splu(bordered)
-    sol = blu.solve(np.concatenate([v, [0.0]]))
-    w = sol[:-1]
-    w = w - (np.vdot(v, w) / np.vdot(v, v)) * v
-    return mean, v, w, tuple(pair)
+    norm = np.sqrt(sum(spla.norm(block) ** 2 for block in (T00, T02, T22)))
+    return _jordan_cell(shift, norm, lam1, v, w, regularization)
 
 
 # ---------------------------------------------------------------------------

@@ -70,13 +70,16 @@ class TestSpinChainB:
         assert m.value == pytest.approx(fx.B_XXZ_TABLE[8], abs=1e-4)
         assert 0 < m.delta < 2.5
 
-    def test_sparse_path_agrees_with_dense(self, monkeypatch):
-        # the defective pair splits by ~sqrt(eps), so the two cluster means
-        # (ARPACK vs LAPACK) can differ at the 1e-9 level; b inherits that
-        dense = obs.b_xxz(8).value
-        monkeypatch.setattr(spectral, "DENSE_LIMIT", 10)
-        sparse = obs.b_xxz(8).value
-        assert sparse == pytest.approx(dense, abs=1e-7)
+    @pytest.mark.parametrize(
+        "L, expected",
+        [(8, -0.8702992252199105), (12, -0.7540116291682993)],
+        ids=["L8", "L12"],
+    )
+    def test_matches_the_dense_svd_values(self, L, expected):
+        # captured from the former dense SVD/lstsq path, which decomposed
+        # the whole sector; the defective pair splits by ~sqrt(eps), so
+        # cluster means from different eigensolvers may differ at ~1e-9
+        assert obs.b_xxz(L).value == pytest.approx(expected, abs=1e-7)
 
 
 class TestPolymerB:
@@ -121,6 +124,21 @@ class TestDeformedB:
 
 
 class TestPercolationStructure:
+    @pytest.mark.parametrize("L", [4, 6, 8])
+    def test_undeformed_level_is_diagonalizable(self, L):
+        H = models.build_percolation_H(L, 1.0)
+        level = spectral.full_spectrum(H)[3].value
+        assert spectral.geometric_multiplicity(H, level) == 2
+        with pytest.raises(spectral.DiagonalizableLevelError):
+            spectral.extract_jordan_cell(H, level)
+
+    @pytest.mark.parametrize("y", [2.0, -1.0, 0.5])
+    @pytest.mark.parametrize("L", [4, 6, 8])
+    def test_deformed_levels_carry_cells(self, L, y):
+        H = models.build_percolation_H(L, y)
+        cell = spectral.extract_jordan_cell(H, spectral.full_spectrum(H)[3].value)
+        assert cell.residual_w < 1e-8
+
     def test_width_four_report(self):
         report = obs.percolation_check(4)
         assert report.cluster_size == 2
@@ -225,6 +243,12 @@ class TestLoopEntropy:
         with pytest.raises(ValueError, match="loop weight"):
             obs.loop_boundary_entropy(2.5, 1.0)
 
+    @pytest.mark.parametrize("n", [-0.5, 0.0])
+    def test_closed_form_refuses_nonpositive_weights(self, n):
+        # the formula has no real value there: NaN for n < 0, a pole at n = 0
+        with pytest.raises(ValueError, match="loop weight"):
+            obs.loop_entropy_exact(n, 1.0)
+
     def test_boundary_weight_must_be_positive(self):
         with pytest.raises(ValueError, match="boundary loop weight"):
             obs.loop_boundary_entropy(1.0, -0.2)
@@ -247,9 +271,9 @@ class TestLoopEntropy:
         assert abs(got - expect) < 1e-10
 
     def test_nonpositive_weight_ground_state_has_negative_square(self):
-        # the n <= 0 branch decomposes the row densely; at n = -0.5 the
-        # leading state's square under the loop form is negative, so there
-        # is no real normalization and the entropy must not come out NaN
+        # at n = -0.5 the row's leading state has a negative square under
+        # the loop form, so there is no real normalization: the weight is
+        # refused up front rather than yield a NaN entropy
         n, L = -0.5, 6
         vals, vecs = np.linalg.eig(models.build_dense_loop_T(L, n).matrix())
         v = vecs[:, int(np.argmax(np.abs(vals)))].real
@@ -257,7 +281,7 @@ class TestLoopEntropy:
         image = forms.singlet_factor(L, n) @ v
         assert oracle < 0
         assert abs(complex(image @ image) - oracle) < 1e-10
-        with pytest.raises(ArithmeticError, match="L=6, n=-0.5"):
+        with pytest.raises(ValueError, match="loop weight"):
             obs.loop_boundary_entropy(n, 1.0, sizes=(6, 8, 10))
 
     @pytest.mark.parametrize("n", [0.3, 0.0])

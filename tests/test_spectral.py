@@ -153,9 +153,10 @@ class TestSparseInput:
 
 
 class TestJordanExtraction:
-    def test_recovers_synthetic_cell(self):
+    @pytest.mark.parametrize("container", [np.asarray, sp.csr_matrix], ids=["ndarray", "csr"])
+    def test_recovers_synthetic_cell(self, container):
         A = embedded_jordan(1.5, [0.0, 3.0, -2.0, 0.7])
-        cell = spectral.extract_jordan_cell(A, 1.5)
+        cell = spectral.extract_jordan_cell(container(A), 1.5)
         shifted = A - 1.5 * np.eye(A.shape[0])
         assert np.linalg.norm(shifted @ cell.vector) < 1e-10
         assert np.linalg.norm(shifted @ cell.partner - cell.vector) < 1e-8
@@ -178,6 +179,25 @@ class TestJordanExtraction:
     def test_missing_level_is_refused(self):
         with pytest.raises(spectral.ClusterSizeError, match="no kernel"):
             spectral.extract_jordan_cell(np.diag([1.0, 2.0, 3.0]), 10.0)
+
+    def test_exactly_singular_shift_is_regularized_and_recorded(self):
+        # unit-triangular integer similarity: the shift at 1.5 is exactly
+        # singular in floating point, so the LU needs the identity shift
+        J = np.diag([1.5, 1.5, 0.0, 3.0, -2.0, 0.5])
+        J[0, 1] = 1.0
+        S = np.eye(6) + np.triu(np.arange(36.0).reshape(6, 6) % 3 - 1, 1)
+        A = S @ J @ np.linalg.inv(S)
+        cell = spectral.extract_jordan_cell(A, 1.5)
+        assert cell.regularization > 0
+        shifted = A - 1.5 * np.eye(6)
+        assert np.linalg.norm(shifted @ cell.vector) < 1e-10
+        assert np.linalg.norm(shifted @ cell.partner - cell.vector) < 1e-8
+
+    def test_regular_shift_records_no_regularization(self):
+        H = models.build_xxz(4)[0]
+        cell = spectral.extract_jordan_cell(H, spectral.full_spectrum(H)[3].value)
+        assert cell.regularization == 0.0
+        assert cell.residual_v < 1e-12 and cell.residual_w < 1e-12
 
 
 class TestPerron:
@@ -231,8 +251,10 @@ class TestBlockJordan:
     @pytest.mark.parametrize("n0", [6, 40])
     def test_cell_satisfies_defining_relations(self, seed, n0):
         T00, T02, T22, lam_expect = self.make_blocks(n0=n0, seed=seed)
-        lam, v, w = spectral.block_jordan_cell(T00, T02, T22)
+        cell = spectral.block_jordan_cell(T00, T02, T22)
+        lam, v, w = cell.value, cell.vector, cell.partner
         assert lam == pytest.approx(lam_expect, rel=1e-12)
+        assert cell.residual_v < 1e-12 and cell.residual_w < 1e-8
         A = self.assemble(T00, T02, T22)
         shifted = A - lam * np.eye(A.shape[0])
         assert np.linalg.norm(shifted @ v) < 1e-8
@@ -252,17 +274,6 @@ class TestBlockJordan:
         T00, T02, T22, _ = self.make_blocks()
         with pytest.raises(spectral.DiagonalizableLevelError, match="decouple"):
             spectral.block_jordan_cell(T00, np.zeros_like(T02), T22)
-
-
-class TestSparseJordanCell:
-    def test_recovers_embedded_cell(self):
-        A = sp.csr_matrix(embedded_jordan(1.5, [0.0, 3.0, -2.0, 0.7, 5.0], seed=2))
-        mean, v, w, pair = spectral.sparse_jordan_cell(A, 1.5 + 0.01)
-        assert mean == pytest.approx(1.5, abs=1e-7)
-        assert all(abs(p - 1.5) < 1e-6 for p in pair)
-        shifted = (A - mean * sp.identity(A.shape[0], dtype=complex, format="csr")).toarray()
-        assert np.linalg.norm(shifted @ v) < 1e-7
-        assert np.linalg.norm(shifted @ w - v) < 1e-6 * max(np.linalg.norm(v), 1.0)
 
 
 class TestScalingEstimates:
