@@ -3,8 +3,8 @@
 All pairings here are bilinear, never sesquilinear: ``pairing(u, v) =
 sum_ij u_i G_ij v_j`` with no complex conjugation, so "norms" may vanish or
 be negative.  The Gram matrices ``G`` are symmetric; except for the loop
-form they are built by gluing the mirror image of one basis diagram on top
-of another (:func:`loopcells.diagrams.glue`):
+and dilute forms they are built by gluing the mirror image of one basis
+diagram on top of another (:func:`loopcells.diagrams.glue`):
 
 * :func:`loop_gram` -- periodic all-arc basis, weight ``n`` per closed loop,
   the dense view of ``M^T M`` for the sparse singlet factor ``M`` of
@@ -13,8 +13,10 @@ of another (:func:`loopcells.diagrams.glue`):
   table is needed; :func:`loop_count_matrix` is the diagrammatic oracle;
 * :func:`dilute_sector_gram` -- dilute basis (sparse, any sub-basis): zero
   unless the empty sites agree and no closed loop forms (loops carry weight
-  zero), weight one otherwise; :func:`dilute_gram` is its dense view on a
-  whole parity basis;
+  zero), weight one otherwise; it finds the loops of all same-mask pairs at
+  once with numpy, by iterating the bra-then-ket arc map, and calls
+  :func:`~loopcells.diagrams.glue` for none of them; :func:`dilute_gram` is
+  its dense view on a whole parity basis;
 * :func:`link_gram` -- open arc/string basis at loop weight one, where
   contracting a string pair whose left label is even costs ``y``;
 * :func:`identity_gram` -- the spin-chain pairing (Euclidean components,
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .diagrams import LinkState, enumerate_dense, enumerate_dilute, enumerate_open, glue
+from .diagrams import ARC, LinkState, enumerate_dense, enumerate_dilute, enumerate_open, glue
 from .spectral import _dense
 from .tl import contraction_weight
 
@@ -129,25 +131,40 @@ def dilute_sector_gram(basis: tuple[LinkState, ...]):
     """Sparse dilute Gram matrix on an arbitrary sub-basis.
 
     An entry is one for each loop-free gluing with matching empty sites and
-    zero otherwise; states are grouped by their occupation mask so only
-    compatible pairs are glued.  Returned as a CSR matrix because large
-    sector bases make the dense form wasteful.
+    zero otherwise.  States are grouped by their occupation mask, and each
+    group glues all its pairs at once: every site is sent through the bra
+    arc, then the ket arc, with empty and string sites sent to an absorbing
+    sentinel.  A site on an open line reaches the sentinel within
+    ``L//2 + 1`` such steps, while a site on a closed loop never does, so a
+    pair is loop-free exactly when every site has reached it.  Returned as a
+    CSR matrix because large sector bases make the dense form wasteful.
     """
-    groups: dict[int, list[int]] = {}
-    for k, s in enumerate(basis):
-        groups.setdefault(s.occupied_mask, []).append(k)
-    rows: list[int] = []
-    cols: list[int] = []
-    for members in groups.values():
-        for ai, a in enumerate(members):
-            for b in members[ai:]:
-                if glue(basis[a], basis[b]).loops == 0:
-                    rows.append(a)
-                    cols.append(b)
-                    if a != b:
-                        rows.append(b)
-                        cols.append(a)
     dim = len(basis)
+    if not dim:
+        return sp.csr_matrix((0, 0))
+    L = basis[0].size
+    # arc partner of every site; empty and string sites go to the sentinel L
+    step = np.full((dim, L + 1), L, dtype=np.intp)
+    groups: dict[tuple[bool, ...], list[int]] = {}
+    for k, s in enumerate(basis):
+        arcs = [i for i, r in enumerate(s.roles) if r == ARC]
+        step[k, arcs] = [s.partner[i] for i in arcs]
+        groups.setdefault(s.occupied_mask, []).append(k)
+    rows, cols = [], []
+    for members in groups.values():
+        members = np.asarray(members)
+        i, j = np.triu_indices(len(members))
+        a, b = members[i], members[j]
+        bra, ket = step[a], step[b]
+        site = np.broadcast_to(np.arange(L), (len(a), L))
+        for _ in range(L // 2 + 1):
+            site = np.take_along_axis(ket, np.take_along_axis(bra, site, axis=1), axis=1)
+        free = np.all(site == L, axis=1)
+        a, b = a[free], b[free]
+        off = a != b
+        rows += [a, b[off]]
+        cols += [b, a[off]]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     data = np.ones(len(rows))
     return sp.csr_matrix(sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)))
 

@@ -247,7 +247,14 @@ def _boundary_triangle(basis, site, x):
 
 @dataclass
 class DiluteRow:
-    """Both orientations of a dilute transfer row on a fixed basis."""
+    """Both orientations of a dilute transfer row on a fixed basis.
+
+    The two rows are products of the same half-rows in opposite orders,
+    ``ket_row = upper @ lower`` and ``bra_row = lower @ upper``, so the lower
+    half-row intertwines them: ``bra_row @ lower = lower @ ket_row``.  It
+    maps every ket-row eigenvector and Jordan cell to a bra-row one at the
+    same eigenvalue (unless it annihilates the eigenvector).
+    """
 
     basis: tuple[LinkState, ...]
     lower: sp.csr_matrix

@@ -65,7 +65,12 @@ class TrousersState:
 
 @dataclass(frozen=True)
 class BMeasurement:
-    """One finite-size measurement of the coupling b."""
+    """One finite-size measurement of the coupling b.
+
+    ``cell_residual`` is the largest partner residual
+    :attr:`~loopcells.spectral.JordanCell.residual_w` of the Jordan cells
+    the measurement used (for polymers, the ket cell and its bra image).
+    """
 
     model: str
     L: int
@@ -74,6 +79,7 @@ class BMeasurement:
     delta: float
     level: complex
     convention: str
+    cell_residual: float
     imag_defect: float = 0.0
 
 
@@ -224,7 +230,7 @@ def b_xxz(
     delta = spectral.hamiltonian_delta(L, level.real, complex(e0).real, v_f)
     return BMeasurement(
         "xxz", L, float(b.real), gauge, float(delta), complex(level),
-        "hamiltonian", float(abs(b.imag)),
+        "hamiltonian", cell.residual_w, float(abs(b.imag)),
     )
 
 
@@ -280,6 +286,37 @@ def trousers_dilute(L: int, x: float | None = None, side: str = "right") -> Trou
     return TrousersState("dilute", L, side, vec, "all-empty component = 1")
 
 
+def _bra_cell(row: models.DiluteRow, value: float, v, w, intertwiner) -> spectral.JordanCell:
+    """The bra-row cell carried over from the ket-row cell ``(v, w)`` at ``value``.
+
+    ``bra_row @ lower = lower @ ket_row``, so ``(lower v, lower w)`` is a
+    bra-row cell at the same level; ``intertwiner`` is the matrix the ket
+    cell is mapped through (``row.lower``).  The image is scaled to a unit
+    eigenvector, put in the minimal-norm gauge and certified against the
+    bra row, applied as ``lower @ (upper @ z)`` without forming it.  It has
+    no LU of its own, so its ``regularization`` is 0.0.  An image that
+    vanishes (``||lower v|| <= 1e-12 ||v||``) or a residual above ``1e-8``
+    raises ``ArithmeticError``.
+    """
+    image = intertwiner @ v
+    scale = float(np.linalg.norm(image))
+    if scale <= 1e-12 * np.linalg.norm(v):
+        raise ArithmeticError(f"the intertwiner annihilates the ket cell at {value}")
+    lower, upper = row.lower, row.upper
+
+    def shift(z):
+        return lower @ (upper @ z) - value * z
+
+    norm = spla.norm(lower) * spla.norm(upper)
+    cell = spectral._jordan_cell(shift, norm, value, image / scale, (intertwiner @ w) / scale, 0.0)
+    if max(cell.residual_v, cell.residual_w) > 1e-8:
+        raise ArithmeticError(
+            f"mapped bra cell at {value} fails the bra row: residuals "
+            f"{cell.residual_v:.2e}, {cell.residual_w:.2e}"
+        )
+    return cell
+
+
 def b_polymer(
     L: int,
     x: float | None = None,
@@ -288,26 +325,22 @@ def b_polymer(
 ) -> BMeasurement:
     """The coupling b of dilute polymers from the width-L transfer row.
 
-    The row is block triangular over string sectors, so the cell at the
-    leading two-string eigenvalue is extracted blockwise, once for the ket
-    row and once for the reversed (bra) row; the bra-row eigenvectors turn
-    into genuine left eigenvectors through the Gram matrix.  The two cell
-    scales ``right_scale``/``left_scale`` must cancel (tested).
+    The ket row is block triangular over string sectors, so its cell at the
+    leading two-string eigenvalue is extracted blockwise; the lower half-row
+    intertwines the ket and bra rows, so it carries that cell over to the
+    bra row (:func:`_bra_cell`), and the Gram matrix turns the bra-row
+    vectors into genuine left eigenvectors.  One cell solve serves both
+    sides.  The two cell scales ``right_scale``/``left_scale`` must cancel
+    (tested).
     """
     if L % 2:
         raise ValueError("b for the dilute strip needs even L")
     x = fixtures.X_CRITICAL if x is None else x
     row = models.build_dilute_T(L, x)
     T00, T02, T22, idx0, idx2 = models.dilute_blocks(row, row.ket_row)
-    M00, M02, M22, _, _ = models.dilute_blocks(row, row.bra_row)
     dim0 = len(idx0)
     right = spectral.block_jordan_cell(T00, T02, T22)
-    left = spectral.block_jordan_cell(M00, M02, M22)
     lam1 = right.value
-    if abs(left.value - lam1) > 1e-9 * abs(lam1):
-        raise ArithmeticError(
-            f"bra and ket rows disagree on the cell eigenvalue: {lam1} vs {left.value}"
-        )
     lam0, _ = spectral.perron_pair(T00)
 
     def scatter(stacked: np.ndarray) -> np.ndarray:
@@ -316,19 +349,22 @@ def b_polymer(
         out[idx2] = stacked[dim0:]
         return out
 
+    v_r, w_r = scatter(right.vector), scatter(right.partner)
+    left = _bra_cell(row, lam1, v_r, w_r, row.lower)
     factor = -(2 / np.sqrt(3.0)) * (np.pi / L) * lam1
     b, gauge = _pair_b(
-        right_scale * scatter(right.vector),
-        factor * (right_scale * scatter(right.partner)),
-        left_scale * scatter(left.vector),
-        factor * (left_scale * scatter(left.partner)),
+        right_scale * v_r,
+        factor * (right_scale * w_r),
+        left_scale * left.vector,
+        factor * (left_scale * left.partner),
         _dilute_product_vector(L, x, row.basis, "left"),
         _dilute_product_vector(L, x, row.basis, "right"),
         forms.dilute_sector_gram(row.basis),
     )
     delta = spectral.transfer_delta(L, lam1, lam0)
     return BMeasurement(
-        "polymer", L, float(b), gauge, float(delta), complex(lam1), "transfer"
+        "polymer", L, float(b), gauge, float(delta), complex(lam1), "transfer",
+        max(right.residual_w, left.residual_w),
     )
 
 
@@ -392,7 +428,7 @@ def b_deformed(
     delta = spectral.hamiltonian_delta(L, level.real, complex(e0).real, v_f)
     return BMeasurement(
         f"deformed:y={y}", L, float(b.real), gauge, float(delta),
-        complex(level), "hamiltonian", float(abs(b.imag)),
+        complex(level), "hamiltonian", cell.residual_w, float(abs(b.imag)),
     )
 
 

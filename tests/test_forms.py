@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -181,6 +182,19 @@ class TestSpinForm:
                 assert spin == pytest.approx(complex(loop[a, b]), abs=1e-12)
 
 
+def glue_rule_gram(basis) -> np.ndarray:
+    """The dilute Gram from one :func:`glue` per pair with matching empty sites."""
+    dim = len(basis)
+    gram = np.zeros((dim, dim))
+    masks = [s.occupied_mask for s in basis]
+    for a, sa in enumerate(basis):
+        for b, sb in enumerate(basis):
+            if masks[a] == masks[b]:
+                res = dg.glue(sa, sb)
+                gram[a, b] = 1.0 if res.mask_match and res.loops == 0 else 0.0
+    return gram
+
+
 class TestDiluteForm:
     def test_zero_sector_block_is_single_entry(self):
         # any glued pair of arcs closes a loop of weight zero, so only the
@@ -212,15 +226,28 @@ class TestDiluteForm:
         arc = index[dg.from_text("()")]
         assert form.gram[empty, arc] == 0.0
 
-    @pytest.mark.parametrize("L", [2, 4, 6])
+    @pytest.mark.parametrize("L", range(1, 9))
     def test_sector_gram_matches_dilute_rule(self, L):
+        # the row basis and every parity basis of the width
         row = models.build_dilute_T(L)
-        gram = forms.dilute_sector_gram(row.basis).toarray()
-        for a, sa in enumerate(row.basis):
-            for b, sb in enumerate(row.basis):
-                res = dg.glue(sa, sb)
-                expect = 1.0 if res.mask_match and res.loops == 0 else 0.0
-                assert gram[a, b] == expect
+        for basis in [row.basis] + [dg.enumerate_dilute(L, p) for p in ("all", "even", "odd")]:
+            gram = forms.dilute_sector_gram(basis)
+            assert sp.issparse(gram)
+            np.testing.assert_array_equal(gram.toarray(), glue_rule_gram(basis))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_sector_gram_ignores_basis_order(self, data):
+        # any shuffled sub-basis gets the glue-rule matrix of that sub-basis
+        L = data.draw(st.integers(1, 6), label="L")
+        full = dg.enumerate_dilute(L, data.draw(st.sampled_from(["all", "even", "odd"])))
+        picks = data.draw(
+            st.lists(st.sampled_from(range(len(full))), min_size=1, max_size=40, unique=True)
+        )
+        basis = tuple(full[k] for k in picks)
+        np.testing.assert_array_equal(
+            forms.dilute_sector_gram(basis).toarray(), glue_rule_gram(basis)
+        )
 
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_bra_row_intertwines_with_ket_row(self, L):

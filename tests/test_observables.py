@@ -82,6 +82,35 @@ class TestSpinChainB:
         assert obs.b_xxz(L).value == pytest.approx(expected, abs=1e-7)
 
 
+# b_polymer(L) value, delta and level from the solver that extracted the bra
+# cell by a second block solve on the bra row
+POLYMER_GOLDEN = {
+    2: (0.6808010400707563, 1.3540055217936988, 0.08578643762690495),
+    4: (0.6643131944800545, 1.6301102900764923, 0.22801439777483842),
+    6: (0.6703192581103377, 1.7399207222187143, 0.349254044659375),
+    8: (0.6789299920824888, 1.8000433309512187, 0.44209549760207467),
+    10: (0.6875346549793578, 1.8379780242320867, 0.5133770701065583),
+}
+
+
+def stacked_to_row(row, idx0, idx2, stacked):
+    """A stacked zero-string/two-string vector on the full row basis."""
+    out = np.zeros(len(row.basis))
+    out[idx0] = stacked[: len(idx0)]
+    out[idx2] = stacked[len(idx0):]
+    return out
+
+
+def ket_row_cell(L):
+    """The width-L dilute row, its ket-row cell, and the cell on the row basis."""
+    row = models.build_dilute_T(L)
+    T00, T02, T22, idx0, idx2 = models.dilute_blocks(row, row.ket_row)
+    cell = spectral.block_jordan_cell(T00, T02, T22)
+    v = stacked_to_row(row, idx0, idx2, cell.vector)
+    w = stacked_to_row(row, idx0, idx2, cell.partner)
+    return row, cell, v, w
+
+
 class TestPolymerB:
     def test_width_two_equals_closed_form(self):
         m = obs.b_polymer(2)
@@ -101,6 +130,65 @@ class TestPolymerB:
     def test_width_must_be_even(self):
         with pytest.raises(ValueError, match="even"):
             obs.b_polymer(3)
+
+    @pytest.mark.parametrize("L", sorted(POLYMER_GOLDEN))
+    def test_matches_the_two_solve_values(self, L):
+        value, delta, level = POLYMER_GOLDEN[L]
+        m = obs.b_polymer(L)
+        assert m.value == pytest.approx(value, abs=1e-12)
+        assert m.delta == pytest.approx(delta, abs=1e-12)
+        assert m.level == pytest.approx(level, abs=1e-12)
+
+    @pytest.mark.parametrize("L", [2, 4, 6, 8])
+    def test_bra_cell_matches_a_bra_row_solve(self, L):
+        row, cell, v, w = ket_row_cell(L)
+        lam = cell.value
+        left = obs._bra_cell(row, lam, v, w, row.lower)
+        M00, M02, M22, idx0, idx2 = models.dilute_blocks(row, row.bra_row)
+        oracle = spectral.block_jordan_cell(M00, M02, M22)
+        u = stacked_to_row(row, idx0, idx2, oracle.vector)
+        cos = abs(np.vdot(u, left.vector)) / (np.linalg.norm(u) * np.linalg.norm(left.vector))
+        assert 1 - cos < 1e-12
+        assert oracle.value == pytest.approx(lam, rel=1e-12)
+        relation = row.bra_row @ left.partner - lam * left.partner - left.vector
+        assert np.linalg.norm(relation) <= 1e-10 * np.linalg.norm(left.vector)
+
+    @pytest.mark.parametrize("L", [2, 4, 6, 8])
+    def test_wrong_intertwiner_is_refused(self, L):
+        # the upper half-row does not carry ket-row cells to bra-row cells
+        row, cell, v, w = ket_row_cell(L)
+        lam = cell.value
+        with pytest.raises(ArithmeticError):
+            obs._bra_cell(row, lam, v, w, row.upper)
+
+    @pytest.mark.parametrize("L", [2, 4, 6, 8])
+    def test_perturbed_partner_is_refused(self, L):
+        # a perturbation of the partner by 1e-6 of its norm reaches the
+        # mapped partner and breaks its residual
+        row, cell, v, w = ket_row_cell(L)
+        lam = cell.value
+        kick = np.random.default_rng(L).standard_normal(len(w))
+        kick *= 1e-6 * np.linalg.norm(w) / np.linalg.norm(kick)
+        with pytest.raises(ArithmeticError):
+            obs._bra_cell(row, lam, v, w + kick, row.lower)
+
+
+class TestCellResidual:
+    @pytest.mark.parametrize(
+        "measure",
+        [lambda: obs.b_xxz(4), lambda: obs.b_polymer(4), lambda: obs.b_deformed(4, 2.0)],
+        ids=["xxz", "polymer", "deformed"],
+    )
+    def test_measurements_carry_small_cell_residuals(self, measure):
+        m = measure()
+        assert 0.0 <= m.cell_residual < 1e-8
+
+    @pytest.mark.parametrize("L", [2, 6])
+    def test_polymer_residual_covers_both_cells(self, L):
+        # at L=2 the bra image has the larger residual, at L=6 the ket cell
+        row, ket, v, w = ket_row_cell(L)
+        bra = obs._bra_cell(row, ket.value, v, w, row.lower)
+        assert obs.b_polymer(L).cell_residual == max(ket.residual_w, bra.residual_w)
 
 
 class TestDeformedB:
