@@ -271,23 +271,20 @@ class DiluteRow:
         return self.lower @ self.upper
 
 
-def build_dilute_T(
-    L: int,
-    x: float | None = None,
-    sectors: tuple[int, ...] = (0, 2),
-) -> DiluteRow:
+def build_dilute_T(L: int, x: float | None = None) -> DiluteRow:
     """One row of the dilute loop model on a strip of width ``L``.
 
     The lower half-row tiles site pairs ``(1,2), (3,4), ...``; the upper
     half-row is shifted by one site and completed by boundary half-tiles.
     For odd ``L`` the lower half-row ends in the right half-tile instead.
-    Restricting to the listed string sectors is legitimate because lozenge
-    tiles never create strings: they annihilate them in pairs, so any
-    downward-closed set of string counts spans an invariant subspace.
+    The basis keeps the zero- and two-string sectors only.  That restriction
+    is legitimate because lozenge tiles never create strings: they
+    annihilate them in pairs, so any downward-closed set of string counts
+    spans an invariant subspace.
     """
     x = fixtures.X_CRITICAL if x is None else x
     full = enumerate_dilute(L, "all")
-    keep = sorted(k for ns in sectors for k in sector_indices(full, ns))
+    keep = sorted(k for ns in (0, 2) for k in sector_indices(full, ns))
     basis = tuple(full[k] for k in keep)
     index = basis_index(basis)
 

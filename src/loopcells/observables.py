@@ -42,11 +42,9 @@ from .diagrams import (
     basis_index,
     concatenate,
     enumerate_dense,
-    enumerate_open,
     glue,
     reflect,
 )
-from .tl import spin_sector_basis
 
 # ---------------------------------------------------------------------------
 # Result records
@@ -120,66 +118,44 @@ class LoopEntropyReport:
 
 
 # ---------------------------------------------------------------------------
-# Spin chain: trousers and b
+# Shared pieces: trousers placement, chain spectra, the b pairing
 
 
-def _xxz_product_vector(L: int, q: complex) -> tuple[np.ndarray, list[int]]:
-    """Unnormalized trousers coefficients on the width-L zero-magnetization basis."""
-    half = L // 2
-    H_half, half_masks = models.build_xxz(half, q)
-    _, g = spectral.ground_state(H_half.toarray(), "min", gram=np.eye(len(half_masks)))
-    masks = spin_sector_basis(L, L // 2)
-    index = {m: k for k, m in enumerate(masks)}
-    vec = np.zeros(len(masks), dtype=complex)
-    for a, ma in enumerate(half_masks):
-        for b, mb in enumerate(half_masks):
-            vec[index[(ma << half) | mb]] = g[a] * g[b]
-    return vec, masks
+def _place(half, join, index, left, right) -> np.ndarray:
+    """Trousers coefficients ``left[a] * right[b]`` at ``index[join(half[a], half[b])]``.
 
-
-def trousers_xxz(L: int, q: complex | None = None, side: str = "right") -> TrousersState:
-    """Spin-chain trousers state, overlap one with the width-L ground state.
-
-    Needs ``L`` divisible by four so each half chain has a zero-magnetization
-    sector.  Left and right versions share their coefficients because the
-    pairing is bilinear.
+    ``half`` lists the half-width states both factors are written on,
+    ``join`` puts two of them side by side on the width-L strip (spin masks
+    as ``(a << L/2) | b``, link states by :func:`concatenate`) and ``index``
+    maps width-L states to their positions; every other coefficient is zero.
     """
-    if L % 4:
-        raise ValueError("spin trousers need L/2 even, i.e. L a multiple of 4")
-    q = fixtures.Q_VALUE if q is None else q
-    vec, masks = _xxz_product_vector(L, q)
-    H, _ = models.build_xxz(L, q)
-    _, v0 = spectral.ground_state(H.toarray(), "min", gram=np.eye(len(masks)))
-    vec = vec / (vec @ v0)
-    return TrousersState("xxz", L, side, vec, "overlap with ground = 1")
+    keys = [index[join(sa, sb)] for sa in half for sb in half]
+    vec = np.zeros(len(index), dtype=np.result_type(left, right))
+    vec[keys] = np.outer(left, right).ravel()
+    return vec
 
 
-def _fourth_level_cell(H, L: int, gram, cluster_tol: float):
-    """Rank-two cell at the fourth distinct level of a chain, with its ground.
+def _low_spectrum(H, L: int):
+    """Low eigenpairs ``(vals, vecs)`` of a width-L chain at loop weight one.
 
-    The low spectrum comes from ARPACK's 16 eigenvalues nearest a point
-    below the ground energy (``(L-1)/2 - 2 sum e_i`` with each ``e_i``
-    spectrum in ``[0, 1]`` at loop weight one), or from LAPACK when the
-    chain is too small for ARPACK to return 16 of them.  Returns
-    ``(cell, e0, v0)``; the ground state is normalized to bilinear square
-    one under ``gram``.
+    ARPACK returns the 16 eigenvalues nearest a point below the ground
+    energy (``(L-1)/2 - 2 sum e_i`` with each ``e_i`` spectrum in ``[0, 1]``
+    at loop weight one); LAPACK returns all of them when the chain is too
+    small for ARPACK to return 16.
     """
     k = 16
     if H.shape[0] > k + 1:
-        vals, vecs = spla.eigs(
+        return spla.eigs(
             sp.csc_matrix(H), k=k, sigma=-1.5 * (L - 1) - 1.0, v0=np.ones(H.shape[0])
         )
-    else:
-        vals, vecs = np.linalg.eig(H.toarray() if sp.issparse(H) else H)
-    c3 = spectral.level_cluster(spectral.cluster_eigenvalues(vals, cluster_tol), 3)
-    if c3.size != 2:
-        raise spectral.ClusterSizeError(
-            f"fourth level of the L={L} chain is not a double cluster: {c3}"
-        )
-    cell = spectral.extract_jordan_cell(H, c3.value)
+    return np.linalg.eig(H.toarray() if sp.issparse(H) else H)
+
+
+def _ground(spectrum, gram):
+    """Lowest pair of a :func:`_low_spectrum` result, bilinear square one under ``gram``."""
+    vals, vecs = spectrum
     k0 = int(np.argmin(vals.real))
-    v0 = spectral.sign_fix(spectral.normalize_bilinear(vecs[:, k0], gram))
-    return cell, vals[k0], v0
+    return vals[k0], spectral.sign_fix(spectral.normalize_bilinear(vecs[:, k0], gram))
 
 
 def _pair_b(v_r, w_r, v_l, w_l, bra, ket, gram):
@@ -201,6 +177,65 @@ def _pair_b(v_r, w_r, v_l, w_l, bra, ket, gram):
     return b, float(gauge)
 
 
+def _chain_b(model: str, L: int, chain, cell_scale: complex, cluster_tol: float) -> BMeasurement:
+    """The coupling b from the rank-two cell at the fourth distinct level of a chain.
+
+    ``chain`` is ``(H, gram, product)`` from :func:`_xxz_chain` or
+    :func:`_open_chain`.  One :func:`_low_spectrum` call locates the level
+    and gives the ground state; the partner is rescaled into Hamiltonian
+    convention units and paired with the trousers ``product`` at overlap
+    one with the ground.  ``model`` only labels the result.
+    """
+    H, gram, product = chain
+    v_f = fixtures.FERMI_VELOCITY
+    spectrum = _low_spectrum(H, L)
+    c3 = spectral.level_cluster(spectral.cluster_eigenvalues(spectrum[0], cluster_tol), 3)
+    if c3.size != 2:
+        raise spectral.ClusterSizeError(
+            f"fourth level of the L={L} chain is not a double cluster: {c3}"
+        )
+    cell = spectral.extract_jordan_cell(H, c3.value)
+    e0, v0 = _ground(spectrum, gram)
+    v3 = cell_scale * cell.vector
+    w_tilde = (np.pi * v_f / L) * (cell_scale * cell.partner)
+    trousers = product / (product @ (gram @ v0))
+    b, gauge = _pair_b(v3, w_tilde, v3, w_tilde, trousers, trousers, gram)
+    delta = spectral.hamiltonian_delta(L, cell.value.real, complex(e0).real, v_f)
+    return BMeasurement(
+        model, L, float(b.real), gauge, float(delta), complex(cell.value),
+        "hamiltonian", cell.residual_w, float(abs(b.imag)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Spin chain: trousers and b
+
+
+def _xxz_chain(L: int, q: complex):
+    """``(H, identity form, unnormalized trousers)`` of the width-L spin chain."""
+    H, masks = models.build_xxz(L, q)
+    half_H, half_masks = models.build_xxz(L // 2, q)
+    _, g = _ground(_low_spectrum(half_H, L // 2), np.eye(len(half_masks)))
+    index = {m: k for k, m in enumerate(masks)}
+    product = _place(half_masks, lambda a, b: (a << L // 2) | b, index, g, g)
+    return H, sp.identity(len(masks), format="csr"), product
+
+
+def trousers_xxz(L: int, q: complex | None = None) -> TrousersState:
+    """Spin-chain trousers state, overlap one with the width-L ground state.
+
+    Needs ``L`` divisible by four so each half chain has a zero-magnetization
+    sector.  The pairing is bilinear, so one vector (labelled ``"right"``)
+    serves both sides.
+    """
+    if L % 4:
+        raise ValueError("spin trousers need L/2 even, i.e. L a multiple of 4")
+    H, gram, product = _xxz_chain(L, fixtures.Q_VALUE if q is None else q)
+    _, v0 = _ground(_low_spectrum(H, L), gram)
+    vec = product / (product @ (gram @ v0))
+    return TrousersState("xxz", L, "right", vec, "overlap with ground = 1")
+
+
 def b_xxz(
     L: int,
     q: complex | None = None,
@@ -209,80 +244,68 @@ def b_xxz(
 ) -> BMeasurement:
     """The coupling b of the spin chain from the twice-degenerate fourth level.
 
-    Pipeline: build the zero-magnetization Hamiltonian, extract the rank-two
-    cell at the fourth distinct level, rescale its partner into Hamiltonian
-    convention units, and pair with the trousers state.  ``cell_scale``
-    multiplies the whole cell and must not change the answer (tested).
+    Pipeline (:func:`_chain_b`): build the zero-magnetization Hamiltonian,
+    extract the rank-two cell at the fourth distinct level, rescale its
+    partner into Hamiltonian convention units, and pair with the trousers
+    state.  ``cell_scale`` multiplies the whole cell and must not change the
+    answer (tested).
     """
     if L % 4:
         raise ValueError("b for the spin chain needs L a multiple of 4")
     q = fixtures.Q_VALUE if q is None else q
-    v_f = fixtures.FERMI_VELOCITY
-    H, masks = models.build_xxz(L, q)
-    identity = sp.identity(len(masks), format="csr")
-    cell, e0, v0 = _fourth_level_cell(H, L, identity, cluster_tol)
-    level, v3, w = cell.value, cell.vector, cell.partner
-    v3 = cell_scale * v3
-    w_tilde = (np.pi * v_f / L) * (cell_scale * w)
-    trousers, _ = _xxz_product_vector(L, q)
-    trousers = trousers / (trousers @ v0)
-    b, gauge = _pair_b(v3, w_tilde, v3, w_tilde, trousers, trousers, identity)
-    delta = spectral.hamiltonian_delta(L, level.real, complex(e0).real, v_f)
-    return BMeasurement(
-        "xxz", L, float(b.real), gauge, float(delta), complex(level),
-        "hamiltonian", cell.residual_w, float(abs(b.imag)),
-    )
+    return _chain_b("xxz", L, _xxz_chain(L, q), cell_scale, cluster_tol)
 
 
 # ---------------------------------------------------------------------------
 # Dilute strip: trousers and b
 
 
-def _dilute_zero_sector_ground(L: int, x: float, side: str = "right"):
-    """Perron ground of the width-L dilute row, on its zero-string states.
+def _dilute_trousers(half_row: models.DiluteRow, basis: tuple[LinkState, ...]):
+    """Bra and ket trousers on ``basis`` from the half-width row, all-empty component one.
 
-    ``side="left"`` grounds the reversed (bra) row instead; the two differ
-    for any width above one because the row is not symmetric.
+    The ket (future-leg) trousers pairs two Perron grounds of the half row's
+    zero-string ket block; the bra (past-leg) trousers pairs two bra-row
+    grounds, each the image of the ket ground under the lower half-row,
+    which intertwines the two rows.  An image that vanishes (``<= 1e-12``
+    relative) or misses the bra row by a relative residual above ``1e-10``
+    raises ``ArithmeticError``.  Cutting the strip reflects the second half
+    (its boundary triangles sit on the opposite edge), so the second factor
+    reads the ground coefficient of the reflected diagram; for symmetric
+    (even) half widths this is invisible.  Returns ``(bra, ket)``.
     """
-    row = models.build_dilute_T(L, x)
-    matrix = row.ket_row if side == "right" else row.bra_row
-    T00, _, _, idx0, _ = models.dilute_blocks(row, matrix)
-    _, g = spectral.perron_pair(T00)
-    states = [row.basis[k] for k in idx0]
+    T00, _, _, idx0, _ = models.dilute_blocks(half_row, half_row.ket_row)
+    lam, ket = spectral.perron_pair(T00)
+    lower = half_row.lower.tocsr()[idx0, :][:, idx0]
+    upper = half_row.upper.tocsr()[idx0, :][:, idx0]
+    bra = lower @ ket
+    if np.linalg.norm(bra) <= 1e-12 * np.linalg.norm(ket):
+        raise ArithmeticError("the lower half-row annihilates the half-width ground")
+    residual = np.linalg.norm(lower @ (upper @ bra) - lam * bra) / (lam * np.linalg.norm(bra))
+    if residual > 1e-10:
+        raise ArithmeticError(f"mapped half-width ground fails the bra row: {residual:.2e}")
+    states = [half_row.basis[k] for k in idx0]
     empty = next(i for i, s in enumerate(states) if not any(s.occupied_mask))
-    return g / g[empty], states
-
-
-def _dilute_product_vector(
-    L: int, x: float, basis: tuple[LinkState, ...], side: str = "right"
-) -> np.ndarray:
-    """Trousers coefficients on ``basis``: two half-strip grounds side by side.
-
-    The ket trousers (``side="right"``) describes the future leg of the pair
-    of decoupled half-strips and multiplies right half grounds; the bra
-    trousers (``side="left"``) describes the past leg and multiplies left
-    half grounds.  Cutting the strip reflects the second half (its boundary
-    triangles sit on the opposite edge), so the second factor reads the
-    ground coefficient of the reflected diagram; for symmetric (even) half
-    widths this is invisible.
-    """
-    g, states = _dilute_zero_sector_ground(L // 2, x, side)
     position = {s: k for k, s in enumerate(states)}
+    mirror = [position[reflect(s)] for s in states]
     index = basis_index(basis)
-    vec = np.zeros(len(basis))
-    for a, sa in enumerate(states):
-        for b, sb in enumerate(states):
-            vec[index[concatenate(sa, sb)]] = g[a] * g[position[reflect(sb)]]
-    return vec
+    return tuple(
+        _place(states, concatenate, index, g / g[empty], g[mirror] / g[empty]) for g in (bra, ket)
+    )
 
 
 def trousers_dilute(L: int, x: float | None = None, side: str = "right") -> TrousersState:
-    """Dilute trousers state, all-empty component one (any even width)."""
+    """Dilute trousers on the width-L row basis, all-empty component one (any even width).
+
+    ``side`` is ``"right"`` (ket trousers) or ``"left"`` (bra trousers).
+    """
     if L % 2:
         raise ValueError("dilute trousers need even L")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     x = fixtures.X_CRITICAL if x is None else x
-    row = models.build_dilute_T(L, x)
-    vec = _dilute_product_vector(L, x, row.basis, side)
+    basis = models.build_dilute_T(L, x).basis
+    bra, ket = _dilute_trousers(models.build_dilute_T(L // 2, x), basis)
+    vec = ket if side == "right" else bra
     return TrousersState("dilute", L, side, vec, "all-empty component = 1")
 
 
@@ -351,14 +374,15 @@ def b_polymer(
 
     v_r, w_r = scatter(right.vector), scatter(right.partner)
     left = _bra_cell(row, lam1, v_r, w_r, row.lower)
+    bra, ket = _dilute_trousers(models.build_dilute_T(L // 2, x), row.basis)
     factor = -(2 / np.sqrt(3.0)) * (np.pi / L) * lam1
     b, gauge = _pair_b(
         right_scale * v_r,
         factor * (right_scale * w_r),
         left_scale * left.vector,
         factor * (left_scale * left.partner),
-        _dilute_product_vector(L, x, row.basis, "left"),
-        _dilute_product_vector(L, x, row.basis, "right"),
+        bra,
+        ket,
         forms.dilute_sector_gram(row.basis),
     )
     delta = spectral.transfer_delta(L, lam1, lam0)
@@ -372,32 +396,25 @@ def b_polymer(
 # Deformed percolation chain: trousers and b
 
 
-def _open_product_vector(L: int, y: complex) -> np.ndarray:
-    """Trousers coefficients on the width-L open basis at loop weight one."""
-    half = L // 2
-    H_half = models.build_percolation_H(half, y)
-    gram_half = forms.link_gram(half, y).gram
-    _, g = spectral.ground_state(H_half, "min", gram=gram_half)
-    basis = enumerate_open(L)
-    index = basis_index(basis)
-    vec = np.zeros(len(basis), dtype=complex)
-    half_basis = enumerate_open(half)
-    for a, sa in enumerate(half_basis):
-        for b, sb in enumerate(half_basis):
-            vec[index[concatenate(sa, sb)]] = g[a] * g[b]
-    return vec
+def _open_chain(L: int, y: complex):
+    """``(H, y-form, unnormalized trousers)`` of the width-L open chain at loop weight one."""
+    form, half_form = forms.link_gram(L, y), forms.link_gram(L // 2, y)
+    _, g = _ground(_low_spectrum(models.build_percolation_H(L // 2, y), L // 2), half_form.gram)
+    product = _place(half_form.basis, concatenate, basis_index(form.basis), g, g)
+    return models.build_percolation_H(L, y), form.gram, product
 
 
-def trousers_open(L: int, y: complex = 1.0, side: str = "right") -> TrousersState:
-    """Open-chain trousers state, overlap one with the ground state under the y-form."""
+def trousers_open(L: int, y: complex = 1.0) -> TrousersState:
+    """Open-chain trousers state, overlap one with the ground state under the y-form.
+
+    As for the spin chain, one vector (labelled ``"right"``) serves both sides.
+    """
     if L % 2:
         raise ValueError("open trousers need even L")
-    H = models.build_percolation_H(L, y)
-    gram = forms.link_gram(L, y).gram
-    _, v0 = spectral.ground_state(H, "min", gram=gram)
-    vec = _open_product_vector(L, y)
-    vec = vec / (vec @ gram @ v0)
-    return TrousersState(f"open:y={y}", L, side, vec, "overlap with ground = 1")
+    H, gram, product = _open_chain(L, y)
+    _, v0 = _ground(_low_spectrum(H, L), gram)
+    vec = product / (product @ (gram @ v0))
+    return TrousersState(f"open:y={y}", L, "right", vec, "overlap with ground = 1")
 
 
 def b_deformed(
@@ -408,28 +425,14 @@ def b_deformed(
 ) -> BMeasurement:
     """The coupling b of the y-deformed geometric chain at loop weight one.
 
-    Identical pipeline to the spin chain, with the parity-deformed loop
-    pairing supplying the left states.  At ``y = 1`` the fourth level is
-    diagonalizable and extraction raises ``DiagonalizableLevelError`` --
+    The spin chain's pipeline (:func:`_chain_b`), with the parity-deformed
+    loop pairing supplying the left states.  At ``y = 1`` the fourth level
+    is diagonalizable and extraction raises ``DiagonalizableLevelError`` --
     there is no cell, hence no b, at the undeformed point.
     """
     if L % 2:
         raise ValueError("b for the open chain needs even L")
-    v_f = fixtures.FERMI_VELOCITY
-    H = models.build_percolation_H(L, y)
-    gram = forms.link_gram(L, y).gram
-    cell, e0, v0 = _fourth_level_cell(H, L, gram, cluster_tol)
-    level, v3, w = cell.value, cell.vector, cell.partner
-    v3 = cell_scale * v3
-    w_tilde = (np.pi * v_f / L) * (cell_scale * w)
-    trousers = _open_product_vector(L, y)
-    trousers = trousers / (trousers @ gram @ v0)
-    b, gauge = _pair_b(v3, w_tilde, v3, w_tilde, trousers, trousers, gram)
-    delta = spectral.hamiltonian_delta(L, level.real, complex(e0).real, v_f)
-    return BMeasurement(
-        f"deformed:y={y}", L, float(b.real), gauge, float(delta),
-        complex(level), "hamiltonian", cell.residual_w, float(abs(b.imag)),
-    )
+    return _chain_b(f"deformed:y={y}", L, _open_chain(L, y), cell_scale, cluster_tol)
 
 
 def percolation_check(

@@ -91,30 +91,20 @@ def full_spectrum(A: np.ndarray, rel_tol: float = 1e-5) -> list[Cluster]:
 
 
 def ground_state(
-    A: np.ndarray,
-    which: str = "min",
-    gram: np.ndarray | None = None,
-    normalize_component: int | None = None,
-    side: str = "right",
+    A: np.ndarray, which: str = "min", gram: np.ndarray | None = None
 ) -> tuple[complex, np.ndarray]:
     """Extremal eigenpair of an operator, decomposed densely.
 
-    ``which`` selects the smallest or largest real part; ``side="left"``
-    returns a row eigenvector (computed from the transpose, no conjugation).
-    The eigenvector is normalized to bilinear square one under ``gram``
-    (principal branch of the square root, then the deterministic sign of
-    :func:`sign_fix`) unless ``normalize_component`` asks instead for that
-    coordinate to equal one.
+    ``which`` selects the smallest or largest real part.  With ``gram`` the
+    eigenvector is normalized to bilinear square one under it (principal
+    branch of the square root, then the deterministic sign of
+    :func:`sign_fix`).
     """
     A = _dense(A)
-    if side == "left":
-        A = A.T
     eigvals, eigvecs = sla.eig(A)
     k = int(np.argmin(np.real(eigvals)) if which == "min" else np.argmax(np.real(eigvals)))
     lam, v = eigvals[k], eigvecs[:, k]
-    if normalize_component is not None:
-        v = v / v[normalize_component]
-    elif gram is not None:
+    if gram is not None:
         v = sign_fix(normalize_bilinear(v, gram))
     if np.max(np.abs(v.imag)) < 1e-12 * np.max(np.abs(v.real)):
         v = v.real.astype(A.dtype) if np.iscomplexobj(A) else v.real

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from loopcells import diagrams as dg
 from loopcells import fixtures as fx
@@ -24,20 +29,46 @@ class TestTrousers:
         assert t.model == "xxz" and t.L == 4
 
     def test_dilute_all_empty_component_is_one(self):
-        t = obs.trousers_dilute(4)
-        from loopcells.diagrams import enumerate_dilute
-
-        basis = enumerate_dilute(4)
+        basis = models.build_dilute_T(4).basis
         empty = next(k for k, s in enumerate(basis) if not any(s.occupied_mask))
-        assert t.vector[empty] == pytest.approx(1.0)
+        for side in ("left", "right"):
+            t = obs.trousers_dilute(4, side=side)
+            assert len(t.vector) == len(basis)
+            assert t.vector[empty] == pytest.approx(1.0)
 
     def test_dilute_vector_lives_in_zero_string_sector(self):
-        t = obs.trousers_dilute(6)
-        from loopcells.diagrams import enumerate_dilute
+        basis = models.build_dilute_T(6).basis
+        for side in ("left", "right"):
+            t = obs.trousers_dilute(6, side=side)
+            assert len(t.vector) == len(basis)
+            for coeff, state in zip(t.vector, basis):
+                if state.n_strings:
+                    assert coeff == 0.0
 
-        for coeff, state in zip(t.vector, enumerate_dilute(6)):
-            if any(role == 1 for role in state.roles):
-                assert coeff == 0.0
+    @pytest.mark.parametrize("side", ["rigth", "", "banana"])
+    def test_dilute_side_must_be_left_or_right(self, side):
+        with pytest.raises(ValueError, match="side must be"):
+            obs.trousers_dilute(4, side=side)
+
+    @pytest.mark.parametrize("half", [2, 3])
+    def test_bra_ground_off_the_bra_row_is_refused(self, half):
+        # a ket row perturbed away from upper @ lower leaves the mapped
+        # ground off the bra row lower @ upper
+        row = models.build_dilute_T(half)
+        kick = sp.csr_matrix(([0.05], ([0], [1])), shape=row.ket_row.shape)
+        fake = SimpleNamespace(
+            basis=row.basis, lower=row.lower, upper=row.upper, ket_row=row.ket_row + kick
+        )
+        with pytest.raises(ArithmeticError, match="fails the bra row"):
+            obs._dilute_trousers(fake, models.build_dilute_T(2 * half).basis)
+
+    def test_vanishing_bra_ground_is_refused(self):
+        row = models.build_dilute_T(2)
+        fake = SimpleNamespace(
+            basis=row.basis, lower=0 * row.lower, upper=row.upper, ket_row=row.ket_row
+        )
+        with pytest.raises(ArithmeticError, match="annihilates"):
+            obs._dilute_trousers(fake, models.build_dilute_T(4).basis)
 
     def test_dilute_width_must_be_even(self):
         with pytest.raises(ValueError, match="even"):
@@ -209,6 +240,96 @@ class TestDeformedB:
     def test_width_must_be_even(self):
         with pytest.raises(ValueError, match="even"):
             obs.b_deformed(5, 2.0)
+
+
+# captured before the trousers builders and chain pipelines were merged
+GOLDEN = json.loads(Path(__file__).with_name("golden_values.json").read_text())
+
+
+def golden_vector(entry):
+    vec = np.zeros(entry["dim"], dtype=complex)
+    vec[entry["index"]] = np.asarray(entry["real"]) + 1j * np.asarray(entry.get("imag", 0.0))
+    return vec
+
+
+def assert_golden_b(m, entry):
+    value, delta, level_re, level_im = entry
+    assert m.value == pytest.approx(value, abs=1e-12)
+    assert m.delta == pytest.approx(delta, abs=1e-12)
+    assert m.level == pytest.approx(complex(level_re, level_im), abs=1e-12)
+
+
+class TestGoldenValues:
+    @pytest.mark.parametrize("L", [4, 8, 12])
+    def test_b_xxz(self, L):
+        assert_golden_b(obs.b_xxz(L), GOLDEN["b_xxz"][str(L)])
+
+    @pytest.mark.parametrize("y", [2.0, -1.0, 0.5])
+    @pytest.mark.parametrize("L", [4, 6, 8, 10])
+    def test_b_deformed(self, L, y):
+        assert_golden_b(obs.b_deformed(L, y), GOLDEN["b_deformed"][f"{L},{y}"])
+
+    def test_trousers_xxz(self):
+        expect = golden_vector(GOLDEN["trousers_xxz"]["8"])
+        np.testing.assert_allclose(obs.trousers_xxz(8).vector, expect, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("L", [4, 6, 8])
+    def test_trousers_open(self, L):
+        expect = golden_vector(GOLDEN["trousers_open_y2"][str(L)])
+        np.testing.assert_allclose(obs.trousers_open(L, 2.0).vector, expect, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("L", [2, 4, 6, 8, 10])
+    def test_trousers_dilute(self, L, side):
+        # the left side was a second power iteration on the bra row: the
+        # oracle for the bra ground mapped through the lower half-row
+        expect = golden_vector(GOLDEN["trousers_dilute"][f"{L},{side}"])
+        got = obs.trousers_dilute(L, side=side)
+        assert got.side == side
+        np.testing.assert_allclose(got.vector, expect, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "chain, L",
+        [("xxz", 4), ("xxz", 8), ("open", 4), ("open", 6), ("open", 8)],
+    )
+    def test_chain_ground_matches_dense_reference(self, chain, L):
+        H, gram, _ = obs._xxz_chain(L, fx.Q_VALUE) if chain == "xxz" else obs._open_chain(L, 2.0)
+        e0, v0 = obs._ground(obs._low_spectrum(H, L), gram)
+        lam, ref = spectral.ground_state(H, "min", gram=gram)
+        assert abs(e0 - lam) < 1e-10
+        np.testing.assert_allclose(v0, ref, rtol=0, atol=1e-10)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records the width of each call."""
+    widths = []
+    original = getattr(module, name)
+
+    def wrapper(L, *args, **kwargs):
+        widths.append(L)
+        return original(L, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return widths
+
+
+class TestBuildOnce:
+    def test_polymer_builds_each_row_once(self, monkeypatch):
+        rows = count_calls(monkeypatch, models, "build_dilute_T")
+        obs.b_polymer(6)
+        assert sorted(rows) == [3, 6]
+
+    def test_deformed_builds_each_chain_and_gram_once(self, monkeypatch):
+        grams = count_calls(monkeypatch, forms, "link_gram")
+        chains = count_calls(monkeypatch, models, "build_percolation_H")
+        obs.b_deformed(6, 2.0)
+        assert sorted(grams) == [3, 6]
+        assert sorted(chains) == [3, 6]
+
+    def test_spin_builds_each_chain_once(self, monkeypatch):
+        chains = count_calls(monkeypatch, models, "build_xxz")
+        obs.b_xxz(8)
+        assert sorted(chains) == [4, 8]
 
 
 class TestPercolationStructure:

@@ -69,17 +69,6 @@ class TestGroundState:
         assert abs(v_min[1]) == pytest.approx(1.0)
         assert abs(v_max[0]) == pytest.approx(1.0)
 
-    def test_left_side_is_row_eigenvector(self):
-        rng = np.random.default_rng(3)
-        A = rng.standard_normal((5, 5))
-        lam, u = spectral.ground_state(A, "min", side="left")
-        np.testing.assert_allclose(u @ A, lam * u, atol=1e-10)
-
-    def test_component_normalization(self):
-        A = np.array([[2.0, 1.0], [1.0, 2.0]])
-        _, v = spectral.ground_state(A, "max", normalize_component=0)
-        assert v[0] == pytest.approx(1.0)
-
     def test_bilinear_normalization_with_sign(self):
         A = np.array([[2.0, 1.0], [1.0, 2.0]])
         G = np.eye(2)
