@@ -23,7 +23,8 @@ two constraints characterise the usual link bases:
 :func:`glue` flips one diagram upside down, places it on top of another and
 reports the topology of the resulting picture: closed loops, string pairs of
 one diagram contracted by arcs of the other, and bottom-to-top through lines.
-All bilinear pairings and transfer-matrix rows are built from this primitive.
+The bilinear pairings of :mod:`loopcells.forms` are defined by this picture
+and tested against it; the loop entropy's boundary row calls it per state.
 """
 
 from __future__ import annotations

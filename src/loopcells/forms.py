@@ -2,9 +2,11 @@
 
 All pairings here are bilinear, never sesquilinear: ``pairing(u, v) =
 sum_ij u_i G_ij v_j`` with no complex conjugation, so "norms" may vanish or
-be negative.  The Gram matrices ``G`` are symmetric; except for the loop
-and dilute forms they are built by gluing the mirror image of one basis
-diagram on top of another (:func:`loopcells.diagrams.glue`):
+be negative.  The Gram matrices ``G`` are symmetric.  An entry is read off
+the picture of the mirror image of one basis diagram glued on top of
+another (:func:`loopcells.diagrams.glue`), but no form calls ``glue`` per
+pair: the loop form factors through spin states, and the dilute and link
+forms follow the lines of all pairs at once with numpy (:func:`_line_ends`):
 
 * :func:`loop_gram` -- periodic all-arc basis, weight ``n`` per closed loop,
   the dense view of ``M^T M`` for the sparse singlet factor ``M`` of
@@ -18,14 +20,15 @@ diagram on top of another (:func:`loopcells.diagrams.glue`):
   :func:`~loopcells.diagrams.glue` for none of them; :func:`dilute_gram` is
   its dense view on a whole parity basis;
 * :func:`link_gram` -- open arc/string basis at loop weight one, where
-  contracting a string pair whose left label is even costs ``y``;
+  contracting a string pair whose left label is even costs ``y``; it walks
+  the lines that leave the even-labelled strings of every pair at once;
 * :func:`identity_gram` -- the spin-chain pairing (Euclidean components,
   bilinear because nothing is conjugated).
 
 :func:`selfadjointness_defect` measures ``max |pairing(Au, v) -
 pairing(u, Av)|`` over random vectors, normalized by the operator and vector
 scales; it and :func:`adjointness_matrix_defect` accept dense or sparse
-operators.
+operators; :func:`pairing` accepts a dense or sparse Gram matrix.
 """
 
 from __future__ import annotations
@@ -35,9 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .diagrams import ARC, LinkState, enumerate_dense, enumerate_dilute, enumerate_open, glue
+from .diagrams import ARC, STRING, LinkState, enumerate_dense, enumerate_dilute, enumerate_open, glue
 from .spectral import _dense
-from .tl import contraction_weight
 
 
 @dataclass(frozen=True)
@@ -49,16 +51,16 @@ class BilinearForm:
     basis: tuple[LinkState, ...] | None = field(default=None, compare=False)
 
     def pairing(self, u: np.ndarray, v: np.ndarray) -> complex:
-        return complex(np.asarray(u) @ self.gram @ np.asarray(v))
+        return pairing(u, self.gram, v)
 
     @property
     def dim(self) -> int:
         return self.gram.shape[0]
 
 
-def pairing(u: np.ndarray, gram: np.ndarray, v: np.ndarray) -> complex:
-    """``u^T G v`` with no conjugation."""
-    return complex(np.asarray(u) @ np.asarray(gram) @ np.asarray(v))
+def pairing(u: np.ndarray, gram, v: np.ndarray) -> complex:
+    """``u^T G v`` with no conjugation; ``gram`` may be dense or sparse."""
+    return complex(np.asarray(u) @ (gram @ np.asarray(v)))
 
 
 def loop_gram(L: int, weight: complex) -> BilinearForm:
@@ -68,7 +70,7 @@ def loop_gram(L: int, weight: complex) -> BilinearForm:
     """
     m = singlet_factor(L, weight)
     gram = (m.T @ m).toarray()
-    if not isinstance(weight, complex):
+    if not np.iscomplexobj(weight):
         gram = gram.real
     return BilinearForm(f"dense:{L}", gram, enumerate_dense(L))
 
@@ -127,39 +129,54 @@ def loop_count_matrix(basis: tuple[LinkState, ...]) -> np.ndarray:
     return counts
 
 
+def _line_ends(first, first_at, then, then_at, site, rounds: int):
+    """Where lines through glued pairs stand after ``rounds`` two-step rounds.
+
+    ``first`` and ``then`` are flattened per-state site maps, one row per
+    state, with room past the ``L`` sites for sentinels that every map
+    fixes.  A walker at ``site`` steps through the ``first`` row starting at
+    ``first_at``, then through the ``then`` row starting at ``then_at``; a
+    line that reaches a sentinel stays there.  The arguments broadcast.
+    """
+    for _ in range(rounds):
+        site = then[then_at + first[first_at + site]]
+    return site
+
+
 def dilute_sector_gram(basis: tuple[LinkState, ...]):
     """Sparse dilute Gram matrix on an arbitrary sub-basis.
 
     An entry is one for each loop-free gluing with matching empty sites and
     zero otherwise.  States are grouped by their occupation mask, and each
-    group glues all its pairs at once: every site is sent through the bra
-    arc, then the ket arc, with empty and string sites sent to an absorbing
-    sentinel.  A site on an open line reaches the sentinel within
-    ``L//2 + 1`` such steps, while a site on a closed loop never does, so a
-    pair is loop-free exactly when every site has reached it.  Returned as a
-    CSR matrix because large sector bases make the dense form wasteful.
+    group glues all its pairs at once (:func:`_line_ends`): every site is
+    sent through the bra arc, then the ket arc, with empty and string sites
+    sent to an absorbing sentinel.  A site on an open line reaches the
+    sentinel within ``L//2 + 1`` such steps, while a site on a closed loop
+    never does, so a pair is loop-free exactly when every site has reached
+    it.  Returned as a CSR matrix because large sector bases make the dense
+    form wasteful.
     """
     dim = len(basis)
     if not dim:
         return sp.csr_matrix((0, 0))
     L = basis[0].size
     # arc partner of every site; empty and string sites go to the sentinel L
-    step = np.full((dim, L + 1), L, dtype=np.intp)
+    step = np.full((dim, L + 1), L, dtype=np.min_scalar_type(L))
     groups: dict[tuple[bool, ...], list[int]] = {}
     for k, s in enumerate(basis):
         arcs = [i for i, r in enumerate(s.roles) if r == ARC]
         step[k, arcs] = [s.partner[i] for i in arcs]
         groups.setdefault(s.occupied_mask, []).append(k)
+    step = step.ravel()
     rows, cols = [], []
     for members in groups.values():
         members = np.asarray(members)
         i, j = np.triu_indices(len(members))
         a, b = members[i], members[j]
-        bra, ket = step[a], step[b]
-        site = np.broadcast_to(np.arange(L), (len(a), L))
-        for _ in range(L // 2 + 1):
-            site = np.take_along_axis(ket, np.take_along_axis(bra, site, axis=1), axis=1)
-        free = np.all(site == L, axis=1)
+        ends = _line_ends(
+            step, a[:, None] * (L + 1), step, b[:, None] * (L + 1), np.arange(L), L // 2 + 1
+        )
+        free = np.all(ends == L, axis=1)
         a, b = a[free], b[free]
         off = a != b
         rows += [a, b[off]]
@@ -193,20 +210,40 @@ def link_gram(L: int, y: complex = 1.0) -> BilinearForm:
     picks up ``y`` when the left label of the pair is even (the contraction
     straddles two label pairs) and one otherwise; through lines count one.
     At ``y = 1`` this is the plain loop-type pairing of the open basis.
+
+    All pairs are glued at once (:func:`_line_ends`), as in
+    :func:`dilute_sector_gram`.  On the bra side a string at site ``j``
+    absorbs a line into the sentinel ``L + j``; on the ket side every string
+    lets it through to ``2L``.  A line leaving an even-labelled bra string
+    downward (ket step, then bra step) reaches its end within ``L // 2``
+    rounds, and it is a contraction when that end is a bra string to its
+    right; the same walk with the sides swapped finds the ket contractions.
+    An entry is ``y`` to the number of such contractions.
     """
     basis = enumerate_open(L)
     dim = len(basis)
-    dtype = complex if isinstance(y, complex) else float
-    gram = np.zeros((dim, dim), dtype=dtype)
-    for a in range(dim):
-        for b in range(a, dim):
-            res = glue(basis[a], basis[b])
-            w = 1.0
-            for i, _ in res.bra_contractions:
-                w *= contraction_weight(i, y)
-            for i, _ in res.ket_contractions:
-                w *= contraction_weight(i, y)
-            gram[a, b] = gram[b, a] = w
+    dtype = complex if np.iscomplexobj(y) else float
+    partner = np.array([s.partner for s in basis])
+    string = np.array([s.roles for s in basis]) == STRING
+    even = string & (np.cumsum(string, axis=1) % 2 == 0)
+    width = 2 * L + 1
+    fixed = np.broadcast_to(np.arange(L, width), (dim, L + 1))
+    site_type = np.min_scalar_type(2 * L)
+    absorb = np.hstack([np.where(string, L + np.arange(L), partner), fixed]).astype(site_type)
+    through = np.hstack([np.where(string, 2 * L, partner), fixed]).astype(site_type)
+    absorb, through = absorb.ravel(), through.ravel()
+    a, b = np.triu_indices(dim)
+    count = np.zeros(len(a), dtype=np.intp)
+    for own, other in ((a, b), (b, a)):
+        pair, start = np.nonzero(even[own])
+        ends = _line_ends(through, other[pair] * width, absorb, own[pair] * width, start, L // 2)
+        count += np.bincount(pair[(ends > L + start) & (ends < 2 * L)], minlength=len(a))
+    # y ** k as k repeated products: each entry is exactly the product of its weights
+    powers = [1.0]
+    for _ in range(int(count.max())):
+        powers.append(powers[-1] * y)
+    gram = np.empty((dim, dim), dtype=dtype)
+    gram[a, b] = gram[b, a] = np.asarray(powers, dtype=dtype)[count]
     return BilinearForm(f"open:{L}:y={y}", gram, basis)
 
 

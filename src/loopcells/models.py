@@ -331,9 +331,9 @@ def build_percolation_H(L: int, y: complex = 1.0) -> np.ndarray:
     geometric chain, which is diagonalizable, while ``y != 1`` develops
     rank-two Jordan cells at the same spectrum.
     """
-    es = open_generators(L, 1.0, y)
     dim = len(enumerate_open(L))
-    out = (L - 1) / 2 * np.eye(dim, dtype=np.result_type(*(e.dtype for e in es)))
-    for e in es:
+    # the dtype of open_generators(L, 1.0, y); L = 1 has no generators
+    out = (L - 1) / 2 * np.eye(dim, dtype=np.complex128 if np.iscomplexobj(y) else np.float64)
+    for e in open_generators(L, 1.0, y):
         out -= 2 * e
     return out

@@ -92,7 +92,7 @@ def open_generators(L: int, n: complex, y: complex = 1.0) -> list[np.ndarray]:
     """
     basis = enumerate_open(L)
     index = basis_index(basis)
-    dtype = np.complex128 if isinstance(n, complex) or isinstance(y, complex) else np.float64
+    dtype = np.complex128 if np.iscomplexobj(n) or np.iscomplexobj(y) else np.float64
     es = []
     for i in range(L - 1):
         e = np.zeros((len(basis), len(basis)), dtype=dtype)
@@ -116,7 +116,7 @@ def dense_generators(L: int, n: complex) -> list[sp.csr_matrix]:
     basis = enumerate_dense(L)
     index = basis_index(basis)
     dim = len(basis)
-    dtype = np.complex128 if isinstance(n, complex) else np.float64
+    dtype = np.complex128 if np.iscomplexobj(n) else np.float64
     cols = np.arange(dim)
     es = []
     for i in range(L):

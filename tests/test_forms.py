@@ -48,6 +48,13 @@ class TestLoopGram:
             form = forms.loop_gram(L, 1.0)
             np.testing.assert_allclose(form.gram, np.ones((form.dim, form.dim)))
 
+    def test_numpy_complex_weight_keeps_imaginary_part(self):
+        n = np.complex64(0.5 + 0.5j)
+        gram = forms.loop_gram(4, n).gram
+        assert gram.dtype == np.complex128
+        assert gram[0, 0] == pytest.approx(complex(n) ** 2, abs=1e-6)
+        assert all(e.dtype == np.complex128 for e in tl.dense_generators(4, n))
+
 
 @lru_cache(maxsize=None)
 def oracle_counts(L: int) -> np.ndarray:
@@ -82,7 +89,61 @@ class TestSingletFactor:
         assert all(bin(int(r)).count("1") == L // 2 for r in rows)
 
 
+@lru_cache(maxsize=None)
+def glued_open_pairs(L: int) -> tuple:
+    basis = dg.enumerate_open(L)
+    return tuple(
+        (a, b, dg.glue(basis[a], basis[b]))
+        for a in range(len(basis))
+        for b in range(a, len(basis))
+    )
+
+
+def glue_link_gram(L: int, y) -> np.ndarray:
+    """The link Gram from one :func:`~loopcells.diagrams.glue` per pair (the oracle)."""
+    dim = len(dg.enumerate_open(L))
+    gram = np.zeros((dim, dim), dtype=complex if np.iscomplexobj(y) else float)
+    for a, b, res in glued_open_pairs(L):
+        w = 1.0
+        for i, _ in res.bra_contractions:
+            w *= tl.contraction_weight(i, y)
+        for i, _ in res.ket_contractions:
+            w *= tl.contraction_weight(i, y)
+        gram[a, b] = gram[b, a] = w
+    return gram
+
+
 class TestLinkGram:
+    @pytest.mark.parametrize("y", [1.0, 2.0, -1.0, 0.5])
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_matches_glue_oracle(self, L, y):
+        gram = forms.link_gram(L, y).gram
+        assert gram.dtype == np.float64
+        np.testing.assert_array_equal(gram, glue_link_gram(L, y))
+
+    @pytest.mark.parametrize("y", [0.3, 0.3 + 0.7j])
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_matches_glue_oracle_at_inexact_weights(self, L, y):
+        gram = forms.link_gram(L, y).gram
+        assert gram.dtype == (np.complex128 if isinstance(y, complex) else np.float64)
+        np.testing.assert_allclose(gram, glue_link_gram(L, y), rtol=0, atol=1e-15)
+
+    def test_glues_no_pair(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("glue called")
+
+        monkeypatch.setattr(dg, "glue", refuse)
+        monkeypatch.setattr(forms, "glue", refuse)
+        assert forms.link_gram(6, 2.0).dim == 20
+
+    @pytest.mark.parametrize("y", [np.complex64(1 + 1j), np.complex128(0.5 - 2j)])
+    def test_numpy_complex_weight_keeps_imaginary_part(self, y):
+        index = dg.basis_index(dg.enumerate_open(4))
+        form = forms.link_gram(4, y)
+        assert form.gram.dtype == np.complex128
+        assert form.gram[index[dg.from_text("(())")], index[dg.from_text("||||")]] == y
+        assert all(e.dtype == np.complex128 for e in tl.open_generators(4, 1.0, y))
+
     def test_weight_one_width_two(self):
         # basis {arc, strings}: arc/arc closes a loop, arc/strings and
         # strings/strings each give a single line
@@ -258,6 +319,20 @@ class TestDiluteForm:
         t = row.ket_row.toarray()
         ml = row.bra_row.toarray()
         np.testing.assert_allclose(gram @ t, ml.T @ gram, atol=1e-12)
+
+
+class TestPairing:
+    @pytest.mark.parametrize("L", [2, 4, 6])
+    def test_sparse_gram_pairs_like_its_dense_view(self, L):
+        form = forms.dilute_gram(L)
+        sparse = forms.dilute_sector_gram(form.basis)
+        rng = np.random.default_rng(L)
+        u, v = rng.standard_normal((2, form.dim))
+        expect = forms.pairing(u, form.gram, v)
+        assert forms.pairing(u, sparse, v) == pytest.approx(expect, abs=1e-12)
+        assert forms.BilinearForm("sparse", sparse).pairing(u, v) == pytest.approx(
+            expect, abs=1e-12
+        )
 
 
 class TestDefectMeasures:

@@ -181,6 +181,13 @@ class TestPercolationChain:
             vals = np.sort(np.linalg.eigvals(models.build_percolation_H(6, y)).real)
             np.testing.assert_allclose(vals, base, atol=1e-8)
 
+    @pytest.mark.parametrize("y", [1.0, 2.0, 0.5 + 1j])
+    def test_one_site_chain_is_zero(self, y):
+        # (L-1)/2 = 0 and there are no generators
+        H = models.build_percolation_H(1, y)
+        np.testing.assert_array_equal(H, np.zeros((1, 1)))
+        assert H.dtype == (np.complex128 if isinstance(y, complex) else np.float64)
+
     def test_self_adjoint_under_link_form(self):
         for y in (1.0, 2.0):
             H = models.build_percolation_H(4, y)

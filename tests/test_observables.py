@@ -79,6 +79,15 @@ class TestTrousers:
         assert t.vector.shape == (6,)
         assert np.linalg.norm(t.vector) > 0
 
+    @pytest.mark.parametrize("y", [1.0, 2.0])
+    def test_open_chain_trousers_at_width_two(self, y):
+        # the half chain has one site and no generators
+        t = obs.trousers_open(2, y)
+        index = dg.basis_index(dg.enumerate_open(2))
+        assert t.vector.shape == (2,)
+        assert t.vector[index[dg.from_text("()")]] == 0
+        assert abs(t.vector[index[dg.from_text("||")]]) > 0
+
 
 class TestSpinChainB:
     def test_width_four_equals_closed_form(self):
@@ -240,6 +249,12 @@ class TestDeformedB:
     def test_width_must_be_even(self):
         with pytest.raises(ValueError, match="even"):
             obs.b_deformed(5, 2.0)
+
+    def test_width_two_has_no_fourth_level(self):
+        with pytest.raises(ValueError, match="only 2 distinct levels"):
+            obs.b_deformed(2, 2.0)
+        with pytest.raises(ValueError, match="only 2 distinct levels"):
+            obs.percolation_check(2)
 
 
 # captured before the trousers builders and chain pipelines were merged
