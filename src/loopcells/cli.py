@@ -407,7 +407,7 @@ def _emit(rows: list[dict], args, command: str, params: dict) -> None:
         writer.writerows(rows)
         text = buffer.getvalue()
     else:
-        cells = [[_fmt(row.get(k, "")) for k in keys] for row in rows]
+        cells = [[_fmt(row.get(k, ""), k) for k in keys] for row in rows]
         widths = [max(len(k), *(len(c[i]) for c in cells)) if cells else len(k) for i, k in enumerate(keys)]
         lines = ["  ".join(k.ljust(w) for k, w in zip(keys, widths)).rstrip()]
         lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
@@ -419,8 +419,14 @@ def _emit(rows: list[dict], args, command: str, params: dict) -> None:
         sys.stdout.write(text)
 
 
-def _fmt(value) -> str:
+#: Text-report columns that are rounding noise below 1e-12 and print as ``<1e-12``.
+_NOISE_COLUMNS = ("gauge_sensitivity", "residual")
+
+
+def _fmt(value, key: str = "") -> str:
     if isinstance(value, float):
+        if key in _NOISE_COLUMNS and abs(value) < 1e-12:
+            return "<1e-12"
         return f"{value:.8g}"
     return str(value)
 

@@ -16,7 +16,8 @@ forms follow the lines of all pairs at once with numpy (:func:`_line_ends`):
 * :func:`dilute_sector_gram` -- dilute basis (sparse, any sub-basis): zero
   unless the empty sites agree and no closed loop forms (loops carry weight
   zero), weight one otherwise; it finds the loops of all same-mask pairs at
-  once with numpy, by iterating the bra-then-ket arc map, and calls
+  once with numpy, by iterating the bra-then-ket arc map from the bra's arc
+  openers, and calls
   :func:`~loopcells.diagrams.glue` for none of them; :func:`dilute_gram` is
   its dense view on a whole parity basis;
 * :func:`link_gram` -- open arc/string basis at loop weight one, where
@@ -148,13 +149,14 @@ def dilute_sector_gram(basis: tuple[LinkState, ...]):
 
     An entry is one for each loop-free gluing with matching empty sites and
     zero otherwise.  States are grouped by their occupation mask, and each
-    group glues all its pairs at once (:func:`_line_ends`): every site is
-    sent through the bra arc, then the ket arc, with empty and string sites
-    sent to an absorbing sentinel.  A site on an open line reaches the
-    sentinel within ``L//2 + 1`` such steps, while a site on a closed loop
-    never does, so a pair is loop-free exactly when every site has reached
-    it.  Returned as a CSR matrix because large sector bases make the dense
-    form wasteful.
+    group glues all its pairs at once (:func:`_line_ends`): a walker is sent
+    through the bra arc, then the ket arc, with empty and string sites sent
+    to an absorbing sentinel.  Every closed loop runs through some bra arc,
+    so walkers start only at the bra's arc openers.  A walker on an open
+    line reaches the sentinel within ``k//2 + 1`` such rounds for a group of
+    ``k`` occupied sites, while one on a closed loop never does, so a pair
+    is loop-free exactly when every walker has reached it.  Returned as a
+    CSR matrix because large sector bases make the dense form wasteful.
     """
     dim = len(basis)
     if not dim:
@@ -162,19 +164,26 @@ def dilute_sector_gram(basis: tuple[LinkState, ...]):
     L = basis[0].size
     # arc partner of every site; empty and string sites go to the sentinel L
     step = np.full((dim, L + 1), L, dtype=np.min_scalar_type(L))
+    # arc openers of every state, padded with the sentinel
+    openers = np.full((dim, L // 2), L, dtype=step.dtype)
+    arc_count = np.zeros(dim, dtype=np.intp)
     groups: dict[tuple[bool, ...], list[int]] = {}
     for k, s in enumerate(basis):
         arcs = [i for i, r in enumerate(s.roles) if r == ARC]
         step[k, arcs] = [s.partner[i] for i in arcs]
+        opens = [i for i in arcs if s.partner[i] > i]
+        openers[k, : len(opens)] = opens
+        arc_count[k] = len(opens)
         groups.setdefault(s.occupied_mask, []).append(k)
     step = step.ravel()
     rows, cols = [], []
-    for members in groups.values():
+    for mask, members in groups.items():
         members = np.asarray(members)
         i, j = np.triu_indices(len(members))
         a, b = members[i], members[j]
+        start = openers[a, : arc_count[members].max()]
         ends = _line_ends(
-            step, a[:, None] * (L + 1), step, b[:, None] * (L + 1), np.arange(L), L // 2 + 1
+            step, a[:, None] * (L + 1), step, b[:, None] * (L + 1), start, sum(mask) // 2 + 1
         )
         free = np.all(ends == L, axis=1)
         a, b = a[free], b[free]

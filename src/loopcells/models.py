@@ -11,10 +11,11 @@ All builders share the bases of :mod:`loopcells.diagrams`:
 * :func:`build_dense_loop_T` -- one row of the dense loop model on a
   cylinder: two staggered half-rows of plaquettes, each plaquette the sum of
   an identity tile and a cup-cap tile, kept as sparse factors built from the
-  sparse :func:`loopcells.tl.dense_generators`;
+  sparse :func:`loopcells.tl.dense_generators` (a :class:`FactoredOperator`);
 * :func:`build_dilute_T` -- one row of the dilute loop model on a strip,
   assembled from lozenge tiles and boundary half-tiles, together with the
-  reversed-order row that evolves bra states;
+  reversed-order row that evolves bra states; :func:`dilute_blocks` splits
+  either row into string-sector blocks without forming it;
 * :func:`build_percolation_H` -- the open-chain sum of cup-cap generators at
   loop weight one, optionally with parity-deformed string contractions.
 """
@@ -126,19 +127,18 @@ def ising_boundary_vectors(L: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class TransferOperator:
-    """A transfer row kept in factored form for cheap application."""
+class FactoredOperator:
+    """A product of sparse factors kept unformed for cheap application.
 
-    basis: tuple[LinkState, ...]
+    ``factors`` act in list order, so the operator is ``factors[-1] @ ...
+    @ factors[0]``; its transpose is the reversed list of transposed factors.
+    """
+
     factors: list[sp.csr_matrix]
 
     @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
     def shape(self) -> tuple[int, int]:
-        return (self.dim, self.dim)
+        return (self.factors[-1].shape[0], self.factors[0].shape[1])
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         for f in self.factors:
@@ -148,9 +148,24 @@ class TransferOperator:
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return self.apply(v)
 
+    @property
+    def T(self) -> FactoredOperator:
+        return FactoredOperator([f.T for f in reversed(self.factors)])
+
     def matrix(self) -> np.ndarray:
-        out = reduce(lambda acc, f: f @ acc, self.factors, sp.identity(self.dim, format="csr"))
+        out = reduce(lambda acc, f: f @ acc, self.factors, sp.identity(self.shape[1], format="csr"))
         return np.asarray(out.todense())
+
+
+@dataclass
+class TransferOperator(FactoredOperator):
+    """A transfer row on a link-pattern basis, kept in factored form."""
+
+    basis: tuple[LinkState, ...] = ()
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
 
 def build_dense_loop_T(L: int, n: float) -> TransferOperator:
@@ -167,7 +182,7 @@ def build_dense_loop_T(L: int, n: float) -> TransferOperator:
     eye = sp.identity(len(basis), format="csr")
     lower = [eye + es[i] for i in range(0, L, 2)]
     upper = [eye + es[i] for i in range(1, L, 2)]
-    return TransferOperator(basis, lower + upper)
+    return TransferOperator(lower + upper, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -302,21 +317,27 @@ def build_dilute_T(L: int, x: float | None = None) -> DiluteRow:
     return DiluteRow(basis, lower, upper)
 
 
-def dilute_blocks(row: DiluteRow, matrix: sp.csr_matrix):
-    """Split a row matrix into string-sector blocks (0 and 2 strings).
+def dilute_blocks(row: DiluteRow):
+    """String-sector blocks (0 and 2 strings) of the ket row, unformed.
 
-    Returns ``(T00, T02, T22, idx0, idx2)`` with the convention that the
-    two-string sector can only feed the zero-string one.
+    Returns ``(T00, T02, T22, idx0, idx2)``: each block a
+    :class:`FactoredOperator` of half-row blocks, with the convention that
+    the two-string sector can only feed the zero-string one.  Neither half
+    row may send a zero-string state into the two-string sector (lozenge
+    tiles never create strings), so with the ket row ``upper @ lower``
+    written in blocks ``l``/``u`` the products are exact: ``T00 = u00 l00``,
+    ``T22 = u22 l22`` and ``T02 = u00 l02 + u02 l22``.  The bra row's blocks
+    are those of the row with its two halves swapped.
     """
     idx0 = sector_indices(row.basis, 0)
     idx2 = sector_indices(row.basis, 2)
-    m = matrix.tocsr()
-    T00 = m[idx0, :][:, idx0]
-    T02 = m[idx0, :][:, idx2]
-    T22 = m[idx2, :][:, idx2]
-    T20 = m[idx2, :][:, idx0]
-    if T20.count_nonzero():
-        raise AssertionError("strings were created by a dilute row")
+    lower, upper = row.lower.tocsr(), row.upper.tocsr()
+    for half in (lower, upper):
+        if half[idx2, :][:, idx0].count_nonzero():
+            raise AssertionError("strings were created by a dilute half-row")
+    T00 = FactoredOperator([lower[idx0, :][:, idx0], upper[idx0, :][:, idx0]])
+    T02 = FactoredOperator([lower[:, idx2], upper[idx0, :]])
+    T22 = FactoredOperator([lower[idx2, :][:, idx2], upper[idx2, :][:, idx2]])
     return T00, T02, T22, idx0, idx2
 
 

@@ -273,10 +273,9 @@ def _dilute_trousers(half_row: models.DiluteRow, basis: tuple[LinkState, ...]):
     reads the ground coefficient of the reflected diagram; for symmetric
     (even) half widths this is invisible.  Returns ``(bra, ket)``.
     """
-    T00, _, _, idx0, _ = models.dilute_blocks(half_row, half_row.ket_row)
+    T00, _, _, idx0, _ = models.dilute_blocks(half_row)
     lam, ket = spectral.perron_pair(T00)
-    lower = half_row.lower.tocsr()[idx0, :][:, idx0]
-    upper = half_row.upper.tocsr()[idx0, :][:, idx0]
+    lower, upper = T00.factors
     bra = lower @ ket
     if np.linalg.norm(bra) <= 1e-12 * np.linalg.norm(ket):
         raise ArithmeticError("the lower half-row annihilates the half-width ground")
@@ -360,7 +359,7 @@ def b_polymer(
         raise ValueError("b for the dilute strip needs even L")
     x = fixtures.X_CRITICAL if x is None else x
     row = models.build_dilute_T(L, x)
-    T00, T02, T22, idx0, idx2 = models.dilute_blocks(row, row.ket_row)
+    T00, T02, T22, idx0, idx2 = models.dilute_blocks(row)
     dim0 = len(idx0)
     right = spectral.block_jordan_cell(T00, T02, T22)
     lam1 = right.value

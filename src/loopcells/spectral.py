@@ -5,18 +5,24 @@ cluster whose diameter scales like the square root of machine precision, so
 :func:`full_spectrum` groups eigenvalues by a relative gap (default ``1e-5``)
 and reports cluster means.
 
-One LU-based solver extracts every Jordan cell.  Its private core takes one
-sparse LU of the singular shift ``A - lambda`` and runs inverse iteration on
-it for the right kernel directions and the left kernel vector; when SuperLU
-finds the shift exactly singular, it refactors once at a tiny identity shift
-and records that shift as :attr:`JordanCell.regularization`.  The partner
-``w`` of ``(A - lambda) w = v`` solves a bordered system with its own LU.
-:func:`extract_jordan_cell` (dense or sparse ``A``) decides the structure
-from the two singular values of ``A - lambda`` on a two-column inverse
-iteration: one vanishing means a genuine cell, two mean a diagonalizable
-degeneracy.  :func:`block_jordan_cell` runs the same core on the zero-string
-block of a block upper-triangular transfer row (string sectors that only
-feed downward).  Both return a :class:`JordanCell` with its residuals.
+Two solvers extract the Jordan cells, one per kind of level.
+:func:`extract_jordan_cell` (dense or sparse ``A``) works at interior
+Hamiltonian levels, which need shift-invert: one sparse LU of the singular
+shift ``A - lambda`` serves inverse iteration for the right kernel
+directions and the left kernel vector; when SuperLU finds the shift exactly
+singular, it refactors once at a tiny identity shift and records that shift
+as :attr:`JordanCell.regularization`.  The partner ``w`` of ``(A - lambda)
+w = v`` solves a bordered system with its own LU.  The two singular values
+of ``A - lambda`` on a two-column inverse iteration decide the structure:
+one vanishing means a genuine cell, two mean a diagonalizable degeneracy.
+:func:`block_jordan_cell` works on the zero-string block of a block
+upper-triangular transfer row (string sectors that only feed downward),
+whose shared level is among the largest in modulus.  It factors nothing and
+needs only products with the blocks, so the blocks may stay unformed
+products of half-rows: ARPACK gives the kernel vector and its left
+companion, GMRES the partner from the same bordered operator, and its
+``regularization`` is always 0.0.  Both return a :class:`JordanCell` with
+its residuals, and both certify them.
 
 The ``w`` returned by the solvers is defined up to adding multiples of
 ``v``; the minimal-Euclidean-norm gauge fixes that freedom, and downstream
@@ -41,6 +47,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DENSE_LIMIT = 4096
+
+#: Krylov steps per GMRES cycle of :func:`block_jordan_cell` (the dilute
+#: partners converge in at most 19 steps at widths up to 14).
+GMRES_STEPS = 100
 
 
 def _dense(A) -> np.ndarray:
@@ -163,7 +173,8 @@ class JordanCell:
     """A rank-two cell: ``(A - value) v = 0`` and ``(A - value) w = v``.
 
     ``regularization`` is the identity shift the LU of ``A - value`` needed
-    because the shift was exactly singular (0.0 when none was applied).
+    because the shift was exactly singular (0.0 when none was applied); the
+    factorization-free :func:`block_jordan_cell` always reports 0.0.
     """
 
     value: complex
@@ -312,47 +323,97 @@ def perron_pair(M, tol: float = 1e-14, max_iter: int = 100000):
     raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
 
 
+def _ritz_near(op, target: float):
+    """The three largest-modulus Ritz values of ``op`` and the unit vector nearest ``target``.
+
+    ``op`` is anything with ``shape`` and ``@``.  ARPACK runs from the
+    all-ones start; an operator of dimension four or less is decomposed
+    densely instead.  The vector is scaled so that its largest component is
+    positive real, then its real part is kept (the target level is real).
+    """
+    n = op.shape[0]
+    if n > 4:
+        linear = spla.LinearOperator(op.shape, matvec=lambda x: op @ x, dtype=float)
+        vals, vecs = spla.eigs(linear, k=3, which="LM", v0=np.ones(n))
+    else:
+        vals, vecs = np.linalg.eig(op @ np.eye(n))
+    j = int(np.argmin(np.abs(vals - target)))
+    x = vecs[:, j] / vecs[np.argmax(np.abs(vecs[:, j])), j]
+    return vals, x.real / np.linalg.norm(x.real)
+
+
 def block_jordan_cell(T00, T02, T22, rank_cut: float = 1e-9) -> JordanCell:
     """Jordan cell of ``[[T00, T02], [0, T22]]`` at the leading level of ``T22``.
 
-    The eigenvector at that level lives purely in the first (zero-string)
-    block.  The leading two-string eigenvalue comes from power iteration;
-    the shared zero-string eigenvector and its left companion come from
-    :func:`_kernel_pair` on the singular shift of ``T00``, and both must
-    leave a residual below ``rank_cut`` times the norm of the shift,
-    otherwise the level is not shared.  The partner's second-block component
-    is fixed by the solvability condition against the left null vector, and
-    its first-block component comes from :func:`_bordered_partner`.  The
-    cell is in stacked coordinates, with the minimal-norm gauge applied to
-    the partner.
+    The blocks are dense or sparse matrices or any operators with ``shape``,
+    ``@`` and ``T`` (such as :class:`loopcells.models.FactoredOperator`);
+    nothing is factored or formed.  The leading two-string eigenvalue comes
+    from :func:`perron_pair`; the shared zero-string eigenvector and its
+    left companion are the Ritz vectors nearest it from ARPACK on ``T00``
+    and ``T00^T`` (:func:`_ritz_near`), so that level must be among the
+    three eigenvalues of ``T00`` largest in modulus (in the dilute rows it
+    is the second, below the Perron value).  Both must leave a residual below
+    ``rank_cut`` times ``max |mu - lambda|`` over the Ritz values ``mu``
+    (a lower bound on the norm of the shift), otherwise the level is not
+    shared.  The partner's second-block component is fixed by the
+    solvability condition against the left vector, and its first-block
+    component comes from GMRES on the bordered operator
+    ``[[T00 - lambda, ell], [v^H, 0]]``, which is regular because the
+    border column is the left kernel direction.  GMRES runs to a relative
+    residual of ``1e-13`` in at most two cycles of :data:`GMRES_STEPS`
+    Krylov steps (the second refines from the true residual) and raises
+    :class:`ConvergenceError` when it stops unconverged; a partner residual
+    above ``1e-8`` raises ``ArithmeticError``.  The cell is in stacked
+    coordinates, with the minimal-norm gauge applied to the partner; its
+    ``regularization`` is always 0.0.
     """
-    T00 = sp.csc_matrix(T00)
-    T02 = sp.csr_matrix(T02)
-    T22 = sp.csr_matrix(T22)
     lam1, u2 = perron_pair(T22)
     n0, n2 = T00.shape[0], T22.shape[0]
-    shifted = (T00 - lam1 * sp.identity(n0, format="csc")).tocsc()
-    X, ell0, regularization = _kernel_pair(shifted)
-    v0 = X[:, 0]
-    cut = rank_cut * spla.norm(shifted)
-    if np.linalg.norm(shifted @ v0) > cut or np.linalg.norm(shifted.T @ ell0) > cut:
+    right, v0 = _ritz_near(T00, lam1)
+    left, ell0 = _ritz_near(T00.T, lam1)
+    cut = rank_cut * float(np.max(np.abs(np.concatenate([right, left]) - lam1)))
+    if (
+        np.linalg.norm(T00 @ v0 - lam1 * v0) > cut
+        or np.linalg.norm(T00.T @ ell0 - lam1 * ell0) > cut
+    ):
         raise DiagonalizableLevelError(
-            f"leading two-string level {lam1} is not shared by the zero-string sector"
+            f"leading two-string level {lam1} is not shared by the zero-string sector "
+            "(or is not among its three largest eigenvalues in modulus)"
         )
-    denom = ell0 @ (T02 @ u2)
+    feed = T02 @ u2
+    denom = ell0 @ feed
     if abs(denom) < 1e-300:
         raise DiagonalizableLevelError("the sectors decouple at this level; no cell")
     c = (ell0 @ v0) / denom
-    w0 = _bordered_partner(shifted, v0, ell0, v0 - c * (T02 @ u2))
+
+    def bordered(x):
+        x0 = x[:n0]
+        return np.concatenate([T00 @ x0 - lam1 * x0 + x[n0] * ell0, [v0 @ x0]])
+
+    rhs = np.concatenate([v0 - c * feed, [0.0]])
+    solution, info = spla.gmres(
+        spla.LinearOperator((n0 + 1, n0 + 1), matvec=bordered, dtype=float),
+        rhs, rtol=1e-13, atol=0.0, restart=GMRES_STEPS, maxiter=2,
+    )
+    if info != 0:
+        raise ConvergenceError(
+            f"GMRES did not converge in two cycles of {GMRES_STEPS} steps at level {lam1}"
+        )
     v = np.concatenate([v0, np.zeros(n2)])
-    w = np.concatenate([w0, c * u2])
+    w = np.concatenate([solution[:n0], c * u2])
 
     def shift(x):
         x0, x2 = x[:n0], x[n0:]
-        return np.concatenate([shifted @ x0 + T02 @ x2, T22 @ x2 - lam1 * x2])
+        return np.concatenate([T00 @ x0 - lam1 * x0 + T02 @ x2, T22 @ x2 - lam1 * x2])
 
-    norm = np.sqrt(sum(spla.norm(block) ** 2 for block in (T00, T02, T22)))
-    return _jordan_cell(shift, norm, lam1, v, w, regularization)
+    # the largest eigenvalue modulus bounds the operator norm from below
+    norm = max(float(np.max(np.abs(right))), lam1)
+    cell = _jordan_cell(shift, norm, lam1, v, w, 0.0)
+    if cell.residual_w > 1e-8:
+        raise ArithmeticError(
+            f"block Jordan cell at {lam1} fails its partner relation: residual {cell.residual_w:.2e}"
+        )
+    return cell
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,13 @@ class TestFixtureChecks:
 
 
 class TestGoldenReports:
-    """Printed ``b``, ``delta`` and ``level`` columns, pinned byte for byte."""
+    """Printed ``b``, ``delta``, ``level`` and noise columns, pinned byte for byte."""
+
+    ARGV = {
+        "xxz-b": ["xxz-b", "--sizes", "4,8"],
+        "polymer-b": ["polymer-b", "--sizes", "2,4,6"],
+        "deformed-b": ["deformed-b", "--sizes", "4,6", "--model-param", "y=2.0"],
+    }
 
     @staticmethod
     def columns(out: str, names: tuple[str, ...]) -> list[tuple[str, ...]]:
@@ -221,3 +227,34 @@ class TestGoldenReports:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert self.columns(out, ("b", "delta", "level")) == expected
+
+    @pytest.mark.parametrize(
+        "command, gauges",
+        [
+            ("xxz-b", [("<1e-12",), ("<1e-12",)]),
+            ("polymer-b", [("<1e-12",), ("<1e-12",), ("<1e-12",), ("",)]),
+            ("deformed-b", [("<1e-12",), ("<1e-12",)]),
+        ],
+    )
+    def test_gauge_column_prints_rounding_noise_as_a_bound(self, capsys, command, gauges):
+        code, out, _ = run(capsys, *self.ARGV[command])
+        assert code == 0
+        assert self.columns(out, ("gauge_sensitivity",)) == gauges
+
+    def test_fit_residual_prints_rounding_noise_as_a_bound(self, capsys):
+        code, out, _ = run(capsys, *self.ARGV["polymer-b"])
+        assert code == 0
+        assert self.columns(out, ("residual",))[-1] == ("<1e-12",)
+
+    def test_json_keeps_the_raw_noise_values(self, capsys):
+        code, out, _ = run(capsys, *self.ARGV["polymer-b"], "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert all(isinstance(r["gauge_sensitivity"], float) for r in rows[:-1])
+        assert isinstance(rows[-1]["residual"], float) and rows[-1]["residual"] < 1e-12
+
+    def test_only_noise_columns_are_bounded(self):
+        assert cli._fmt(5e-13, "gauge_sensitivity") == "<1e-12"
+        assert cli._fmt(5e-13, "residual") == "<1e-12"
+        assert cli._fmt(3e-12, "residual") == "3e-12"
+        assert cli._fmt(5e-13, "b") == "5e-13"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from loopcells import diagrams as dg
 from loopcells import fixtures as fx
@@ -152,11 +153,33 @@ class TestDiluteRow:
 
     def test_blocks_partition_the_row(self):
         row = models.build_dilute_T(4)
-        T00, T02, T22, idx0, idx2 = models.dilute_blocks(row, row.ket_row)
+        T00, T02, T22, idx0, idx2 = models.dilute_blocks(row)
         assert T00.shape == (len(idx0), len(idx0))
         assert T02.shape == (len(idx0), len(idx2))
         assert T22.shape == (len(idx2), len(idx2))
         assert set(idx0) | set(idx2) <= set(range(len(row.basis)))
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("side", ["ket", "bra"])
+    def test_factored_blocks_equal_the_formed_row(self, L, side):
+        row = models.build_dilute_T(L)
+        matrix = (row.ket_row if side == "ket" else row.bra_row).toarray()
+        if side == "bra":
+            row = models.DiluteRow(row.basis, row.upper, row.lower)
+        T00, T02, T22, idx0, idx2 = models.dilute_blocks(row)
+        for block, rows, cols in ((T00, idx0, idx0), (T02, idx0, idx2), (T22, idx2, idx2)):
+            np.testing.assert_allclose(block.matrix(), matrix[np.ix_(rows, cols)], atol=1e-15)
+        v = np.random.default_rng(L).standard_normal(len(idx0))
+        np.testing.assert_allclose(T00.T @ v, matrix[np.ix_(idx0, idx0)].T @ v, atol=1e-14)
+
+    def test_string_creating_half_row_is_refused(self):
+        row = models.build_dilute_T(3)
+        idx0 = dg.sector_indices(row.basis, 0)
+        idx2 = dg.sector_indices(row.basis, 2)
+        kick = sp.csr_matrix(([1.0], ([idx2[0]], [idx0[0]])), shape=row.upper.shape)
+        fake = models.DiluteRow(row.basis, row.lower, row.upper + kick)
+        with pytest.raises(AssertionError, match="strings were created"):
+            models.dilute_blocks(fake)
 
     def test_row_conserves_monomer_weight_on_empty(self):
         # acting on the all-empty state returns it with weight one

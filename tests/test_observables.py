@@ -8,7 +8,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from loopcells import diagrams as dg
 from loopcells import fixtures as fx
@@ -51,22 +50,22 @@ class TestTrousers:
             obs.trousers_dilute(4, side=side)
 
     @pytest.mark.parametrize("half", [2, 3])
-    def test_bra_ground_off_the_bra_row_is_refused(self, half):
-        # a ket row perturbed away from upper @ lower leaves the mapped
-        # ground off the bra row lower @ upper
-        row = models.build_dilute_T(half)
-        kick = sp.csr_matrix(([0.05], ([0], [1])), shape=row.ket_row.shape)
-        fake = SimpleNamespace(
-            basis=row.basis, lower=row.lower, upper=row.upper, ket_row=row.ket_row + kick
-        )
+    def test_bra_ground_off_the_bra_row_is_refused(self, half, monkeypatch):
+        # a half-width ground kicked off the ket-row eigenvector leaves its
+        # image under the lower half-row off the bra row lower @ upper
+        perron = spectral.perron_pair
+
+        def kicked(M, **kwargs):
+            lam, v = perron(M, **kwargs)
+            return lam, v + 0.05 * np.arange(len(v))
+
+        monkeypatch.setattr(spectral, "perron_pair", kicked)
         with pytest.raises(ArithmeticError, match="fails the bra row"):
-            obs._dilute_trousers(fake, models.build_dilute_T(2 * half).basis)
+            obs._dilute_trousers(models.build_dilute_T(half), models.build_dilute_T(2 * half).basis)
 
     def test_vanishing_bra_ground_is_refused(self):
         row = models.build_dilute_T(2)
-        fake = SimpleNamespace(
-            basis=row.basis, lower=0 * row.lower, upper=row.upper, ket_row=row.ket_row
-        )
+        fake = SimpleNamespace(basis=row.basis, lower=0 * row.lower, upper=row.upper)
         with pytest.raises(ArithmeticError, match="annihilates"):
             obs._dilute_trousers(fake, models.build_dilute_T(4).basis)
 
@@ -144,7 +143,7 @@ def stacked_to_row(row, idx0, idx2, stacked):
 def ket_row_cell(L):
     """The width-L dilute row, its ket-row cell, and the cell on the row basis."""
     row = models.build_dilute_T(L)
-    T00, T02, T22, idx0, idx2 = models.dilute_blocks(row, row.ket_row)
+    T00, T02, T22, idx0, idx2 = models.dilute_blocks(row)
     cell = spectral.block_jordan_cell(T00, T02, T22)
     v = stacked_to_row(row, idx0, idx2, cell.vector)
     w = stacked_to_row(row, idx0, idx2, cell.partner)
@@ -184,7 +183,9 @@ class TestPolymerB:
         row, cell, v, w = ket_row_cell(L)
         lam = cell.value
         left = obs._bra_cell(row, lam, v, w, row.lower)
-        M00, M02, M22, idx0, idx2 = models.dilute_blocks(row, row.bra_row)
+        # the bra row lower @ upper is the ket row of the swapped halves
+        swapped = models.DiluteRow(row.basis, row.upper, row.lower)
+        M00, M02, M22, idx0, idx2 = models.dilute_blocks(swapped)
         oracle = spectral.block_jordan_cell(M00, M02, M22)
         u = stacked_to_row(row, idx0, idx2, oracle.vector)
         cos = abs(np.vdot(u, left.vector)) / (np.linalg.norm(u) * np.linalg.norm(left.vector))

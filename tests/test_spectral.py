@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from loopcells import models, spectral
 
@@ -214,6 +216,38 @@ class TestPerron:
         np.testing.assert_allclose(M @ v, lam * v, atol=1e-10)
 
 
+def lu_block_cell(T00, T02, T22) -> spectral.JordanCell:
+    """The sparse-LU block cell on formed blocks (the iterative cell's oracle).
+
+    Inverse iteration on one LU of ``T00 - lambda`` for the kernel pair,
+    then a second LU of the bordered system for the partner.
+    """
+    T00, T02, T22 = (sp.csc_matrix(b) for b in (T00, T02, T22))
+    lam1, u2 = spectral.perron_pair(T22)
+    n0 = T00.shape[0]
+    shifted = (T00 - lam1 * sp.identity(n0, format="csc")).tocsc()
+    X, ell0, regularization = spectral._kernel_pair(shifted)
+    v0 = X[:, 0]
+    c = (ell0 @ v0) / (ell0 @ (T02 @ u2))
+    w0 = spectral._bordered_partner(shifted, v0, ell0, v0 - c * (T02 @ u2))
+    A = sp.bmat([[T00, T02], [None, T22]], format="csr")
+    v = np.concatenate([v0, np.zeros(T22.shape[0])])
+    w = np.concatenate([w0, c * u2])
+    return spectral._jordan_cell(lambda x: A @ x - lam1 * x, 1.0, lam1, v, w, regularization)
+
+
+def assert_same_cell(cell, oracle):
+    """Parallel vectors to 1e-12 and equal minimal-norm partners to 1e-10."""
+    v, u = cell.vector, oracle.vector
+    overlap = np.vdot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
+    assert 1 - abs(overlap) < 1e-12
+    # both vectors are unit; align the oracle's phase and scale with the cell's
+    phase = np.vdot(u, v) / np.vdot(u, u)
+    error = np.linalg.norm(cell.partner - phase * oracle.partner)
+    assert error <= 1e-10 * np.linalg.norm(cell.partner)
+    assert cell.value == pytest.approx(oracle.value, rel=1e-12)
+
+
 class TestBlockJordan:
     @staticmethod
     def make_blocks(n0: int = 6, n2: int = 6, seed: int = 13):
@@ -263,6 +297,52 @@ class TestBlockJordan:
         T00, T02, T22, _ = self.make_blocks()
         with pytest.raises(spectral.DiagonalizableLevelError, match="decouple"):
             spectral.block_jordan_cell(T00, np.zeros_like(T02), T22)
+
+    @pytest.mark.parametrize("L", [2, 4, 6, 8])
+    def test_factored_dilute_cell_matches_the_lu_oracle(self, L):
+        row = models.build_dilute_T(L)
+        blocks = models.dilute_blocks(row)[:3]
+        cell = spectral.block_jordan_cell(*blocks)
+        assert cell.regularization == 0.0
+        assert_same_cell(cell, lu_block_cell(*(b.matrix() for b in blocks)))
+
+    @given(st.integers(2, 30), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_blocks_match_the_lu_oracle(self, n0, n2, seed):
+        T00, T02, T22, lam1 = self.make_blocks(n0=n0, n2=n2, seed=seed)
+        # the iterative cell sees the three largest-modulus levels of T00
+        assume(np.sum(np.abs(np.linalg.eigvals(T00)) > 1.01 * lam1) < 3)
+        cell = spectral.block_jordan_cell(T00, T02, T22)
+        assert cell.residual_w < 1e-8
+        assert_same_cell(cell, lu_block_cell(T00, T02, T22))
+
+    def test_level_outside_the_ritz_window_is_refused(self):
+        # lam1 = 0.499 while T00 has three eigenvalues of larger modulus
+        # (all negative), so ARPACK's three Ritz values miss the level
+        T00, T02, T22, lam1 = self.make_blocks(n0=5, n2=1, seed=18)
+        assert np.sum(np.abs(np.linalg.eigvals(T00)) > lam1) >= 3
+        with pytest.raises(spectral.DiagonalizableLevelError, match="three largest"):
+            spectral.block_jordan_cell(T00, T02, T22)
+
+    def test_unconverged_gmres_raises(self, monkeypatch):
+        T00, T02, T22, _ = self.make_blocks(n0=40)
+        monkeypatch.setattr(spectral, "GMRES_STEPS", 3)
+        with pytest.raises(spectral.ConvergenceError, match="two cycles of 3 steps"):
+            spectral.block_jordan_cell(T00, T02, T22)
+
+    def test_partner_off_the_cell_is_refused(self, monkeypatch):
+        # a solver that reports success on a perturbed solution must not
+        # yield a cell
+        T00, T02, T22, _ = self.make_blocks(n0=40)
+        gmres = spectral.spla.gmres
+
+        def sloppy(*args, **kwargs):
+            x, info = gmres(*args, **kwargs)
+            return x + 1e-6 * np.linalg.norm(x), info
+
+        monkeypatch.setattr(spectral.spla, "gmres", sloppy)
+        with pytest.raises(ArithmeticError, match="fails its partner relation"):
+            spectral.block_jordan_cell(T00, T02, T22)
 
 
 class TestScalingEstimates:
