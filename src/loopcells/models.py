@@ -7,7 +7,12 @@ All builders share the bases of :mod:`loopcells.diagrams`:
   callers take ``.toarray()``);
 * :func:`build_ising` -- the critical transverse-field chain on a ring
   (CSR assembled directly: one vectorized XOR per bond for the diagonal,
-  one sorted row of single flips per state);
+  one sorted row of single flips per state), kept as the public full
+  operator; :func:`build_ising_sector` restricts it to the sector invariant
+  under rotation and global spin flip, where its Perron ground state lies,
+  from an orbit label of every mask (:func:`ising_orbits`), and
+  :func:`apply_ising` applies the full ring matrix-free to certify a lifted
+  vector;
 * :func:`build_dense_loop_T` -- one row of the dense loop model on a
   cylinder: two staggered half-rows of plaquettes, each plaquette the sum of
   an identity tile and a cup-cap tile, kept as sparse factors built from the
@@ -88,6 +93,18 @@ def xxz_from_generators(L: int, q: complex | None = None) -> np.ndarray:
     return (L - 1) / 2 * np.eye(dim) - 2 * sum(es)
 
 
+def _ising_diagonal(masks: np.ndarray, L: int) -> np.ndarray:
+    """``- sum_i sz_i sz_{i+1}`` of each ring configuration.
+
+    Each bond adds ``sz sz = +1`` on aligned spins and ``-1`` on anti-aligned
+    ("broken") ones.
+    """
+    broken = np.zeros(masks.shape, dtype=np.int64)
+    for i in range(L):
+        broken += ((masks >> i) ^ (masks >> ((i + 1) % L))) & 1
+    return (2 * broken - L).astype(float)
+
+
 def build_ising(L: int) -> sp.csr_matrix:
     """Critical transverse-field chain on a ring of ``L`` spins.
 
@@ -97,11 +114,7 @@ def build_ising(L: int) -> sp.csr_matrix:
     """
     dim = 1 << L
     masks = np.arange(dim)
-    # each bond adds sz sz = +1 on aligned spins and -1 on anti-aligned ones
-    broken = np.zeros(dim, dtype=np.int64)
-    for i in range(L):
-        broken += ((masks >> i) ^ (masks >> ((i + 1) % L))) & 1
-    diag = (2 * broken - L).astype(float)
+    diag = _ising_diagonal(masks, L)
     # row r holds r itself and its L single flips, sorted into CSR order
     cols = masks[:, None] ^ np.concatenate([[0], 1 << np.arange(L)])
     cols.sort(axis=1)
@@ -111,6 +124,67 @@ def build_ising(L: int) -> sp.csr_matrix:
     )
     H.eliminate_zeros()  # states with half their bonds broken have no diagonal
     return H
+
+
+def ising_orbits(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the ``2^L`` ring configurations under rotation and global flip.
+
+    Returns ``(reps, label, size)``: the smallest mask of each orbit
+    (ascending), the orbit index of every mask, and the number of masks in
+    each orbit.  A mask's orbit is named by the minimum of its ``L``
+    rotations and their complements, so one pass of ``L - 1`` vectorized
+    rotations labels the whole space.
+    """
+    dim = 1 << L
+    full = dim - 1
+    masks = np.arange(dim, dtype=np.min_scalar_type(full))  # bits past L are masked off
+    canon = np.minimum(masks, masks ^ full)
+    turned = masks
+    for _ in range(L - 1):
+        turned = ((turned << 1) | (turned >> (L - 1))) & full
+        np.minimum(canon, turned, out=canon)
+        np.minimum(canon, turned ^ full, out=canon)
+    counts = np.bincount(canon, minlength=dim)
+    reps = np.flatnonzero(counts)
+    rank = np.cumsum(counts > 0) - 1
+    return reps, rank[canon], counts[reps]
+
+
+def build_ising_sector(L: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """The Ising ring restricted to its rotation- and flip-invariant sector.
+
+    With ``S`` the isometry whose column ``o`` is ``1/sqrt(N_o)`` on each
+    mask of orbit ``o`` (``N_o`` its size), the reduced operator is
+    ``S^T H S`` on the orbits.  Both symmetries commute with ``H``, so it is
+    read off the orbit representatives ``r``: the diagonal is ``r``'s
+    diagonal, and each single flip of ``r`` that lands in orbit ``s`` adds
+    ``-sqrt(N_r / N_s)`` at ``[s, r]``.  The Perron ground state of the ring
+    is invariant under both symmetries, so it lies in this sector.
+
+    Returns ``(H_sector, label, size)`` as in :func:`ising_orbits`; a sector
+    vector ``u`` lifts to ``u[label] / sqrt(size[label])``.
+    """
+    reps, label, size = ising_orbits(L)
+    dim = len(reps)
+    landing = label[reps[:, None] ^ (1 << np.arange(L))].ravel()
+    source = np.repeat(np.arange(dim), L)
+    rows = np.concatenate([np.arange(dim), landing])
+    cols = np.concatenate([np.arange(dim), source])
+    vals = np.concatenate([_ising_diagonal(reps, L), -np.sqrt(size[source] / size[landing])])
+    H = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    return H, label, size
+
+
+def apply_ising(L: int, v: np.ndarray) -> np.ndarray:
+    """``H v`` for the full ring of :func:`build_ising`, without forming ``H``.
+
+    Each of the ``L`` single-flip terms is one gather.
+    """
+    masks = np.arange(1 << L, dtype=np.min_scalar_type((1 << L) - 1))
+    out = _ising_diagonal(masks, L) * v
+    for i in range(L):
+        out -= v[masks ^ (1 << i)]
+    return out
 
 
 def ising_boundary_vectors(L: int) -> tuple[np.ndarray, np.ndarray]:

@@ -552,6 +552,37 @@ def _inverse_power_fit(sizes, values) -> FitResult:
 # Boundary entropies
 
 
+def _ising_ground_state(L: int) -> tuple[float, np.ndarray]:
+    """Certified ground state ``(E0, v)`` of the Ising ring, unit norm, positive.
+
+    The solve runs in the rotation- and flip-invariant sector
+    (:func:`loopcells.models.build_ising_sector`): ARPACK from ``sqrt(N)``,
+    the sector image of the all-ones start (dense ``eigh`` on a sector of at
+    most four orbits).  The sector vector is lifted to the ``2^L`` masks and
+    certified against the full ring applied matrix-free: the residual
+    ``||Hv - E0 v||`` must stay below ``1e-8 max(1, |E0|)`` and every
+    amplitude must be positive.  The off-diagonal part of ``H`` is
+    nonpositive and irreducible, so a positive eigenvector can only be the
+    ground state; a failed check raises ``ArithmeticError``.
+    """
+    H, label, size = models.build_ising_sector(L)
+    if H.shape[0] <= 4:
+        energies, vecs = np.linalg.eigh(H.toarray())
+    else:
+        energies, vecs = spla.eigsh(H, k=1, which="SA", v0=np.sqrt(size))
+    energy, u = float(energies[0]), vecs[:, 0]
+    u = u * np.sign(u[int(np.argmax(np.abs(u)))])
+    v = u[label] / np.sqrt(size[label])
+    residual = float(np.linalg.norm(models.apply_ising(L, v) - energy * v))
+    if residual > 1e-8 * max(1.0, abs(energy)):
+        raise ArithmeticError(
+            f"Ising ground state at L={L} has residual {residual:.2e} on the full ring"
+        )
+    if not np.all(v > 0):
+        raise ArithmeticError(f"Ising ground state at L={L} is not positive on the full ring")
+    return energy, v
+
+
 def ising_boundary_entropy(sizes=(12, 14, 16, 18), bc: str = "fixed") -> FitResult:
     """Universal boundary term of the critical transverse-field ring.
 
@@ -559,17 +590,18 @@ def ising_boundary_entropy(sizes=(12, 14, 16, 18), bc: str = "fixed") -> FitResu
     state (``bc="fixed"``) or the uniform sum over configurations
     (``bc="free"``); the constant term of the exact 1/L interpolation of
     ``-log <B|0>`` is the boundary entropy.
+
+    The ground state is never solved on the full ``2^L`` ring.  Being a
+    Perron vector, it is invariant under rotation and global spin flip, so
+    it is found in that sector (about ``2^L / 2L`` orbits), lifted back to
+    every configuration, and certified there against the full ring; see
+    :func:`_ising_ground_state`.
     """
     if bc not in ("fixed", "free"):
         raise ValueError(f"unknown boundary condition {bc!r}")
     f_values = []
     for L in sorted(sizes):
-        H = models.build_ising(L)
-        # the ground state is a positive Perron vector, so the all-ones start
-        # overlaps it and makes the solve deterministic
-        _, vecs = spla.eigsh(H, k=1, which="SA", v0=np.ones(H.shape[0]))
-        v = vecs[:, 0]
-        v = v * np.sign(v[int(np.argmax(np.abs(v)))])
+        _, v = _ising_ground_state(L)
         fixed_vec, free_vec = models.ising_boundary_vectors(L)
         overlap = float(v @ (fixed_vec if bc == "fixed" else free_vec))
         f_values.append(-np.log(overlap))

@@ -112,21 +112,41 @@ def dense_generators(L: int, n: complex) -> list[sp.csr_matrix]:
     relations only become meaningful from ``L = 4`` on; the individual
     matrices are still the correct contraction operators (used by the
     width-2 transfer row).
+
+    The basis is held as its ``partner[dim, L]`` array.  The generator on
+    sites ``(i, j)`` rewires the arcs ``(i, p), (j, q)`` into ``(i, j), (p,
+    q)`` with weight one, or closes the arc ``(i, j)`` into a loop with
+    weight ``n``, where the same rewiring keeps the state.  A noncrossing
+    matching is fixed by the bitmask of its arc openers, so a sorted search
+    on that key finds each new state's row.
     """
     basis = enumerate_dense(L)
-    index = basis_index(basis)
     dim = len(basis)
     dtype = np.complex128 if np.iscomplexobj(n) else np.float64
-    cols = np.arange(dim)
+    partner = np.array([s.partner for s in basis], dtype=np.int64)
+    bits = 1 << np.arange(L - 1, -1, -1)
+
+    def key(partner):
+        return (partner > np.arange(L)) @ bits
+
+    keys = key(partner)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    states = np.arange(dim)
     es = []
     for i in range(L):
         j = (i + 1) % L
-        rows = np.empty(dim, dtype=np.int64)
-        weights = np.empty(dim, dtype=dtype)
-        for col, s in enumerate(basis):
-            new, weights[col] = _act_adjacent(s, i, j, n, 1.0)
-            rows[col] = index[new]
-        es.append(sp.csr_matrix((weights, (rows, cols)), shape=(dim, dim)))
+        p, q = partner[:, i], partner[:, j]
+        new = partner.copy()
+        new[:, i], new[:, j] = j, i
+        new[states, p], new[states, q] = q, p
+        new_keys = key(new)
+        found = np.minimum(np.searchsorted(sorted_keys, new_keys), dim - 1)
+        if not np.array_equal(sorted_keys[found], new_keys):
+            raise AssertionError(f"generator e_{i + 1} left the all-arc basis at L={L}")
+        data = np.where(p == j, n, 1.0).astype(dtype)
+        e = sp.csc_matrix((data, order[found], np.arange(dim + 1)), shape=(dim, dim))
+        es.append(e.tocsr())
     return es
 
 

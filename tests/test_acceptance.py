@@ -319,16 +319,25 @@ def _available_memory_gib() -> float:
     return float("inf")
 
 
-# The sparse factorizations for the largest widths hold multi-gigabyte LU
-# factors; the width-20 spin run was observed to exceed 5.5 GiB resident.
-_HEAVY_WIDTH_GIB = 8.0
+# Memory each heavy width needs, in GiB.  The width-20 spin cell holds
+# multi-gigabyte sparse LU factors and was observed to exceed 5.5 GiB
+# resident.  The width-14 polymer cell factors nothing: b_polymer(14) peaked
+# at 2.2 GiB in a single run with one BLAS thread (BENCH_8.json), so 3 GiB
+# leaves room for the interpreter and the test run.  Lighter widths are
+# not checked.
+_HEAVY_WIDTH_GIB = {("spin", 20): 8.0, ("polymer", 14): 3.0}
+
+
+def _skip_without_memory(model: str, L: int) -> None:
+    need = _HEAVY_WIDTH_GIB.get((model, L))
+    if need is not None and _available_memory_gib() < need:
+        pytest.skip(f"{model} width {L} needs roughly {need:.0f} GiB of memory")
 
 
 @pytest.mark.skipif(not RUN_BEST_EFFORT, reason="set LOOPCELLS_BEST_EFFORT=1 to run")
 @pytest.mark.parametrize("L", (16, 20))
 def test_best_effort_spin_sizes(capsys, L):
-    if L >= 20 and _available_memory_gib() < _HEAVY_WIDTH_GIB:
-        pytest.skip(f"width {L} needs roughly {_HEAVY_WIDTH_GIB:.0f} GiB of memory")
+    _skip_without_memory("spin", L)
     err = abs(obs.b_xxz(L).value - fx.B_XXZ_TABLE[L])
     announce(capsys, err < TABLE_TOL, f"best-effort spin width {L}", f"deviation {err:.1e}")
     assert err < TABLE_TOL
@@ -337,8 +346,7 @@ def test_best_effort_spin_sizes(capsys, L):
 @pytest.mark.skipif(not RUN_BEST_EFFORT, reason="set LOOPCELLS_BEST_EFFORT=1 to run")
 @pytest.mark.parametrize("L", (12, 14))
 def test_best_effort_polymer_sizes(capsys, L):
-    if L >= 14 and _available_memory_gib() < _HEAVY_WIDTH_GIB:
-        pytest.skip(f"width {L} needs roughly {_HEAVY_WIDTH_GIB:.0f} GiB of memory")
+    _skip_without_memory("polymer", L)
     err = abs(obs.b_polymer(L).value - fx.B_POLYMER_TABLE[L])
     announce(capsys, err < TABLE_TOL, f"best-effort polymer width {L}", f"deviation {err:.1e}")
     assert err < TABLE_TOL

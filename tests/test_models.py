@@ -91,6 +91,61 @@ class TestIsing:
         np.testing.assert_allclose(free, np.ones(8))
 
 
+def brute_force_orbits(L: int) -> list[frozenset[int]]:
+    """Orbits of the ring masks under rotation and global flip, one mask at a time."""
+    full = (1 << L) - 1
+    seen: set[int] = set()
+    orbits = []
+    for mask in range(1 << L):
+        if mask in seen:
+            continue
+        orbit = set()
+        turned = mask
+        for _ in range(L):
+            orbit |= {turned, turned ^ full}
+            turned = ((turned << 1) | (turned >> (L - 1))) & full
+        seen |= orbit
+        orbits.append(frozenset(orbit))
+    return orbits
+
+
+def orbit_isometry(label: np.ndarray, size: np.ndarray) -> sp.csr_matrix:
+    """``S`` with ``S[m, label[m]] = 1/sqrt(N)``: the sector's columns in the full space."""
+    dim = len(label)
+    return sp.csr_matrix(
+        (1 / np.sqrt(size[label]), (np.arange(dim), label)), shape=(dim, len(size))
+    )
+
+
+class TestIsingSector:
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_orbits_match_brute_force(self, L):
+        reps, label, size = models.ising_orbits(L)
+        assert label.shape == (1 << L,)
+        assert set(label.tolist()) == set(range(len(reps)))
+        assert size.sum() == 1 << L
+        orbits = brute_force_orbits(L)
+        assert sorted(min(o) for o in orbits) == reps.tolist()
+        for orbit in orbits:
+            (k,) = set(label[sorted(orbit)].tolist())
+            assert reps[k] == min(orbit) and size[k] == len(orbit)
+
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_sector_is_the_isometric_restriction(self, L):
+        H, label, size = models.build_ising_sector(L)
+        S = orbit_isometry(label, size)
+        np.testing.assert_allclose((S.T @ S).toarray(), np.eye(len(size)), atol=1e-15)
+        expect = (S.T @ models.build_ising(L) @ S).toarray()
+        np.testing.assert_allclose(H.toarray(), expect, atol=1e-13)
+
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_matrix_free_ring_matches_the_matrix(self, L):
+        v = np.random.default_rng(L).standard_normal(1 << L)
+        np.testing.assert_allclose(
+            models.apply_ising(L, v), models.build_ising(L) @ v, atol=1e-12
+        )
+
+
 class TestDenseLoopTransfer:
     def test_factored_matches_matrix(self):
         op = models.build_dense_loop_T(6, 1.0)

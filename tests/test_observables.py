@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from loopcells import diagrams as dg
 from loopcells import fixtures as fx
@@ -451,6 +452,76 @@ class TestIsingEntropy:
         second = obs.ising_boundary_entropy(sizes=(8, 10, 12), bc="fixed")
         assert first.value == second.value
         assert first.coefficients == second.coefficients
+
+
+def full_ring_ground_state(L: int) -> tuple[float, np.ndarray]:
+    """Ground state from ARPACK on the full ``2^L`` ring (the oracle), positive."""
+    H = models.build_ising(L)
+    energies, vecs = spla.eigsh(H, k=1, which="SA", v0=np.ones(H.shape[0]))
+    v = vecs[:, 0]
+    return float(energies[0]), v * np.sign(v[int(np.argmax(np.abs(v)))])
+
+
+class TestIsingSectorGround:
+    @pytest.mark.parametrize("L", range(1, 13))
+    def test_matches_full_ring_solve(self, L):
+        energy, v = obs._ising_ground_state(L)
+        expect_energy, expect = full_ring_ground_state(L)
+        assert energy == pytest.approx(expect_energy, abs=1e-12)
+        np.testing.assert_allclose(v, expect, atol=1e-12)
+
+    def test_closed_form_energy_at_width_sixteen(self):
+        L = 16
+        ks = 2 * np.arange(L) + 1
+        exact = -2 * np.sum(np.sin(np.pi * ks / (2 * L)))
+        assert obs._ising_ground_state(L)[0] == pytest.approx(exact, abs=1e-9)
+
+    @pytest.mark.parametrize("L", range(1, 15))
+    def test_log_overlaps_match_full_ring_values(self, L):
+        _, v = obs._ising_ground_state(L)
+        fixed, free = models.ising_boundary_vectors(L)
+        got = [-np.log(v @ fixed), -np.log(v @ free)]
+        np.testing.assert_allclose(got, GOLDEN["ising"]["log_overlaps"][str(L)], rtol=0, atol=2e-14)
+
+    @pytest.mark.parametrize("bc", ["fixed", "free"])
+    @pytest.mark.parametrize("sizes", [(1, 2, 3), (3, 5, 7), (8, 10, 12, 14)])
+    def test_entropies_match_full_ring_values(self, sizes, bc):
+        # The constant term is a fixed linear combination of the log-overlaps;
+        # its weights amplify their 2e-14 rounding agreement (sum of |weights|
+        # is 671 at L=8..14, so the full-ring values themselves carry about
+        # 3e-12 of rounding noise there).
+        ell = np.asarray(sizes, dtype=float)
+        weights = np.linalg.inv(ell[:, None] ** -np.arange(-1, len(sizes) - 1))[1]
+        tol = max(1e-12, 2e-14 * np.abs(weights).sum())
+        expect = GOLDEN["ising"]["entropy"][f"{','.join(map(str, sizes))} {bc}"]
+        assert obs.ising_boundary_entropy(sizes, bc).value == pytest.approx(expect, abs=tol)
+
+    def test_corrupted_reduction_is_refused(self, monkeypatch):
+        build = models.build_ising_sector
+
+        def corrupted(L):
+            H, label, size = build(L)
+            H = H.tolil()
+            H[1, 2] += 1e-3
+            H[2, 1] += 1e-3
+            return H.tocsr(), label, size
+
+        monkeypatch.setattr(models, "build_ising_sector", corrupted)
+        with pytest.raises(ArithmeticError, match="residual"):
+            obs.ising_boundary_entropy(sizes=(8, 10, 12), bc="fixed")
+
+    def test_excited_state_is_refused(self, monkeypatch):
+        # an exact eigenvector of the sector that is not the ground state
+        # passes the residual check and fails the positivity check
+        eigsh = spla.eigsh
+
+        def second_level(A, k, **kwargs):
+            energies, vecs = eigsh(A, k=2, **kwargs)
+            return energies[1:], vecs[:, 1:]
+
+        monkeypatch.setattr(spla, "eigsh", second_level)
+        with pytest.raises(ArithmeticError, match="not positive"):
+            obs.ising_boundary_entropy(sizes=(8, 10, 12), bc="fixed")
 
 
 class TestLoopEntropy:

@@ -13,6 +13,25 @@ from loopcells import tl
 WEIGHTS = [2.0, 1.0, 0.3, -0.5, fx.Q_VALUE + 1 / fx.Q_VALUE]
 
 
+def loop_dense_generators(L: int, n: complex) -> list[sp.csr_matrix]:
+    """The periodic generators applied one link state at a time (the oracle)."""
+    basis = dg.enumerate_dense(L)
+    index = dg.basis_index(basis)
+    dim = len(basis)
+    dtype = np.complex128 if np.iscomplexobj(n) else np.float64
+    cols = np.arange(dim)
+    es = []
+    for i in range(L):
+        j = (i + 1) % L
+        rows = np.empty(dim, dtype=np.int64)
+        weights = np.empty(dim, dtype=dtype)
+        for col, s in enumerate(basis):
+            new, weights[col] = tl._act_adjacent(s, i, j, n, 1.0)
+            rows[col] = index[new]
+        es.append(sp.csr_matrix((weights, (rows, cols)), shape=(dim, dim)))
+    return es
+
+
 class TestRelations:
     @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("n", WEIGHTS)
@@ -89,6 +108,15 @@ class TestMatrixOracles:
         printed = fx.deformed_L4_generators(y)
         for a, b in zip(built, printed):
             np.testing.assert_allclose(a, b, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1.0, 0.5, 1 + 0.5j, 0.0])
+    @pytest.mark.parametrize("L", range(2, 15, 2))
+    def test_dense_generators_match_the_per_state_oracle(self, L, n):
+        for got, expect in zip(tl.dense_generators(L, n), loop_dense_generators(L, n), strict=True):
+            assert got.format == "csr" and got.dtype == expect.dtype
+            np.testing.assert_array_equal(got.indptr, expect.indptr)
+            np.testing.assert_array_equal(got.indices, expect.indices)
+            np.testing.assert_array_equal(got.data, expect.data)
 
     def test_string_sector_is_preserved_or_lowered(self):
         basis = dg.enumerate_open(6)
