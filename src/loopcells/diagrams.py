@@ -24,7 +24,12 @@ two constraints characterise the usual link bases:
 reports the topology of the resulting picture: closed loops, string pairs of
 one diagram contracted by arcs of the other, and bottom-to-top through lines.
 The bilinear pairings of :mod:`loopcells.forms` are defined by this picture
-and tested against it; the loop entropy's boundary row calls it per state.
+and tested against it; no production path calls it.
+
+Builders and forms read a basis in array form (:func:`_arrays`): the arc
+partner of every site, or a string or empty sentinel, and a checked lookup
+of the row of a mapped state by a sorted integer key.  :class:`LinkState`
+stays the text and test-oracle form.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+
+import numpy as np
 
 EMPTY = 0
 STRING = 1
@@ -65,10 +72,6 @@ class LinkState:
     @property
     def n_strings(self) -> int:
         return self.roles.count(STRING)
-
-    @property
-    def n_arcs(self) -> int:
-        return self.roles.count(ARC) // 2
 
     @property
     def occupied_mask(self) -> tuple[bool, ...]:
@@ -255,13 +258,11 @@ def enumerate_dilute(L: int, parity: str = "all") -> tuple[LinkState, ...]:
     """
     if L < 1:
         raise ValueError("dilute basis needs L >= 1")
-    states = _bounded_states(L, allow_empty=True, allow_string=True)
-    if parity == "even":
-        states = [s for s in states if s.n_strings % 2 == 0]
-    elif parity == "odd":
-        states = [s for s in states if s.n_strings % 2 == 1]
-    elif parity != "all":
+    if parity not in ("all", "even", "odd"):
         raise ValueError(f"unknown parity {parity!r}")
+    states = _bounded_states(L, allow_empty=True, allow_string=True)
+    if parity != "all":
+        states = [s for s in states if s.n_strings % 2 == (parity == "odd")]
     return _canonical(states)
 
 
@@ -272,7 +273,76 @@ def basis_index(basis: tuple[LinkState, ...]) -> dict[LinkState, int]:
 
 def sector_indices(basis: tuple[LinkState, ...], n_strings: int) -> list[int]:
     """Positions of the states with exactly ``n_strings`` strings."""
-    return [i for i, s in enumerate(basis) if s.n_strings == n_strings]
+    strings = np.count_nonzero(_arrays(basis)[0] == _STRING_SITE, axis=1)
+    return np.flatnonzero(strings == n_strings).tolist()
+
+
+# ---------------------------------------------------------------------------
+# Array form of a basis
+
+_STRING_SITE = -1  # site value of a string end in a site array
+_EMPTY_SITE = -2  # site value of an empty site
+_ARRAYS: dict[int, tuple] = {}  # id of a basis -> (basis, array form), oldest first
+
+
+def _lookup(keys: np.ndarray):
+    """``find(query)``: positions of query keys in the distinct ``keys``, or ``LookupError``.
+
+    Ascending keys, such as spin masks, are their own sorted table.
+    """
+    order = np.argsort(keys, kind="stable")
+    table = np.asarray(keys)[order]
+
+    def find(query: np.ndarray) -> np.ndarray:
+        at = np.minimum(np.searchsorted(table, query), len(table) - 1)
+        missing = np.count_nonzero(table[at] != query)
+        if missing:
+            raise LookupError(f"{missing} mapped states are not in the basis")
+        return order[at]
+
+    return find
+
+
+def _keys(sites: np.ndarray) -> np.ndarray:
+    """Lookup key of every state of a site array, distinct up to 31 sites.
+
+    One base-4 digit per site, site 1 first: empty 0, string 1, arc opener 2,
+    arc closer 3, which spells :meth:`LinkState.to_text`.
+    """
+    L = sites.shape[1]
+    digits = np.where(sites >= 0, 2 + (sites < np.arange(L)), sites - _EMPTY_SITE)
+    return digits @ (4 ** np.arange(L - 1, -1, -1, dtype=np.int64))
+
+
+def _arrays(basis: tuple[LinkState, ...]):
+    """The array form ``(sites, rows)`` of a basis, built once per basis object.
+
+    ``sites[k, i]`` is the arc partner of site ``i`` in state ``k``, or
+    ``_STRING_SITE``/``_EMPTY_SITE`` (read-only ``int8``); ``rows(new)`` finds
+    the row of every state of a site array (:func:`_lookup`).
+    """
+    if id(basis) not in _ARRAYS:  # the cache holds each basis, so its id stays unique
+        shape = (len(basis), basis[0].size if basis else 0)
+        sites = np.array([s.partner for s in basis], dtype=np.int8).reshape(shape)
+        sites[np.array([s.roles for s in basis]).reshape(shape) == EMPTY] = _EMPTY_SITE
+        sites.flags.writeable = False
+        find = _lookup(_keys(sites))
+        if len(_ARRAYS) >= 16:  # keep the last 16 bases
+            del _ARRAYS[next(iter(_ARRAYS))]
+        _ARRAYS[id(basis)] = (basis, (sites, lambda new: find(_keys(new))))
+    return _ARRAYS[id(basis)][1]
+
+
+def _reflected(sites: np.ndarray) -> np.ndarray:
+    """:func:`reflect` on every state of a site array."""
+    flipped = sites[:, ::-1]
+    return np.where(flipped >= 0, sites.shape[1] - 1 - flipped, flipped).astype(sites.dtype)
+
+
+def _side_by_side(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """:func:`concatenate` on every pair of two site arrays, left state major."""
+    shifted = np.where(right >= 0, right + left.shape[1], right).astype(left.dtype)
+    return np.hstack([np.repeat(left, len(right), axis=0), np.tile(shifted, (len(left), 1))])
 
 
 @dataclass(frozen=True)

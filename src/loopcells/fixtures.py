@@ -28,8 +28,6 @@ X_CRITICAL = (2 + np.sqrt(2.0)) ** -0.5
 # Basis order (down spins as set bits, most significant = site 1, ascending
 # mask): uudd, udud, uddu, duud, dudu, dduu.
 
-SPIN_L4_BASIS = ("uudd", "udud", "uddu", "duud", "dudu", "dduu")
-
 SPIN_L4_HAMILTONIAN = np.array(
     [
         [0.5 + I * SQRT3, 2, 0, 0, 0, 0],
@@ -99,10 +97,6 @@ SPIN_L4_TROUSERS = np.array(
 
 #: Exact indecomposability parameter at L=4: -sqrt(3) pi / 4.
 B_XXZ_L4_EXACT = -SQRT3 * np.pi / 4
-
-
-def b_xxz_l4() -> float:
-    return float(B_XXZ_L4_EXACT)
 
 
 # ---------------------------------------------------------------------------

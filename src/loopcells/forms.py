@@ -4,42 +4,37 @@ All pairings here are bilinear, never sesquilinear: ``pairing(u, v) =
 sum_ij u_i G_ij v_j`` with no complex conjugation, so "norms" may vanish or
 be negative.  The Gram matrices ``G`` are symmetric.  An entry is read off
 the picture of the mirror image of one basis diagram glued on top of
-another (:func:`loopcells.diagrams.glue`), but no form calls ``glue`` per
-pair: the loop form factors through spin states, and the dilute and link
-forms follow the lines of all pairs at once with numpy (:func:`_line_ends`):
+another (:func:`loopcells.diagrams.glue`, the test oracle), but every form
+reads the shared site arrays of :func:`loopcells.diagrams._arrays` instead:
 
-* :func:`loop_gram` -- periodic all-arc basis, weight ``n`` per closed loop,
+* :func:`loop_gram` -- periodic all-arc basis, weight ``n`` per closed loop:
   the dense view of ``M^T M`` for the sparse singlet factor ``M`` of
   :func:`singlet_factor` (each arc a q-singlet, ``q + 1/q = n``), so a
-  square ``v^T G v`` is the bilinear ``(Mv)^T (Mv)`` and no ``dim x dim``
-  table is needed; :func:`loop_count_matrix` is the diagrammatic oracle;
-* :func:`dilute_sector_gram` -- dilute basis (sparse, any sub-basis): zero
-  unless the empty sites agree and no closed loop forms (loops carry weight
-  zero), weight one otherwise; it finds the loops of all same-mask pairs at
-  once with numpy, by iterating the bra-then-ket arc map from the bra's arc
-  openers, and calls
-  :func:`~loopcells.diagrams.glue` for none of them; :func:`dilute_gram` is
-  its dense view on a whole parity basis;
+  square ``v^T G v`` is the bilinear ``(Mv)^T (Mv)``;
+  :func:`loop_count_matrix` is the diagrammatic oracle;
+* :func:`dilute_sector_gram` -- dilute basis (sparse, any sub-basis): one
+  for a loop-free gluing with matching empty sites, zero otherwise;
+  :func:`dilute_gram` is its dense view on a whole parity basis;
 * :func:`link_gram` -- open arc/string basis at loop weight one, where
-  contracting a string pair whose left label is even costs ``y``; it walks
-  the lines that leave the even-labelled strings of every pair at once;
-* :func:`identity_gram` -- the spin-chain pairing (Euclidean components,
-  bilinear because nothing is conjugated).
+  contracting a string pair whose left label is even costs ``y``;
+* :func:`identity_gram` -- the spin-chain pairing.
 
-:func:`selfadjointness_defect` measures ``max |pairing(Au, v) -
-pairing(u, Av)|`` over random vectors, normalized by the operator and vector
-scales; it and :func:`adjointness_matrix_defect` accept dense or sparse
-operators; :func:`pairing` accepts a dense or sparse Gram matrix.
+The dilute and link forms follow the lines of all pairs at once
+(:func:`_line_ends`).  :func:`selfadjointness_defect` and
+:func:`adjointness_matrix_defect` accept dense or sparse operators, and
+:func:`pairing` a dense or sparse Gram matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .diagrams import ARC, STRING, LinkState, enumerate_dense, enumerate_dilute, enumerate_open, glue
+from .diagrams import _EMPTY_SITE, _STRING_SITE, LinkState, _arrays, enumerate_dense
+from .diagrams import enumerate_dilute, enumerate_open, glue
 from .spectral import _dense
 
 
@@ -86,34 +81,47 @@ def singlet_factor(L: int, n: complex) -> sp.csr_matrix:
     Two singlets glued along a loop contract to ``q + 1/q = n`` without
     conjugation, so ``(M^T M)_ab = n ** loops(a, b)``.  Row ``r`` is the spin
     mask ``r`` (bit set = down spin, site 1 = most significant bit); every
-    column holds ``2^(L/2)`` nonzeros.
+    column holds ``2^(L/2)`` nonzeros; only their weights depend on ``n``.
     """
-    basis = enumerate_dense(L)
-    dim, arcs = len(basis), L // 2
+    indptr, indices, sign, choice = _singlet_pattern(L)
+    arcs = L // 2
     n = complex(n)
     q = (n + np.sqrt(n * n - 4)) / 2
     root = np.sqrt(q)
-    partner = np.array([s.partner for s in basis], dtype=np.int64)
+    # choice bit k set: arc k reads down-up (weight -q^{1/2}), else up-down
+    flips = ((np.arange(1 << arcs)[:, None] >> np.arange(arcs)) & 1).sum(axis=1)
+    weights = (1 / root) ** (arcs - flips) * (-root) ** flips
+    shape = (1 << L, len(enumerate_dense(L)))
+    return sp.csr_matrix((sign * weights[choice], indices.copy(), indptr.copy()), shape=shape)
+
+
+@lru_cache(maxsize=None)
+def _singlet_pattern(L: int):
+    """The ``n``-independent part of :func:`singlet_factor`, built once per width.
+
+    Returns its CSR ``indptr`` and ``indices``, and each entry's nesting sign
+    and arc choice (bit ``k`` set: arc ``k`` reads down-up).
+    """
+    partner = _arrays(enumerate_dense(L))[0].astype(np.int64)
+    dim, arcs = len(partner), L // 2
     opener = partner > np.arange(L)
     # nested pairs: every arc counts the arcs still open where it opens
     step = np.where(opener, 1, -1)
     depth = np.cumsum(step, axis=1) - step
-    sign = 1 - 2 * (np.sum(depth * opener, axis=1) % 2)
+    sign = (1 - 2 * (np.sum(depth * opener, axis=1) % 2)).astype(np.int8)
     left = np.nonzero(opener)[1].reshape(dim, arcs)
     right = np.take_along_axis(partner, left, axis=1)
     bit_left = 1 << (L - 1 - left)
     bit_right = 1 << (L - 1 - right)
-    # choice bit k set: arc k reads down-up (weight -q^{1/2}), else up-down
     choices = (np.arange(1 << arcs)[:, None] >> np.arange(arcs)) & 1
     masks = bit_right.sum(axis=1)[:, None] + (bit_left - bit_right) @ choices.T
-    flips = choices.sum(axis=1)
-    weights = (1 / root) ** (arcs - flips) * (-root) ** flips
-    data = sign[:, None] * weights[None, :]
-    m = sp.csc_matrix(
-        (data.ravel(), masks.ravel(), np.arange(dim + 1) * (1 << arcs)),
+    # number the entries column by column, then read the numbers in CSR order
+    entry = sp.csc_matrix(
+        (np.arange(masks.size), masks.ravel(), np.arange(dim + 1) * (1 << arcs)),
         shape=(1 << L, dim),
-    )
-    return m.tocsr()
+    ).tocsr()
+    choice = (entry.data & ((1 << arcs) - 1)).astype(np.min_scalar_type((1 << arcs) - 1))
+    return entry.indptr, entry.indices, sign[entry.data >> arcs], choice
 
 
 def loop_count_matrix(basis: tuple[LinkState, ...]) -> np.ndarray:
@@ -148,43 +156,36 @@ def dilute_sector_gram(basis: tuple[LinkState, ...]):
     """Sparse dilute Gram matrix on an arbitrary sub-basis.
 
     An entry is one for each loop-free gluing with matching empty sites and
-    zero otherwise.  States are grouped by their occupation mask, and each
-    group glues all its pairs at once (:func:`_line_ends`): a walker is sent
-    through the bra arc, then the ket arc, with empty and string sites sent
-    to an absorbing sentinel.  Every closed loop runs through some bra arc,
-    so walkers start only at the bra's arc openers.  A walker on an open
-    line reaches the sentinel within ``k//2 + 1`` such rounds for a group of
-    ``k`` occupied sites, while one on a closed loop never does, so a pair
-    is loop-free exactly when every walker has reached it.  Returned as a
-    CSR matrix because large sector bases make the dense form wasteful.
+    zero otherwise.  Each group of states with one occupation mask glues all
+    its pairs at once (:func:`_line_ends`): walkers start at the bra's arc
+    openers (every closed loop runs through one) and step through the bra
+    arc, then the ket arc, with empty and string sites absorbing.  On ``k``
+    occupied sites an open line is absorbed within ``k//2 + 1`` rounds and
+    a closed loop never is, so a pair is loop-free when every walker is.
     """
     dim = len(basis)
     if not dim:
         return sp.csr_matrix((0, 0))
-    L = basis[0].size
+    sites = _arrays(basis)[0]
+    L, narrow = sites.shape[1], np.min_scalar_type(sites.shape[1])
+    here = np.arange(L)
     # arc partner of every site; empty and string sites go to the sentinel L
-    step = np.full((dim, L + 1), L, dtype=np.min_scalar_type(L))
-    # arc openers of every state, padded with the sentinel
-    openers = np.full((dim, L // 2), L, dtype=step.dtype)
-    arc_count = np.zeros(dim, dtype=np.intp)
-    groups: dict[tuple[bool, ...], list[int]] = {}
-    for k, s in enumerate(basis):
-        arcs = [i for i, r in enumerate(s.roles) if r == ARC]
-        step[k, arcs] = [s.partner[i] for i in arcs]
-        opens = [i for i in arcs if s.partner[i] > i]
-        openers[k, : len(opens)] = opens
-        arc_count[k] = len(opens)
-        groups.setdefault(s.occupied_mask, []).append(k)
-    step = step.ravel()
+    step = np.hstack([np.where(sites >= 0, sites, L), np.full((dim, 1), L)]).astype(narrow).ravel()
+    # arc openers of every state, first, then padded with the sentinel
+    openers = np.sort(np.where(sites > here, here, L), axis=1)[:, : L // 2].astype(narrow)
+    arc_count = np.count_nonzero(sites > here, axis=1)
+    occupied = sites != _EMPTY_SITE
+    # states grouped by occupation mask, ascending within each group
+    masks = occupied @ (1 << here)
+    order = np.argsort(masks, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(masks[order])) + 1)
     rows, cols = [], []
-    for mask, members in groups.items():
-        members = np.asarray(members)
+    for members in groups:
         i, j = np.triu_indices(len(members))
         a, b = members[i], members[j]
         start = openers[a, : arc_count[members].max()]
-        ends = _line_ends(
-            step, a[:, None] * (L + 1), step, b[:, None] * (L + 1), start, sum(mask) // 2 + 1
-        )
+        rounds = np.count_nonzero(occupied[members[0]]) // 2 + 1
+        ends = _line_ends(step, a[:, None] * (L + 1), step, b[:, None] * (L + 1), start, rounds)
         free = np.all(ends == L, axis=1)
         a, b = a[free], b[free]
         off = a != b
@@ -232,8 +233,8 @@ def link_gram(L: int, y: complex = 1.0) -> BilinearForm:
     basis = enumerate_open(L)
     dim = len(basis)
     dtype = complex if np.iscomplexobj(y) else float
-    partner = np.array([s.partner for s in basis])
-    string = np.array([s.roles for s in basis]) == STRING
+    partner = _arrays(basis)[0]
+    string = partner == _STRING_SITE
     even = string & (np.cumsum(string, axis=1) % 2 == 0)
     width = 2 * L + 1
     fixed = np.broadcast_to(np.arange(L, width), (dim, L + 1))

@@ -1,22 +1,19 @@
 """Lattice Hamiltonians and transfer matrices.
 
-All builders share the bases of :mod:`loopcells.diagrams`:
+All builders are array maps on the bases of :mod:`loopcells.diagrams`: spin
+masks, or link-pattern site arrays whose moved states find their rows through
+the basis lookup.
 
 * :func:`build_xxz` -- the open anisotropic spin chain at ``q = exp(i pi/3)``
-  with its boundary field, in the zero-magnetization sector (sparse; dense
-  callers take ``.toarray()``);
-* :func:`build_ising` -- the critical transverse-field chain on a ring
-  (CSR assembled directly: one vectorized XOR per bond for the diagonal,
-  one sorted row of single flips per state), kept as the public full
-  operator; :func:`build_ising_sector` restricts it to the sector invariant
-  under rotation and global spin flip, where its Perron ground state lies,
-  from an orbit label of every mask (:func:`ising_orbits`), and
-  :func:`apply_ising` applies the full ring matrix-free to certify a lifted
-  vector;
+  with its boundary field, in the zero-magnetization sector (sparse);
+* :func:`build_ising` -- the critical transverse-field chain on a ring, kept
+  as the public full operator; :func:`build_ising_sector` restricts it to
+  the sector invariant under rotation and global spin flip, where its Perron
+  ground state lies (:func:`ising_orbits`), and :func:`apply_ising` applies
+  the full ring matrix-free to certify a lifted vector;
 * :func:`build_dense_loop_T` -- one row of the dense loop model on a
-  cylinder: two staggered half-rows of plaquettes, each plaquette the sum of
-  an identity tile and a cup-cap tile, kept as sparse factors built from the
-  sparse :func:`loopcells.tl.dense_generators` (a :class:`FactoredOperator`);
+  cylinder: two staggered half-rows of plaquettes ``1 + e_i``, kept as the
+  sparse factors of a :class:`FactoredOperator`;
 * :func:`build_dilute_T` -- one row of the dilute loop model on a strip,
   assembled from lozenge tiles and boundary half-tiles, together with the
   reversed-order row that evolves bra states; :func:`dilute_blocks` splits
@@ -27,25 +24,32 @@ All builders share the bases of :mod:`loopcells.diagrams`:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import fixtures
 from .diagrams import (
-    ARC,
-    EMPTY,
-    STRING,
+    _EMPTY_SITE,
     LinkState,
-    basis_index,
+    _arrays,
+    _lookup,
     enumerate_dense,
     enumerate_dilute,
     enumerate_open,
     sector_indices,
 )
-from .tl import dense_generators, open_generators, spin_generators, spin_sector_basis
+from .tl import (
+    _join_ends,
+    _spins,
+    dense_generators,
+    open_generators,
+    spin_generators,
+    spin_sector_basis,
+)
 
 # ---------------------------------------------------------------------------
 # Spin chains
@@ -62,26 +66,24 @@ def build_xxz(L: int, q: complex | None = None) -> tuple[sp.csr_matrix, list[int
     if L % 2:
         raise ValueError("zero-magnetization sector needs even L")
     q = fixtures.Q_VALUE if q is None else q
-    masks = spin_sector_basis(L, up_count=L // 2)
-    index = {m: k for k, m in enumerate(masks)}
+    masks = np.array(spin_sector_basis(L, up_count=L // 2))
+    find = _lookup(masks)  # ascending masks are their own keys
+    spins = _spins(masks, L)
     nhalf = (q + 1 / q) / 2
     delta = (q - 1 / q) / 2
-    rows, cols, vals = [], [], []
-    for col, m in enumerate(masks):
-        spins = [1 - 2 * ((m >> (L - s)) & 1) for s in range(1, L + 1)]
-        diag = sum(nhalf * spins[i] * spins[i + 1] for i in range(L - 1))
-        diag += delta * (spins[0] - spins[L - 1])
-        rows.append(col)
-        cols.append(col)
-        vals.append(diag)
-        for i in range(L - 1):
-            if spins[i] != spins[i + 1]:
-                flipped = m ^ ((1 << (L - 1 - i)) | (1 << (L - 2 - i)))
-                rows.append(index[flipped])
-                cols.append(col)
-                vals.append(2.0)
+    diag = sum(nhalf * spins[:, i] * spins[:, i + 1] for i in range(L - 1))
+    diag = diag + delta * (spins[:, 0] - spins[:, L - 1])
     dim = len(masks)
-    return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)), masks
+    rows, cols = [np.arange(dim)], [np.arange(dim)]
+    for i in range(L - 1):
+        # sx sx + sy sy swap antiparallel neighbours with weight 2
+        swap = np.flatnonzero(spins[:, i] != spins[:, i + 1])
+        rows.append(find(masks[swap] ^ (3 << (L - 2 - i))))
+        cols.append(swap)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    vals = np.concatenate([diag, np.full(len(rows) - dim, 2.0)])
+    H = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex))
+    return H, masks.tolist()
 
 
 def xxz_from_generators(L: int, q: complex | None = None) -> np.ndarray:
@@ -263,8 +265,8 @@ def build_dense_loop_T(L: int, n: float) -> TransferOperator:
 # Dilute loop model on a strip
 
 
-def _lozenge_ops(basis, index, site, x):
-    """Sparse action of one lozenge spanning ``site`` and ``site+1``.
+def _lozenge_ops(basis, site, x):
+    """Sparse action of one lozenge spanning ``site`` and ``site+1``, as an array map.
 
     Each incoming occupancy pattern allows exactly two tiles:
 
@@ -275,63 +277,34 @@ def _lozenge_ops(basis, index, site, x):
     * both legs occupied: both lines continue up (weight ``x^2``) or are
       joined (weight ``x^2``) -- joining the two ends of a single arc would
       close a loop, which carries weight zero and is dropped.
+
+    The first tile keeps every state; the second maps the basis's site
+    array to new states, whose rows the basis lookup finds.
     """
-    dim = len(basis)
-    rows, cols, vals = [], [], []
-
-    def add(state: LinkState, col: int, w: float) -> None:
-        rows.append(index[state])
-        cols.append(col)
-        vals.append(w)
-
+    sites, find = _arrays(basis)
+    dim = len(sites)
     i, j = site, site + 1
-    for col, s in enumerate(basis):
-        occ_i, occ_j = s.roles[i] != EMPTY, s.roles[j] != EMPTY
-        if not occ_i and not occ_j:
-            add(s, col, 1.0)
-            roles, partner = list(s.roles), list(s.partner)
-            roles[i] = roles[j] = ARC
-            partner[i], partner[j] = j, i
-            add(LinkState(tuple(roles), tuple(partner)), col, x**2)
-        elif occ_i != occ_j:
-            add(s, col, x)
-            src, dst = (i, j) if occ_i else (j, i)
-            roles, partner = list(s.roles), list(s.partner)
-            if roles[src] == ARC:
-                p = partner[src]
-                partner[p] = dst
-                roles[dst], partner[dst] = ARC, p
-            else:
-                roles[dst], partner[dst] = STRING, -1
-            roles[src], partner[src] = EMPTY, -1
-            add(LinkState(tuple(roles), tuple(partner)), col, x**2)
-        else:
-            add(s, col, x**2)
-            if s.roles[i] == ARC and s.partner[i] == j:
-                continue  # closed loop, weight zero
-            roles, partner = list(s.roles), list(s.partner)
-            ends = []
-            for site_ in (i, j):
-                if roles[site_] == ARC:
-                    ends.append(partner[site_])
-                else:
-                    ends.append(None)
-                roles[site_], partner[site_] = EMPTY, -1
-            p, q = ends
-            if p is not None and q is not None:
-                partner[p], partner[q] = q, p
-            elif p is not None:
-                roles[p], partner[p] = STRING, -1
-            elif q is not None:
-                roles[q], partner[q] = STRING, -1
-            add(LinkState(tuple(roles), tuple(partner)), col, x**2)
+    occupied = np.count_nonzero(sites[:, [i, j]] != _EMPTY_SITE, axis=1)
+    stay = np.array([1.0, x, x**2])[occupied]
+    # no leg or two legs: join what arrives (nothing, or two lines), then
+    # open an arc on empty legs or leave both legs empty
+    moved = _join_ends(sites, i, j)
+    moved[:, i] = np.where(occupied == 0, j, _EMPTY_SITE)
+    moved[:, j] = np.where(occupied == 0, i, _EMPTY_SITE)
+    # one leg: its line crosses to the other leg
+    one = np.flatnonzero(occupied == 1)
+    src = np.where(sites[one, i] != _EMPTY_SITE, i, j)
+    dst = i + j - src
+    line = sites[one, src]
+    moved[one] = sites[one]
+    moved[one, dst], moved[one, src] = line, _EMPTY_SITE
+    arc = line >= 0
+    moved[one[arc], line[arc]] = dst[arc]
+    keep = np.flatnonzero(sites[:, i] != j)  # the closed loop has weight zero
+    rows = np.concatenate([np.arange(dim), find(moved[keep])])
+    cols = np.concatenate([np.arange(dim), keep])
+    vals = np.concatenate([stay, np.full(len(keep), x**2)])
     return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)))
-
-
-def _boundary_triangle(basis, site, x):
-    """Half-tile at a strip edge: an occupied leg passes through with weight ``x``."""
-    weights = np.array([x if s.roles[site] != EMPTY else 1.0 for s in basis])
-    return sp.diags(weights).tocsr()
 
 
 @dataclass
@@ -360,6 +333,13 @@ class DiluteRow:
         return self.lower @ self.upper
 
 
+@lru_cache(maxsize=None)
+def _row_basis(L: int) -> tuple[LinkState, ...]:
+    """The zero- and two-string states, the head of the even basis; one tuple per width."""
+    even = enumerate_dilute(L, "even")
+    return even[: bisect_right(even, 2, key=lambda s: s.n_strings)]
+
+
 def build_dilute_T(L: int, x: float | None = None) -> DiluteRow:
     """One row of the dilute loop model on a strip of width ``L``.
 
@@ -372,14 +352,13 @@ def build_dilute_T(L: int, x: float | None = None) -> DiluteRow:
     spans an invariant subspace.
     """
     x = fixtures.X_CRITICAL if x is None else x
-    full = enumerate_dilute(L, "all")
-    keep = sorted(k for ns in (0, 2) for k in sector_indices(full, ns))
-    basis = tuple(full[k] for k in keep)
-    index = basis_index(basis)
+    basis = _row_basis(L)
+    sites = _arrays(basis)[0]
 
     def ops(pairs, triangles):
-        mats = [_lozenge_ops(basis, index, p, x) for p in pairs]
-        mats += [_boundary_triangle(basis, t, x) for t in triangles]
+        mats = [_lozenge_ops(basis, p, x) for p in pairs]
+        # boundary half-tiles: an occupied leg passes through with weight x
+        mats += [sp.diags(np.where(sites[:, t] != _EMPTY_SITE, x, 1.0)).tocsr() for t in triangles]
         return reduce(lambda a, b: a @ b, mats)
 
     if L % 2 == 0:
@@ -394,14 +373,13 @@ def build_dilute_T(L: int, x: float | None = None) -> DiluteRow:
 def dilute_blocks(row: DiluteRow):
     """String-sector blocks (0 and 2 strings) of the ket row, unformed.
 
-    Returns ``(T00, T02, T22, idx0, idx2)``: each block a
-    :class:`FactoredOperator` of half-row blocks, with the convention that
-    the two-string sector can only feed the zero-string one.  Neither half
-    row may send a zero-string state into the two-string sector (lozenge
-    tiles never create strings), so with the ket row ``upper @ lower``
-    written in blocks ``l``/``u`` the products are exact: ``T00 = u00 l00``,
-    ``T22 = u22 l22`` and ``T02 = u00 l02 + u02 l22``.  The bra row's blocks
-    are those of the row with its two halves swapped.
+    Returns ``(T00, T02, T22, idx0, idx2)``, each block a
+    :class:`FactoredOperator` of half-row blocks.  Neither half row may send
+    a zero-string state into the two-string sector (lozenge tiles never
+    create strings), so with the ket row ``upper @ lower`` written in blocks
+    ``l``/``u`` the products are exact: ``T00 = u00 l00``, ``T22 = u22 l22``
+    and ``T02 = u00 l02 + u02 l22``.  The bra row's blocks are those of the
+    row with its two halves swapped.
     """
     idx0 = sector_indices(row.basis, 0)
     idx2 = sector_indices(row.basis, 2)

@@ -29,22 +29,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import OptimizeWarning, brentq, curve_fit
 
-from . import fixtures, forms, models, spectral
-from .diagrams import (
-    LinkState,
-    basis_index,
-    concatenate,
-    enumerate_dense,
-    glue,
-    reflect,
-)
+from . import diagrams, fixtures, forms, models, spectral
+from .diagrams import LinkState, enumerate_dense
 
 # ---------------------------------------------------------------------------
 # Result records
@@ -121,17 +113,14 @@ class LoopEntropyReport:
 # Shared pieces: trousers placement, chain spectra, the b pairing
 
 
-def _place(half, join, index, left, right) -> np.ndarray:
-    """Trousers coefficients ``left[a] * right[b]`` at ``index[join(half[a], half[b])]``.
+def _place(rows, left, right, dim: int) -> np.ndarray:
+    """Trousers coefficients ``left[a] * right[b]`` at row ``rows[a * len(right) + b]``.
 
-    ``half`` lists the half-width states both factors are written on,
-    ``join`` puts two of them side by side on the width-L strip (spin masks
-    as ``(a << L/2) | b``, link states by :func:`concatenate`) and ``index``
-    maps width-L states to their positions; every other coefficient is zero.
+    ``rows`` holds the width-L row of every pair of half-width states side
+    by side, left state major; every other coefficient is zero.
     """
-    keys = [index[join(sa, sb)] for sa in half for sb in half]
-    vec = np.zeros(len(index), dtype=np.result_type(left, right))
-    vec[keys] = np.outer(left, right).ravel()
+    vec = np.zeros(dim, dtype=np.result_type(left, right))
+    vec[rows] = np.outer(left, right).ravel()
     return vec
 
 
@@ -216,8 +205,9 @@ def _xxz_chain(L: int, q: complex):
     H, masks = models.build_xxz(L, q)
     half_H, half_masks = models.build_xxz(L // 2, q)
     _, g = _ground(_low_spectrum(half_H, L // 2), np.eye(len(half_masks)))
-    index = {m: k for k, m in enumerate(masks)}
-    product = _place(half_masks, lambda a, b: (a << L // 2) | b, index, g, g)
+    half = np.array(half_masks)
+    rows = diagrams._lookup(np.array(masks))(((half[:, None] << L // 2) | half).ravel())
+    product = _place(rows, g, g, len(masks))
     return H, sp.identity(len(masks), format="csr"), product
 
 
@@ -282,13 +272,12 @@ def _dilute_trousers(half_row: models.DiluteRow, basis: tuple[LinkState, ...]):
     residual = np.linalg.norm(lower @ (upper @ bra) - lam * bra) / (lam * np.linalg.norm(bra))
     if residual > 1e-10:
         raise ArithmeticError(f"mapped half-width ground fails the bra row: {residual:.2e}")
-    states = [half_row.basis[k] for k in idx0]
-    empty = next(i for i, s in enumerate(states) if not any(s.occupied_mask))
-    position = {s: k for k, s in enumerate(states)}
-    mirror = [position[reflect(s)] for s in states]
-    index = basis_index(basis)
+    half = diagrams._arrays(half_row.basis)[0][idx0]
+    empty = np.flatnonzero(np.all(half == diagrams._EMPTY_SITE, axis=1))[0]
+    mirror = diagrams._lookup(diagrams._keys(half))(diagrams._keys(diagrams._reflected(half)))
+    rows = diagrams._arrays(basis)[1](diagrams._side_by_side(half, half))
     return tuple(
-        _place(states, concatenate, index, g / g[empty], g[mirror] / g[empty]) for g in (bra, ket)
+        _place(rows, g / g[empty], g[mirror] / g[empty], len(basis)) for g in (bra, ket)
     )
 
 
@@ -399,7 +388,9 @@ def _open_chain(L: int, y: complex):
     """``(H, y-form, unnormalized trousers)`` of the width-L open chain at loop weight one."""
     form, half_form = forms.link_gram(L, y), forms.link_gram(L // 2, y)
     _, g = _ground(_low_spectrum(models.build_percolation_H(L // 2, y), L // 2), half_form.gram)
-    product = _place(half_form.basis, concatenate, basis_index(form.basis), g, g)
+    half = diagrams._arrays(half_form.basis)[0]
+    rows = diagrams._arrays(form.basis)[1](diagrams._side_by_side(half, half))
+    product = _place(rows, g, g, form.dim)
     return models.build_percolation_H(L, y), form.gram, product
 
 
@@ -608,31 +599,35 @@ def ising_boundary_entropy(sizes=(12, 14, 16, 18), bc: str = "fixed") -> FitResu
     return _inverse_power_fit(sorted(sizes), f_values)
 
 
-@lru_cache(maxsize=8)
-def _boundary_loop_row(L: int) -> np.ndarray:
-    """Loop counts of the all-adjacent-arcs state glued onto each basis state."""
-    basis = enumerate_dense(L)
-    roles = (2,) * L
-    partner = tuple(i + 1 if i % 2 == 0 else i - 1 for i in range(L))
-    boundary = LinkState(roles, partner)
-    return np.array([glue(boundary, s).loops for s in basis], dtype=np.int64)
+def _loop_pairing(u: np.ndarray, v: np.ndarray, L: int, n: float, what: str) -> float:
+    """The weight-``n`` loop pairing ``(Mu)^T (Mv)``, ``M`` the singlet factor.
+
+    ``M`` is :func:`loopcells.forms.singlet_factor`; a pairing that is not
+    real and positive raises ``ArithmeticError``.
+    """
+    m = forms.singlet_factor(L, n)
+    image = m @ v
+    value = complex((image if u is v else m @ u) @ image)
+    if not (value.real > 0 and abs(value.imag) <= 1e-10 * value.real):
+        raise ArithmeticError(f"{what} at L={L}, n={n} is {value}; it is not real and positive")
+    return value.real
 
 
 def _loop_normalized(v: np.ndarray, L: int, n: float) -> np.ndarray:
-    """``v`` scaled to bilinear square one under the weight-``n`` loop form.
+    """``v`` scaled to bilinear square one under the weight-``n`` loop form."""
+    return v / np.sqrt(_loop_pairing(v, v, L, n, "loop state's bilinear square"))
 
-    The square is ``(Mv)^T (Mv)`` with ``M`` the singlet factor of the loop
-    Gram; a square that is not real and positive leaves no real
-    normalization and raises ``ArithmeticError``.
+
+def _boundary_overlap(v: np.ndarray, L: int, n1: float) -> float:
+    """``sum_s n1 ** loops(boundary, s) v_s`` for the all-adjacent-arcs boundary.
+
+    It pairs the boundary with ``v`` under the weight-``n1`` loop form.
     """
-    image = forms.singlet_factor(L, n) @ v
-    square = complex(image @ image)
-    if not (square.real > 0 and abs(square.imag) <= 1e-10 * square.real):
-        raise ArithmeticError(
-            f"loop state at L={L}, n={n} has bilinear square {square}; "
-            "it has no real normalization"
-        )
-    return v / np.sqrt(square.real)
+    basis = enumerate_dense(L)
+    adjacent = np.arange(L) ^ 1  # sites (1, 2), (3, 4), ... paired
+    boundary = np.zeros(len(basis))
+    boundary[diagrams._arrays(basis)[1](adjacent[None, :])] = 1.0
+    return _loop_pairing(boundary, v, L, n1, "boundary overlap")
 
 
 def loop_boundary_entropy(n: float, n1: float, sizes=(12, 14, 16, 18)) -> LoopEntropyReport:
@@ -659,8 +654,7 @@ def loop_boundary_entropy(n: float, n1: float, sizes=(12, 14, 16, 18)) -> LoopEn
         op = models.build_dense_loop_T(L, n)
         _, v = spectral.perron_pair(op)
         v = _loop_normalized(v, L, n)
-        overlap = float(np.power(float(n1), _boundary_loop_row(L)) @ v)
-        f_values.append(-np.log(overlap))
+        f_values.append(-np.log(_boundary_overlap(v, L, n1)))
     fit = _inverse_power_fit(sorted(sizes), f_values)
     exact = loop_entropy_exact(n, n1)
     return LoopEntropyReport(n, n1, fit, exact, abs(fit.value - exact))

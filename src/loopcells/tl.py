@@ -17,6 +17,10 @@ with loop weight ``n``.  This module realises the generators as matrices on
 * the spin-1/2 chain at anisotropy ``q`` (:func:`spin_generators`), where
   ``n = q + 1/q``.
 
+Both link-pattern families are one array map on the basis's site array
+(:func:`_cup_cap`); moved states and swapped spin masks find their rows
+through the checked lookup of :mod:`loopcells.diagrams`.
+
 :func:`check_relations_chain` and :func:`check_relations_periodic` measure how
 well a family of matrices (dense or sparse) satisfies the defining
 relations, and
@@ -31,14 +35,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .diagrams import (
-    ARC,
-    STRING,
-    LinkState,
-    basis_index,
-    enumerate_dense,
-    enumerate_open,
-)
+from .diagrams import _STRING_SITE, _arrays, _lookup, enumerate_dense, enumerate_open
 from .spectral import _dense
 
 
@@ -52,36 +49,37 @@ def contraction_weight(label: int, y: complex) -> complex:
     return y if label % 2 == 0 else 1.0
 
 
-def _act_adjacent(state: LinkState, i: int, j: int, n: complex, y: complex):
-    """Apply one cup-cap generator on sites ``i`` and ``j`` of a link state.
+def _join_ends(sites: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Join the lines arriving at sites ``i`` and ``j`` of every state of a site array.
 
-    Returns ``(new_state, weight)``.  The generator closes whatever arrived
-    at the two sites into a cap and opens a fresh arc ``(i, j)`` above them.
+    Two arcs become one, an arc and a string become a string, and two
+    strings vanish; sites ``i`` and ``j`` themselves are left to the caller.
     """
-    roles = list(state.roles)
-    partner = list(state.partner)
-    ri, rj = roles[i], roles[j]
-    weight: complex = 1.0
-    if ri == ARC and partner[i] == j:
-        # the cap closes the arc into a loop
-        weight = n
-    elif ri == ARC and rj == ARC:
-        p, q = partner[i], partner[j]
-        partner[p], partner[q] = q, p
-    elif ri == ARC and rj == STRING:
-        p = partner[i]
-        roles[p], partner[p] = STRING, -1
-    elif ri == STRING and rj == ARC:
-        q = partner[j]
-        roles[q], partner[q] = STRING, -1
-    elif ri == STRING and rj == STRING:
-        labels = state.string_sites()
-        weight = contraction_weight(labels.index(i) + 1, y)
-    else:
-        raise ValueError("generator applied to an empty site")
-    roles[i] = roles[j] = ARC
-    partner[i], partner[j] = j, i
-    return LinkState(tuple(roles), tuple(partner)), weight
+    new = sites.copy()
+    for end, other in ((sites[:, i], sites[:, j]), (sites[:, j], sites[:, i])):
+        arc = np.flatnonzero(end >= 0)
+        new[arc, end[arc]] = other[arc]
+    return new
+
+
+def _cup_cap(basis, i: int, j: int, n: complex, y: complex, dtype):
+    """Row and weight of every column of the cup-cap generator on sites ``(i, j)``.
+
+    The generator caps whatever arrived at the two sites (:func:`_join_ends`)
+    and opens a fresh arc ``(i, j)``.  Capping the arc ``(i, j)`` closes a
+    loop (weight ``n``), capping two strings contracts them
+    (:func:`contraction_weight` of the left label), any other cap weighs one.
+    """
+    sites, rows = _arrays(basis)
+    new = _join_ends(sites, i, j)
+    new[:, i], new[:, j] = j, i
+    weights = np.ones(len(sites), dtype=dtype)
+    weights[sites[:, i] == j] = n
+    if y != 1:  # a contraction weight of one is the default
+        string = sites == _STRING_SITE
+        label = np.count_nonzero(string[:, : i + 1], axis=1)
+        weights[string[:, i] & string[:, j] & (label % 2 == 0)] = y
+    return rows(new), weights
 
 
 def open_generators(L: int, n: complex, y: complex = 1.0) -> list[np.ndarray]:
@@ -91,14 +89,13 @@ def open_generators(L: int, n: complex, y: complex = 1.0) -> list[np.ndarray]:
     ``y = 1`` is the geometric (undeformed) representation.
     """
     basis = enumerate_open(L)
-    index = basis_index(basis)
+    dim = len(basis)
     dtype = np.complex128 if np.iscomplexobj(n) or np.iscomplexobj(y) else np.float64
     es = []
     for i in range(L - 1):
-        e = np.zeros((len(basis), len(basis)), dtype=dtype)
-        for col, s in enumerate(basis):
-            new, w = _act_adjacent(s, i, i + 1, n, y)
-            e[index[new], col] += w
+        rows, weights = _cup_cap(basis, i, i + 1, n, y, dtype)
+        e = np.zeros((dim, dim), dtype=dtype)
+        e[rows, np.arange(dim)] = weights
         es.append(e)
     return es
 
@@ -111,41 +108,16 @@ def dense_generators(L: int, n: complex) -> list[sp.csr_matrix]:
     pair, so ``e_1`` and ``e_2`` coincide as operators and the adjacent-pair
     relations only become meaningful from ``L = 4`` on; the individual
     matrices are still the correct contraction operators (used by the
-    width-2 transfer row).
-
-    The basis is held as its ``partner[dim, L]`` array.  The generator on
-    sites ``(i, j)`` rewires the arcs ``(i, p), (j, q)`` into ``(i, j), (p,
-    q)`` with weight one, or closes the arc ``(i, j)`` into a loop with
-    weight ``n``, where the same rewiring keeps the state.  A noncrossing
-    matching is fixed by the bitmask of its arc openers, so a sorted search
-    on that key finds each new state's row.
+    width-2 transfer row).  The generators share the cup-cap map of the
+    open basis (:func:`_cup_cap`), with ``e_L`` on the sites ``(L, 1)``.
     """
     basis = enumerate_dense(L)
     dim = len(basis)
     dtype = np.complex128 if np.iscomplexobj(n) else np.float64
-    partner = np.array([s.partner for s in basis], dtype=np.int64)
-    bits = 1 << np.arange(L - 1, -1, -1)
-
-    def key(partner):
-        return (partner > np.arange(L)) @ bits
-
-    keys = key(partner)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    states = np.arange(dim)
     es = []
     for i in range(L):
-        j = (i + 1) % L
-        p, q = partner[:, i], partner[:, j]
-        new = partner.copy()
-        new[:, i], new[:, j] = j, i
-        new[states, p], new[states, q] = q, p
-        new_keys = key(new)
-        found = np.minimum(np.searchsorted(sorted_keys, new_keys), dim - 1)
-        if not np.array_equal(sorted_keys[found], new_keys):
-            raise AssertionError(f"generator e_{i + 1} left the all-arc basis at L={L}")
-        data = np.where(p == j, n, 1.0).astype(dtype)
-        e = sp.csc_matrix((data, order[found], np.arange(dim + 1)), shape=(dim, dim))
+        rows, weights = _cup_cap(basis, i, (i + 1) % L, n, 1.0, dtype)
+        e = sp.csc_matrix((weights, rows, np.arange(dim + 1)), shape=(dim, dim))
         es.append(e.tocsr())
     return es
 
@@ -158,12 +130,14 @@ def spin_sector_basis(L: int, up_count: int | None = None) -> list[int]:
     """
     if up_count is None:
         return list(range(2**L))
-    return [m for m in range(2**L) if L - bin(m).count("1") == up_count]
+    masks = np.arange(2**L)
+    downs = sum(((masks >> k) & 1 for k in range(L)), np.zeros_like(masks))
+    return masks[downs == L - up_count].tolist()
 
 
-def _bit(mask: int, site: int, L: int) -> int:
-    """Spin at 1-based ``site``: +1 for up (bit clear), -1 for down (bit set)."""
-    return -1 if (mask >> (L - site)) & 1 else 1
+def _spins(masks: np.ndarray, L: int) -> np.ndarray:
+    """``spins[k, s]``: +1 for up (bit clear), -1 for down (bit set) at site ``s + 1``."""
+    return 1 - 2 * ((masks[:, None] >> np.arange(L - 1, -1, -1)) & 1)
 
 
 def spin_generators(L: int, q: complex, masks: Sequence[int] | None = None) -> list[np.ndarray]:
@@ -175,33 +149,29 @@ def spin_generators(L: int, q: complex, masks: Sequence[int] | None = None) -> l
                      + ((q-1/q)/2)(sz_i - sz_{i+1}) ]``
 
     so that ``e_i^2 = (q + 1/q) e_i`` and the open-chain Hamiltonian is a sum
-    of the generators.
+    of the generators.  ``masks`` must be closed under swapping neighbouring
+    spins (whole magnetization sectors); a swap that leaves them raises
+    ``LookupError``.
     """
-    if masks is None:
-        masks = spin_sector_basis(L)
-    index = {m: k for k, m in enumerate(masks)}
-    dim = len(masks)
+    masks = np.asarray(spin_sector_basis(L) if masks is None else masks, dtype=np.int64)
+    find = _lookup(masks)
+    spins = _spins(masks, L)
     nval = q + 1 / q
     delta = (q - 1 / q) / 2
     es = []
-    for i in range(1, L):
-        e = np.zeros((dim, dim), dtype=np.complex128)
-        for col, m in enumerate(masks):
-            si, sj = _bit(m, i, L), _bit(m, i + 1, L)
-            # diagonal part: ((q+1/q)/2)(sz sz - 1) + delta (sz_i - sz_j)
-            e[col, col] += -0.5 * ((nval / 2) * (si * sj - 1) + delta * (si - sj))
-            if si != sj:
-                flipped = m ^ ((1 << (L - i)) | (1 << (L - i - 1)))
-                row = index.get(flipped)
-                if row is not None:
-                    # sx sx + sy sy act as twice the swap on antiparallel spins
-                    e[row, col] += -0.5 * 2.0
+    for i in range(L - 1):
+        si, sj = spins[:, i], spins[:, i + 1]
+        # diagonal part: ((q+1/q)/2)(sz sz - 1) + delta (sz_i - sz_j)
+        e = np.diag(-0.5 * ((nval / 2) * (si * sj - 1) + delta * (si - sj))).astype(complex)
+        # sx sx + sy sy act as twice the swap on antiparallel spins
+        swap = np.flatnonzero(si != sj)
+        e[find(masks[swap] ^ (3 << (L - 2 - i))), swap] = -0.5 * 2.0
         es.append(e)
     return es
 
 
-def check_relations_chain(es: Sequence[np.ndarray], n: complex) -> float:
-    """Relation residual for an open chain ``e_1 .. e_{L-1}``."""
+def _relation_residual(es: Sequence[np.ndarray], n: complex, distance) -> float:
+    """Largest entry of every defining relation, ``distance(i, j)`` apart for ``i < j``."""
     es = [_dense(e) for e in es]
     worst = 0.0
     m = len(es)
@@ -210,31 +180,23 @@ def check_relations_chain(es: Sequence[np.ndarray], n: complex) -> float:
         worst = max(worst, float(np.max(np.abs(e @ e - n * e))))
         for j in range(i + 1, m):
             f = es[j]
-            if j - i == 1:
+            if distance(i, j) == 1:
                 worst = max(worst, float(np.max(np.abs(e @ f @ e - e))))
                 worst = max(worst, float(np.max(np.abs(f @ e @ f - f))))
             else:
                 worst = max(worst, float(np.max(np.abs(e @ f - f @ e))))
     return worst
+
+
+def check_relations_chain(es: Sequence[np.ndarray], n: complex) -> float:
+    """Relation residual for an open chain ``e_1 .. e_{L-1}``."""
+    return _relation_residual(es, n, lambda i, j: j - i)
 
 
 def check_relations_periodic(es: Sequence[np.ndarray], n: complex) -> float:
     """Relation residual for a cylinder family ``e_1 .. e_L`` (indices mod L)."""
-    es = [_dense(e) for e in es]
-    worst = 0.0
     m = len(es)
-    for i in range(m):
-        e = es[i]
-        worst = max(worst, float(np.max(np.abs(e @ e - n * e))))
-        for j in range(i + 1, m):
-            f = es[j]
-            dist = min(j - i, m - (j - i))
-            if dist == 1:
-                worst = max(worst, float(np.max(np.abs(e @ f @ e - e))))
-                worst = max(worst, float(np.max(np.abs(f @ e @ f - f))))
-            else:
-                worst = max(worst, float(np.max(np.abs(e @ f - f @ e))))
-    return worst
+    return _relation_residual(es, n, lambda i, j: min(j - i, m - (j - i)))
 
 
 def conjugate(matrix: np.ndarray, basis_change: np.ndarray) -> np.ndarray:

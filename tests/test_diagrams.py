@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,3 +208,65 @@ class TestReflect:
         states = list(dg.enumerate_dilute(5))
         reflected = {dg.reflect(s) for s in states}
         assert reflected == set(states)
+
+
+class TestArrayForm:
+    BASES = [
+        lambda: dg.enumerate_dense(8),
+        lambda: dg.enumerate_open(7),
+        lambda: dg.enumerate_dilute(6, "all"),
+    ]
+
+    @pytest.mark.parametrize("make", BASES)
+    def test_sites_spell_the_states(self, make):
+        basis = make()
+        sites = dg._arrays(basis)[0]
+        assert sites.shape == (len(basis), basis[0].size) and not sites.flags.writeable
+        for s, row in zip(basis, sites):
+            expect = [
+                p if r == dg.ARC else dg._STRING_SITE if r == dg.STRING else dg._EMPTY_SITE
+                for r, p in zip(s.roles, s.partner)
+            ]
+            assert row.tolist() == expect
+
+    @pytest.mark.parametrize("make", BASES)
+    def test_lookup_finds_every_row(self, make):
+        basis = make()
+        sites, rows = dg._arrays(basis)
+        assert len(set(dg._keys(sites).tolist())) == len(basis)
+        order = np.random.default_rng(0).permutation(len(basis))
+        np.testing.assert_array_equal(rows(sites[order]), order)
+
+    def test_built_once_per_basis(self):
+        basis = dg.enumerate_open(6)
+        assert dg._arrays(basis) is dg._arrays(basis)
+        assert dg._arrays(tuple(basis)) is dg._arrays(basis)  # tuple() of a tuple is itself
+
+    def test_lookup_refuses_a_state_outside_the_basis(self):
+        # the open basis with one state removed cannot find that state
+        full = dg.enumerate_open(6)
+        sites, _ = dg._arrays(full)
+        _, rows = dg._arrays(full[:3] + full[4:])
+        with pytest.raises(LookupError, match="1 mapped states are not in the basis"):
+            rows(sites)
+        np.testing.assert_array_equal(rows(sites[:3]), [0, 1, 2])
+
+    def test_reflection_and_concatenation_match_the_states(self):
+        basis = dg.enumerate_dilute(3, "all")
+        sites, rows = dg._arrays(basis)
+        _, wide_rows = dg._arrays(dg.enumerate_dilute(6, "all"))
+        index = dg.basis_index(dg.enumerate_dilute(6, "all"))
+        pairs = [dg.concatenate(a, b) for a in basis for b in basis]
+        np.testing.assert_array_equal(
+            wide_rows(dg._side_by_side(sites, sites)), [index[s] for s in pairs]
+        )
+        reflected = [dg.basis_index(basis)[dg.reflect(s)] for s in basis]
+        np.testing.assert_array_equal(rows(dg._reflected(sites)), reflected)
+
+    @pytest.mark.parametrize("L", [4, 5, 6])
+    def test_sector_indices_count_strings(self, L):
+        basis = dg.enumerate_dilute(L, "all")
+        for k in range(L + 1):
+            assert dg.sector_indices(basis, k) == [
+                i for i, s in enumerate(basis) if s.n_strings == k
+            ]

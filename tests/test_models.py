@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +11,111 @@ import scipy.sparse as sp
 from loopcells import diagrams as dg
 from loopcells import fixtures as fx
 from loopcells import forms, models, spectral, tl
+
+
+def loop_xxz(L: int, q: complex) -> sp.csr_matrix:
+    """The zero-magnetization chain assembled one mask at a time (the oracle)."""
+    masks = tl.spin_sector_basis(L, up_count=L // 2)
+    index = {m: k for k, m in enumerate(masks)}
+    nhalf = (q + 1 / q) / 2
+    delta = (q - 1 / q) / 2
+    rows, cols, vals = [], [], []
+    for col, m in enumerate(masks):
+        spins = [1 - 2 * ((m >> (L - s)) & 1) for s in range(1, L + 1)]
+        diag = sum(nhalf * spins[i] * spins[i + 1] for i in range(L - 1))
+        diag += delta * (spins[0] - spins[L - 1])
+        rows.append(col)
+        cols.append(col)
+        vals.append(diag)
+        for i in range(L - 1):
+            if spins[i] != spins[i + 1]:
+                flipped = m ^ ((1 << (L - 1 - i)) | (1 << (L - 2 - i)))
+                rows.append(index[flipped])
+                cols.append(col)
+                vals.append(2.0)
+    dim = len(masks)
+    return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex))
+
+
+def loop_lozenge(basis, index, site, x) -> sp.csr_matrix:
+    """One lozenge spanning ``site`` and ``site + 1``, one state at a time (the oracle)."""
+    dim = len(basis)
+    rows, cols, vals = [], [], []
+
+    def add(state, col, w):
+        rows.append(index[state])
+        cols.append(col)
+        vals.append(w)
+
+    i, j = site, site + 1
+    for col, s in enumerate(basis):
+        occ_i, occ_j = s.roles[i] != dg.EMPTY, s.roles[j] != dg.EMPTY
+        if not occ_i and not occ_j:
+            add(s, col, 1.0)
+            roles, partner = list(s.roles), list(s.partner)
+            roles[i] = roles[j] = dg.ARC
+            partner[i], partner[j] = j, i
+            add(dg.LinkState(tuple(roles), tuple(partner)), col, x**2)
+        elif occ_i != occ_j:
+            add(s, col, x)
+            src, dst = (i, j) if occ_i else (j, i)
+            roles, partner = list(s.roles), list(s.partner)
+            if roles[src] == dg.ARC:
+                p = partner[src]
+                partner[p] = dst
+                roles[dst], partner[dst] = dg.ARC, p
+            else:
+                roles[dst], partner[dst] = dg.STRING, -1
+            roles[src], partner[src] = dg.EMPTY, -1
+            add(dg.LinkState(tuple(roles), tuple(partner)), col, x**2)
+        else:
+            add(s, col, x**2)
+            if s.roles[i] == dg.ARC and s.partner[i] == j:
+                continue  # closed loop, weight zero
+            roles, partner = list(s.roles), list(s.partner)
+            ends = []
+            for site_ in (i, j):
+                ends.append(partner[site_] if roles[site_] == dg.ARC else None)
+                roles[site_], partner[site_] = dg.EMPTY, -1
+            p, q = ends
+            if p is not None and q is not None:
+                partner[p], partner[q] = q, p
+            elif p is not None:
+                roles[p], partner[p] = dg.STRING, -1
+            elif q is not None:
+                roles[q], partner[q] = dg.STRING, -1
+            add(dg.LinkState(tuple(roles), tuple(partner)), col, x**2)
+    return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)))
+
+
+def loop_triangle(basis, site, x) -> sp.csr_matrix:
+    """Half-tile at a strip edge, one state at a time (the oracle)."""
+    return sp.diags(np.array([x if s.roles[site] != dg.EMPTY else 1.0 for s in basis])).tocsr()
+
+
+def loop_dilute_row(L: int, x: float) -> models.DiluteRow:
+    """The dilute row from the per-state tiles on the zero- and two-string states (the oracle)."""
+    full = dg.enumerate_dilute(L, "all")
+    basis = tuple(s for s in full if s.n_strings in (0, 2))
+    index = dg.basis_index(basis)
+
+    def ops(pairs, triangles):
+        mats = [loop_lozenge(basis, index, p, x) for p in pairs]
+        mats += [loop_triangle(basis, t, x) for t in triangles]
+        return reduce(lambda a, b: a @ b, mats)
+
+    if L % 2 == 0:
+        lower, upper = ops(range(0, L - 1, 2), ()), ops(range(1, L - 2, 2), (0, L - 1))
+    else:
+        lower, upper = ops(range(0, L - 2, 2), (L - 1,)), ops(range(1, L - 1, 2), (0,))
+    return models.DiluteRow(basis, lower, upper)
+
+
+def assert_same_csr(got, expect):
+    assert got.format == expect.format == "csr" and got.dtype == expect.dtype
+    np.testing.assert_array_equal(got.indptr, expect.indptr)
+    np.testing.assert_array_equal(got.indices, expect.indices)
+    np.testing.assert_array_equal(got.data, expect.data)
 
 
 class TestXXZ:
@@ -30,6 +137,13 @@ class TestXXZ:
         np.testing.assert_allclose(
             sparse.toarray(), models.xxz_from_generators(L), atol=1e-12
         )
+
+    @pytest.mark.parametrize("q", [fx.Q_VALUE, np.exp(0.4j), 1.7])
+    @pytest.mark.parametrize("L", range(2, 15, 2))
+    def test_matches_the_per_mask_oracle(self, L, q):
+        H, masks = models.build_xxz(L, q)
+        assert masks == tl.spin_sector_basis(L, L // 2)
+        assert_same_csr(H, loop_xxz(L, q))
 
     def test_spectrum_is_real(self):
         # raw eigenvalues of the non-normal matrix pick up O(sqrt(eps))
@@ -167,6 +281,22 @@ class TestDenseLoopTransfer:
 
 
 class TestDiluteRow:
+    @pytest.mark.parametrize("x", [fx.X_CRITICAL, 0.9])
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_half_rows_match_the_per_state_oracle(self, L, x):
+        row, expect = models.build_dilute_T(L, x), loop_dilute_row(L, x)
+        assert row.basis == expect.basis
+        assert_same_csr(row.lower, expect.lower)
+        assert_same_csr(row.upper, expect.upper)
+
+    def test_tile_leaving_the_basis_is_refused(self):
+        # the zero- and two-string basis of width 4 minus one state: a lozenge
+        # maps some state onto the missing one, and the lookup refuses it
+        basis = models.build_dilute_T(4).basis[:-1]
+        with pytest.raises(LookupError, match="not in the basis"):
+            for site in range(3):
+                models._lozenge_ops(basis, site, fx.X_CRITICAL)
+
     def test_width_two_matches_printed_matrix(self):
         row = models.build_dilute_T(2)
         np.testing.assert_allclose(row.ket_row.toarray(), fx.dilute_T2(), atol=1e-15)

@@ -524,7 +524,28 @@ class TestIsingSectorGround:
             obs.ising_boundary_entropy(sizes=(8, 10, 12), bc="fixed")
 
 
+def glue_boundary_row(L: int) -> np.ndarray:
+    """Loop counts of the all-adjacent-arcs boundary glued onto each dense state (the oracle)."""
+    boundary = dg.from_text("()" * (L // 2))
+    return np.array([dg.glue(boundary, s).loops for s in dg.enumerate_dense(L)])
+
+
 class TestLoopEntropy:
+    @pytest.mark.parametrize("n1", [0.5, 0.8, 1.0, 1.5, 1.9, 2.5])
+    @pytest.mark.parametrize("L", range(2, 15, 2))
+    def test_boundary_overlap_matches_the_glue_row(self, L, n1):
+        v = np.random.default_rng(L).uniform(0.5, 1.5, len(dg.enumerate_dense(L)))
+        expect = np.power(n1, glue_boundary_row(L).astype(float)) @ v
+        assert obs._boundary_overlap(v, L, n1) == pytest.approx(expect, rel=1e-12, abs=0)
+
+    def test_boundary_overlap_glues_no_pair(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("glue called")
+
+        monkeypatch.setattr(dg, "glue", refuse)
+        report = obs.loop_boundary_entropy(1.0, 1.5, sizes=(6, 8, 10))
+        assert np.isfinite(report.fit.value)
+
     def test_closed_form_vanishes_at_the_symmetric_point(self):
         assert abs(obs.loop_entropy_exact(1.0, 1.0)) < 1e-12
 

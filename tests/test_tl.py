@@ -13,6 +13,53 @@ from loopcells import tl
 WEIGHTS = [2.0, 1.0, 0.3, -0.5, fx.Q_VALUE + 1 / fx.Q_VALUE]
 
 
+def act_adjacent(state: dg.LinkState, i: int, j: int, n: complex, y: complex):
+    """One cup-cap generator on sites ``i`` and ``j`` of one link state (the oracle).
+
+    Returns ``(new_state, weight)``.  The generator closes whatever arrived
+    at the two sites into a cap and opens a fresh arc ``(i, j)`` above them.
+    """
+    roles = list(state.roles)
+    partner = list(state.partner)
+    ri, rj = roles[i], roles[j]
+    weight: complex = 1.0
+    if ri == dg.ARC and partner[i] == j:
+        # the cap closes the arc into a loop
+        weight = n
+    elif ri == dg.ARC and rj == dg.ARC:
+        p, q = partner[i], partner[j]
+        partner[p], partner[q] = q, p
+    elif ri == dg.ARC and rj == dg.STRING:
+        p = partner[i]
+        roles[p], partner[p] = dg.STRING, -1
+    elif ri == dg.STRING and rj == dg.ARC:
+        q = partner[j]
+        roles[q], partner[q] = dg.STRING, -1
+    elif ri == dg.STRING and rj == dg.STRING:
+        labels = state.string_sites()
+        weight = tl.contraction_weight(labels.index(i) + 1, y)
+    else:
+        raise ValueError("generator applied to an empty site")
+    roles[i] = roles[j] = dg.ARC
+    partner[i], partner[j] = j, i
+    return dg.LinkState(tuple(roles), tuple(partner)), weight
+
+
+def loop_open_generators(L: int, n: complex, y: complex = 1.0) -> list[np.ndarray]:
+    """The open generators applied one link state at a time (the oracle)."""
+    basis = dg.enumerate_open(L)
+    index = dg.basis_index(basis)
+    dtype = np.complex128 if np.iscomplexobj(n) or np.iscomplexobj(y) else np.float64
+    es = []
+    for i in range(L - 1):
+        e = np.zeros((len(basis), len(basis)), dtype=dtype)
+        for col, s in enumerate(basis):
+            new, w = act_adjacent(s, i, i + 1, n, y)
+            e[index[new], col] += w
+        es.append(e)
+    return es
+
+
 def loop_dense_generators(L: int, n: complex) -> list[sp.csr_matrix]:
     """The periodic generators applied one link state at a time (the oracle)."""
     basis = dg.enumerate_dense(L)
@@ -26,7 +73,7 @@ def loop_dense_generators(L: int, n: complex) -> list[sp.csr_matrix]:
         rows = np.empty(dim, dtype=np.int64)
         weights = np.empty(dim, dtype=dtype)
         for col, s in enumerate(basis):
-            new, weights[col] = tl._act_adjacent(s, i, j, n, 1.0)
+            new, weights[col] = act_adjacent(s, i, j, n, 1.0)
             rows[col] = index[new]
         es.append(sp.csr_matrix((weights, (rows, cols)), shape=(dim, dim)))
     return es
@@ -109,6 +156,24 @@ class TestMatrixOracles:
         for a, b in zip(built, printed):
             np.testing.assert_allclose(a, b, atol=1e-14)
 
+    @pytest.mark.parametrize("y", [1.0, 2.0, 0.5 + 1j])
+    @pytest.mark.parametrize("n", [1.0, 0.3, 1 + 0.5j])
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_open_generators_match_the_per_state_oracle(self, L, n, y):
+        got, expect = tl.open_generators(L, n, y), loop_open_generators(L, n, y)
+        assert len(got) == len(expect) == L - 1
+        for a, b in zip(got, expect):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_generator_leaving_the_basis_is_refused(self, monkeypatch):
+        # a dense basis missing one state: the cup-cap map of some state
+        # lands on the missing one, and the lookup refuses it
+        basis = dg.enumerate_dense(6)
+        monkeypatch.setattr(tl, "enumerate_dense", lambda L: basis[1:])
+        with pytest.raises(LookupError, match="not in the basis"):
+            tl.dense_generators(6, 1.0)
+
     @pytest.mark.parametrize("n", [1.0, 0.5, 1 + 0.5j, 0.0])
     @pytest.mark.parametrize("L", range(2, 15, 2))
     def test_dense_generators_match_the_per_state_oracle(self, L, n):
@@ -132,6 +197,17 @@ class TestSpinRepresentation:
         masks = tl.spin_sector_basis(4, up_count=2)
         assert len(masks) == 6
         assert all(bin(m).count("1") == 2 for m in masks)
+
+    @pytest.mark.parametrize("L", range(0, 11))
+    def test_sector_basis_matches_bit_counts(self, L):
+        for up in [None, -1, *range(L + 2)]:
+            expect = [m for m in range(2**L) if up is None or L - bin(m).count("1") == up]
+            got = tl.spin_sector_basis(L, up)
+            assert got == expect and all(type(m) is int for m in got)
+
+    def test_generators_refuse_masks_not_closed_under_swaps(self):
+        with pytest.raises(LookupError, match="not in the basis"):
+            tl.spin_generators(4, fx.Q_VALUE, [0b0011, 0b0101])
 
     def test_generators_match_loop_dimension(self):
         es = tl.spin_generators(4, fx.Q_VALUE, tl.spin_sector_basis(4, 2))
