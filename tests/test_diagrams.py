@@ -240,7 +240,9 @@ class TestArrayForm:
     def test_built_once_per_basis(self):
         basis = dg.enumerate_open(6)
         assert dg._arrays(basis) is dg._arrays(basis)
-        assert dg._arrays(tuple(basis)) is dg._arrays(basis)  # tuple() of a tuple is itself
+        copy = dg._arrays(basis[:-1] + basis[-1:])  # an equal basis, another object
+        assert copy is not dg._arrays(basis)
+        np.testing.assert_array_equal(copy[0], dg._arrays(basis)[0])
 
     def test_lookup_refuses_a_state_outside_the_basis(self):
         # the open basis with one state removed cannot find that state
