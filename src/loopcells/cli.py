@@ -187,8 +187,9 @@ def cmd_ising_entropy(args, params: dict) -> list[dict]:
     from . import fixtures, observables
 
     rows = []
+    fits = observables.ising_boundary_entropies(tuple(args.sizes))
     for bc, target in (("fixed", fixtures.ISING_FIXED_ENTROPY), ("free", 0.0)):
-        fit = observables.ising_boundary_entropy(tuple(args.sizes), bc)
+        fit = fits[bc]
         rows.append(
             {
                 "bc": bc,

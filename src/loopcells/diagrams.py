@@ -282,7 +282,7 @@ def sector_indices(basis: tuple[LinkState, ...], n_strings: int) -> list[int]:
 
 _STRING_SITE = -1  # site value of a string end in a site array
 _EMPTY_SITE = -2  # site value of an empty site
-_ARRAYS: dict[int, tuple] = {}  # id of a basis -> (basis, array form), oldest first
+_ARRAYS: dict[int, tuple] = {}  # id of a basis -> (basis, array form, keyed form), oldest first
 
 
 def _lookup(keys: np.ndarray):
@@ -303,15 +303,41 @@ def _lookup(keys: np.ndarray):
     return find
 
 
-def _keys(sites: np.ndarray) -> np.ndarray:
-    """Lookup key of every state of a site array, distinct up to 31 sites.
+def _place(L: int) -> np.ndarray:
+    """Weight of each site's base-4 digit in a lookup key, site 1 first."""
+    return 4 ** np.arange(L - 1, -1, -1, dtype=np.int64)
 
-    One base-4 digit per site, site 1 first: empty 0, string 1, arc opener 2,
-    arc closer 3, which spells :meth:`LinkState.to_text`.
+
+def _digits(values: np.ndarray, positions) -> np.ndarray:
+    """Base-4 key digit of site values at their positions.
+
+    Empty 0, string 1, arc opener 2, arc closer 3, which spells
+    :meth:`LinkState.to_text`.
     """
+    return np.where(values >= 0, 2 + (values < positions), values - _EMPTY_SITE)
+
+
+def _keys(sites: np.ndarray) -> np.ndarray:
+    """Lookup key of every state of a site array, distinct up to 31 sites."""
     L = sites.shape[1]
-    digits = np.where(sites >= 0, 2 + (sites < np.arange(L)), sites - _EMPTY_SITE)
-    return digits @ (4 ** np.arange(L - 1, -1, -1, dtype=np.int64))
+    return _digits(sites, np.arange(L)) @ _place(L)
+
+
+def _cached(basis: tuple[LinkState, ...]):
+    """``((sites, rows), (digits, keys, find))`` of a basis, built once per basis object."""
+    if id(basis) not in _ARRAYS:  # the cache holds each basis, so its id stays unique
+        shape = (len(basis), basis[0].size if basis else 0)
+        sites = np.array([s.partner for s in basis], dtype=np.int8).reshape(shape)
+        sites[np.array([s.roles for s in basis]).reshape(shape) == EMPTY] = _EMPTY_SITE
+        digits = _digits(sites, np.arange(shape[1])).astype(np.int8)
+        keys = digits @ _place(shape[1])
+        for frozen in (sites, digits, keys):
+            frozen.flags.writeable = False
+        find = _lookup(keys)
+        if len(_ARRAYS) >= 16:  # keep the last 16 bases
+            del _ARRAYS[next(iter(_ARRAYS))]
+        _ARRAYS[id(basis)] = (basis, (sites, lambda new: find(_keys(new))), (digits, keys, find))
+    return _ARRAYS[id(basis)][1:]
 
 
 def _arrays(basis: tuple[LinkState, ...]):
@@ -321,16 +347,17 @@ def _arrays(basis: tuple[LinkState, ...]):
     ``_STRING_SITE``/``_EMPTY_SITE`` (read-only ``int8``); ``rows(new)`` finds
     the row of every state of a site array (:func:`_lookup`).
     """
-    if id(basis) not in _ARRAYS:  # the cache holds each basis, so its id stays unique
-        shape = (len(basis), basis[0].size if basis else 0)
-        sites = np.array([s.partner for s in basis], dtype=np.int8).reshape(shape)
-        sites[np.array([s.roles for s in basis]).reshape(shape) == EMPTY] = _EMPTY_SITE
-        sites.flags.writeable = False
-        find = _lookup(_keys(sites))
-        if len(_ARRAYS) >= 16:  # keep the last 16 bases
-            del _ARRAYS[next(iter(_ARRAYS))]
-        _ARRAYS[id(basis)] = (basis, (sites, lambda new: find(_keys(new))))
-    return _ARRAYS[id(basis)][1]
+    return _cached(basis)[0]
+
+
+def _keyed(basis: tuple[LinkState, ...]):
+    """``(digits, keys, find)``: the key digit of every site, the key of every
+    state (both read-only) and the row lookup by key.
+
+    A map that changes a few sites can shift the keys by the digits of
+    those sites instead of keying the whole mapped site array.
+    """
+    return _cached(basis)[1]
 
 
 def _reflected(sites: np.ndarray) -> np.ndarray:

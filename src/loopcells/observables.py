@@ -20,6 +20,18 @@ Conventions, fixed once here and asserted in the tests:
   all-empty component one; trousers states use overlap one with the
   width-L ground state (dilute again all-empty component one).
 
+The spin chain is solved in a symmetry sector.  Its Hamiltonian commutes
+with ``P``, the site reflection times the global spin flip (the boundary
+term ``sz_1 - sz_L`` is odd under each, so even under the product), and the
+ground state, the trousers and the Jordan cell are all even under ``P``.
+The low spectrum and the cell therefore come from ``S^T H S`` on the orbits
+of ``P`` (about half the states; ``S`` a real isometry with entries 1 and
+``1/sqrt(2)``), where the cell is the third distinct level instead of the
+fourth.  Because ``S`` is real, the bilinear pairings are the full chain's.
+The cell and the ground state are lifted back and certified against the
+full sparse Hamiltonian (eigen- and partner residuals, odd part); a check
+above ``1e-8`` raises ``ArithmeticError``.
+
 The Affleck-Ludwig boundary entropies at the end of the module validate the
 same scalar products on a unitary chain (Ising) and a non-unitary one (the
 dense loop model) through one shared fitting path.
@@ -29,6 +41,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -166,25 +179,53 @@ def _pair_b(v_r, w_r, v_l, w_l, bra, ket, gram):
     return b, float(gauge)
 
 
-def _chain_b(model: str, L: int, chain, cell_scale: complex, cluster_tol: float) -> BMeasurement:
-    """The coupling b from the rank-two cell at the fourth distinct level of a chain.
+class _Chain(NamedTuple):
+    """A width-L chain as :func:`_chain_b` solves and pairs it.
 
-    ``chain`` is ``(H, gram, product)`` from :func:`_xxz_chain` or
-    :func:`_open_chain`.  One :func:`_low_spectrum` call locates the level
-    and gives the ground state; the partner is rescaled into Hamiltonian
-    convention units and paired with the trousers ``product`` at overlap
-    one with the ground.  ``model`` only labels the result.
+    ``H`` is the operator whose low spectrum and Jordan cell are solved,
+    ``gram`` its invariant form and ``product`` the unnormalized trousers,
+    all on one basis; the cell sits at the distinct level ``level`` of
+    ``H``.  A chain reduced to a symmetry sector also carries ``lift``,
+    which maps a sector vector to the full chain, and ``certify(value, u,
+    partner=None)``, which checks a lifted eigenvector (and partner) against
+    the full chain and raises ``ArithmeticError``.
     """
-    H, gram, product = chain
+
+    H: object
+    gram: object
+    product: np.ndarray
+    level: int = 3
+    lift: Callable | None = None
+    certify: Callable | None = None
+
+
+def _chain_b(
+    model: str, L: int, chain: _Chain, cell_scale: complex, cluster_tol: float
+) -> BMeasurement:
+    """The coupling b from the rank-two cell at ``chain.level`` of a chain.
+
+    ``chain`` comes from :func:`_xxz_chain` or :func:`_open_chain`.  One
+    :func:`_low_spectrum` call locates the level and gives the ground state;
+    a sector chain certifies both on the full chain.  The partner is
+    rescaled into Hamiltonian convention units and paired with the trousers
+    ``product`` at overlap one with the ground.  ``model`` only labels the
+    result.
+    """
+    H, gram, product = chain.H, chain.gram, chain.product
     v_f = fixtures.FERMI_VELOCITY
     spectrum = _low_spectrum(H, L)
-    c3 = spectral.level_cluster(spectral.cluster_eigenvalues(spectrum[0], cluster_tol), 3)
-    if c3.size != 2:
+    cluster = spectral.level_cluster(
+        spectral.cluster_eigenvalues(spectrum[0], cluster_tol), chain.level
+    )
+    if cluster.size != 2:
         raise spectral.ClusterSizeError(
-            f"fourth level of the L={L} chain is not a double cluster: {c3}"
+            f"distinct level {chain.level} of the L={L} chain is not a double cluster: {cluster}"
         )
-    cell = spectral.extract_jordan_cell(H, c3.value)
+    cell = spectral.extract_jordan_cell(H, cluster.value)
     e0, v0 = _ground(spectrum, gram)
+    if chain.certify is not None:
+        chain.certify(cell.value, cell.vector, cell.partner)
+        chain.certify(e0, v0)
     v3 = cell_scale * cell.vector
     w_tilde = (np.pi * v_f / L) * (cell_scale * cell.partner)
     trousers = product / (product @ (gram @ v0))
@@ -200,29 +241,83 @@ def _chain_b(model: str, L: int, chain, cell_scale: complex, cluster_tol: float)
 # Spin chain: trousers and b
 
 
-def _xxz_chain(L: int, q: complex):
-    """``(H, identity form, unnormalized trousers)`` of the width-L spin chain."""
+def _lift_certificate(H, lift, mirror, what: str) -> Callable:
+    """``certify(value, u, partner=None)`` for vectors of a sector of ``H``.
+
+    The sector vector ``u`` is lifted (``lift``) and checked against the
+    full ``H``: the eigen-residual ``||Hv - value v|| / (||H||_F ||v||)``,
+    the odd part ``||v[mirror] - v|| / ||v||`` under the permutation
+    ``mirror`` of the symmetry and, with a ``partner``, the partner residual
+    ``||(H - value) w - v|| / ||v||``.  A check above ``1e-8`` raises
+    ``ArithmeticError`` naming ``what``.
+    """
+    norm = spla.norm(H)
+
+    def certify(value, u, partner=None) -> None:
+        v = lift(u)
+        size = np.linalg.norm(v)
+        checks = {
+            "residual": np.linalg.norm(H @ v - value * v) / (norm * size),
+            "odd part": np.linalg.norm(v[mirror] - v) / size,
+        }
+        if partner is not None:
+            w = lift(partner)
+            checks["partner residual"] = np.linalg.norm(H @ w - value * w - v) / size
+        worst = max(checks, key=checks.get)
+        if checks[worst] > 1e-8:
+            raise ArithmeticError(
+                f"lifted {what} state at {complex(value):.12g} fails the full chain: "
+                f"{worst} {checks[worst]:.2e}"
+            )
+
+    return certify
+
+
+def _xxz_chain(L: int, q: complex) -> _Chain:
+    """The width-L spin chain, solved in its reflection-flip even sector.
+
+    The ground state, the trousers product and the Jordan cell are even
+    under the reflection-flip ``P`` (:func:`loopcells.models.reflect_flip`),
+    so the chain is solved on ``S^T H S``
+    (:func:`loopcells.models.build_xxz_sector`).  That spectrum keeps only
+    the even levels, so the cell is at its third distinct level (index 2),
+    not the fourth.  The trousers is projected by ``S^T``; ``S`` is real
+    and the form is the identity, so every pairing equals the full chain's.
+    The chain certifies its lifted vectors against the full sparse ``H``,
+    with ``P`` as the symmetry whose odd part must vanish.
+    """
     H, masks = models.build_xxz(L, q)
+    H_s, label, size = models.build_xxz_sector(L, q)
     half_H, half_masks = models.build_xxz(L // 2, q)
     _, g = _ground(_low_spectrum(half_H, L // 2), np.eye(len(half_masks)))
-    half = np.array(half_masks)
-    rows = diagrams._lookup(np.array(masks))(((half[:, None] << L // 2) | half).ravel())
+    half, masks = np.array(half_masks), np.array(masks)
+    find = diagrams._lookup(masks)
+    rows = find(((half[:, None] << L // 2) | half).ravel())
     product = _place(rows, g, g, len(masks))
-    return H, sp.identity(len(masks), format="csr"), product
+    lift = sp.csr_matrix((1 / np.sqrt(size[label]), (np.arange(len(masks)), label)))
+    mirror = find(models.reflect_flip(masks, L))
+    return _Chain(
+        H_s, sp.identity(len(size), format="csr"), lift.T @ product, 2, lift.__matmul__,
+        _lift_certificate(H, lift.__matmul__, mirror, f"L={L} spin chain"),
+    )
 
 
 def trousers_xxz(L: int, q: complex | None = None) -> TrousersState:
     """Spin-chain trousers state, overlap one with the width-L ground state.
 
     Needs ``L`` divisible by four so each half chain has a zero-magnetization
-    sector.  The pairing is bilinear, so one vector (labelled ``"right"``)
-    serves both sides.
+    sector.  The ground state is solved in the reflection-flip sector
+    (:func:`_xxz_chain`) and certified on the full chain.  The pairing is
+    bilinear, so one vector (labelled ``"right"``) serves both sides.
     """
     if L % 4:
         raise ValueError("spin trousers need L/2 even, i.e. L a multiple of 4")
-    H, gram, product = _xxz_chain(L, fixtures.Q_VALUE if q is None else q)
-    _, v0 = _ground(_low_spectrum(H, L), gram)
-    vec = product / (product @ (gram @ v0))
+    chain = _xxz_chain(L, fixtures.Q_VALUE if q is None else q)
+    e0, u0 = _ground(_low_spectrum(chain.H, L), chain.gram)
+    chain.certify(e0, u0)
+    v0 = spectral.sign_fix(chain.lift(u0))
+    product = chain.lift(chain.product)
+    vec = product / (product @ v0)
     return TrousersState("xxz", L, "right", vec, "overlap with ground = 1")
 
 
@@ -234,11 +329,15 @@ def b_xxz(
 ) -> BMeasurement:
     """The coupling b of the spin chain from the twice-degenerate fourth level.
 
-    Pipeline (:func:`_chain_b`): build the zero-magnetization Hamiltonian,
-    extract the rank-two cell at the fourth distinct level, rescale its
-    partner into Hamiltonian convention units, and pair with the trousers
-    state.  ``cell_scale`` multiplies the whole cell and must not change the
-    answer (tested).
+    Pipeline (:func:`_chain_b`): build the zero-magnetization Hamiltonian
+    and its sector even under reflection times spin flip
+    (:func:`_xxz_chain`), extract the rank-two cell at the sector's third
+    distinct level (the full chain's fourth), certify the cell and the
+    ground state lifted to the full chain, rescale the partner into
+    Hamiltonian convention units, and pair with the trousers state.  The
+    sector has about half the states (494 of 924 at L=12, 6,563 of 12,870
+    at L=16), so each sparse LU is several times cheaper.  ``cell_scale``
+    multiplies the whole cell and must not change the answer (tested).
     """
     if L % 4:
         raise ValueError("b for the spin chain needs L a multiple of 4")
@@ -384,14 +483,17 @@ def b_polymer(
 # Deformed percolation chain: trousers and b
 
 
-def _open_chain(L: int, y: complex):
-    """``(H, y-form, unnormalized trousers)`` of the width-L open chain at loop weight one."""
+def _open_chain(L: int, y: complex) -> _Chain:
+    """``(H, y-form, unnormalized trousers)`` of the width-L open chain at loop weight one.
+
+    The whole chain is solved; its cell is at the fourth distinct level.
+    """
     form, half_form = forms.link_gram(L, y), forms.link_gram(L // 2, y)
     _, g = _ground(_low_spectrum(models.build_percolation_H(L // 2, y), L // 2), half_form.gram)
     half = diagrams._arrays(half_form.basis)[0]
     rows = diagrams._arrays(form.basis)[1](diagrams._side_by_side(half, half))
     product = _place(rows, g, g, form.dim)
-    return models.build_percolation_H(L, y), form.gram, product
+    return _Chain(models.build_percolation_H(L, y), form.gram, product)
 
 
 def trousers_open(L: int, y: complex = 1.0) -> TrousersState:
@@ -401,9 +503,9 @@ def trousers_open(L: int, y: complex = 1.0) -> TrousersState:
     """
     if L % 2:
         raise ValueError("open trousers need even L")
-    H, gram, product = _open_chain(L, y)
-    _, v0 = _ground(_low_spectrum(H, L), gram)
-    vec = product / (product @ (gram @ v0))
+    chain = _open_chain(L, y)
+    _, v0 = _ground(_low_spectrum(chain.H, L), chain.gram)
+    vec = chain.product / (chain.product @ (chain.gram @ v0))
     return TrousersState(f"open:y={y}", L, "right", vec, "overlap with ground = 1")
 
 
@@ -586,17 +688,26 @@ def ising_boundary_entropy(sizes=(12, 14, 16, 18), bc: str = "fixed") -> FitResu
     Perron vector, it is invariant under rotation and global spin flip, so
     it is found in that sector (about ``2^L / 2L`` orbits), lifted back to
     every configuration, and certified there against the full ring; see
-    :func:`_ising_ground_state`.
+    :func:`_ising_ground_state`.  :func:`ising_boundary_entropies` gives
+    both conditions from one solve per width.
     """
     if bc not in ("fixed", "free"):
         raise ValueError(f"unknown boundary condition {bc!r}")
-    f_values = []
+    return ising_boundary_entropies(sizes)[bc]
+
+
+def ising_boundary_entropies(sizes=(12, 14, 16, 18)) -> dict[str, FitResult]:
+    """:func:`ising_boundary_entropy` for ``"fixed"`` and ``"free"``, keyed by condition.
+
+    Each width's ground state is solved and certified once and paired with
+    both boundary vectors.
+    """
+    logs: dict[str, list[float]] = {"fixed": [], "free": []}
     for L in sorted(sizes):
         _, v = _ising_ground_state(L)
-        fixed_vec, free_vec = models.ising_boundary_vectors(L)
-        overlap = float(v @ (fixed_vec if bc == "fixed" else free_vec))
-        f_values.append(-np.log(overlap))
-    return _inverse_power_fit(sorted(sizes), f_values)
+        for f, vec in zip(logs.values(), models.ising_boundary_vectors(L)):
+            f.append(-np.log(float(v @ vec)))
+    return {bc: _inverse_power_fit(sorted(sizes), f) for bc, f in logs.items()}
 
 
 def _loop_pairing(u: np.ndarray, v: np.ndarray, L: int, n: float, what: str) -> float:

@@ -263,7 +263,8 @@ def extract_jordan_cell(
     genuine cell has exactly one below ``rank_cut`` times the Frobenius norm
     of the shift; two of them mean the level is diagonalizable and no
     coupling exists.  The partner solves the bordered system of
-    :func:`_bordered_partner`.
+    :func:`_bordered_partner`.  A kernel or partner residual above ``1e-8``
+    raises ``ArithmeticError``.
     """
     if cluster_size != 2:
         raise ClusterSizeError(f"rank-two extraction needs a size-2 cluster, got {cluster_size}")
@@ -280,7 +281,13 @@ def extract_jordan_cell(
         raise ClusterSizeError(f"level {level} has no kernel at cutoff {rank_cut}")
     v = X @ vh[-1].conj()
     w = _bordered_partner(shifted, v, ell, v)
-    return _jordan_cell(shifted.dot, spla.norm(A), level, v, w, regularization)
+    cell = _jordan_cell(shifted.dot, spla.norm(A), level, v, w, regularization)
+    if max(cell.residual_v, cell.residual_w) > 1e-8:
+        raise ArithmeticError(
+            f"Jordan cell at {level} fails its cell relations: residuals "
+            f"{cell.residual_v:.2e}, {cell.residual_w:.2e}"
+        )
+    return cell
 
 
 def level_cluster(clusters: list[Cluster], index: int) -> Cluster:

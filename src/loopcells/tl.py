@@ -35,7 +35,16 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .diagrams import _STRING_SITE, _arrays, _lookup, enumerate_dense, enumerate_open
+from .diagrams import (
+    _STRING_SITE,
+    _arrays,
+    _digits,
+    _keyed,
+    _lookup,
+    _place,
+    enumerate_dense,
+    enumerate_open,
+)
 from .spectral import _dense
 
 
@@ -69,17 +78,36 @@ def _cup_cap(basis, i: int, j: int, n: complex, y: complex, dtype):
     and opens a fresh arc ``(i, j)``.  Capping the arc ``(i, j)`` closes a
     loop (weight ``n``), capping two strings contracts them
     (:func:`contraction_weight` of the left label), any other cap weighs one.
+    The rows are found from the basis keys shifted at the four sites the
+    generator changes (:func:`_cup_cap_shift`).
     """
-    sites, rows = _arrays(basis)
-    new = _join_ends(sites, i, j)
-    new[:, i], new[:, j] = j, i
+    sites = _arrays(basis)[0]
+    digits, keys, find = _keyed(basis)
     weights = np.ones(len(sites), dtype=dtype)
     weights[sites[:, i] == j] = n
     if y != 1:  # a contraction weight of one is the default
         string = sites == _STRING_SITE
         label = np.count_nonzero(string[:, : i + 1], axis=1)
         weights[string[:, i] & string[:, j] & (label % 2 == 0)] = y
-    return rows(new), weights
+    return find(keys + _cup_cap_shift(sites, digits, i, j)), weights
+
+
+def _cup_cap_shift(sites: np.ndarray, digits: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Change of every state's lookup key under the cup-cap on sites ``(i, j)``.
+
+    Only four sites change: ``i`` and ``j`` become the fresh arc, and the
+    far ends ``a``, ``b`` of the lines that arrived there are joined to each
+    other (:func:`_join_ends`), so only their key digits are replaced
+    (``digits`` holds the old ones).  A string has no far end; its term is
+    weighted zero.  Capping the arc ``(i, j)`` itself changes nothing, and
+    its terms cancel.
+    """
+    place = np.append(_place(sites.shape[1]), 0)  # index -1, a string end, weighs nothing
+    near = (2 + (j < i) - digits[:, i]) * place[i] + (2 + (i < j) - digits[:, j]) * place[j]
+    ends = sites[:, [i, j]].T
+    joined = ends[::-1]
+    far = _digits(joined, ends) - (2 + (ends > [[i], [j]]))
+    return near + (far * place[ends]).sum(axis=0)
 
 
 def open_generators(L: int, n: complex, y: complex = 1.0) -> list[np.ndarray]:
@@ -117,8 +145,11 @@ def dense_generators(L: int, n: complex) -> list[sp.csr_matrix]:
     es = []
     for i in range(L):
         rows, weights = _cup_cap(basis, i, (i + 1) % L, n, 1.0, dtype)
-        e = sp.csc_matrix((weights, rows, np.arange(dim + 1)), shape=(dim, dim))
-        es.append(e.tocsr())
+        # one entry per column: the columns sorted by row are the CSR indices
+        order = np.argsort(rows, kind="stable").astype(np.int32)
+        indptr = np.zeros(dim + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+        es.append(sp.csr_matrix((weights[order], order, indptr), shape=(dim, dim)))
     return es
 
 

@@ -319,12 +319,14 @@ def _available_memory_gib() -> float:
     return float("inf")
 
 
-# Memory each heavy width needs, in GiB.  The width-20 spin cell holds
-# multi-gigabyte sparse LU factors and was observed to exceed 5.5 GiB
-# resident.  The width-14 polymer cell factors nothing: b_polymer(14) peaked
-# at 2.2 GiB in a single run with one BLAS thread (BENCH_8.json), so 3 GiB
-# leaves room for the interpreter and the test run.  Lighter widths are
-# not checked.
+# Memory each heavy width needs, in GiB.  The width-20 spin chain does not
+# fit under a 5 GB address-space limit even in its reflection-flip sector
+# (92,890 states): the first sparse LU ran out at column 24,686 of 92,890,
+# so 8 GiB is a floor, not a measurement.  The width-14 polymer cell
+# factors nothing: b_polymer(14) peaked at 2.2 GiB in a single run with one
+# BLAS thread (BENCH_8.json), so 3 GiB leaves room for the interpreter and
+# the test run.  Lighter widths, spin 16 (0.29 GiB) among them, are not
+# checked.
 _HEAVY_WIDTH_GIB = {("spin", 20): 8.0, ("polymer", 14): 3.0}
 
 

@@ -151,6 +151,26 @@ class TestOtherCommands:
         assert rows[0]["difference"] < 5e-3
         assert abs(rows[1]["s"]) < 1e-3
 
+    def test_ising_entropy_solves_each_width_once(self, capsys, monkeypatch):
+        from loopcells import observables
+
+        widths = []
+        solve = observables._ising_ground_state
+
+        def counted(L):
+            widths.append(L)
+            return solve(L)
+
+        monkeypatch.setattr(observables, "_ising_ground_state", counted)
+        code, out, _ = run(capsys, "ising-entropy", "--sizes", "8,10,12", "--format", "json")
+        assert code == 0
+        assert sorted(widths) == [8, 10, 12]
+        # both rows are the fits of the one-condition entry point
+        rows = json.loads(out)["rows"]
+        for row in rows:
+            fit = observables.ising_boundary_entropy((8, 10, 12), row["bc"])
+            assert (row["s"], row["uncertainty"]) == (fit.value, fit.uncertainty)
+
     def test_loop_entropy_row(self, capsys):
         code, out, _ = run(
             capsys,

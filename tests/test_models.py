@@ -260,6 +260,74 @@ class TestIsingSector:
         )
 
 
+def reflect_flip_oracle(m: int, L: int) -> int:
+    """Site ``s`` to site ``L + 1 - s`` and every spin turned over, one mask at a time."""
+    bits = [(m >> (L - s)) & 1 for s in range(1, L + 1)]  # site 1 first
+    return sum((1 - b) << (s - 1) for s, b in enumerate(bits, start=1))
+
+
+def xxz_permutation(L: int) -> sp.csr_matrix:
+    """The reflection-flip as a permutation matrix on the zero-magnetization masks."""
+    masks = tl.spin_sector_basis(L, L // 2)
+    index = {m: k for k, m in enumerate(masks)}
+    dim = len(masks)
+    images = [index[reflect_flip_oracle(m, L)] for m in masks]
+    return sp.csr_matrix((np.ones(dim), (images, np.arange(dim))), shape=(dim, dim))
+
+
+class TestXXZSector:
+    @pytest.mark.parametrize("L", range(2, 15, 2))
+    def test_reflect_flip_matches_the_per_mask_oracle(self, L):
+        masks = np.array(tl.spin_sector_basis(L, L // 2))
+        images = models.reflect_flip(masks, L)
+        assert images.tolist() == [reflect_flip_oracle(m, L) for m in masks.tolist()]
+        np.testing.assert_array_equal(models.reflect_flip(images, L), masks)
+
+    @pytest.mark.parametrize("q", [fx.Q_VALUE, np.exp(0.4j)])
+    @pytest.mark.parametrize("L", range(4, 13, 2))
+    def test_reflect_flip_commutes_with_the_chain(self, L, q):
+        H, _ = models.build_xxz(L, q)
+        P = xxz_permutation(L)
+        assert abs(P @ H - H @ P).max() < 1e-14
+        # the flip alone turns the boundary term over, so it does not commute
+        flip = sp.csr_matrix(np.eye(H.shape[0])[::-1])  # masks ascending: m -> ~m reverses
+        assert abs(flip @ H - H @ flip).max() > 0.1
+
+    @pytest.mark.parametrize("L", range(2, 15, 2))
+    def test_sector_is_the_isometric_restriction(self, L):
+        H, label, size = models.build_xxz_sector(L)
+        S = orbit_isometry(label, size)
+        assert set(np.unique(S.data).round(15)) <= {1.0, round(1 / np.sqrt(2), 15)}
+        np.testing.assert_allclose((S.T @ S).toarray(), np.eye(len(size)), atol=1e-15)
+        expect = (S.T @ models.build_xxz(L)[0] @ S).toarray()
+        np.testing.assert_allclose(H.toarray(), expect, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("L, dim", [(4, 5), (8, 43), (12, 494), (16, 6563)])
+    def test_sector_dimension(self, L, dim):
+        # orbits of two masks plus the masks the reflection-flip fixes
+        masks = tl.spin_sector_basis(L, L // 2)
+        fixed = sum(reflect_flip_oracle(m, L) == m for m in masks)
+        assert (len(masks) + fixed) // 2 == dim
+        assert models.build_xxz_sector(L)[0].shape == (dim, dim)
+
+    @pytest.mark.parametrize("L", [4, 8])
+    def test_full_spectrum_is_the_even_and_the_odd_sector(self, L):
+        H, masks = models.build_xxz(L)
+        _, label, size = models.build_xxz_sector(L)
+        P = xxz_permutation(L)
+        pairs = np.flatnonzero(size[label] == 2)
+        odd = (sp.identity(len(masks), format="csr") - P)[:, pairs] / np.sqrt(2)
+        odd = odd[:, np.flatnonzero(pairs < P.indices[pairs])]  # one column per orbit
+        even = models.build_xxz_sector(L)[0].toarray()
+        both = np.concatenate(
+            [np.linalg.eigvals(even), np.linalg.eigvals((odd.T @ H @ odd).toarray())]
+        )
+        # the spectrum is real; the Jordan pairs split by about sqrt(eps)
+        np.testing.assert_allclose(
+            np.sort(both.real), np.sort(np.linalg.eigvals(H.toarray()).real), atol=1e-6
+        )
+
+
 class TestDenseLoopTransfer:
     def test_factored_matches_matrix(self):
         op = models.build_dense_loop_T(6, 1.0)

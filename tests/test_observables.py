@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from loopcells import diagrams as dg
@@ -120,6 +121,73 @@ class TestSpinChainB:
         # the whole sector; the defective pair splits by ~sqrt(eps), so
         # cluster means from different eigensolvers may differ at ~1e-9
         assert obs.b_xxz(L).value == pytest.approx(expected, abs=1e-7)
+
+
+def full_chain_b_xxz(L: int, cell_scale: complex = 1.0) -> obs.BMeasurement:
+    """b from the whole zero-magnetization chain at its fourth level (the oracle).
+
+    This is the spin pipeline before the reflection-flip sector: the cell
+    and the ground state are solved on the full chain.
+    """
+    q = fx.Q_VALUE
+    H, masks = models.build_xxz(L, q)
+    half_H, half_masks = models.build_xxz(L // 2, q)
+    _, g = obs._ground(obs._low_spectrum(half_H, L // 2), np.eye(len(half_masks)))
+    half = np.array(half_masks)
+    rows = dg._lookup(np.array(masks))(((half[:, None] << L // 2) | half).ravel())
+    product = obs._place(rows, g, g, len(masks))
+    chain = obs._Chain(H, sp.identity(len(masks), format="csr"), product)
+    return obs._chain_b("xxz", L, chain, cell_scale, 1e-5)
+
+
+class TestSpinSector:
+    @pytest.mark.parametrize("L", [4, 8, 12])
+    def test_matches_the_full_chain(self, L):
+        got, expect = obs.b_xxz(L, cell_scale=0.7 - 0.2j), full_chain_b_xxz(L)
+        assert got.value == pytest.approx(expect.value, abs=1e-10)
+        assert got.delta == pytest.approx(expect.delta, abs=1e-10)
+        assert got.level == pytest.approx(expect.level, abs=1e-10)
+        assert got.gauge_sensitivity < 1e-10 and expect.gauge_sensitivity < 1e-10
+
+    def test_cell_is_the_third_sector_level(self):
+        chain = obs._xxz_chain(8, fx.Q_VALUE)
+        assert chain.level == 2 and chain.H.shape == (43, 43)
+
+    def test_chain_breaking_the_symmetry_is_refused(self, monkeypatch):
+        # a diagonal kick on one mask of a two-mask orbit: H no longer
+        # commutes with the reflection-flip, so the sector's lifted cell
+        # misses the full chain
+        build = models.build_xxz
+        masks = np.array(build(8)[1])
+        k = int(np.flatnonzero(models.reflect_flip(masks, 8) != masks)[0])
+
+        def kicked(L, q=None):
+            H, masks = build(L, q)
+            if L == 8:
+                H = H.tolil()
+                H[k, k] += 1e-3
+                H = H.tocsr()
+            return H, masks
+
+        monkeypatch.setattr(models, "build_xxz", kicked)
+        with pytest.raises(ArithmeticError, match="L=8 spin chain .* fails the full chain"):
+            obs.b_xxz(8)
+
+    def test_odd_state_is_refused(self):
+        # an exact eigenvector that is odd under the reflection-flip passes
+        # the residual and fails the odd-part check
+        L = 4
+        H, masks = models.build_xxz(L)
+        masks = np.array(masks)
+        mirror = dg._lookup(masks)(models.reflect_flip(masks, L))
+        vals, vecs = np.linalg.eig(H.toarray())
+        parity = np.array([vecs[mirror, k] @ vecs[:, k].conj() for k in range(len(vals))])
+        k = int(np.argmin(parity.real))
+        assert parity[k].real < -0.99
+        certify = obs._lift_certificate(H, lambda u: u, mirror, "test")
+        certify(vals[int(np.argmax(parity.real))], vecs[:, int(np.argmax(parity.real))])
+        with pytest.raises(ArithmeticError, match="odd part"):
+            certify(vals[k], vecs[:, k])
 
 
 # b_polymer(L) value, delta and level from the solver that extracted the bra
@@ -310,7 +378,7 @@ class TestGoldenValues:
         [("xxz", 4), ("xxz", 8), ("open", 4), ("open", 6), ("open", 8)],
     )
     def test_chain_ground_matches_dense_reference(self, chain, L):
-        H, gram, _ = obs._xxz_chain(L, fx.Q_VALUE) if chain == "xxz" else obs._open_chain(L, 2.0)
+        H, gram, *_ = obs._xxz_chain(L, fx.Q_VALUE) if chain == "xxz" else obs._open_chain(L, 2.0)
         e0, v0 = obs._ground(obs._low_spectrum(H, L), gram)
         lam, ref = spectral.ground_state(H, "min", gram=gram)
         assert abs(e0 - lam) < 1e-10

@@ -190,6 +190,19 @@ class TestJordanExtraction:
         assert cell.regularization == 0.0
         assert cell.residual_v < 1e-12 and cell.residual_w < 1e-12
 
+    def test_wrong_partner_is_refused(self, monkeypatch):
+        solve = spectral._bordered_partner
+
+        def kicked(shifted, v, ell, rhs):
+            w = solve(shifted, v, ell, rhs)
+            kick = np.random.default_rng(3).standard_normal(len(w))
+            return w + 1e-6 * np.linalg.norm(w) * kick / np.linalg.norm(kick)
+
+        monkeypatch.setattr(spectral, "_bordered_partner", kicked)
+        A = embedded_jordan(1.5, [0.0, 3.0, -2.0, 0.7])
+        with pytest.raises(ArithmeticError, match="fails its cell relations"):
+            spectral.extract_jordan_cell(A, 1.5)
+
 
 class TestPerron:
     def test_matches_dense_eigensolve(self):

@@ -183,6 +183,22 @@ class TestMatrixOracles:
             np.testing.assert_array_equal(got.indices, expect.indices)
             np.testing.assert_array_equal(got.data, expect.data)
 
+    @pytest.mark.parametrize(
+        "kind, L",
+        [("dense", L) for L in range(2, 15, 2)] + [("open", L) for L in range(2, 11)],
+    )
+    def test_key_shift_matches_keys_of_the_moved_sites(self, kind, L):
+        # the cup-cap shifts the keys of four sites; keying the whole moved
+        # site array must find the same rows
+        basis = dg.enumerate_dense(L) if kind == "dense" else dg.enumerate_open(L)
+        sites, rows = dg._arrays(basis)
+        for i in range(L if kind == "dense" else L - 1):
+            j = (i + 1) % L
+            moved = tl._join_ends(sites, i, j)
+            moved[:, i], moved[:, j] = j, i
+            got, _ = tl._cup_cap(basis, i, j, 1.0, 1.0, np.float64)
+            np.testing.assert_array_equal(got, rows(moved))
+
     def test_string_sector_is_preserved_or_lowered(self):
         basis = dg.enumerate_open(6)
         es = tl.open_generators(6, 1.0)
