@@ -160,10 +160,9 @@ def test_4_extrapolation_windows(capsys, xxz_b, polymer_b):
 
 def test_5_boundary_entropies(capsys):
     start = time.perf_counter()
-    fixed = obs.ising_boundary_entropy(ENTROPY_SIZES, "fixed")
-    fixed_err = abs(fixed.value - fx.ISING_FIXED_ENTROPY)
-    free = obs.ising_boundary_entropy(ENTROPY_SIZES, "free")
-    free_err = abs(free.value)
+    ising = obs.ising_boundary_entropies(ENTROPY_SIZES)
+    fixed_err = abs(ising["fixed"].value - fx.ISING_FIXED_ENTROPY)
+    free_err = abs(ising["free"].value)
     loop_errs = {
         (n, n1): obs.loop_boundary_entropy(n, n1, ENTROPY_SIZES).difference
         for n, n1 in LOOP_PAIRS
