@@ -346,13 +346,13 @@ def run_fixture_checks() -> list[tuple[str, bool, str]]:
     for n in (1.0, 0.3):
         check(
             f"open L=4 generators at n={n:g}",
-            np.stack(tl.open_generators(4, n)),
+            np.stack([e.toarray() for e in tl.open_generators(4, n)]),
             np.stack(fx.open_L4_generators(n)),
         )
     for y in (2.0, -1.0, 0.5):
         check(
             f"deformed L=4 generators at y={y:g}",
-            np.stack(tl.open_generators(4, 1.0, y)),
+            np.stack([e.toarray() for e in tl.open_generators(4, 1.0, y)]),
             np.stack(fx.deformed_L4_generators(y)),
         )
     for n in (0.3, 2.0):
@@ -421,7 +421,7 @@ def _emit(rows: list[dict], args, command: str, params: dict) -> None:
 
 
 #: Text-report columns that are rounding noise below 1e-12 and print as ``<1e-12``.
-_NOISE_COLUMNS = ("gauge_sensitivity", "residual")
+_NOISE_COLUMNS = ("gauge_sensitivity", "residual", "nilpotent_norm")
 
 
 def _fmt(value, key: str = "") -> str:

@@ -21,7 +21,8 @@ the basis lookup.
   reversed-order row that evolves bra states; :func:`dilute_blocks` splits
   either row into string-sector blocks without forming it;
 * :func:`build_percolation_H` -- the open-chain sum of cup-cap generators at
-  loop weight one, optionally with parity-deformed string contractions.
+  loop weight one, optionally with parity-deformed string contractions
+  (sparse).
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ from .diagrams import (
     sector_indices,
 )
 from .tl import (
+    _cup_cap,
     _join_ends,
     _spins,
     dense_generators,
-    open_generators,
     spin_generators,
     spin_sector_basis,
 )
@@ -465,16 +466,22 @@ def dilute_blocks(row: DiluteRow):
 # Percolation-type open chains
 
 
-def build_percolation_H(L: int, y: complex = 1.0) -> np.ndarray:
-    """Open-chain Hamiltonian ``(L-1)/2 - 2 sum_i e_i`` at loop weight one.
+def build_percolation_H(L: int, y: complex = 1.0) -> sp.csr_matrix:
+    """Sparse open-chain Hamiltonian ``(L-1)/2 - 2 sum_i e_i`` at loop weight one.
 
-    ``y`` deforms the string-pair contraction weights; ``y = 1`` is the
-    geometric chain, which is diagonalizable, while ``y != 1`` develops
-    rank-two Jordan cells at the same spectrum.
+    The CSR sum of the :func:`~loopcells.tl.open_generators`, assembled in
+    one step from their cup-cap maps (one entry per column each); no ``dim
+    x dim`` array is formed.  ``y`` deforms the string-pair contraction
+    weights; ``y = 1`` is the geometric chain, which is diagonalizable,
+    while ``y != 1`` develops rank-two Jordan cells at the same spectrum.
     """
-    dim = len(enumerate_open(L))
-    # the dtype of open_generators(L, 1.0, y); L = 1 has no generators
-    out = (L - 1) / 2 * np.eye(dim, dtype=np.complex128 if np.iscomplexobj(y) else np.float64)
-    for e in open_generators(L, 1.0, y):
-        out -= 2 * e
-    return out
+    basis = enumerate_open(L)
+    dim = len(basis)
+    # the dtype of open_generators(L, 1.0, y)
+    dtype = np.complex128 if np.iscomplexobj(y) else np.float64
+    cols = np.arange(dim)
+    maps = [_cup_cap(basis, i, i + 1, 1.0, y, dtype) for i in range(L - 1)]
+    rows = np.concatenate([cols, *(r for r, _ in maps)])
+    data = np.concatenate([np.full(dim, (L - 1) / 2, dtype), *(-2 * w for _, w in maps)])
+    # duplicate entries (the diagonal and every generator's) are summed
+    return sp.csr_matrix((data, (rows, np.tile(cols, L))), shape=(dim, dim))

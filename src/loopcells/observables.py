@@ -137,20 +137,51 @@ def _place(rows, left, right, dim: int) -> np.ndarray:
     return vec
 
 
+#: Chains up to this many states are decomposed densely by
+#: :func:`_low_spectrum`; above it ARPACK is faster.
+_DENSE_SPECTRUM_STATES = 128
+
+
 def _low_spectrum(H, L: int):
     """Low eigenpairs ``(vals, vecs)`` of a width-L chain at loop weight one.
 
-    ARPACK returns the 16 eigenvalues nearest a point below the ground
+    Up to :data:`_DENSE_SPECTRUM_STATES` states LAPACK returns all of them;
+    above, ARPACK returns the 8 eigenvalues nearest a point below the ground
     energy (``(L-1)/2 - 2 sum e_i`` with each ``e_i`` spectrum in ``[0, 1]``
-    at loop weight one); LAPACK returns all of them when the chain is too
-    small for ARPACK to return 16.
+    at loop weight one).  A cell needs at most 5 of them: the open chain's
+    fourth distinct level is its 4th and 5th eigenvalue.  The crossover is
+    measured (open chains at L=8 and 10, the spin sector at L=12; best of 7
+    calls, one BLAS thread on a 2-vCPU Xeon):
+
+    ======  ==========  ============  ===========
+    states  dense eig   ARPACK k=16   ARPACK k=8
+    ======  ==========  ============  ===========
+    70      1.3 ms      7.1 ms        4.5 ms
+    252     26.0 ms     10.3 ms       9.7 ms
+    494     527 ms      31.3 ms       24.4 ms
+    ======  ==========  ============  ===========
     """
-    k = 16
-    if H.shape[0] > k + 1:
-        return spla.eigs(
-            sp.csc_matrix(H), k=k, sigma=-1.5 * (L - 1) - 1.0, v0=np.ones(H.shape[0])
+    if H.shape[0] <= _DENSE_SPECTRUM_STATES:
+        return np.linalg.eig(H.toarray() if sp.issparse(H) else H)
+    return spla.eigs(sp.csc_matrix(H), k=8, sigma=-1.5 * (L - 1) - 1.0, v0=np.ones(H.shape[0]))
+
+
+def _level(spectrum, index: int, cluster_tol: float) -> spectral.Cluster:
+    """The ``index``-th distinct level of a :func:`_low_spectrum` result.
+
+    When ARPACK supplied the spectrum (fewer eigenvalues than states), its
+    last cluster may be cut short, so asking for it raises
+    :class:`~loopcells.spectral.ClusterSizeError`.
+    """
+    vals, vecs = spectrum
+    clusters = spectral.cluster_eigenvalues(vals, cluster_tol)
+    cluster = spectral.level_cluster(clusters, index)
+    if len(vals) < vecs.shape[0] and index == len(clusters) - 1:
+        raise spectral.ClusterSizeError(
+            f"distinct level {index} is the last of the {len(vals)} eigenvalues ARPACK "
+            f"returned and may be cut short: {cluster}"
         )
-    return np.linalg.eig(H.toarray() if sp.issparse(H) else H)
+    return cluster
 
 
 def _ground(spectrum, gram):
@@ -214,9 +245,7 @@ def _chain_b(
     H, gram, product = chain.H, chain.gram, chain.product
     v_f = fixtures.FERMI_VELOCITY
     spectrum = _low_spectrum(H, L)
-    cluster = spectral.level_cluster(
-        spectral.cluster_eigenvalues(spectrum[0], cluster_tol), chain.level
-    )
+    cluster = _level(spectrum, chain.level, cluster_tol)
     if cluster.size != 2:
         raise spectral.ClusterSizeError(
             f"distinct level {chain.level} of the L={L} chain is not a double cluster: {cluster}"
@@ -532,23 +561,24 @@ def percolation_check(
 ) -> PercolationReport:
     """Diagnose the would-be Jordan level of the geometric (y=1) chain.
 
-    Reports the cluster at the fourth distinct level: its size, geometric
-    multiplicity, and the norm of its nilpotent part (which vanishes exactly
-    when the level is diagonalizable).  Each deformed chain in ``y_values``
-    is probed for a genuine cell at the same level.
+    One low spectrum of the sparse y=1 chain (:func:`_low_spectrum`) locates
+    the cluster at the fourth distinct level.  Its geometric multiplicity
+    and the norm of its nilpotent part (which vanishes exactly when the
+    level is diagonalizable) come from the near-kernel block of one sparse
+    LU at that level (:func:`loopcells.spectral.cell_structure`); no dense
+    spectrum is formed.  The spectrum does not depend on ``y``, so each
+    deformed chain in ``y_values`` is probed for a genuine cell at that same
+    level (:func:`loopcells.spectral.extract_jordan_cell`, which certifies
+    the cell); a deformed chain without the level raises
+    :class:`~loopcells.spectral.ClusterSizeError`.
     """
     H1 = models.build_percolation_H(L, 1.0)
-    clusters = spectral.full_spectrum(H1, cluster_tol)
-    c3 = spectral.level_cluster(clusters, 3)
-    gm = spectral.geometric_multiplicity(H1, c3.value)
-    scale = max(abs(c.value) for c in clusters)
-    nil = spectral.nilpotent_norm(H1, c3.value, 1e-4 * scale)
+    c3 = _level(_low_spectrum(H1, L), 3, cluster_tol)
+    gm, nil = spectral.cell_structure(H1, c3.value)
     genuine: dict = {}
     for y in y_values:
-        Hy = models.build_percolation_H(L, y)
-        cy = spectral.level_cluster(spectral.full_spectrum(Hy, cluster_tol), 3)
         try:
-            spectral.extract_jordan_cell(Hy, cy.value)
+            spectral.extract_jordan_cell(models.build_percolation_H(L, y), c3.value)
             genuine[y] = True
         except spectral.DiagonalizableLevelError:
             genuine[y] = False

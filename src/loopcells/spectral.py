@@ -14,7 +14,11 @@ singular, it refactors once at a tiny identity shift and records that shift
 as :attr:`JordanCell.regularization`.  The partner ``w`` of ``(A - lambda)
 w = v`` solves a bordered system with its own LU.  The two singular values
 of ``A - lambda`` on a two-column inverse iteration decide the structure:
-one vanishing means a genuine cell, two mean a diagonalizable degeneracy.
+one vanishing means a genuine cell, two mean a diagonalizable degeneracy
+(:func:`_near_kernel`).  The same step gives :func:`cell_structure`, the
+kernel dimension and nilpotent norm of a two-fold cluster without a dense
+spectrum, the sparse counterpart of :func:`geometric_multiplicity` and
+:func:`nilpotent_norm`.
 :func:`block_jordan_cell` works on the zero-string block of a block
 upper-triangular transfer row (string sectors that only feed downward),
 whose shared level is among the largest in modulus.  It factors nothing and
@@ -248,6 +252,30 @@ def _jordan_cell(shift, norm: float, value, v, w, regularization: float) -> Jord
     return JordanCell(value, v, w, 2, res_v, res_w, regularization)
 
 
+def _near_kernel(A, level: complex, rank_cut: float = 1e-8):
+    """The near-kernel of ``A - level`` and the kernel decision on it.
+
+    ``A`` is dense or sparse.  Two-column inverse iteration on one sparse LU
+    of the shift spans the near-kernel (:func:`_kernel_pair`), and the two
+    singular values of the shift on that span count the kernel directions:
+    those below ``rank_cut`` times the Frobenius norm of the shift.  One
+    means a genuine cell, two a diagonalizable degeneracy; none raises
+    :class:`ClusterSizeError`.  Returns ``(A, shifted, X, ell, delta, dim,
+    v)``: ``A`` as complex CSC, the shift, the orthonormal block ``X``, the
+    left kernel vector ``ell``, the LU regularization ``delta``, the kernel
+    dimension and ``v``, the direction of ``X`` that the shift sends
+    nearest zero.
+    """
+    A = sp.csc_matrix(A, dtype=complex)
+    shifted = (A - level * sp.identity(A.shape[0], dtype=complex, format="csc")).tocsc()
+    X, ell, regularization = _kernel_pair(shifted, columns=2)
+    _, s, vh = np.linalg.svd(shifted @ X, full_matrices=False)
+    null_dim = int(np.sum(s <= rank_cut * spla.norm(shifted)))
+    if null_dim == 0:
+        raise ClusterSizeError(f"level {level} has no kernel at cutoff {rank_cut}")
+    return A, shifted, X, ell, regularization, null_dim, X @ vh[-1].conj()
+
+
 def extract_jordan_cell(
     A,
     level: complex,
@@ -257,29 +285,22 @@ def extract_jordan_cell(
     """Eigenvector and minimal-norm Jordan partner at a degenerate level.
 
     ``A`` is dense or sparse; ``level`` should be the cluster mean (from
-    :func:`full_spectrum` or any eigensolver).  Two-column inverse iteration
-    on one sparse LU of ``A - level`` spans the near-kernel, and the two
-    singular values of ``A - level`` on that span decide the structure: a
-    genuine cell has exactly one below ``rank_cut`` times the Frobenius norm
+    :func:`full_spectrum` or any eigensolver).  The near-kernel of ``A -
+    level`` decides the structure (:func:`_near_kernel`): a genuine cell has
+    exactly one kernel direction below ``rank_cut`` times the Frobenius norm
     of the shift; two of them mean the level is diagonalizable and no
-    coupling exists.  The partner solves the bordered system of
-    :func:`_bordered_partner`.  A kernel or partner residual above ``1e-8``
-    raises ``ArithmeticError``.
+    coupling exists (:class:`DiagonalizableLevelError`), none that it is no
+    eigenvalue (:class:`ClusterSizeError`).  The partner solves the bordered
+    system of :func:`_bordered_partner`.  A kernel or partner residual above
+    ``1e-8`` raises ``ArithmeticError``.
     """
     if cluster_size != 2:
         raise ClusterSizeError(f"rank-two extraction needs a size-2 cluster, got {cluster_size}")
-    A = sp.csc_matrix(A, dtype=complex)
-    shifted = (A - level * sp.identity(A.shape[0], dtype=complex, format="csc")).tocsc()
-    X, ell, regularization = _kernel_pair(shifted, columns=2)
-    _, s, vh = np.linalg.svd(shifted @ X, full_matrices=False)
-    null_dim = int(np.sum(s <= rank_cut * spla.norm(shifted)))
+    A, shifted, _, ell, regularization, null_dim, v = _near_kernel(A, level, rank_cut)
     if null_dim >= 2:
         raise DiagonalizableLevelError(
             f"level {level} is diagonalizable (kernel dimension {null_dim}); no coupling exists"
         )
-    if null_dim == 0:
-        raise ClusterSizeError(f"level {level} has no kernel at cutoff {rank_cut}")
-    v = X @ vh[-1].conj()
     w = _bordered_partner(shifted, v, ell, v)
     cell = _jordan_cell(shifted.dot, spla.norm(A), level, v, w, regularization)
     if max(cell.residual_v, cell.residual_w) > 1e-8:
@@ -288,6 +309,47 @@ def extract_jordan_cell(
             f"{cell.residual_v:.2e}, {cell.residual_w:.2e}"
         )
     return cell
+
+
+def _compression(A, Q: np.ndarray) -> np.ndarray:
+    """``Q^H A Q`` for an orthonormal ``Q`` certified to span an invariant subspace of ``A``.
+
+    The invariance defect ``||AQ - Q(Q^H A Q)|| / ||A||_F`` above ``1e-8``
+    raises ``ArithmeticError``.
+    """
+    AQ = A @ Q
+    M = Q.conj().T @ AQ
+    defect = float(np.linalg.norm(AQ - Q @ M) / max(spla.norm(A), 1e-300))
+    if defect > 1e-8:
+        raise ArithmeticError(f"the block is not an invariant subspace: defect {defect:.2e}")
+    return M
+
+
+def cell_structure(A, level: complex) -> tuple[int, float]:
+    """Kernel dimension of ``A - level`` and the nilpotent norm of ``A`` on its cluster.
+
+    The sparse counterpart of :func:`geometric_multiplicity` and
+    :func:`nilpotent_norm` for a cluster of two: it factors only ``A -
+    level`` (and, on a genuine cell, its bordered partner system) and forms
+    no dense spectrum.  The kernel dimension is the decision of
+    :func:`_near_kernel`.  The nilpotent norm is ``|t_12|`` of the complex
+    Schur form of ``A`` compressed onto an orthonormal basis ``Q`` of the
+    cluster's invariant subspace: the near-kernel block itself when the
+    kernel is two-dimensional, the orthonormalized cell ``[v, w]`` when it
+    is one-dimensional.  (On a genuine cell the raw inverse-iteration block
+    is no invariant subspace; only its kernel direction is.)  ``|t_12|`` is
+    the same for every orthonormal basis of the subspace, since the
+    Frobenius norm and the eigenvalues of the 2x2 compression are.  ``Q`` is
+    certified by :func:`_compression`; an uncertified one raises
+    ``ArithmeticError``, and a level that is no eigenvalue raises
+    :class:`ClusterSizeError`.
+    """
+    A, shifted, X, ell, _, null_dim, v = _near_kernel(A, level)
+    if null_dim == 1:
+        w = _bordered_partner(shifted, v, ell, v)
+        X, _ = np.linalg.qr(np.column_stack([v, w]))
+    t, _ = sla.schur(_compression(A, X), output="complex")
+    return null_dim, float(abs(t[0, 1]))
 
 
 def level_cluster(clusters: list[Cluster], index: int) -> Cluster:

@@ -12,14 +12,15 @@ with loop weight ``n``.  This module realises the generators as matrices on
 * the open arc/string basis (:func:`open_generators`), with an optional
   deformation ``y`` that reweights the contraction of a string pair by the
   parity of its labels,
-* the periodic all-arc basis (:func:`dense_generators`, sparse CSR: each
-  generator maps a basis state to exactly one state),
+* the periodic all-arc basis (:func:`dense_generators`),
 * the spin-1/2 chain at anisotropy ``q`` (:func:`spin_generators`), where
   ``n = q + 1/q``.
 
-Both link-pattern families are one array map on the basis's site array
-(:func:`_cup_cap`); moved states and swapped spin masks find their rows
-through the checked lookup of :mod:`loopcells.diagrams`.
+A cup-cap sends each link state to exactly one state, so both link-pattern
+families are CSR matrices with one entry per column (:func:`_one_per_column`)
+from one array map on the basis's site array (:func:`_cup_cap`).  Moved
+states and swapped spin masks find their rows through the checked lookup of
+:mod:`loopcells.diagrams`.
 
 :func:`check_relations_chain` and :func:`check_relations_periodic` measure how
 well a family of matrices (dense or sparse) satisfies the defining
@@ -110,22 +111,32 @@ def _cup_cap_shift(sites: np.ndarray, digits: np.ndarray, i: int, j: int) -> np.
     return near + (far * place[ends]).sum(axis=0)
 
 
-def open_generators(L: int, n: complex, y: complex = 1.0) -> list[np.ndarray]:
-    """Matrices of ``e_1 .. e_{L-1}`` on the open arc/string basis.
+def _one_per_column(rows: np.ndarray, weights: np.ndarray) -> sp.csr_matrix:
+    """The CSR matrix with one entry per column: ``weights[c]`` at ``(rows[c], c)``.
 
-    ``y`` deforms the weight of string-pair contractions by label parity;
-    ``y = 1`` is the geometric (undeformed) representation.
+    Sorting the columns by row gives the CSR indices directly; no ``dim x
+    dim`` array and no COO conversion is formed.
+    """
+    dim = len(rows)
+    order = np.argsort(rows, kind="stable").astype(np.int32)
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    return sp.csr_matrix((weights[order], order, indptr), shape=(dim, dim))
+
+
+def open_generators(L: int, n: complex, y: complex = 1.0) -> list[sp.csr_matrix]:
+    """Sparse matrices of ``e_1 .. e_{L-1}`` on the open arc/string basis.
+
+    Each generator sends a basis state to a single state, so every column
+    of its CSR matrix holds one entry.  ``y`` deforms the weight of
+    string-pair contractions by label parity; ``y = 1`` is the geometric
+    (undeformed) representation.
     """
     basis = enumerate_open(L)
-    dim = len(basis)
     dtype = np.complex128 if np.iscomplexobj(n) or np.iscomplexobj(y) else np.float64
-    es = []
-    for i in range(L - 1):
-        rows, weights = _cup_cap(basis, i, i + 1, n, y, dtype)
-        e = np.zeros((dim, dim), dtype=dtype)
-        e[rows, np.arange(dim)] = weights
-        es.append(e)
-    return es
+    return [
+        _one_per_column(*_cup_cap(basis, i, i + 1, n, y, dtype)) for i in range(L - 1)
+    ]
 
 
 def dense_generators(L: int, n: complex) -> list[sp.csr_matrix]:
@@ -140,17 +151,10 @@ def dense_generators(L: int, n: complex) -> list[sp.csr_matrix]:
     open basis (:func:`_cup_cap`), with ``e_L`` on the sites ``(L, 1)``.
     """
     basis = enumerate_dense(L)
-    dim = len(basis)
     dtype = np.complex128 if np.iscomplexobj(n) else np.float64
-    es = []
-    for i in range(L):
-        rows, weights = _cup_cap(basis, i, (i + 1) % L, n, 1.0, dtype)
-        # one entry per column: the columns sorted by row are the CSR indices
-        order = np.argsort(rows, kind="stable").astype(np.int32)
-        indptr = np.zeros(dim + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-        es.append(sp.csr_matrix((weights[order], order, indptr), shape=(dim, dim)))
-    return es
+    return [
+        _one_per_column(*_cup_cap(basis, i, (i + 1) % L, n, 1.0, dtype)) for i in range(L)
+    ]
 
 
 def spin_sector_basis(L: int, up_count: int | None = None) -> list[int]:
@@ -237,7 +241,7 @@ def conjugate(matrix: np.ndarray, basis_change: np.ndarray) -> np.ndarray:
 
 def annihilated_states(es: Sequence[np.ndarray], tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis of the joint kernel of all generators (columns)."""
-    stacked = np.vstack([np.asarray(e) for e in es])
+    stacked = np.vstack([_dense(e) for e in es])
     _, s, vh = np.linalg.svd(stacked)
     scale = s[0] if s.size and s[0] > 0 else 1.0
     null_dim = int(np.sum(s <= tol * scale))

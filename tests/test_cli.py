@@ -272,9 +272,28 @@ class TestGoldenReports:
         rows = json.loads(out)["rows"]
         assert all(isinstance(r["gauge_sensitivity"], float) for r in rows[:-1])
         assert isinstance(rows[-1]["residual"], float) and rows[-1]["residual"] < 1e-12
+        code, out, _ = run(capsys, "percolation-check", "--sizes", "4", "--format", "json")
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert isinstance(row["nilpotent_norm"], float) and row["nilpotent_norm"] < 1e-12
+
+    def test_percolation_check_columns(self, capsys):
+        code, out, _ = run(capsys, "percolation-check", "--sizes", "4,6,8")
+        assert code == 0
+        names = tuple(out.splitlines()[0].split())
+        assert names == (
+            "L", "level", "cluster_size", "geometric_multiplicity", "nilpotent_norm",
+            "diagonalizable", "jordan_cell_y=2", "jordan_cell_y=-1", "jordan_cell_y=0.5",
+        )
+        assert self.columns(out, names) == [
+            ("4", "+1.5", "2", "2", "<1e-12", "yes", "yes", "yes", "yes"),
+            ("6", "-2.96410161514", "2", "2", "<1e-12", "yes", "yes", "yes", "yes"),
+            ("8", "-6.89738981591", "2", "2", "<1e-12", "yes", "yes", "yes", "yes"),
+        ]
 
     def test_only_noise_columns_are_bounded(self):
         assert cli._fmt(5e-13, "gauge_sensitivity") == "<1e-12"
         assert cli._fmt(5e-13, "residual") == "<1e-12"
+        assert cli._fmt(5e-13, "nilpotent_norm") == "<1e-12"
         assert cli._fmt(3e-12, "residual") == "3e-12"
         assert cli._fmt(5e-13, "b") == "5e-13"

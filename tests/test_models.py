@@ -445,23 +445,25 @@ class TestDiluteRow:
 
 class TestPercolationChain:
     def test_matches_generator_sum(self):
-        for y in (1.0, 2.0):
-            H = models.build_percolation_H(4, y)
-            es = tl.open_generators(4, 1.0, y)
-            expect = 1.5 * np.eye(6) - 2 * sum(es)
-            np.testing.assert_allclose(H, expect, atol=1e-14)
+        for L in range(1, 11):
+            for y in (1.0, 2.0, 0.5 + 1j):
+                H = models.build_percolation_H(L, y)
+                es = tl.open_generators(L, 1.0, y)
+                assert H.format == "csr" and all(e.dtype == H.dtype for e in es)
+                expect = (L - 1) / 2 * np.eye(H.shape[0]) - 2 * sum(e.toarray() for e in es)
+                np.testing.assert_allclose(H.toarray(), expect, atol=1e-14)
 
     def test_spectrum_independent_of_y(self):
-        base = np.sort(np.linalg.eigvals(models.build_percolation_H(6, 1.0)).real)
+        base = np.sort(np.linalg.eigvals(models.build_percolation_H(6, 1.0).toarray()).real)
         for y in (2.0, -1.0, 0.5):
-            vals = np.sort(np.linalg.eigvals(models.build_percolation_H(6, y)).real)
+            vals = np.sort(np.linalg.eigvals(models.build_percolation_H(6, y).toarray()).real)
             np.testing.assert_allclose(vals, base, atol=1e-8)
 
     @pytest.mark.parametrize("y", [1.0, 2.0, 0.5 + 1j])
     def test_one_site_chain_is_zero(self, y):
         # (L-1)/2 = 0 and there are no generators
         H = models.build_percolation_H(1, y)
-        np.testing.assert_array_equal(H, np.zeros((1, 1)))
+        np.testing.assert_array_equal(H.toarray(), np.zeros((1, 1)))
         assert H.dtype == (np.complex128 if isinstance(y, complex) else np.float64)
 
     def test_self_adjoint_under_link_form(self):

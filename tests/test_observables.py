@@ -442,6 +442,80 @@ class TestPercolationStructure:
         assert report.deformed_genuine == {2.0: True, -1.0: True, 0.5: True}
 
 
+def dense_percolation_check(L: int, y_values=(2.0, -1.0, 0.5), cluster_tol: float = 1e-5):
+    """:func:`obs.percolation_check` from dense spectra of every chain (the oracle)."""
+    H1 = models.build_percolation_H(L, 1.0)
+    clusters = spectral.full_spectrum(H1, cluster_tol)
+    c3 = spectral.level_cluster(clusters, 3)
+    gm = spectral.geometric_multiplicity(H1, c3.value)
+    scale = max(abs(c.value) for c in clusters)
+    nil = spectral.nilpotent_norm(H1, c3.value, 1e-4 * scale)
+    genuine: dict = {}
+    for y in y_values:
+        Hy = models.build_percolation_H(L, y)
+        cy = spectral.level_cluster(spectral.full_spectrum(Hy, cluster_tol), 3)
+        try:
+            spectral.extract_jordan_cell(Hy, cy.value)
+            genuine[y] = True
+        except spectral.DiagonalizableLevelError:
+            genuine[y] = False
+    return obs.PercolationReport(L, complex(c3.value), c3.size, gm, nil, gm >= c3.size, genuine)
+
+
+def ladder(states: int) -> sp.csr_matrix:
+    """Diagonal chain with levels 0, 1, 2 and six eigenvalues within 1e-8 of 3."""
+    near_three = 3.0 + 1e-9 * np.arange(6)
+    return sp.diags(np.concatenate([[0.0, 1.0, 2.0], near_three, 4.0 + np.arange(states - 9)]))
+
+
+class TestPercolationCheck:
+    @pytest.mark.parametrize("L", [4, 6, 8, 10])
+    def test_matches_the_dense_oracle(self, L):
+        got, expect = obs.percolation_check(L), dense_percolation_check(L)
+        assert got.level == pytest.approx(expect.level, abs=1e-12)
+        assert got.cluster_size == expect.cluster_size == 2
+        assert got.geometric_multiplicity == expect.geometric_multiplicity == 2
+        assert got.diagonalizable and expect.diagonalizable
+        assert got.nilpotent_norm < 1e-12 and expect.nilpotent_norm < 1e-12
+        assert got.deformed_genuine == expect.deformed_genuine == {2.0: True, -1.0: True, 0.5: True}
+
+    def test_forms_no_dense_spectrum(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense spectral helper called")
+
+        for name in ("full_spectrum", "geometric_multiplicity", "nilpotent_norm"):
+            monkeypatch.setattr(spectral, name, refuse)
+        assert obs.percolation_check(10).diagonalizable
+
+    def test_deformed_chain_without_the_level_is_refused(self, monkeypatch):
+        build = models.build_percolation_H
+
+        def moved(L, y=1.0):
+            H = build(L, y)
+            return H if y == 1.0 else H + 0.1 * sp.identity(H.shape[0], format="csr")
+
+        monkeypatch.setattr(models, "build_percolation_H", moved)
+        with pytest.raises(spectral.ClusterSizeError, match="no kernel"):
+            obs.percolation_check(6)
+
+    def test_level_cut_short_by_arpack_is_refused(self, monkeypatch):
+        # ARPACK returns 8 eigenvalues: three levels and five of the six
+        # near 3, so the fourth level is the last one returned
+        H = ladder(200)
+        spectrum = obs._low_spectrum(H, 2)
+        assert len(spectrum[0]) == 8
+        chain = obs._Chain(H, sp.identity(200, format="csr"), np.ones(200))
+        with pytest.raises(spectral.ClusterSizeError, match="cut short"):
+            obs._chain_b("ladder", 2, chain, 1.0, 1e-5)
+        monkeypatch.setattr(models, "build_percolation_H", lambda L, y=1.0: H)
+        with pytest.raises(spectral.ClusterSizeError, match="cut short"):
+            obs.percolation_check(2)
+
+    def test_dense_spectrum_is_never_cut_short(self):
+        # all nine eigenvalues: the last level is whole
+        assert obs._level(obs._low_spectrum(ladder(9), 2), 3, 1e-5).size == 6
+
+
 class TestExtrapolation:
     def test_exact_quadratic_recovery(self):
         sizes = [6, 8, 10, 12]

@@ -204,6 +204,62 @@ class TestJordanExtraction:
             spectral.extract_jordan_cell(A, 1.5)
 
 
+class TestCellStructure:
+    @pytest.mark.parametrize("y", [1.0, 2.0, -1.0, 0.5, 0.5 + 1j])
+    @pytest.mark.parametrize("L", [4, 6, 8, 10])
+    def test_matches_the_dense_helpers(self, L, y):
+        # the spectrum does not depend on y, so every chain has the y=1 level
+        clusters = spectral.full_spectrum(models.build_percolation_H(L, 1.0))
+        level = clusters[3].value
+        radius = 1e-4 * max(abs(c.value) for c in clusters)
+        H = models.build_percolation_H(L, y)
+        kernel_dim, norm = spectral.cell_structure(H, level)
+        dense = spectral.nilpotent_norm(H, level, radius)
+        assert kernel_dim == spectral.geometric_multiplicity(H, level)
+        if y == 1.0:
+            assert kernel_dim == 2 and norm < 1e-12 and dense < 1e-12
+        else:
+            assert kernel_dim == 1
+            assert norm == pytest.approx(dense, rel=1e-10)
+
+    @pytest.mark.parametrize("container", [np.asarray, sp.csr_matrix], ids=["ndarray", "csr"])
+    def test_synthetic_cell_and_degeneracy(self, container):
+        A = embedded_jordan(1.5, [0.0, 3.0, -2.0, 0.7])
+        kernel_dim, norm = spectral.cell_structure(container(A), 1.5)
+        assert kernel_dim == 1
+        assert norm == pytest.approx(spectral.nilpotent_norm(A, 1.5, 0.1), rel=1e-10)
+        rng = np.random.default_rng(11)
+        S = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
+        B = S @ np.diag([1.5, 1.5, 3.0, -2.0]) @ np.linalg.inv(S)
+        kernel_dim, norm = spectral.cell_structure(container(B), 1.5)
+        assert kernel_dim == 2 and norm < 1e-12
+
+    def test_missing_level_is_refused(self):
+        with pytest.raises(spectral.ClusterSizeError, match="no kernel"):
+            spectral.cell_structure(np.diag([1.0, 2.0, 3.0]), 10.0)
+
+    def test_raw_block_of_a_genuine_cell_is_refused(self):
+        # the two-column inverse-iteration block holds the kernel direction,
+        # but at L=8, y=2 its second column is far from the cell's subspace
+        H = models.build_percolation_H(8, 2.0)
+        A, _, X, *_ = spectral._near_kernel(H, spectral.full_spectrum(H)[3].value)
+        with pytest.raises(ArithmeticError, match="not an invariant subspace"):
+            spectral._compression(A, X)
+
+    def test_perturbed_subspace_is_refused(self, monkeypatch):
+        solve = spectral._bordered_partner
+
+        def kicked(shifted, v, ell, rhs):
+            w = solve(shifted, v, ell, rhs)
+            kick = np.random.default_rng(3).standard_normal(len(w))
+            return w + 1e-4 * np.linalg.norm(w) * kick / np.linalg.norm(kick)
+
+        monkeypatch.setattr(spectral, "_bordered_partner", kicked)
+        A = embedded_jordan(1.5, [0.0, 3.0, -2.0, 0.7])
+        with pytest.raises(ArithmeticError, match="not an invariant subspace"):
+            spectral.cell_structure(A, 1.5)
+
+
 class TestPerron:
     def test_matches_dense_eigensolve(self):
         rng = np.random.default_rng(9)
