@@ -179,9 +179,12 @@ def dilute_sector_gram(basis: tuple[LinkState, ...]):
     masks = occupied @ (1 << here)
     order = np.argsort(masks, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(masks[order])) + 1)
-    rows, cols = [], []
+    rows, cols, pairs = [], [], {}
     for members in groups:
-        i, j = np.triu_indices(len(members))
+        size = len(members)
+        if size not in pairs:
+            pairs[size] = np.triu_indices(size)
+        i, j = pairs[size]
         a, b = members[i], members[j]
         start = openers[a, : arc_count[members].max()]
         rounds = np.count_nonzero(occupied[members[0]]) // 2 + 1

@@ -39,14 +39,12 @@ dense loop model) through one shared fitting path.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.optimize import OptimizeWarning, brentq, curve_fit
 
 from . import diagrams, fixtures, forms, models, spectral
 from .diagrams import LinkState, enumerate_dense
@@ -596,9 +594,12 @@ def extrapolate_b(sizes, values) -> FitResult:
 
     Central value: least squares over ``b + a1/L + a2/L^2`` (exact
     interpolation when three sizes are given).  The uncertainty is the
-    spread across the ansatz family {1/L, 1/L + 1/L^2, 1/L^p}, keeping the
-    power-law fit only when it converges away from its exponent bounds with
-    a finite covariance.
+    spread across the ansatz family {1/L, 1/L + 1/L^2, 1/L^p}.  The
+    power-law candidate comes from :func:`_power_law_fit` and is kept only
+    with more than three sizes (three are interpolated exactly by the three
+    parameters, which leaves no residual to estimate them from), when its
+    exponent lands farther than ``1e-6`` from the bounds ``[0.2, 5]`` and
+    when the fit is finite.
     """
     if len(sizes) < 3:
         raise ValueError("extrapolation needs at least three sizes")
@@ -610,30 +611,61 @@ def extrapolate_b(sizes, values) -> FitResult:
     c2, *_ = np.linalg.lstsq(a2, val, rcond=None)
     c3, *_ = np.linalg.lstsq(a3, val, rcond=None)
     candidates = {"b + a1/L": float(c2[0]), "b + a1/L + a2/L^2": float(c3[0])}
-
-    def power_law(length, b_inf, amp, p):
-        return b_inf + amp / np.power(length, p)
-
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, pcov = curve_fit(
-                power_law, ell, val,
-                p0=[c3[0], (val[0] - c3[0]) * ell[0], 1.0],
-                bounds=([-np.inf, -np.inf, 0.2], [np.inf, np.inf, 5.0]),
-                maxfev=20000,
-            )
-        at_bound = min(abs(popt[2] - 0.2), abs(popt[2] - 5.0)) < 1e-6
-        if np.all(np.isfinite(pcov)) and not at_bound:
-            candidates["b + a1/L^p"] = float(popt[0])
-    except (RuntimeError, ValueError):
-        pass
+    if len(ell) > 3:
+        b_inf, p = _power_law_fit(ell, val)
+        at_bound = min(abs(p - 0.2), abs(p - 5.0)) < 1e-6
+        if np.isfinite(b_inf) and not at_bound:
+            candidates["b + a1/L^p"] = b_inf
     residual = float(np.sqrt(np.mean((a3 @ c3 - val) ** 2)))
     uncertainty = max(abs(v - c3[0]) for v in candidates.values())
     return FitResult(
         float(c3[0]), "b + a1/L + a2/L^2", tuple(float(c) for c in c3),
         residual, float(uncertainty), candidates,
     )
+
+
+def _power_law_fit(ell: np.ndarray, val: np.ndarray) -> tuple[float, float]:
+    """Least-squares ``(b, p)`` of ``b + a1/L^p`` over ``p`` in ``[0.2, 5]``.
+
+    Variable projection: for a fixed exponent the fit is linear, a 2x2
+    least-squares solve for ``(b, a1)`` (written in centred form, so that it
+    runs over an array of exponents at once), which leaves the squared
+    residual as a function of ``p`` alone.  A grid of step 0.01 locates its
+    smallest value, and golden-section search refines the bracket of two
+    grid steps around it to ``1e-12`` in ``p``.  A minimum on a bound stays
+    there.
+    """
+    y_mean = val.mean()
+    yc = val - y_mean
+
+    def projected(p: np.ndarray):
+        x = ell[:, None] ** -p
+        x_mean = x.sum(axis=0) / len(ell)
+        xc = x - x_mean
+        amp = (yc @ xc) / (xc * xc).sum(axis=0)
+        r = yc[:, None] - amp * xc
+        return y_mean - amp * x_mean, (r * r).sum(axis=0)
+
+    def rss(p: float) -> float:
+        return projected(np.array([p]))[1][0]
+
+    grid = np.linspace(0.2, 5.0, 481)
+    k = int(np.argmin(projected(grid)[1]))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    shrink = (np.sqrt(5.0) - 1) / 2
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = rss(c), rss(d)
+    while hi - lo > 1e-12:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = rss(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = rss(d)
+    p = (lo + hi) / 2
+    return float(projected(np.array([p]))[0][0]), float(p)
 
 
 def _inverse_power_fit(sizes, values) -> FitResult:
@@ -805,24 +837,24 @@ def loop_entropy_exact(n: float, n1: float) -> float:
     """Closed-form boundary entropy of the loop model.
 
     With ``n = 2 cos(gamma)`` and ``g = 1 - gamma/pi``, the boundary weight
-    determines ``r`` through ``n1 = sin((r+1) gamma)/sin(r gamma)`` and the
+    determines ``r`` through ``n1 = sin((r+1) gamma)/sin(r gamma)``, solved
+    in closed form as ``r = atan2(sin gamma, n1 - cos gamma)/gamma``, and the
     entropy is ``-log[(2g)^(-1/4) (sin(r gamma/g)/sin(r gamma))
     (sin(gamma)/sin(gamma/g))^(1/2)]``.  It is real only for ``0 < n < 2``
-    (for ``n <= 0``, ``gamma/g >= pi``), so other weights are refused.
+    (for ``n <= 0``, ``gamma/g >= pi``), so other weights are refused, and
+    ``r`` lies in ``(0, pi/gamma - 1)`` only for ``n1 > 0``.
     """
     if not (0 < n < 2):
         raise ValueError("the loop weight must satisfy 0 < n < 2")
+    if n1 <= 0:
+        raise ValueError("the boundary loop weight must be positive")
     gamma = float(np.arccos(n / 2))
     g = 1 - gamma / np.pi
     if abs(n1 - n) < 1e-12:
         r = 1.0
     else:
-        eps = 1e-9
-
-        def mismatch(r_):
-            return np.sin((r_ + 1) * gamma) / np.sin(r_ * gamma) - n1
-
-        r = float(brentq(mismatch, eps, np.pi / gamma - 1 - eps))
+        # n1 = cos(gamma) + sin(gamma) cot(r gamma), with 0 < r gamma < pi - gamma
+        r = float(np.arctan2(np.sin(gamma), n1 - np.cos(gamma))) / gamma
     value = (
         (2 * g) ** -0.25
         * (np.sin(r * gamma / g) / np.sin(r * gamma))

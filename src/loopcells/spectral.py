@@ -234,10 +234,34 @@ def _bordered_partner(shifted, v, ell, rhs):
     system ``[[shifted, ell], [v^H, 0]]`` is regular because the border
     column is the left kernel direction (any vector inside the range, such
     as ``v`` itself, would make it singular), and its border row pins the
-    minimal-norm gauge.  It needs its own factorization.
+    minimal-norm gauge.  It needs its own factorization, of the CSC matrix
+    :func:`_bordered` builds.
     """
-    bordered = sp.bmat([[shifted, ell[:, None]], [v.conj()[None, :], None]], format="csc")
-    return spla.splu(bordered).solve(np.concatenate([rhs, [0.0]]))[:-1]
+    return spla.splu(_bordered(shifted, v, ell)).solve(np.concatenate([rhs, [0.0]]))[:-1]
+
+
+def _bordered(shifted, v, ell):
+    """The CSC matrix ``[[shifted, ell], [v^H, 0]]``, entry for entry as ``sp.bmat`` gives it.
+
+    ``shifted`` is CSC with sorted indices.  The border row's nonzeros go
+    last in their columns (its row index is the largest), and the nonzeros
+    of ``ell`` make the last column; zeros of the borders are not stored.
+    """
+    n = shifted.shape[0]
+    row = v.conj()
+    data = shifted.data.astype(np.result_type(shifted.dtype, row, ell), copy=False)
+    in_row = row != 0
+    at = shifted.indptr[1:][in_row]
+    column = np.flatnonzero(ell)
+    indptr = shifted.indptr + np.concatenate([[0], np.cumsum(in_row)])
+    return sp.csc_matrix(
+        (
+            np.concatenate([np.insert(data, at, row[in_row]), ell[column]]),
+            np.concatenate([np.insert(shifted.indices, at, n), column]),
+            np.append(indptr, indptr[-1] + len(column)),
+        ),
+        shape=(n + 1, n + 1),
+    )
 
 
 def _jordan_cell(shift, norm: float, value, v, w, regularization: float) -> JordanCell:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.optimize import OptimizeWarning, brentq, curve_fit
 
 from loopcells import diagrams as dg
 from loopcells import fixtures as fx
@@ -21,6 +26,41 @@ def loop_count_gram(L: int, n: float) -> np.ndarray:
     """The weight-``n`` loop Gram from diagrammatic loop counts (the oracle)."""
     counts = forms.loop_count_matrix(dg.enumerate_dense(L))
     return np.power(n, counts.astype(np.float64))
+
+
+def entropy_at(n: float, r: float) -> float:
+    """The boundary entropy of :func:`loopcells.observables.loop_entropy_exact` at a given ``r``."""
+    gamma = float(np.arccos(n / 2))
+    g = 1 - gamma / np.pi
+    value = (
+        (2 * g) ** -0.25
+        * (np.sin(r * gamma / g) / np.sin(r * gamma))
+        * np.sqrt(np.sin(gamma) / np.sin(gamma / g))
+    )
+    return float(-np.log(value))
+
+
+IMPORT_FOOTPRINT = """
+import importlib, pkgutil, sys
+import loopcells
+for info in pkgutil.iter_modules(loopcells.__path__):
+    importlib.import_module(f"loopcells.{info.name}")
+from loopcells import observables as obs
+obs.extrapolate_b([4, 8, 12], [-1.36, -0.87, -0.75])
+obs.extrapolate_b([4, 8, 12, 16, 20], [-1.36, -0.87, -0.75, -0.71, -0.68])
+obs.loop_entropy_exact(1.0, 1.5)
+print(",".join(m for m in ("scipy.optimize", "scipy.special", "scipy.fft") if m in sys.modules))
+"""
+
+
+def test_package_loads_no_optimizer():
+    # a fresh interpreter: the oracles of this module import scipy.optimize
+    src = str(Path(obs.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_FOOTPRINT], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == ""
 
 
 class TestTrousers:
@@ -550,6 +590,95 @@ class TestExtrapolation:
         assert lo <= poly.value <= hi
 
 
+def curve_fit_power_law(sizes, values):
+    """The ``scipy.optimize.curve_fit`` power-law candidate (the fit oracle).
+
+    Returns ``(kept, b, p, rss)``: whether the candidate is kept (a finite
+    covariance and an exponent away from its bounds), the fitted ``b`` and
+    ``p``, and the squared residual of the fit.
+    """
+    order = np.argsort(sizes)
+    ell = np.asarray(sizes, dtype=float)[order]
+    val = np.asarray(values, dtype=float)[order]
+    a3 = np.column_stack([np.ones_like(ell), 1 / ell, 1 / ell**2])
+    c3, *_ = np.linalg.lstsq(a3, val, rcond=None)
+
+    def power_law(length, b_inf, amp, p):
+        return b_inf + amp / np.power(length, p)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        popt, pcov = curve_fit(
+            power_law, ell, val,
+            p0=[c3[0], (val[0] - c3[0]) * ell[0], 1.0],
+            bounds=([-np.inf, -np.inf, 0.2], [np.inf, np.inf, 5.0]),
+            maxfev=20000,
+        )
+    at_bound = min(abs(popt[2] - 0.2), abs(popt[2] - 5.0)) < 1e-6
+    kept = bool(np.all(np.isfinite(pcov)) and not at_bound)
+    rss = float(np.sum((power_law(ell, *popt) - val) ** 2))
+    return kept, float(popt[0]), float(popt[2]), rss
+
+
+def power_law_rss(sizes, values, p: float) -> float:
+    """Squared residual of the least-squares ``b + a1/L^p`` at a fixed exponent."""
+    ell = np.asarray(sizes, dtype=float)
+    X = np.column_stack([np.ones_like(ell), ell**-p])
+    coef, *_ = np.linalg.lstsq(X, np.asarray(values, dtype=float), rcond=None)
+    return float(np.sum((X @ coef - values) ** 2))
+
+
+#: b_polymer(L).value at L=4..10, the sizes of the benchmark's polymer fit
+POLYMER_4_TO_10 = {
+    4: 0.6643131944800528,
+    6: 0.6703192581103539,
+    8: 0.678929992082503,
+    10: 0.6875346549793752,
+}
+
+#: name -> (sizes, values, agreement with the oracle where both keep the fit)
+FIT_CASES = {
+    # curve_fit stops 5.3e-9 in b short of the least-squares minimum here (its
+    # default xtol is 1e-8), which the variable projection reaches to 2e-10
+    "xxz table": (list(fx.B_XXZ_TABLE), list(fx.B_XXZ_TABLE.values()), 1e-8),
+    "polymer table": (list(fx.B_POLYMER_TABLE), list(fx.B_POLYMER_TABLE.values()), 1e-6),
+    "polymer 4..10": (list(POLYMER_4_TO_10), list(POLYMER_4_TO_10.values()), 1e-6),
+    "p = 1.3": ([4, 6, 8, 10, 12], [-0.6 + 2.0 / L**1.3 for L in (4, 6, 8, 10, 12)], 1e-6),
+    "quadratic": ([6, 8, 10, 12], [0.43 - 1.7 / L + 0.9 / L**2 for L in (6, 8, 10, 12)], 1e-6),
+}
+
+
+class TestPowerLawFit:
+    @pytest.mark.parametrize("case", list(FIT_CASES))
+    def test_matches_the_curve_fit_oracle(self, case):
+        sizes, values, tol = FIT_CASES[case]
+        kept, b_oracle, _, rss_oracle = curve_fit_power_law(sizes, values)
+        fit = obs.extrapolate_b(sizes, values)
+        assert ("b + a1/L^p" in fit.candidates) == kept
+        if kept:
+            assert abs(fit.candidates["b + a1/L^p"] - b_oracle) < tol
+        order = np.argsort(sizes)
+        ell, val = np.asarray(sizes, float)[order], np.asarray(values, float)[order]
+        b, p = obs._power_law_fit(ell, val)
+        assert abs(b - b_oracle) < 1e-6
+        assert power_law_rss(ell, val, p) <= rss_oracle * (1 + 1e-9)
+
+    @pytest.mark.parametrize("sizes", [[4, 8, 12], [6, 8, 10]])
+    def test_three_sizes_hold_no_power_law(self, sizes):
+        values = [-0.6 + 2.0 / L**1.3 for L in sizes]
+        assert not curve_fit_power_law(sizes, values)[0]
+        assert "b + a1/L^p" not in obs.extrapolate_b(sizes, values).candidates
+
+    def test_exponent_on_a_bound_is_dropped(self):
+        # an exact 1/L^6 correction: the best exponent is the upper bound
+        sizes = [4, 6, 8, 10]
+        values = [0.3 + 5.0 / L**6 for L in sizes]
+        ell = np.asarray(sizes, dtype=float)
+        assert obs._power_law_fit(ell, np.asarray(values))[1] == pytest.approx(5.0, abs=1e-6)
+        assert not curve_fit_power_law(sizes, values)[0]
+        assert "b + a1/L^p" not in obs.extrapolate_b(sizes, values).candidates
+
+
 class TestInversePowerFit:
     def test_exact_recovery_with_extensive_term(self):
         # representable by both the full and the drop-smallest ansatz, so the
@@ -690,6 +819,29 @@ class TestLoopEntropy:
 
     def test_closed_form_vanishes_at_the_symmetric_point(self):
         assert abs(obs.loop_entropy_exact(1.0, 1.0)) < 1e-12
+
+    def test_closed_form_root_matches_brentq(self):
+        for n in np.linspace(0.05, 1.95, 20):
+            gamma = float(np.arccos(n / 2))
+            for n1 in np.geomspace(0.02, 50.0, 30):
+                if abs(n1 - n) < 1e-12:
+                    continue
+                r = brentq(
+                    lambda r_: np.sin((r_ + 1) * gamma) / np.sin(r_ * gamma) - n1,
+                    1e-9, np.pi / gamma - 1 - 1e-9,
+                )
+                assert obs.loop_entropy_exact(n, n1) == pytest.approx(
+                    entropy_at(n, r), abs=1e-10, rel=1e-10
+                )
+
+    @pytest.mark.parametrize("n", [0.3, 1.0, np.sqrt(2), 1.9])
+    def test_symmetric_boundary_has_r_one(self, n):
+        assert obs.loop_entropy_exact(n, n) == entropy_at(n, 1.0)
+
+    @pytest.mark.parametrize("n1", [0.0, -0.5])
+    def test_closed_form_refuses_nonpositive_boundary_weights(self, n1):
+        with pytest.raises(ValueError, match="boundary loop weight"):
+            obs.loop_entropy_exact(1.0, n1)
 
     def test_lattice_tracks_closed_form(self):
         report = obs.loop_boundary_entropy(1.0, 1.5, sizes=(10, 12, 14, 16))

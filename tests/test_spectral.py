@@ -204,6 +204,52 @@ class TestJordanExtraction:
             spectral.extract_jordan_cell(A, 1.5)
 
 
+def assert_same_csc(a, b):
+    """Identical CSC storage: shape, dtype, index pointers, indices and values."""
+    assert a.format == b.format == "csc"
+    assert a.shape == b.shape and a.dtype == b.dtype
+    np.testing.assert_array_equal(a.indptr, b.indptr)
+    np.testing.assert_array_equal(a.indices, b.indices)
+    np.testing.assert_array_equal(a.data, b.data)
+
+
+def bmat_bordered(shifted, v, ell):
+    """``[[shifted, ell], [v^H, 0]]`` through ``sp.bmat`` (the bordered oracle)."""
+    return sp.bmat([[shifted, ell[:, None]], [v.conj()[None, :], None]], format="csc")
+
+
+class TestBordered:
+    def test_random_complex_matrix_matches_bmat(self):
+        rng = np.random.default_rng(11)
+        n = 40
+        shifted = (
+            sp.random(n, n, density=0.1, random_state=1)
+            + 1j * sp.random(n, n, density=0.1, random_state=2)
+        ).tocsc()
+        # two empty columns, and zeros in both borders
+        shifted = sp.csc_matrix(shifted.multiply(np.arange(n) % 17 != 3))
+        shifted.eliminate_zeros()
+        assert np.any(np.diff(shifted.indptr) == 0)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ell = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v[::7], ell[::5] = 0, 0
+        assert_same_csc(spectral._bordered(shifted, v, ell), bmat_bordered(shifted, v, ell))
+
+    def test_real_shift_with_complex_borders_upcasts(self):
+        shifted = sp.csc_matrix(np.diag([1.0, 0.0, 2.0]))
+        v, ell = np.array([1j, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])
+        assert_same_csc(spectral._bordered(shifted, v, ell), bmat_bordered(shifted, v, ell))
+
+    def test_open_chain_matches_bmat(self):
+        from loopcells import observables as obs
+
+        H = models.build_percolation_H(8, 2.0)
+        level = obs._level(obs._low_spectrum(H, 8), 3, 1e-5).value
+        _, shifted, _, ell, _, null_dim, v = spectral._near_kernel(H, level)
+        assert null_dim == 1
+        assert_same_csc(spectral._bordered(shifted, v, ell), bmat_bordered(shifted, v, ell))
+
+
 class TestCellStructure:
     @pytest.mark.parametrize("y", [1.0, 2.0, -1.0, 0.5, 0.5 + 1j])
     @pytest.mark.parametrize("L", [4, 6, 8, 10])
