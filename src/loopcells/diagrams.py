@@ -18,7 +18,9 @@ two constraints characterise the usual link bases:
 * :func:`enumerate_open`    -- arcs and strings on an open cut (strip),
   counted by central binomial coefficients,
 * :func:`enumerate_dilute`  -- arcs, strings and empty sites (dilute strip),
-  whose zero-string sector is counted by Motzkin numbers.
+  whose zero-string sector is counted by Motzkin numbers;
+  :func:`dilute_row_sites` generates its zero- and two-string states, the
+  basis of the dilute transfer row, directly in array form.
 
 :func:`glue` flips one diagram upside down, places it on top of another and
 reports the topology of the resulting picture: closed loops, string pairs of
@@ -29,12 +31,12 @@ and tested against it; no production path calls it.
 Builders and forms read a basis in array form (:func:`_arrays`): the arc
 partner of every site, or a string or empty sentinel, and a checked lookup
 of the row of a mapped state by a sorted integer key.  :class:`LinkState`
-stays the text and test-oracle form.
+stays the text and test-oracle form; the dilute row reads only the site
+array of :func:`dilute_row_sites`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -125,13 +127,6 @@ def from_text(text: str) -> LinkState:
     if stack:
         raise ValueError(f"unclosed '(' at position {stack[-1]} in {text!r}")
     return LinkState(tuple(roles), tuple(partner))
-
-
-def make_state(roles, partner) -> LinkState:
-    """Build a :class:`LinkState` and check all structural invariants."""
-    state = LinkState(tuple(roles), tuple(partner))
-    validate(state)
-    return state
 
 
 def validate(state: LinkState) -> None:
@@ -266,13 +261,57 @@ def enumerate_dilute(L: int, parity: str = "all") -> tuple[LinkState, ...]:
     return _canonical(states)
 
 
+def dilute_row_sites(L: int) -> np.ndarray:
+    """The zero- and two-string dilute states as a read-only site array.
+
+    Row for row the array form (:func:`_arrays`) of the head of
+    ``enumerate_dilute(L, "even")`` up to two strings, built without a
+    :class:`LinkState`.  Motzkin paths grow one site at a time, all at once:
+    each step appends an empty site, a string (at depth zero, at most two),
+    an arc opener, or the closer of the innermost open arc, and keeps the
+    paths that can still close every arc and pair an odd string in the sites
+    left.  One ``np.lexsort`` puts the states in :meth:`LinkState.sort_key`
+    order: string count, then roles, then partners.
+    """
+    if L < 1:
+        raise ValueError("dilute basis needs L >= 1")
+    sites = np.empty((1, 0), dtype=np.int8)
+    stack = np.zeros((1, L // 2 + 1), dtype=np.int8)  # open arc openers, outermost first
+    depth = np.zeros(1, dtype=np.int8)
+    strings = np.zeros(1, dtype=np.int8)
+    for i in range(L):
+        anywhere = np.ones(len(depth), dtype=bool)
+        top = stack[np.arange(len(depth)), np.maximum(depth - 1, 0)]
+        moves = (  # (allowed, site value, depth change, string change)
+            (anywhere, np.full_like(depth, _EMPTY_SITE), 0, 0),
+            ((depth == 0) & (strings < 2), np.full_like(depth, _STRING_SITE), 0, 1),
+            (anywhere, np.full_like(depth, i), 1, 0),  # the closer writes the partner
+            (depth > 0, top, -1, 0),
+        )
+        grown = []
+        for allowed, value, step, added in moves:
+            k = np.flatnonzero(allowed & (depth + step + (strings + added) % 2 < L - i))
+            new_sites = np.hstack([sites[k], value[k, None]])
+            new_stack = stack[k]
+            if step > 0:
+                new_stack[np.arange(len(k)), depth[k]] = i
+            elif step < 0:
+                new_sites[np.arange(len(k)), value[k]] = i
+            grown.append((new_sites, new_stack, depth[k] + step, strings[k] + added))
+        sites, stack, depth, strings = (np.concatenate(part) for part in zip(*grown))
+    roles = np.where(sites >= 0, ARC, sites - _EMPTY_SITE)
+    sites = sites[np.lexsort((*sites.T[::-1], *roles.T[::-1], strings))]
+    sites.flags.writeable = False
+    return sites
+
+
 def basis_index(basis: tuple[LinkState, ...]) -> dict[LinkState, int]:
     """Map each basis state to its position."""
     return {s: i for i, s in enumerate(basis)}
 
 
-def sector_indices(basis: tuple[LinkState, ...], n_strings: int) -> list[int]:
-    """Positions of the states with exactly ``n_strings`` strings."""
+def sector_indices(basis, n_strings: int) -> list[int]:
+    """Positions of the states (or site-array rows) with exactly ``n_strings`` strings."""
     strings = np.count_nonzero(_arrays(basis)[0] == _STRING_SITE, axis=1)
     return np.flatnonzero(strings == n_strings).tolist()
 
@@ -323,14 +362,22 @@ def _keys(sites: np.ndarray) -> np.ndarray:
     return _digits(sites, np.arange(L)) @ _place(L)
 
 
-def _cached(basis: tuple[LinkState, ...]):
-    """``((sites, rows), (digits, keys, find))`` of a basis, built once per basis object."""
+def _cached(basis):
+    """``((sites, rows), (digits, keys, find))`` of a basis, built once per basis object.
+
+    A basis is a tuple of :class:`LinkState`, or an ``int8`` site array,
+    which is used as it is and made read-only.
+    """
     if id(basis) not in _ARRAYS:  # the cache holds each basis, so its id stays unique
-        shape = (len(basis), basis[0].size if basis else 0)
-        sites = np.array([s.partner for s in basis], dtype=np.int8).reshape(shape)
-        sites[np.array([s.roles for s in basis]).reshape(shape) == EMPTY] = _EMPTY_SITE
-        digits = _digits(sites, np.arange(shape[1])).astype(np.int8)
-        keys = digits @ _place(shape[1])
+        if isinstance(basis, np.ndarray):
+            sites = basis
+        else:
+            shape = (len(basis), basis[0].size if basis else 0)
+            sites = np.array([s.partner for s in basis], dtype=np.int8).reshape(shape)
+            sites[np.array([s.roles for s in basis]).reshape(shape) == EMPTY] = _EMPTY_SITE
+        L = sites.shape[1]
+        digits = _digits(sites, np.arange(L)).astype(np.int8)
+        keys = digits @ _place(L)
         for frozen in (sites, digits, keys):
             frozen.flags.writeable = False
         find = _lookup(keys)
@@ -340,7 +387,7 @@ def _cached(basis: tuple[LinkState, ...]):
     return _ARRAYS[id(basis)][1:]
 
 
-def _arrays(basis: tuple[LinkState, ...]):
+def _arrays(basis):
     """The array form ``(sites, rows)`` of a basis, built once per basis object.
 
     ``sites[k, i]`` is the arc partner of site ``i`` in state ``k``, or
@@ -350,7 +397,7 @@ def _arrays(basis: tuple[LinkState, ...]):
     return _cached(basis)[0]
 
 
-def _keyed(basis: tuple[LinkState, ...]):
+def _keyed(basis):
     """``(digits, keys, find)``: the key digit of every site, the key of every
     state (both read-only) and the row lookup by key.
 
@@ -497,20 +544,3 @@ def sector_dimension(L: int, j: int) -> int:
     """Number of open-cut states with ``2j`` strings."""
     return comb(L, L // 2 + j) - comb(L, L // 2 + j + 1)
 
-
-def brute_force_states(L: int, allow_empty: bool, allow_string: bool) -> set[str]:
-    """Independent oracle: filter all token strings through the validator."""
-    tokens = "()"
-    if allow_string:
-        tokens += "|"
-    if allow_empty:
-        tokens += "."
-    found = set()
-    for combo in itertools.product(tokens, repeat=L):
-        text = "".join(combo)
-        try:
-            from_text(text)
-        except ValueError:
-            continue
-        found.add(text)
-    return found

@@ -152,8 +152,8 @@ def _line_ends(first, first_at, then, then_at, site, rounds: int):
     return site
 
 
-def dilute_sector_gram(basis: tuple[LinkState, ...]):
-    """Sparse dilute Gram matrix on an arbitrary sub-basis.
+def dilute_sector_gram(basis):
+    """Sparse dilute Gram matrix on an arbitrary sub-basis (states or a site array).
 
     An entry is one for each loop-free gluing with matching empty sites and
     zero otherwise.  Each group of states with one occupation mask glues all

@@ -27,7 +27,6 @@ the basis lookup.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -37,22 +36,15 @@ import scipy.sparse as sp
 from . import fixtures
 from .diagrams import (
     _EMPTY_SITE,
+    _STRING_SITE,
     LinkState,
     _arrays,
     _lookup,
+    dilute_row_sites,
     enumerate_dense,
-    enumerate_dilute,
     enumerate_open,
-    sector_indices,
 )
-from .tl import (
-    _cup_cap,
-    _join_ends,
-    _spins,
-    dense_generators,
-    spin_generators,
-    spin_sector_basis,
-)
+from .tl import _cup_cap, _join_ends, _spins, dense_generators, spin_sector_basis
 
 # ---------------------------------------------------------------------------
 # Spin chains
@@ -153,15 +145,6 @@ def build_xxz_sector(
     vals = vals * np.sqrt(size[cols] / size[rows])
     coo = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
     return sp.csr_matrix(coo), label_of(masks), size
-
-
-def xxz_from_generators(L: int, q: complex | None = None) -> np.ndarray:
-    """The same chain written as ``(L-1)/2 - 2 sum_i e_i`` in the spin representation."""
-    q = fixtures.Q_VALUE if q is None else q
-    masks = spin_sector_basis(L, up_count=L // 2)
-    es = spin_generators(L, q, masks)
-    dim = len(masks)
-    return (L - 1) / 2 * np.eye(dim) - 2 * sum(es)
 
 
 def _ising_diagonal(masks: np.ndarray, L: int) -> np.ndarray:
@@ -380,14 +363,16 @@ def _lozenge_ops(basis, site, x):
 class DiluteRow:
     """Both orientations of a dilute transfer row on a fixed basis.
 
-    The two rows are products of the same half-rows in opposite orders,
-    ``ket_row = upper @ lower`` and ``bra_row = lower @ upper``, so the lower
-    half-row intertwines them: ``bra_row @ lower = lower @ ket_row``.  It
-    maps every ket-row eigenvector and Jordan cell to a bra-row one at the
-    same eigenvalue (unless it annihilates the eigenvector).
+    ``basis`` is the row's site array (:func:`_row_basis`), or any basis
+    that :func:`~loopcells.diagrams._arrays` reads.  The two rows are
+    products of the same half-rows in opposite orders, ``ket_row = upper @
+    lower`` and ``bra_row = lower @ upper``, so the lower half-row
+    intertwines them: ``bra_row @ lower = lower @ ket_row``.  It maps every
+    ket-row eigenvector and Jordan cell to a bra-row one at the same
+    eigenvalue (unless it annihilates the eigenvector).
     """
 
-    basis: tuple[LinkState, ...]
+    basis: np.ndarray
     lower: sp.csr_matrix
     upper: sp.csr_matrix
 
@@ -403,10 +388,9 @@ class DiluteRow:
 
 
 @lru_cache(maxsize=None)
-def _row_basis(L: int) -> tuple[LinkState, ...]:
-    """The zero- and two-string states, the head of the even basis; one tuple per width."""
-    even = enumerate_dilute(L, "even")
-    return even[: bisect_right(even, 2, key=lambda s: s.n_strings)]
+def _row_basis(L: int) -> np.ndarray:
+    """The zero- and two-string states in that order, as one read-only site array per width."""
+    return dilute_row_sites(L)
 
 
 def build_dilute_T(L: int, x: float | None = None) -> DiluteRow:
@@ -415,10 +399,10 @@ def build_dilute_T(L: int, x: float | None = None) -> DiluteRow:
     The lower half-row tiles site pairs ``(1,2), (3,4), ...``; the upper
     half-row is shifted by one site and completed by boundary half-tiles.
     For odd ``L`` the lower half-row ends in the right half-tile instead.
-    The basis keeps the zero- and two-string sectors only.  That restriction
-    is legitimate because lozenge tiles never create strings: they
-    annihilate them in pairs, so any downward-closed set of string counts
-    spans an invariant subspace.
+    The basis (:func:`_row_basis`) keeps the zero- and two-string sectors
+    only, in that order.  That restriction is legitimate because lozenge
+    tiles never create strings: they annihilate them in pairs, so any
+    downward-closed set of string counts spans an invariant subspace.
     """
     x = fixtures.X_CRITICAL if x is None else x
     basis = _row_basis(L)
@@ -443,23 +427,31 @@ def dilute_blocks(row: DiluteRow):
     """String-sector blocks (0 and 2 strings) of the ket row, unformed.
 
     Returns ``(T00, T02, T22, idx0, idx2)``, each block a
-    :class:`FactoredOperator` of half-row blocks.  Neither half row may send
-    a zero-string state into the two-string sector (lozenge tiles never
-    create strings), so with the ket row ``upper @ lower`` written in blocks
-    ``l``/``u`` the products are exact: ``T00 = u00 l00``, ``T22 = u22 l22``
-    and ``T02 = u00 l02 + u02 l22``.  The bra row's blocks are those of the
-    row with its two halves swapped.
+    :class:`FactoredOperator` of half-row blocks, and the rows of the two
+    sectors.  The basis lists its ``n0`` zero-string states first (else
+    ``ValueError``), so ``idx0`` is ``0 .. n0-1``, ``idx2`` the rest, and
+    every block is a slice.  Neither half row may send a zero-string state
+    into the two-string sector (lozenge tiles never create strings): a
+    nonzero entry below row ``n0`` and left of column ``n0`` raises
+    ``AssertionError``.  So with the ket row ``upper @ lower`` written in
+    blocks ``l``/``u`` the products are exact: ``T00 = u00 l00``,
+    ``T22 = u22 l22`` and ``T02 = u00 l02 + u02 l22``.  The bra row's blocks
+    are those of the row with its two halves swapped.
     """
-    idx0 = sector_indices(row.basis, 0)
-    idx2 = sector_indices(row.basis, 2)
+    strings = np.count_nonzero(_arrays(row.basis)[0] == _STRING_SITE, axis=1)
+    dim = len(strings)
+    n0 = np.count_nonzero(strings == 0)
+    if np.any(strings != np.where(np.arange(dim) < n0, 0, 2)):
+        raise ValueError("a dilute row basis lists its zero-string states, then its two-string ones")
     lower, upper = row.lower.tocsr(), row.upper.tocsr()
     for half in (lower, upper):
-        if half[idx2, :][:, idx0].count_nonzero():
+        below = slice(half.indptr[n0], None)
+        if np.count_nonzero(half.data[below][half.indices[below] < n0]):
             raise AssertionError("strings were created by a dilute half-row")
-    T00 = FactoredOperator([lower[idx0, :][:, idx0], upper[idx0, :][:, idx0]])
-    T02 = FactoredOperator([lower[:, idx2], upper[idx0, :]])
-    T22 = FactoredOperator([lower[idx2, :][:, idx2], upper[idx2, :][:, idx2]])
-    return T00, T02, T22, idx0, idx2
+    T00 = FactoredOperator([lower[:n0, :n0], upper[:n0, :n0]])
+    T02 = FactoredOperator([lower[:, n0:], upper[:n0, :]])
+    T22 = FactoredOperator([lower[n0:, n0:], upper[n0:, n0:]])
+    return T00, T02, T22, np.arange(n0), np.arange(n0, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import diagrams, fixtures, forms, models, spectral
-from .diagrams import LinkState, enumerate_dense
+from .diagrams import enumerate_dense
 
 # ---------------------------------------------------------------------------
 # Result records
@@ -376,7 +376,7 @@ def b_xxz(
 # Dilute strip: trousers and b
 
 
-def _dilute_trousers(half_row: models.DiluteRow, basis: tuple[LinkState, ...]):
+def _dilute_trousers(half_row: models.DiluteRow, basis):
     """Bra and ket trousers on ``basis`` from the half-width row, all-empty component one.
 
     The ket (future-leg) trousers pairs two Perron grounds of the half row's
@@ -417,7 +417,7 @@ def trousers_dilute(L: int, x: float | None = None, side: str = "right") -> Trou
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     x = fixtures.X_CRITICAL if x is None else x
-    basis = models.build_dilute_T(L, x).basis
+    basis = models._row_basis(L)
     bra, ket = _dilute_trousers(models.build_dilute_T(L // 2, x), basis)
     vec = ket if side == "right" else bra
     return TrousersState("dilute", L, side, vec, "all-empty component = 1")
@@ -474,19 +474,13 @@ def b_polymer(
         raise ValueError("b for the dilute strip needs even L")
     x = fixtures.X_CRITICAL if x is None else x
     row = models.build_dilute_T(L, x)
-    T00, T02, T22, idx0, idx2 = models.dilute_blocks(row)
-    dim0 = len(idx0)
+    T00, T02, T22, _, _ = models.dilute_blocks(row)
     right = spectral.block_jordan_cell(T00, T02, T22)
     lam1 = right.value
     lam0, _ = spectral.perron_pair(T00)
-
-    def scatter(stacked: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(row.basis))
-        out[idx0] = stacked[:dim0]
-        out[idx2] = stacked[dim0:]
-        return out
-
-    v_r, w_r = scatter(right.vector), scatter(right.partner)
+    # the row basis lists the zero-string sector first, so the stacked
+    # coordinates of the cell are the row's own
+    v_r, w_r = right.vector, right.partner
     left = _bra_cell(row, lam1, v_r, w_r, row.lower)
     bra, ket = _dilute_trousers(models.build_dilute_T(L // 2, x), row.basis)
     factor = -(2 / np.sqrt(3.0)) * (np.pi / L) * lam1

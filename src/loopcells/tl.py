@@ -237,14 +237,3 @@ def check_relations_periodic(es: Sequence[np.ndarray], n: complex) -> float:
 def conjugate(matrix: np.ndarray, basis_change: np.ndarray) -> np.ndarray:
     """Return ``P^{-1} A P`` for an explicit basis change ``P``."""
     return np.linalg.solve(basis_change, matrix @ basis_change)
-
-
-def annihilated_states(es: Sequence[np.ndarray], tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the joint kernel of all generators (columns)."""
-    stacked = np.vstack([_dense(e) for e in es])
-    _, s, vh = np.linalg.svd(stacked)
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    null_dim = int(np.sum(s <= tol * scale))
-    if null_dim == 0:
-        return np.zeros((es[0].shape[1], 0))
-    return vh[-null_dim:].conj().T

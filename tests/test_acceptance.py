@@ -322,11 +322,13 @@ def _available_memory_gib() -> float:
 # fit under a 5 GB address-space limit even in its reflection-flip sector
 # (92,890 states): the first sparse LU ran out at column 24,686 of 92,890,
 # so 8 GiB is a floor, not a measurement.  The width-14 polymer cell
-# factors nothing: b_polymer(14) peaked at 2.2 GiB in a single run with one
-# BLAS thread (BENCH_8.json), so 3 GiB leaves room for the interpreter and
-# the test run.  Lighter widths, spin 16 (0.29 GiB) among them, are not
-# checked.
-_HEAVY_WIDTH_GIB = {("spin", 20): 8.0, ("polymer", 14): 3.0}
+# factors nothing and its row basis is a site array: b_polymer(14) peaked
+# at 1.7 GiB in a single run with one BLAS thread under a 5 GB address-space
+# limit (2.2 GiB when the basis was built from LinkStates), and a pytest
+# process running polymer widths 12 and 14 together at 1.72 GiB, so 2.5 GiB
+# leaves the same 0.8 GiB of room as before.  Lighter widths, spin 16
+# (0.29 GiB) among them, are not checked.
+_HEAVY_WIDTH_GIB = {("spin", 20): 8.0, ("polymer", 14): 2.5}
 
 
 def _skip_without_memory(model: str, L: int) -> None:

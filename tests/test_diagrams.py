@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +12,41 @@ from hypothesis import strategies as st
 
 from loopcells import diagrams as dg
 
+RUN_BEST_EFFORT = bool(os.environ.get("LOOPCELLS_BEST_EFFORT"))
+
 
 def state(text: str) -> dg.LinkState:
     return dg.from_text(text)
+
+
+def make_state(roles, partner) -> dg.LinkState:
+    """Build a :class:`LinkState` and check all structural invariants."""
+    built = dg.LinkState(tuple(roles), tuple(partner))
+    dg.validate(built)
+    return built
+
+
+def brute_force_states(L: int, allow_empty: bool, allow_string: bool) -> set[str]:
+    """Independent oracle: filter all token strings through the validator."""
+    tokens = "()"
+    if allow_string:
+        tokens += "|"
+    if allow_empty:
+        tokens += "."
+    found = set()
+    for combo in itertools.product(tokens, repeat=L):
+        text = "".join(combo)
+        try:
+            dg.from_text(text)
+        except ValueError:
+            continue
+        found.add(text)
+    return found
+
+
+def row_basis_oracle(L: int) -> tuple[dg.LinkState, ...]:
+    """The zero- and two-string states of the even dilute basis, in its order."""
+    return tuple(s for s in dg.enumerate_dilute(L, "even") if s.n_strings <= 2)
 
 
 class TestEnumeration:
@@ -54,7 +89,7 @@ class TestEnumeration:
         states = enumerator(L)
         if not states:
             return
-        oracle = dg.brute_force_states(L, allow_empty, allow_string)
+        oracle = brute_force_states(L, allow_empty, allow_string)
         assert {s.to_text() for s in states} == oracle
 
     def test_dilute_examples(self):
@@ -71,6 +106,26 @@ class TestEnumeration:
     def test_canonical_order_L4_open(self):
         texts = [s.to_text() for s in dg.enumerate_open(4)]
         assert texts == ["()()", "(())", "||()", "|()|", "()||", "||||"]
+
+    @pytest.mark.parametrize(
+        "L",
+        [*range(1, 13)]
+        + [
+            pytest.param(L, marks=pytest.mark.skipif(
+                not RUN_BEST_EFFORT, reason="set LOOPCELLS_BEST_EFFORT=1 to run"))
+            for L in (13, 14)
+        ],
+    )
+    def test_row_sites_match_the_linkstate_oracle(self, L):
+        sites = dg.dilute_row_sites(L)
+        assert sites.dtype == np.int8 and not sites.flags.writeable
+        np.testing.assert_array_equal(sites, dg._arrays(row_basis_oracle(L))[0])
+        strings = np.count_nonzero(sites == dg._STRING_SITE, axis=1)
+        assert np.all(np.diff(strings) >= 0)
+
+    def test_row_sites_need_a_site(self):
+        with pytest.raises(ValueError, match="L >= 1"):
+            dg.dilute_row_sites(0)
 
     def test_states_are_sorted_and_unique(self):
         for basis in (dg.enumerate_dense(6), dg.enumerate_open(5), dg.enumerate_dilute(4)):
@@ -91,7 +146,7 @@ class TestSerialization:
 
     def test_validate_rejects_broken_involution(self):
         with pytest.raises(ValueError):
-            dg.make_state((dg.ARC, dg.ARC), (0, 1))
+            make_state((dg.ARC, dg.ARC), (0, 1))
 
     @given(st.sampled_from(dg.enumerate_dilute(6, "all")))
     @settings(max_examples=60, deadline=None)
@@ -236,6 +291,15 @@ class TestArrayForm:
         assert len(set(dg._keys(sites).tolist())) == len(basis)
         order = np.random.default_rng(0).permutation(len(basis))
         np.testing.assert_array_equal(rows(sites[order]), order)
+
+    def test_site_array_is_its_own_array_form(self):
+        sites = dg.dilute_row_sites(6)
+        own, rows = dg._arrays(sites)
+        assert own is sites and dg._arrays(sites) is dg._arrays(sites)
+        order = np.random.default_rng(1).permutation(len(sites))
+        np.testing.assert_array_equal(rows(sites[order]), order)
+        for got, expect in zip(dg._keyed(sites)[:2], dg._keyed(row_basis_oracle(6))[:2]):
+            np.testing.assert_array_equal(got, expect)
 
     def test_built_once_per_basis(self):
         basis = dg.enumerate_open(6)

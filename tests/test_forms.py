@@ -15,6 +15,11 @@ from loopcells import fixtures as fx
 from loopcells import forms, models, tl
 
 
+def row_basis_oracle(L: int) -> tuple[dg.LinkState, ...]:
+    """The zero- and two-string states of the even dilute basis, in its order."""
+    return tuple(s for s in dg.enumerate_dilute(L, "even") if s.n_strings <= 2)
+
+
 def dense_state_index(L: int, text: str) -> int:
     return dg.basis_index(dg.enumerate_dense(L))[dg.from_text(text)]
 
@@ -265,7 +270,8 @@ class TestDiluteForm:
         zero = dg.sector_indices(row.basis, 0)
         block = gram[np.ix_(zero, zero)]
         assert block.sum() == 1.0
-        empty = [k for k in zero if not any(row.basis[k].occupied_mask)]
+        basis = row_basis_oracle(4)
+        empty = [k for k in zero if not any(basis[k].occupied_mask)]
         assert block[zero.index(empty[0]), zero.index(empty[0])] == 1.0
 
     def test_arc_against_strings_pairing(self):
@@ -289,9 +295,12 @@ class TestDiluteForm:
 
     @pytest.mark.parametrize("L", range(1, 9))
     def test_sector_gram_matches_dilute_rule(self, L):
-        # the row basis and every parity basis of the width
+        # the row basis, read through its oracle, and every parity basis of the width
         row = models.build_dilute_T(L)
-        for basis in [row.basis] + [dg.enumerate_dilute(L, p) for p in ("all", "even", "odd")]:
+        gram = forms.dilute_sector_gram(row.basis)
+        assert sp.issparse(gram)
+        np.testing.assert_array_equal(gram.toarray(), glue_rule_gram(row_basis_oracle(L)))
+        for basis in [dg.enumerate_dilute(L, p) for p in ("all", "even", "odd")]:
             gram = forms.dilute_sector_gram(basis)
             assert sp.issparse(gram)
             np.testing.assert_array_equal(gram.toarray(), glue_rule_gram(basis))

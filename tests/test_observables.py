@@ -22,6 +22,11 @@ from loopcells import forms, models, spectral
 from loopcells import observables as obs
 
 
+def row_basis_oracle(L: int) -> tuple[dg.LinkState, ...]:
+    """The zero- and two-string states of the even dilute basis, in its order."""
+    return tuple(s for s in dg.enumerate_dilute(L, "even") if s.n_strings <= 2)
+
+
 def loop_count_gram(L: int, n: float) -> np.ndarray:
     """The weight-``n`` loop Gram from diagrammatic loop counts (the oracle)."""
     counts = forms.loop_count_matrix(dg.enumerate_dense(L))
@@ -70,7 +75,7 @@ class TestTrousers:
         assert t.model == "xxz" and t.L == 4
 
     def test_dilute_all_empty_component_is_one(self):
-        basis = models.build_dilute_T(4).basis
+        basis = row_basis_oracle(4)
         empty = next(k for k, s in enumerate(basis) if not any(s.occupied_mask))
         for side in ("left", "right"):
             t = obs.trousers_dilute(4, side=side)
@@ -78,7 +83,7 @@ class TestTrousers:
             assert t.vector[empty] == pytest.approx(1.0)
 
     def test_dilute_vector_lives_in_zero_string_sector(self):
-        basis = models.build_dilute_T(6).basis
+        basis = row_basis_oracle(6)
         for side in ("left", "right"):
             t = obs.trousers_dilute(6, side=side)
             assert len(t.vector) == len(basis)
@@ -271,6 +276,21 @@ class TestPolymerB:
         assert obs.b_polymer(4, right_scale=2.0, left_scale=5.0).value == pytest.approx(
             base, abs=1e-10
         )
+
+    def test_builds_no_link_state(self, monkeypatch):
+        # the row basis is generated as a site array: with the basis caches
+        # cleared and every LinkState construction refused, b_polymer still runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("a LinkState was built")
+
+        expect = obs.b_polymer(6).value
+        models._row_basis.cache_clear()
+        dg.enumerate_dilute.cache_clear()
+        monkeypatch.setattr(dg, "_bounded_states", refuse)
+        monkeypatch.setattr(dg.LinkState, "__init__", refuse)
+        assert obs.b_polymer(6).value == pytest.approx(expect, abs=1e-12)
+        with pytest.raises(AssertionError, match="LinkState was built"):
+            dg.enumerate_dilute(6, "even")
 
     def test_width_four_matches_table(self):
         assert obs.b_polymer(4).value == pytest.approx(fx.B_POLYMER_TABLE[4], abs=1e-4)
