@@ -321,7 +321,7 @@ def sector_indices(basis, n_strings: int) -> list[int]:
 
 _STRING_SITE = -1  # site value of a string end in a site array
 _EMPTY_SITE = -2  # site value of an empty site
-_ARRAYS: dict[int, tuple] = {}  # id of a basis -> (basis, array form, keyed form), oldest first
+_ARRAYS: dict[int, tuple] = {}  # id of a basis -> (basis, (array form, keyed form)), oldest first
 
 
 def _lookup(keys: np.ndarray):
@@ -362,29 +362,44 @@ def _keys(sites: np.ndarray) -> np.ndarray:
     return _digits(sites, np.arange(L)) @ _place(L)
 
 
+def _per_basis(store: dict, basis, build):
+    """``build(basis)``, built once per basis object and kept in ``store`` for the last 16 bases.
+
+    ``store`` maps the id of a basis to the basis and its value, oldest
+    first; it holds each basis, so the id stays unique.
+    """
+    if id(basis) not in store:
+        value = build(basis)
+        if len(store) >= 16:
+            del store[next(iter(store))]
+        store[id(basis)] = (basis, value)
+    return store[id(basis)][1]
+
+
 def _cached(basis):
     """``((sites, rows), (digits, keys, find))`` of a basis, built once per basis object.
 
     A basis is a tuple of :class:`LinkState`, or an ``int8`` site array,
     which is used as it is and made read-only.
     """
-    if id(basis) not in _ARRAYS:  # the cache holds each basis, so its id stays unique
-        if isinstance(basis, np.ndarray):
-            sites = basis
-        else:
-            shape = (len(basis), basis[0].size if basis else 0)
-            sites = np.array([s.partner for s in basis], dtype=np.int8).reshape(shape)
-            sites[np.array([s.roles for s in basis]).reshape(shape) == EMPTY] = _EMPTY_SITE
-        L = sites.shape[1]
-        digits = _digits(sites, np.arange(L)).astype(np.int8)
-        keys = digits @ _place(L)
-        for frozen in (sites, digits, keys):
-            frozen.flags.writeable = False
-        find = _lookup(keys)
-        if len(_ARRAYS) >= 16:  # keep the last 16 bases
-            del _ARRAYS[next(iter(_ARRAYS))]
-        _ARRAYS[id(basis)] = (basis, (sites, lambda new: find(_keys(new))), (digits, keys, find))
-    return _ARRAYS[id(basis)][1:]
+    return _per_basis(_ARRAYS, basis, _array_forms)
+
+
+def _array_forms(basis):
+    """The value of :func:`_cached`, built afresh."""
+    if isinstance(basis, np.ndarray):
+        sites = basis
+    else:
+        shape = (len(basis), basis[0].size if basis else 0)
+        sites = np.array([s.partner for s in basis], dtype=np.int8).reshape(shape)
+        sites[np.array([s.roles for s in basis]).reshape(shape) == EMPTY] = _EMPTY_SITE
+    L = sites.shape[1]
+    digits = _digits(sites, np.arange(L)).astype(np.int8)
+    keys = digits @ _place(L)
+    for frozen in (sites, digits, keys):
+        frozen.flags.writeable = False
+    find = _lookup(keys)
+    return (sites, lambda new: find(_keys(new))), (digits, keys, find)
 
 
 def _arrays(basis):

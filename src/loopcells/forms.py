@@ -7,11 +7,11 @@ the picture of the mirror image of one basis diagram glued on top of
 another (:func:`loopcells.diagrams.glue`, the test oracle), but every form
 reads the shared site arrays of :func:`loopcells.diagrams._arrays` instead:
 
-* :func:`loop_gram` -- periodic all-arc basis, weight ``n`` per closed loop:
-  the dense view of ``M^T M`` for the sparse singlet factor ``M`` of
-  :func:`singlet_factor` (each arc a q-singlet, ``q + 1/q = n``), so a
-  square ``v^T G v`` is the bilinear ``(Mv)^T (Mv)``;
-  :func:`loop_count_matrix` is the diagrammatic oracle;
+* :func:`boundary_loops` -- periodic all-arc basis, weight ``n`` per closed
+  loop: the loop counts of one row of the Gram, the all-adjacent-arcs
+  boundary (or its one-site rotation) glued onto every state; the loop
+  pairing is never tabulated (see
+  :func:`loopcells.observables.loop_boundary_entropy`);
 * :func:`dilute_sector_gram` -- dilute basis (sparse, any sub-basis): one
   for a loop-free gluing with matching empty sites, zero otherwise;
   :func:`dilute_gram` is its dense view on a whole parity basis;
@@ -20,9 +20,10 @@ reads the shared site arrays of :func:`loopcells.diagrams._arrays` instead:
 * :func:`identity_gram` -- the spin-chain pairing.
 
 The dilute and link forms follow the lines of all pairs at once
-(:func:`_line_ends`).  :func:`selfadjointness_defect` and
-:func:`adjointness_matrix_defect` accept dense or sparse operators, and
-:func:`pairing` a dense or sparse Gram matrix.
+(:func:`_line_ends`), the boundary row those of one pair per state.
+:func:`selfadjointness_defect` and :func:`adjointness_matrix_defect` accept
+dense or sparse operators, and :func:`pairing` a dense or sparse Gram
+matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .diagrams import _EMPTY_SITE, _STRING_SITE, LinkState, _arrays, enumerate_dense
-from .diagrams import enumerate_dilute, enumerate_open, glue
+from .diagrams import enumerate_dilute, enumerate_open
 from .spectral import _dense
 
 
@@ -59,83 +60,34 @@ def pairing(u: np.ndarray, gram, v: np.ndarray) -> complex:
     return complex(np.asarray(u) @ (gram @ np.asarray(v)))
 
 
-def loop_gram(L: int, weight: complex) -> BilinearForm:
-    """Gram matrix of the periodic dense basis: ``weight`` per closed loop.
-
-    The dense view of ``M^T M`` for the :func:`singlet_factor` ``M``.
-    """
-    m = singlet_factor(L, weight)
-    gram = (m.T @ m).toarray()
-    if not np.iscomplexobj(weight):
-        gram = gram.real
-    return BilinearForm(f"dense:{L}", gram, enumerate_dense(L))
-
-
-def singlet_factor(L: int, n: complex) -> sp.csr_matrix:
-    """Sparse ``M`` with ``M^T M`` the weight-``n`` loop Gram (Pasquier-Saleur).
-
-    Column ``k`` is the state ``enumerate_dense(L)[k]`` written in the spin
-    basis: each arc ``(i, j)``, ``i < j``, becomes the singlet
-    ``q^{-1/2}|up_i down_j> - q^{1/2}|down_i up_j>`` with ``q + 1/q = n``,
-    and the product carries the sign ``(-1)^(number of nested arc pairs)``.
-    Two singlets glued along a loop contract to ``q + 1/q = n`` without
-    conjugation, so ``(M^T M)_ab = n ** loops(a, b)``.  Row ``r`` is the spin
-    mask ``r`` (bit set = down spin, site 1 = most significant bit); every
-    column holds ``2^(L/2)`` nonzeros; only their weights depend on ``n``.
-    """
-    indptr, indices, sign, choice = _singlet_pattern(L)
-    arcs = L // 2
-    n = complex(n)
-    q = (n + np.sqrt(n * n - 4)) / 2
-    root = np.sqrt(q)
-    # choice bit k set: arc k reads down-up (weight -q^{1/2}), else up-down
-    flips = ((np.arange(1 << arcs)[:, None] >> np.arange(arcs)) & 1).sum(axis=1)
-    weights = (1 / root) ** (arcs - flips) * (-root) ** flips
-    shape = (1 << L, len(enumerate_dense(L)))
-    return sp.csr_matrix((sign * weights[choice], indices.copy(), indptr.copy()), shape=shape)
-
-
 @lru_cache(maxsize=None)
-def _singlet_pattern(L: int):
-    """The ``n``-independent part of :func:`singlet_factor`, built once per width.
+def boundary_loops(L: int, shift: int = 0) -> tuple[int, np.ndarray]:
+    """The all-adjacent-arcs boundary of width ``L`` rotated by ``shift`` sites, glued to each state.
 
-    Returns its CSR ``indptr`` and ``indices``, and each entry's nesting sign
-    and arc choice (bit ``k`` set: arc ``k`` reads down-up).
+    The boundary pairs the sites ``(1, 2), (3, 4), ...``, or ``(2, 3), ...,
+    (L, 1)`` at ``shift = 1``.  Returns its row in ``enumerate_dense(L)``
+    and the number of closed loops it makes with every state, so that row
+    of the weight-``n`` loop Gram is ``n ** loops``.  The counts do not
+    depend on the weight and are built once per width (read-only).
+
+    A walker steps across a boundary arc, then across the state's arc.  Arcs
+    join sites of opposite parity, so the walk keeps to one parity and meets
+    every loop in one orbit of the even sites, of at most ``L/2`` of them; a
+    loop is counted at its lowest even site.
     """
-    partner = _arrays(enumerate_dense(L))[0].astype(np.int64)
-    dim, arcs = len(partner), L // 2
-    opener = partner > np.arange(L)
-    # nested pairs: every arc counts the arcs still open where it opens
-    step = np.where(opener, 1, -1)
-    depth = np.cumsum(step, axis=1) - step
-    sign = (1 - 2 * (np.sum(depth * opener, axis=1) % 2)).astype(np.int8)
-    left = np.nonzero(opener)[1].reshape(dim, arcs)
-    right = np.take_along_axis(partner, left, axis=1)
-    bit_left = 1 << (L - 1 - left)
-    bit_right = 1 << (L - 1 - right)
-    choices = (np.arange(1 << arcs)[:, None] >> np.arange(arcs)) & 1
-    masks = bit_right.sum(axis=1)[:, None] + (bit_left - bit_right) @ choices.T
-    # number the entries column by column, then read the numbers in CSR order
-    entry = sp.csc_matrix(
-        (np.arange(masks.size), masks.ravel(), np.arange(dim + 1) * (1 << arcs)),
-        shape=(1 << L, dim),
-    ).tocsr()
-    choice = (entry.data & ((1 << arcs) - 1)).astype(np.min_scalar_type((1 << arcs) - 1))
-    return entry.indptr, entry.indices, sign[entry.data >> arcs], choice
-
-
-def loop_count_matrix(basis: tuple[LinkState, ...]) -> np.ndarray:
-    """Closed-loop counts of every mirror-gluing of two basis states.
-
-    The diagrammatic oracle for :func:`singlet_factor`: ``O(dim^2)`` gluings.
-    """
-    dim = len(basis)
-    counts = np.zeros((dim, dim), dtype=np.int8)
-    for a in range(dim):
-        for b in range(a, dim):
-            c = glue(basis[a], basis[b]).loops
-            counts[a, b] = counts[b, a] = c
-    return counts
+    basis = enumerate_dense(L)
+    sites, rows = _arrays(basis)
+    partner = ((((np.arange(L) - shift) % L) ^ 1) + shift) % L
+    step = sites[:, partner].astype(np.intp)
+    start = np.arange(0, L, 2)
+    walker = np.broadcast_to(start, (len(basis), len(start)))
+    lowest = walker.copy()
+    for _ in range(L // 2 - 1):
+        walker = np.take_along_axis(step, walker, axis=1)
+        np.minimum(lowest, walker, out=lowest)
+    loops = np.count_nonzero(lowest == start, axis=1).astype(np.int8)
+    loops.flags.writeable = False
+    return int(rows(partner[None, :].astype(np.int8))[0]), loops
 
 
 def _line_ends(first, first_at, then, then_at, site, rounds: int):

@@ -14,8 +14,9 @@ the basis lookup.
   ground state lies (:func:`ising_orbits`), and :func:`apply_ising` applies
   the full ring matrix-free to certify a lifted vector;
 * :func:`build_dense_loop_T` -- one row of the dense loop model on a
-  cylinder: two staggered half-rows of plaquettes ``1 + e_i``, kept as the
-  sparse factors of a :class:`FactoredOperator`;
+  cylinder: two staggered half-rows of plaquettes ``1 + e_i``, kept as one
+  array map per plaquette in a :class:`TransferOperator`, which also applies
+  the row's dual under the loop form;
 * :func:`build_dilute_T` -- one row of the dilute loop model on a strip,
   assembled from lozenge tiles and boundary half-tiles, together with the
   reversed-order row that evolves bra states; :func:`dilute_blocks` splits
@@ -44,7 +45,7 @@ from .diagrams import (
     enumerate_dense,
     enumerate_open,
 )
-from .tl import _cup_cap, _join_ends, _spins, dense_generators, spin_sector_basis
+from .tl import _cup_cap, _join_ends, _loop_weights, _periodic_cup_caps, _spins, spin_sector_basis
 
 # ---------------------------------------------------------------------------
 # Spin chains
@@ -255,6 +256,89 @@ def ising_boundary_vectors(L: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
+class TransferOperator:
+    """A cylinder row kept as one array map per plaquette ``1 + e_i``.
+
+    ``plaquettes`` holds, in the order they act (lower half-row first), the
+    ``(rows, weights)`` map of each generator: ``e_i`` sends state ``c`` to
+    row ``rows[c]`` with weight ``weights[c]``.  A plaquette scatters,
+    ``x + bincount(rows, weights * x)``.  With ``transposed`` set, every
+    plaquette acts by its transpose, the gather ``x + weights * x[rows]``,
+    in the same order (see :attr:`dual`).  All weights share one dtype.
+    ``x`` may be a vector or a block of columns.
+    """
+
+    basis: tuple[LinkState, ...]
+    plaquettes: list[tuple[np.ndarray, np.ndarray]]
+    transposed: bool = False
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.dim, self.dim)
+
+    @property
+    def dual(self) -> TransferOperator:
+        """``(Lo U)^T = U^T Lo^T`` for the row ``T = U Lo`` (``Lo`` the lower half-row).
+
+        Every plaquette is self-adjoint under the loop form ``G``, and the
+        plaquettes of a half-row commute, so ``G T = (Lo U)^T G``: ``G`` maps
+        the row's eigenvectors to those of its dual at the same eigenvalue.
+        """
+        return TransferOperator(self.basis, self.plaquettes, not self.transposed)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        if self.transposed:
+            for rows, weights in self.plaquettes:
+                x = x + (weights * x[rows].T).T
+            return x
+        dim = self.dim
+        if x.ndim == 1 and "c" not in (x.dtype.kind, self.plaquettes[0][1].dtype.kind):
+            for rows, weights in self.plaquettes:
+                x = x + np.bincount(rows, weights * x, minlength=dim)
+            return x
+        for rows, weights in self.plaquettes:  # bincount takes no blocks and no complex weights
+            moved = (weights * x.T).T
+            scattered = np.zeros_like(moved)
+            np.add.at(scattered, rows, moved)
+            x = x + scattered
+        return x
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.apply(x)
+
+    def matrix(self) -> np.ndarray:
+        return self.apply(np.eye(self.dim))
+
+
+def build_dense_loop_T(L: int, n: float) -> TransferOperator:
+    """One row of the dense loop model on a cylinder of ``L`` strands.
+
+    The row is a lower half-row of plaquettes on the site pairs
+    ``(1,2), (3,4), ...`` followed by an upper half-row on ``(2,3), (4,5),
+    ..., (L,1)``; each plaquette contributes ``1 + e_i``.  The plaquettes are
+    the cached cup-cap maps of the basis (:func:`loopcells.tl._periodic_cup_caps`)
+    weighted by ``n`` where they close a loop.
+    """
+    if L % 2:
+        raise ValueError("the cylinder row needs even L")
+    basis = enumerate_dense(L)
+    maps = _periodic_cup_caps(basis)
+    dtype = np.complex128 if np.iscomplexobj(n) else np.float64
+    order = [*range(0, L, 2), *range(1, L, 2)]
+    return TransferOperator(
+        basis, [(maps[i][0], _loop_weights(maps[i][1], n, dtype)) for i in order]
+    )
+
+
+# ---------------------------------------------------------------------------
+# Dilute loop model on a strip
+
+
+@dataclass
 class FactoredOperator:
     """A product of sparse factors kept unformed for cheap application.
 
@@ -283,38 +367,6 @@ class FactoredOperator:
     def matrix(self) -> np.ndarray:
         out = reduce(lambda acc, f: f @ acc, self.factors, sp.identity(self.shape[1], format="csr"))
         return np.asarray(out.todense())
-
-
-@dataclass
-class TransferOperator(FactoredOperator):
-    """A transfer row on a link-pattern basis, kept in factored form."""
-
-    basis: tuple[LinkState, ...] = ()
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def build_dense_loop_T(L: int, n: float) -> TransferOperator:
-    """One row of the dense loop model on a cylinder of ``L`` strands.
-
-    The row is a lower half-row of plaquettes on the site pairs
-    ``(1,2), (3,4), ...`` followed by an upper half-row on ``(2,3), (4,5),
-    ..., (L,1)``; each plaquette contributes ``1 + e_i``.
-    """
-    if L % 2:
-        raise ValueError("the cylinder row needs even L")
-    basis = enumerate_dense(L)
-    es = dense_generators(L, n)
-    eye = sp.identity(len(basis), format="csr")
-    lower = [eye + es[i] for i in range(0, L, 2)]
-    upper = [eye + es[i] for i in range(1, L, 2)]
-    return TransferOperator(lower + upper, basis)
-
-
-# ---------------------------------------------------------------------------
-# Dilute loop model on a strip
 
 
 def _lozenge_ops(basis, site, x):

@@ -47,7 +47,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import diagrams, fixtures, forms, models, spectral
-from .diagrams import enumerate_dense
 
 # ---------------------------------------------------------------------------
 # Result records
@@ -766,35 +765,50 @@ def ising_boundary_entropies(sizes=(12, 14, 16, 18)) -> dict[str, FitResult]:
     return {bc: _inverse_power_fit(sorted(sizes), f) for bc, f in logs.items()}
 
 
-def _loop_pairing(u: np.ndarray, v: np.ndarray, L: int, n: float, what: str) -> float:
-    """The weight-``n`` loop pairing ``(Mu)^T (Mv)``, ``M`` the singlet factor.
+def _loop_square(
+    row: models.TransferOperator, v: np.ndarray, lam: float, L: int, n: float
+) -> float:
+    """The bilinear square ``v^T G v`` of the row's Perron vector under the weight-``n`` loop form.
 
-    ``M`` is :func:`loopcells.forms.singlet_factor`; a pairing that is not
-    real and positive raises ``ArithmeticError``.
+    ``G`` is never formed.  The row ``T`` intertwines with its dual
+    (:attr:`loopcells.models.TransferOperator.dual`) as ``G T = dual G``, so
+    ``G v`` is the dual's Perron vector ``u`` times ``c``, and
+    ``v^T G v = c (v . u)``.  ``c`` is read off one row of ``G``, the
+    boundary's loop counts (:func:`loopcells.forms.boundary_loops`):
+    ``c = (G v)_b / u_b``.  The result is certified: the two Perron values
+    must agree to ``1e-12`` relative, ``c`` read off the boundary's
+    one-site rotation must agree to ``1e-10`` relative, and the square must
+    be positive; otherwise ``ArithmeticError`` is raised.
     """
-    m = forms.singlet_factor(L, n)
-    image = m @ v
-    value = complex((image if u is v else m @ u) @ image)
-    if not (value.real > 0 and abs(value.imag) <= 1e-10 * value.real):
-        raise ArithmeticError(f"{what} at L={L}, n={n} is {value}; it is not real and positive")
-    return value.real
+    lam_dual, u = spectral.perron_pair(row.dual)
+    if abs(lam_dual - lam) > 1e-12 * abs(lam):
+        raise ArithmeticError(
+            f"the loop row and its dual have Perron values {lam} and {lam_dual} at L={L}, n={n}"
+        )
+    ratios = [
+        _boundary_overlap(v, L, n, shift) / u[forms.boundary_loops(L, shift)[0]] for shift in (0, 1)
+    ]
+    if abs(ratios[1] - ratios[0]) > 1e-10 * abs(ratios[0]):
+        raise ArithmeticError(
+            f"the loop form of the state at L={L}, n={n} is not along the dual "
+            f"Perron vector: the boundary rows give {ratios[0]} and {ratios[1]}"
+        )
+    square = ratios[0] * float(v @ u)
+    if not square > 0:
+        raise ArithmeticError(
+            f"loop state's bilinear square at L={L}, n={n} is {square}; it is not positive"
+        )
+    return square
 
 
-def _loop_normalized(v: np.ndarray, L: int, n: float) -> np.ndarray:
-    """``v`` scaled to bilinear square one under the weight-``n`` loop form."""
-    return v / np.sqrt(_loop_pairing(v, v, L, n, "loop state's bilinear square"))
-
-
-def _boundary_overlap(v: np.ndarray, L: int, n1: float) -> float:
+def _boundary_overlap(v: np.ndarray, L: int, n1: float, shift: int = 0) -> float:
     """``sum_s n1 ** loops(boundary, s) v_s`` for the all-adjacent-arcs boundary.
 
-    It pairs the boundary with ``v`` under the weight-``n1`` loop form.
+    It pairs the boundary, rotated by ``shift`` sites, with ``v`` under the
+    weight-``n1`` loop form: one row of the Gram, from the boundary's loop
+    counts (:func:`loopcells.forms.boundary_loops`).
     """
-    basis = enumerate_dense(L)
-    adjacent = np.arange(L) ^ 1  # sites (1, 2), (3, 4), ... paired
-    boundary = np.zeros(len(basis))
-    boundary[diagrams._arrays(basis)[1](adjacent[None, :])] = 1.0
-    return _loop_pairing(boundary, v, L, n1, "boundary overlap")
+    return float(np.power(float(n1), forms.boundary_loops(L, shift)[1]) @ v)
 
 
 def loop_boundary_entropy(n: float, n1: float, sizes=(12, 14, 16, 18)) -> LoopEntropyReport:
@@ -802,13 +816,15 @@ def loop_boundary_entropy(n: float, n1: float, sizes=(12, 14, 16, 18)) -> LoopEn
 
     The boundary state is the all-adjacent-arcs diagram; every loop closed
     by the final gluing touches the boundary and is weighted ``n1`` instead
-    of ``n``.  The Perron ground state is normalized to bilinear square one
-    under the weight-``n`` loop form, through its sparse singlet factor
-    (:func:`loopcells.forms.singlet_factor`); a ground state whose square is
-    not positive raises ``ArithmeticError``.  Weights ``n <= 0`` are refused:
-    the row then has no positive leading state, and the one of largest
-    modulus has a negative or vanishing loop-form square at every width
-    tried.
+    of ``n``, so the overlap with a state is one row of the weight-``n1``
+    loop form (:func:`_boundary_overlap`).
+    The Perron ground state of the plaquette row is normalized to bilinear
+    square one under the weight-``n`` loop form through the Perron vector of
+    the row's dual (:func:`_loop_square`); neither the loop Gram nor a
+    factor of it is formed, and an uncertified square raises
+    ``ArithmeticError``.  Weights ``n <= 0`` are refused: the row then has
+    no positive leading state, and the one of largest modulus has a negative
+    or vanishing loop-form square at every width tried.
     """
     if not (0 < n < 2):
         raise ValueError("the loop weight must satisfy 0 < n < 2")
@@ -818,9 +834,9 @@ def loop_boundary_entropy(n: float, n1: float, sizes=(12, 14, 16, 18)) -> LoopEn
     for L in sorted(sizes):
         if L % 2:
             raise ValueError("the cylinder row needs even sizes")
-        op = models.build_dense_loop_T(L, n)
-        _, v = spectral.perron_pair(op)
-        v = _loop_normalized(v, L, n)
+        row = models.build_dense_loop_T(L, n)
+        lam, v = spectral.perron_pair(row)
+        v = v / np.sqrt(_loop_square(row, v, lam, L, n))
         f_values.append(-np.log(_boundary_overlap(v, L, n1)))
     fit = _inverse_power_fit(sorted(sizes), f_values)
     exact = loop_entropy_exact(n, n1)

@@ -18,8 +18,11 @@ with loop weight ``n``.  This module realises the generators as matrices on
 
 A cup-cap sends each link state to exactly one state, so both link-pattern
 families are CSR matrices with one entry per column (:func:`_one_per_column`)
-from one array map on the basis's site array (:func:`_cup_cap`).  Moved
-states and swapped spin masks find their rows through the checked lookup of
+from one array map on the basis's site array (:func:`_cup_cap`).  The
+periodic maps do not depend on the loop weight and are kept once per basis
+(:func:`_periodic_cup_caps`); the cylinder transfer row applies them
+directly, without forming a CSR matrix.  Moved states and swapped spin
+masks find their rows through the checked lookup of
 :mod:`loopcells.diagrams`.
 
 :func:`check_relations_chain` and :func:`check_relations_periodic` measure how
@@ -42,6 +45,7 @@ from .diagrams import (
     _digits,
     _keyed,
     _lookup,
+    _per_basis,
     _place,
     enumerate_dense,
     enumerate_open,
@@ -84,13 +88,52 @@ def _cup_cap(basis, i: int, j: int, n: complex, y: complex, dtype):
     """
     sites = _arrays(basis)[0]
     digits, keys, find = _keyed(basis)
-    weights = np.ones(len(sites), dtype=dtype)
-    weights[sites[:, i] == j] = n
+    weights = _loop_weights(sites[:, i] == j, n, dtype)
     if y != 1:  # a contraction weight of one is the default
         string = sites == _STRING_SITE
         label = np.count_nonzero(string[:, : i + 1], axis=1)
         weights[string[:, i] & string[:, j] & (label % 2 == 0)] = y
     return find(keys + _cup_cap_shift(sites, digits, i, j)), weights
+
+
+def _loop_weights(closes: np.ndarray, n: complex, dtype) -> np.ndarray:
+    """Cup-cap weights: ``n`` where the generator closes a loop, one elsewhere."""
+    weights = np.ones(len(closes), dtype=dtype)
+    weights[closes] = n
+    return weights
+
+
+_PERIODIC_MAPS: dict[int, tuple] = {}  # id of a basis -> (basis, its cup-cap maps), oldest first
+
+
+def _periodic_cup_caps(basis) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``(rows, closes)`` of every periodic generator ``e_1 .. e_L``, built once per basis.
+
+    ``rows[c]`` is the row of state ``c`` moved by the cup-cap on sites
+    ``(i, i + 1)`` (``(L, 1)`` for ``e_L``), and ``closes`` marks the states
+    whose arc ``(i, i + 1)`` it closes into a loop (:func:`_cup_cap`).
+    Neither depends on the loop weight.  The maps are cached per basis
+    object, as :func:`loopcells.diagrams._arrays` is
+    (:func:`loopcells.diagrams._per_basis`), so a basis that is not closed
+    under a generator raises ``LookupError`` on every call.
+    """
+    return _per_basis(_PERIODIC_MAPS, basis, _cup_cap_maps)
+
+
+def _cup_cap_maps(basis) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The value of :func:`_periodic_cup_caps`, built afresh (read-only)."""
+    sites = _arrays(basis)[0]
+    digits, keys, find = _keyed(basis)
+    L = sites.shape[1]
+    maps = []
+    for i in range(L):
+        j = (i + 1) % L
+        rows = find(keys + _cup_cap_shift(sites, digits, i, j))
+        closes = sites[:, i] == j
+        for frozen in (rows, closes):
+            frozen.flags.writeable = False
+        maps.append((rows, closes))
+    return tuple(maps)
 
 
 def _cup_cap_shift(sites: np.ndarray, digits: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -146,14 +189,14 @@ def dense_generators(L: int, n: complex) -> list[sp.csr_matrix]:
     holds one entry.  On the two-site ring both generators act on the same
     pair, so ``e_1`` and ``e_2`` coincide as operators and the adjacent-pair
     relations only become meaningful from ``L = 4`` on; the individual
-    matrices are still the correct contraction operators (used by the
-    width-2 transfer row).  The generators share the cup-cap map of the
-    open basis (:func:`_cup_cap`), with ``e_L`` on the sites ``(L, 1)``.
+    matrices are still the correct contraction operators (the width-2
+    transfer row applies both).  The generators read the cached cup-cap maps of
+    :func:`_periodic_cup_caps`, with ``e_L`` on the sites ``(L, 1)``.
     """
-    basis = enumerate_dense(L)
     dtype = np.complex128 if np.iscomplexobj(n) else np.float64
     return [
-        _one_per_column(*_cup_cap(basis, i, (i + 1) % L, n, 1.0, dtype)) for i in range(L)
+        _one_per_column(rows, _loop_weights(closes, n, dtype))
+        for rows, closes in _periodic_cup_caps(enumerate_dense(L))
     ]
 
 

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from loop_form_oracles import loop_count_matrix, loop_gram, singlet_factor
 
 from loopcells import diagrams as dg
 from loopcells import fixtures as fx
@@ -28,7 +29,7 @@ class TestLoopGram:
     @pytest.mark.parametrize("n", [0.3, 1.0, 2.0])
     def test_published_pairing_example(self, n):
         # gluing ()(()) onto (()()) closes exactly two loops
-        form = forms.loop_gram(6, n)
+        form = loop_gram(6, n)
         i = dense_state_index(6, "()(())")
         j = dense_state_index(6, "(()())")
         assert form.gram[i, j] == pytest.approx(n**2)
@@ -37,25 +38,25 @@ class TestLoopGram:
     def test_negative_norm_combination(self, n):
         # the difference of those two states has square 2n^2(n-1),
         # negative below n=1: the pairing is not positive definite
-        form = forms.loop_gram(6, n)
+        form = loop_gram(6, n)
         vec = np.zeros(form.dim)
         vec[dense_state_index(6, "()(())")] = 1.0
         vec[dense_state_index(6, "(()())")] = -1.0
         assert forms.pairing(vec, form.gram, vec) == pytest.approx(2 * n**2 * (n - 1))
 
     def test_self_gluing_gives_maximal_loops(self):
-        form = forms.loop_gram(6, 2.0)
+        form = loop_gram(6, 2.0)
         for k in range(form.dim):
             assert form.gram[k, k] == pytest.approx(2.0**3)
 
     def test_weight_one_is_all_ones(self):
         for L in (2, 4, 6, 8):
-            form = forms.loop_gram(L, 1.0)
+            form = loop_gram(L, 1.0)
             np.testing.assert_allclose(form.gram, np.ones((form.dim, form.dim)))
 
     def test_numpy_complex_weight_keeps_imaginary_part(self):
         n = np.complex64(0.5 + 0.5j)
-        gram = forms.loop_gram(4, n).gram
+        gram = loop_gram(4, n).gram
         assert gram.dtype == np.complex128
         assert gram[0, 0] == pytest.approx(complex(n) ** 2, abs=1e-6)
         assert all(e.dtype == np.complex128 for e in tl.dense_generators(4, n))
@@ -63,11 +64,11 @@ class TestLoopGram:
 
 @lru_cache(maxsize=None)
 def oracle_counts(L: int) -> np.ndarray:
-    return forms.loop_count_matrix(dg.enumerate_dense(L))
+    return loop_count_matrix(dg.enumerate_dense(L))
 
 
 def singlet_gram_error(L: int, n: float) -> float:
-    m = forms.singlet_factor(L, n)
+    m = singlet_factor(L, n)
     oracle = np.power(float(n), oracle_counts(L).astype(np.float64))
     return float(np.max(np.abs((m.T @ m).toarray() - oracle)))
 
@@ -85,13 +86,32 @@ class TestSingletFactor:
 
     @pytest.mark.parametrize("L", [2, 4, 6, 8])
     def test_shape_and_one_spin_state_per_choice(self, L):
-        m = forms.singlet_factor(L, 0.7)
+        m = singlet_factor(L, 0.7)
         dim = len(dg.enumerate_dense(L))
         assert m.shape == (2**L, dim)
         assert m.nnz == dim * 2 ** (L // 2)
         # every spin state in a column has zero magnetization
         rows = m.tocoo().row
         assert all(bin(int(r)).count("1") == L // 2 for r in rows)
+
+
+class TestBoundaryLoops:
+    @pytest.mark.parametrize("shift", [0, 1])
+    @pytest.mark.parametrize("L", range(2, 15, 2))
+    def test_counts_match_the_glue_oracle(self, L, shift):
+        basis = dg.enumerate_dense(L)
+        # the rotation pairs (2, 3), ..., (L, 1)
+        text = "(" + "()" * (L // 2 - 1) + ")" if shift else "()" * (L // 2)
+        b, loops = forms.boundary_loops(L, shift)
+        assert basis[b] == dg.from_text(text)
+        assert loops.dtype == np.int8 and not loops.flags.writeable
+        np.testing.assert_array_equal(loops, [dg.glue(basis[b], s).loops for s in basis])
+
+    @pytest.mark.parametrize("L", [2, 4, 6, 8])
+    def test_counts_are_a_row_of_the_loop_gram(self, L):
+        for shift in (0, 1):
+            b, loops = forms.boundary_loops(L, shift)
+            np.testing.assert_array_equal(loops, oracle_counts(L)[b])
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +158,7 @@ class TestLinkGram:
             raise AssertionError("glue called")
 
         monkeypatch.setattr(dg, "glue", refuse)
-        monkeypatch.setattr(forms, "glue", refuse)
+        monkeypatch.setattr(forms, "glue", refuse, raising=False)
         assert forms.link_gram(6, 2.0).dim == 20
 
     @pytest.mark.parametrize("y", [np.complex64(1 + 1j), np.complex128(0.5 - 2j)])
@@ -240,7 +260,7 @@ class TestSpinForm:
             return vec
 
         basis = dg.enumerate_dense(L)
-        loop = forms.loop_gram(L, n).gram
+        loop = loop_gram(L, n).gram
         vectors = [singlet_vector(s) for s in basis]
         for a, u in enumerate(vectors):
             for b, v in enumerate(vectors):

@@ -7,6 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from loop_form_oracles import loop_gram
 
 from loopcells import diagrams as dg
 from loopcells import fixtures as fx
@@ -342,6 +343,18 @@ class TestXXZSector:
         )
 
 
+def csr_half_rows(L: int, n: complex) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The lower and upper half-rows as products of ``1 + e_i`` CSR factors (the oracle)."""
+    es = tl.dense_generators(L, n)
+    eye = sp.identity(len(dg.enumerate_dense(L)), format="csr")
+    lower, upper = eye, eye
+    for i in range(0, L, 2):
+        lower = (eye + es[i]) @ lower
+    for i in range(1, L, 2):
+        upper = (eye + es[i]) @ upper
+    return lower, upper
+
+
 class TestDenseLoopTransfer:
     def test_factored_matches_matrix(self):
         op = models.build_dense_loop_T(6, 1.0)
@@ -360,6 +373,36 @@ class TestDenseLoopTransfer:
         m = op.matrix()
         assert np.all(m >= 0)
         assert np.all(m.sum(axis=0) > 0)
+
+    @pytest.mark.parametrize("n", [0.3, 1.0, 1.7, 0.4 + 0.9j])
+    @pytest.mark.parametrize("L", range(2, 15, 2))
+    def test_plaquettes_match_the_csr_factors(self, L, n):
+        # blocks of columns too: perron_pair decomposes dimensions up to two
+        # as op @ eye(dim), and a complex weight takes the same scatter
+        op = models.build_dense_loop_T(L, n)
+        lower, upper = csr_half_rows(L, n)
+        rng = np.random.default_rng(L)
+        for x in (rng.standard_normal(op.dim), rng.standard_normal((op.dim, 3))):
+            expect = upper @ (lower @ x)
+            got = op @ x
+            assert got.shape == x.shape
+            assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
+
+    @pytest.mark.parametrize("n", [0.3, 1.0, 1.7])
+    @pytest.mark.parametrize("L", range(2, 11, 2))
+    def test_dual_is_the_transposed_reversed_row(self, L, n):
+        op = models.build_dense_loop_T(L, n)
+        lower, upper = csr_half_rows(L, n)
+        expect = (lower @ upper).T.toarray()
+        np.testing.assert_allclose(op.dual.matrix(), expect, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n", [0.5, 1.9])
+    def test_dual_intertwines_under_the_loop_gram(self, n):
+        # G T = (Lo U)^T G, checked with the singlet-factor Gram
+        L = 8
+        op = models.build_dense_loop_T(L, n)
+        gram = loop_gram(L, n).gram
+        np.testing.assert_allclose(gram @ op.matrix(), op.dual.matrix() @ gram, rtol=1e-12)
 
 
 class TestDiluteRow:

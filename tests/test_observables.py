@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from loop_form_oracles import loop_count_matrix, loop_normalized, loop_pairing, singlet_factor
 from scipy.optimize import OptimizeWarning, brentq, curve_fit
 
 from loopcells import diagrams as dg
 from loopcells import fixtures as fx
-from loopcells import forms, models, spectral
+from loopcells import forms, models, spectral, tl
 from loopcells import observables as obs
 
 
@@ -29,7 +30,7 @@ def row_basis_oracle(L: int) -> tuple[dg.LinkState, ...]:
 
 def loop_count_gram(L: int, n: float) -> np.ndarray:
     """The weight-``n`` loop Gram from diagrammatic loop counts (the oracle)."""
-    counts = forms.loop_count_matrix(dg.enumerate_dense(L))
+    counts = loop_count_matrix(dg.enumerate_dense(L))
     return np.power(n, counts.astype(np.float64))
 
 
@@ -837,6 +838,56 @@ class TestLoopEntropy:
         report = obs.loop_boundary_entropy(1.0, 1.5, sizes=(6, 8, 10))
         assert np.isfinite(report.fit.value)
 
+    def test_entropy_forms_no_sparse_matrix(self, monkeypatch):
+        # neither a singlet factor nor a CSR generator: the row is applied
+        # plaquette by plaquette and the form is read off one Gram row
+        def refuse(*args, **kwargs):
+            raise AssertionError("sparse matrix formed")
+
+        for name in ("csr_matrix", "csc_matrix", "coo_matrix"):
+            monkeypatch.setattr(sp, name, refuse)
+        monkeypatch.setattr(tl, "dense_generators", refuse)
+        report = obs.loop_boundary_entropy(0.5, 1.0, sizes=(6, 8, 10))
+        assert np.isfinite(report.fit.value)
+
+    @pytest.mark.parametrize("pair", GOLDEN["loop_entropy"]["fit"])
+    def test_golden_fit_values(self, pair):
+        n, n1 = map(float, pair.split(","))
+        sizes = tuple(GOLDEN["loop_entropy"]["sizes"])
+        got = obs.loop_boundary_entropy(n, n1, sizes).fit.value
+        assert abs(got - GOLDEN["loop_entropy"]["fit"][pair]) < 1e-10
+
+    @pytest.mark.parametrize("n", [0.25, 0.5, 1.0, 1.25, 1.9])
+    @pytest.mark.parametrize("L", range(4, 17, 2))
+    def test_square_matches_the_singlet_oracle(self, L, n):
+        row = models.build_dense_loop_T(L, n)
+        lam, v = spectral.perron_pair(row)
+        square = obs._loop_square(row, v, lam, L, n)
+        assert square == pytest.approx(loop_pairing(v, v, L, n), rel=1e-12, abs=0)
+        np.testing.assert_allclose(
+            v / np.sqrt(square), loop_normalized(v, L, n), rtol=1e-12, atol=0
+        )
+
+    def test_dual_in_the_wrong_order_fails_the_certificate(self, monkeypatch):
+        # T^T = Lo^T U^T shares the Perron value of (Lo U)^T, but its Perron
+        # vector is not G v: the two boundary rows disagree
+        L, n = 8, 0.5
+        row = models.build_dense_loop_T(L, n)
+        lam, v = spectral.perron_pair(row)
+        half = L // 2
+        swapped = row.plaquettes[half:] + row.plaquettes[:half]
+        wrong = models.TransferOperator(row.basis, swapped, transposed=True)
+        monkeypatch.setattr(models.TransferOperator, "dual", property(lambda self: wrong))
+        with pytest.raises(ArithmeticError, match=f"L={L}, n={n} is not along"):
+            obs._loop_square(row, v, lam, L, n)
+
+    def test_wrong_perron_value_fails_the_certificate(self):
+        L, n = 8, 0.5
+        row = models.build_dense_loop_T(L, n)
+        lam, v = spectral.perron_pair(row)
+        with pytest.raises(ArithmeticError, match=f"Perron values .* at L={L}, n={n}"):
+            obs._loop_square(row, v, lam * (1 + 1e-9), L, n)
+
     def test_closed_form_vanishes_at_the_symmetric_point(self):
         assert abs(obs.loop_entropy_exact(1.0, 1.0)) < 1e-12
 
@@ -909,7 +960,7 @@ class TestLoopEntropy:
         vals, vecs = np.linalg.eig(models.build_dense_loop_T(L, n).matrix())
         v = vecs[:, int(np.argmax(np.abs(vals)))].real
         oracle = v @ loop_count_gram(L, n) @ v
-        image = forms.singlet_factor(L, n) @ v
+        image = singlet_factor(L, n) @ v
         assert oracle < 0
         assert abs(complex(image @ image) - oracle) < 1e-10
         with pytest.raises(ValueError, match="loop weight"):
@@ -917,10 +968,15 @@ class TestLoopEntropy:
 
     @pytest.mark.parametrize("n", [0.3, 0.0])
     def test_nonpositive_square_raises(self, n):
-        # ()(()) - (()()) has square 2 n^2 (n - 1) <= 0 for these weights
+        # ()(()) - (()()) has square 2 n^2 (n - 1) <= 0 for these weights;
+        # it is no Perron vector, so the certificate refuses it
         index = dg.basis_index(dg.enumerate_dense(6))
         vec = np.zeros(len(index))
         vec[index[dg.from_text("()(())")]] = 1.0
         vec[index[dg.from_text("(()())")]] = -1.0
+        row = models.build_dense_loop_T(6, n)
+        lam, _ = spectral.perron_pair(row)
         with pytest.raises(ArithmeticError, match=f"L=6, n={n}"):
-            obs._loop_normalized(vec, 6, n)
+            obs._loop_square(row, vec, lam, 6, n)
+        with pytest.raises(ArithmeticError, match=f"L=6, n={n}"):
+            loop_normalized(vec, 6, n)

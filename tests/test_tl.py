@@ -185,6 +185,17 @@ class TestMatrixOracles:
         with pytest.raises(LookupError, match="not in the basis"):
             tl.dense_generators(6, 1.0)
 
+    def test_cup_cap_maps_are_cached_per_basis_object(self):
+        basis = dg.enumerate_dense(6)
+        maps = tl._periodic_cup_caps(basis)
+        assert tl._periodic_cup_caps(basis) is maps
+        copy = basis[:-1] + basis[-1:]
+        assert copy == basis and copy is not basis
+        assert tl._periodic_cup_caps(copy) is not maps
+        for rows, closes in maps:
+            assert not rows.flags.writeable and not closes.flags.writeable
+            assert closes.dtype == bool
+
     @pytest.mark.parametrize("n", [1.0, 0.5, 1 + 0.5j, 0.0])
     @pytest.mark.parametrize("L", range(2, 15, 2))
     def test_dense_generators_match_the_per_state_oracle(self, L, n):
