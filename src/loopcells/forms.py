@@ -16,7 +16,8 @@ reads the shared site arrays of :func:`loopcells.diagrams._arrays` instead:
   for a loop-free gluing with matching empty sites, zero otherwise;
   :func:`dilute_gram` is its dense view on a whole parity basis;
 * :func:`link_gram` -- open arc/string basis at loop weight one, where
-  contracting a string pair whose left label is even costs ``y``;
+  contracting a string pair whose left label is even costs ``y``; the
+  contraction counts do not depend on ``y`` and are kept once per basis;
 * :func:`identity_gram` -- the spin-chain pairing.
 
 The dilute and link forms follow the lines of all pairs at once
@@ -35,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .diagrams import _EMPTY_SITE, _STRING_SITE, LinkState, _arrays, enumerate_dense
-from .diagrams import enumerate_dilute, enumerate_open
+from .diagrams import _per_basis, enumerate_dilute, enumerate_open
 from .spectral import _dense
 
 
@@ -175,6 +176,24 @@ def link_gram(L: int, y: complex = 1.0) -> BilinearForm:
     picks up ``y`` when the left label of the pair is even (the contraction
     straddles two label pairs) and one otherwise; through lines count one.
     At ``y = 1`` this is the plain loop-type pairing of the open basis.
+    An entry is ``y`` to the number of such contractions, which does not
+    depend on ``y`` and is counted once per basis (:func:`_link_contractions`).
+    """
+    basis = enumerate_open(L)
+    count = _per_basis(_LINK_CONTRACTIONS, basis, _link_contractions)
+    dtype = complex if np.iscomplexobj(y) else float
+    # y ** k as k repeated products: each entry is exactly the product of its weights
+    powers = [1.0]
+    for _ in range(int(count.max())):
+        powers.append(powers[-1] * y)
+    return BilinearForm(f"open:{L}:y={y}", np.asarray(powers, dtype=dtype)[count], basis)
+
+
+_LINK_CONTRACTIONS: dict[int, tuple] = {}  # id of a basis -> (basis, its counts), oldest first
+
+
+def _link_contractions(basis) -> np.ndarray:
+    """String contractions of every glued pair of an open basis, as a read-only ``int8`` matrix.
 
     All pairs are glued at once (:func:`_line_ends`), as in
     :func:`dilute_sector_gram`.  On the bra side a string at site ``j``
@@ -183,12 +202,10 @@ def link_gram(L: int, y: complex = 1.0) -> BilinearForm:
     downward (ket step, then bra step) reaches its end within ``L // 2``
     rounds, and it is a contraction when that end is a bra string to its
     right; the same walk with the sides swapped finds the ket contractions.
-    An entry is ``y`` to the number of such contractions.
     """
-    basis = enumerate_open(L)
     dim = len(basis)
-    dtype = complex if np.iscomplexobj(y) else float
     partner = _arrays(basis)[0]
+    L = partner.shape[1]
     string = partner == _STRING_SITE
     even = string & (np.cumsum(string, axis=1) % 2 == 0)
     width = 2 * L + 1
@@ -203,13 +220,10 @@ def link_gram(L: int, y: complex = 1.0) -> BilinearForm:
         pair, start = np.nonzero(even[own])
         ends = _line_ends(through, other[pair] * width, absorb, own[pair] * width, start, L // 2)
         count += np.bincount(pair[(ends > L + start) & (ends < 2 * L)], minlength=len(a))
-    # y ** k as k repeated products: each entry is exactly the product of its weights
-    powers = [1.0]
-    for _ in range(int(count.max())):
-        powers.append(powers[-1] * y)
-    gram = np.empty((dim, dim), dtype=dtype)
-    gram[a, b] = gram[b, a] = np.asarray(powers, dtype=dtype)[count]
-    return BilinearForm(f"open:{L}:y={y}", gram, basis)
+    counts = np.empty((dim, dim), dtype=np.int8)
+    counts[a, b] = counts[b, a] = count
+    counts.flags.writeable = False
+    return counts
 
 
 def selfadjointness_defect(

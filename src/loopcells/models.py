@@ -45,7 +45,7 @@ from .diagrams import (
     enumerate_dense,
     enumerate_open,
 )
-from .tl import _cup_cap, _join_ends, _loop_weights, _periodic_cup_caps, _spins, spin_sector_basis
+from .tl import _cup_cap_weights, _cup_caps, _join_ends, _spins, spin_sector_basis
 
 # ---------------------------------------------------------------------------
 # Spin chains
@@ -320,17 +320,17 @@ def build_dense_loop_T(L: int, n: float) -> TransferOperator:
     The row is a lower half-row of plaquettes on the site pairs
     ``(1,2), (3,4), ...`` followed by an upper half-row on ``(2,3), (4,5),
     ..., (L,1)``; each plaquette contributes ``1 + e_i``.  The plaquettes are
-    the cached cup-cap maps of the basis (:func:`loopcells.tl._periodic_cup_caps`)
+    the cached cup-cap maps of the basis (:func:`loopcells.tl._cup_caps`)
     weighted by ``n`` where they close a loop.
     """
     if L % 2:
         raise ValueError("the cylinder row needs even L")
     basis = enumerate_dense(L)
-    maps = _periodic_cup_caps(basis)
+    maps = _cup_caps(basis)
     dtype = np.complex128 if np.iscomplexobj(n) else np.float64
     order = [*range(0, L, 2), *range(1, L, 2)]
     return TransferOperator(
-        basis, [(maps[i][0], _loop_weights(maps[i][1], n, dtype)) for i in order]
+        basis, [(maps[i][0], _cup_cap_weights(maps[i], n, 1.0, dtype)) for i in order]
     )
 
 
@@ -514,18 +514,21 @@ def build_percolation_H(L: int, y: complex = 1.0) -> sp.csr_matrix:
     """Sparse open-chain Hamiltonian ``(L-1)/2 - 2 sum_i e_i`` at loop weight one.
 
     The CSR sum of the :func:`~loopcells.tl.open_generators`, assembled in
-    one step from their cup-cap maps (one entry per column each); no ``dim
-    x dim`` array is formed.  ``y`` deforms the string-pair contraction
-    weights; ``y = 1`` is the geometric chain, which is diagonalizable,
-    while ``y != 1`` develops rank-two Jordan cells at the same spectrum.
+    one step from their cup-cap maps (one entry per column each), which are
+    kept once per basis (:func:`loopcells.tl._cup_caps`) and only weighed
+    here; no ``dim x dim`` array is formed.  ``y`` deforms the string-pair
+    contraction weights; ``y = 1`` is the geometric chain, which is
+    diagonalizable, while ``y != 1`` develops rank-two Jordan cells at the
+    same spectrum.
     """
     basis = enumerate_open(L)
     dim = len(basis)
     # the dtype of open_generators(L, 1.0, y)
     dtype = np.complex128 if np.iscomplexobj(y) else np.float64
     cols = np.arange(dim)
-    maps = [_cup_cap(basis, i, i + 1, 1.0, y, dtype) for i in range(L - 1)]
-    rows = np.concatenate([cols, *(r for r, _ in maps)])
-    data = np.concatenate([np.full(dim, (L - 1) / 2, dtype), *(-2 * w for _, w in maps)])
+    maps = _cup_caps(basis)
+    weights = [_cup_cap_weights(cup_cap, 1.0, y, dtype) for cup_cap in maps]
+    rows = np.concatenate([cols, *(cup_cap[0] for cup_cap in maps)])
+    data = np.concatenate([np.full(dim, (L - 1) / 2, dtype), *(-2 * w for w in weights)])
     # duplicate entries (the diagonal and every generator's) are summed
     return sp.csr_matrix((data, (rows, np.tile(cols, L))), shape=(dim, dim))

@@ -560,8 +560,10 @@ def percolation_check(
     spectrum is formed.  The spectrum does not depend on ``y``, so each
     deformed chain in ``y_values`` is probed for a genuine cell at that same
     level (:func:`loopcells.spectral.extract_jordan_cell`, which certifies
-    the cell); a deformed chain without the level raises
-    :class:`~loopcells.spectral.ClusterSizeError`.
+    the cell by its residuals, not by the kernel dimension alone).  A
+    deformed chain on which the level is simple raises ``ArithmeticError``,
+    one without the level :class:`~loopcells.spectral.ClusterSizeError`,
+    and ``y = 1`` reads ``False``.
     """
     H1 = models.build_percolation_H(L, 1.0)
     c3 = _level(_low_spectrum(H1, L), 3, cluster_tol)

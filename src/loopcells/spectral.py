@@ -9,9 +9,9 @@ Two solvers extract the Jordan cells, one per kind of level.
 :func:`extract_jordan_cell` (dense or sparse ``A``) works at interior
 Hamiltonian levels, which need shift-invert: one sparse LU of the singular
 shift ``A - lambda`` serves inverse iteration for the right kernel
-directions and the left kernel vector; when SuperLU finds the shift exactly
-singular, it refactors once at a tiny identity shift and records that shift
-as :attr:`JordanCell.regularization`.  The partner ``w`` of ``(A - lambda)
+directions and a left direction for the border; when SuperLU finds the
+shift exactly singular, it refactors once at a tiny identity shift and
+records that shift as :attr:`JordanCell.regularization`.  The partner ``w`` of ``(A - lambda)
 w = v`` solves a bordered system with its own LU.  The two singular values
 of ``A - lambda`` on a two-column inverse iteration decide the structure:
 one vanishing means a genuine cell, two mean a diagonalizable degeneracy
@@ -203,12 +203,18 @@ class ConvergenceError(ArithmeticError):
 
 
 def _kernel_pair(shifted, columns: int = 1):
-    """Right kernel block and left kernel vector of a nearly singular sparse shift.
+    """Right kernel block and a left border direction of a nearly singular sparse shift.
 
     One sparse LU of ``shifted`` serves four steps of inverse iteration from
     a fixed pseudo-random start: ``columns`` orthonormal right directions
-    (kept orthonormal by QR) and one left direction from conjugate-transposed
-    solves, so that ``ell^H shifted`` vanishes.  When SuperLU finds the shift
+    (kept orthonormal by QR) and one left direction ``ell`` from
+    conjugate-transposed solves.  ``ell`` is not certified to be a left null
+    vector: it only has to keep the bordered system of
+    :func:`_bordered_partner` regular, and the residuals of the cell built
+    on it are what is checked.  At a Jordan cell it need not converge: on
+    the open chain at L = 14, y = 2, ``||ell^H shifted|| / ||shifted||_F`` is
+    1.6e-4 after four steps and swings between about 1e-17 after odd steps
+    and 1e-4 after even ones.  When SuperLU finds the shift
     exactly singular it is refactored once at ``shifted + delta I`` with
     ``delta = 1e-13 ||shifted||_F``; the identity shift moves no eigenvector.
     Returns ``(X, ell, delta)``, with ``delta = 0.0`` when no shift was needed.
@@ -231,10 +237,13 @@ def _bordered_partner(shifted, v, ell, rhs):
     """Solution ``w`` of ``shifted w = rhs`` with ``v^H w = 0``.
 
     ``rhs`` must lie in the range of the singular ``shifted``; the bordered
-    system ``[[shifted, ell], [v^H, 0]]`` is regular because the border
-    column is the left kernel direction (any vector inside the range, such
-    as ``v`` itself, would make it singular), and its border row pins the
-    minimal-norm gauge.  It needs its own factorization, of the CSC matrix
+    system ``[[shifted, ell], [v^H, 0]]`` is regular as long as the border
+    column has a component off that range, along the left kernel (any
+    vector inside the range, such as ``v`` itself, would make it singular),
+    and its border row pins the minimal-norm gauge.  Nothing here checks
+    that ``rhs`` lies in the range: on a simple eigenvalue it does not, and
+    only the partner residual of the cell (:func:`extract_jordan_cell`)
+    tells.  It needs its own factorization, of the CSC matrix
     :func:`_bordered` builds.
     """
     return spla.splu(_bordered(shifted, v, ell)).solve(np.concatenate([rhs, [0.0]]))[:-1]
@@ -284,9 +293,11 @@ def _near_kernel(A, level: complex, rank_cut: float = 1e-8):
     singular values of the shift on that span count the kernel directions:
     those below ``rank_cut`` times the Frobenius norm of the shift.  One
     means a genuine cell, two a diagonalizable degeneracy; none raises
-    :class:`ClusterSizeError`.  Returns ``(A, shifted, X, ell, delta, dim,
+    :class:`ClusterSizeError`.  A simple eigenvalue also has one kernel
+    direction, so the decision alone does not certify a cell; only the
+    partner residual does.  Returns ``(A, shifted, X, ell, delta, dim,
     v)``: ``A`` as complex CSC, the shift, the orthonormal block ``X``, the
-    left kernel vector ``ell``, the LU regularization ``delta``, the kernel
+    left border direction ``ell``, the LU regularization ``delta``, the kernel
     dimension and ``v``, the direction of ``X`` that the shift sends
     nearest zero.
     """
@@ -316,7 +327,8 @@ def extract_jordan_cell(
     coupling exists (:class:`DiagonalizableLevelError`), none that it is no
     eigenvalue (:class:`ClusterSizeError`).  The partner solves the bordered
     system of :func:`_bordered_partner`.  A kernel or partner residual above
-    ``1e-8`` raises ``ArithmeticError``.
+    ``1e-8`` raises ``ArithmeticError``; that is how a simple eigenvalue,
+    whose kernel is one-dimensional too, is refused.
     """
     if cluster_size != 2:
         raise ClusterSizeError(f"rank-two extraction needs a size-2 cluster, got {cluster_size}")

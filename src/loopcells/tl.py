@@ -18,9 +18,10 @@ with loop weight ``n``.  This module realises the generators as matrices on
 
 A cup-cap sends each link state to exactly one state, so both link-pattern
 families are CSR matrices with one entry per column (:func:`_one_per_column`)
-from one array map on the basis's site array (:func:`_cup_cap`).  The
-periodic maps do not depend on the loop weight and are kept once per basis
-(:func:`_periodic_cup_caps`); the cylinder transfer row applies them
+from one array map on the basis's site array.  The maps do not depend on the
+loop weight or the deformation and are kept once per basis, open or
+periodic (:func:`_cup_caps`); each chain or row only weighs them
+(:func:`_cup_cap_weights`), and the cylinder transfer row applies them
 directly, without forming a CSR matrix.  Moved states and swapped spin
 masks find their rows through the checked lookup of
 :mod:`loopcells.diagrams`.
@@ -76,64 +77,62 @@ def _join_ends(sites: np.ndarray, i: int, j: int) -> np.ndarray:
     return new
 
 
-def _cup_cap(basis, i: int, j: int, n: complex, y: complex, dtype):
-    """Row and weight of every column of the cup-cap generator on sites ``(i, j)``.
-
-    The generator caps whatever arrived at the two sites (:func:`_join_ends`)
-    and opens a fresh arc ``(i, j)``.  Capping the arc ``(i, j)`` closes a
-    loop (weight ``n``), capping two strings contracts them
-    (:func:`contraction_weight` of the left label), any other cap weighs one.
-    The rows are found from the basis keys shifted at the four sites the
-    generator changes (:func:`_cup_cap_shift`).
-    """
-    sites = _arrays(basis)[0]
-    digits, keys, find = _keyed(basis)
-    weights = _loop_weights(sites[:, i] == j, n, dtype)
-    if y != 1:  # a contraction weight of one is the default
-        string = sites == _STRING_SITE
-        label = np.count_nonzero(string[:, : i + 1], axis=1)
-        weights[string[:, i] & string[:, j] & (label % 2 == 0)] = y
-    return find(keys + _cup_cap_shift(sites, digits, i, j)), weights
+_CUP_CAPS: dict[int, tuple] = {}  # id of a basis -> (basis, its cup-cap maps), oldest first
 
 
-def _loop_weights(closes: np.ndarray, n: complex, dtype) -> np.ndarray:
-    """Cup-cap weights: ``n`` where the generator closes a loop, one elsewhere."""
-    weights = np.ones(len(closes), dtype=dtype)
-    weights[closes] = n
-    return weights
+def _cup_caps(basis) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """``(rows, closes, even_contraction)`` of every cup-cap generator, built once per basis.
 
-
-_PERIODIC_MAPS: dict[int, tuple] = {}  # id of a basis -> (basis, its cup-cap maps), oldest first
-
-
-def _periodic_cup_caps(basis) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """``(rows, closes)`` of every periodic generator ``e_1 .. e_L``, built once per basis.
-
-    ``rows[c]`` is the row of state ``c`` moved by the cup-cap on sites
-    ``(i, i + 1)`` (``(L, 1)`` for ``e_L``), and ``closes`` marks the states
-    whose arc ``(i, i + 1)`` it closes into a loop (:func:`_cup_cap`).
-    Neither depends on the loop weight.  The maps are cached per basis
-    object, as :func:`loopcells.diagrams._arrays` is
+    The generators are ``e_1 .. e_{L-1}`` on the sites ``(i, i + 1)``, and
+    on a basis without strings (the periodic all-arc basis; every open
+    basis holds the all-strings state) also ``e_L`` on ``(L, 1)``.  The
+    generator caps whatever arrived at its two sites (:func:`_join_ends`)
+    and opens a fresh arc there.  ``rows[c]`` is the row of state ``c``
+    moved by it, found from the basis keys shifted at the four sites it
+    changes (:func:`_cup_cap_shift`); ``closes`` marks the states whose arc
+    on the two sites it closes into a loop, and ``even_contraction`` those
+    where it contracts two strings whose left label is even.  None of them
+    depends on the loop weight or the deformation, which
+    :func:`_cup_cap_weights` applies.  The maps are cached per basis object,
+    as :func:`loopcells.diagrams._arrays` is
     (:func:`loopcells.diagrams._per_basis`), so a basis that is not closed
     under a generator raises ``LookupError`` on every call.
     """
-    return _per_basis(_PERIODIC_MAPS, basis, _cup_cap_maps)
+    return _per_basis(_CUP_CAPS, basis, _cup_cap_maps)
 
 
-def _cup_cap_maps(basis) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The value of :func:`_periodic_cup_caps`, built afresh (read-only)."""
+def _cup_cap_maps(basis) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The value of :func:`_cup_caps`, built afresh (read-only)."""
     sites = _arrays(basis)[0]
     digits, keys, find = _keyed(basis)
     L = sites.shape[1]
+    string = sites == _STRING_SITE
+    # 1-based label of the string at each site: the strings up to it
+    even_label = string & (np.cumsum(string, axis=1) % 2 == 0)
     maps = []
-    for i in range(L):
+    for i in range(L - 1 if string.any() else L):
         j = (i + 1) % L
         rows = find(keys + _cup_cap_shift(sites, digits, i, j))
         closes = sites[:, i] == j
-        for frozen in (rows, closes):
+        even_contraction = even_label[:, i] & string[:, j]
+        for frozen in (rows, closes, even_contraction):
             frozen.flags.writeable = False
-        maps.append((rows, closes))
+        maps.append((rows, closes, even_contraction))
     return tuple(maps)
+
+
+def _cup_cap_weights(cup_cap, n: complex, y: complex, dtype) -> np.ndarray:
+    """Weight of every column of one map of :func:`_cup_caps`.
+
+    Closing a loop weighs ``n``, contracting two strings whose left label
+    is even weighs ``y`` (:func:`contraction_weight`), any other cap one.
+    """
+    _, closes, even_contraction = cup_cap
+    weights = np.ones(len(closes), dtype=dtype)
+    weights[closes] = n
+    if y != 1:  # a contraction weight of one is the default
+        weights[even_contraction] = y
+    return weights
 
 
 def _cup_cap_shift(sites: np.ndarray, digits: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -175,10 +174,10 @@ def open_generators(L: int, n: complex, y: complex = 1.0) -> list[sp.csr_matrix]
     string-pair contractions by label parity; ``y = 1`` is the geometric
     (undeformed) representation.
     """
-    basis = enumerate_open(L)
     dtype = np.complex128 if np.iscomplexobj(n) or np.iscomplexobj(y) else np.float64
     return [
-        _one_per_column(*_cup_cap(basis, i, i + 1, n, y, dtype)) for i in range(L - 1)
+        _one_per_column(cup_cap[0], _cup_cap_weights(cup_cap, n, y, dtype))
+        for cup_cap in _cup_caps(enumerate_open(L))
     ]
 
 
@@ -191,12 +190,12 @@ def dense_generators(L: int, n: complex) -> list[sp.csr_matrix]:
     relations only become meaningful from ``L = 4`` on; the individual
     matrices are still the correct contraction operators (the width-2
     transfer row applies both).  The generators read the cached cup-cap maps of
-    :func:`_periodic_cup_caps`, with ``e_L`` on the sites ``(L, 1)``.
+    :func:`_cup_caps`, with ``e_L`` on the sites ``(L, 1)``.
     """
     dtype = np.complex128 if np.iscomplexobj(n) else np.float64
     return [
-        _one_per_column(rows, _loop_weights(closes, n, dtype))
-        for rows, closes in _periodic_cup_caps(enumerate_dense(L))
+        _one_per_column(cup_cap[0], _cup_cap_weights(cup_cap, n, 1.0, dtype))
+        for cup_cap in _cup_caps(enumerate_dense(L))
     ]
 
 

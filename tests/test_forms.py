@@ -153,6 +153,21 @@ class TestLinkGram:
         assert gram.dtype == (np.complex128 if isinstance(y, complex) else np.float64)
         np.testing.assert_allclose(gram, glue_link_gram(L, y), rtol=0, atol=1e-15)
 
+    def test_contractions_are_counted_once_per_basis_object(self):
+        basis = dg.enumerate_open(6)
+        counts = forms._per_basis(forms._LINK_CONTRACTIONS, basis, forms._link_contractions)
+        assert counts.dtype == np.int8 and not counts.flags.writeable
+        np.testing.assert_array_equal(counts, counts.T)
+        assert forms._per_basis(forms._LINK_CONTRACTIONS, basis, forms._link_contractions) is counts
+        copy = basis[:-1] + basis[-1:]
+        assert forms._link_contractions(copy) is not counts
+        np.testing.assert_array_equal(forms._link_contractions(copy), counts)
+
+    def test_gram_is_a_fresh_array_over_the_cached_counts(self):
+        gram = forms.link_gram(6, 2.0).gram
+        gram[:] = 0.0
+        np.testing.assert_array_equal(forms.link_gram(6, 2.0).gram, glue_link_gram(6, 2.0))
+
     def test_glues_no_pair(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("glue called")

@@ -381,6 +381,12 @@ class TestDeformedB:
         with pytest.raises(ValueError, match="even"):
             obs.b_deformed(5, 2.0)
 
+    def test_width_twelve_agrees_across_deformations(self):
+        values = [obs.b_deformed(12, y).value for y in (2.0, -1.0, 0.5)]
+        assert max(values) - min(values) < 1e-8
+        for value in values:
+            assert value == pytest.approx(fx.B_XXZ_TABLE[12], abs=1e-4)
+
     def test_width_two_has_no_fourth_level(self):
         with pytest.raises(ValueError, match="only 2 distinct levels"):
             obs.b_deformed(2, 2.0)
@@ -472,6 +478,35 @@ class TestBuildOnce:
         assert sorted(grams) == [3, 6]
         assert sorted(chains) == [3, 6]
 
+    def test_open_maps_and_link_walk_are_built_once_per_width(self, monkeypatch):
+        # empty stores, so every basis is new to them
+        monkeypatch.setattr(tl, "_CUP_CAPS", {})
+        monkeypatch.setattr(forms, "_LINK_CONTRACTIONS", {})
+
+        def count_builds(module, name):
+            """Replace the builder ``module.name`` by one that records each basis width and value."""
+            built = []
+            original = getattr(module, name)
+
+            def wrapper(basis):
+                built.append((dg._arrays(basis)[0].shape[1], original(basis)))
+                return built[-1][1]
+
+            monkeypatch.setattr(module, name, wrapper)
+            return built
+
+        maps = count_builds(tl, "_cup_cap_maps")
+        walks = count_builds(forms, "_link_contractions")
+        obs.percolation_check(6)
+        for y in (2.0, -1.0, 0.5):
+            obs.b_deformed(6, y)
+        assert sorted(L for L, _ in maps) == [3, 6]
+        assert sorted(L for L, _ in walks) == [3, 6]
+        cached = [a for _, value in maps for cup_cap in value for a in cup_cap]
+        cached += [counts for _, counts in walks]
+        assert len(cached) == 3 * (2 + 5) + 2  # three arrays per generator, one count matrix per width
+        assert not any(a.flags.writeable for a in cached)
+
     def test_spin_builds_each_chain_once(self, monkeypatch):
         chains = count_calls(monkeypatch, models, "build_xxz")
         obs.b_xxz(8)
@@ -558,6 +593,25 @@ class TestPercolationCheck:
         monkeypatch.setattr(models, "build_percolation_H", moved)
         with pytest.raises(spectral.ClusterSizeError, match="no kernel"):
             obs.percolation_check(6)
+
+    def test_simple_deformed_level_is_refused(self, monkeypatch):
+        # the y=2 chain moved so that its simple ground sits at the probed
+        # level: one kernel direction, as on a genuine cell, but no partner
+        build = models.build_percolation_H
+        clusters = spectral.full_spectrum(build(8, 2.0))
+        assert clusters[0].size == 1
+        shift = (clusters[3].value - clusters[0].value).real
+
+        def moved(L, y=1.0):
+            H = build(L, y)
+            return H if y == 1.0 else H + shift * sp.identity(H.shape[0], format="csr")
+
+        monkeypatch.setattr(models, "build_percolation_H", moved)
+        with pytest.raises(ArithmeticError, match="fails its cell relations"):
+            obs.percolation_check(8, y_values=(2.0,))
+
+    def test_undeformed_chain_reads_as_no_cell(self):
+        assert obs.percolation_check(6, y_values=(1.0, 2.0)).deformed_genuine == {1.0: False, 2.0: True}
 
     def test_level_cut_short_by_arpack_is_refused(self, monkeypatch):
         # ARPACK returns 8 eigenvalues: three levels and five of the six

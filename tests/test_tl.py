@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from loopcells import diagrams as dg
 from loopcells import fixtures as fx
-from loopcells import spectral, tl
+from loopcells import models, spectral, tl
 
 WEIGHTS = [2.0, 1.0, 0.3, -0.5, fx.Q_VALUE + 1 / fx.Q_VALUE]
 
@@ -81,6 +81,44 @@ def loop_open_generators(L: int, n: complex, y: complex = 1.0) -> list[sp.csr_ma
 def loop_dense_generators(L: int, n: complex) -> list[sp.csr_matrix]:
     """The periodic generators applied one link state at a time (the oracle)."""
     return loop_generators(dg.enumerate_dense(L), [(i, (i + 1) % L) for i in range(L)], n)
+
+
+def cup_cap(basis, i: int, j: int, n: complex, y: complex, dtype):
+    """Row and weight of every column of the cup-cap generator on sites ``(i, j)``, built afresh (the oracle).
+
+    Capping the arc ``(i, j)`` closes a loop (weight ``n``), capping two
+    strings contracts them (:func:`loopcells.tl.contraction_weight` of the
+    left label), any other cap weighs one.  The rows are found from the basis
+    keys shifted at the four sites the generator changes.
+    """
+    sites = dg._arrays(basis)[0]
+    digits, keys, find = dg._keyed(basis)
+    weights = np.ones(len(sites), dtype=dtype)
+    weights[sites[:, i] == j] = n
+    if y != 1:  # a contraction weight of one is the default
+        string = sites == dg._STRING_SITE
+        label = np.count_nonzero(string[:, : i + 1], axis=1)
+        weights[string[:, i] & string[:, j] & (label % 2 == 0)] = y
+    return find(keys + tl._cup_cap_shift(sites, digits, i, j)), weights
+
+
+def cup_cap_open_generators(L: int, n: complex, y: complex) -> list[sp.csr_matrix]:
+    """The open generators from :func:`cup_cap` maps built afresh (the oracle)."""
+    basis = dg.enumerate_open(L)
+    dtype = np.complex128 if np.iscomplexobj(n) or np.iscomplexobj(y) else np.float64
+    return [tl._one_per_column(*cup_cap(basis, i, i + 1, n, y, dtype)) for i in range(L - 1)]
+
+
+def cup_cap_percolation_H(L: int, y: complex) -> sp.csr_matrix:
+    """``(L-1)/2 - 2 sum_i e_i`` from :func:`cup_cap` maps built afresh (the oracle)."""
+    basis = dg.enumerate_open(L)
+    dim = len(basis)
+    dtype = np.complex128 if np.iscomplexobj(y) else np.float64
+    cols = np.arange(dim)
+    maps = [cup_cap(basis, i, i + 1, 1.0, y, dtype) for i in range(L - 1)]
+    rows = np.concatenate([cols, *(r for r, _ in maps)])
+    data = np.concatenate([np.full(dim, (L - 1) / 2, dtype), *(-2 * w for _, w in maps)])
+    return sp.csr_matrix((data, (rows, np.tile(cols, L))), shape=(dim, dim))
 
 
 def assert_same_csr(got: sp.csr_matrix, expect: sp.csr_matrix) -> None:
@@ -186,15 +224,35 @@ class TestMatrixOracles:
             tl.dense_generators(6, 1.0)
 
     def test_cup_cap_maps_are_cached_per_basis_object(self):
-        basis = dg.enumerate_dense(6)
-        maps = tl._periodic_cup_caps(basis)
-        assert tl._periodic_cup_caps(basis) is maps
-        copy = basis[:-1] + basis[-1:]
-        assert copy == basis and copy is not basis
-        assert tl._periodic_cup_caps(copy) is not maps
-        for rows, closes in maps:
-            assert not rows.flags.writeable and not closes.flags.writeable
-            assert closes.dtype == bool
+        # e_L wraps on the periodic basis only
+        for basis, count in ((dg.enumerate_dense(6), 6), (dg.enumerate_open(6), 5)):
+            maps = tl._cup_caps(basis)
+            assert tl._cup_caps(basis) is maps and len(maps) == count
+            copy = basis[:-1] + basis[-1:]
+            assert copy == basis and copy is not basis
+            assert tl._cup_caps(copy) is not maps
+            for rows, closes, even_contraction in maps:
+                for array in (rows, closes, even_contraction):
+                    assert not array.flags.writeable
+                assert closes.dtype == even_contraction.dtype == bool
+                assert not np.any(closes & even_contraction)  # loops close on arcs, contractions join strings
+
+    @pytest.mark.parametrize("y", [1.0, 2.0, -1.0, 0.5, 0.3 + 1.5j])
+    @pytest.mark.parametrize("n", [1.0, 0.7 - 0.4j])
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_open_generators_match_the_afresh_cup_cap_oracle(self, L, n, y):
+        got, expect = tl.open_generators(L, n, y), cup_cap_open_generators(L, n, y)
+        assert len(got) == len(expect) == L - 1
+        for a, b in zip(got, expect):
+            assert_same_csr(a, b)
+            np.testing.assert_array_equal(a.toarray(), b.toarray())
+
+    @pytest.mark.parametrize("y", [1.0, 2.0, -1.0, 0.5, 0.3 + 1.5j])
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_percolation_chain_matches_the_afresh_cup_cap_oracle(self, L, y):
+        got, expect = models.build_percolation_H(L, y), cup_cap_percolation_H(L, y)
+        assert_same_csr(got, expect)
+        np.testing.assert_array_equal(got.toarray(), expect.toarray())
 
     @pytest.mark.parametrize("n", [1.0, 0.5, 1 + 0.5j, 0.0])
     @pytest.mark.parametrize("L", range(2, 15, 2))
@@ -215,8 +273,7 @@ class TestMatrixOracles:
             j = (i + 1) % L
             moved = tl._join_ends(sites, i, j)
             moved[:, i], moved[:, j] = j, i
-            got, _ = tl._cup_cap(basis, i, j, 1.0, 1.0, np.float64)
-            np.testing.assert_array_equal(got, rows(moved))
+            np.testing.assert_array_equal(tl._cup_caps(basis)[i][0], rows(moved))
 
     def test_string_sector_is_preserved_or_lowered(self):
         basis = dg.enumerate_open(6)
