@@ -12,16 +12,23 @@ reads the shared site arrays of :func:`loopcells.diagrams._arrays` instead:
   boundary (or its one-site rotation) glued onto every state; the loop
   pairing is never tabulated (see
   :func:`loopcells.observables.loop_boundary_entropy`);
-* :func:`dilute_sector_gram` -- dilute basis (sparse, any sub-basis): one
-  for a loop-free gluing with matching empty sites, zero otherwise;
-  :func:`dilute_gram` is its dense view on a whole parity basis;
+* :func:`dilute_form` -- dilute basis (any sub-basis): one for a loop-free
+  gluing with matching empty sites, zero otherwise.  The form is block
+  diagonal over occupation masks, and a mask's block is the form of the
+  link patterns on its occupied sites, so the line walk runs once per
+  occupancy count and every mask reuses its count's block; the form is
+  applied to vectors without being formed.  :func:`dilute_sector_gram`
+  spreads the same blocks into a sparse matrix, and :func:`dilute_gram` is
+  its dense view on a whole parity basis;
 * :func:`link_gram` -- open arc/string basis at loop weight one, where
   contracting a string pair whose left label is even costs ``y``; the
   contraction counts do not depend on ``y`` and are kept once per basis;
 * :func:`identity_gram` -- the spin-chain pairing.
 
 The dilute and link forms follow the lines of all pairs at once
-(:func:`_line_ends`), the boundary row those of one pair per state.
+(:func:`_line_ends`): the dilute form those of the link patterns of one
+occupancy count, the link form those of the states, and the boundary row
+those of one pair per state.
 :func:`selfadjointness_defect` and :func:`adjointness_matrix_defect` accept
 dense or sparse operators, and :func:`pairing` a dense or sparse Gram
 matrix.
@@ -36,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .diagrams import _EMPTY_SITE, _STRING_SITE, LinkState, _arrays, enumerate_dense
-from .diagrams import _per_basis, enumerate_dilute, enumerate_open
+from .diagrams import _keys, _per_basis, enumerate_dilute, enumerate_open
 from .spectral import _dense
 
 
@@ -105,48 +112,112 @@ def _line_ends(first, first_at, then, then_at, site, rounds: int):
     return site
 
 
-def dilute_sector_gram(basis):
-    """Sparse dilute Gram matrix on an arbitrary sub-basis (states or a site array).
+@dataclass(frozen=True)
+class DiluteForm:
+    """The dilute form of a sub-basis, kept as one 0/1 block per occupancy count.
+
+    The form is block diagonal over occupation masks, and each block is the
+    form of the link patterns on the occupied sites, so it depends only on
+    their number ``k``.  ``blocks`` holds ``(grid, gram)`` for every ``k``
+    in the basis: ``grid[m, p]`` is the row of the state with the ``m``-th
+    mask of ``k`` occupied sites and the ``p``-th ``k``-site pattern, or
+    ``-1`` where the sub-basis has no such state, and ``gram`` is the dense
+    form of those patterns (:func:`_pattern_gram`).  ``form @ x`` applies
+    the form to a vector or to a block of columns without forming it.
+    """
+
+    dim: int
+    blocks: tuple
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        columns = x.reshape(self.dim, -1).T
+        # one zero entry past the last state, which the holes of a grid read
+        padded = np.hstack([columns, np.zeros((len(columns), 1))])
+        out = np.zeros(columns.shape, dtype=padded.dtype)
+        for grid, gram in self.blocks:
+            # one product for all columns and masks of the count
+            glued = (padded[:, grid].reshape(-1, len(gram)) @ gram).reshape(-1, *grid.shape)
+            filled = grid >= 0
+            out[:, grid[filled]] = glued[:, filled]
+        return out.T.reshape(x.shape)
+
+
+def dilute_form(basis) -> DiluteForm:
+    """The dilute form of an arbitrary sub-basis (states or a site array), unformed.
 
     An entry is one for each loop-free gluing with matching empty sites and
-    zero otherwise.  Each group of states with one occupation mask glues all
-    its pairs at once (:func:`_line_ends`): walkers start at the bra's arc
-    openers (every closed loop runs through one) and step through the bra
-    arc, then the ket arc, with empty and string sites absorbing.  On ``k``
-    occupied sites an open line is absorbed within ``k//2 + 1`` rounds and
-    a closed loop never is, so a pair is loop-free when every walker is.
+    zero otherwise.  The states of each occupancy count ``k`` are laid out
+    by occupation mask and by the ``k``-site link pattern on their occupied
+    sites (arc partners renumbered among those sites), and the patterns of
+    that count are glued once (:func:`_pattern_gram`); every mask reuses the
+    block of its count.
     """
     dim = len(basis)
     if not dim:
-        return sp.csr_matrix((0, 0))
+        return DiluteForm(0, ())
     sites = _arrays(basis)[0]
-    L, narrow = sites.shape[1], np.min_scalar_type(sites.shape[1])
-    here = np.arange(L)
-    # arc partner of every site; empty and string sites go to the sentinel L
-    step = np.hstack([np.where(sites >= 0, sites, L), np.full((dim, 1), L)]).astype(narrow).ravel()
-    # arc openers of every state, first, then padded with the sentinel
-    openers = np.sort(np.where(sites > here, here, L), axis=1)[:, : L // 2].astype(narrow)
-    arc_count = np.count_nonzero(sites > here, axis=1)
+    L = sites.shape[1]
     occupied = sites != _EMPTY_SITE
-    # states grouped by occupation mask, ascending within each group
-    masks = occupied @ (1 << here)
-    order = np.argsort(masks, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(masks[order])) + 1)
-    rows, cols, pairs = [], [], {}
-    for members in groups:
-        size = len(members)
-        if size not in pairs:
-            pairs[size] = np.triu_indices(size)
-        i, j = pairs[size]
-        a, b = members[i], members[j]
-        start = openers[a, : arc_count[members].max()]
-        rounds = np.count_nonzero(occupied[members[0]]) // 2 + 1
-        ends = _line_ends(step, a[:, None] * (L + 1), step, b[:, None] * (L + 1), start, rounds)
-        free = np.all(ends == L, axis=1)
-        a, b = a[free], b[free]
-        off = a != b
-        rows += [a, b[off]]
-        cols += [b, a[off]]
+    count = np.count_nonzero(occupied, axis=1)
+    masks = occupied @ (1 << np.arange(L))
+    # position of every site among the occupied sites of its state
+    rank = np.cumsum(occupied, axis=1) - 1
+    blocks = []
+    for k in np.unique(count):
+        members = np.flatnonzero(count == k)
+        mask_values, mask_of = np.unique(masks[members], return_inverse=True)
+        at = np.nonzero(occupied[members])[1].reshape(len(members), k)
+        values = np.take_along_axis(sites[members], at, axis=1)
+        renumbered = np.take_along_axis(rank[members], np.maximum(values, 0), axis=1)
+        patterns = np.where(values >= 0, renumbered, values).astype(np.int8)
+        _, first, pattern_of = np.unique(_keys(patterns), return_index=True, return_inverse=True)
+        grid = np.full((len(mask_values), len(first)), -1, dtype=np.intp)
+        grid[mask_of, pattern_of] = members
+        blocks.append((grid, _pattern_gram(patterns[first])))
+    return DiluteForm(dim, tuple(blocks))
+
+
+def _pattern_gram(patterns: np.ndarray) -> np.ndarray:
+    """Dense 0/1 form of distinct link patterns on ``k`` sites, all occupied.
+
+    All pairs are glued at once (:func:`_line_ends`): walkers start at the
+    bra's arc openers (every closed loop runs through one) and step through
+    the bra arc, then the ket arc, with string sites absorbing.  An open
+    line is absorbed within ``k//2 + 1`` rounds and a closed loop never is,
+    so a pair is loop-free when every walker is.
+    """
+    size, k = patterns.shape
+    here = np.arange(k)
+    # arc partner of every site; string sites go to the sentinel k
+    step = np.hstack([np.where(patterns >= 0, patterns, k), np.full((size, 1), k)])
+    step = step.astype(np.min_scalar_type(k)).ravel()
+    # arc openers of every pattern, first, then padded with the sentinel
+    arcs = np.count_nonzero(patterns > here, axis=1)
+    openers = np.sort(np.where(patterns > here, here, k), axis=1)[:, : arcs.max(initial=0)]
+    a, b = np.triu_indices(size)
+    start = openers[a].astype(step.dtype)
+    ends = _line_ends(step, a[:, None] * (k + 1), step, b[:, None] * (k + 1), start, k // 2 + 1)
+    free = np.all(ends == k, axis=1)
+    gram = np.zeros((size, size))
+    gram[a[free], b[free]] = gram[b[free], a[free]] = 1.0
+    return gram
+
+
+def dilute_sector_gram(basis):
+    """Sparse dilute Gram matrix on an arbitrary sub-basis (states or a site array).
+
+    The nonzeros of each block of :func:`dilute_form` repeated over the
+    masks of its grid.
+    """
+    dim = len(basis)
+    rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for grid, gram in dilute_form(basis).blocks:
+        p, q = np.nonzero(gram)
+        bra, ket = grid[:, p].ravel(), grid[:, q].ravel()
+        both = (bra >= 0) & (ket >= 0)
+        rows.append(bra[both])
+        cols.append(ket[both])
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     data = np.ones(len(rows))
     return sp.csr_matrix(sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)))

@@ -464,10 +464,11 @@ def b_polymer(
     The ket row is block triangular over string sectors, so its cell at the
     leading two-string eigenvalue is extracted blockwise; the lower half-row
     intertwines the ket and bra rows, so it carries that cell over to the
-    bra row (:func:`_bra_cell`), and the Gram matrix turns the bra-row
-    vectors into genuine left eigenvectors.  One cell solve serves both
-    sides.  The two cell scales ``right_scale``/``left_scale`` must cancel
-    (tested).
+    bra row (:func:`_bra_cell`), and the dilute form turns the bra-row
+    vectors into genuine left eigenvectors; it is applied to three vectors
+    and never formed (:func:`loopcells.forms.dilute_form`).  One cell solve
+    serves both sides.  The two cell scales ``right_scale``/``left_scale``
+    must cancel (tested).
     """
     if L % 2:
         raise ValueError("b for the dilute strip needs even L")
@@ -490,7 +491,7 @@ def b_polymer(
         factor * (left_scale * left.partner),
         bra,
         ket,
-        forms.dilute_sector_gram(row.basis),
+        forms.dilute_form(row.basis),
     )
     delta = spectral.transfer_delta(L, lam1, lam0)
     return BMeasurement(

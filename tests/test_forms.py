@@ -296,6 +296,57 @@ def glue_rule_gram(basis) -> np.ndarray:
     return gram
 
 
+def mask_walk_gram(basis) -> sp.csr_matrix:
+    """The sparse dilute Gram from one line walk per occupation-mask group.
+
+    Every group of states with one occupation mask glues all its pairs at
+    once: walkers start at the bra's arc openers and step through the bra
+    arc, then the ket arc, with empty and string sites absorbing into the
+    sentinel ``L``; a pair is loop-free when every walker is absorbed within
+    ``k//2 + 1`` rounds on ``k`` occupied sites.
+    """
+    dim = len(basis)
+    if not dim:
+        return sp.csr_matrix((0, 0))
+    sites = dg._arrays(basis)[0]
+    L, narrow = sites.shape[1], np.min_scalar_type(sites.shape[1])
+    here = np.arange(L)
+    step = np.hstack([np.where(sites >= 0, sites, L), np.full((dim, 1), L)]).astype(narrow).ravel()
+    openers = np.sort(np.where(sites > here, here, L), axis=1)[:, : L // 2].astype(narrow)
+    arc_count = np.count_nonzero(sites > here, axis=1)
+    occupied = sites != dg._EMPTY_SITE
+    masks = occupied @ (1 << here)
+    order = np.argsort(masks, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(masks[order])) + 1)
+    rows, cols = [], []
+    for members in groups:
+        i, j = np.triu_indices(len(members))
+        a, b = members[i], members[j]
+        start = openers[a, : arc_count[members].max()]
+        rounds = np.count_nonzero(occupied[members[0]]) // 2 + 1
+        ends = forms._line_ends(step, a[:, None] * (L + 1), step, b[:, None] * (L + 1), start, rounds)
+        free = np.all(ends == L, axis=1)
+        a, b = a[free], b[free]
+        off = a != b
+        rows += [a, b[off]]
+        cols += [b, a[off]]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return sp.csr_matrix(sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(dim, dim)))
+
+
+def assert_applies_like(form, gram, x):
+    """``form @ x`` has the shape and dtype of ``gram @ x`` and agrees to 1e-13 of its largest entry."""
+    got, expect = form @ x, np.asarray(gram @ x)
+    assert got.shape == expect.shape == x.shape
+    assert got.dtype == expect.dtype
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13 * np.abs(expect).max(initial=1.0))
+
+
+def random_columns(rng, dim: int, columns: int | None) -> np.ndarray:
+    shape = (dim,) if columns is None else (dim, columns)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 class TestDiluteForm:
     def test_zero_sector_block_is_single_entry(self):
         # any glued pair of arcs closes a loop of weight zero, so only the
@@ -353,6 +404,9 @@ class TestDiluteForm:
         np.testing.assert_array_equal(
             forms.dilute_sector_gram(basis).toarray(), glue_rule_gram(basis)
         )
+        x = random_columns(np.random.default_rng(len(picks)), len(basis), 3)
+        assert_applies_like(forms.dilute_form(basis), glue_rule_gram(basis), x)
+        assert_applies_like(forms.dilute_form(basis), glue_rule_gram(basis), x[:, 0].real)
 
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_bra_row_intertwines_with_ket_row(self, L):
@@ -363,6 +417,82 @@ class TestDiluteForm:
         t = row.ket_row.toarray()
         ml = row.bra_row.toarray()
         np.testing.assert_allclose(gram @ t, ml.T @ gram, atol=1e-12)
+
+
+class TestDiluteFormOperator:
+    """The unformed dilute form against the per-mask line walk it replaces."""
+
+    @pytest.mark.parametrize("L", range(1, 9))
+    def test_mask_walk_oracle_matches_dilute_rule(self, L):
+        for basis in [dg.enumerate_dilute(L, p) for p in ("all", "even", "odd")]:
+            np.testing.assert_array_equal(mask_walk_gram(basis).toarray(), glue_rule_gram(basis))
+
+    @pytest.mark.parametrize("L", range(1, 13))
+    def test_row_form_matches_the_mask_walk_oracle(self, L):
+        basis = models.build_dilute_T(L).basis
+        oracle = mask_walk_gram(basis)
+        assert (forms.dilute_sector_gram(basis) != oracle).nnz == 0
+        form = forms.dilute_form(basis)
+        rng = np.random.default_rng(L)
+        for columns in (None, 1, 3):
+            assert_applies_like(form, oracle, random_columns(rng, len(basis), columns))
+        assert_applies_like(form, oracle, rng.standard_normal(len(basis)))
+
+    @pytest.mark.parametrize("parity", ["all", "even", "odd"])
+    @pytest.mark.parametrize("L", range(1, 9))
+    def test_parity_form_matches_the_mask_walk_oracle(self, L, parity):
+        basis = dg.enumerate_dilute(L, parity)
+        oracle = mask_walk_gram(basis)
+        assert (forms.dilute_sector_gram(basis) != oracle).nnz == 0
+        form = forms.dilute_form(basis)
+        rng = np.random.default_rng(L)
+        for columns in (None, 3):
+            assert_applies_like(form, oracle, random_columns(rng, len(basis), columns))
+        # string parity is a property of the pattern, so every mask of a
+        # parity basis holds every pattern of its count: the grids are full
+        assert all(np.all(grid >= 0) for grid, _ in form.blocks)
+
+    @pytest.mark.parametrize("L", range(3, 11))
+    def test_sub_basis_with_holes_matches_the_mask_walk_oracle(self, L):
+        # half the row states, shuffled: masks miss some of their patterns
+        rng = np.random.default_rng(L)
+        sites = models.build_dilute_T(L).basis
+        basis = sites[rng.permutation(len(sites))[: len(sites) // 2]]
+        form = forms.dilute_form(basis)
+        assert any(np.any(grid < 0) for grid, _ in form.blocks)
+        oracle = mask_walk_gram(basis)
+        assert (forms.dilute_sector_gram(basis) != oracle).nnz == 0
+        for columns in (None, 3):
+            assert_applies_like(form, oracle, random_columns(rng, len(basis), columns))
+
+    @pytest.mark.parametrize("L", range(1, 13))
+    def test_row_basis_fills_every_grid_once(self, L):
+        # every mask of k occupied sites holds every zero- and two-string
+        # k-site pattern exactly once, so one block per count serves all
+        basis = models.build_dilute_T(L).basis
+        form = forms.dilute_form(basis)
+        rows = np.concatenate([grid.ravel() for grid, _ in form.blocks])
+        np.testing.assert_array_equal(np.sort(rows), np.arange(len(basis)))
+        sites = dg._arrays(basis)[0]
+        counts = [np.count_nonzero(sites[grid] != dg._EMPTY_SITE, axis=-1) for grid, _ in form.blocks]
+        assert [int(c.flat[0]) for c in counts] == list(range(0, L + 1, 2))
+        assert all(np.all(c == c.flat[0]) for c in counts)
+
+    def test_blocks_are_symmetric_zero_one(self):
+        for grid, gram in forms.dilute_form(models.build_dilute_T(10).basis).blocks:
+            assert gram.shape == (grid.shape[1], grid.shape[1])
+            assert set(np.unique(gram)) <= {0.0, 1.0}
+            np.testing.assert_array_equal(gram, gram.T)
+
+    def test_width_one_is_the_empty_pattern(self):
+        (grid, gram), = forms.dilute_form(models.build_dilute_T(1).basis).blocks
+        np.testing.assert_array_equal(grid, [[0]])
+        np.testing.assert_array_equal(gram, [[1.0]])
+
+    def test_empty_basis(self):
+        form = forms.dilute_form(())
+        assert form.dim == 0 and form.blocks == ()
+        assert forms.dilute_sector_gram(()).shape == (0, 0)
 
 
 class TestPairing:

@@ -507,6 +507,41 @@ class TestBuildOnce:
         assert len(cached) == 3 * (2 + 5) + 2  # three arrays per generator, one count matrix per width
         assert not any(a.flags.writeable for a in cached)
 
+    def test_polymer_forms_no_gram(self, monkeypatch):
+        # the dilute form is applied through its per-count blocks: with
+        # dilute_sector_gram and every sparse constructor of forms refused,
+        # b_polymer still runs, at the edge width 2 too
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Gram matrix was formed")
+
+        expect = {L: obs.b_polymer(L).value for L in (2, 8)}
+        constructors = ("csr_matrix", "csc_matrix", "coo_matrix", "lil_matrix", "dok_matrix")
+        monkeypatch.setattr(forms, "sp", SimpleNamespace(**dict.fromkeys(constructors, refuse)))
+        monkeypatch.setattr(forms, "dilute_sector_gram", refuse)
+        for L, value in expect.items():
+            assert obs.b_polymer(L).value == pytest.approx(value, abs=1e-12)
+        assert expect[2] == pytest.approx(fx.b_polymer_l2_exact(), abs=1e-12)
+        with pytest.raises(AssertionError, match="Gram matrix was formed"):
+            forms.dilute_gram(2)
+
+    @pytest.mark.parametrize("L, counts", [(1, [0]), (2, [0, 2]), (8, [0, 2, 4, 6, 8])])
+    def test_dilute_form_walks_once_per_occupancy_count(self, monkeypatch, L, counts):
+        # one line walk per occupancy count k, of k//2 + 1 rounds, against
+        # one per occupation mask (128 at width 8) before
+        rounds = []
+        original = forms._line_ends
+
+        def counted(*args):
+            rounds.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(forms, "_line_ends", counted)
+        if L % 2:
+            forms.dilute_form(models.build_dilute_T(L).basis)
+        else:
+            obs.b_polymer(L)
+        assert rounds == [k // 2 + 1 for k in counts]
+
     def test_spin_builds_each_chain_once(self, monkeypatch):
         chains = count_calls(monkeypatch, models, "build_xxz")
         obs.b_xxz(8)
