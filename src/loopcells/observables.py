@@ -146,21 +146,29 @@ def _low_spectrum(H, L: int):
     above, ARPACK returns the 8 eigenvalues nearest a point below the ground
     energy (``(L-1)/2 - 2 sum e_i`` with each ``e_i`` spectrum in ``[0, 1]``
     at loop weight one).  A cell needs at most 5 of them: the open chain's
-    fourth distinct level is its 4th and 5th eigenvalue.  The crossover is
-    measured (open chains at L=8 and 10, the spin sector at L=12; best of 7
-    calls, one BLAS thread on a 2-vCPU Xeon):
+    fourth distinct level is its 4th and 5th eigenvalue.  ARPACK's
+    shift-invert operator is the LU of ``H`` minus that point from
+    :func:`loopcells.spectral._factor`, in the arithmetic of ``H``, so
+    scipy factors nothing of its own.  The crossover is measured (open
+    chains at y = 2, L = 8 and 10, in float64; the spin sector at L = 12;
+    best of 7 calls, one BLAS thread on a 2-vCPU Xeon):
 
     ======  ==========  ============  ===========
     states  dense eig   ARPACK k=16   ARPACK k=8
     ======  ==========  ============  ===========
-    70      1.3 ms      7.1 ms        4.5 ms
-    252     26.0 ms     10.3 ms       9.7 ms
-    494     527 ms      31.3 ms       24.4 ms
+    70      1.3 ms      4.2 ms        3.1 ms
+    252     18.8 ms     6.2 ms        6.4 ms
+    494     484 ms      15.4 ms       11.9 ms
     ======  ==========  ============  ===========
     """
     if H.shape[0] <= _DENSE_SPECTRUM_STATES:
         return np.linalg.eig(H.toarray() if sp.issparse(H) else H)
-    return spla.eigs(sp.csc_matrix(H), k=8, sigma=-1.5 * (L - 1) - 1.0, v0=np.ones(H.shape[0]))
+    H = sp.csc_matrix(H)
+    sigma = -1.5 * (L - 1) - 1.0
+    shifted = H - sigma * sp.identity(H.shape[0], dtype=H.dtype, format="csc")
+    lu = spectral._factor(shifted)
+    inverse = spla.LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
+    return spla.eigs(H, k=8, sigma=sigma, OPinv=inverse, v0=np.ones(H.shape[0]))
 
 
 def _level(spectrum, index: int, cluster_tol: float) -> spectral.Cluster:

@@ -5,6 +5,23 @@ example sequence and drops the per-example deadline, so property tests
 neither flake nor time out on a slow runner.
 """
 
+import pytest
 from hypothesis import settings
 
+from loopcells import spectral
+
 settings.register_profile("ci", derandomize=True, deadline=None)
+
+
+@pytest.fixture
+def factor_dtypes(monkeypatch) -> list:
+    """The dtype of each matrix factored through ``spectral._factor`` during the test."""
+    dtypes = []
+    original = spectral._factor
+
+    def recorded(M):
+        dtypes.append(M.dtype)
+        return original(M)
+
+    monkeypatch.setattr(spectral, "_factor", recorded)
+    return dtypes

@@ -387,6 +387,17 @@ class TestDeformedB:
         for value in values:
             assert value == pytest.approx(fx.B_XXZ_TABLE[12], abs=1e-4)
 
+    @pytest.mark.parametrize("y", [2.0, -1.0, 0.5])
+    @pytest.mark.parametrize("L", [4, 6, 8, 10])
+    def test_real_chain_matches_complex_arithmetic(self, L, y, factor_dtypes):
+        # a real chain is factored in float64 throughout; the same chain
+        # built with a complex y runs in complex arithmetic
+        real = obs.b_deformed(L, y)
+        assert factor_dtypes and set(factor_dtypes) == {np.dtype(np.float64)}
+        factor_dtypes.clear()
+        assert obs.b_deformed(L, complex(y, 0.0)).value == pytest.approx(real.value, abs=1e-10)
+        assert set(factor_dtypes) == {np.dtype(np.complex128)}
+
     def test_width_two_has_no_fourth_level(self):
         with pytest.raises(ValueError, match="only 2 distinct levels"):
             obs.b_deformed(2, 2.0)
@@ -546,6 +557,27 @@ class TestBuildOnce:
         chains = count_calls(monkeypatch, models, "build_xxz")
         obs.b_xxz(8)
         assert sorted(chains) == [4, 8]
+
+    @pytest.mark.parametrize(
+        "measure", [lambda: obs.b_deformed(10, 2.0), lambda: obs.b_xxz(12)], ids=["open", "spin"]
+    )
+    def test_three_factorizations_all_through_the_helper(self, monkeypatch, factor_dtypes, measure):
+        # ARPACK's shift, the level and the bordered partner; ARPACK gets
+        # the first as its inverse and builds no LU of its own
+        calls = []
+        splu = spla.splu
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ARPACK built its own LU")
+
+        monkeypatch.setattr(spla, "splu", counted)
+        monkeypatch.setattr(sys.modules[spla.eigs.__module__], "splu", refuse)
+        measure()
+        assert len(calls) == len(factor_dtypes) == 3
 
 
 class TestPercolationStructure:

@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loopcells import models, spectral
+from loopcells import fixtures, models, spectral
+from loopcells import observables as obs
 
 
 def embedded_jordan(level: float, others: list[float], seed: int = 7) -> np.ndarray:
@@ -241,13 +243,65 @@ class TestBordered:
         assert_same_csc(spectral._bordered(shifted, v, ell), bmat_bordered(shifted, v, ell))
 
     def test_open_chain_matches_bmat(self):
-        from loopcells import observables as obs
-
         H = models.build_percolation_H(8, 2.0)
         level = obs._level(obs._low_spectrum(H, 8), 3, 1e-5).value
         _, shifted, _, ell, _, null_dim, v = spectral._near_kernel(H, level)
         assert null_dim == 1
         assert_same_csc(spectral._bordered(shifted, v, ell), bmat_bordered(shifted, v, ell))
+
+
+def shift_systems(H, index: int, L: int) -> dict:
+    """The three systems a width-L chain factors: the ARPACK shift, the level and its border."""
+    H = sp.csc_matrix(H)
+    sigma = -1.5 * (L - 1) - 1.0
+    level = obs._level(obs._low_spectrum(H, L), index, 1e-5).value
+    _, shifted, _, ell, _, _, v = spectral._near_kernel(H, level)
+    return {
+        "sigma": H - sigma * sp.identity(H.shape[0], dtype=H.dtype, format="csc"),
+        "level": shifted,
+        "bordered": spectral._bordered(shifted, v, ell),
+    }
+
+
+class TestFactor:
+    @pytest.mark.parametrize(
+        "level", [1.5, complex(1.5, 0.0), np.complex128(1.5)], ids=["float", "complex", "numpy"]
+    )
+    def test_real_input_factors_in_float64(self, level, factor_dtypes):
+        cell = spectral.extract_jordan_cell(embedded_jordan(1.5, [0.0, 3.0, -2.0, 0.7]), level)
+        assert factor_dtypes == [np.float64, np.float64]
+        assert cell.vector.dtype == cell.partner.dtype == np.float64
+        # the cell keeps the level as it was passed
+        assert cell.value is level
+
+    def test_complex_level_or_matrix_factors_in_complex(self):
+        A = embedded_jordan(1.5, [0.0, 3.0, -2.0, 0.7])
+        for matrix, level in ((A, 1.5 + 1e-15j), (A.astype(complex), 1.5)):
+            shifted = spectral._near_kernel(matrix, level)[1]
+            assert shifted.dtype == np.complex128
+
+    def test_open_chain_cell_keeps_its_level(self):
+        H = models.build_percolation_H(8, 2.0)
+        level = obs._level(obs._low_spectrum(H, 8), 3, 1e-5).value
+        assert isinstance(level, complex) and level.imag == 0
+        assert spectral.extract_jordan_cell(H, level).value is level
+
+    @pytest.mark.parametrize("chain", ["open", "spin"])
+    def test_solves_have_small_residuals(self, chain):
+        # relative residual ||M x - b|| / (||M||_F ||x||) of both solve
+        # directions on each L=12 system, the nearly singular level included
+        if chain == "open":
+            systems = shift_systems(models.build_percolation_H(12, 2.0), 3, 12)
+        else:
+            systems = shift_systems(obs._xxz_chain(12, fixtures.Q_VALUE).H, 2, 12)
+        b = np.random.default_rng(1).standard_normal(systems["sigma"].shape[0])
+        for name, M in systems.items():
+            lu = spectral._factor(M)
+            rhs = b if name != "bordered" else np.append(b, 1.0)
+            for trans, op in (("N", M), ("H", M.conj().T)):
+                x = lu.solve(rhs, trans=trans)
+                residual = np.linalg.norm(op @ x - rhs) / (spla.norm(M) * np.linalg.norm(x))
+                assert residual <= 1e-12, (name, trans, residual)
 
 
 class TestCellStructure:
