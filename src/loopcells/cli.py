@@ -59,7 +59,12 @@ def _parse_params(pairs: list[str] | None) -> dict:
         try:
             params[key] = float(value)
         except ValueError:
-            params[key] = complex(value)
+            try:
+                params[key] = complex(value)
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"--model-param {key} needs a number, got {value!r}"
+                ) from None
     return params
 
 

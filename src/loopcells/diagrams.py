@@ -19,20 +19,25 @@ two constraints characterise the usual link bases:
   counted by central binomial coefficients,
 * :func:`enumerate_dilute`  -- arcs, strings and empty sites (dilute strip),
   whose zero-string sector is counted by Motzkin numbers;
-  :func:`dilute_row_sites` generates its zero- and two-string states, the
-  basis of the dilute transfer row, directly in array form.
+  :func:`dilute_row_sites` holds its zero- and two-string states, the basis
+  of the dilute transfer row.
+
+One generator builds every basis as a site array (:func:`_path_sites`): it
+grows all paths one site at a time with vectorized steps and sorts them into
+:meth:`LinkState.sort_key` order.  Builders and forms read those arrays,
+kept once per width for the periodic, open and dilute row bases
+(:func:`_dense_sites`, :func:`_open_sites`, :func:`dilute_row_sites`),
+through their array form (:func:`_arrays`): the arc partner of every site,
+or a string or empty sentinel, and a checked lookup of the row of a mapped
+state by a sorted integer key.  :class:`LinkState` stays the text and
+test-oracle form; the ``enumerate_*`` tuples are built from the same arrays
+and no pipeline reads them.
 
 :func:`glue` flips one diagram upside down, places it on top of another and
 reports the topology of the resulting picture: closed loops, string pairs of
 one diagram contracted by arcs of the other, and bottom-to-top through lines.
 The bilinear pairings of :mod:`loopcells.forms` are defined by this picture
 and tested against it; no production path calls it.
-
-Builders and forms read a basis in array form (:func:`_arrays`): the arc
-partner of every site, or a string or empty sentinel, and a checked lookup
-of the row of a mapped state by a sorted integer key.  :class:`LinkState`
-stays the text and test-oracle form; the dilute row reads only the site
-array of :func:`dilute_row_sites`.
 """
 
 from __future__ import annotations
@@ -167,64 +172,16 @@ def reflect(state: LinkState) -> LinkState:
     return LinkState(roles, partner)
 
 
-def _bounded_states(L: int, allow_empty: bool, allow_string: bool):
-    """Depth-first generation of all valid diagrams in canonical text order."""
-    roles = [0] * L
-    partner = [_NO_PARTNER] * L
-    stack: list[int] = []
-    out: list[LinkState] = []
-
-    def rec(i: int) -> None:
-        if i == L:
-            if not stack:
-                out.append(LinkState(tuple(roles), tuple(partner)))
-            return
-        if allow_empty:
-            roles[i] = EMPTY
-            partner[i] = _NO_PARTNER
-            rec(i + 1)
-        if allow_string and not stack:
-            roles[i] = STRING
-            partner[i] = _NO_PARTNER
-            rec(i + 1)
-        # open an arc (only if it can still be closed)
-        if L - i - 1 > len(stack):
-            roles[i] = ARC
-            stack.append(i)
-            partner[i] = _NO_PARTNER
-            rec(i + 1)
-            stack.pop()
-        # close an arc
-        if stack:
-            j = stack.pop()
-            roles[i] = ARC
-            partner[i], partner[j] = j, i
-            rec(i + 1)
-            partner[i] = _NO_PARTNER
-            partner[j] = _NO_PARTNER
-            stack.append(j)
-        roles[i] = 0
-        partner[i] = _NO_PARTNER
-
-    rec(0)
-    return out
-
-
-def _canonical(states: list[LinkState]) -> tuple[LinkState, ...]:
-    return tuple(sorted(states, key=LinkState.sort_key))
-
-
 @lru_cache(maxsize=None)
 def enumerate_dense(L: int) -> tuple[LinkState, ...]:
     """All noncrossing perfect matchings of ``L`` sites (periodic dense basis).
 
     ``L`` must be even; the basis has ``Catalan(L/2)`` states.  Chords of a
     cylinder cut never cross when drawn on the flattened segment, so the
-    states coincide with balanced arc diagrams on a line.
+    states coincide with balanced arc diagrams on a line.  The states of the
+    site array :func:`_dense_sites`, row for row.
     """
-    if L < 2 or L % 2:
-        raise ValueError("dense basis needs even L >= 2")
-    return _canonical(_bounded_states(L, allow_empty=False, allow_string=False))
+    return _states(_dense_sites(L))
 
 
 @lru_cache(maxsize=None)
@@ -232,11 +189,10 @@ def enumerate_open(L: int) -> tuple[LinkState, ...]:
     """Arc/string diagrams on an open cut, all string sectors together.
 
     The basis has ``C(L, floor(L/2))`` states; the ``2j``-string sector has
-    ``C(L, L/2 + j) - C(L, L/2 + j + 1)`` of them.
+    ``C(L, L/2 + j) - C(L, L/2 + j + 1)`` of them.  The states of the site
+    array :func:`_open_sites`, row for row.
     """
-    if L < 1:
-        raise ValueError("open basis needs L >= 1")
-    return _canonical(_bounded_states(L, allow_empty=False, allow_string=True))
+    return _states(_open_sites(L))
 
 
 @lru_cache(maxsize=None)
@@ -255,54 +211,87 @@ def enumerate_dilute(L: int, parity: str = "all") -> tuple[LinkState, ...]:
         raise ValueError("dilute basis needs L >= 1")
     if parity not in ("all", "even", "odd"):
         raise ValueError(f"unknown parity {parity!r}")
-    states = _bounded_states(L, allow_empty=True, allow_string=True)
-    if parity != "all":
-        states = [s for s in states if s.n_strings % 2 == (parity == "odd")]
-    return _canonical(states)
+    return _states(_path_sites(L, True, L, {"all": None, "even": 0, "odd": 1}[parity]))
 
 
+@lru_cache(maxsize=None)
 def dilute_row_sites(L: int) -> np.ndarray:
-    """The zero- and two-string dilute states as a read-only site array.
+    """The zero- and two-string dilute states as one read-only site array per width.
 
     Row for row the array form (:func:`_arrays`) of the head of
-    ``enumerate_dilute(L, "even")`` up to two strings, built without a
-    :class:`LinkState`.  Motzkin paths grow one site at a time, all at once:
-    each step appends an empty site, a string (at depth zero, at most two),
-    an arc opener, or the closer of the innermost open arc, and keeps the
-    paths that can still close every arc and pair an odd string in the sites
-    left.  One ``np.lexsort`` puts the states in :meth:`LinkState.sort_key`
-    order: string count, then roles, then partners.
+    ``enumerate_dilute(L, "even")`` up to two strings (:func:`_path_sites`).
     """
     if L < 1:
         raise ValueError("dilute basis needs L >= 1")
+    return _path_sites(L, True, 2, 0)
+
+
+@lru_cache(maxsize=None)
+def _dense_sites(L: int) -> np.ndarray:
+    """The periodic all-arc basis (Dyck paths) as one read-only site array per width."""
+    if L < 2 or L % 2:
+        raise ValueError("dense basis needs even L >= 2")
+    return _path_sites(L, False, 0, None)
+
+
+@lru_cache(maxsize=None)
+def _open_sites(L: int) -> np.ndarray:
+    """The open arc/string basis as one read-only site array per width."""
+    if L < 1:
+        raise ValueError("open basis needs L >= 1")
+    return _path_sites(L, False, L, None)
+
+
+def _path_sites(L: int, empty: bool, strings: int, parity: int | None) -> np.ndarray:
+    """Every link state of a family on ``L`` sites as a read-only site array.
+
+    Paths grow one site at a time, all at once: each step appends an empty
+    site (if ``empty``), a string (at depth zero, at most ``strings`` of
+    them), an arc opener, or the closer of the innermost open arc, and keeps
+    the paths that can still close every arc and, unless ``parity`` is
+    ``None``, bring the string count to that parity in the sites left.  So
+    the dense basis is the Dyck paths (no empty site, no string), the open
+    basis the arcs and strings, and the dilute bases the Motzkin paths with
+    strings.  One ``np.lexsort`` puts the states in :meth:`LinkState.sort_key`
+    order: string count, then roles, then partners.
+    """
+    step = np.array([0, 0, 1, -1], dtype=np.int8)  # depth change of each move
+    added = np.array([0, 1, 0, 0], dtype=np.int8)  # string change of each move
     sites = np.empty((1, 0), dtype=np.int8)
     stack = np.zeros((1, L // 2 + 1), dtype=np.int8)  # open arc openers, outermost first
     depth = np.zeros(1, dtype=np.int8)
-    strings = np.zeros(1, dtype=np.int8)
+    count = np.zeros(1, dtype=np.int8)
     for i in range(L):
-        anywhere = np.ones(len(depth), dtype=bool)
-        top = stack[np.arange(len(depth)), np.maximum(depth - 1, 0)]
-        moves = (  # (allowed, site value, depth change, string change)
-            (anywhere, np.full_like(depth, _EMPTY_SITE), 0, 0),
-            ((depth == 0) & (strings < 2), np.full_like(depth, _STRING_SITE), 0, 1),
-            (anywhere, np.full_like(depth, i), 1, 0),  # the closer writes the partner
-            (depth > 0, top, -1, 0),
-        )
-        grown = []
-        for allowed, value, step, added in moves:
-            k = np.flatnonzero(allowed & (depth + step + (strings + added) % 2 < L - i))
-            new_sites = np.hstack([sites[k], value[k, None]])
-            new_stack = stack[k]
-            if step > 0:
-                new_stack[np.arange(len(k)), depth[k]] = i
-            elif step < 0:
-                new_sites[np.arange(len(k)), value[k]] = i
-            grown.append((new_sites, new_stack, depth[k] + step, strings[k] + added))
-        sites, stack, depth, strings = (np.concatenate(part) for part in zip(*grown))
+        # one column per move: empty site, string, arc opener, closer
+        new_depth = depth[:, None] + step
+        new_count = count[:, None] + added
+        unpaired = 0 if parity is None else (new_count + parity) % 2
+        allowed = new_depth + unpaired < L - i
+        allowed[:, 0] &= empty
+        allowed[:, 1] &= (depth == 0) & (count < strings)
+        allowed[:, 3] &= depth > 0
+        grown = np.flatnonzero(allowed)
+        row, move = grown // 4, grown % 4
+        depth, count = new_depth.ravel()[grown], new_count.ravel()[grown]
+        value = np.array([_EMPTY_SITE, _STRING_SITE, i, 0], dtype=np.int8)[move]
+        closed = np.flatnonzero(move == 3)
+        value[closed] = stack[row[closed], depth[closed]]  # a closer's partner, the innermost opener
+        sites = np.hstack([sites[row], value[:, None]])
+        sites[closed, value[closed]] = i
+        stack = stack[row]
+        opened = np.flatnonzero(move == 2)
+        stack[opened, depth[opened] - 1] = i
     roles = np.where(sites >= 0, ARC, sites - _EMPTY_SITE)
-    sites = sites[np.lexsort((*sites.T[::-1], *roles.T[::-1], strings))]
+    sites = sites[np.lexsort((*sites.T[::-1], *roles.T[::-1], count))]
     sites.flags.writeable = False
     return sites
+
+
+def _states(sites: np.ndarray) -> tuple[LinkState, ...]:
+    """The :class:`LinkState` of every row of a site array, for text and tests."""
+    roles = np.where(sites >= 0, ARC, sites - _EMPTY_SITE).tolist()
+    partner = np.maximum(sites, _NO_PARTNER).tolist()
+    return tuple(LinkState(tuple(r), tuple(p)) for r, p in zip(roles, partner))
 
 
 def basis_index(basis: tuple[LinkState, ...]) -> dict[LinkState, int]:

@@ -42,18 +42,18 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .diagrams import _EMPTY_SITE, _STRING_SITE, LinkState, _arrays, enumerate_dense
-from .diagrams import _keys, _per_basis, enumerate_dilute, enumerate_open
+from .diagrams import _EMPTY_SITE, _STRING_SITE, LinkState, _arrays, _dense_sites
+from .diagrams import _keys, _open_sites, _per_basis, enumerate_dilute
 from .spectral import _dense
 
 
 @dataclass(frozen=True)
 class BilinearForm:
-    """A symmetric Gram matrix together with the basis it refers to."""
+    """A symmetric Gram matrix together with the basis it refers to (states or a site array)."""
 
     basis_tag: str
     gram: np.ndarray
-    basis: tuple[LinkState, ...] | None = field(default=None, compare=False)
+    basis: tuple[LinkState, ...] | np.ndarray | None = field(default=None, compare=False)
 
     def pairing(self, u: np.ndarray, v: np.ndarray) -> complex:
         return pairing(u, self.gram, v)
@@ -73,22 +73,23 @@ def boundary_loops(L: int, shift: int = 0) -> tuple[int, np.ndarray]:
     """The all-adjacent-arcs boundary of width ``L`` rotated by ``shift`` sites, glued to each state.
 
     The boundary pairs the sites ``(1, 2), (3, 4), ...``, or ``(2, 3), ...,
-    (L, 1)`` at ``shift = 1``.  Returns its row in ``enumerate_dense(L)``
-    and the number of closed loops it makes with every state, so that row
-    of the weight-``n`` loop Gram is ``n ** loops``.  The counts do not
-    depend on the weight and are built once per width (read-only).
+    (L, 1)`` at ``shift = 1``.  Returns its row in the periodic basis
+    (:func:`loopcells.diagrams._dense_sites`, in the order of
+    ``enumerate_dense(L)``) and the number of closed loops it makes with
+    every state, so that row of the weight-``n`` loop Gram is ``n **
+    loops``.  The counts do not depend on the weight and are built once per
+    width (read-only).
 
     A walker steps across a boundary arc, then across the state's arc.  Arcs
     join sites of opposite parity, so the walk keeps to one parity and meets
     every loop in one orbit of the even sites, of at most ``L/2`` of them; a
     loop is counted at its lowest even site.
     """
-    basis = enumerate_dense(L)
-    sites, rows = _arrays(basis)
+    sites, rows = _arrays(_dense_sites(L))
     partner = ((((np.arange(L) - shift) % L) ^ 1) + shift) % L
     step = sites[:, partner].astype(np.intp)
     start = np.arange(0, L, 2)
-    walker = np.broadcast_to(start, (len(basis), len(start)))
+    walker = np.broadcast_to(start, (len(sites), len(start)))
     lowest = walker.copy()
     for _ in range(L // 2 - 1):
         walker = np.take_along_axis(step, walker, axis=1)
@@ -250,7 +251,7 @@ def link_gram(L: int, y: complex = 1.0) -> BilinearForm:
     An entry is ``y`` to the number of such contractions, which does not
     depend on ``y`` and is counted once per basis (:func:`_link_contractions`).
     """
-    basis = enumerate_open(L)
+    basis = _open_sites(L)
     count = _per_basis(_LINK_CONTRACTIONS, basis, _link_contractions)
     dtype = complex if np.iscomplexobj(y) else float
     # y ** k as k repeated products: each entry is exactly the product of its weights

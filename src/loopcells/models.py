@@ -1,8 +1,8 @@
 """Lattice Hamiltonians and transfer matrices.
 
 All builders are array maps on the bases of :mod:`loopcells.diagrams`: spin
-masks, or link-pattern site arrays whose moved states find their rows through
-the basis lookup.
+masks, or the link-pattern site arrays of its one generator, kept once per
+width, whose moved states find their rows through the basis lookup.
 
 * :func:`build_xxz` -- the open anisotropic spin chain at ``q = exp(i pi/3)``
   with its boundary field, in the zero-magnetization sector (sparse);
@@ -29,7 +29,7 @@ the basis lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,12 +38,11 @@ from . import fixtures
 from .diagrams import (
     _EMPTY_SITE,
     _STRING_SITE,
-    LinkState,
     _arrays,
+    _dense_sites,
     _lookup,
+    _open_sites,
     dilute_row_sites,
-    enumerate_dense,
-    enumerate_open,
 )
 from .tl import _cup_cap_weights, _cup_caps, _join_ends, _spins, spin_sector_basis
 
@@ -259,16 +258,17 @@ def ising_boundary_vectors(L: int) -> tuple[np.ndarray, np.ndarray]:
 class TransferOperator:
     """A cylinder row kept as one array map per plaquette ``1 + e_i``.
 
-    ``plaquettes`` holds, in the order they act (lower half-row first), the
-    ``(rows, weights)`` map of each generator: ``e_i`` sends state ``c`` to
-    row ``rows[c]`` with weight ``weights[c]``.  A plaquette scatters,
+    ``basis`` is the periodic basis as a site array.  ``plaquettes`` holds,
+    in the order they act (lower half-row first), the ``(rows, weights)``
+    map of each generator: ``e_i`` sends state ``c`` to row ``rows[c]``
+    with weight ``weights[c]``.  A plaquette scatters,
     ``x + bincount(rows, weights * x)``.  With ``transposed`` set, every
     plaquette acts by its transpose, the gather ``x + weights * x[rows]``,
     in the same order (see :attr:`dual`).  All weights share one dtype.
     ``x`` may be a vector or a block of columns.
     """
 
-    basis: tuple[LinkState, ...]
+    basis: np.ndarray
     plaquettes: list[tuple[np.ndarray, np.ndarray]]
     transposed: bool = False
 
@@ -325,7 +325,7 @@ def build_dense_loop_T(L: int, n: float) -> TransferOperator:
     """
     if L % 2:
         raise ValueError("the cylinder row needs even L")
-    basis = enumerate_dense(L)
+    basis = _dense_sites(L)
     maps = _cup_caps(basis)
     dtype = np.complex128 if np.iscomplexobj(n) else np.float64
     order = [*range(0, L, 2), *range(1, L, 2)]
@@ -415,13 +415,14 @@ def _lozenge_ops(basis, site, x):
 class DiluteRow:
     """Both orientations of a dilute transfer row on a fixed basis.
 
-    ``basis`` is the row's site array (:func:`_row_basis`), or any basis
-    that :func:`~loopcells.diagrams._arrays` reads.  The two rows are
-    products of the same half-rows in opposite orders, ``ket_row = upper @
-    lower`` and ``bra_row = lower @ upper``, so the lower half-row
-    intertwines them: ``bra_row @ lower = lower @ ket_row``.  It maps every
-    ket-row eigenvector and Jordan cell to a bra-row one at the same
-    eigenvalue (unless it annihilates the eigenvector).
+    ``basis`` is the row's site array
+    (:func:`~loopcells.diagrams.dilute_row_sites`), or any basis that
+    :func:`~loopcells.diagrams._arrays` reads.  The two rows are products of
+    the same half-rows in opposite orders, ``ket_row = upper @ lower`` and
+    ``bra_row = lower @ upper``, so the lower half-row intertwines them:
+    ``bra_row @ lower = lower @ ket_row``.  It maps every ket-row
+    eigenvector and Jordan cell to a bra-row one at the same eigenvalue
+    (unless it annihilates the eigenvector).
     """
 
     basis: np.ndarray
@@ -439,25 +440,20 @@ class DiluteRow:
         return self.lower @ self.upper
 
 
-@lru_cache(maxsize=None)
-def _row_basis(L: int) -> np.ndarray:
-    """The zero- and two-string states in that order, as one read-only site array per width."""
-    return dilute_row_sites(L)
-
-
 def build_dilute_T(L: int, x: float | None = None) -> DiluteRow:
     """One row of the dilute loop model on a strip of width ``L``.
 
     The lower half-row tiles site pairs ``(1,2), (3,4), ...``; the upper
     half-row is shifted by one site and completed by boundary half-tiles.
     For odd ``L`` the lower half-row ends in the right half-tile instead.
-    The basis (:func:`_row_basis`) keeps the zero- and two-string sectors
-    only, in that order.  That restriction is legitimate because lozenge
-    tiles never create strings: they annihilate them in pairs, so any
-    downward-closed set of string counts spans an invariant subspace.
+    The basis (:func:`~loopcells.diagrams.dilute_row_sites`) keeps the
+    zero- and two-string sectors only, in that order.  That restriction is
+    legitimate because lozenge tiles never create strings: they annihilate
+    them in pairs, so any downward-closed set of string counts spans an
+    invariant subspace.
     """
     x = fixtures.X_CRITICAL if x is None else x
-    basis = _row_basis(L)
+    basis = dilute_row_sites(L)
     sites = _arrays(basis)[0]
 
     def ops(pairs, triangles):
@@ -521,7 +517,7 @@ def build_percolation_H(L: int, y: complex = 1.0) -> sp.csr_matrix:
     diagonalizable, while ``y != 1`` develops rank-two Jordan cells at the
     same spectrum.
     """
-    basis = enumerate_open(L)
+    basis = _open_sites(L)
     dim = len(basis)
     # the dtype of open_generators(L, 1.0, y)
     dtype = np.complex128 if np.iscomplexobj(y) else np.float64

@@ -424,7 +424,7 @@ def trousers_dilute(L: int, x: float | None = None, side: str = "right") -> Trou
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     x = fixtures.X_CRITICAL if x is None else x
-    basis = models._row_basis(L)
+    basis = diagrams.dilute_row_sites(L)
     bra, ket = _dilute_trousers(models.build_dilute_T(L // 2, x), basis)
     vec = ket if side == "right" else bra
     return TrousersState("dilute", L, side, vec, "all-empty component = 1")

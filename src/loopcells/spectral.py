@@ -188,7 +188,6 @@ class JordanCell:
     value: complex
     vector: np.ndarray
     partner: np.ndarray
-    cluster_size: int
     residual_v: float
     residual_w: float
     regularization: float
@@ -310,10 +309,10 @@ def _jordan_cell(shift, norm: float, value, v, w, regularization: float) -> Jord
     w = w - (np.vdot(v, w) / np.vdot(v, v)) * v
     res_v = float(np.linalg.norm(shift(v)) / max(norm, 1e-300))
     res_w = float(np.linalg.norm(shift(w) - v) / max(np.linalg.norm(v), 1e-300))
-    return JordanCell(value, v, w, 2, res_v, res_w, regularization)
+    return JordanCell(value, v, w, res_v, res_w, regularization)
 
 
-def _near_kernel(A, level: complex, rank_cut: float = 1e-8):
+def _near_kernel(A, level: complex):
     """The near-kernel of ``A - level`` and the kernel decision on it.
 
     ``A`` is dense or sparse.  The shift is formed in float64 when ``A`` is
@@ -324,7 +323,7 @@ def _near_kernel(A, level: complex, rank_cut: float = 1e-8):
     inverse iteration on one sparse LU of the shift spans the near-kernel
     (:func:`_kernel_pair`), and the two
     singular values of the shift on that span count the kernel directions:
-    those below ``rank_cut`` times the Frobenius norm of the shift.  One
+    those below ``1e-8`` times the Frobenius norm of the shift.  One
     means a genuine cell, two a diagonalizable degeneracy; none raises
     :class:`ClusterSizeError`.  A simple eigenvalue also has one kernel
     direction, so the decision alone does not certify a cell; only the
@@ -341,25 +340,20 @@ def _near_kernel(A, level: complex, rank_cut: float = 1e-8):
     shifted = (A - shift * sp.identity(A.shape[0], dtype=dtype, format="csc")).tocsc()
     X, ell, regularization = _kernel_pair(shifted, columns=2)
     _, s, vh = np.linalg.svd(shifted @ X, full_matrices=False)
-    null_dim = int(np.sum(s <= rank_cut * spla.norm(shifted)))
+    null_dim = int(np.sum(s <= 1e-8 * spla.norm(shifted)))
     if null_dim == 0:
-        raise ClusterSizeError(f"level {level} has no kernel at cutoff {rank_cut}")
+        raise ClusterSizeError(f"level {level} has no kernel at cutoff 1e-8")
     return A, shifted, X, ell, regularization, null_dim, X @ vh[-1].conj()
 
 
-def extract_jordan_cell(
-    A,
-    level: complex,
-    cluster_size: int = 2,
-    rank_cut: float = 1e-8,
-) -> JordanCell:
+def extract_jordan_cell(A, level: complex) -> JordanCell:
     """Eigenvector and minimal-norm Jordan partner at a degenerate level.
 
     ``A`` is dense or sparse; ``level`` should be the cluster mean (from
     :func:`full_spectrum` or any eigensolver).  The near-kernel of ``A -
     level`` decides the structure (:func:`_near_kernel`): a genuine cell has
-    exactly one kernel direction below ``rank_cut`` times the Frobenius norm
-    of the shift; two of them mean the level is diagonalizable and no
+    exactly one kernel direction below ``1e-8`` times the Frobenius norm of
+    the shift; two of them mean the level is diagonalizable and no
     coupling exists (:class:`DiagonalizableLevelError`), none that it is no
     eigenvalue (:class:`ClusterSizeError`).  The partner solves the bordered
     system of :func:`_bordered_partner`.  Both sparse LUs (:func:`_factor`)
@@ -368,9 +362,7 @@ def extract_jordan_cell(
     partner residual above ``1e-8`` raises ``ArithmeticError``; that is how a
     simple eigenvalue, whose kernel is one-dimensional too, is refused.
     """
-    if cluster_size != 2:
-        raise ClusterSizeError(f"rank-two extraction needs a size-2 cluster, got {cluster_size}")
-    A, shifted, _, ell, regularization, null_dim, v = _near_kernel(A, level, rank_cut)
+    A, shifted, _, ell, regularization, null_dim, v = _near_kernel(A, level)
     if null_dim >= 2:
         raise DiagonalizableLevelError(
             f"level {level} is diagonalizable (kernel dimension {null_dim}); no coupling exists"
@@ -485,7 +477,7 @@ def _ritz_near(op, target: float):
     return vals, x.real / np.linalg.norm(x.real)
 
 
-def block_jordan_cell(T00, T02, T22, rank_cut: float = 1e-9) -> JordanCell:
+def block_jordan_cell(T00, T02, T22) -> JordanCell:
     """Jordan cell of ``[[T00, T02], [0, T22]]`` at the leading level of ``T22``.
 
     The blocks are dense or sparse matrices or any operators with ``shape``,
@@ -496,7 +488,7 @@ def block_jordan_cell(T00, T02, T22, rank_cut: float = 1e-9) -> JordanCell:
     and ``T00^T`` (:func:`_ritz_near`), so that level must be among the
     three eigenvalues of ``T00`` largest in modulus (in the dilute rows it
     is the second, below the Perron value).  Both must leave a residual below
-    ``rank_cut`` times ``max |mu - lambda|`` over the Ritz values ``mu``
+    ``1e-9`` times ``max |mu - lambda|`` over the Ritz values ``mu``
     (a lower bound on the norm of the shift), otherwise the level is not
     shared.  The partner's second-block component is fixed by the
     solvability condition against the left vector, and its first-block
@@ -514,7 +506,7 @@ def block_jordan_cell(T00, T02, T22, rank_cut: float = 1e-9) -> JordanCell:
     n0, n2 = T00.shape[0], T22.shape[0]
     right, v0 = _ritz_near(T00, lam1)
     left, ell0 = _ritz_near(T00.T, lam1)
-    cut = rank_cut * float(np.max(np.abs(np.concatenate([right, left]) - lam1)))
+    cut = 1e-9 * float(np.max(np.abs(np.concatenate([right, left]) - lam1)))
     if (
         np.linalg.norm(T00 @ v0 - lam1 * v0) > cut
         or np.linalg.norm(T00.T @ ell0 - lam1 * ell0) > cut

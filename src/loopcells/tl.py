@@ -18,8 +18,9 @@ with loop weight ``n``.  This module realises the generators as matrices on
 
 A cup-cap sends each link state to exactly one state, so both link-pattern
 families are CSR matrices with one entry per column (:func:`_one_per_column`)
-from one array map on the basis's site array.  The maps do not depend on the
-loop weight or the deformation and are kept once per basis, open or
+from one array map on the basis's site array, which the generator of
+:mod:`loopcells.diagrams` keeps once per width.  The maps do not depend on
+the loop weight or the deformation and are kept once per basis, open or
 periodic (:func:`_cup_caps`); each chain or row only weighs them
 (:func:`_cup_cap_weights`), and the cylinder transfer row applies them
 directly, without forming a CSR matrix.  Moved states and swapped spin
@@ -43,13 +44,13 @@ import scipy.sparse as sp
 from .diagrams import (
     _STRING_SITE,
     _arrays,
+    _dense_sites,
     _digits,
     _keyed,
     _lookup,
+    _open_sites,
     _per_basis,
     _place,
-    enumerate_dense,
-    enumerate_open,
 )
 from .spectral import _dense
 
@@ -177,7 +178,7 @@ def open_generators(L: int, n: complex, y: complex = 1.0) -> list[sp.csr_matrix]
     dtype = np.complex128 if np.iscomplexobj(n) or np.iscomplexobj(y) else np.float64
     return [
         _one_per_column(cup_cap[0], _cup_cap_weights(cup_cap, n, y, dtype))
-        for cup_cap in _cup_caps(enumerate_open(L))
+        for cup_cap in _cup_caps(_open_sites(L))
     ]
 
 
@@ -195,7 +196,7 @@ def dense_generators(L: int, n: complex) -> list[sp.csr_matrix]:
     dtype = np.complex128 if np.iscomplexobj(n) else np.float64
     return [
         _one_per_column(cup_cap[0], _cup_cap_weights(cup_cap, n, 1.0, dtype))
-        for cup_cap in _cup_caps(enumerate_dense(L))
+        for cup_cap in _cup_caps(_dense_sites(L))
     ]
 
 

@@ -46,9 +46,10 @@ class TestParsing:
         assert isinstance(params["q"], complex)
 
     def test_bad_param_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            cli.main(["xxz-b", "--sizes", "4", "--model-param", "nonsense"])
-        assert info.value.code == 2
+        for command, param in (("xxz-b", "nonsense"), ("deformed-b", "y=abc")):
+            with pytest.raises(SystemExit) as info:
+                cli.main([command, "--sizes", "4", "--model-param", param])
+            assert info.value.code == 2
 
     def test_empty_sizes_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -44,9 +45,85 @@ def brute_force_states(L: int, allow_empty: bool, allow_string: bool) -> set[str
     return found
 
 
-def row_basis_oracle(L: int) -> tuple[dg.LinkState, ...]:
-    """The zero- and two-string states of the even dilute basis, in its order."""
-    return tuple(s for s in dg.enumerate_dilute(L, "even") if s.n_strings <= 2)
+def bounded_states(L: int, allow_empty: bool, allow_string: bool) -> list[dg.LinkState]:
+    """Depth-first generation of all valid diagrams, one :class:`LinkState` at a time."""
+    roles = [0] * L
+    partner = [-1] * L
+    stack: list[int] = []
+    out: list[dg.LinkState] = []
+
+    def rec(i: int) -> None:
+        if i == L:
+            if not stack:
+                out.append(dg.LinkState(tuple(roles), tuple(partner)))
+            return
+        if allow_empty:
+            roles[i] = dg.EMPTY
+            partner[i] = -1
+            rec(i + 1)
+        if allow_string and not stack:
+            roles[i] = dg.STRING
+            partner[i] = -1
+            rec(i + 1)
+        # open an arc (only if it can still be closed)
+        if L - i - 1 > len(stack):
+            roles[i] = dg.ARC
+            stack.append(i)
+            partner[i] = -1
+            rec(i + 1)
+            stack.pop()
+        # close an arc
+        if stack:
+            j = stack.pop()
+            roles[i] = dg.ARC
+            partner[i], partner[j] = j, i
+            rec(i + 1)
+            partner[i] = -1
+            partner[j] = -1
+            stack.append(j)
+        roles[i] = 0
+        partner[i] = -1
+
+    rec(0)
+    return out
+
+
+def canonical(states: list[dg.LinkState]) -> tuple[dg.LinkState, ...]:
+    return tuple(sorted(states, key=dg.LinkState.sort_key))
+
+
+@lru_cache(maxsize=1)
+def dilute_oracle(L: int) -> tuple[dg.LinkState, ...]:
+    return canonical(bounded_states(L, allow_empty=True, allow_string=True))
+
+
+def recursive_oracle(family: str, L: int) -> tuple[dg.LinkState, ...]:
+    """The basis ``family`` of width ``L`` from the recursion, in :meth:`LinkState.sort_key` order.
+
+    ``family`` is ``"dense"``, ``"open"``, a dilute parity ``"all"``,
+    ``"even"`` or ``"odd"``, or ``"row"``: the zero- and two-string dilute
+    states.
+    """
+    if family == "dense":
+        return canonical(bounded_states(L, allow_empty=False, allow_string=False))
+    if family == "open":
+        return canonical(bounded_states(L, allow_empty=False, allow_string=True))
+    if family == "row":
+        return tuple(s for s in dilute_oracle(L) if s.n_strings in (0, 2))
+    odd = family == "odd"
+    return tuple(s for s in dilute_oracle(L) if family == "all" or s.n_strings % 2 == odd)
+
+
+def generated(family: str, L: int):
+    """``(site array, LinkState tuple or None)`` of a basis family from the package's generator."""
+    if family == "row":
+        return dg.dilute_row_sites(L), None
+    if family == "dense":
+        return dg._dense_sites(L), dg.enumerate_dense(L)
+    if family == "open":
+        return dg._open_sites(L), dg.enumerate_open(L)
+    parity = {"all": None, "even": 0, "odd": 1}[family]
+    return dg._path_sites(L, True, L, parity), dg.enumerate_dilute(L, family)
 
 
 class TestEnumeration:
@@ -108,18 +185,27 @@ class TestEnumeration:
         assert texts == ["()()", "(())", "||()", "|()|", "()||", "||||"]
 
     @pytest.mark.parametrize(
-        "L",
-        [*range(1, 13)]
+        "family, L",
+        [
+            # the dilute row keeps its bare width as the test id
+            pytest.param(family, L, id=str(L) if family == "row" else f"{family}-{L}")
+            for L in range(1, 13)
+            for family in ("row", "dense", "open", "all", "even", "odd")
+            if family != "dense" or L % 2 == 0
+        ]
         + [
-            pytest.param(L, marks=pytest.mark.skipif(
+            pytest.param("row", L, id=str(L), marks=pytest.mark.skipif(
                 not RUN_BEST_EFFORT, reason="set LOOPCELLS_BEST_EFFORT=1 to run"))
             for L in (13, 14)
         ],
     )
-    def test_row_sites_match_the_linkstate_oracle(self, L):
-        sites = dg.dilute_row_sites(L)
+    def test_row_sites_match_the_linkstate_oracle(self, family, L):
+        sites, states = generated(family, L)
         assert sites.dtype == np.int8 and not sites.flags.writeable
-        np.testing.assert_array_equal(sites, dg._arrays(row_basis_oracle(L))[0])
+        oracle = recursive_oracle(family, L)
+        np.testing.assert_array_equal(sites, dg._arrays(oracle)[0])
+        if states is not None:
+            assert states == oracle  # the same roles and partners, so the same text, in order
         strings = np.count_nonzero(sites == dg._STRING_SITE, axis=1)
         assert np.all(np.diff(strings) >= 0)
 
@@ -298,7 +384,7 @@ class TestArrayForm:
         assert own is sites and dg._arrays(sites) is dg._arrays(sites)
         order = np.random.default_rng(1).permutation(len(sites))
         np.testing.assert_array_equal(rows(sites[order]), order)
-        for got, expect in zip(dg._keyed(sites)[:2], dg._keyed(row_basis_oracle(6))[:2]):
+        for got, expect in zip(dg._keyed(sites)[:2], dg._keyed(recursive_oracle("row", 6))[:2]):
             np.testing.assert_array_equal(got, expect)
 
     def test_built_once_per_basis(self):

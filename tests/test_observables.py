@@ -279,17 +279,33 @@ class TestPolymerB:
         )
 
     def test_builds_no_link_state(self, monkeypatch):
-        # the row basis is generated as a site array: with the basis caches
-        # cleared and every LinkState construction refused, b_polymer still runs
+        # every basis is generated as a site array: with the basis caches
+        # cleared and every LinkState construction refused, every pipeline
+        # still runs to the same values
         def refuse(*args, **kwargs):
             raise AssertionError("a LinkState was built")
 
-        expect = obs.b_polymer(6).value
-        models._row_basis.cache_clear()
-        dg.enumerate_dilute.cache_clear()
-        monkeypatch.setattr(dg, "_bounded_states", refuse)
+        def percolation(L):
+            report = obs.percolation_check(L)
+            return [report.level, report.geometric_multiplicity, report.nilpotent_norm,
+                    *report.deformed_genuine.values()]
+
+        runs = [
+            lambda: obs.b_polymer(6).value,
+            lambda: obs.b_deformed(6, 2.0).value,
+            lambda: percolation(6),
+            lambda: obs.trousers_open(6, 2.0).vector,
+            lambda: obs.loop_boundary_entropy(1.0, 1.5, (8, 10)).fit.value,
+            lambda: obs.b_xxz(8).value,
+            lambda: obs.ising_boundary_entropy((8, 10)).value,
+        ]
+        expect = [run() for run in runs]
+        for cache in (dg.dilute_row_sites, dg._dense_sites, dg._open_sites, forms.boundary_loops,
+                      dg.enumerate_dense, dg.enumerate_open, dg.enumerate_dilute):
+            cache.cache_clear()
         monkeypatch.setattr(dg.LinkState, "__init__", refuse)
-        assert obs.b_polymer(6).value == pytest.approx(expect, abs=1e-12)
+        for run, value in zip(runs, expect):
+            np.testing.assert_allclose(run(), value, rtol=0, atol=1e-12)
         with pytest.raises(AssertionError, match="LinkState was built"):
             dg.enumerate_dilute(6, "even")
 

@@ -165,10 +165,6 @@ class TestJordanExtraction:
         with pytest.raises(spectral.DiagonalizableLevelError, match="diagonalizable"):
             spectral.extract_jordan_cell(A, 1.5)
 
-    def test_only_rank_two_cells(self):
-        with pytest.raises(spectral.ClusterSizeError, match="size-2"):
-            spectral.extract_jordan_cell(np.eye(3), 1.0, cluster_size=3)
-
     def test_missing_level_is_refused(self):
         with pytest.raises(spectral.ClusterSizeError, match="no kernel"):
             spectral.extract_jordan_cell(np.diag([1.0, 2.0, 3.0]), 10.0)

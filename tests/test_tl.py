@@ -218,8 +218,8 @@ class TestMatrixOracles:
     def test_generator_leaving_the_basis_is_refused(self, monkeypatch):
         # a dense basis missing one state: the cup-cap map of some state
         # lands on the missing one, and the lookup refuses it
-        basis = dg.enumerate_dense(6)
-        monkeypatch.setattr(tl, "enumerate_dense", lambda L: basis[1:])
+        sites = dg._dense_sites(6)
+        monkeypatch.setattr(tl, "_dense_sites", lambda L: sites[1:])
         with pytest.raises(LookupError, match="not in the basis"):
             tl.dense_generators(6, 1.0)
 
