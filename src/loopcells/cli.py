@@ -325,8 +325,8 @@ def run_fixture_checks() -> list[tuple[str, bool, str]]:
 
     row = models.build_dilute_T(2)
     x = fx.X_CRITICAL
-    t2 = row.ket_row.toarray()
-    ml2 = row.bra_row.toarray()
+    t2 = row.ket_row.matrix()
+    ml2 = row.bra_row.matrix()
     check("dilute L=2 transfer matrix", t2, fx.dilute_T2())
     states = fx.dilute_T2_states()
     lam1 = x**4

@@ -163,7 +163,7 @@ def dilute_form(basis) -> DiluteForm:
     count = np.count_nonzero(occupied, axis=1)
     masks = occupied @ (1 << np.arange(L))
     # position of every site among the occupied sites of its state
-    rank = np.cumsum(occupied, axis=1) - 1
+    rank = np.cumsum(occupied, axis=1, dtype=np.int8) - 1
     blocks = []
     for k in np.unique(count):
         members = np.flatnonzero(count == k)
@@ -182,13 +182,16 @@ def dilute_form(basis) -> DiluteForm:
 def _pattern_gram(patterns: np.ndarray) -> np.ndarray:
     """Dense 0/1 form of distinct link patterns on ``k`` sites, all occupied.
 
-    All pairs are glued at once (:func:`_line_ends`): walkers start at the
-    bra's arc openers (every closed loop runs through one) and step through
-    the bra arc, then the ket arc, with string sites absorbing.  An open
-    line is absorbed within ``k//2 + 1`` rounds and a closed loop never is,
-    so a pair is loop-free when every walker is.
+    Each pair ``a <= b`` is glued once (:func:`_line_ends`): walkers start
+    at the bra's arc openers (every closed loop runs through one) and step
+    through the bra arc, then the ket arc, with string sites absorbing.  An
+    open line is absorbed within ``k//2 + 1`` rounds and a closed loop never
+    is, so a pair is loop-free when every walker is.  The bra patterns are
+    walked a fixed number at a time, so the walkers' temporaries grow with
+    the pattern count, not with its square.
     """
     size, k = patterns.shape
+    chunk = 128  # bra patterns glued at once
     here = np.arange(k)
     # arc partner of every site; string sites go to the sentinel k
     step = np.hstack([np.where(patterns >= 0, patterns, k), np.full((size, 1), k)])
@@ -196,12 +199,15 @@ def _pattern_gram(patterns: np.ndarray) -> np.ndarray:
     # arc openers of every pattern, first, then padded with the sentinel
     arcs = np.count_nonzero(patterns > here, axis=1)
     openers = np.sort(np.where(patterns > here, here, k), axis=1)[:, : arcs.max(initial=0)]
-    a, b = np.triu_indices(size)
-    start = openers[a].astype(step.dtype)
-    ends = _line_ends(step, a[:, None] * (k + 1), step, b[:, None] * (k + 1), start, k // 2 + 1)
-    free = np.all(ends == k, axis=1)
     gram = np.zeros((size, size))
-    gram[a[free], b[free]] = gram[b[free], a[free]] = 1.0
+    for lo in range(0, size, chunk):
+        bras = np.arange(lo, min(lo + chunk, size))
+        a, b = np.nonzero(bras[:, None] <= np.arange(size))
+        a += lo
+        start = openers[a].astype(step.dtype)
+        ends = _line_ends(step, a[:, None] * (k + 1), step, b[:, None] * (k + 1), start, k // 2 + 1)
+        free = np.all(ends == k, axis=1)
+        gram[a[free], b[free]] = gram[b[free], a[free]] = 1.0
     return gram
 
 

@@ -18,9 +18,11 @@ width, whose moved states find their rows through the basis lookup.
   array map per plaquette in a :class:`TransferOperator`, which also applies
   the row's dual under the loop form;
 * :func:`build_dilute_T` -- one row of the dilute loop model on a strip,
-  assembled from lozenge tiles and boundary half-tiles, together with the
-  reversed-order row that evolves bra states; :func:`dilute_blocks` splits
-  either row into string-sector blocks without forming it;
+  each half-row kept as the array maps of its lozenge tiles (the boundary
+  half-tiles folded in) in a :class:`TileOperator` and applied one tile at
+  a time, together with the reversed-order row that evolves bra states;
+  :func:`dilute_blocks` restricts the tiles of either row to its
+  string-sector blocks, forming no product;
 * :func:`build_percolation_H` -- the open-chain sum of cup-cap generators at
   loop weight one, optionally with parity-deformed string contractions
   (sparse).
@@ -29,10 +31,9 @@ width, whose moved states find their rows through the basis lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import fixtures
 from .diagrams import (
@@ -339,38 +340,58 @@ def build_dense_loop_T(L: int, n: float) -> TransferOperator:
 
 
 @dataclass
-class FactoredOperator:
-    """A product of sparse factors kept unformed for cheap application.
+class TileOperator:
+    """A product of tile maps kept unformed and applied one tile at a time.
 
-    ``factors`` act in list order, so the operator is ``factors[-1] @ ...
-    @ factors[0]``; its transpose is the reversed list of transposed factors.
+    A tile ``(stay, cols, rows, moved)`` sends every state ``c`` to itself
+    with weight ``stay[c]`` and state ``cols[k]`` to row ``rows[k]`` with
+    weight ``moved[k]``; its kept columns ``cols`` are distinct and
+    ascending.  A tile scatters, ``stay * x + bincount(rows, moved *
+    x[cols])``, and its transpose gathers, ``stay * x`` plus ``moved *
+    x[rows]`` added at ``cols``.  The tiles act in list order, so the
+    operator is ``tiles[-1] @ ... @ tiles[0]``; :attr:`T` applies the
+    transposed tiles in reverse.  ``x`` may be a vector or a block of
+    columns.
     """
 
-    factors: list[sp.csr_matrix]
+    tiles: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    transposed: bool = False
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.factors[-1].shape[0], self.factors[0].shape[1])
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        for f in self.factors:
-            v = f @ v
-        return v
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return self.apply(v)
+        dim = len(self.tiles[0][0])
+        return (dim, dim)
 
     @property
-    def T(self) -> FactoredOperator:
-        return FactoredOperator([f.T for f in reversed(self.factors)])
+    def T(self) -> TileOperator:
+        return TileOperator(self.tiles, not self.transposed)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        if self.transposed:
+            for stay, cols, rows, moved in reversed(self.tiles):
+                out = (stay * x.T).T
+                out[cols] += (moved * x[rows].T).T
+                x = out
+            return x
+        dim = self.shape[0]
+        for stay, cols, rows, moved in self.tiles:
+            out = (stay * x.T).T
+            if x.ndim == 1 and x.dtype.kind != "c":
+                out += np.bincount(rows, moved * x[cols], minlength=dim)
+            else:  # bincount takes no blocks and no complex weights
+                np.add.at(out, rows, (moved * x[cols].T).T)
+            x = out
+        return x
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.apply(x)
 
     def matrix(self) -> np.ndarray:
-        out = reduce(lambda acc, f: f @ acc, self.factors, sp.identity(self.shape[1], format="csr"))
-        return np.asarray(out.todense())
+        return self.apply(np.eye(self.shape[1]))
 
 
 def _lozenge_ops(basis, site, x):
-    """Sparse action of one lozenge spanning ``site`` and ``site+1``, as an array map.
+    """The tile map ``(stay, cols, rows)`` of one lozenge spanning ``site`` and ``site+1``.
 
     Each incoming occupancy pattern allows exactly two tiles:
 
@@ -382,11 +403,11 @@ def _lozenge_ops(basis, site, x):
       joined (weight ``x^2``) -- joining the two ends of a single arc would
       close a loop, which carries weight zero and is dropped.
 
-    The first tile keeps every state; the second maps the basis's site
-    array to new states, whose rows the basis lookup finds.
+    The first tile keeps every state, with weight ``stay``; the second maps
+    the states ``cols`` (ascending) of the basis's site array to new states,
+    whose ``rows`` the basis lookup finds, each with weight ``x^2``.
     """
     sites, find = _arrays(basis)
-    dim = len(sites)
     i, j = site, site + 1
     occupied = np.count_nonzero(sites[:, [i, j]] != _EMPTY_SITE, axis=1)
     stay = np.array([1.0, x, x**2])[occupied]
@@ -405,10 +426,7 @@ def _lozenge_ops(basis, site, x):
     arc = line >= 0
     moved[one[arc], line[arc]] = dst[arc]
     keep = np.flatnonzero(sites[:, i] != j)  # the closed loop has weight zero
-    rows = np.concatenate([np.arange(dim), find(moved[keep])])
-    cols = np.concatenate([np.arange(dim), keep])
-    vals = np.concatenate([stay, np.full(len(keep), x**2)])
-    return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)))
+    return stay, keep, find(moved[keep])
 
 
 @dataclass
@@ -417,89 +435,111 @@ class DiluteRow:
 
     ``basis`` is the row's site array
     (:func:`~loopcells.diagrams.dilute_row_sites`), or any basis that
-    :func:`~loopcells.diagrams._arrays` reads.  The two rows are products of
-    the same half-rows in opposite orders, ``ket_row = upper @ lower`` and
-    ``bra_row = lower @ upper``, so the lower half-row intertwines them:
-    ``bra_row @ lower = lower @ ket_row``.  It maps every ket-row
-    eigenvector and Jordan cell to a bra-row one at the same eigenvalue
-    (unless it annihilates the eigenvector).
+    :func:`~loopcells.diagrams._arrays` reads.  Each half-row is a
+    :class:`TileOperator` of its lozenge tiles and is never formed.  The two
+    rows are products of the same half-rows in opposite orders, ``ket_row =
+    upper @ lower`` and ``bra_row = lower @ upper``, so the lower half-row
+    intertwines them: ``bra_row @ lower = lower @ ket_row``.  It maps every
+    ket-row eigenvector and Jordan cell to a bra-row one at the same
+    eigenvalue (unless it annihilates the eigenvector).
     """
 
     basis: np.ndarray
-    lower: sp.csr_matrix
-    upper: sp.csr_matrix
+    lower: TileOperator
+    upper: TileOperator
 
     @property
-    def ket_row(self) -> sp.csr_matrix:
+    def ket_row(self) -> TileOperator:
         """Row acting on ket states from below: upper half after lower half."""
-        return self.upper @ self.lower
+        return TileOperator(self.lower.tiles + self.upper.tiles)
 
     @property
-    def bra_row(self) -> sp.csr_matrix:
+    def bra_row(self) -> TileOperator:
         """Row acting on bra states from above: the sublayers in reversed order."""
-        return self.lower @ self.upper
+        return TileOperator(self.upper.tiles + self.lower.tiles)
 
 
 def build_dilute_T(L: int, x: float | None = None) -> DiluteRow:
-    """One row of the dilute loop model on a strip of width ``L``.
+    """One row of the dilute loop model on a strip of width ``L``, kept per tile.
 
     The lower half-row tiles site pairs ``(1,2), (3,4), ...``; the upper
     half-row is shifted by one site and completed by boundary half-tiles.
     For odd ``L`` the lower half-row ends in the right half-tile instead.
-    The basis (:func:`~loopcells.diagrams.dilute_row_sites`) keeps the
-    zero- and two-string sectors only, in that order.  That restriction is
-    legitimate because lozenge tiles never create strings: they annihilate
-    them in pairs, so any downward-closed set of string counts spans an
-    invariant subspace.
+    A half-tile passes an occupied leg with weight ``x``; it touches no site
+    of a lozenge of its half-row, so it commutes with them and its diagonal
+    is folded into the weights of the half-row's first tile (an identity
+    tile where the half-row has no lozenge).  The basis
+    (:func:`~loopcells.diagrams.dilute_row_sites`) keeps the zero- and
+    two-string sectors only, in that order.  That restriction is legitimate
+    because lozenge tiles never create strings: they annihilate them in
+    pairs, so any downward-closed set of string counts spans an invariant
+    subspace.
     """
     x = fixtures.X_CRITICAL if x is None else x
     basis = dilute_row_sites(L)
     sites = _arrays(basis)[0]
+    none = np.zeros(0, dtype=np.intp)
 
-    def ops(pairs, triangles):
-        mats = [_lozenge_ops(basis, p, x) for p in pairs]
-        # boundary half-tiles: an occupied leg passes through with weight x
-        mats += [sp.diags(np.where(sites[:, t] != _EMPTY_SITE, x, 1.0)).tocsr() for t in triangles]
-        return reduce(lambda a, b: a @ b, mats)
+    def half_row(pairs, edges):
+        tiles = [
+            (stay, cols, rows, np.broadcast_to(x**2, cols.shape))
+            for stay, cols, rows in (_lozenge_ops(basis, p, x) for p in pairs)
+        ] or [(np.ones(len(sites)), none, none, np.zeros(0))]
+        for t in edges:
+            edge = np.where(sites[:, t] != _EMPTY_SITE, x, 1.0)
+            stay, cols, rows, moved = tiles[0]
+            tiles[0] = (stay * edge, cols, rows, moved * edge[cols])
+        return TileOperator(tiles)
 
     if L % 2 == 0:
-        lower = ops(range(0, L - 1, 2), ())
-        upper = ops(range(1, L - 2, 2), (0, L - 1))
+        lower = half_row(range(0, L - 1, 2), ())
+        upper = half_row(range(1, L - 2, 2), (0, L - 1))
     else:
-        lower = ops(range(0, L - 2, 2), (L - 1,))
-        upper = ops(range(1, L - 1, 2), (0,))
+        lower = half_row(range(0, L - 2, 2), (L - 1,))
+        upper = half_row(range(1, L - 1, 2), (0,))
     return DiluteRow(basis, lower, upper)
 
 
 def dilute_blocks(row: DiluteRow):
     """String-sector blocks (0 and 2 strings) of the ket row, unformed.
 
-    Returns ``(T00, T02, T22, idx0, idx2)``, each block a
-    :class:`FactoredOperator` of half-row blocks, and the rows of the two
-    sectors.  The basis lists its ``n0`` zero-string states first (else
-    ``ValueError``), so ``idx0`` is ``0 .. n0-1``, ``idx2`` the rest, and
-    every block is a slice.  Neither half row may send a zero-string state
-    into the two-string sector (lozenge tiles never create strings): a
-    nonzero entry below row ``n0`` and left of column ``n0`` raises
-    ``AssertionError``.  So with the ket row ``upper @ lower`` written in
-    blocks ``l``/``u`` the products are exact: ``T00 = u00 l00``,
-    ``T22 = u22 l22`` and ``T02 = u00 l02 + u02 l22``.  The bra row's blocks
-    are those of the row with its two halves swapped.
+    Returns ``(T00, T02, T22, idx0, idx2)``: the three blocks and the rows
+    of the two sectors.  The basis lists its ``n0`` zero-string states first (else
+    ``ValueError``), so ``idx0`` is ``0 .. n0-1`` and ``idx2`` the rest.  No
+    tile may send a zero-string state into the two-string sector (lozenge
+    tiles never create strings); a move from a column below ``n0`` to a row
+    at or above it raises ``AssertionError``.  Every tile is then block
+    upper triangular, so the diagonal blocks of the row are the products of
+    the tiles' diagonal blocks: ``T00`` and ``T22`` are
+    :class:`TileOperator` s of the tiles restricted to a sector (``T00``'s
+    as views, the kept columns being ascending; ``T22`` drops the moves that
+    leave the two-string sector).  ``T02 = P0 T P2^T`` is a
+    ``LinearOperator`` that applies the whole row to a vector padded with
+    zeros on the zero-string sector.  The bra row's blocks are those of the
+    row with its two halves swapped.
     """
     strings = np.count_nonzero(_arrays(row.basis)[0] == _STRING_SITE, axis=1)
     dim = len(strings)
     n0 = np.count_nonzero(strings == 0)
     if np.any(strings != np.where(np.arange(dim) < n0, 0, 2)):
         raise ValueError("a dilute row basis lists its zero-string states, then its two-string ones")
-    lower, upper = row.lower.tocsr(), row.upper.tocsr()
-    for half in (lower, upper):
-        below = slice(half.indptr[n0], None)
-        if np.count_nonzero(half.data[below][half.indices[below] < n0]):
+    ket_row = row.ket_row
+    zero, two = [], []
+    for stay, cols, rows, moved in ket_row.tiles:
+        m0 = np.searchsorted(cols, n0)
+        if np.any(rows[:m0] >= n0):
             raise AssertionError("strings were created by a dilute half-row")
-    T00 = FactoredOperator([lower[:n0, :n0], upper[:n0, :n0]])
-    T02 = FactoredOperator([lower[:, n0:], upper[:n0, :]])
-    T22 = FactoredOperator([lower[n0:, n0:], upper[n0:, n0:]])
-    return T00, T02, T22, np.arange(n0), np.arange(n0, dim)
+        zero.append((stay[:n0], cols[:m0], rows[:m0], moved[:m0]))
+        kept = m0 + np.flatnonzero(rows[m0:] >= n0)
+        two.append((stay[n0:], cols[kept] - n0, rows[kept] - n0, moved[kept]))
+
+    def feed(x2):
+        padded = np.zeros((dim, *x2.shape[1:]), dtype=x2.dtype)
+        padded[n0:] = x2
+        return (ket_row @ padded)[:n0]
+
+    T02 = spla.LinearOperator((n0, dim - n0), matvec=feed, matmat=feed, dtype=float)
+    return TileOperator(zero), T02, TileOperator(two), np.arange(n0), np.arange(n0, dim)
 
 
 # ---------------------------------------------------------------------------

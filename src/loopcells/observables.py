@@ -398,13 +398,17 @@ def _dilute_trousers(half_row: models.DiluteRow, basis):
     """
     T00, _, _, idx0, _ = models.dilute_blocks(half_row)
     lam, ket = spectral.perron_pair(T00)
-    lower, upper = T00.factors
-    bra = lower @ ket
+    # the ground on the whole half-row basis, zero on the two-string sector,
+    # which the lower half-row does not reach from the zero-string one
+    bra = np.zeros(len(half_row.basis))
+    bra[idx0] = ket
+    bra = half_row.lower @ bra
     if np.linalg.norm(bra) <= 1e-12 * np.linalg.norm(ket):
         raise ArithmeticError("the lower half-row annihilates the half-width ground")
-    residual = np.linalg.norm(lower @ (upper @ bra) - lam * bra) / (lam * np.linalg.norm(bra))
+    residual = np.linalg.norm(half_row.bra_row @ bra - lam * bra) / (lam * np.linalg.norm(bra))
     if residual > 1e-10:
         raise ArithmeticError(f"mapped half-width ground fails the bra row: {residual:.2e}")
+    bra = bra[idx0]
     half = diagrams._arrays(half_row.basis)[0][idx0]
     empty = np.flatnonzero(np.all(half == diagrams._EMPTY_SITE, axis=1))[0]
     mirror = diagrams._lookup(diagrams._keys(half))(diagrams._keys(diagrams._reflected(half)))
@@ -434,25 +438,27 @@ def _bra_cell(row: models.DiluteRow, value: float, v, w, intertwiner) -> spectra
     """The bra-row cell carried over from the ket-row cell ``(v, w)`` at ``value``.
 
     ``bra_row @ lower = lower @ ket_row``, so ``(lower v, lower w)`` is a
-    bra-row cell at the same level; ``intertwiner`` is the matrix the ket
+    bra-row cell at the same level; ``intertwiner`` is the operator the ket
     cell is mapped through (``row.lower``).  The image is scaled to a unit
     eigenvector, put in the minimal-norm gauge and certified against the
-    bra row, applied as ``lower @ (upper @ z)`` without forming it.  It has
-    no LU of its own, so its ``regularization`` is 0.0.  An image that
-    vanishes (``||lower v|| <= 1e-12 ||v||``) or a residual above ``1e-8``
-    raises ``ArithmeticError``.
+    bra row, applied tile by tile without forming it.  The eigenvector's
+    residual is scaled by ``|value|``, a lower bound on the bra row's norm.
+    It has no LU of its own, so its ``regularization`` is 0.0.  An image
+    that vanishes (``||lower v|| <= 1e-12 ||v||``) or a residual above
+    ``1e-8`` raises ``ArithmeticError``.
     """
     image = intertwiner @ v
     scale = float(np.linalg.norm(image))
     if scale <= 1e-12 * np.linalg.norm(v):
         raise ArithmeticError(f"the intertwiner annihilates the ket cell at {value}")
-    lower, upper = row.lower, row.upper
+    bra_row = row.bra_row
 
     def shift(z):
-        return lower @ (upper @ z) - value * z
+        return bra_row @ z - value * z
 
-    norm = spla.norm(lower) * spla.norm(upper)
-    cell = spectral._jordan_cell(shift, norm, value, image / scale, (intertwiner @ w) / scale, 0.0)
+    cell = spectral._jordan_cell(
+        shift, abs(value), value, image / scale, (intertwiner @ w) / scale, 0.0
+    )
     if max(cell.residual_v, cell.residual_w) > 1e-8:
         raise ArithmeticError(
             f"mapped bra cell at {value} fails the bra row: residuals "
@@ -672,6 +678,18 @@ def _power_law_fit(ell: np.ndarray, val: np.ndarray) -> tuple[float, float]:
     return float(projected(np.array([p]))[0][0]), float(p)
 
 
+def _fit_sizes(sizes) -> list:
+    """``sizes`` ascending, refused up front unless there are two or more, all distinct.
+
+    The exact 1/L interpolation of :func:`_inverse_power_fit` is singular
+    otherwise, so ``ValueError`` is raised before any width is solved.
+    """
+    sizes = sorted(sizes)
+    if len(sizes) < 2 or len(set(sizes)) < len(sizes):
+        raise ValueError(f"the 1/L fit needs at least two sizes, all distinct, got {sizes}")
+    return sizes
+
+
 def _inverse_power_fit(sizes, values) -> FitResult:
     """Exact interpolation by sum_k c_k / L^k, k = -1 .. #sizes - 2.
 
@@ -755,7 +773,8 @@ def ising_boundary_entropy(sizes=(12, 14, 16, 18), bc: str = "fixed") -> FitResu
     it is found in that sector (about ``2^L / 2L`` orbits), lifted back to
     every configuration, and certified there against the full ring; see
     :func:`_ising_ground_state`.  :func:`ising_boundary_entropies` gives
-    both conditions from one solve per width.
+    both conditions from one solve per width.  Fewer than two sizes, or a
+    repeated one, raise ``ValueError`` before any width is solved.
     """
     if bc not in ("fixed", "free"):
         raise ValueError(f"unknown boundary condition {bc!r}")
@@ -768,12 +787,13 @@ def ising_boundary_entropies(sizes=(12, 14, 16, 18)) -> dict[str, FitResult]:
     Each width's ground state is solved and certified once and paired with
     both boundary vectors.
     """
+    sizes = _fit_sizes(sizes)
     logs: dict[str, list[float]] = {"fixed": [], "free": []}
-    for L in sorted(sizes):
+    for L in sizes:
         _, v = _ising_ground_state(L)
         for f, vec in zip(logs.values(), models.ising_boundary_vectors(L)):
             f.append(-np.log(float(v @ vec)))
-    return {bc: _inverse_power_fit(sorted(sizes), f) for bc, f in logs.items()}
+    return {bc: _inverse_power_fit(sizes, f) for bc, f in logs.items()}
 
 
 def _loop_square(
@@ -835,21 +855,24 @@ def loop_boundary_entropy(n: float, n1: float, sizes=(12, 14, 16, 18)) -> LoopEn
     factor of it is formed, and an uncertified square raises
     ``ArithmeticError``.  Weights ``n <= 0`` are refused: the row then has
     no positive leading state, and the one of largest modulus has a negative
-    or vanishing loop-form square at every width tried.
+    or vanishing loop-form square at every width tried.  Fewer than two
+    sizes, or a repeated or odd one, raise ``ValueError`` before any width
+    is solved.
     """
     if not (0 < n < 2):
         raise ValueError("the loop weight must satisfy 0 < n < 2")
     if n1 <= 0:
         raise ValueError("the boundary loop weight must be positive")
+    sizes = _fit_sizes(sizes)
+    if any(L % 2 for L in sizes):
+        raise ValueError("the cylinder row needs even sizes")
     f_values = []
-    for L in sorted(sizes):
-        if L % 2:
-            raise ValueError("the cylinder row needs even sizes")
+    for L in sizes:
         row = models.build_dense_loop_T(L, n)
         lam, v = spectral.perron_pair(row)
         v = v / np.sqrt(_loop_square(row, v, lam, L, n))
         f_values.append(-np.log(_boundary_overlap(v, L, n1)))
-    fit = _inverse_power_fit(sorted(sizes), f_values)
+    fit = _inverse_power_fit(sizes, f_values)
     exact = loop_entropy_exact(n, n1)
     return LoopEntropyReport(n, n1, fit, exact, abs(fit.value - exact))
 

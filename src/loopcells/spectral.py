@@ -26,8 +26,8 @@ spectrum, the sparse counterpart of :func:`geometric_multiplicity` and
 :func:`block_jordan_cell` works on the zero-string block of a block
 upper-triangular transfer row (string sectors that only feed downward),
 whose shared level is among the largest in modulus.  It factors nothing and
-needs only products with the blocks, so the blocks may stay unformed
-products of half-rows: ARPACK gives the kernel vector and its left
+needs only products with the blocks, so the blocks may stay unformed, as
+the dilute rows' tile operators do: ARPACK gives the kernel vector and its left
 companion, GMRES the partner from the same bordered operator, and its
 ``regularization`` is always 0.0.  Both return a :class:`JordanCell` with
 its residuals, and both certify them.
@@ -433,7 +433,7 @@ def perron_pair(M, tol: float = 1e-14, max_iter: int = 100000):
     """Leading eigenvalue and positive eigenvector of a nonnegative operator.
 
     ``M`` is a dense or sparse matrix, or any operator with ``shape`` and
-    ``@`` such as a factored transfer row.  Deterministic power iteration
+    ``@`` such as a transfer row kept per tile or plaquette.  Deterministic power iteration
     from the all-ones vector stops once the eigenvalue moves by at most
     ``tol`` relative and the normalized vector by at most ``1e-13``; an
     unconverged run raises :class:`ConvergenceError` after ``max_iter``
@@ -481,11 +481,12 @@ def block_jordan_cell(T00, T02, T22) -> JordanCell:
     """Jordan cell of ``[[T00, T02], [0, T22]]`` at the leading level of ``T22``.
 
     The blocks are dense or sparse matrices or any operators with ``shape``,
-    ``@`` and ``T`` (such as :class:`loopcells.models.FactoredOperator`);
-    nothing is factored or formed.  The leading two-string eigenvalue comes
-    from :func:`perron_pair`; the shared zero-string eigenvector and its
-    left companion are the Ritz vectors nearest it from ARPACK on ``T00``
-    and ``T00^T`` (:func:`_ritz_near`), so that level must be among the
+    ``@`` and ``T`` (such as :class:`loopcells.models.TileOperator`;
+    ``T02`` needs only ``shape`` and ``@``); nothing is factored or formed.
+    The leading two-string eigenvalue comes from :func:`perron_pair`; the
+    shared zero-string eigenvector and its left companion are the Ritz
+    vectors nearest it from ARPACK on ``T00`` and ``T00^T``
+    (:func:`_ritz_near`), so that level must be among the
     three eigenvalues of ``T00`` largest in modulus (in the dilute rows it
     is the second, below the Perron value).  Both must leave a residual below
     ``1e-9`` times ``max |mu - lambda|`` over the Ritz values ``mu``

@@ -75,7 +75,7 @@ def test_1_reference_matrices_and_spectra(capsys):
     geometric_ok = spectral.geometric_multiplicity(H, fx.SPIN_L4_JORDAN_LEVEL) == 1
 
     row = models.build_dilute_T(2)
-    worst["T2"] = float(np.max(np.abs(row.ket_row.toarray() - fx.dilute_T2())))
+    worst["T2"] = float(np.max(np.abs(row.ket_row.matrix() - fx.dilute_T2())))
 
     built = tl.open_generators(4, 1.0)
     printed = fx.open_L4_generators(1.0)

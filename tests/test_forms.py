@@ -414,8 +414,8 @@ class TestDiluteForm:
         # G T = ML^T G, which turns bra-row eigenvectors into left ones
         row = models.build_dilute_T(L)
         gram = forms.dilute_sector_gram(row.basis).toarray()
-        t = row.ket_row.toarray()
-        ml = row.bra_row.toarray()
+        t = row.ket_row.matrix()
+        ml = row.bra_row.matrix()
         np.testing.assert_allclose(gram @ t, ml.T @ gram, atol=1e-12)
 
 

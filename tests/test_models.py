@@ -7,6 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from dilute_row_oracles import FormedRow, formed_blocks, formed_row
 from loop_form_oracles import loop_gram
 
 from loopcells import diagrams as dg
@@ -108,7 +109,7 @@ def row_basis_oracle(L: int) -> tuple[dg.LinkState, ...]:
     return tuple(s for s in dg.enumerate_dilute(L, "even") if s.n_strings <= 2)
 
 
-def loop_dilute_row(L: int, x: float) -> models.DiluteRow:
+def loop_dilute_row(L: int, x: float) -> FormedRow:
     """The dilute row from the per-state tiles on the zero- and two-string states (the oracle)."""
     full = dg.enumerate_dilute(L, "all")
     basis = tuple(s for s in full if s.n_strings in (0, 2))
@@ -123,7 +124,7 @@ def loop_dilute_row(L: int, x: float) -> models.DiluteRow:
         lower, upper = ops(range(0, L - 1, 2), ()), ops(range(1, L - 2, 2), (0, L - 1))
     else:
         lower, upper = ops(range(0, L - 2, 2), (L - 1,)), ops(range(1, L - 1, 2), (0,))
-    return models.DiluteRow(basis, lower, upper)
+    return FormedRow(basis, lower, upper)
 
 
 def assert_same_csr(got, expect):
@@ -405,14 +406,49 @@ class TestDenseLoopTransfer:
         np.testing.assert_allclose(gram @ op.matrix(), op.dual.matrix() @ gram, rtol=1e-12)
 
 
+def relative_gap(got, expect) -> float:
+    return float(np.linalg.norm(got - expect) / np.linalg.norm(expect))
+
+
 class TestDiluteRow:
     @pytest.mark.parametrize("x", [fx.X_CRITICAL, 0.9])
     @pytest.mark.parametrize("L", range(1, 11))
     def test_half_rows_match_the_per_state_oracle(self, L, x):
-        row, expect = models.build_dilute_T(L, x), loop_dilute_row(L, x)
+        # the formed half-rows, the oracle of the tile operator, equal the
+        # per-state tiles on the row basis entry for entry
+        row, expect = formed_row(L, x), loop_dilute_row(L, x)
+        np.testing.assert_array_equal(models.build_dilute_T(L, x).basis, row.basis)
         np.testing.assert_array_equal(row.basis, dg._arrays(expect.basis)[0])
         assert_same_csr(row.lower, expect.lower)
         assert_same_csr(row.upper, expect.upper)
+
+    @pytest.mark.parametrize("x", [fx.X_CRITICAL, 0.9])
+    @pytest.mark.parametrize("L", range(1, 13))
+    def test_tiles_match_the_formed_half_rows(self, L, x):
+        row, formed = models.build_dilute_T(L, x), formed_row(L, x)
+        rng = np.random.default_rng(L)
+        pairs = [
+            (row.lower, formed.lower), (row.upper, formed.upper),
+            (row.ket_row, formed.ket_row), (row.bra_row, formed.bra_row),
+        ]
+        for tiles, matrix in pairs:
+            assert tiles.shape == matrix.shape
+            for v in (rng.standard_normal(matrix.shape[0]), rng.standard_normal((matrix.shape[0], 2))):
+                assert relative_gap(tiles @ v, matrix @ v) <= 1e-14
+                assert relative_gap(tiles.T @ v, matrix.T @ v) <= 1e-14
+
+    @pytest.mark.parametrize("L", range(2, 13))
+    def test_sector_blocks_match_the_formed_row(self, L):
+        row = models.build_dilute_T(L)
+        ket = formed_row(L).ket_row
+        T00, T02, T22, idx0, idx2 = models.dilute_blocks(row)
+        rng = np.random.default_rng(L)
+        for block, rows, cols in ((T00, idx0, idx0), (T02, idx0, idx2), (T22, idx2, idx2)):
+            v = rng.standard_normal(len(cols))
+            assert relative_gap(block @ v, ket[rows][:, cols] @ v) <= 1e-14
+        for block, idx in ((T00, idx0), (T22, idx2)):
+            v = rng.standard_normal(len(idx))
+            assert relative_gap(block.T @ v, ket[idx][:, idx].T @ v) <= 1e-14
 
     def test_tile_leaving_the_basis_is_refused(self):
         # the zero- and two-string basis of width 4 minus one state: a lozenge
@@ -422,34 +458,46 @@ class TestDiluteRow:
             for site in range(3):
                 models._lozenge_ops(basis, site, fx.X_CRITICAL)
 
+    def test_builds_no_sparse_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scipy.sparse matrix was built")
+
+        monkeypatch.setattr(sp._base._spbase, "__init__", refuse)
+        with pytest.raises(AssertionError, match="was built"):
+            sp.identity(2, format="csr")
+        row = models.build_dilute_T(10)
+        T00, T02, T22, *_ = models.dilute_blocks(row)
+        for block in (T00, T02, T22):
+            block @ np.ones(block.shape[1])
+
     def test_width_two_matches_printed_matrix(self):
         row = models.build_dilute_T(2)
-        np.testing.assert_allclose(row.ket_row.toarray(), fx.dilute_T2(), atol=1e-15)
+        np.testing.assert_allclose(row.ket_row.matrix(), fx.dilute_T2(), atol=1e-15)
 
     def test_block_triangular_in_string_number(self):
         for L in (2, 3, 4, 5, 6):
             row = models.build_dilute_T(L)
             strings = np.array([s.n_strings for s in row_basis_oracle(L)])
-            for matrix in (row.ket_row, row.bra_row):
-                rows, cols = matrix.nonzero()
+            for matrix in (row.ket_row.matrix(), row.bra_row.matrix()):
+                rows, cols = np.nonzero(matrix)
                 assert np.all(strings[rows] <= strings[cols])
 
     @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
     def test_bra_and_ket_rows_share_spectrum(self, L):
         row = models.build_dilute_T(L)
-        a = np.sort_complex(np.linalg.eigvals(row.ket_row.toarray()))
-        b = np.sort_complex(np.linalg.eigvals(row.bra_row.toarray()))
+        a = np.sort_complex(np.linalg.eigvals(row.ket_row.matrix()))
+        b = np.sort_complex(np.linalg.eigvals(row.bra_row.matrix()))
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_left_action_is_not_plain_transpose(self):
         row = models.build_dilute_T(2)
-        assert abs(row.bra_row - row.ket_row.T).max() > 0.01
+        assert np.abs(row.bra_row.matrix() - row.ket_row.matrix().T).max() > 0.01
 
     def test_printed_left_states(self):
         # the width-2 bras printed in the Jordan-basis display are right
         # eigenvectors and a partner of the reversed row
         row = models.build_dilute_T(2)
-        ml = row.bra_row.toarray()
+        ml = row.bra_row.matrix()
         x = fx.X_CRITICAL
         states = fx.dilute_T2_states(x)
         lam1 = x**4
@@ -486,22 +534,36 @@ class TestDiluteRow:
     @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("side", ["ket", "bra"])
     def test_factored_blocks_equal_the_formed_row(self, L, side):
+        # the tile blocks of either row equal the slices of the row formed
+        # from the CSR half-rows, and the factored slices of the oracle
+        formed = formed_row(L)
+        matrix = (formed.ket_row if side == "ket" else formed.bra_row).toarray()
         row = models.build_dilute_T(L)
-        matrix = (row.ket_row if side == "ket" else row.bra_row).toarray()
         if side == "bra":
             row = models.DiluteRow(row.basis, row.upper, row.lower)
+            formed = FormedRow(formed.basis, formed.upper, formed.lower)
         T00, T02, T22, idx0, idx2 = models.dilute_blocks(row)
-        for block, rows, cols in ((T00, idx0, idx0), (T02, idx0, idx2), (T22, idx2, idx2)):
-            np.testing.assert_allclose(block.matrix(), matrix[np.ix_(rows, cols)], atol=1e-15)
+        oracle = formed_blocks(formed)[:3]
+        for block, expect, rows, cols in zip((T00, T02, T22), oracle, (idx0, idx0, idx2),
+                                             (idx0, idx2, idx2)):
+            dense = block @ np.eye(len(cols))
+            np.testing.assert_allclose(dense, matrix[np.ix_(rows, cols)], atol=1e-15)
+            np.testing.assert_allclose(dense, expect.matrix(), atol=1e-15)
         v = np.random.default_rng(L).standard_normal(len(idx0))
         np.testing.assert_allclose(T00.T @ v, matrix[np.ix_(idx0, idx0)].T @ v, atol=1e-14)
 
     def test_string_creating_half_row_is_refused(self):
+        # one move of an upper tile redirected from a zero-string column
+        # into the two-string sector
         row = models.build_dilute_T(3)
         idx0 = dg.sector_indices(row.basis, 0)
         idx2 = dg.sector_indices(row.basis, 2)
-        kick = sp.csr_matrix(([1.0], ([idx2[0]], [idx0[0]])), shape=row.upper.shape)
-        fake = models.DiluteRow(row.basis, row.lower, row.upper + kick)
+        stay, cols, rows, moved = row.upper.tiles[0]
+        assert cols[0] in idx0
+        kicked = rows.copy()
+        kicked[0] = idx2[0]
+        upper = models.TileOperator([(stay, cols, kicked, moved), *row.upper.tiles[1:]])
+        fake = models.DiluteRow(row.basis, row.lower, upper)
         with pytest.raises(AssertionError, match="strings were created"):
             models.dilute_blocks(fake)
 
@@ -510,7 +572,7 @@ class TestDiluteRow:
         row = models.build_dilute_T(4)
         basis = row_basis_oracle(4)
         empty = next(k for k, s in enumerate(basis) if not any(s.occupied_mask))
-        col = row.ket_row.toarray()[:, empty]
+        col = row.ket_row.matrix()[:, empty]
         assert col[empty] == pytest.approx(1.0)
 
 

@@ -113,7 +113,8 @@ class TestTrousers:
 
     def test_vanishing_bra_ground_is_refused(self):
         row = models.build_dilute_T(2)
-        fake = SimpleNamespace(basis=row.basis, lower=0 * row.lower, upper=row.upper)
+        zero = models.TileOperator([(0 * s, c, r, 0 * m) for s, c, r, m in row.lower.tiles])
+        fake = models.DiluteRow(row.basis, zero, row.upper)
         with pytest.raises(ArithmeticError, match="annihilates"):
             obs._dilute_trousers(fake, models.build_dilute_T(4).basis)
 
@@ -876,6 +877,17 @@ class TestIsingEntropy:
         with pytest.raises(ValueError, match="unknown boundary condition"):
             obs.ising_boundary_entropy(bc="twisted")
 
+    @pytest.mark.parametrize("sizes", [(26,), (12, 12), (), (8, 10, 10)])
+    def test_fewer_than_two_sizes_are_refused_before_any_solve(self, sizes, monkeypatch):
+        def refuse(L):
+            raise AssertionError(f"width {L} was solved")
+
+        monkeypatch.setattr(obs, "_ising_ground_state", refuse)
+        for run in (lambda: obs.ising_boundary_entropy(sizes),
+                    lambda: obs.ising_boundary_entropies(sizes)):
+            with pytest.raises(ValueError, match="at least two sizes, all distinct"):
+                run()
+
     def test_repeated_calls_agree_exactly(self):
         first = obs.ising_boundary_entropy(sizes=(8, 10, 12), bc="fixed")
         second = obs.ising_boundary_entropy(sizes=(8, 10, 12), bc="fixed")
@@ -1075,6 +1087,18 @@ class TestLoopEntropy:
     def test_row_parity_is_checked(self):
         with pytest.raises(ValueError, match="even sizes"):
             obs.loop_boundary_entropy(1.0, 1.0, sizes=(7, 9))
+
+    @pytest.mark.parametrize("sizes, match", [
+        ((26,), "at least two sizes"), ((12, 12), "all distinct"), ((), "at least two sizes"),
+        ((8, 10, 10), "all distinct"), ((8, 11), "even sizes"),
+    ])
+    def test_bad_sizes_are_refused_before_any_solve(self, sizes, match, monkeypatch):
+        def refuse(L, n):
+            raise AssertionError(f"width {L} was solved")
+
+        monkeypatch.setattr(models, "build_dense_loop_T", refuse)
+        with pytest.raises(ValueError, match=match):
+            obs.loop_boundary_entropy(1.0, 1.5, sizes)
 
     def test_normalization_matches_the_loop_count_gram(self):
         n, n1, sizes = 0.5, 1.0, (6, 8, 10)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from dilute_row_oracles import formed_blocks, formed_row
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -465,11 +466,15 @@ class TestBlockJordan:
 
     @pytest.mark.parametrize("L", [2, 4, 6, 8])
     def test_factored_dilute_cell_matches_the_lu_oracle(self, L):
+        # the tile blocks against the LU cell and the iterative cell of the
+        # formed half-rows' slices
         row = models.build_dilute_T(L)
         blocks = models.dilute_blocks(row)[:3]
         cell = spectral.block_jordan_cell(*blocks)
         assert cell.regularization == 0.0
-        assert_same_cell(cell, lu_block_cell(*(b.matrix() for b in blocks)))
+        formed = formed_blocks(formed_row(L))[:3]
+        assert_same_cell(cell, lu_block_cell(*(b.matrix() for b in formed)))
+        assert_same_cell(cell, spectral.block_jordan_cell(*formed))
 
     @given(st.integers(2, 30), st.integers(1, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
