@@ -143,23 +143,26 @@ def _low_spectrum(H, L: int):
     """Low eigenpairs ``(vals, vecs)`` of a width-L chain at loop weight one.
 
     Up to :data:`_DENSE_SPECTRUM_STATES` states LAPACK returns all of them;
-    above, ARPACK returns the 8 eigenvalues nearest a point below the ground
+    above, ARPACK returns the 6 eigenvalues nearest a point below the ground
     energy (``(L-1)/2 - 2 sum e_i`` with each ``e_i`` spectrum in ``[0, 1]``
     at loop weight one).  A cell needs at most 5 of them: the open chain's
-    fourth distinct level is its 4th and 5th eigenvalue.  ARPACK's
+    fourth distinct level is its 4th and 5th eigenvalue, and the sixth
+    closes that level off, so :func:`_level` does not refuse it as cut
+    short.  Six pairs take about 45 shift-invert solves against 77 (spin
+    sector, L = 12 and 16) and 93 (open chain, L = 10) for eight.  ARPACK's
     shift-invert operator is the LU of ``H`` minus that point from
     :func:`loopcells.spectral._factor`, in the arithmetic of ``H``, so
     scipy factors nothing of its own.  The crossover is measured (open
     chains at y = 2, L = 8 and 10, in float64; the spin sector at L = 12;
     best of 7 calls, one BLAS thread on a 2-vCPU Xeon):
 
-    ======  ==========  ============  ===========
-    states  dense eig   ARPACK k=16   ARPACK k=8
-    ======  ==========  ============  ===========
-    70      1.3 ms      4.2 ms        3.1 ms
-    252     18.8 ms     6.2 ms        6.4 ms
-    494     484 ms      15.4 ms       11.9 ms
-    ======  ==========  ============  ===========
+    ======  ==========  ===========  ===========
+    states  dense eig   ARPACK k=8   ARPACK k=6
+    ======  ==========  ===========  ===========
+    70      0.7 ms      2.5 ms       1.5 ms
+    252     16.7 ms     4.9 ms       2.9 ms
+    494     350 ms      10.2 ms      6.4 ms
+    ======  ==========  ===========  ===========
     """
     if H.shape[0] <= _DENSE_SPECTRUM_STATES:
         return np.linalg.eig(H.toarray() if sp.issparse(H) else H)
@@ -168,7 +171,7 @@ def _low_spectrum(H, L: int):
     shifted = H - sigma * sp.identity(H.shape[0], dtype=H.dtype, format="csc")
     lu = spectral._factor(shifted)
     inverse = spla.LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
-    return spla.eigs(H, k=8, sigma=sigma, OPinv=inverse, v0=np.ones(H.shape[0]))
+    return spla.eigs(H, k=6, sigma=sigma, OPinv=inverse, v0=np.ones(H.shape[0]))
 
 
 def _level(spectrum, index: int, cluster_tol: float) -> spectral.Cluster:
@@ -241,11 +244,17 @@ def _chain_b(
     """The coupling b from the rank-two cell at ``chain.level`` of a chain.
 
     ``chain`` comes from :func:`_xxz_chain` or :func:`_open_chain`.  One
-    :func:`_low_spectrum` call locates the level and gives the ground state;
-    a sector chain certifies both on the full chain.  The partner is
-    rescaled into Hamiltonian convention units and paired with the trousers
-    ``product`` at overlap one with the ground.  ``model`` only labels the
-    result.
+    :func:`_low_spectrum` call locates the level, gives the ground state and
+    gives the cell's near-kernel block: the eigenvectors of the level's
+    cluster.  :func:`loopcells.spectral._cluster_cell` decides the kernel on
+    that block and borders the partner system with ``conj(G v)`` under the
+    chain's form ``G``, a certified left kernel vector.  The singular shift
+    is never factored: ARPACK's shift (above :data:`_DENSE_SPECTRUM_STATES`
+    states) and the bordered system are the only LUs.  A sector chain
+    certifies the cell and the ground state on the full chain.  The partner
+    is rescaled into Hamiltonian convention units and paired with the
+    trousers ``product`` at overlap one with the ground.  ``model`` only
+    labels the result.
     """
     H, gram, product = chain.H, chain.gram, chain.product
     v_f = fixtures.FERMI_VELOCITY
@@ -255,7 +264,9 @@ def _chain_b(
         raise spectral.ClusterSizeError(
             f"distinct level {chain.level} of the L={L} chain is not a double cluster: {cluster}"
         )
-    cell = spectral.extract_jordan_cell(H, cluster.value)
+    vals, vecs = spectrum
+    block = vecs[:, np.isin(vals, cluster.members)]
+    cell = spectral._cluster_cell(H, cluster.value, block, gram)
     e0, v0 = _ground(spectrum, gram)
     if chain.certify is not None:
         chain.certify(cell.value, cell.vector, cell.partner)

@@ -5,32 +5,44 @@ cluster whose diameter scales like the square root of machine precision, so
 :func:`full_spectrum` groups eigenvalues by a relative gap (default ``1e-5``)
 and reports cluster means.
 
-Two solvers extract the Jordan cells, one per kind of level.
-:func:`extract_jordan_cell` (dense or sparse ``A``) works at interior
-Hamiltonian levels, which need shift-invert: one sparse LU of the singular
-shift ``A - lambda`` serves inverse iteration for the right kernel
-directions and a left direction for the border; when SuperLU finds the
-shift exactly singular, it refactors once at a tiny identity shift and
-records that shift as :attr:`JordanCell.regularization`.  The partner ``w`` of ``(A - lambda)
-w = v`` solves a bordered system with its own LU.  Every sparse LU here,
-and the one ARPACK's shift-invert uses in
+Two solvers extract the Jordan cells, one per kind of level.  At interior
+Hamiltonian levels one helper, :func:`_block_cell`, takes a block that
+spans the near-kernel of ``A - lambda`` and a border.  The two singular
+values of the shift on the block decide the structure: one vanishing means
+a genuine cell, two a diagonalizable degeneracy (:func:`_near_kernel`).
+The partner ``w`` of ``(A - lambda) w = v`` solves a bordered system with
+its own LU, and the cell residuals are certified.  The block comes from
+one of two places:
+
+* The b pipelines already hold the cluster's eigenvectors from their low
+  spectrum (:func:`loopcells.observables._low_spectrum`), and
+  :func:`_cluster_cell` takes their (real) span.  The border is ``conj(G
+  v)``, where ``G`` is the chain's invariant form (``G A = A^T G``); it is
+  a left kernel vector, and its left residual is certified.  The singular
+  shift is never factored, so these cells record
+  :attr:`JordanCell.regularization` 0.0.
+* :func:`extract_jordan_cell` (dense or sparse ``A``) serves callers with
+  no spectrum: one sparse LU of the singular shift serves inverse iteration
+  for two right kernel directions and an uncertified left direction for the
+  border (:func:`_kernel_pair`).  When SuperLU finds the shift exactly
+  singular, it refactors once at a tiny identity shift and records that
+  shift as :attr:`JordanCell.regularization`.  The same block gives
+  :func:`cell_structure`, the kernel dimension and nilpotent norm of a
+  two-fold cluster without a dense spectrum, the sparse counterpart of
+  :func:`geometric_multiplicity` and :func:`nilpotent_norm`.
+
+Every sparse LU here, and the one ARPACK's shift-invert uses in
 :func:`loopcells.observables._low_spectrum`, comes from :func:`_factor`: a
 minimum-degree ordering of the symmetric pattern with threshold pivoting,
-in float64 when ``A`` and the level are real.  The two singular values
-of ``A - lambda`` on a two-column inverse iteration decide the structure:
-one vanishing means a genuine cell, two mean a diagonalizable degeneracy
-(:func:`_near_kernel`).  The same step gives :func:`cell_structure`, the
-kernel dimension and nilpotent norm of a two-fold cluster without a dense
-spectrum, the sparse counterpart of :func:`geometric_multiplicity` and
-:func:`nilpotent_norm`.
+in float64 when ``A`` and the level are real (:func:`_shift`).
 :func:`block_jordan_cell` works on the zero-string block of a block
 upper-triangular transfer row (string sectors that only feed downward),
 whose shared level is among the largest in modulus.  It factors nothing and
 needs only products with the blocks, so the blocks may stay unformed, as
 the dilute rows' tile operators do: ARPACK gives the kernel vector and its left
 companion, GMRES the partner from the same bordered operator, and its
-``regularization`` is always 0.0.  Both return a :class:`JordanCell` with
-its residuals, and both certify them.
+``regularization`` is always 0.0.  Every solver returns a
+:class:`JordanCell` with its residuals and certifies them.
 
 The ``w`` returned by the solvers is defined up to adding multiples of
 ``v``; the minimal-Euclidean-norm gauge fixes that freedom, and downstream
@@ -180,9 +192,11 @@ def nilpotent_norm(A: np.ndarray, level: complex, radius: float) -> float:
 class JordanCell:
     """A rank-two cell: ``(A - value) v = 0`` and ``(A - value) w = v``.
 
-    ``regularization`` is the identity shift the LU of ``A - value`` needed
-    because the shift was exactly singular (0.0 when none was applied); the
-    factorization-free :func:`block_jordan_cell` always reports 0.0.
+    ``regularization`` is the identity shift the LU of ``A - value`` in
+    :func:`extract_jordan_cell` needed because the shift was exactly
+    singular (0.0 when none was applied).  The cells of the b pipelines
+    (:func:`_cluster_cell`) and of :func:`block_jordan_cell` factor no
+    singular shift and always report 0.0.
     """
 
     value: complex
@@ -237,7 +251,8 @@ def _kernel_pair(shifted, columns: int = 1):
     on it are what is checked.  At a Jordan cell it need not converge: on
     the open chain at L = 14, y = 2, ``||ell^H shifted|| / ||shifted||_F`` is
     1.6e-4 after four steps and swings between about 1e-17 after odd steps
-    and 1e-4 after even ones.  When SuperLU finds the shift
+    and 1e-4 after even ones.  (The b pipelines border with the certified
+    ``conj(G v)`` instead, :func:`_block_cell`.)  When SuperLU finds the shift
     exactly singular it is refactored once, through the same helper, at
     ``shifted + delta I`` with ``delta = 1e-13 ||shifted||_F``; the identity
     shift moves no eigenvector.
@@ -270,8 +285,9 @@ def _bordered_partner(shifted, v, ell, rhs):
     tells.  It needs its own factorization (:func:`_factor`, real when all
     three inputs are), of the CSC matrix :func:`_bordered` builds.  Its
     dense border row and column fill whatever ordering is used, and this
-    is the largest of the three factorizations of a width: at the L = 16
-    spin sector it takes 1.7 s against 0.8 s for the shift alone.
+    is the larger of the two factorizations of a b pipeline's width: at the
+    L = 16 spin sector it takes 1.3 s against 0.64 s for ARPACK's shift
+    (one BLAS thread).
     """
     return _factor(_bordered(shifted, v, ell)).solve(np.concatenate([rhs, [0.0]]))[:-1]
 
@@ -312,61 +328,80 @@ def _jordan_cell(shift, norm: float, value, v, w, regularization: float) -> Jord
     return JordanCell(value, v, w, res_v, res_w, regularization)
 
 
-def _near_kernel(A, level: complex):
-    """The near-kernel of ``A - level`` and the kernel decision on it.
+def _shift(A, level: complex):
+    """``(A, A - level)``, both CSC in the arithmetic every solve at ``level`` uses.
 
-    ``A`` is dense or sparse.  The shift is formed in float64 when ``A`` is
-    real and ``level`` has an imaginary part of exactly zero, otherwise in
-    complex arithmetic.  Every level of a real chain qualifies: LAPACK and
-    ARPACK return its eigenvalues real or in exact conjugate pairs, so the
-    mean of a cluster (:func:`cluster_eigenvalues`) is real.  Two-column
-    inverse iteration on one sparse LU of the shift spans the near-kernel
-    (:func:`_kernel_pair`), and the two
-    singular values of the shift on that span count the kernel directions:
-    those below ``1e-8`` times the Frobenius norm of the shift.  One
-    means a genuine cell, two a diagonalizable degeneracy; none raises
-    :class:`ClusterSizeError`.  A simple eigenvalue also has one kernel
-    direction, so the decision alone does not certify a cell; only the
-    partner residual does.  Returns ``(A, shifted, X, ell, delta, dim,
-    v)``: ``A`` as CSC in the arithmetic of the shift, the shift, the
-    orthonormal block ``X``, the
-    left border direction ``ell``, the LU regularization ``delta``, the kernel
-    dimension and ``v``, the direction of ``X`` that the shift sends
-    nearest zero.
+    ``A`` is dense or sparse.  The arithmetic is float64 when ``A`` is real
+    and ``level`` has an imaginary part of exactly zero, complex otherwise.
+    Every level of a real chain qualifies: LAPACK and ARPACK return its
+    eigenvalues real or in exact conjugate pairs, so the mean of a cluster
+    (:func:`cluster_eigenvalues`) is real.
     """
     real = not np.iscomplexobj(A) and np.imag(level) == 0
     dtype, shift = (np.float64, np.real(level)) if real else (np.complex128, level)
     A = sp.csc_matrix(A, dtype=dtype)
-    shifted = (A - shift * sp.identity(A.shape[0], dtype=dtype, format="csc")).tocsc()
-    X, ell, regularization = _kernel_pair(shifted, columns=2)
+    return A, (A - shift * sp.identity(A.shape[0], dtype=dtype, format="csc")).tocsc()
+
+
+def _near_kernel(shifted, X, level: complex):
+    """The kernel decision on the orthonormal block ``X``: ``(dim, v)``.
+
+    The singular values of ``shifted @ X`` below ``1e-8`` times the
+    Frobenius norm of the shift count the kernel directions: one means a
+    genuine cell, two a diagonalizable degeneracy; none raises
+    :class:`ClusterSizeError`.  A simple eigenvalue also has one kernel
+    direction, so the decision alone does not certify a cell; only the
+    partner residual does.  ``v`` is the direction of ``X`` that the shift
+    sends nearest zero.
+    """
     _, s, vh = np.linalg.svd(shifted @ X, full_matrices=False)
     null_dim = int(np.sum(s <= 1e-8 * spla.norm(shifted)))
     if null_dim == 0:
         raise ClusterSizeError(f"level {level} has no kernel at cutoff 1e-8")
-    return A, shifted, X, ell, regularization, null_dim, X @ vh[-1].conj()
+    return null_dim, X @ vh[-1].conj()
 
 
-def extract_jordan_cell(A, level: complex) -> JordanCell:
-    """Eigenvector and minimal-norm Jordan partner at a degenerate level.
+def _block_cell(A, shifted, level: complex, X, border, regularization: float = 0.0) -> JordanCell:
+    """The certified Jordan cell whose kernel direction lies in the orthonormal block ``X``.
 
-    ``A`` is dense or sparse; ``level`` should be the cluster mean (from
-    :func:`full_spectrum` or any eigensolver).  The near-kernel of ``A -
-    level`` decides the structure (:func:`_near_kernel`): a genuine cell has
-    exactly one kernel direction below ``1e-8`` times the Frobenius norm of
-    the shift; two of them mean the level is diagonalizable and no
-    coupling exists (:class:`DiagonalizableLevelError`), none that it is no
-    eigenvalue (:class:`ClusterSizeError`).  The partner solves the bordered
-    system of :func:`_bordered_partner`.  Both sparse LUs (:func:`_factor`)
-    are real when ``A`` is real and ``level`` has an imaginary part of exactly
-    zero; the cell's ``value`` is ``level`` as passed either way.  A kernel or
-    partner residual above ``1e-8`` raises ``ArithmeticError``; that is how a
-    simple eigenvalue, whose kernel is one-dimensional too, is refused.
+    ``A`` and ``shifted`` come from :func:`_shift`.  The kernel decision of
+    :func:`_near_kernel` on ``X`` refuses a diagonalizable level
+    (:class:`DiagonalizableLevelError`) or a level that is no eigenvalue
+    (:class:`ClusterSizeError`).  ``border`` gives the border column ``ell``
+    of :func:`_bordered_partner` in one of two ways:
+
+    * a vector: ``ell`` itself, as :func:`_kernel_pair` gives it, which only
+      has to keep the bordered system regular and is not checked;
+    * the invariant form ``G`` of ``A`` (``G A = A^T G``, dense or sparse):
+      then ``ell = conj(G v)`` is a left kernel vector, ``ell^H (A - level)
+      = ((A - level) v)^T G = 0``, and it is certified: a ``G v`` that
+      vanishes (``||G v|| <= 1e-12 ||v||``) or a relative left residual
+      ``||ell^H shifted|| / (||shifted||_F ||ell||)`` above ``1e-8`` raises
+      ``ArithmeticError``.
+
+    The partner solves the bordered system, and a kernel or partner residual
+    above ``1e-8`` raises ``ArithmeticError``; that is how a simple
+    eigenvalue, whose kernel is one-dimensional too, is refused.
+    ``regularization`` is recorded in the cell.
     """
-    A, shifted, _, ell, regularization, null_dim, v = _near_kernel(A, level)
+    null_dim, v = _near_kernel(shifted, X, level)
     if null_dim >= 2:
         raise DiagonalizableLevelError(
             f"level {level} is diagonalizable (kernel dimension {null_dim}); no coupling exists"
         )
+    if np.ndim(border) == 1:
+        ell = border
+    else:
+        form_v = border @ v
+        size = float(np.linalg.norm(form_v))
+        if size <= 1e-12 * np.linalg.norm(v):
+            raise ArithmeticError(f"the form annihilates the kernel vector at {level}")
+        left = float(np.linalg.norm(shifted.T @ form_v) / (spla.norm(shifted) * size))
+        if left > 1e-8:
+            raise ArithmeticError(
+                f"conj(G v) is no left kernel vector at {level}: left residual {left:.2e}"
+            )
+        ell = form_v.conj()
     w = _bordered_partner(shifted, v, ell, v)
     cell = _jordan_cell(shifted.dot, spla.norm(A), level, v, w, regularization)
     if max(cell.residual_v, cell.residual_w) > 1e-8:
@@ -375,6 +410,50 @@ def extract_jordan_cell(A, level: complex) -> JordanCell:
             f"{cell.residual_v:.2e}, {cell.residual_w:.2e}"
         )
     return cell
+
+
+def _cluster_cell(A, level: complex, vectors, gram) -> JordanCell:
+    """The certified cell at ``level`` from its cluster's eigenvectors; no LU of ``A - level``.
+
+    ``vectors`` are the eigenvectors of the cluster at ``level`` from any
+    eigensolver, and ``gram`` is the invariant form of ``A`` that borders
+    the partner system (:func:`_block_cell`).  In real arithmetic
+    (:func:`_shift`) the block is the real span of ``vectors``, their real
+    and imaginary parts.  A rank-revealing SVD keeps the directions whose
+    singular value is above ``1e-12`` of the largest: the two eigenvectors
+    of a split Jordan pair differ by about ``1e-8`` (ARPACK) or agree to
+    roundoff, about ``1e-15`` (LAPACK), and a diagonalizable pair differs
+    by ``O(1e-2)``.  Nothing is factored but the bordered system.
+    """
+    A, shifted = _shift(A, level)
+    if not np.iscomplexobj(shifted):
+        vectors = np.hstack([vectors.real, vectors.imag])
+    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
+    return _block_cell(A, shifted, level, u[:, s > 1e-12 * s[0]], gram)
+
+
+def extract_jordan_cell(A, level: complex) -> JordanCell:
+    """Eigenvector and minimal-norm Jordan partner at a degenerate level.
+
+    ``A`` is dense or sparse; ``level`` should be the cluster mean (from
+    :func:`full_spectrum` or any eigensolver).  Two-column inverse iteration
+    on one sparse LU of ``A - level`` spans its near-kernel
+    (:func:`_kernel_pair`), and :func:`_block_cell` decides the structure on
+    that block: a genuine cell has exactly one kernel direction below
+    ``1e-8`` times the Frobenius norm of the shift; two of them mean the
+    level is diagonalizable and no coupling exists
+    (:class:`DiagonalizableLevelError`), none that it is no eigenvalue
+    (:class:`ClusterSizeError`).  The partner solves the bordered system of
+    :func:`_bordered_partner`, bordered by the inverse iteration's left
+    direction.  Both sparse LUs (:func:`_factor`) are real when ``A`` is
+    real and ``level`` has an imaginary part of exactly zero; the cell's
+    ``value`` is ``level`` as passed either way.  A kernel or partner
+    residual above ``1e-8`` raises ``ArithmeticError``; that is how a
+    simple eigenvalue, whose kernel is one-dimensional too, is refused.
+    """
+    A, shifted = _shift(A, level)
+    X, ell, regularization = _kernel_pair(shifted, columns=2)
+    return _block_cell(A, shifted, level, X, ell, regularization)
 
 
 def _compression(A, Q: np.ndarray) -> np.ndarray:
@@ -410,7 +489,9 @@ def cell_structure(A, level: complex) -> tuple[int, float]:
     ``ArithmeticError``, and a level that is no eigenvalue raises
     :class:`ClusterSizeError`.
     """
-    A, shifted, X, ell, _, null_dim, v = _near_kernel(A, level)
+    A, shifted = _shift(A, level)
+    X, ell, _ = _kernel_pair(shifted, columns=2)
+    null_dim, v = _near_kernel(shifted, X, level)
     if null_dim == 1:
         w = _bordered_partner(shifted, v, ell, v)
         X, _ = np.linalg.qr(np.column_stack([v, w]))

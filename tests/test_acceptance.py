@@ -323,19 +323,19 @@ def _available_memory_gib() -> float:
 # fit under a 5 GB address-space limit even in its reflection-flip sector
 # (92,890 states): the first sparse LU ran out at column 24,686 of 92,890,
 # so 8 GiB is a floor, not a measurement.  The width-14 polymer cell
-# factors nothing and its row basis is a site array: b_polymer(14) peaked
-# at 1.7 GiB in a single run with one BLAS thread under a 5 GB address-space
-# limit (2.2 GiB when the basis was built from LinkStates), and a pytest
-# process running polymer widths 12 and 14 together at 1.72 GiB, so 2.5 GiB
-# leaves the same 0.8 GiB of room as before.  Lighter widths, spin 16
-# (0.29 GiB) among them, are not checked.
-_HEAVY_WIDTH_GIB = {("spin", 20): 8.0, ("polymer", 14): 2.5}
+# factors nothing, and its row is applied tile by tile without forming
+# its half-rows: a pytest process running polymer widths 12 and 14
+# together peaked at 0.37 GiB with one BLAS thread under a 5 GB
+# address-space limit (1.72 GiB while the half-rows were formed), so
+# 1.2 GiB leaves the same 0.8 GiB of room as before.  Lighter widths,
+# spin 16 (0.21 GiB) among them, are not checked.
+_HEAVY_WIDTH_GIB = {("spin", 20): 8.0, ("polymer", 14): 1.2}
 
 
 def _skip_without_memory(model: str, L: int) -> None:
     need = _HEAVY_WIDTH_GIB.get((model, L))
     if need is not None and _available_memory_gib() < need:
-        pytest.skip(f"{model} width {L} needs roughly {need:.0f} GiB of memory")
+        pytest.skip(f"{model} width {L} needs roughly {need:g} GiB of memory")
 
 
 @pytest.mark.skipif(not RUN_BEST_EFFORT, reason="set LOOPCELLS_BEST_EFFORT=1 to run")

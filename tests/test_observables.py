@@ -394,6 +394,38 @@ class TestDeformedB:
         with pytest.raises(spectral.DiagonalizableLevelError):
             obs.b_deformed(4, 1.0)
 
+    @pytest.mark.parametrize("L", [6, 8, 10])
+    def test_undeformed_point_is_refused_on_the_spectral_block(self, L, factor_dtypes):
+        # the two eigenvectors of the y=1 cluster both lie in the kernel;
+        # only ARPACK's shift is factored (none on the dense spectrum, L <= 8)
+        with pytest.raises(spectral.DiagonalizableLevelError, match="kernel dimension 2"):
+            obs.b_deformed(L, 1.0)
+        assert len(factor_dtypes) == (L > 8)
+
+    @pytest.mark.parametrize("chain, L", [("_xxz_chain", 8), ("_xxz_chain", 12), ("_open_chain", 10)])
+    def test_border_form_that_does_not_intertwine_is_refused(self, monkeypatch, chain, L):
+        # scaling the columns of the form breaks G H = H^T G, so conj(G v)
+        # is no left kernel vector and may not border the partner system
+        build = getattr(obs, chain)
+
+        def bent(*args):
+            built = build(*args)
+            scale = np.random.default_rng(4).uniform(0.5, 1.5, built.H.shape[0])
+            return built._replace(gram=built.gram @ sp.diags(scale))
+
+        monkeypatch.setattr(obs, chain, bent)
+        measure = obs.b_xxz if chain == "_xxz_chain" else lambda L: obs.b_deformed(L, 2.0)
+        with pytest.raises(ArithmeticError, match="left residual"):
+            measure(L)
+
+    def test_border_form_that_annihilates_the_kernel_vector_is_refused(self, monkeypatch):
+        build = obs._open_chain
+        monkeypatch.setattr(
+            obs, "_open_chain", lambda L, y: build(L, y)._replace(gram=sp.csr_matrix((70, 70)))
+        )
+        with pytest.raises(ArithmeticError, match="annihilates"):
+            obs.b_deformed(8, 2.0)
+
     def test_width_must_be_even(self):
         with pytest.raises(ValueError, match="even"):
             obs.b_deformed(5, 2.0)
@@ -578,9 +610,10 @@ class TestBuildOnce:
     @pytest.mark.parametrize(
         "measure", [lambda: obs.b_deformed(10, 2.0), lambda: obs.b_xxz(12)], ids=["open", "spin"]
     )
-    def test_three_factorizations_all_through_the_helper(self, monkeypatch, factor_dtypes, measure):
-        # ARPACK's shift, the level and the bordered partner; ARPACK gets
-        # the first as its inverse and builds no LU of its own
+    def test_two_factorizations_all_through_the_helper(self, monkeypatch, factor_dtypes, measure):
+        # ARPACK's shift and the bordered partner; ARPACK gets the first as
+        # its inverse and builds no LU of its own, and the cell's kernel
+        # block comes from the spectrum, so the singular shift is not factored
         calls = []
         splu = spla.splu
 
@@ -594,7 +627,7 @@ class TestBuildOnce:
         monkeypatch.setattr(spla, "splu", counted)
         monkeypatch.setattr(sys.modules[spla.eigs.__module__], "splu", refuse)
         measure()
-        assert len(calls) == len(factor_dtypes) == 3
+        assert len(calls) == len(factor_dtypes) == 2
 
 
 class TestPercolationStructure:
@@ -698,17 +731,33 @@ class TestPercolationCheck:
         assert obs.percolation_check(6, y_values=(1.0, 2.0)).deformed_genuine == {1.0: False, 2.0: True}
 
     def test_level_cut_short_by_arpack_is_refused(self, monkeypatch):
-        # ARPACK returns 8 eigenvalues: three levels and five of the six
+        # ARPACK returns 6 eigenvalues: three levels and three of the six
         # near 3, so the fourth level is the last one returned
         H = ladder(200)
         spectrum = obs._low_spectrum(H, 2)
-        assert len(spectrum[0]) == 8
+        assert len(spectrum[0]) == 6
         chain = obs._Chain(H, sp.identity(200, format="csr"), np.ones(200))
         with pytest.raises(spectral.ClusterSizeError, match="cut short"):
             obs._chain_b("ladder", 2, chain, 1.0, 1e-5)
         monkeypatch.setattr(models, "build_percolation_H", lambda L, y=1.0: H)
         with pytest.raises(spectral.ClusterSizeError, match="cut short"):
             obs.percolation_check(2)
+
+    @pytest.mark.parametrize(
+        "chain, L, index",
+        [("spin", 12, 2), ("spin", 16, 2)]
+        + [(f"open y={y}", L, 3) for L in (10, 12, 14) for y in (1.0, 2.0)],
+    )
+    def test_six_arpack_pairs_hold_every_level_read(self, chain, L, index):
+        # the deepest level a pipeline reads is the open chain's fourth, its
+        # 4th and 5th eigenvalue; the sixth closes it off
+        if chain == "spin":
+            H = obs._xxz_chain(L, fx.Q_VALUE).H
+        else:
+            H = models.build_percolation_H(L, float(chain.split("=")[1]))
+        spectrum = obs._low_spectrum(H, L)
+        assert len(spectrum[0]) == 6 < H.shape[0]
+        assert obs._level(spectrum, index, 1e-5).size == 2
 
     def test_dense_spectrum_is_never_cut_short(self):
         # all nine eigenvalues: the last level is whole
