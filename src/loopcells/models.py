@@ -13,16 +13,17 @@ width, whose moved states find their rows through the basis lookup.
   the sector invariant under rotation and global spin flip, where its Perron
   ground state lies (:func:`ising_orbits`), and :func:`apply_ising` applies
   the full ring matrix-free to certify a lifted vector;
-* :func:`build_dense_loop_T` -- one row of the dense loop model on a
-  cylinder: two staggered half-rows of plaquettes ``1 + e_i``, kept as one
-  array map per plaquette in a :class:`TransferOperator`, which also applies
-  the row's dual under the loop form;
-* :func:`build_dilute_T` -- one row of the dilute loop model on a strip,
-  each half-row kept as the array maps of its lozenge tiles (the boundary
-  half-tiles folded in) in a :class:`TileOperator` and applied one tile at
-  a time, together with the reversed-order row that evolves bra states;
-  :func:`dilute_blocks` restricts the tiles of either row to its
-  string-sector blocks, forming no product;
+* :func:`build_dense_loop_T` and :func:`build_dilute_T` -- one row of the
+  dense loop model on a cylinder and of the dilute loop model on a strip,
+  each a :class:`TransferRow` of two staggered half-rows.  A half-row is a
+  :class:`TransferOperator`: the array maps of its tiles (a plaquette ``1 +
+  e_i`` per site pair, or lozenges with the boundary half-tiles folded in),
+  applied one tile at a time and never formed.  The row keeps both orders
+  of its halves: the ket row, and the bra row that evolves bra states (on
+  the cylinder, the loop form maps the ket row's eigenvectors to those of
+  the transposed bra row);
+  :func:`dilute_blocks` restricts the dilute tiles to their string-sector
+  blocks, forming no product;
 * :func:`build_percolation_H` -- the open-chain sum of cup-cap generators at
   loop weight one, optionally with parity-deformed string contractions
   (sparse).
@@ -252,135 +253,67 @@ def ising_boundary_vectors(L: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Dense loop model on a cylinder
+# Transfer rows kept per tile
 
 
 @dataclass
 class TransferOperator:
-    """A cylinder row kept as one array map per plaquette ``1 + e_i``.
-
-    ``basis`` is the periodic basis as a site array.  ``plaquettes`` holds,
-    in the order they act (lower half-row first), the ``(rows, weights)``
-    map of each generator: ``e_i`` sends state ``c`` to row ``rows[c]``
-    with weight ``weights[c]``.  A plaquette scatters,
-    ``x + bincount(rows, weights * x)``.  With ``transposed`` set, every
-    plaquette acts by its transpose, the gather ``x + weights * x[rows]``,
-    in the same order (see :attr:`dual`).  All weights share one dtype.
-    ``x`` may be a vector or a block of columns.
-    """
-
-    basis: np.ndarray
-    plaquettes: list[tuple[np.ndarray, np.ndarray]]
-    transposed: bool = False
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.dim, self.dim)
-
-    @property
-    def dual(self) -> TransferOperator:
-        """``(Lo U)^T = U^T Lo^T`` for the row ``T = U Lo`` (``Lo`` the lower half-row).
-
-        Every plaquette is self-adjoint under the loop form ``G``, and the
-        plaquettes of a half-row commute, so ``G T = (Lo U)^T G``: ``G`` maps
-        the row's eigenvectors to those of its dual at the same eigenvalue.
-        """
-        return TransferOperator(self.basis, self.plaquettes, not self.transposed)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.transposed:
-            for rows, weights in self.plaquettes:
-                x = x + (weights * x[rows].T).T
-            return x
-        dim = self.dim
-        if x.ndim == 1 and "c" not in (x.dtype.kind, self.plaquettes[0][1].dtype.kind):
-            for rows, weights in self.plaquettes:
-                x = x + np.bincount(rows, weights * x, minlength=dim)
-            return x
-        for rows, weights in self.plaquettes:  # bincount takes no blocks and no complex weights
-            moved = (weights * x.T).T
-            scattered = np.zeros_like(moved)
-            np.add.at(scattered, rows, moved)
-            x = x + scattered
-        return x
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
-
-    def matrix(self) -> np.ndarray:
-        return self.apply(np.eye(self.dim))
-
-
-def build_dense_loop_T(L: int, n: float) -> TransferOperator:
-    """One row of the dense loop model on a cylinder of ``L`` strands.
-
-    The row is a lower half-row of plaquettes on the site pairs
-    ``(1,2), (3,4), ...`` followed by an upper half-row on ``(2,3), (4,5),
-    ..., (L,1)``; each plaquette contributes ``1 + e_i``.  The plaquettes are
-    the cached cup-cap maps of the basis (:func:`loopcells.tl._cup_caps`)
-    weighted by ``n`` where they close a loop.
-    """
-    if L % 2:
-        raise ValueError("the cylinder row needs even L")
-    basis = _dense_sites(L)
-    maps = _cup_caps(basis)
-    dtype = np.complex128 if np.iscomplexobj(n) else np.float64
-    order = [*range(0, L, 2), *range(1, L, 2)]
-    return TransferOperator(
-        basis, [(maps[i][0], _cup_cap_weights(maps[i], n, 1.0, dtype)) for i in order]
-    )
-
-
-# ---------------------------------------------------------------------------
-# Dilute loop model on a strip
-
-
-@dataclass
-class TileOperator:
     """A product of tile maps kept unformed and applied one tile at a time.
 
     A tile ``(stay, cols, rows, moved)`` sends every state ``c`` to itself
     with weight ``stay[c]`` and state ``cols[k]`` to row ``rows[k]`` with
     weight ``moved[k]``; its kept columns ``cols`` are distinct and
-    ascending.  A tile scatters, ``stay * x + bincount(rows, moved *
-    x[cols])``, and its transpose gathers, ``stay * x`` plus ``moved *
-    x[rows]`` added at ``cols``.  The tiles act in list order, so the
-    operator is ``tiles[-1] @ ... @ tiles[0]``; :attr:`T` applies the
-    transposed tiles in reverse.  ``x`` may be a vector or a block of
-    columns.
+    ascending.  A tile that keeps every column with weight one, such as a
+    cylinder plaquette ``1 + e_i``, stores ``stay = None`` and ``cols =
+    slice(None)`` and holds no per-state array but its moves.  A tile
+    scatters, ``stay * x + bincount(rows, moved * x[cols])``, and its
+    transpose gathers, ``stay * x`` plus ``moved * x[rows]`` added at
+    ``cols``.  The tiles act in list order, so the operator is ``tiles[-1]
+    @ ... @ tiles[0]``; :attr:`T` applies the transposed tiles in reverse.
+    ``x`` may be a vector or a block of columns.  All moves share one
+    dtype, and ``x`` is cast once to the result type of both, which also
+    picks the scatter for every tile: ``bincount`` for a real vector,
+    ``np.add.at`` otherwise.
     """
 
-    tiles: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    tiles: list[tuple[np.ndarray | None, np.ndarray | slice, np.ndarray, np.ndarray]]
     transposed: bool = False
 
     @property
     def shape(self) -> tuple[int, int]:
-        dim = len(self.tiles[0][0])
+        stay, _, rows, _ = self.tiles[0]
+        dim = len(rows if stay is None else stay)
         return (dim, dim)
 
     @property
-    def T(self) -> TileOperator:
-        return TileOperator(self.tiles, not self.transposed)
+    def T(self) -> TransferOperator:
+        return TransferOperator(self.tiles, not self.transposed)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.result_type(x, self.tiles[0][3]))
         if self.transposed:
             for stay, cols, rows, moved in reversed(self.tiles):
-                out = (stay * x.T).T
-                out[cols] += (moved * x[rows].T).T
-                x = out
+                moves = (moved * x[rows].T).T
+                if stay is None:
+                    x = x + moves
+                else:
+                    x = (stay * x.T).T
+                    x[cols] += moves
             return x
         dim = self.shape[0]
-        for stay, cols, rows, moved in self.tiles:
-            out = (stay * x.T).T
-            if x.ndim == 1 and x.dtype.kind != "c":
-                out += np.bincount(rows, moved * x[cols], minlength=dim)
-            else:  # bincount takes no blocks and no complex weights
-                np.add.at(out, rows, (moved * x[cols].T).T)
-            x = out
+        if x.ndim == 1 and x.dtype.kind != "c":
+            for stay, cols, rows, moved in self.tiles:
+                if stay is None:  # every column kept with weight one
+                    x = x + np.bincount(rows, moved * x, minlength=dim)
+                else:
+                    out = stay * x
+                    out += np.bincount(rows, moved * x[cols], minlength=dim)
+                    x = out
+            return x
+        for stay, cols, rows, moved in self.tiles:  # bincount takes no blocks and no complex weights
+            moves = np.zeros_like(x)
+            np.add.at(moves, rows, (moved * x[cols].T).T)
+            x = moves + (x if stay is None else (stay * x.T).T)
         return x
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -388,6 +321,70 @@ class TileOperator:
 
     def matrix(self) -> np.ndarray:
         return self.apply(np.eye(self.shape[1]))
+
+
+@dataclass
+class TransferRow:
+    """Both orientations of a transfer row on a fixed basis.
+
+    ``basis`` is the row's site array, or any basis that
+    :func:`~loopcells.diagrams._arrays` reads.  Each half-row is a
+    :class:`TransferOperator` of its tiles and is never formed.  The two
+    rows are products of the same half-rows in opposite orders, ``ket_row =
+    upper @ lower`` and ``bra_row = lower @ upper``, so the lower half-row
+    intertwines them: ``bra_row @ lower = lower @ ket_row``.  It maps every
+    ket-row eigenvector and Jordan cell to a bra-row one at the same
+    eigenvalue (unless it annihilates the eigenvector).
+    """
+
+    basis: np.ndarray
+    lower: TransferOperator
+    upper: TransferOperator
+
+    @property
+    def ket_row(self) -> TransferOperator:
+        """Row acting on ket states from below: upper half after lower half."""
+        return TransferOperator(self.lower.tiles + self.upper.tiles)
+
+    @property
+    def bra_row(self) -> TransferOperator:
+        """Row acting on bra states from above: the half-rows in reversed order."""
+        return TransferOperator(self.upper.tiles + self.lower.tiles)
+
+
+# ---------------------------------------------------------------------------
+# Dense loop model on a cylinder
+
+
+def build_dense_loop_T(L: int, n: float) -> TransferRow:
+    """One row of the dense loop model on a cylinder of ``L`` strands.
+
+    The lower half-row holds a plaquette on each site pair ``(1,2), (3,4),
+    ...``, the upper half-row on ``(2,3), (4,5), ..., (L,1)``; each
+    plaquette is a tile ``1 + e_i`` that keeps every column, its moves the
+    cached cup-cap map of the basis (:func:`loopcells.tl._cup_caps`)
+    weighted by ``n`` where it closes a loop.  Every plaquette is
+    self-adjoint under the loop form ``G``, and those of a half-row
+    commute, so ``G ket_row = bra_row^T G``: ``G`` maps the ket row's
+    eigenvectors to those of the transposed bra row at the same eigenvalue.
+    """
+    if L % 2:
+        raise ValueError("the cylinder row needs even L")
+    basis = _dense_sites(L)
+    maps = _cup_caps(basis)
+    dtype = np.complex128 if np.iscomplexobj(n) else np.float64
+
+    def half_row(sites):
+        return TransferOperator([
+            (None, slice(None), maps[i][0], _cup_cap_weights(maps[i], n, 1.0, dtype))
+            for i in sites
+        ])
+
+    return TransferRow(basis, half_row(range(0, L, 2)), half_row(range(1, L, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Dilute loop model on a strip
 
 
 def _lozenge_ops(basis, site, x):
@@ -429,37 +426,7 @@ def _lozenge_ops(basis, site, x):
     return stay, keep, find(moved[keep])
 
 
-@dataclass
-class DiluteRow:
-    """Both orientations of a dilute transfer row on a fixed basis.
-
-    ``basis`` is the row's site array
-    (:func:`~loopcells.diagrams.dilute_row_sites`), or any basis that
-    :func:`~loopcells.diagrams._arrays` reads.  Each half-row is a
-    :class:`TileOperator` of its lozenge tiles and is never formed.  The two
-    rows are products of the same half-rows in opposite orders, ``ket_row =
-    upper @ lower`` and ``bra_row = lower @ upper``, so the lower half-row
-    intertwines them: ``bra_row @ lower = lower @ ket_row``.  It maps every
-    ket-row eigenvector and Jordan cell to a bra-row one at the same
-    eigenvalue (unless it annihilates the eigenvector).
-    """
-
-    basis: np.ndarray
-    lower: TileOperator
-    upper: TileOperator
-
-    @property
-    def ket_row(self) -> TileOperator:
-        """Row acting on ket states from below: upper half after lower half."""
-        return TileOperator(self.lower.tiles + self.upper.tiles)
-
-    @property
-    def bra_row(self) -> TileOperator:
-        """Row acting on bra states from above: the sublayers in reversed order."""
-        return TileOperator(self.upper.tiles + self.lower.tiles)
-
-
-def build_dilute_T(L: int, x: float | None = None) -> DiluteRow:
+def build_dilute_T(L: int, x: float | None = None) -> TransferRow:
     """One row of the dilute loop model on a strip of width ``L``, kept per tile.
 
     The lower half-row tiles site pairs ``(1,2), (3,4), ...``; the upper
@@ -489,7 +456,7 @@ def build_dilute_T(L: int, x: float | None = None) -> DiluteRow:
             edge = np.where(sites[:, t] != _EMPTY_SITE, x, 1.0)
             stay, cols, rows, moved = tiles[0]
             tiles[0] = (stay * edge, cols, rows, moved * edge[cols])
-        return TileOperator(tiles)
+        return TransferOperator(tiles)
 
     if L % 2 == 0:
         lower = half_row(range(0, L - 1, 2), ())
@@ -497,10 +464,10 @@ def build_dilute_T(L: int, x: float | None = None) -> DiluteRow:
     else:
         lower = half_row(range(0, L - 2, 2), (L - 1,))
         upper = half_row(range(1, L - 1, 2), (0,))
-    return DiluteRow(basis, lower, upper)
+    return TransferRow(basis, lower, upper)
 
 
-def dilute_blocks(row: DiluteRow):
+def dilute_blocks(row: TransferRow):
     """String-sector blocks (0 and 2 strings) of the ket row, unformed.
 
     Returns ``(T00, T02, T22, idx0, idx2)``: the three blocks and the rows
@@ -511,7 +478,7 @@ def dilute_blocks(row: DiluteRow):
     at or above it raises ``AssertionError``.  Every tile is then block
     upper triangular, so the diagonal blocks of the row are the products of
     the tiles' diagonal blocks: ``T00`` and ``T22`` are
-    :class:`TileOperator` s of the tiles restricted to a sector (``T00``'s
+    :class:`TransferOperator` s of the tiles restricted to a sector (``T00``'s
     as views, the kept columns being ascending; ``T22`` drops the moves that
     leave the two-string sector).  ``T02 = P0 T P2^T`` is a
     ``LinearOperator`` that applies the whole row to a vector padded with
@@ -539,7 +506,7 @@ def dilute_blocks(row: DiluteRow):
         return (ket_row @ padded)[:n0]
 
     T02 = spla.LinearOperator((n0, dim - n0), matvec=feed, matmat=feed, dtype=float)
-    return TileOperator(zero), T02, TileOperator(two), np.arange(n0), np.arange(n0, dim)
+    return TransferOperator(zero), T02, TransferOperator(two), np.arange(n0), np.arange(n0, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -394,7 +394,7 @@ def b_xxz(
 # Dilute strip: trousers and b
 
 
-def _dilute_trousers(half_row: models.DiluteRow, basis):
+def _dilute_trousers(half_row: models.TransferRow, basis):
     """Bra and ket trousers on ``basis`` from the half-width row, all-empty component one.
 
     The ket (future-leg) trousers pairs two Perron grounds of the half row's
@@ -445,7 +445,7 @@ def trousers_dilute(L: int, x: float | None = None, side: str = "right") -> Trou
     return TrousersState("dilute", L, side, vec, "all-empty component = 1")
 
 
-def _bra_cell(row: models.DiluteRow, value: float, v, w, intertwiner) -> spectral.JordanCell:
+def _bra_cell(row: models.TransferRow, value: float, v, w, intertwiner) -> spectral.JordanCell:
     """The bra-row cell carried over from the ket-row cell ``(v, w)`` at ``value``.
 
     ``bra_row @ lower = lower @ ket_row``, so ``(lower v, lower w)`` is a
@@ -808,13 +808,13 @@ def ising_boundary_entropies(sizes=(12, 14, 16, 18)) -> dict[str, FitResult]:
 
 
 def _loop_square(
-    row: models.TransferOperator, v: np.ndarray, lam: float, L: int, n: float
+    row: models.TransferRow, v: np.ndarray, lam: float, L: int, n: float
 ) -> float:
     """The bilinear square ``v^T G v`` of the row's Perron vector under the weight-``n`` loop form.
 
-    ``G`` is never formed.  The row ``T`` intertwines with its dual
-    (:attr:`loopcells.models.TransferOperator.dual`) as ``G T = dual G``, so
-    ``G v`` is the dual's Perron vector ``u`` times ``c``, and
+    ``G`` is never formed.  The ket row ``T = U Lo`` intertwines with the
+    transposed bra row ``(Lo U)^T`` as ``G T = (Lo U)^T G``, so ``G v`` is
+    the Perron vector ``u`` of ``(Lo U)^T`` times ``c``, and
     ``v^T G v = c (v . u)``.  ``c`` is read off one row of ``G``, the
     boundary's loop counts (:func:`loopcells.forms.boundary_loops`):
     ``c = (G v)_b / u_b``.  The result is certified: the two Perron values
@@ -822,18 +822,19 @@ def _loop_square(
     one-site rotation must agree to ``1e-10`` relative, and the square must
     be positive; otherwise ``ArithmeticError`` is raised.
     """
-    lam_dual, u = spectral.perron_pair(row.dual)
-    if abs(lam_dual - lam) > 1e-12 * abs(lam):
+    lam_bra, u = spectral.perron_pair(row.bra_row.T)
+    if abs(lam_bra - lam) > 1e-12 * abs(lam):
         raise ArithmeticError(
-            f"the loop row and its dual have Perron values {lam} and {lam_dual} at L={L}, n={n}"
+            f"the loop row and its transposed bra row have Perron values {lam} and {lam_bra} "
+            f"at L={L}, n={n}"
         )
     ratios = [
         _boundary_overlap(v, L, n, shift) / u[forms.boundary_loops(L, shift)[0]] for shift in (0, 1)
     ]
     if abs(ratios[1] - ratios[0]) > 1e-10 * abs(ratios[0]):
         raise ArithmeticError(
-            f"the loop form of the state at L={L}, n={n} is not along the dual "
-            f"Perron vector: the boundary rows give {ratios[0]} and {ratios[1]}"
+            f"the loop form of the state at L={L}, n={n} is not along the Perron vector "
+            f"of the transposed bra row: the boundary rows give {ratios[0]} and {ratios[1]}"
         )
     square = ratios[0] * float(v @ u)
     if not square > 0:
@@ -860,9 +861,9 @@ def loop_boundary_entropy(n: float, n1: float, sizes=(12, 14, 16, 18)) -> LoopEn
     by the final gluing touches the boundary and is weighted ``n1`` instead
     of ``n``, so the overlap with a state is one row of the weight-``n1``
     loop form (:func:`_boundary_overlap`).
-    The Perron ground state of the plaquette row is normalized to bilinear
-    square one under the weight-``n`` loop form through the Perron vector of
-    the row's dual (:func:`_loop_square`); neither the loop Gram nor a
+    The Perron ground state of the ket row is normalized to bilinear square
+    one under the weight-``n`` loop form through the Perron vector of the
+    transposed bra row (:func:`_loop_square`); neither the loop Gram nor a
     factor of it is formed, and an uncertified square raises
     ``ArithmeticError``.  Weights ``n <= 0`` are refused: the row then has
     no positive leading state, and the one of largest modulus has a negative
@@ -880,7 +881,7 @@ def loop_boundary_entropy(n: float, n1: float, sizes=(12, 14, 16, 18)) -> LoopEn
     f_values = []
     for L in sizes:
         row = models.build_dense_loop_T(L, n)
-        lam, v = spectral.perron_pair(row)
+        lam, v = spectral.perron_pair(row.ket_row)
         v = v / np.sqrt(_loop_square(row, v, lam, L, n))
         f_values.append(-np.log(_boundary_overlap(v, L, n1)))
     fit = _inverse_power_fit(sizes, f_values)

@@ -358,19 +358,19 @@ def csr_half_rows(L: int, n: complex) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
 class TestDenseLoopTransfer:
     def test_factored_matches_matrix(self):
-        op = models.build_dense_loop_T(6, 1.0)
+        op = models.build_dense_loop_T(6, 1.0).ket_row
         rng = np.random.default_rng(0)
-        v = rng.standard_normal(op.dim)
+        v = rng.standard_normal(op.shape[0])
         np.testing.assert_allclose(op.apply(v), op.matrix() @ v, atol=1e-12)
 
     def test_width_two_entries(self):
         # single state (); one lower and one upper generator, each 1 + e
-        op = models.build_dense_loop_T(2, 1.7)
+        op = models.build_dense_loop_T(2, 1.7).ket_row
         n = 1.7
         np.testing.assert_allclose(op.matrix(), [[(1 + n) ** 2]])
 
     def test_row_preserves_positivity(self):
-        op = models.build_dense_loop_T(8, 1.0)
+        op = models.build_dense_loop_T(8, 1.0).ket_row
         m = op.matrix()
         assert np.all(m >= 0)
         assert np.all(m.sum(axis=0) > 0)
@@ -378,32 +378,45 @@ class TestDenseLoopTransfer:
     @pytest.mark.parametrize("n", [0.3, 1.0, 1.7, 0.4 + 0.9j])
     @pytest.mark.parametrize("L", range(2, 15, 2))
     def test_plaquettes_match_the_csr_factors(self, L, n):
-        # blocks of columns too: perron_pair decomposes dimensions up to two
-        # as op @ eye(dim), and a complex weight takes the same scatter
-        op = models.build_dense_loop_T(L, n)
+        # both orders of the half-rows, on blocks of columns too: perron_pair
+        # decomposes dimensions up to two as op @ eye(dim), and a complex
+        # weight takes the same scatter
+        row = models.build_dense_loop_T(L, n)
         lower, upper = csr_half_rows(L, n)
+        dim = lower.shape[0]
         rng = np.random.default_rng(L)
-        for x in (rng.standard_normal(op.dim), rng.standard_normal((op.dim, 3))):
-            expect = upper @ (lower @ x)
-            got = op @ x
-            assert got.shape == x.shape
-            assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
+        for x in (rng.standard_normal(dim), rng.standard_normal((dim, 3))):
+            pairs = ((row.ket_row, upper @ (lower @ x)), (row.bra_row, lower @ (upper @ x)))
+            for op, expect in pairs:
+                got = op @ x
+                assert got.shape == x.shape
+                assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
 
-    @pytest.mark.parametrize("n", [0.3, 1.0, 1.7])
+    @pytest.mark.parametrize("n", [0.3, 1.0, 1.7, 0.4 + 0.9j])
     @pytest.mark.parametrize("L", range(2, 11, 2))
     def test_dual_is_the_transposed_reversed_row(self, L, n):
-        op = models.build_dense_loop_T(L, n)
+        # (Lo U)^T: the transposed half-rows act in reverse, each plaquette
+        # by its transpose
+        dual = models.build_dense_loop_T(L, n).bra_row.T
         lower, upper = csr_half_rows(L, n)
         expect = (lower @ upper).T.toarray()
-        np.testing.assert_allclose(op.dual.matrix(), expect, rtol=1e-14, atol=0)
+        if not np.iscomplexobj(n):
+            np.testing.assert_allclose(dual.matrix(), expect, rtol=1e-14, atol=0)
+        rng = np.random.default_rng(L)
+        for x in (rng.standard_normal(len(expect)), rng.standard_normal((len(expect), 3))):
+            got = dual @ x
+            assert got.shape == x.shape
+            assert np.linalg.norm(got - expect @ x) <= 1e-14 * np.linalg.norm(expect @ x)
 
     @pytest.mark.parametrize("n", [0.5, 1.9])
     def test_dual_intertwines_under_the_loop_gram(self, n):
         # G T = (Lo U)^T G, checked with the singlet-factor Gram
         L = 8
-        op = models.build_dense_loop_T(L, n)
+        row = models.build_dense_loop_T(L, n)
         gram = loop_gram(L, n).gram
-        np.testing.assert_allclose(gram @ op.matrix(), op.dual.matrix() @ gram, rtol=1e-12)
+        np.testing.assert_allclose(
+            gram @ row.ket_row.matrix(), row.bra_row.T.matrix() @ gram, rtol=1e-12
+        )
 
 
 def relative_gap(got, expect) -> float:
@@ -527,7 +540,7 @@ class TestDiluteRow:
 
     def test_unsorted_row_basis_is_refused(self):
         row = models.build_dilute_T(4)
-        swapped = models.DiluteRow(np.ascontiguousarray(row.basis[::-1]), row.lower, row.upper)
+        swapped = models.TransferRow(np.ascontiguousarray(row.basis[::-1]), row.lower, row.upper)
         with pytest.raises(ValueError, match="zero-string states, then"):
             models.dilute_blocks(swapped)
 
@@ -540,7 +553,7 @@ class TestDiluteRow:
         matrix = (formed.ket_row if side == "ket" else formed.bra_row).toarray()
         row = models.build_dilute_T(L)
         if side == "bra":
-            row = models.DiluteRow(row.basis, row.upper, row.lower)
+            row = models.TransferRow(row.basis, row.upper, row.lower)
             formed = FormedRow(formed.basis, formed.upper, formed.lower)
         T00, T02, T22, idx0, idx2 = models.dilute_blocks(row)
         oracle = formed_blocks(formed)[:3]
@@ -562,8 +575,8 @@ class TestDiluteRow:
         assert cols[0] in idx0
         kicked = rows.copy()
         kicked[0] = idx2[0]
-        upper = models.TileOperator([(stay, cols, kicked, moved), *row.upper.tiles[1:]])
-        fake = models.DiluteRow(row.basis, row.lower, upper)
+        upper = models.TransferOperator([(stay, cols, kicked, moved), *row.upper.tiles[1:]])
+        fake = models.TransferRow(row.basis, row.lower, upper)
         with pytest.raises(AssertionError, match="strings were created"):
             models.dilute_blocks(fake)
 

@@ -113,8 +113,8 @@ class TestTrousers:
 
     def test_vanishing_bra_ground_is_refused(self):
         row = models.build_dilute_T(2)
-        zero = models.TileOperator([(0 * s, c, r, 0 * m) for s, c, r, m in row.lower.tiles])
-        fake = models.DiluteRow(row.basis, zero, row.upper)
+        zero = models.TransferOperator([(0 * s, c, r, 0 * m) for s, c, r, m in row.lower.tiles])
+        fake = models.TransferRow(row.basis, zero, row.upper)
         with pytest.raises(ArithmeticError, match="annihilates"):
             obs._dilute_trousers(fake, models.build_dilute_T(4).basis)
 
@@ -331,7 +331,7 @@ class TestPolymerB:
         lam = cell.value
         left = obs._bra_cell(row, lam, v, w, row.lower)
         # the bra row lower @ upper is the ket row of the swapped halves
-        swapped = models.DiluteRow(row.basis, row.upper, row.lower)
+        swapped = models.TransferRow(row.basis, row.upper, row.lower)
         M00, M02, M22, idx0, idx2 = models.dilute_blocks(swapped)
         oracle = spectral.block_jordan_cell(M00, M02, M22)
         u = stacked_to_row(row, idx0, idx2, oracle.vector)
@@ -1059,30 +1059,28 @@ class TestLoopEntropy:
     @pytest.mark.parametrize("L", range(4, 17, 2))
     def test_square_matches_the_singlet_oracle(self, L, n):
         row = models.build_dense_loop_T(L, n)
-        lam, v = spectral.perron_pair(row)
+        lam, v = spectral.perron_pair(row.ket_row)
         square = obs._loop_square(row, v, lam, L, n)
         assert square == pytest.approx(loop_pairing(v, v, L, n), rel=1e-12, abs=0)
         np.testing.assert_allclose(
             v / np.sqrt(square), loop_normalized(v, L, n), rtol=1e-12, atol=0
         )
 
-    def test_dual_in_the_wrong_order_fails_the_certificate(self, monkeypatch):
-        # T^T = Lo^T U^T shares the Perron value of (Lo U)^T, but its Perron
-        # vector is not G v: the two boundary rows disagree
+    def test_dual_in_the_wrong_order_fails_the_certificate(self):
+        # the row with its halves swapped has the dual T^T = Lo^T U^T, which
+        # shares the Perron value of (Lo U)^T, but its Perron vector is not
+        # G v: the two boundary rows disagree
         L, n = 8, 0.5
         row = models.build_dense_loop_T(L, n)
-        lam, v = spectral.perron_pair(row)
-        half = L // 2
-        swapped = row.plaquettes[half:] + row.plaquettes[:half]
-        wrong = models.TransferOperator(row.basis, swapped, transposed=True)
-        monkeypatch.setattr(models.TransferOperator, "dual", property(lambda self: wrong))
+        lam, v = spectral.perron_pair(row.ket_row)
+        swapped = models.TransferRow(row.basis, row.upper, row.lower)
         with pytest.raises(ArithmeticError, match=f"L={L}, n={n} is not along"):
-            obs._loop_square(row, v, lam, L, n)
+            obs._loop_square(swapped, v, lam, L, n)
 
     def test_wrong_perron_value_fails_the_certificate(self):
         L, n = 8, 0.5
         row = models.build_dense_loop_T(L, n)
-        lam, v = spectral.perron_pair(row)
+        lam, v = spectral.perron_pair(row.ket_row)
         with pytest.raises(ArithmeticError, match=f"Perron values .* at L={L}, n={n}"):
             obs._loop_square(row, v, lam * (1 + 1e-9), L, n)
 
@@ -1153,7 +1151,7 @@ class TestLoopEntropy:
         n, n1, sizes = 0.5, 1.0, (6, 8, 10)
         values = []
         for L in sizes:
-            _, v = spectral.perron_pair(models.build_dense_loop_T(L, n))
+            _, v = spectral.perron_pair(models.build_dense_loop_T(L, n).ket_row)
             v = v / np.sqrt(v @ loop_count_gram(L, n) @ v)
             boundary = dg.from_text("()" * (L // 2))
             loops = np.array([dg.glue(boundary, s).loops for s in dg.enumerate_dense(L)])
@@ -1167,7 +1165,7 @@ class TestLoopEntropy:
         # the loop form, so there is no real normalization: the weight is
         # refused up front rather than yield a NaN entropy
         n, L = -0.5, 6
-        vals, vecs = np.linalg.eig(models.build_dense_loop_T(L, n).matrix())
+        vals, vecs = np.linalg.eig(models.build_dense_loop_T(L, n).ket_row.matrix())
         v = vecs[:, int(np.argmax(np.abs(vals)))].real
         oracle = v @ loop_count_gram(L, n) @ v
         image = singlet_factor(L, n) @ v
@@ -1185,7 +1183,7 @@ class TestLoopEntropy:
         vec[index[dg.from_text("()(())")]] = 1.0
         vec[index[dg.from_text("(()())")]] = -1.0
         row = models.build_dense_loop_T(6, n)
-        lam, _ = spectral.perron_pair(row)
+        lam, _ = spectral.perron_pair(row.ket_row)
         with pytest.raises(ArithmeticError, match=f"L=6, n={n}"):
             obs._loop_square(row, vec, lam, 6, n)
         with pytest.raises(ArithmeticError, match=f"L=6, n={n}"):
