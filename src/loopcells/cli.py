@@ -76,39 +76,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, sizes_default=None) -> None:
+    def command(name: str, summary: str, sizes=None, keys=(), tol=False) -> None:
+        """One subcommand: ``--model-param`` with the keys it reads, ``--tol`` if it reads one."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument(
             "--sizes",
             type=_parse_sizes,
-            default=sizes_default,
+            default=sizes,
             help="comma- or space-separated system widths",
         )
-        p.add_argument(
-            "--model-param",
-            action="append",
-            metavar="KEY=VALUE",
-            help="model parameter override (q, x, y, n, n1); repeatable",
-        )
-        p.add_argument("--tol", type=float, default=None, help="cluster tolerance override")
+        if keys:
+            p.add_argument(
+                "--model-param",
+                action="append",
+                metavar="KEY=VALUE",
+                help=f"model parameter override ({', '.join(keys)}); repeatable",
+            )
+        if tol:
+            p.add_argument("--tol", type=float, default=None, help="cluster tolerance override")
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.set_defaults(model_param=None, param_keys=keys)
 
-    common(sub.add_parser("xxz-b", help="coupling b of the spin chain"), [4, 8, 12])
-    common(sub.add_parser("polymer-b", help="coupling b of dilute polymers"), [2, 4, 6, 8, 10])
-    common(sub.add_parser("deformed-b", help="coupling b of the y-deformed chain"), [4, 8])
-    common(
-        sub.add_parser("percolation-check", help="Jordan structure of the geometric chain"),
-        [4, 6, 8],
-    )
-    common(
-        sub.add_parser("ising-entropy", help="boundary entropies of the Ising ring"),
-        [12, 14, 16, 18],
-    )
-    common(
-        sub.add_parser("loop-entropy", help="boundary entropy of the dense loop model"),
-        [12, 14, 16, 18],
-    )
-    common(sub.add_parser("fixtures", help="re-verify all embedded reference values"))
+    command("xxz-b", "coupling b of the spin chain", [4, 8, 12], ("q",), tol=True)
+    command("polymer-b", "coupling b of dilute polymers", [2, 4, 6, 8, 10], ("x",))
+    command("deformed-b", "coupling b of the y-deformed chain", [4, 8], ("y",), tol=True)
+    command("percolation-check", "Jordan structure of the geometric chain", [4, 6, 8], tol=True)
+    command("ising-entropy", "boundary entropies of the Ising ring", [12, 14, 16, 18])
+    command("loop-entropy", "boundary entropy of the dense loop model", [12, 14, 16, 18], ("n", "n1"))
+    command("fixtures", "re-verify all embedded reference values")
     return parser
 
 
@@ -455,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
         params = _parse_params(args.model_param)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
+    unknown = sorted(set(params) - set(args.param_keys))
+    if unknown:
+        parser.error(f"{args.command} reads no --model-param {', '.join(unknown)}")
     if args.command != "fixtures":
         _require_sizes(parser, args)
     try:

@@ -29,7 +29,9 @@ kept once per width for the periodic, open and dilute row bases
 (:func:`_dense_sites`, :func:`_open_sites`, :func:`dilute_row_sites`),
 through their array form (:func:`_arrays`): the arc partner of every site,
 or a string or empty sentinel, and a checked lookup of the row of a mapped
-state by a sorted integer key.  :class:`LinkState` stays the text and
+state by a sorted integer key.  A cup-cap or a lozenge changes at most four
+sites, so it finds its rows from the basis keys shifted at those sites
+(:func:`_key_shift`).  :class:`LinkState` stays the text and
 test-oracle form; the ``enumerate_*`` tuples are built from the same arrays
 and no pipeline reads them.
 
@@ -405,10 +407,30 @@ def _keyed(basis):
     """``(digits, keys, find)``: the key digit of every site, the key of every
     state (both read-only) and the row lookup by key.
 
-    A map that changes a few sites can shift the keys by the digits of
-    those sites instead of keying the whole mapped site array.
+    A local move finds its rows as ``find(keys + shift)``, with the key
+    change ``shift`` of :func:`_key_shift`, and keys no moved site array.
     """
     return _cached(basis)[1]
+
+
+def _key_shift(basis, i: int, j: int, near, far) -> np.ndarray:
+    """Change of every state's lookup key under a move at the sites ``(i, j)``.
+
+    ``near`` holds the new site values at ``i`` and ``j``, ``far`` the new
+    partners of the far ends of the lines that arrived there (scalars or one
+    value per state).  Only those four sites change, so only their key
+    digits are replaced.  A string end or an empty site has no far end, and
+    its term weighs nothing; a far end at ``i`` or ``j`` (the arc ``(i,
+    j)``) must be given the value it gets in ``near``.
+    """
+    (sites, _), (digits, _, _) = _cached(basis)
+    at = np.array([[i], [j]])
+    ends = sites[:, [i, j]].T
+    # index -1 (a string end) and -2 (an empty site) weigh nothing
+    place = np.append(_place(sites.shape[1]), [0, 0])
+    near = _digits(np.reshape(near, (2, -1)), at) - digits[:, [i, j]].T.astype(np.int64)
+    far = _digits(np.reshape(far, (2, -1)), ends) - (2 + (ends > at))
+    return (near * place[at] + far * place[ends]).sum(axis=0)
 
 
 def _reflected(sites: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Lattice Hamiltonians and transfer matrices.
 
 All builders are array maps on the bases of :mod:`loopcells.diagrams`: spin
-masks, or the link-pattern site arrays of its one generator, kept once per
-width, whose moved states find their rows through the basis lookup.
+masks, their own lookup keys, or the link-pattern site arrays of its one
+generator, kept once per width, whose moved states find their rows from the
+basis keys shifted at the few sites a move changes.
 
 * :func:`build_xxz` -- the open anisotropic spin chain at ``q = exp(i pi/3)``
   with its boundary field, in the zero-magnetization sector (sparse);
@@ -42,11 +43,13 @@ from .diagrams import (
     _STRING_SITE,
     _arrays,
     _dense_sites,
+    _key_shift,
+    _keyed,
     _lookup,
     _open_sites,
     dilute_row_sites,
 )
-from .tl import _cup_cap_weights, _cup_caps, _join_ends, _spins, spin_sector_basis
+from .tl import _cup_cap_weights, _cup_caps, _spins, spin_sector_basis
 
 # ---------------------------------------------------------------------------
 # Spin chains
@@ -402,28 +405,25 @@ def _lozenge_ops(basis, site, x):
 
     The first tile keeps every state, with weight ``stay``; the second maps
     the states ``cols`` (ascending) of the basis's site array to new states,
-    whose ``rows`` the basis lookup finds, each with weight ``x^2``.
+    each with weight ``x^2``.  Their ``rows`` are found from the basis keys
+    shifted at the sites the tile changes
+    (:func:`loopcells.diagrams._key_shift`): a fresh arc on empty legs, the
+    two legs' values swapped under a crossing line, whose far end keeps its
+    key digit (no arc partner lies between adjacent sites), and two empty
+    legs whose far ends are joined.
     """
-    sites, find = _arrays(basis)
+    sites = _arrays(basis)[0]
+    _, keys, find = _keyed(basis)
     i, j = site, site + 1
-    occupied = np.count_nonzero(sites[:, [i, j]] != _EMPTY_SITE, axis=1)
+    legs = sites[:, [i, j]].T
+    occupied = np.count_nonzero(legs != _EMPTY_SITE, axis=0)
     stay = np.array([1.0, x, x**2])[occupied]
-    # no leg or two legs: join what arrives (nothing, or two lines), then
-    # open an arc on empty legs or leave both legs empty
-    moved = _join_ends(sites, i, j)
-    moved[:, i] = np.where(occupied == 0, j, _EMPTY_SITE)
-    moved[:, j] = np.where(occupied == 0, i, _EMPTY_SITE)
-    # one leg: its line crosses to the other leg
-    one = np.flatnonzero(occupied == 1)
-    src = np.where(sites[one, i] != _EMPTY_SITE, i, j)
-    dst = i + j - src
-    line = sites[one, src]
-    moved[one] = sites[one]
-    moved[one, dst], moved[one, src] = line, _EMPTY_SITE
-    arc = line >= 0
-    moved[one[arc], line[arc]] = dst[arc]
+    arc = np.array([[j], [i]], dtype=np.int8)
+    near = np.where(occupied == 0, arc, np.where(occupied == 1, legs[::-1], _EMPTY_SITE))
+    far = np.where(occupied == 2, legs[::-1], arc)
+    shift = _key_shift(basis, i, j, near, far)
     keep = np.flatnonzero(sites[:, i] != j)  # the closed loop has weight zero
-    return stay, keep, find(moved[keep])
+    return stay, keep, find(keys[keep] + shift[keep])
 
 
 def build_dilute_T(L: int, x: float | None = None) -> TransferRow:

@@ -23,8 +23,9 @@ from one array map on the basis's site array, which the generator of
 the loop weight or the deformation and are kept once per basis, open or
 periodic (:func:`_cup_caps`); each chain or row only weighs them
 (:func:`_cup_cap_weights`), and the cylinder transfer row applies them
-directly, without forming a CSR matrix.  Moved states and swapped spin
-masks find their rows through the checked lookup of
+directly, without forming a CSR matrix.  Moved states find their rows from
+the basis keys shifted at the sites a cup-cap changes, and swapped spin
+masks from the masks themselves, both through the checked lookup of
 :mod:`loopcells.diagrams`.
 
 :func:`check_relations_chain` and :func:`check_relations_periodic` measure how
@@ -45,12 +46,11 @@ from .diagrams import (
     _STRING_SITE,
     _arrays,
     _dense_sites,
-    _digits,
+    _key_shift,
     _keyed,
     _lookup,
     _open_sites,
     _per_basis,
-    _place,
 )
 from .spectral import _dense
 
@@ -65,19 +65,6 @@ def contraction_weight(label: int, y: complex) -> complex:
     return y if label % 2 == 0 else 1.0
 
 
-def _join_ends(sites: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Join the lines arriving at sites ``i`` and ``j`` of every state of a site array.
-
-    Two arcs become one, an arc and a string become a string, and two
-    strings vanish; sites ``i`` and ``j`` themselves are left to the caller.
-    """
-    new = sites.copy()
-    for end, other in ((sites[:, i], sites[:, j]), (sites[:, j], sites[:, i])):
-        arc = np.flatnonzero(end >= 0)
-        new[arc, end[arc]] = other[arc]
-    return new
-
-
 _CUP_CAPS: dict[int, tuple] = {}  # id of a basis -> (basis, its cup-cap maps), oldest first
 
 
@@ -87,10 +74,11 @@ def _cup_caps(basis) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     The generators are ``e_1 .. e_{L-1}`` on the sites ``(i, i + 1)``, and
     on a basis without strings (the periodic all-arc basis; every open
     basis holds the all-strings state) also ``e_L`` on ``(L, 1)``.  The
-    generator caps whatever arrived at its two sites (:func:`_join_ends`)
-    and opens a fresh arc there.  ``rows[c]`` is the row of state ``c``
-    moved by it, found from the basis keys shifted at the four sites it
-    changes (:func:`_cup_cap_shift`); ``closes`` marks the states whose arc
+    generator joins the far ends of whatever arrived at its two sites (two
+    arcs become one, an arc and a string a string, two strings vanish) and
+    opens a fresh arc there.  ``rows[c]`` is the row of state ``c`` moved by
+    it, found from the basis keys shifted at the four sites it changes
+    (:func:`loopcells.diagrams._key_shift`); ``closes`` marks the states whose arc
     on the two sites it closes into a loop, and ``even_contraction`` those
     where it contracts two strings whose left label is even.  None of them
     depends on the loop weight or the deformation, which
@@ -105,7 +93,7 @@ def _cup_caps(basis) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
 def _cup_cap_maps(basis) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """The value of :func:`_cup_caps`, built afresh (read-only)."""
     sites = _arrays(basis)[0]
-    digits, keys, find = _keyed(basis)
+    _, keys, find = _keyed(basis)
     L = sites.shape[1]
     string = sites == _STRING_SITE
     # 1-based label of the string at each site: the strings up to it
@@ -113,7 +101,8 @@ def _cup_cap_maps(basis) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
     maps = []
     for i in range(L - 1 if string.any() else L):
         j = (i + 1) % L
-        rows = find(keys + _cup_cap_shift(sites, digits, i, j))
+        # a fresh arc on (i, j); the far ends of what arrived there are joined
+        rows = find(keys + _key_shift(basis, i, j, (j, i), (sites[:, j], sites[:, i])))
         closes = sites[:, i] == j
         even_contraction = even_label[:, i] & string[:, j]
         for frozen in (rows, closes, even_contraction):
@@ -134,24 +123,6 @@ def _cup_cap_weights(cup_cap, n: complex, y: complex, dtype) -> np.ndarray:
     if y != 1:  # a contraction weight of one is the default
         weights[even_contraction] = y
     return weights
-
-
-def _cup_cap_shift(sites: np.ndarray, digits: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Change of every state's lookup key under the cup-cap on sites ``(i, j)``.
-
-    Only four sites change: ``i`` and ``j`` become the fresh arc, and the
-    far ends ``a``, ``b`` of the lines that arrived there are joined to each
-    other (:func:`_join_ends`), so only their key digits are replaced
-    (``digits`` holds the old ones).  A string has no far end; its term is
-    weighted zero.  Capping the arc ``(i, j)`` itself changes nothing, and
-    its terms cancel.
-    """
-    place = np.append(_place(sites.shape[1]), 0)  # index -1, a string end, weighs nothing
-    near = (2 + (j < i) - digits[:, i]) * place[i] + (2 + (i < j) - digits[:, j]) * place[j]
-    ends = sites[:, [i, j]].T
-    joined = ends[::-1]
-    far = _digits(joined, ends) - (2 + (ends > [[i], [j]]))
-    return near + (far * place[ends]).sum(axis=0)
 
 
 def _one_per_column(rows: np.ndarray, weights: np.ndarray) -> sp.csr_matrix:

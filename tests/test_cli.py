@@ -51,6 +51,36 @@ class TestParsing:
                 cli.main([command, "--sizes", "4", "--model-param", param])
             assert info.value.code == 2
 
+    @pytest.mark.parametrize("command", ["polymer-b", "ising-entropy", "loop-entropy", "fixtures"])
+    def test_tol_is_a_usage_error_where_no_cluster_is_read(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--sizes", "2,4", "--tol", "0.9"])
+        assert info.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["xxz-b", "deformed-b", "percolation-check"])
+    def test_tol_reaches_the_cluster_commands(self, command):
+        assert cli.build_parser().parse_args([command, "--tol", "1e-5"]).tol == 1e-5
+
+    @pytest.mark.parametrize(
+        "command, param",
+        [
+            ("polymer-b", "q=2"),
+            ("polymer-b", "X=0.5"),
+            ("xxz-b", "x=0.5"),
+            ("deformed-b", "n=1"),
+            ("loop-entropy", "y=2"),
+            ("percolation-check", "y=2"),
+            ("ising-entropy", "n=1"),
+            ("fixtures", "n=1"),
+        ],
+    )
+    def test_model_param_the_command_does_not_read_is_a_usage_error(self, capsys, command, param):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--sizes", "4", "--model-param", param])
+        assert info.value.code == 2
+        assert "--model-param" in capsys.readouterr().err
+
     def test_empty_sizes_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["xxz-b", "--sizes", ""])

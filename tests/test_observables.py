@@ -481,6 +481,29 @@ class TestGoldenValues:
     def test_b_deformed(self, L, y):
         assert_golden_b(obs.b_deformed(L, y), GOLDEN["b_deformed"][f"{L},{y}"])
 
+    @pytest.mark.parametrize("y", [None, 2.0, -1.0, 0.5], ids=["xxz", "y=2", "y=-1", "y=0.5"])
+    def test_arpack_spectrum_matches_lapack(self, monkeypatch, y):
+        # below a lowered threshold ARPACK solves the width-8 chains, and
+        # the 6-state half chains stay dense
+        def measure():
+            return obs.b_xxz(8) if y is None else obs.b_deformed(8, y)
+
+        dense = measure()
+        solved = []
+        low_spectrum = obs._low_spectrum
+
+        def recorded(H, L):
+            vals, vecs = low_spectrum(H, L)
+            solved.append((H.shape[0], len(vals)))
+            return vals, vecs
+
+        monkeypatch.setattr(obs, "_low_spectrum", recorded)
+        monkeypatch.setattr(obs, "_DENSE_SPECTRUM_STATES", 10)
+        sparse = measure()
+        assert sorted(solved)[0] == (6, 6)
+        assert any(states > 10 and pairs == 6 for states, pairs in solved)
+        assert sparse.value == pytest.approx(dense.value, abs=1e-10)
+
     def test_trousers_xxz(self):
         expect = golden_vector(GOLDEN["trousers_xxz"]["8"])
         np.testing.assert_allclose(obs.trousers_xxz(8).vector, expect, rtol=0, atol=1e-12)

@@ -83,23 +83,63 @@ def loop_dense_generators(L: int, n: complex) -> list[sp.csr_matrix]:
     return loop_generators(dg.enumerate_dense(L), [(i, (i + 1) % L) for i in range(L)], n)
 
 
+def join_ends(sites: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Join the lines arriving at sites ``i`` and ``j`` of every state of a site array.
+
+    Two arcs become one, an arc and a string become a string, and two
+    strings vanish; sites ``i`` and ``j`` themselves are left to the caller.
+    """
+    new = sites.copy()
+    for end, other in ((sites[:, i], sites[:, j]), (sites[:, j], sites[:, i])):
+        arc = np.flatnonzero(end >= 0)
+        new[arc, end[arc]] = other[arc]
+    return new
+
+
+def moved_by_cup_cap(sites: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Every state of a site array moved by the cup-cap on sites ``(i, j)`` (the oracle)."""
+    moved = join_ends(sites, i, j)
+    moved[:, i], moved[:, j] = j, i
+    return moved
+
+
+def moved_by_lozenge(sites: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Every state of a site array moved by the second tile of the lozenge on ``(i, j)`` (the oracle).
+
+    No leg occupied: a fresh arc.  One leg: its line crosses to the other
+    leg.  Two legs: both empty, their lines joined.
+    """
+    occupied = np.count_nonzero(sites[:, [i, j]] != dg._EMPTY_SITE, axis=1)
+    moved = join_ends(sites, i, j)
+    moved[:, i] = np.where(occupied == 0, j, dg._EMPTY_SITE)
+    moved[:, j] = np.where(occupied == 0, i, dg._EMPTY_SITE)
+    one = np.flatnonzero(occupied == 1)
+    src = np.where(sites[one, i] != dg._EMPTY_SITE, i, j)
+    dst = i + j - src
+    line = sites[one, src]
+    moved[one] = sites[one]
+    moved[one, dst], moved[one, src] = line, dg._EMPTY_SITE
+    arc = line >= 0
+    moved[one[arc], line[arc]] = dst[arc]
+    return moved
+
+
 def cup_cap(basis, i: int, j: int, n: complex, y: complex, dtype):
     """Row and weight of every column of the cup-cap generator on sites ``(i, j)``, built afresh (the oracle).
 
     Capping the arc ``(i, j)`` closes a loop (weight ``n``), capping two
     strings contracts them (:func:`loopcells.tl.contraction_weight` of the
-    left label), any other cap weighs one.  The rows are found from the basis
-    keys shifted at the four sites the generator changes.
+    left label), any other cap weighs one.  The rows are found by keying the
+    whole moved site array.
     """
-    sites = dg._arrays(basis)[0]
-    digits, keys, find = dg._keyed(basis)
+    sites, rows = dg._arrays(basis)
     weights = np.ones(len(sites), dtype=dtype)
     weights[sites[:, i] == j] = n
     if y != 1:  # a contraction weight of one is the default
         string = sites == dg._STRING_SITE
         label = np.count_nonzero(string[:, : i + 1], axis=1)
         weights[string[:, i] & string[:, j] & (label % 2 == 0)] = y
-    return find(keys + tl._cup_cap_shift(sites, digits, i, j)), weights
+    return rows(moved_by_cup_cap(sites, i, j)), weights
 
 
 def cup_cap_open_generators(L: int, n: complex, y: complex) -> list[sp.csr_matrix]:
@@ -262,18 +302,25 @@ class TestMatrixOracles:
 
     @pytest.mark.parametrize(
         "kind, L",
-        [("dense", L) for L in range(2, 15, 2)] + [("open", L) for L in range(2, 11)],
+        [("dense", L) for L in range(2, 15, 2)]
+        + [("open", L) for L in range(2, 11)]
+        + [("dilute", L) for L in range(2, 13)],
     )
     def test_key_shift_matches_keys_of_the_moved_sites(self, kind, L):
-        # the cup-cap shifts the keys of four sites; keying the whole moved
-        # site array must find the same rows
-        basis = dg.enumerate_dense(L) if kind == "dense" else dg.enumerate_open(L)
-        sites, rows = dg._arrays(basis)
-        for i in range(L if kind == "dense" else L - 1):
-            j = (i + 1) % L
-            moved = tl._join_ends(sites, i, j)
-            moved[:, i], moved[:, j] = j, i
-            np.testing.assert_array_equal(tl._cup_caps(basis)[i][0], rows(moved))
+        # a cup-cap or a lozenge shifts the keys of four sites; keying the
+        # whole moved site array must find the same rows
+        if kind == "dilute":
+            basis = dg.dilute_row_sites(L)
+            sites, rows = dg._arrays(basis)
+            for i in range(L - 1):
+                _, keep, got = models._lozenge_ops(basis, i, fx.X_CRITICAL)
+                np.testing.assert_array_equal(got, rows(moved_by_lozenge(sites, i, i + 1)[keep]))
+        else:
+            basis = dg.enumerate_dense(L) if kind == "dense" else dg.enumerate_open(L)
+            sites, rows = dg._arrays(basis)
+            for i in range(L if kind == "dense" else L - 1):
+                moved = moved_by_cup_cap(sites, i, (i + 1) % L)
+                np.testing.assert_array_equal(tl._cup_caps(basis)[i][0], rows(moved))
 
     def test_string_sector_is_preserved_or_lowered(self):
         basis = dg.enumerate_open(6)
