@@ -77,14 +77,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, summary: str, sizes=None, keys=(), tol=False) -> None:
-        """One subcommand: ``--model-param`` with the keys it reads, ``--tol`` if it reads one."""
+        """One subcommand with the options it reads.
+
+        ``--sizes`` with its default widths for a sweep, ``--model-param``
+        with its keys, ``--tol`` if it reads a cluster tolerance.
+        """
         p = sub.add_parser(name, help=summary)
-        p.add_argument(
-            "--sizes",
-            type=_parse_sizes,
-            default=sizes,
-            help="comma- or space-separated system widths",
-        )
+        if sizes:
+            p.add_argument(
+                "--sizes",
+                type=_parse_sizes,
+                help="comma- or space-separated system widths",
+            )
         if keys:
             p.add_argument(
                 "--model-param",
@@ -96,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=float, default=None, help="cluster tolerance override")
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.set_defaults(model_param=None, param_keys=keys)
+        p.set_defaults(sizes=sizes, model_param=None, param_keys=keys)
 
     command("xxz-b", "coupling b of the spin chain", [4, 8, 12], ("q",), tol=True)
     command("polymer-b", "coupling b of dilute polymers", [2, 4, 6, 8, 10], ("x",))

@@ -1,11 +1,11 @@
 """Bilinear pairings under which the lattice operators are self-adjoint.
 
-All pairings here are bilinear, never sesquilinear: ``pairing(u, v) =
-sum_ij u_i G_ij v_j`` with no complex conjugation, so "norms" may vanish or
-be negative.  The Gram matrices ``G`` are symmetric.  An entry is read off
-the picture of the mirror image of one basis diagram glued on top of
-another (:func:`loopcells.diagrams.glue`, the test oracle), but every form
-reads the shared site arrays of :func:`loopcells.diagrams._arrays` instead:
+All pairings here are bilinear, never sesquilinear: ``u @ (G @ v)`` with no
+complex conjugation, so "norms" may vanish or be negative.  The Gram
+matrices ``G`` are symmetric.  An entry is read off the picture of the
+mirror image of one basis diagram glued on top of another
+(:func:`loopcells.diagrams.glue`, the test oracle), but every form reads the
+shared site arrays of :func:`loopcells.diagrams._arrays` instead:
 
 * :func:`boundary_loops` -- periodic all-arc basis, weight ``n`` per closed
   loop: the loop counts of one row of the Gram, the all-adjacent-arcs
@@ -17,55 +17,30 @@ reads the shared site arrays of :func:`loopcells.diagrams._arrays` instead:
   diagonal over occupation masks, and a mask's block is the form of the
   link patterns on its occupied sites, so the line walk runs once per
   occupancy count and every mask reuses its count's block; the form is
-  applied to vectors without being formed.  :func:`dilute_sector_gram`
-  spreads the same blocks into a sparse matrix, and :func:`dilute_gram` is
-  its dense view on a whole parity basis;
-* :func:`link_gram` -- open arc/string basis at loop weight one, where
+  applied to vectors without being formed;
+* :func:`link_gram` -- the Gram array of the open arc/string basis
+  (:func:`loopcells.diagrams._open_sites`) at loop weight one, where
   contracting a string pair whose left label is even costs ``y``; the
-  contraction counts do not depend on ``y`` and are kept once per basis;
-* :func:`identity_gram` -- the spin-chain pairing.
+  contraction counts do not depend on ``y`` and are kept once per basis.
 
-The dilute and link forms follow the lines of all pairs at once
-(:func:`_line_ends`): the dilute form those of the link patterns of one
-occupancy count, the link form those of the states, and the boundary row
-those of one pair per state.
-:func:`selfadjointness_defect` and :func:`adjointness_matrix_defect` accept
-dense or sparse operators, and :func:`pairing` a dense or sparse Gram
-matrix.
+The spin chain pairs with the identity.  The dilute and link forms follow
+the lines of all pairs at once (:func:`_line_ends`): the dilute form those
+of the link patterns of one occupancy count, the link form those of the
+states, and the boundary row those of one pair per state.
+:func:`adjointness_matrix_defect` measures ``G A = A^T G`` for a Gram array
+and a dense or sparse operator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
-from .diagrams import _EMPTY_SITE, _STRING_SITE, LinkState, _arrays, _dense_sites
-from .diagrams import _keys, _open_sites, _per_basis, enumerate_dilute
+from .diagrams import _EMPTY_SITE, _STRING_SITE, _arrays, _dense_sites, _keys
+from .diagrams import _open_sites, _per_basis
 from .spectral import _dense
-
-
-@dataclass(frozen=True)
-class BilinearForm:
-    """A symmetric Gram matrix together with the basis it refers to (states or a site array)."""
-
-    basis_tag: str
-    gram: np.ndarray
-    basis: tuple[LinkState, ...] | np.ndarray | None = field(default=None, compare=False)
-
-    def pairing(self, u: np.ndarray, v: np.ndarray) -> complex:
-        return pairing(u, self.gram, v)
-
-    @property
-    def dim(self) -> int:
-        return self.gram.shape[0]
-
-
-def pairing(u: np.ndarray, gram, v: np.ndarray) -> complex:
-    """``u^T G v`` with no conjugation; ``gram`` may be dense or sparse."""
-    return complex(np.asarray(u) @ (gram @ np.asarray(v)))
 
 
 @lru_cache(maxsize=None)
@@ -211,44 +186,12 @@ def _pattern_gram(patterns: np.ndarray) -> np.ndarray:
     return gram
 
 
-def dilute_sector_gram(basis):
-    """Sparse dilute Gram matrix on an arbitrary sub-basis (states or a site array).
+def link_gram(L: int, y: complex = 1.0) -> np.ndarray:
+    """Gram array of the open arc/string basis at loop weight one.
 
-    The nonzeros of each block of :func:`dilute_form` repeated over the
-    masks of its grid.
-    """
-    dim = len(basis)
-    rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for grid, gram in dilute_form(basis).blocks:
-        p, q = np.nonzero(gram)
-        bra, ket = grid[:, p].ravel(), grid[:, q].ravel()
-        both = (bra >= 0) & (ket >= 0)
-        rows.append(bra[both])
-        cols.append(ket[both])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    data = np.ones(len(rows))
-    return sp.csr_matrix(sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)))
-
-
-def identity_gram(dim: int, tag: str = "spin") -> BilinearForm:
-    """The spin-basis pairing: identity Gram, bilinear (no conjugation)."""
-    return BilinearForm(tag, np.eye(dim), None)
-
-
-def dilute_gram(L: int, parity: str = "even") -> BilinearForm:
-    """Dense Gram matrix of the dilute basis (see :func:`dilute_sector_gram`).
-
-    An entry vanishes when the empty sites differ or when the gluing closes
-    any loop; every surviving gluing (string contractions and through lines
-    included) has weight one.
-    """
-    basis = enumerate_dilute(L, parity)
-    gram = dilute_sector_gram(basis).toarray()
-    return BilinearForm(f"dilute:{L}:{parity}", gram, basis)
-
-
-def link_gram(L: int, y: complex = 1.0) -> BilinearForm:
-    """Gram matrix of the open arc/string basis at loop weight one.
+    The basis is :func:`loopcells.diagrams._open_sites` ``(L)``, in the
+    order of ``enumerate_open(L)``; the array is complex for a complex
+    ``y`` and float otherwise.
 
     Every closed loop counts one.  Contracting a pair of same-side strings
     picks up ``y`` when the left label of the pair is even (the contraction
@@ -264,7 +207,7 @@ def link_gram(L: int, y: complex = 1.0) -> BilinearForm:
     powers = [1.0]
     for _ in range(int(count.max())):
         powers.append(powers[-1] * y)
-    return BilinearForm(f"open:{L}:y={y}", np.asarray(powers, dtype=dtype)[count], basis)
+    return np.asarray(powers, dtype=dtype)[count]
 
 
 _LINK_CONTRACTIONS: dict[int, tuple] = {}  # id of a basis -> (basis, its counts), oldest first
@@ -273,13 +216,13 @@ _LINK_CONTRACTIONS: dict[int, tuple] = {}  # id of a basis -> (basis, its counts
 def _link_contractions(basis) -> np.ndarray:
     """String contractions of every glued pair of an open basis, as a read-only ``int8`` matrix.
 
-    All pairs are glued at once (:func:`_line_ends`), as in
-    :func:`dilute_sector_gram`.  On the bra side a string at site ``j``
-    absorbs a line into the sentinel ``L + j``; on the ket side every string
-    lets it through to ``2L``.  A line leaving an even-labelled bra string
-    downward (ket step, then bra step) reaches its end within ``L // 2``
-    rounds, and it is a contraction when that end is a bra string to its
-    right; the same walk with the sides swapped finds the ket contractions.
+    All pairs are glued at once (:func:`_line_ends`).  On the bra side a
+    string at site ``j`` absorbs a line into the sentinel ``L + j``; on the
+    ket side every string lets it through to ``2L``.  A line leaving an
+    even-labelled bra string downward (ket step, then bra step) reaches its
+    end within ``L // 2`` rounds, and it is a contraction when that end is a
+    bra string to its right; the same walk with the sides swapped finds the
+    ket contractions.
     """
     dim = len(basis)
     partner = _arrays(basis)[0]
@@ -304,36 +247,13 @@ def _link_contractions(basis) -> np.ndarray:
     return counts
 
 
-def selfadjointness_defect(
-    op: np.ndarray,
-    form: BilinearForm,
-    trials: int = 20,
-    seed: int = 7,
-) -> float:
-    """Largest normalized asymmetry ``|pairing(Au, v) - pairing(u, Av)|``.
+def adjointness_matrix_defect(op, gram: np.ndarray) -> float:
+    """Exact test of ``G A = A^T G``: ``max |G A - A^T G|`` over entries, normalized.
 
-    Sampling random complex vectors; the exact criterion is
-    ``G A = A^T G``, which the sampled defect bounds from below.
+    ``op`` is dense or sparse and ``gram`` the Gram array ``G``.
     """
     op = _dense(op)
-    if op.shape[0] != form.dim:
-        raise ValueError(f"operator dimension {op.shape[0]} != form dimension {form.dim}")
-    rng = np.random.default_rng(seed)
-    scale = np.linalg.norm(op, ord="fro") * np.linalg.norm(form.gram, ord="fro")
-    worst = 0.0
-    for _ in range(trials):
-        u = rng.standard_normal(form.dim) + 1j * rng.standard_normal(form.dim)
-        v = rng.standard_normal(form.dim) + 1j * rng.standard_normal(form.dim)
-        lhs = pairing(op @ u, form.gram, v)
-        rhs = pairing(u, form.gram, op @ v)
-        worst = max(worst, abs(lhs - rhs) / (scale * np.linalg.norm(u) * np.linalg.norm(v) / form.dim))
-    return worst
-
-
-def adjointness_matrix_defect(op: np.ndarray, form: BilinearForm) -> float:
-    """Direct matrix criterion: ``max |G A - A^T G|`` over entries, normalized."""
-    op = _dense(op)
-    lhs = form.gram @ op
-    rhs = op.T @ form.gram
+    lhs = gram @ op
+    rhs = op.T @ gram
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
     return float(np.max(np.abs(lhs - rhs))) / scale

@@ -222,12 +222,14 @@ class _Chain(NamedTuple):
     """A width-L chain as :func:`_chain_b` solves and pairs it.
 
     ``H`` is the operator whose low spectrum and Jordan cell are solved,
-    ``gram`` its invariant form and ``product`` the unnormalized trousers,
-    all on one basis; the cell sits at the distinct level ``level`` of
-    ``H``.  A chain reduced to a symmetry sector also carries ``lift``,
-    which maps a sector vector to the full chain, and ``certify(value, u,
-    partner=None)``, which checks a lifted eigenvector (and partner) against
-    the full chain and raises ``ArithmeticError``.
+    ``gram`` its invariant form as a matrix (the link Gram array of
+    :func:`_open_chain`, the sparse identity of :func:`_xxz_chain`) and
+    ``product`` the unnormalized trousers, all on one basis; the cell sits
+    at the distinct level ``level`` of ``H``.  A chain reduced to a symmetry
+    sector also carries ``lift``, which maps a sector vector to the full
+    chain, and ``certify(value, u, partner=None)``, which checks a lifted
+    eigenvector (and partner) against the full chain and raises
+    ``ArithmeticError``.
     """
 
     H: object
@@ -532,14 +534,17 @@ def b_polymer(
 def _open_chain(L: int, y: complex) -> _Chain:
     """``(H, y-form, unnormalized trousers)`` of the width-L open chain at loop weight one.
 
-    The whole chain is solved; its cell is at the fourth distinct level.
+    The whole chain is solved on the open basis
+    (:func:`loopcells.diagrams._open_sites`), and ``gram`` is the Gram array
+    of :func:`loopcells.forms.link_gram` on it; the cell is at the fourth
+    distinct level.
     """
-    form, half_form = forms.link_gram(L, y), forms.link_gram(L // 2, y)
-    _, g = _ground(_low_spectrum(models.build_percolation_H(L // 2, y), L // 2), half_form.gram)
-    half = diagrams._arrays(half_form.basis)[0]
-    rows = diagrams._arrays(form.basis)[1](diagrams._side_by_side(half, half))
-    product = _place(rows, g, g, form.dim)
-    return _Chain(models.build_percolation_H(L, y), form.gram, product)
+    gram, half_gram = forms.link_gram(L, y), forms.link_gram(L // 2, y)
+    _, g = _ground(_low_spectrum(models.build_percolation_H(L // 2, y), L // 2), half_gram)
+    half = diagrams._open_sites(L // 2)
+    rows = diagrams._arrays(diagrams._open_sites(L))[1](diagrams._side_by_side(half, half))
+    product = _place(rows, g, g, len(gram))
+    return _Chain(models.build_percolation_H(L, y), gram, product)
 
 
 def trousers_open(L: int, y: complex = 1.0) -> TrousersState:
@@ -579,21 +584,24 @@ def percolation_check(
     """Diagnose the would-be Jordan level of the geometric (y=1) chain.
 
     One low spectrum of the sparse y=1 chain (:func:`_low_spectrum`) locates
-    the cluster at the fourth distinct level.  Its geometric multiplicity
-    and the norm of its nilpotent part (which vanishes exactly when the
-    level is diagonalizable) come from the near-kernel block of one sparse
-    LU at that level (:func:`loopcells.spectral.cell_structure`); no dense
-    spectrum is formed.  The spectrum does not depend on ``y``, so each
-    deformed chain in ``y_values`` is probed for a genuine cell at that same
-    level (:func:`loopcells.spectral.extract_jordan_cell`, which certifies
-    the cell by its residuals, not by the kernel dimension alone).  A
-    deformed chain on which the level is simple raises ``ArithmeticError``,
-    one without the level :class:`~loopcells.spectral.ClusterSizeError`,
-    and ``y = 1`` reads ``False``.
+    the cluster at the fourth distinct level and holds its eigenvectors.
+    Their span gives the level's geometric multiplicity and the norm of its
+    nilpotent part, which vanishes exactly when the level is diagonalizable
+    (:func:`loopcells.spectral.cell_structure`); the y=1 shift is not
+    factored and no dense spectrum is formed.  The spectrum does not depend
+    on ``y``, so each deformed chain in ``y_values`` is probed for a genuine
+    cell at that same level (:func:`loopcells.spectral.extract_jordan_cell`,
+    which certifies the cell by its residuals, not by the kernel dimension
+    alone).  A deformed chain on which the level is simple raises
+    ``ArithmeticError``, one without the level
+    :class:`~loopcells.spectral.ClusterSizeError`, and ``y = 1`` reads
+    ``False``.
     """
     H1 = models.build_percolation_H(L, 1.0)
-    c3 = _level(_low_spectrum(H1, L), 3, cluster_tol)
-    gm, nil = spectral.cell_structure(H1, c3.value)
+    spectrum = _low_spectrum(H1, L)
+    c3 = _level(spectrum, 3, cluster_tol)
+    vals, vecs = spectrum
+    gm, nil = spectral.cell_structure(H1, c3.value, vecs[:, np.isin(vals, c3.members)])
     genuine: dict = {}
     for y in y_values:
         try:

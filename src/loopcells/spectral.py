@@ -26,10 +26,15 @@ one of two places:
   for two right kernel directions and an uncertified left direction for the
   border (:func:`_kernel_pair`).  When SuperLU finds the shift exactly
   singular, it refactors once at a tiny identity shift and records that
-  shift as :attr:`JordanCell.regularization`.  The same block gives
-  :func:`cell_structure`, the kernel dimension and nilpotent norm of a
-  two-fold cluster without a dense spectrum, the sparse counterpart of
-  :func:`geometric_multiplicity` and :func:`nilpotent_norm`.
+  shift as :attr:`JordanCell.regularization`.
+
+:func:`cell_structure` gives the kernel dimension and nilpotent norm of a
+two-fold cluster without a dense spectrum, the sparse counterpart of
+:func:`geometric_multiplicity` and :func:`nilpotent_norm`.  It decides the
+kernel on the span of the cluster's eigenvectors, as :func:`_cluster_cell`
+does, and compresses ``A`` onto that span when the level is diagonalizable,
+so it factors nothing there; only a genuine cell goes through
+:func:`extract_jordan_cell`.
 
 Every sparse LU here, and the one ARPACK's shift-invert uses in
 :func:`loopcells.observables._low_spectrum`, comes from :func:`_factor`: a
@@ -412,24 +417,33 @@ def _block_cell(A, shifted, level: complex, X, border, regularization: float = 0
     return cell
 
 
+def _cluster_span(shifted, vectors) -> np.ndarray:
+    """Orthonormal basis of the span of a cluster's eigenvectors ``vectors``.
+
+    ``vectors`` come from any eigensolver.  In real arithmetic (``shifted``
+    real, :func:`_shift`) the span is the real one, of their real and
+    imaginary parts.  A rank-revealing SVD keeps the directions whose
+    singular value is above ``1e-12`` of the largest: the two eigenvectors
+    of a split Jordan pair differ by about ``1e-8`` (ARPACK) or agree to
+    roundoff, about ``1e-15`` (LAPACK), and a diagonalizable pair differs
+    by ``O(1e-2)``.
+    """
+    if not np.iscomplexobj(shifted):
+        vectors = np.hstack([vectors.real, vectors.imag])
+    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
+    return u[:, s > 1e-12 * s[0]]
+
+
 def _cluster_cell(A, level: complex, vectors, gram) -> JordanCell:
     """The certified cell at ``level`` from its cluster's eigenvectors; no LU of ``A - level``.
 
     ``vectors`` are the eigenvectors of the cluster at ``level`` from any
-    eigensolver, and ``gram`` is the invariant form of ``A`` that borders
-    the partner system (:func:`_block_cell`).  In real arithmetic
-    (:func:`_shift`) the block is the real span of ``vectors``, their real
-    and imaginary parts.  A rank-revealing SVD keeps the directions whose
-    singular value is above ``1e-12`` of the largest: the two eigenvectors
-    of a split Jordan pair differ by about ``1e-8`` (ARPACK) or agree to
-    roundoff, about ``1e-15`` (LAPACK), and a diagonalizable pair differs
-    by ``O(1e-2)``.  Nothing is factored but the bordered system.
+    eigensolver; their span (:func:`_cluster_span`) is the block of
+    :func:`_block_cell`, and ``gram``, the invariant form of ``A``, borders
+    the partner system.  Nothing is factored but the bordered system.
     """
     A, shifted = _shift(A, level)
-    if not np.iscomplexobj(shifted):
-        vectors = np.hstack([vectors.real, vectors.imag])
-    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    return _block_cell(A, shifted, level, u[:, s > 1e-12 * s[0]], gram)
+    return _block_cell(A, shifted, level, _cluster_span(shifted, vectors), gram)
 
 
 def extract_jordan_cell(A, level: complex) -> JordanCell:
@@ -470,32 +484,31 @@ def _compression(A, Q: np.ndarray) -> np.ndarray:
     return M
 
 
-def cell_structure(A, level: complex) -> tuple[int, float]:
+def cell_structure(A, level: complex, vectors) -> tuple[int, float]:
     """Kernel dimension of ``A - level`` and the nilpotent norm of ``A`` on its cluster.
 
     The sparse counterpart of :func:`geometric_multiplicity` and
-    :func:`nilpotent_norm` for a cluster of two: it factors only ``A -
-    level`` (and, on a genuine cell, its bordered partner system) and forms
-    no dense spectrum.  The kernel dimension is the decision of
-    :func:`_near_kernel`.  The nilpotent norm is ``|t_12|`` of the complex
-    Schur form of ``A`` compressed onto an orthonormal basis ``Q`` of the
-    cluster's invariant subspace: the near-kernel block itself when the
-    kernel is two-dimensional, the orthonormalized cell ``[v, w]`` when it
-    is one-dimensional.  (On a genuine cell the raw inverse-iteration block
-    is no invariant subspace; only its kernel direction is.)  ``|t_12|`` is
-    the same for every orthonormal basis of the subspace, since the
-    Frobenius norm and the eigenvalues of the 2x2 compression are.  ``Q`` is
-    certified by :func:`_compression`; an uncertified one raises
-    ``ArithmeticError``, and a level that is no eigenvalue raises
-    :class:`ClusterSizeError`.
+    :func:`nilpotent_norm` for a cluster of two whose eigenvectors
+    ``vectors`` an eigensolver already gave; it forms no dense spectrum.
+    The kernel dimension is the decision of :func:`_near_kernel` on their
+    span (:func:`_cluster_span`).  The nilpotent norm is ``|t_12|`` of the
+    complex Schur form of ``A`` compressed onto an orthonormal basis ``Q``
+    of the cluster's invariant subspace: the span itself when the kernel is
+    two-dimensional, so nothing is factored, and the orthonormalized cell
+    ``[v, w]`` of :func:`extract_jordan_cell` when it is one-dimensional.
+    ``|t_12|`` is the same for every orthonormal basis of the subspace,
+    since the Frobenius norm and the eigenvalues of the 2x2 compression
+    are.  The cell and ``Q`` are certified (:func:`_compression`); a failed
+    check raises ``ArithmeticError``, and a level that is no eigenvalue
+    raises :class:`ClusterSizeError`.
     """
     A, shifted = _shift(A, level)
-    X, ell, _ = _kernel_pair(shifted, columns=2)
-    null_dim, v = _near_kernel(shifted, X, level)
+    Q = _cluster_span(shifted, vectors)
+    null_dim, _ = _near_kernel(shifted, Q, level)
     if null_dim == 1:
-        w = _bordered_partner(shifted, v, ell, v)
-        X, _ = np.linalg.qr(np.column_stack([v, w]))
-    t, _ = sla.schur(_compression(A, X), output="complex")
+        cell = extract_jordan_cell(A, level)
+        Q, _ = np.linalg.qr(np.column_stack([cell.vector, cell.partner]))
+    t, _ = sla.schur(_compression(A, Q), output="complex")
     return null_dim, float(abs(t[0, 1]))
 
 

@@ -21,7 +21,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from loopcells import diagrams as dg
-from loopcells.forms import BilinearForm
 
 
 def loop_count_matrix(basis: tuple[dg.LinkState, ...]) -> np.ndarray:
@@ -88,13 +87,16 @@ def _singlet_pattern(L: int):
     return entry.indptr, entry.indices, sign[entry.data >> arcs], choice
 
 
-def loop_gram(L: int, weight: complex) -> BilinearForm:
-    """Gram matrix of the periodic dense basis, ``weight`` per closed loop: ``M^T M``."""
+def loop_gram(L: int, weight: complex) -> np.ndarray:
+    """Gram array of the periodic dense basis, ``weight`` per closed loop: ``M^T M``.
+
+    Rows and columns follow ``enumerate_dense(L)``.
+    """
     m = singlet_factor(L, weight)
     gram = (m.T @ m).toarray()
     if not np.iscomplexobj(weight):
         gram = gram.real
-    return BilinearForm(f"dense:{L}", gram, dg.enumerate_dense(L))
+    return gram
 
 
 def loop_pairing(u: np.ndarray, v: np.ndarray, L: int, n: float) -> float:

@@ -81,6 +81,15 @@ class TestParsing:
         assert info.value.code == 2
         assert "--model-param" in capsys.readouterr().err
 
+    def test_sizes_is_a_usage_error_where_no_width_is_read(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["fixtures", "--sizes", "4"])
+        assert info.value.code == 2
+        assert "--sizes" in capsys.readouterr().err
+        code, out, _ = run(capsys, "fixtures", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["sizes"] == []
+
     def test_empty_sizes_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["xxz-b", "--sizes", ""])

@@ -29,34 +29,34 @@ class TestLoopGram:
     @pytest.mark.parametrize("n", [0.3, 1.0, 2.0])
     def test_published_pairing_example(self, n):
         # gluing ()(()) onto (()()) closes exactly two loops
-        form = loop_gram(6, n)
+        gram = loop_gram(6, n)
         i = dense_state_index(6, "()(())")
         j = dense_state_index(6, "(()())")
-        assert form.gram[i, j] == pytest.approx(n**2)
+        assert gram[i, j] == pytest.approx(n**2)
 
     @pytest.mark.parametrize("n", [0.3, 1.0, 2.0])
     def test_negative_norm_combination(self, n):
         # the difference of those two states has square 2n^2(n-1),
         # negative below n=1: the pairing is not positive definite
-        form = loop_gram(6, n)
-        vec = np.zeros(form.dim)
+        gram = loop_gram(6, n)
+        vec = np.zeros(len(gram))
         vec[dense_state_index(6, "()(())")] = 1.0
         vec[dense_state_index(6, "(()())")] = -1.0
-        assert forms.pairing(vec, form.gram, vec) == pytest.approx(2 * n**2 * (n - 1))
+        assert vec @ (gram @ vec) == pytest.approx(2 * n**2 * (n - 1))
 
     def test_self_gluing_gives_maximal_loops(self):
-        form = loop_gram(6, 2.0)
-        for k in range(form.dim):
-            assert form.gram[k, k] == pytest.approx(2.0**3)
+        gram = loop_gram(6, 2.0)
+        for k in range(len(gram)):
+            assert gram[k, k] == pytest.approx(2.0**3)
 
     def test_weight_one_is_all_ones(self):
         for L in (2, 4, 6, 8):
-            form = loop_gram(L, 1.0)
-            np.testing.assert_allclose(form.gram, np.ones((form.dim, form.dim)))
+            gram = loop_gram(L, 1.0)
+            np.testing.assert_allclose(gram, np.ones_like(gram))
 
     def test_numpy_complex_weight_keeps_imaginary_part(self):
         n = np.complex64(0.5 + 0.5j)
-        gram = loop_gram(4, n).gram
+        gram = loop_gram(4, n)
         assert gram.dtype == np.complex128
         assert gram[0, 0] == pytest.approx(complex(n) ** 2, abs=1e-6)
         assert all(e.dtype == np.complex128 for e in tl.dense_generators(4, n))
@@ -142,14 +142,15 @@ class TestLinkGram:
     @pytest.mark.parametrize("y", [1.0, 2.0, -1.0, 0.5])
     @pytest.mark.parametrize("L", range(1, 11))
     def test_matches_glue_oracle(self, L, y):
-        gram = forms.link_gram(L, y).gram
-        assert gram.dtype == np.float64
+        gram = forms.link_gram(L, y)
+        assert type(gram) is np.ndarray and gram.dtype == np.float64
         np.testing.assert_array_equal(gram, glue_link_gram(L, y))
 
     @pytest.mark.parametrize("y", [0.3, 0.3 + 0.7j])
     @pytest.mark.parametrize("L", range(1, 11))
     def test_matches_glue_oracle_at_inexact_weights(self, L, y):
-        gram = forms.link_gram(L, y).gram
+        gram = forms.link_gram(L, y)
+        assert type(gram) is np.ndarray
         assert gram.dtype == (np.complex128 if isinstance(y, complex) else np.float64)
         np.testing.assert_allclose(gram, glue_link_gram(L, y), rtol=0, atol=1e-15)
 
@@ -164,9 +165,12 @@ class TestLinkGram:
         np.testing.assert_array_equal(forms._link_contractions(copy), counts)
 
     def test_gram_is_a_fresh_array_over_the_cached_counts(self):
-        gram = forms.link_gram(6, 2.0).gram
-        gram[:] = 0.0
-        np.testing.assert_array_equal(forms.link_gram(6, 2.0).gram, glue_link_gram(6, 2.0))
+        # a plain ndarray, float for a real weight and complex for a complex one
+        for y, dtype in ((2.0, np.float64), (0.5 + 1j, np.complex128)):
+            gram = forms.link_gram(6, y)
+            assert type(gram) is np.ndarray and gram.dtype == dtype
+            gram[:] = 0.0
+            np.testing.assert_array_equal(forms.link_gram(6, y), glue_link_gram(6, y))
 
     def test_glues_no_pair(self, monkeypatch):
         def refuse(*args):
@@ -174,26 +178,24 @@ class TestLinkGram:
 
         monkeypatch.setattr(dg, "glue", refuse)
         monkeypatch.setattr(forms, "glue", refuse, raising=False)
-        assert forms.link_gram(6, 2.0).dim == 20
+        assert forms.link_gram(6, 2.0).shape == (20, 20)
 
     @pytest.mark.parametrize("y", [np.complex64(1 + 1j), np.complex128(0.5 - 2j)])
     def test_numpy_complex_weight_keeps_imaginary_part(self, y):
         index = dg.basis_index(dg.enumerate_open(4))
-        form = forms.link_gram(4, y)
-        assert form.gram.dtype == np.complex128
-        assert form.gram[index[dg.from_text("(())")], index[dg.from_text("||||")]] == y
+        gram = forms.link_gram(4, y)
+        assert gram.dtype == np.complex128
+        assert gram[index[dg.from_text("(())")], index[dg.from_text("||||")]] == y
         assert all(e.dtype == np.complex128 for e in tl.open_generators(4, 1.0, y))
 
     def test_weight_one_width_two(self):
         # basis {arc, strings}: arc/arc closes a loop, arc/strings and
         # strings/strings each give a single line
-        form = forms.link_gram(2, 1.0)
-        np.testing.assert_allclose(form.gram, [[1, 1], [1, 1]])
+        np.testing.assert_allclose(forms.link_gram(2, 1.0), [[1, 1], [1, 1]])
 
     def test_deformed_width_two(self):
         # contracting the single pair of strings keeps weight one (odd label)
-        form = forms.link_gram(2, 3.0)
-        np.testing.assert_allclose(form.gram, [[1, 1], [1, 1]])
+        np.testing.assert_allclose(forms.link_gram(2, 3.0), [[1, 1], [1, 1]])
 
     @pytest.mark.parametrize("y", [2.0, -1.0, 0.5])
     def test_deformed_width_four_contraction(self, y):
@@ -201,36 +203,29 @@ class TestLinkGram:
         # strings 2,3 (even label -> weight y) and one of strings 1,4
         basis = dg.enumerate_open(4)
         index = dg.basis_index(basis)
-        form = forms.link_gram(4, y)
+        gram = forms.link_gram(4, y)
         a = index[dg.from_text("(())")]
         b = index[dg.from_text("||||")]
-        assert form.gram[a, b] == pytest.approx(y)
+        assert gram[a, b] == pytest.approx(y)
 
     @pytest.mark.parametrize("y", [1.0, 2.0, -1.0, 0.5])
     @pytest.mark.parametrize("L", [2, 4, 6])
     def test_generators_self_adjoint(self, L, y):
-        form = forms.link_gram(L, y)
+        gram = forms.link_gram(L, y)
         for e in tl.open_generators(L, 1.0, y):
-            assert forms.adjointness_matrix_defect(e, form) < 1e-12
+            assert forms.adjointness_matrix_defect(e, gram) < 1e-12
 
 
 class TestSpinForm:
-    def test_identity_gram(self):
-        form = forms.identity_gram(6)
-        np.testing.assert_allclose(form.gram, np.eye(6))
-
     def test_xxz_hamiltonian_self_adjoint(self):
         H, masks = models.build_xxz(4)
-        H = H.toarray()
-        form = forms.identity_gram(len(masks))
-        assert forms.adjointness_matrix_defect(H, form) < 1e-12
-        assert forms.selfadjointness_defect(H, form) < 1e-10
+        assert forms.adjointness_matrix_defect(H.toarray(), np.eye(len(masks))) < 1e-12
 
     def test_defects_accept_sparse_operators(self):
         H, masks = models.build_xxz(4)
-        form = forms.identity_gram(len(masks))
-        for defect in (forms.adjointness_matrix_defect, forms.selfadjointness_defect):
-            assert defect(H, form) == pytest.approx(defect(H.toarray(), form), rel=1e-12, abs=1e-15)
+        gram = np.eye(len(masks))
+        defect = forms.adjointness_matrix_defect
+        assert defect(H, gram) == pytest.approx(defect(H.toarray(), gram), rel=1e-12, abs=1e-15)
 
     def test_width_two_singlet_square(self):
         # (q^{-1/2} ud - q^{1/2} du) dotted into itself without conjugation
@@ -275,7 +270,7 @@ class TestSpinForm:
             return vec
 
         basis = dg.enumerate_dense(L)
-        loop = loop_gram(L, n).gram
+        loop = loop_gram(L, n)
         vectors = [singlet_vector(s) for s in basis]
         for a, u in enumerate(vectors):
             for b, v in enumerate(vectors):
@@ -334,6 +329,14 @@ def mask_walk_gram(basis) -> sp.csr_matrix:
     return sp.csr_matrix(sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(dim, dim)))
 
 
+def applied_dilute_gram(basis, columns=None) -> np.ndarray:
+    """``dilute_form(basis)`` applied to unit vectors: its Gram array, or only the ``columns``."""
+    columns = np.arange(len(basis)) if columns is None else np.asarray(columns)
+    unit = np.zeros((len(basis), len(columns)))
+    unit[columns, np.arange(len(columns))] = 1.0
+    return forms.dilute_form(basis) @ unit
+
+
 def assert_applies_like(form, gram, x):
     """``form @ x`` has the shape and dtype of ``gram @ x`` and agrees to 1e-13 of its largest entry."""
     got, expect = form @ x, np.asarray(gram @ x)
@@ -352,7 +355,7 @@ class TestDiluteForm:
         # any glued pair of arcs closes a loop of weight zero, so only the
         # all-empty diagonal entry survives in the string-free block
         row = models.build_dilute_T(4)
-        gram = forms.dilute_sector_gram(row.basis).toarray()
+        gram = applied_dilute_gram(row.basis)
         zero = dg.sector_indices(row.basis, 0)
         block = gram[np.ix_(zero, zero)]
         assert block.sum() == 1.0
@@ -362,34 +365,31 @@ class TestDiluteForm:
 
     def test_arc_against_strings_pairing(self):
         # the printed width-2 example: an arc contracts the two strings
-        form = forms.dilute_gram(2)
-        basis = forms.dilute_gram(2).basis
+        basis = dg.enumerate_dilute(2, "even")
+        gram = applied_dilute_gram(basis)
         index = dg.basis_index(basis)
         arc = index[dg.from_text("()")]
         strings = index[dg.from_text("||")]
-        assert form.gram[arc, strings] == 1.0
-        assert form.gram[arc, arc] == 0.0  # closed loop at weight zero
-        assert form.gram[strings, strings] == 1.0
+        assert gram[arc, strings] == 1.0
+        assert gram[arc, arc] == 0.0  # closed loop at weight zero
+        assert gram[strings, strings] == 1.0
 
     def test_mask_mismatch_is_zero(self):
-        form = forms.dilute_gram(2, parity="all")
-        basis = form.basis
+        basis = dg.enumerate_dilute(2, "all")
         index = dg.basis_index(basis)
         empty = index[dg.from_text("..")]
         arc = index[dg.from_text("()")]
-        assert form.gram[empty, arc] == 0.0
+        assert applied_dilute_gram(basis)[empty, arc] == 0.0
 
     @pytest.mark.parametrize("L", range(1, 9))
     def test_sector_gram_matches_dilute_rule(self, L):
         # the row basis, read through its oracle, and every parity basis of the width
         row = models.build_dilute_T(L)
-        gram = forms.dilute_sector_gram(row.basis)
-        assert sp.issparse(gram)
-        np.testing.assert_array_equal(gram.toarray(), glue_rule_gram(row_basis_oracle(L)))
+        np.testing.assert_array_equal(
+            applied_dilute_gram(row.basis), glue_rule_gram(row_basis_oracle(L))
+        )
         for basis in [dg.enumerate_dilute(L, p) for p in ("all", "even", "odd")]:
-            gram = forms.dilute_sector_gram(basis)
-            assert sp.issparse(gram)
-            np.testing.assert_array_equal(gram.toarray(), glue_rule_gram(basis))
+            np.testing.assert_array_equal(applied_dilute_gram(basis), glue_rule_gram(basis))
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -401,9 +401,7 @@ class TestDiluteForm:
             st.lists(st.sampled_from(range(len(full))), min_size=1, max_size=40, unique=True)
         )
         basis = tuple(full[k] for k in picks)
-        np.testing.assert_array_equal(
-            forms.dilute_sector_gram(basis).toarray(), glue_rule_gram(basis)
-        )
+        np.testing.assert_array_equal(applied_dilute_gram(basis), glue_rule_gram(basis))
         x = random_columns(np.random.default_rng(len(picks)), len(basis), 3)
         assert_applies_like(forms.dilute_form(basis), glue_rule_gram(basis), x)
         assert_applies_like(forms.dilute_form(basis), glue_rule_gram(basis), x[:, 0].real)
@@ -413,7 +411,7 @@ class TestDiluteForm:
         # G ML^T... the reversed row is the adjoint of the forward row:
         # G T = ML^T G, which turns bra-row eigenvectors into left ones
         row = models.build_dilute_T(L)
-        gram = forms.dilute_sector_gram(row.basis).toarray()
+        gram = applied_dilute_gram(row.basis)
         t = row.ket_row.matrix()
         ml = row.bra_row.matrix()
         np.testing.assert_allclose(gram @ t, ml.T @ gram, atol=1e-12)
@@ -431,9 +429,12 @@ class TestDiluteFormOperator:
     def test_row_form_matches_the_mask_walk_oracle(self, L):
         basis = models.build_dilute_T(L).basis
         oracle = mask_walk_gram(basis)
-        assert (forms.dilute_sector_gram(basis) != oracle).nnz == 0
-        form = forms.dilute_form(basis)
         rng = np.random.default_rng(L)
+        # every entry up to width 8, the entries of 64 columns above
+        columns = None if L <= 8 else rng.choice(len(basis), 64, replace=False)
+        expect = oracle.toarray() if columns is None else oracle[:, columns].toarray()
+        np.testing.assert_array_equal(applied_dilute_gram(basis, columns), expect)
+        form = forms.dilute_form(basis)
         for columns in (None, 1, 3):
             assert_applies_like(form, oracle, random_columns(rng, len(basis), columns))
         assert_applies_like(form, oracle, rng.standard_normal(len(basis)))
@@ -443,7 +444,7 @@ class TestDiluteFormOperator:
     def test_parity_form_matches_the_mask_walk_oracle(self, L, parity):
         basis = dg.enumerate_dilute(L, parity)
         oracle = mask_walk_gram(basis)
-        assert (forms.dilute_sector_gram(basis) != oracle).nnz == 0
+        np.testing.assert_array_equal(applied_dilute_gram(basis), oracle.toarray())
         form = forms.dilute_form(basis)
         rng = np.random.default_rng(L)
         for columns in (None, 3):
@@ -461,7 +462,7 @@ class TestDiluteFormOperator:
         form = forms.dilute_form(basis)
         assert any(np.any(grid < 0) for grid, _ in form.blocks)
         oracle = mask_walk_gram(basis)
-        assert (forms.dilute_sector_gram(basis) != oracle).nnz == 0
+        np.testing.assert_array_equal(applied_dilute_gram(basis), oracle.toarray())
         for columns in (None, 3):
             assert_applies_like(form, oracle, random_columns(rng, len(basis), columns))
 
@@ -492,32 +493,15 @@ class TestDiluteFormOperator:
     def test_empty_basis(self):
         form = forms.dilute_form(())
         assert form.dim == 0 and form.blocks == ()
-        assert forms.dilute_sector_gram(()).shape == (0, 0)
-
-
-class TestPairing:
-    @pytest.mark.parametrize("L", [2, 4, 6])
-    def test_sparse_gram_pairs_like_its_dense_view(self, L):
-        form = forms.dilute_gram(L)
-        sparse = forms.dilute_sector_gram(form.basis)
-        rng = np.random.default_rng(L)
-        u, v = rng.standard_normal((2, form.dim))
-        expect = forms.pairing(u, form.gram, v)
-        assert forms.pairing(u, sparse, v) == pytest.approx(expect, abs=1e-12)
-        assert forms.BilinearForm("sparse", sparse).pairing(u, v) == pytest.approx(
-            expect, abs=1e-12
-        )
 
 
 class TestDefectMeasures:
     def test_defect_detects_asymmetry(self):
-        form = forms.identity_gram(4)
         sym = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2.0]])
         skew = sym + np.array([[0, 0.5, 0, 0], [-0.5, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0.0]])
-        assert forms.adjointness_matrix_defect(sym, form) < 1e-15
-        assert forms.adjointness_matrix_defect(skew, form) > 0.1
-        assert forms.selfadjointness_defect(skew, form) > 1e-3
+        assert forms.adjointness_matrix_defect(sym, np.eye(4)) < 1e-15
+        assert forms.adjointness_matrix_defect(skew, np.eye(4)) > 0.1
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
-            forms.selfadjointness_defect(np.eye(3), forms.identity_gram(4))
+            forms.adjointness_matrix_defect(np.eye(3), np.eye(4))

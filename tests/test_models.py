@@ -170,8 +170,7 @@ class TestXXZ:
 
     def test_self_adjoint_under_identity_form(self):
         H, masks = models.build_xxz(6)
-        form = forms.identity_gram(len(masks))
-        assert forms.adjointness_matrix_defect(H.toarray(), form) < 1e-12
+        assert forms.adjointness_matrix_defect(H.toarray(), np.eye(len(masks))) < 1e-12
 
 
 class TestIsing:
@@ -413,7 +412,7 @@ class TestDenseLoopTransfer:
         # G T = (Lo U)^T G, checked with the singlet-factor Gram
         L = 8
         row = models.build_dense_loop_T(L, n)
-        gram = loop_gram(L, n).gram
+        gram = loop_gram(L, n)
         np.testing.assert_allclose(
             gram @ row.ket_row.matrix(), row.bra_row.T.matrix() @ gram, rtol=1e-12
         )

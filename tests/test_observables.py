@@ -8,7 +8,6 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -591,21 +590,36 @@ class TestBuildOnce:
         assert not any(a.flags.writeable for a in cached)
 
     def test_polymer_forms_no_gram(self, monkeypatch):
-        # the dilute form is applied through its per-count blocks: with
-        # dilute_sector_gram and every sparse constructor of forms refused,
-        # b_polymer still runs, at the edge width 2 too
-        def refuse(*args, **kwargs):
-            raise AssertionError("a Gram matrix was formed")
+        # the dilute form is applied through its per-count blocks: with every
+        # array constructor of forms refusing a dim x dim array on the row
+        # basis, b_polymer still runs, at the edge width 2 too, while
+        # forming the Gram as the form applied to the identity is refused
+        class Guarded:
+            """``numpy`` whose constructors refuse an array with two axes of ``dim`` or more."""
+
+            def __init__(self, dim):
+                self.dim = dim
+
+            def __getattr__(self, name):
+                make = getattr(np, name)
+                if name not in ("empty", "zeros", "ones", "full"):
+                    return make
+
+                def refuse_gram(shape, *args, **kwargs):
+                    if sum(int(n) >= self.dim for n in np.atleast_1d(shape)) >= 2:
+                        raise AssertionError("a Gram matrix was formed")
+                    return make(shape, *args, **kwargs)
+
+                return refuse_gram
 
         expect = {L: obs.b_polymer(L).value for L in (2, 8)}
-        constructors = ("csr_matrix", "csc_matrix", "coo_matrix", "lil_matrix", "dok_matrix")
-        monkeypatch.setattr(forms, "sp", SimpleNamespace(**dict.fromkeys(constructors, refuse)))
-        monkeypatch.setattr(forms, "dilute_sector_gram", refuse)
         for L, value in expect.items():
+            basis = models.build_dilute_T(L).basis
+            monkeypatch.setattr(forms, "np", Guarded(len(basis)))
             assert obs.b_polymer(L).value == pytest.approx(value, abs=1e-12)
+            with pytest.raises(AssertionError, match="Gram matrix was formed"):
+                forms.dilute_form(basis) @ np.eye(len(basis))
         assert expect[2] == pytest.approx(fx.b_polymer_l2_exact(), abs=1e-12)
-        with pytest.raises(AssertionError, match="Gram matrix was formed"):
-            forms.dilute_gram(2)
 
     @pytest.mark.parametrize("L, counts", [(1, [0]), (2, [0, 2]), (8, [0, 2, 4, 6, 8])])
     def test_dilute_form_walks_once_per_occupancy_count(self, monkeypatch, L, counts):
@@ -749,6 +763,22 @@ class TestPercolationCheck:
         monkeypatch.setattr(models, "build_percolation_H", moved)
         with pytest.raises(ArithmeticError, match="fails its cell relations"):
             obs.percolation_check(8, y_values=(2.0,))
+
+    def test_undeformed_level_runs_no_inverse_iteration(self, monkeypatch):
+        # the y=1 structure is read off the spectrum's eigenvectors; only
+        # each deformed probe factors its shift for inverse iteration
+        shapes = []
+        kernel_pair = spectral._kernel_pair
+
+        def spy(shifted, *args, **kwargs):
+            shapes.append(shifted.shape)
+            return kernel_pair(shifted, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_kernel_pair", spy)
+        assert obs.percolation_check(10, y_values=()).diagonalizable
+        assert shapes == []
+        assert obs.percolation_check(10).diagonalizable
+        assert shapes == [(252, 252)] * 3
 
     def test_undeformed_chain_reads_as_no_cell(self):
         assert obs.percolation_check(6, y_values=(1.0, 2.0)).deformed_genuine == {1.0: False, 2.0: True}
