@@ -24,9 +24,11 @@ print("distinct levels (cluster mean, multiplicity):")
 for c in clusters:
     print(f"  {c.value.real:+.12f}   x{c.size}")
 level = spectral.level_cluster(clusters, 3)
-gm = spectral.geometric_multiplicity(H, level.value)
+values, vectors = np.linalg.eig(H)
+pair = np.argsort(np.abs(values - level.value))[: level.size]  # the cluster's eigenvectors
+gm, nilpotent = spectral.cell_structure(H, level.value, vectors[:, pair])
 print(f"\nfourth level {level.value.real:+.6f}: algebraic multiplicity {level.size}, "
-      f"geometric multiplicity {gm} -> rank-two Jordan cell")
+      f"geometric multiplicity {gm}, nilpotent part {nilpotent:.6f} -> rank-two Jordan cell")
 print()
 
 cell = spectral.extract_jordan_cell(H, level.value)

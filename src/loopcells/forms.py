@@ -3,9 +3,9 @@
 All pairings here are bilinear, never sesquilinear: ``u @ (G @ v)`` with no
 complex conjugation, so "norms" may vanish or be negative.  The Gram
 matrices ``G`` are symmetric.  An entry is read off the picture of the
-mirror image of one basis diagram glued on top of another
-(:func:`loopcells.diagrams.glue`, the test oracle), but every form reads the
-shared site arrays of :func:`loopcells.diagrams._arrays` instead:
+mirror image of one basis diagram glued on top of another; every form
+follows the lines of that picture on the site arrays of
+:func:`loopcells.diagrams._arrays`, many pairs at once:
 
 * :func:`boundary_loops` -- periodic all-arc basis, weight ``n`` per closed
   loop: the loop counts of one row of the Gram, the all-adjacent-arcs
@@ -49,11 +49,10 @@ def boundary_loops(L: int, shift: int = 0) -> tuple[int, np.ndarray]:
 
     The boundary pairs the sites ``(1, 2), (3, 4), ...``, or ``(2, 3), ...,
     (L, 1)`` at ``shift = 1``.  Returns its row in the periodic basis
-    (:func:`loopcells.diagrams._dense_sites`, in the order of
-    ``enumerate_dense(L)``) and the number of closed loops it makes with
-    every state, so that row of the weight-``n`` loop Gram is ``n **
-    loops``.  The counts do not depend on the weight and are built once per
-    width (read-only).
+    :func:`loopcells.diagrams._dense_sites` and the number of closed loops
+    it makes with every state of that basis, row for row, so that row of the
+    weight-``n`` loop Gram is ``n ** loops``.  The counts do not depend on
+    the weight and are built once per width (read-only).
 
     A walker steps across a boundary arc, then across the state's arc.  Arcs
     join sites of opposite parity, so the walk keeps to one parity and meets
@@ -107,7 +106,7 @@ class DiluteForm:
 
     def __matmul__(self, x):
         x = np.asarray(x)
-        columns = x.reshape(self.dim, -1).T
+        columns = x.reshape(self.dim, int(np.prod(x.shape[1:]))).T
         # one zero entry past the last state, which the holes of a grid read
         padded = np.hstack([columns, np.zeros((len(columns), 1))])
         out = np.zeros(columns.shape, dtype=padded.dtype)
@@ -120,7 +119,7 @@ class DiluteForm:
 
 
 def dilute_form(basis) -> DiluteForm:
-    """The dilute form of an arbitrary sub-basis (states or a site array), unformed.
+    """The dilute form of an arbitrary sub-basis (a site array), unformed.
 
     An entry is one for each loop-free gluing with matching empty sites and
     zero otherwise.  The states of each occupancy count ``k`` are laid out
@@ -129,9 +128,6 @@ def dilute_form(basis) -> DiluteForm:
     that count are glued once (:func:`_pattern_gram`); every mask reuses the
     block of its count.
     """
-    dim = len(basis)
-    if not dim:
-        return DiluteForm(0, ())
     sites = _arrays(basis)[0]
     L = sites.shape[1]
     occupied = sites != _EMPTY_SITE
@@ -151,7 +147,7 @@ def dilute_form(basis) -> DiluteForm:
         grid = np.full((len(mask_values), len(first)), -1, dtype=np.intp)
         grid[mask_of, pattern_of] = members
         blocks.append((grid, _pattern_gram(patterns[first])))
-    return DiluteForm(dim, tuple(blocks))
+    return DiluteForm(len(sites), tuple(blocks))
 
 
 def _pattern_gram(patterns: np.ndarray) -> np.ndarray:
@@ -189,9 +185,9 @@ def _pattern_gram(patterns: np.ndarray) -> np.ndarray:
 def link_gram(L: int, y: complex = 1.0) -> np.ndarray:
     """Gram array of the open arc/string basis at loop weight one.
 
-    The basis is :func:`loopcells.diagrams._open_sites` ``(L)``, in the
-    order of ``enumerate_open(L)``; the array is complex for a complex
-    ``y`` and float otherwise.
+    Rows and columns follow the site array
+    :func:`loopcells.diagrams._open_sites` ``(L)``; the array is complex for
+    a complex ``y`` and float otherwise.
 
     Every closed loop counts one.  Contracting a pair of same-side strings
     picks up ``y`` when the left label of the pair is even (the contraction

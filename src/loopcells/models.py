@@ -9,11 +9,11 @@ basis keys shifted at the few sites a move changes.
   with its boundary field, in the zero-magnetization sector (sparse);
   :func:`build_xxz_sector` restricts it to the sector even under
   :func:`reflect_flip`, where its ground state and Jordan cell lie;
-* :func:`build_ising` -- the critical transverse-field chain on a ring, kept
-  as the public full operator; :func:`build_ising_sector` restricts it to
-  the sector invariant under rotation and global spin flip, where its Perron
-  ground state lies (:func:`ising_orbits`), and :func:`apply_ising` applies
-  the full ring matrix-free to certify a lifted vector;
+* :func:`build_ising_sector` -- the critical transverse-field chain on a
+  ring, restricted to the sector invariant under rotation and global spin
+  flip, where its Perron ground state lies (:func:`ising_orbits`);
+  :func:`apply_ising` applies the full ring matrix-free to certify a lifted
+  vector;
 * :func:`build_dense_loop_T` and :func:`build_dilute_T` -- one row of the
   dense loop model on a cylinder and of the dilute loop model on a strip,
   each a :class:`TransferRow` of two staggered half-rows.  A half-row is a
@@ -164,27 +164,6 @@ def _ising_diagonal(masks: np.ndarray, L: int) -> np.ndarray:
     return (2 * broken - L).astype(float)
 
 
-def build_ising(L: int) -> sp.csr_matrix:
-    """Critical transverse-field chain on a ring of ``L`` spins.
-
-    ``H = - sum_i sz_i sz_{i+1} - sum_i sx_i`` on the full ``2^L`` spin basis
-    (bit set = down), which is real symmetric with nonpositive off-diagonal
-    entries, so its ground state has strictly positive amplitudes.
-    """
-    dim = 1 << L
-    masks = np.arange(dim)
-    diag = _ising_diagonal(masks, L)
-    # row r holds r itself and its L single flips, sorted into CSR order
-    cols = masks[:, None] ^ np.concatenate([[0], 1 << np.arange(L)])
-    cols.sort(axis=1)
-    data = np.where(cols == masks[:, None], diag[:, None], -1.0)
-    H = sp.csr_matrix(
-        (data.ravel(), cols.ravel(), np.arange(dim + 1) * (L + 1)), shape=(dim, dim)
-    )
-    H.eliminate_zeros()  # states with half their bonds broken have no diagonal
-    return H
-
-
 def ising_orbits(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orbits of the ``2^L`` ring configurations under rotation and global flip.
 
@@ -235,9 +214,10 @@ def build_ising_sector(L: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
 
 
 def apply_ising(L: int, v: np.ndarray) -> np.ndarray:
-    """``H v`` for the full ring of :func:`build_ising`, without forming ``H``.
+    """``H v`` for the full critical transverse-field ring, without forming ``H``.
 
-    Each of the ``L`` single-flip terms is one gather.
+    ``H = - sum_i sz_i sz_{i+1} - sum_i sx_i`` on the ``2^L`` spin masks
+    (bit set = down).  Each of the ``L`` single-flip terms is one gather.
     """
     masks = np.arange(1 << L, dtype=np.min_scalar_type((1 << L) - 1))
     out = _ising_diagonal(masks, L) * v

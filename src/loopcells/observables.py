@@ -628,10 +628,13 @@ def extrapolate_b(sizes, values) -> FitResult:
     with more than three sizes (three are interpolated exactly by the three
     parameters, which leaves no residual to estimate them from), when its
     exponent lands farther than ``1e-6`` from the bounds ``[0.2, 5]`` and
-    when the fit is finite.
+    when the fit is finite.  Fewer than three distinct sizes leave the
+    three parameters undetermined and raise ``ValueError`` before any fit.
     """
-    if len(sizes) < 3:
-        raise ValueError("extrapolation needs at least three sizes")
+    if len(set(sizes)) < 3:
+        raise ValueError(
+            f"extrapolation needs at least three sizes, all distinct, got {list(sizes)}"
+        )
     order = np.argsort(sizes)
     ell = np.asarray(sizes, dtype=float)[order]
     val = np.asarray(values, dtype=float)[order]

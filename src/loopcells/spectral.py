@@ -29,10 +29,9 @@ one of two places:
   shift as :attr:`JordanCell.regularization`.
 
 :func:`cell_structure` gives the kernel dimension and nilpotent norm of a
-two-fold cluster without a dense spectrum, the sparse counterpart of
-:func:`geometric_multiplicity` and :func:`nilpotent_norm`.  It decides the
-kernel on the span of the cluster's eigenvectors, as :func:`_cluster_cell`
-does, and compresses ``A`` onto that span when the level is diagonalizable,
+two-fold cluster without a dense spectrum and without decomposing the whole
+operator.  It decides the kernel on the span of the cluster's eigenvectors,
+as :func:`_cluster_cell` does, and compresses ``A`` onto that span when the level is diagonalizable,
 so it factors nothing there; only a genuine cell goes through
 :func:`extract_jordan_cell`.
 
@@ -103,11 +102,14 @@ def cluster_eigenvalues(eigs: np.ndarray, rel_tol: float = 1e-5) -> list[Cluster
     """Group eigenvalues whose spacing is below ``rel_tol`` times the spread.
 
     Sorting is by real part, then imaginary part; the scale is the largest
-    eigenvalue magnitude (or one, for a zero matrix).
+    eigenvalue magnitude (or one, for a zero matrix).  No eigenvalues make
+    no clusters.
     """
     order = np.lexsort((np.imag(eigs), np.real(eigs)))
     vals = np.asarray(eigs)[order]
-    scale = max(float(np.max(np.abs(vals))) if vals.size else 0.0, 1e-300)
+    if not vals.size:
+        return []
+    scale = max(float(np.max(np.abs(vals))), 1e-300)
     clusters: list[list[complex]] = [[vals[0]]]
     for lam in vals[1:]:
         if abs(lam - clusters[-1][-1]) <= rel_tol * scale:
@@ -166,31 +168,6 @@ def sign_fix(v: np.ndarray) -> np.ndarray:
     if z.real < 0 or (z.real == 0 and z.imag < 0):
         return -v
     return v
-
-
-def geometric_multiplicity(A: np.ndarray, level: complex, rank_cut: float = 1e-8) -> int:
-    """Kernel dimension of ``A - level`` from the singular-value profile."""
-    A = _dense(A)
-    s = np.linalg.svd(A - level * np.eye(A.shape[0], dtype=complex), compute_uv=False)
-    scale = s[0] if s[0] > 0 else 1.0
-    return int(np.sum(s <= rank_cut * scale))
-
-
-def nilpotent_norm(A: np.ndarray, level: complex, radius: float) -> float:
-    """Norm of the nilpotent part of ``A`` restricted to a spectral cluster.
-
-    A complex Schur form sorted to bring the eigenvalues within ``radius``
-    of ``level`` to the leading block yields that block upper triangular;
-    the largest off-diagonal magnitude measures its nilpotent part (zero,
-    up to roundoff, exactly when the cluster is diagonalizable).
-    """
-    A = _dense(A).astype(complex)
-    t, _, sdim = sla.schur(A, output="complex", sort=lambda z: abs(z - level) <= radius)
-    if sdim == 0:
-        raise ValueError(f"no eigenvalue within {radius} of {level}")
-    block = t[:sdim, :sdim]
-    nil = block - np.diag(np.diag(block))
-    return float(np.max(np.abs(nil))) if sdim > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -487,9 +464,8 @@ def _compression(A, Q: np.ndarray) -> np.ndarray:
 def cell_structure(A, level: complex, vectors) -> tuple[int, float]:
     """Kernel dimension of ``A - level`` and the nilpotent norm of ``A`` on its cluster.
 
-    The sparse counterpart of :func:`geometric_multiplicity` and
-    :func:`nilpotent_norm` for a cluster of two whose eigenvectors
-    ``vectors`` an eigensolver already gave; it forms no dense spectrum.
+    For a cluster of two whose eigenvectors ``vectors`` an eigensolver
+    already gave; it forms no dense spectrum and works on sparse ``A``.
     The kernel dimension is the decision of :func:`_near_kernel` on their
     span (:func:`_cluster_span`).  The nilpotent norm is ``|t_12|`` of the
     complex Schur form of ``A`` compressed onto an orthonormal basis ``Q``

@@ -1,4 +1,4 @@
-"""Temperley-Lieb generators in link-pattern and spin representations.
+"""Temperley-Lieb generators on the link-pattern bases, and the spin chain's basis.
 
 The abstract algebra on ``L`` strands has generators ``e_1 .. e_{L-1}``
 (plus ``e_L`` wrapping around on a cylinder) subject to
@@ -12,9 +12,11 @@ with loop weight ``n``.  This module realises the generators as matrices on
 * the open arc/string basis (:func:`open_generators`), with an optional
   deformation ``y`` that reweights the contraction of a string pair by the
   parity of its labels,
-* the periodic all-arc basis (:func:`dense_generators`),
-* the spin-1/2 chain at anisotropy ``q`` (:func:`spin_generators`), where
-  ``n = q + 1/q``.
+* the periodic all-arc basis (:func:`dense_generators`).
+
+The spin-1/2 chain at anisotropy ``q`` (``n = q + 1/q``) enters only through
+its basis of spin masks (:func:`spin_sector_basis`), from which
+:mod:`loopcells.models` assembles the Hamiltonian directly.
 
 A cup-cap sends each link state to exactly one state, so both link-pattern
 families are CSR matrices with one entry per column (:func:`_one_per_column`)
@@ -24,20 +26,14 @@ the loop weight or the deformation and are kept once per basis, open or
 periodic (:func:`_cup_caps`); each chain or row only weighs them
 (:func:`_cup_cap_weights`), and the cylinder transfer row applies them
 directly, without forming a CSR matrix.  Moved states find their rows from
-the basis keys shifted at the sites a cup-cap changes, and swapped spin
-masks from the masks themselves, both through the checked lookup of
-:mod:`loopcells.diagrams`.
+the basis keys shifted at the sites a cup-cap changes, through the checked
+lookup of :mod:`loopcells.diagrams`.
 
-:func:`check_relations_chain` and :func:`check_relations_periodic` measure how
-well a family of matrices (dense or sparse) satisfies the defining
-relations, and
 :func:`conjugate` supports explicit basis-change verifications against known
 block decompositions.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,21 +44,9 @@ from .diagrams import (
     _dense_sites,
     _key_shift,
     _keyed,
-    _lookup,
     _open_sites,
     _per_basis,
 )
-from .spectral import _dense
-
-
-def contraction_weight(label: int, y: complex) -> complex:
-    """Weight for contracting adjacent strings ``(label, label+1)``, 1-based.
-
-    Joining an even-labelled string to its right neighbour crosses a pair
-    boundary and picks up ``y``; joining an odd-labelled one stays inside a
-    pair and keeps weight one.
-    """
-    return y if label % 2 == 0 else 1.0
 
 
 _CUP_CAPS: dict[int, tuple] = {}  # id of a basis -> (basis, its cup-cap maps), oldest first
@@ -115,7 +99,8 @@ def _cup_cap_weights(cup_cap, n: complex, y: complex, dtype) -> np.ndarray:
     """Weight of every column of one map of :func:`_cup_caps`.
 
     Closing a loop weighs ``n``, contracting two strings whose left label
-    is even weighs ``y`` (:func:`contraction_weight`), any other cap one.
+    is even weighs ``y`` (the contraction straddles two label pairs), any
+    other cap one.
     """
     _, closes, even_contraction = cup_cap
     weights = np.ones(len(closes), dtype=dtype)
@@ -187,65 +172,6 @@ def spin_sector_basis(L: int, up_count: int | None = None) -> list[int]:
 def _spins(masks: np.ndarray, L: int) -> np.ndarray:
     """``spins[k, s]``: +1 for up (bit clear), -1 for down (bit set) at site ``s + 1``."""
     return 1 - 2 * ((masks[:, None] >> np.arange(L - 1, -1, -1)) & 1)
-
-
-def spin_generators(L: int, q: complex, masks: Sequence[int] | None = None) -> list[np.ndarray]:
-    """Matrices of ``e_1 .. e_{L-1}`` on the spin chain, optionally in one sector.
-
-    On neighbouring spins the generator reads
-
-    ``e_i = -(1/2) [ sx sx + sy sy + ((q+1/q)/2)(sz sz - 1)
-                     + ((q-1/q)/2)(sz_i - sz_{i+1}) ]``
-
-    so that ``e_i^2 = (q + 1/q) e_i`` and the open-chain Hamiltonian is a sum
-    of the generators.  ``masks`` must be closed under swapping neighbouring
-    spins (whole magnetization sectors); a swap that leaves them raises
-    ``LookupError``.
-    """
-    masks = np.asarray(spin_sector_basis(L) if masks is None else masks, dtype=np.int64)
-    find = _lookup(masks)
-    spins = _spins(masks, L)
-    nval = q + 1 / q
-    delta = (q - 1 / q) / 2
-    es = []
-    for i in range(L - 1):
-        si, sj = spins[:, i], spins[:, i + 1]
-        # diagonal part: ((q+1/q)/2)(sz sz - 1) + delta (sz_i - sz_j)
-        e = np.diag(-0.5 * ((nval / 2) * (si * sj - 1) + delta * (si - sj))).astype(complex)
-        # sx sx + sy sy act as twice the swap on antiparallel spins
-        swap = np.flatnonzero(si != sj)
-        e[find(masks[swap] ^ (3 << (L - 2 - i))), swap] = -0.5 * 2.0
-        es.append(e)
-    return es
-
-
-def _relation_residual(es: Sequence[np.ndarray], n: complex, distance) -> float:
-    """Largest entry of every defining relation, ``distance(i, j)`` apart for ``i < j``."""
-    es = [_dense(e) for e in es]
-    worst = 0.0
-    m = len(es)
-    for i in range(m):
-        e = es[i]
-        worst = max(worst, float(np.max(np.abs(e @ e - n * e))))
-        for j in range(i + 1, m):
-            f = es[j]
-            if distance(i, j) == 1:
-                worst = max(worst, float(np.max(np.abs(e @ f @ e - e))))
-                worst = max(worst, float(np.max(np.abs(f @ e @ f - f))))
-            else:
-                worst = max(worst, float(np.max(np.abs(e @ f - f @ e))))
-    return worst
-
-
-def check_relations_chain(es: Sequence[np.ndarray], n: complex) -> float:
-    """Relation residual for an open chain ``e_1 .. e_{L-1}``."""
-    return _relation_residual(es, n, lambda i, j: j - i)
-
-
-def check_relations_periodic(es: Sequence[np.ndarray], n: complex) -> float:
-    """Relation residual for a cylinder family ``e_1 .. e_L`` (indices mod L)."""
-    m = len(es)
-    return _relation_residual(es, n, lambda i, j: min(j - i, m - (j - i)))
 
 
 def conjugate(matrix: np.ndarray, basis_change: np.ndarray) -> np.ndarray:

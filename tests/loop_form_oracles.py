@@ -6,7 +6,7 @@ the Perron vector of the row's dual.  The tests check that against two
 independent references kept here:
 
 * :func:`loop_count_matrix` -- the closed loops of every mirror-gluing, one
-  :func:`loopcells.diagrams.glue` per pair;
+  :func:`link_state_oracles.glue` per pair;
 * :func:`singlet_factor` -- the sparse ``M`` with ``M^T M`` the loop Gram
   (Pasquier-Saleur), and the dense Gram :func:`loop_gram`, the pairing
   :func:`loop_pairing` and the normalization :func:`loop_normalized`
@@ -17,19 +17,21 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import link_state_oracles as ls
 import numpy as np
 import scipy.sparse as sp
 
 from loopcells import diagrams as dg
 
 
-def loop_count_matrix(basis: tuple[dg.LinkState, ...]) -> np.ndarray:
-    """Closed-loop counts of every mirror-gluing of two basis states: ``O(dim^2)`` gluings."""
+def loop_count_matrix(sites: np.ndarray) -> np.ndarray:
+    """Closed-loop counts of every mirror-gluing of two states of a site array: ``O(dim^2)`` gluings."""
+    basis = ls.states(sites)
     dim = len(basis)
     counts = np.zeros((dim, dim), dtype=np.int8)
     for a in range(dim):
         for b in range(a, dim):
-            c = dg.glue(basis[a], basis[b]).loops
+            c = ls.glue(basis[a], basis[b]).loops
             counts[a, b] = counts[b, a] = c
     return counts
 
@@ -37,7 +39,7 @@ def loop_count_matrix(basis: tuple[dg.LinkState, ...]) -> np.ndarray:
 def singlet_factor(L: int, n: complex) -> sp.csr_matrix:
     """Sparse ``M`` with ``M^T M`` the weight-``n`` loop Gram (Pasquier-Saleur).
 
-    Column ``k`` is the state ``enumerate_dense(L)[k]`` written in the spin
+    Column ``k`` is the state in row ``k`` of ``_dense_sites(L)`` written in the spin
     basis: each arc ``(i, j)``, ``i < j``, becomes the singlet
     ``q^{-1/2}|up_i down_j> - q^{1/2}|down_i up_j>`` with ``q + 1/q = n``,
     and the product carries the sign ``(-1)^(number of nested arc pairs)``.
@@ -54,7 +56,7 @@ def singlet_factor(L: int, n: complex) -> sp.csr_matrix:
     # choice bit k set: arc k reads down-up (weight -q^{1/2}), else up-down
     flips = ((np.arange(1 << arcs)[:, None] >> np.arange(arcs)) & 1).sum(axis=1)
     weights = (1 / root) ** (arcs - flips) * (-root) ** flips
-    shape = (1 << L, len(dg.enumerate_dense(L)))
+    shape = (1 << L, len(dg._dense_sites(L)))
     return sp.csr_matrix((sign * weights[choice], indices.copy(), indptr.copy()), shape=shape)
 
 
@@ -65,7 +67,7 @@ def _singlet_pattern(L: int):
     Returns its CSR ``indptr`` and ``indices``, and each entry's nesting sign
     and arc choice (bit ``k`` set: arc ``k`` reads down-up).
     """
-    partner = dg._arrays(dg.enumerate_dense(L))[0].astype(np.int64)
+    partner = dg._dense_sites(L).astype(np.int64)
     dim, arcs = len(partner), L // 2
     opener = partner > np.arange(L)
     # nested pairs: every arc counts the arcs still open where it opens
@@ -90,7 +92,7 @@ def _singlet_pattern(L: int):
 def loop_gram(L: int, weight: complex) -> np.ndarray:
     """Gram array of the periodic dense basis, ``weight`` per closed loop: ``M^T M``.
 
-    Rows and columns follow ``enumerate_dense(L)``.
+    Rows and columns follow the site array ``_dense_sites(L)``.
     """
     m = singlet_factor(L, weight)
     gram = (m.T @ m).toarray()

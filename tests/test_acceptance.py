@@ -13,7 +13,9 @@ from __future__ import annotations
 import os
 import time
 
+import link_state_oracles as ls
 import numpy as np
+import operator_oracles as oracles
 import pytest
 from loop_form_oracles import loop_gram
 
@@ -72,7 +74,7 @@ def test_1_reference_matrices_and_spectra(capsys):
     values = np.array([c.value for c in clusters])
     worst["spectrum"] = float(np.max(np.abs(values - fx.SPIN_L4_EIGENVALUES)))
     sizes_ok = [c.size for c in clusters] == [1, 1, 1, 2, 1]
-    geometric_ok = spectral.geometric_multiplicity(H, fx.SPIN_L4_JORDAN_LEVEL) == 1
+    geometric_ok = oracles.geometric_multiplicity(H, fx.SPIN_L4_JORDAN_LEVEL) == 1
 
     row = models.build_dilute_T(2)
     worst["T2"] = float(np.max(np.abs(row.ket_row.matrix() - fx.dilute_T2())))
@@ -224,11 +226,11 @@ def test_7_property_suites(capsys, xxz_b, polymer_b):
 
     residual = 0.0
     for L in (2, 4, 6, 8):
-        residual = max(residual, tl.check_relations_chain(tl.open_generators(L, 1.0), 1.0))
-        residual = max(residual, tl.check_relations_chain(tl.open_generators(L, 1.3), 1.3))
+        residual = max(residual, oracles.check_relations_chain(tl.open_generators(L, 1.0), 1.0))
+        residual = max(residual, oracles.check_relations_chain(tl.open_generators(L, 1.3), 1.3))
         for y in DEFORMATIONS:
             residual = max(
-                residual, tl.check_relations_chain(tl.open_generators(L, 1.0, y), 1.0)
+                residual, oracles.check_relations_chain(tl.open_generators(L, 1.0, y), 1.0)
             )
         if L >= 4:
             # the two-site ring repeats the same bond, so the adjacent-pair
@@ -236,12 +238,12 @@ def test_7_property_suites(capsys, xxz_b, polymer_b):
             n_dense = 1.2
             residual = max(
                 residual,
-                tl.check_relations_periodic(tl.dense_generators(L, n_dense), n_dense),
+                oracles.check_relations_periodic(tl.dense_generators(L, n_dense), n_dense),
             )
         q = fx.Q_VALUE
         masks = tl.spin_sector_basis(L, L // 2)
         residual = max(
-            residual, tl.check_relations_chain(tl.spin_generators(L, q, masks), q + 1 / q)
+            residual, oracles.check_relations_chain(oracles.spin_generators(L, q, masks), q + 1 / q)
         )
 
     adjoint = 0.0
@@ -275,9 +277,9 @@ def test_7_property_suites(capsys, xxz_b, polymer_b):
             - base_deformed),
     )
 
-    index = dg.basis_index(dg.enumerate_dense(6))
-    i = index[dg.from_text("()(())")]
-    j = index[dg.from_text("(()())")]
+    basis = ls.states(dg._dense_sites(6))
+    i = basis.index(ls.from_text("()(())"))
+    j = basis.index(ls.from_text("(()())"))
     gram_err = 0.0
     for n in (0.3, 1.0, 2.0):
         gram = loop_gram(6, n)

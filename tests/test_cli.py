@@ -223,6 +223,11 @@ class TestOtherCommands:
         assert row["n1"] == 1.5
         assert row["difference"] < 5e-2
 
+    def test_extrapolation_over_two_distinct_sizes_exits_one(self, capsys):
+        code, out, err = run(capsys, "xxz-b", "--sizes", "4,4,8")
+        assert code == 1 and out == ""
+        assert "three sizes, all distinct, got [4, 4, 8]" in err
+
     def test_fixtures_pass_and_exit_zero(self, capsys):
         code, out, _ = run(capsys, "fixtures")
         assert code == 0

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import link_state_oracles as ls
 import numpy as np
+import operator_oracles as oracles
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
@@ -16,13 +18,23 @@ from loopcells import fixtures as fx
 from loopcells import forms, models, tl
 
 
-def row_basis_oracle(L: int) -> tuple[dg.LinkState, ...]:
+def row_basis_oracle(L: int) -> tuple[ls.LinkState, ...]:
     """The zero- and two-string states of the even dilute basis, in its order."""
-    return tuple(s for s in dg.enumerate_dilute(L, "even") if s.n_strings <= 2)
+    return tuple(s for s in ls.states(dg._path_sites(L, True, L, 0)) if s.n_strings <= 2)
 
 
 def dense_state_index(L: int, text: str) -> int:
-    return dg.basis_index(dg.enumerate_dense(L))[dg.from_text(text)]
+    return ls.states(dg._dense_sites(L)).index(ls.from_text(text))
+
+
+def text_index(sites: np.ndarray, text: str) -> int:
+    """The row of the state spelled ``text`` in a site array."""
+    return ls.states(sites).index(ls.from_text(text))
+
+
+def dilute_sites(L: int, parity: int | None = None) -> np.ndarray:
+    """Every dilute state of width ``L``, or those of one string-count parity."""
+    return dg._path_sites(L, True, L, parity)
 
 
 class TestLoopGram:
@@ -64,7 +76,7 @@ class TestLoopGram:
 
 @lru_cache(maxsize=None)
 def oracle_counts(L: int) -> np.ndarray:
-    return loop_count_matrix(dg.enumerate_dense(L))
+    return loop_count_matrix(dg._dense_sites(L))
 
 
 def singlet_gram_error(L: int, n: float) -> float:
@@ -87,7 +99,7 @@ class TestSingletFactor:
     @pytest.mark.parametrize("L", [2, 4, 6, 8])
     def test_shape_and_one_spin_state_per_choice(self, L):
         m = singlet_factor(L, 0.7)
-        dim = len(dg.enumerate_dense(L))
+        dim = len(dg._dense_sites(L))
         assert m.shape == (2**L, dim)
         assert m.nnz == dim * 2 ** (L // 2)
         # every spin state in a column has zero magnetization
@@ -99,13 +111,13 @@ class TestBoundaryLoops:
     @pytest.mark.parametrize("shift", [0, 1])
     @pytest.mark.parametrize("L", range(2, 15, 2))
     def test_counts_match_the_glue_oracle(self, L, shift):
-        basis = dg.enumerate_dense(L)
+        basis = ls.states(dg._dense_sites(L))
         # the rotation pairs (2, 3), ..., (L, 1)
         text = "(" + "()" * (L // 2 - 1) + ")" if shift else "()" * (L // 2)
         b, loops = forms.boundary_loops(L, shift)
-        assert basis[b] == dg.from_text(text)
+        assert basis[b] == ls.from_text(text)
         assert loops.dtype == np.int8 and not loops.flags.writeable
-        np.testing.assert_array_equal(loops, [dg.glue(basis[b], s).loops for s in basis])
+        np.testing.assert_array_equal(loops, [ls.glue(basis[b], s).loops for s in basis])
 
     @pytest.mark.parametrize("L", [2, 4, 6, 8])
     def test_counts_are_a_row_of_the_loop_gram(self, L):
@@ -116,24 +128,24 @@ class TestBoundaryLoops:
 
 @lru_cache(maxsize=None)
 def glued_open_pairs(L: int) -> tuple:
-    basis = dg.enumerate_open(L)
+    basis = ls.states(dg._open_sites(L))
     return tuple(
-        (a, b, dg.glue(basis[a], basis[b]))
+        (a, b, ls.glue(basis[a], basis[b]))
         for a in range(len(basis))
         for b in range(a, len(basis))
     )
 
 
 def glue_link_gram(L: int, y) -> np.ndarray:
-    """The link Gram from one :func:`~loopcells.diagrams.glue` per pair (the oracle)."""
-    dim = len(dg.enumerate_open(L))
+    """The link Gram from one :func:`link_state_oracles.glue` per pair (the oracle)."""
+    dim = len(dg._open_sites(L))
     gram = np.zeros((dim, dim), dtype=complex if np.iscomplexobj(y) else float)
     for a, b, res in glued_open_pairs(L):
         w = 1.0
         for i, _ in res.bra_contractions:
-            w *= tl.contraction_weight(i, y)
+            w *= oracles.contraction_weight(i, y)
         for i, _ in res.ket_contractions:
-            w *= tl.contraction_weight(i, y)
+            w *= oracles.contraction_weight(i, y)
         gram[a, b] = gram[b, a] = w
     return gram
 
@@ -155,12 +167,12 @@ class TestLinkGram:
         np.testing.assert_allclose(gram, glue_link_gram(L, y), rtol=0, atol=1e-15)
 
     def test_contractions_are_counted_once_per_basis_object(self):
-        basis = dg.enumerate_open(6)
+        basis = dg._open_sites(6)
         counts = forms._per_basis(forms._LINK_CONTRACTIONS, basis, forms._link_contractions)
         assert counts.dtype == np.int8 and not counts.flags.writeable
         np.testing.assert_array_equal(counts, counts.T)
         assert forms._per_basis(forms._LINK_CONTRACTIONS, basis, forms._link_contractions) is counts
-        copy = basis[:-1] + basis[-1:]
+        copy = basis.copy()
         assert forms._link_contractions(copy) is not counts
         np.testing.assert_array_equal(forms._link_contractions(copy), counts)
 
@@ -176,16 +188,17 @@ class TestLinkGram:
         def refuse(*args):
             raise AssertionError("glue called")
 
-        monkeypatch.setattr(dg, "glue", refuse)
+        assert not hasattr(dg, "glue")  # the one-pair gluing is the tests' oracle
+        monkeypatch.setattr(ls, "glue", refuse)
         monkeypatch.setattr(forms, "glue", refuse, raising=False)
         assert forms.link_gram(6, 2.0).shape == (20, 20)
 
     @pytest.mark.parametrize("y", [np.complex64(1 + 1j), np.complex128(0.5 - 2j)])
     def test_numpy_complex_weight_keeps_imaginary_part(self, y):
-        index = dg.basis_index(dg.enumerate_open(4))
+        sites = dg._open_sites(4)
         gram = forms.link_gram(4, y)
         assert gram.dtype == np.complex128
-        assert gram[index[dg.from_text("(())")], index[dg.from_text("||||")]] == y
+        assert gram[text_index(sites, "(())"), text_index(sites, "||||")] == y
         assert all(e.dtype == np.complex128 for e in tl.open_generators(4, 1.0, y))
 
     def test_weight_one_width_two(self):
@@ -201,11 +214,10 @@ class TestLinkGram:
     def test_deformed_width_four_contraction(self, y):
         # four strings against the all-arcs state: one contraction of
         # strings 2,3 (even label -> weight y) and one of strings 1,4
-        basis = dg.enumerate_open(4)
-        index = dg.basis_index(basis)
+        sites = dg._open_sites(4)
         gram = forms.link_gram(4, y)
-        a = index[dg.from_text("(())")]
-        b = index[dg.from_text("||||")]
+        a = text_index(sites, "(())")
+        b = text_index(sites, "||||")
         assert gram[a, b] == pytest.approx(y)
 
     @pytest.mark.parametrize("y", [1.0, 2.0, -1.0, 0.5])
@@ -246,7 +258,7 @@ class TestSpinForm:
             return [
                 (i, state.partner[i])
                 for i in range(state.size)
-                if state.roles[i] == dg.ARC and state.partner[i] > i
+                if state.roles[i] == ls.ARC and state.partner[i] > i
             ]
 
         def nestings(arcs):
@@ -269,7 +281,7 @@ class TestSpinForm:
                 vec[key] = vec.get(key, 0) + w
             return vec
 
-        basis = dg.enumerate_dense(L)
+        basis = ls.states(dg._dense_sites(L))
         loop = loop_gram(L, n)
         vectors = [singlet_vector(s) for s in basis]
         for a, u in enumerate(vectors):
@@ -278,20 +290,24 @@ class TestSpinForm:
                 assert spin == pytest.approx(complex(loop[a, b]), abs=1e-12)
 
 
-def glue_rule_gram(basis) -> np.ndarray:
-    """The dilute Gram from one :func:`glue` per pair with matching empty sites."""
+def glue_rule_gram(sites: np.ndarray) -> np.ndarray:
+    """The dilute Gram of a site array from one :func:`link_state_oracles.glue` per pair.
+
+    Only pairs with matching empty sites are glued.
+    """
+    basis = ls.states(sites)
     dim = len(basis)
     gram = np.zeros((dim, dim))
     masks = [s.occupied_mask for s in basis]
     for a, sa in enumerate(basis):
         for b, sb in enumerate(basis):
             if masks[a] == masks[b]:
-                res = dg.glue(sa, sb)
+                res = ls.glue(sa, sb)
                 gram[a, b] = 1.0 if res.mask_match and res.loops == 0 else 0.0
     return gram
 
 
-def mask_walk_gram(basis) -> sp.csr_matrix:
+def mask_walk_gram(sites: np.ndarray) -> sp.csr_matrix:
     """The sparse dilute Gram from one line walk per occupation-mask group.
 
     Every group of states with one occupation mask glues all its pairs at
@@ -300,10 +316,9 @@ def mask_walk_gram(basis) -> sp.csr_matrix:
     sentinel ``L``; a pair is loop-free when every walker is absorbed within
     ``k//2 + 1`` rounds on ``k`` occupied sites.
     """
-    dim = len(basis)
+    dim = len(sites)
     if not dim:
         return sp.csr_matrix((0, 0))
-    sites = dg._arrays(basis)[0]
     L, narrow = sites.shape[1], np.min_scalar_type(sites.shape[1])
     here = np.arange(L)
     step = np.hstack([np.where(sites >= 0, sites, L), np.full((dim, 1), L)]).astype(narrow).ravel()
@@ -356,7 +371,7 @@ class TestDiluteForm:
         # all-empty diagonal entry survives in the string-free block
         row = models.build_dilute_T(4)
         gram = applied_dilute_gram(row.basis)
-        zero = dg.sector_indices(row.basis, 0)
+        zero = np.flatnonzero(np.count_nonzero(row.basis == dg._STRING_SITE, axis=1) == 0).tolist()
         block = gram[np.ix_(zero, zero)]
         assert block.sum() == 1.0
         basis = row_basis_oracle(4)
@@ -365,20 +380,18 @@ class TestDiluteForm:
 
     def test_arc_against_strings_pairing(self):
         # the printed width-2 example: an arc contracts the two strings
-        basis = dg.enumerate_dilute(2, "even")
+        basis = dilute_sites(2, 0)
         gram = applied_dilute_gram(basis)
-        index = dg.basis_index(basis)
-        arc = index[dg.from_text("()")]
-        strings = index[dg.from_text("||")]
+        arc = text_index(basis, "()")
+        strings = text_index(basis, "||")
         assert gram[arc, strings] == 1.0
         assert gram[arc, arc] == 0.0  # closed loop at weight zero
         assert gram[strings, strings] == 1.0
 
     def test_mask_mismatch_is_zero(self):
-        basis = dg.enumerate_dilute(2, "all")
-        index = dg.basis_index(basis)
-        empty = index[dg.from_text("..")]
-        arc = index[dg.from_text("()")]
+        basis = dilute_sites(2)
+        empty = text_index(basis, "..")
+        arc = text_index(basis, "()")
         assert applied_dilute_gram(basis)[empty, arc] == 0.0
 
     @pytest.mark.parametrize("L", range(1, 9))
@@ -386,9 +399,9 @@ class TestDiluteForm:
         # the row basis, read through its oracle, and every parity basis of the width
         row = models.build_dilute_T(L)
         np.testing.assert_array_equal(
-            applied_dilute_gram(row.basis), glue_rule_gram(row_basis_oracle(L))
+            applied_dilute_gram(row.basis), glue_rule_gram(ls.site_array(row_basis_oracle(L)))
         )
-        for basis in [dg.enumerate_dilute(L, p) for p in ("all", "even", "odd")]:
+        for basis in [dilute_sites(L, p) for p in (None, 0, 1)]:
             np.testing.assert_array_equal(applied_dilute_gram(basis), glue_rule_gram(basis))
 
     @given(st.data())
@@ -396,11 +409,11 @@ class TestDiluteForm:
     def test_sector_gram_ignores_basis_order(self, data):
         # any shuffled sub-basis gets the glue-rule matrix of that sub-basis
         L = data.draw(st.integers(1, 6), label="L")
-        full = dg.enumerate_dilute(L, data.draw(st.sampled_from(["all", "even", "odd"])))
+        full = dilute_sites(L, data.draw(st.sampled_from([None, 0, 1])))
         picks = data.draw(
             st.lists(st.sampled_from(range(len(full))), min_size=1, max_size=40, unique=True)
         )
-        basis = tuple(full[k] for k in picks)
+        basis = full[picks]
         np.testing.assert_array_equal(applied_dilute_gram(basis), glue_rule_gram(basis))
         x = random_columns(np.random.default_rng(len(picks)), len(basis), 3)
         assert_applies_like(forms.dilute_form(basis), glue_rule_gram(basis), x)
@@ -422,7 +435,7 @@ class TestDiluteFormOperator:
 
     @pytest.mark.parametrize("L", range(1, 9))
     def test_mask_walk_oracle_matches_dilute_rule(self, L):
-        for basis in [dg.enumerate_dilute(L, p) for p in ("all", "even", "odd")]:
+        for basis in [dilute_sites(L, p) for p in (None, 0, 1)]:
             np.testing.assert_array_equal(mask_walk_gram(basis).toarray(), glue_rule_gram(basis))
 
     @pytest.mark.parametrize("L", range(1, 13))
@@ -442,7 +455,7 @@ class TestDiluteFormOperator:
     @pytest.mark.parametrize("parity", ["all", "even", "odd"])
     @pytest.mark.parametrize("L", range(1, 9))
     def test_parity_form_matches_the_mask_walk_oracle(self, L, parity):
-        basis = dg.enumerate_dilute(L, parity)
+        basis = dilute_sites(L, {"all": None, "even": 0, "odd": 1}[parity])
         oracle = mask_walk_gram(basis)
         np.testing.assert_array_equal(applied_dilute_gram(basis), oracle.toarray())
         form = forms.dilute_form(basis)
@@ -474,8 +487,7 @@ class TestDiluteFormOperator:
         form = forms.dilute_form(basis)
         rows = np.concatenate([grid.ravel() for grid, _ in form.blocks])
         np.testing.assert_array_equal(np.sort(rows), np.arange(len(basis)))
-        sites = dg._arrays(basis)[0]
-        counts = [np.count_nonzero(sites[grid] != dg._EMPTY_SITE, axis=-1) for grid, _ in form.blocks]
+        counts = [np.count_nonzero(basis[grid] != dg._EMPTY_SITE, axis=-1) for grid, _ in form.blocks]
         assert [int(c.flat[0]) for c in counts] == list(range(0, L + 1, 2))
         assert all(np.all(c == c.flat[0]) for c in counts)
 
@@ -491,8 +503,11 @@ class TestDiluteFormOperator:
         np.testing.assert_array_equal(gram, [[1.0]])
 
     def test_empty_basis(self):
-        form = forms.dilute_form(())
+        form = forms.dilute_form(np.zeros((0, 4), dtype=np.int8))
         assert form.dim == 0 and form.blocks == ()
+        assert applied_dilute_gram(np.zeros((0, 4), dtype=np.int8)).shape == (0, 0)
+        for x in (np.zeros(0), np.zeros((0, 3), dtype=complex)):
+            assert_applies_like(form, np.zeros((0, 0)), x)
 
 
 class TestDefectMeasures:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from functools import reduce
 
+import link_state_oracles as ls
 import numpy as np
+import operator_oracles as oracles
 import pytest
 import scipy.sparse as sp
 from dilute_row_oracles import FormedRow, formed_blocks, formed_row
@@ -19,7 +21,7 @@ def xxz_from_generators(L: int, q: complex | None = None) -> np.ndarray:
     """The same chain written as ``(L-1)/2 - 2 sum_i e_i`` in the spin representation."""
     q = fx.Q_VALUE if q is None else q
     masks = tl.spin_sector_basis(L, up_count=L // 2)
-    es = tl.spin_generators(L, q, masks)
+    es = oracles.spin_generators(L, q, masks)
     dim = len(masks)
     return (L - 1) / 2 * np.eye(dim) - 2 * sum(es)
 
@@ -60,60 +62,65 @@ def loop_lozenge(basis, index, site, x) -> sp.csr_matrix:
 
     i, j = site, site + 1
     for col, s in enumerate(basis):
-        occ_i, occ_j = s.roles[i] != dg.EMPTY, s.roles[j] != dg.EMPTY
+        occ_i, occ_j = s.roles[i] != ls.EMPTY, s.roles[j] != ls.EMPTY
         if not occ_i and not occ_j:
             add(s, col, 1.0)
             roles, partner = list(s.roles), list(s.partner)
-            roles[i] = roles[j] = dg.ARC
+            roles[i] = roles[j] = ls.ARC
             partner[i], partner[j] = j, i
-            add(dg.LinkState(tuple(roles), tuple(partner)), col, x**2)
+            add(ls.LinkState(tuple(roles), tuple(partner)), col, x**2)
         elif occ_i != occ_j:
             add(s, col, x)
             src, dst = (i, j) if occ_i else (j, i)
             roles, partner = list(s.roles), list(s.partner)
-            if roles[src] == dg.ARC:
+            if roles[src] == ls.ARC:
                 p = partner[src]
                 partner[p] = dst
-                roles[dst], partner[dst] = dg.ARC, p
+                roles[dst], partner[dst] = ls.ARC, p
             else:
-                roles[dst], partner[dst] = dg.STRING, -1
-            roles[src], partner[src] = dg.EMPTY, -1
-            add(dg.LinkState(tuple(roles), tuple(partner)), col, x**2)
+                roles[dst], partner[dst] = ls.STRING, -1
+            roles[src], partner[src] = ls.EMPTY, -1
+            add(ls.LinkState(tuple(roles), tuple(partner)), col, x**2)
         else:
             add(s, col, x**2)
-            if s.roles[i] == dg.ARC and s.partner[i] == j:
+            if s.roles[i] == ls.ARC and s.partner[i] == j:
                 continue  # closed loop, weight zero
             roles, partner = list(s.roles), list(s.partner)
             ends = []
             for site_ in (i, j):
-                ends.append(partner[site_] if roles[site_] == dg.ARC else None)
-                roles[site_], partner[site_] = dg.EMPTY, -1
+                ends.append(partner[site_] if roles[site_] == ls.ARC else None)
+                roles[site_], partner[site_] = ls.EMPTY, -1
             p, q = ends
             if p is not None and q is not None:
                 partner[p], partner[q] = q, p
             elif p is not None:
-                roles[p], partner[p] = dg.STRING, -1
+                roles[p], partner[p] = ls.STRING, -1
             elif q is not None:
-                roles[q], partner[q] = dg.STRING, -1
-            add(dg.LinkState(tuple(roles), tuple(partner)), col, x**2)
+                roles[q], partner[q] = ls.STRING, -1
+            add(ls.LinkState(tuple(roles), tuple(partner)), col, x**2)
     return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)))
 
 
 def loop_triangle(basis, site, x) -> sp.csr_matrix:
     """Half-tile at a strip edge, one state at a time (the oracle)."""
-    return sp.diags(np.array([x if s.roles[site] != dg.EMPTY else 1.0 for s in basis])).tocsr()
+    return sp.diags(np.array([x if s.roles[site] != ls.EMPTY else 1.0 for s in basis])).tocsr()
 
 
-def row_basis_oracle(L: int) -> tuple[dg.LinkState, ...]:
+def row_basis_oracle(L: int) -> tuple[ls.LinkState, ...]:
     """The zero- and two-string states of the even dilute basis, in its order."""
-    return tuple(s for s in dg.enumerate_dilute(L, "even") if s.n_strings <= 2)
+    return tuple(s for s in ls.states(dg._path_sites(L, True, L, 0)) if s.n_strings <= 2)
+
+
+def string_sector(sites: np.ndarray, strings: int) -> list[int]:
+    """The rows of a site array whose states hold ``strings`` strings."""
+    return np.flatnonzero(np.count_nonzero(sites == dg._STRING_SITE, axis=1) == strings).tolist()
 
 
 def loop_dilute_row(L: int, x: float) -> FormedRow:
     """The dilute row from the per-state tiles on the zero- and two-string states (the oracle)."""
-    full = dg.enumerate_dilute(L, "all")
+    full = ls.states(dg._path_sites(L, True, L, None))
     basis = tuple(s for s in full if s.n_strings in (0, 2))
-    index = dg.basis_index(basis)
+    index = {s: k for k, s in enumerate(basis)}
 
     def ops(pairs, triangles):
         mats = [loop_lozenge(basis, index, p, x) for p in pairs]
@@ -176,7 +183,7 @@ class TestXXZ:
 class TestIsing:
     def test_width_two_matrix(self):
         # ring of two sites: sz sz bond counted twice, plus two spin flips
-        H = models.build_ising(2).toarray()
+        H = oracles.build_ising(2).toarray()
         expect = np.array(
             [
                 [-2, -1, -1, 0],
@@ -197,10 +204,10 @@ class TestIsing:
                 sj = 1 - 2 * ((mask >> ((i + 1) % L)) & 1)
                 expect[mask, mask] -= si * sj
                 expect[mask ^ (1 << i), mask] -= 1.0
-        np.testing.assert_array_equal(models.build_ising(L).toarray(), expect)
+        np.testing.assert_array_equal(oracles.build_ising(L).toarray(), expect)
 
     def test_symmetric(self):
-        H = models.build_ising(6)
+        H = oracles.build_ising(6)
         assert abs(H - H.T).max() == 0.0
 
     def test_ground_energy_closed_form(self):
@@ -208,7 +215,7 @@ class TestIsing:
         import scipy.sparse.linalg as spla
 
         L = 10
-        H = models.build_ising(L)
+        H = oracles.build_ising(L)
         e0 = spla.eigsh(H, k=1, which="SA", return_eigenvectors=False)[0]
         ks = 2 * np.arange(L) + 1
         exact = -2 * np.sum(np.sin(np.pi * ks / (2 * L)))
@@ -264,14 +271,14 @@ class TestIsingSector:
         H, label, size = models.build_ising_sector(L)
         S = orbit_isometry(label, size)
         np.testing.assert_allclose((S.T @ S).toarray(), np.eye(len(size)), atol=1e-15)
-        expect = (S.T @ models.build_ising(L) @ S).toarray()
+        expect = (S.T @ oracles.build_ising(L) @ S).toarray()
         np.testing.assert_allclose(H.toarray(), expect, atol=1e-13)
 
     @pytest.mark.parametrize("L", range(1, 11))
     def test_matrix_free_ring_matches_the_matrix(self, L):
         v = np.random.default_rng(L).standard_normal(1 << L)
         np.testing.assert_allclose(
-            models.apply_ising(L, v), models.build_ising(L) @ v, atol=1e-12
+            models.apply_ising(L, v), oracles.build_ising(L) @ v, atol=1e-12
         )
 
 
@@ -346,7 +353,7 @@ class TestXXZSector:
 def csr_half_rows(L: int, n: complex) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """The lower and upper half-rows as products of ``1 + e_i`` CSR factors (the oracle)."""
     es = tl.dense_generators(L, n)
-    eye = sp.identity(len(dg.enumerate_dense(L)), format="csr")
+    eye = sp.identity(len(dg._dense_sites(L)), format="csr")
     lower, upper = eye, eye
     for i in range(0, L, 2):
         lower = (eye + es[i]) @ lower
@@ -430,7 +437,7 @@ class TestDiluteRow:
         # per-state tiles on the row basis entry for entry
         row, expect = formed_row(L, x), loop_dilute_row(L, x)
         np.testing.assert_array_equal(models.build_dilute_T(L, x).basis, row.basis)
-        np.testing.assert_array_equal(row.basis, dg._arrays(expect.basis)[0])
+        np.testing.assert_array_equal(row.basis, ls.site_array(expect.basis))
         assert_same_csr(row.lower, expect.lower)
         assert_same_csr(row.upper, expect.upper)
 
@@ -465,7 +472,7 @@ class TestDiluteRow:
     def test_tile_leaving_the_basis_is_refused(self):
         # the zero- and two-string basis of width 4 minus one state: a lozenge
         # maps some state onto the missing one, and the lookup refuses it
-        basis = row_basis_oracle(4)[:-1]
+        basis = ls.site_array(row_basis_oracle(4)[:-1])
         with pytest.raises(LookupError, match="not in the basis"):
             for site in range(3):
                 models._lozenge_ops(basis, site, fx.X_CRITICAL)
@@ -533,8 +540,8 @@ class TestDiluteRow:
         for L in (1, 2, 5, 8):
             row = models.build_dilute_T(L)
             *_, idx0, idx2 = models.dilute_blocks(row)
-            assert list(idx0) == dg.sector_indices(row.basis, 0)
-            assert list(idx2) == dg.sector_indices(row.basis, 2)
+            assert list(idx0) == string_sector(row.basis, 0)
+            assert list(idx2) == string_sector(row.basis, 2)
             assert list(idx0) + list(idx2) == list(range(len(row.basis)))
 
     def test_unsorted_row_basis_is_refused(self):
@@ -568,8 +575,8 @@ class TestDiluteRow:
         # one move of an upper tile redirected from a zero-string column
         # into the two-string sector
         row = models.build_dilute_T(3)
-        idx0 = dg.sector_indices(row.basis, 0)
-        idx2 = dg.sector_indices(row.basis, 2)
+        idx0 = string_sector(row.basis, 0)
+        idx2 = string_sector(row.basis, 2)
         stay, cols, rows, moved = row.upper.tiles[0]
         assert cols[0] in idx0
         kicked = rows.copy()

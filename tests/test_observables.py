@@ -2,34 +2,39 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import link_state_oracles as ls
 import numpy as np
+import operator_oracles as oracles
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from loop_form_oracles import loop_count_matrix, loop_normalized, loop_pairing, singlet_factor
 from scipy.optimize import OptimizeWarning, brentq, curve_fit
 
+import loopcells
 from loopcells import diagrams as dg
 from loopcells import fixtures as fx
 from loopcells import forms, models, spectral, tl
 from loopcells import observables as obs
 
 
-def row_basis_oracle(L: int) -> tuple[dg.LinkState, ...]:
+def row_basis_oracle(L: int) -> tuple[ls.LinkState, ...]:
     """The zero- and two-string states of the even dilute basis, in its order."""
-    return tuple(s for s in dg.enumerate_dilute(L, "even") if s.n_strings <= 2)
+    return tuple(s for s in ls.states(dg._path_sites(L, True, L, 0)) if s.n_strings <= 2)
 
 
 def loop_count_gram(L: int, n: float) -> np.ndarray:
     """The weight-``n`` loop Gram from diagrammatic loop counts (the oracle)."""
-    counts = loop_count_matrix(dg.enumerate_dense(L))
+    counts = loop_count_matrix(dg._dense_sites(L))
     return np.power(n, counts.astype(np.float64))
 
 
@@ -130,10 +135,10 @@ class TestTrousers:
     def test_open_chain_trousers_at_width_two(self, y):
         # the half chain has one site and no generators
         t = obs.trousers_open(2, y)
-        index = dg.basis_index(dg.enumerate_open(2))
+        basis = ls.states(dg._open_sites(2))
         assert t.vector.shape == (2,)
-        assert t.vector[index[dg.from_text("()")]] == 0
-        assert abs(t.vector[index[dg.from_text("||")]]) > 0
+        assert t.vector[basis.index(ls.from_text("()"))] == 0
+        assert abs(t.vector[basis.index(ls.from_text("||"))]) > 0
 
 
 class TestSpinChainB:
@@ -280,8 +285,8 @@ class TestPolymerB:
 
     def test_builds_no_link_state(self, monkeypatch):
         # every basis is generated as a site array: with the basis caches
-        # cleared and every LinkState construction refused, every pipeline
-        # still runs to the same values
+        # cleared and every LinkState construction of the tests' oracle
+        # refused, every pipeline still runs to the same values
         def refuse(*args, **kwargs):
             raise AssertionError("a LinkState was built")
 
@@ -300,14 +305,13 @@ class TestPolymerB:
             lambda: obs.ising_boundary_entropy((8, 10)).value,
         ]
         expect = [run() for run in runs]
-        for cache in (dg.dilute_row_sites, dg._dense_sites, dg._open_sites, forms.boundary_loops,
-                      dg.enumerate_dense, dg.enumerate_open, dg.enumerate_dilute):
+        for cache in (dg.dilute_row_sites, dg._dense_sites, dg._open_sites, forms.boundary_loops):
             cache.cache_clear()
-        monkeypatch.setattr(dg.LinkState, "__init__", refuse)
+        monkeypatch.setattr(ls.LinkState, "__init__", refuse)
         for run, value in zip(runs, expect):
             np.testing.assert_allclose(run(), value, rtol=0, atol=1e-12)
         with pytest.raises(AssertionError, match="LinkState was built"):
-            dg.enumerate_dilute(6, "even")
+            ls.states(dg.dilute_row_sites(6))
 
     def test_width_four_matches_table(self):
         assert obs.b_polymer(4).value == pytest.approx(fx.B_POLYMER_TABLE[4], abs=1e-4)
@@ -547,7 +551,25 @@ def count_calls(monkeypatch, module, name):
     return widths
 
 
+#: The one-state link layer, the dense twins and the relation checks, which the
+#: tests keep as oracles (link_state_oracles, operator_oracles) and no module
+#: of the package defines or imports.
+ORACLE_NAMES = {
+    "EMPTY", "STRING", "ARC", "LinkState", "from_text", "validate", "reflect", "_states", "glue", "GlueResult",
+    "concatenate", "catalan", "motzkin", "sector_dimension", "enumerate_dense",
+    "enumerate_open", "enumerate_dilute", "basis_index", "sector_indices",
+    "spin_generators", "check_relations_chain", "check_relations_periodic",
+    "_relation_residual", "contraction_weight", "build_ising", "geometric_multiplicity",
+    "nilpotent_norm",
+}
+
+
 class TestBuildOnce:
+    def test_package_holds_no_oracle(self):
+        for info in pkgutil.iter_modules(loopcells.__path__):
+            module = importlib.import_module(f"loopcells.{info.name}")
+            assert not ORACLE_NAMES & set(vars(module)), info.name
+
     def test_polymer_builds_each_row_once(self, monkeypatch):
         rows = count_calls(monkeypatch, models, "build_dilute_T")
         obs.b_polymer(6)
@@ -672,7 +694,7 @@ class TestPercolationStructure:
     def test_undeformed_level_is_diagonalizable(self, L):
         H = models.build_percolation_H(L, 1.0)
         level = spectral.full_spectrum(H)[3].value
-        assert spectral.geometric_multiplicity(H, level) == 2
+        assert oracles.geometric_multiplicity(H, level) == 2
         with pytest.raises(spectral.DiagonalizableLevelError):
             spectral.extract_jordan_cell(H, level)
 
@@ -697,9 +719,9 @@ def dense_percolation_check(L: int, y_values=(2.0, -1.0, 0.5), cluster_tol: floa
     H1 = models.build_percolation_H(L, 1.0)
     clusters = spectral.full_spectrum(H1, cluster_tol)
     c3 = spectral.level_cluster(clusters, 3)
-    gm = spectral.geometric_multiplicity(H1, c3.value)
+    gm = oracles.geometric_multiplicity(H1, c3.value)
     scale = max(abs(c.value) for c in clusters)
-    nil = spectral.nilpotent_norm(H1, c3.value, 1e-4 * scale)
+    nil = oracles.nilpotent_norm(H1, c3.value, 1e-4 * scale)
     genuine: dict = {}
     for y in y_values:
         Hy = models.build_percolation_H(L, y)
@@ -733,7 +755,7 @@ class TestPercolationCheck:
         def refuse(*args, **kwargs):
             raise AssertionError("dense spectral helper called")
 
-        for name in ("full_spectrum", "geometric_multiplicity", "nilpotent_norm"):
+        for name in ("full_spectrum", "ground_state"):
             monkeypatch.setattr(spectral, name, refuse)
         assert obs.percolation_check(10).diagonalizable
 
@@ -836,6 +858,16 @@ class TestExtrapolation:
     def test_needs_three_sizes(self):
         with pytest.raises(ValueError, match="three sizes"):
             obs.extrapolate_b([4, 8], [1.0, 2.0])
+
+    @pytest.mark.parametrize("sizes", [[4, 4, 8], [8, 4, 8, 4]])
+    def test_needs_three_distinct_sizes(self, sizes, monkeypatch):
+        # two distinct sizes leave the three-parameter ansatz undetermined
+        def refuse(*args, **kwargs):
+            raise AssertionError("fitted")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        with pytest.raises(ValueError, match="three sizes, all distinct"):
+            obs.extrapolate_b(sizes, [1.0 / L for L in sizes])
 
     def test_published_tables_land_in_windows(self):
         xxz = obs.extrapolate_b(list(fx.B_XXZ_TABLE), list(fx.B_XXZ_TABLE.values()))
@@ -999,7 +1031,7 @@ class TestIsingEntropy:
 
 def full_ring_ground_state(L: int) -> tuple[float, np.ndarray]:
     """Ground state from ARPACK on the full ``2^L`` ring (the oracle), positive."""
-    H = models.build_ising(L)
+    H = oracles.build_ising(L)
     energies, vecs = spla.eigsh(H, k=1, which="SA", v0=np.ones(H.shape[0]))
     v = vecs[:, 0]
     return float(energies[0]), v * np.sign(v[int(np.argmax(np.abs(v)))])
@@ -1069,15 +1101,15 @@ class TestIsingSectorGround:
 
 def glue_boundary_row(L: int) -> np.ndarray:
     """Loop counts of the all-adjacent-arcs boundary glued onto each dense state (the oracle)."""
-    boundary = dg.from_text("()" * (L // 2))
-    return np.array([dg.glue(boundary, s).loops for s in dg.enumerate_dense(L)])
+    boundary = ls.from_text("()" * (L // 2))
+    return np.array([ls.glue(boundary, s).loops for s in ls.states(dg._dense_sites(L))])
 
 
 class TestLoopEntropy:
     @pytest.mark.parametrize("n1", [0.5, 0.8, 1.0, 1.5, 1.9, 2.5])
     @pytest.mark.parametrize("L", range(2, 15, 2))
     def test_boundary_overlap_matches_the_glue_row(self, L, n1):
-        v = np.random.default_rng(L).uniform(0.5, 1.5, len(dg.enumerate_dense(L)))
+        v = np.random.default_rng(L).uniform(0.5, 1.5, len(dg._dense_sites(L)))
         expect = np.power(n1, glue_boundary_row(L).astype(float)) @ v
         assert obs._boundary_overlap(v, L, n1) == pytest.approx(expect, rel=1e-12, abs=0)
 
@@ -1085,7 +1117,7 @@ class TestLoopEntropy:
         def refuse(*args):
             raise AssertionError("glue called")
 
-        monkeypatch.setattr(dg, "glue", refuse)
+        monkeypatch.setattr(ls, "glue", refuse)
         report = obs.loop_boundary_entropy(1.0, 1.5, sizes=(6, 8, 10))
         assert np.isfinite(report.fit.value)
 
@@ -1206,8 +1238,7 @@ class TestLoopEntropy:
         for L in sizes:
             _, v = spectral.perron_pair(models.build_dense_loop_T(L, n).ket_row)
             v = v / np.sqrt(v @ loop_count_gram(L, n) @ v)
-            boundary = dg.from_text("()" * (L // 2))
-            loops = np.array([dg.glue(boundary, s).loops for s in dg.enumerate_dense(L)])
+            loops = glue_boundary_row(L)
             values.append(-np.log(np.power(n1, loops) @ v))
         expect = obs._inverse_power_fit(sizes, values).value
         got = obs.loop_boundary_entropy(n, n1, sizes).fit.value
@@ -1231,10 +1262,10 @@ class TestLoopEntropy:
     def test_nonpositive_square_raises(self, n):
         # ()(()) - (()()) has square 2 n^2 (n - 1) <= 0 for these weights;
         # it is no Perron vector, so the certificate refuses it
-        index = dg.basis_index(dg.enumerate_dense(6))
-        vec = np.zeros(len(index))
-        vec[index[dg.from_text("()(())")]] = 1.0
-        vec[index[dg.from_text("(()())")]] = -1.0
+        basis = ls.states(dg._dense_sites(6))
+        vec = np.zeros(len(basis))
+        vec[basis.index(ls.from_text("()(())"))] = 1.0
+        vec[basis.index(ls.from_text("(()())"))] = -1.0
         row = models.build_dense_loop_T(6, n)
         lam, _ = spectral.perron_pair(row.ket_row)
         with pytest.raises(ArithmeticError, match=f"L=6, n={n}"):
