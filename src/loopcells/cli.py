@@ -122,6 +122,19 @@ def _require_sizes(parser: argparse.ArgumentParser, args) -> list[int]:
     return args.sizes
 
 
+def _distinct_widths(sizes: list[int]) -> list[int]:
+    """``sizes`` as given, refused before any width is solved if one repeats.
+
+    The b sweeps solve each width once and extrapolate over distinct sizes.
+    """
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(
+            "repeated widths: each width is solved once, and the extrapolation "
+            f"needs three sizes, all distinct, got {sizes}"
+        )
+    return sizes
+
+
 def cmd_xxz_b(args, params: dict) -> list[dict]:
     from . import observables
 
@@ -130,7 +143,7 @@ def cmd_xxz_b(args, params: dict) -> list[dict]:
         kwargs["cluster_tol"] = args.tol
     rows = []
     measurements = []
-    for L in args.sizes:
+    for L in _distinct_widths(args.sizes):
         m = observables.b_xxz(L, q=params.get("q"), **kwargs)
         measurements.append(m)
         rows.append(_b_row(m, form="spin-bilinear"))
@@ -143,7 +156,7 @@ def cmd_polymer_b(args, params: dict) -> list[dict]:
 
     rows = []
     measurements = []
-    for L in args.sizes:
+    for L in _distinct_widths(args.sizes):
         m = observables.b_polymer(L, x=params.get("x"))
         measurements.append(m)
         rows.append(_b_row(m, form="dilute-gram"))

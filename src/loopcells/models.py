@@ -19,10 +19,13 @@ basis keys shifted at the few sites a move changes.
   each a :class:`TransferRow` of two staggered half-rows.  A half-row is a
   :class:`TransferOperator`: the array maps of its tiles (a plaquette ``1 +
   e_i`` per site pair, or lozenges with the boundary half-tiles folded in),
-  applied one tile at a time and never formed.  The row keeps both orders
-  of its halves: the ket row, and the bra row that evolves bra states (on
-  the cylinder, the loop form maps the ket row's eigenvectors to those of
-  the transposed bra row);
+  each compiled once into compressed-column arrays (``int32`` indices for
+  the lozenges, the cached cup-cap rows for the plaquettes) and applied one
+  tile at a time by scipy's compiled sparse kernel, forward or transposed,
+  never formed.  The row keeps both orders of its halves, which share those
+  arrays: the ket row, and the bra row that evolves bra states (on the
+  cylinder, the loop form maps the ket row's eigenvectors to those of the
+  transposed bra row);
   :func:`dilute_blocks` restricts the dilute tiles to their string-sector
   blocks, forming no product;
 * :func:`build_percolation_H` -- the open-chain sum of cup-cap generators at
@@ -33,9 +36,12 @@ basis keys shifted at the few sites a move changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from . import fixtures
 from .diagrams import (
@@ -239,33 +245,80 @@ def ising_boundary_vectors(L: int) -> tuple[np.ndarray, np.ndarray]:
 # Transfer rows kept per tile
 
 
-@dataclass
-class TransferOperator:
-    """A product of tile maps kept unformed and applied one tile at a time.
+class _Tile(NamedTuple):
+    """One tile compiled in compressed-column form, ``stay`` its diagonal.
 
-    A tile ``(stay, cols, rows, moved)`` sends every state ``c`` to itself
-    with weight ``stay[c]`` and state ``cols[k]`` to row ``rows[k]`` with
-    weight ``moved[k]``; its kept columns ``cols`` are distinct and
-    ascending.  A tile that keeps every column with weight one, such as a
-    cylinder plaquette ``1 + e_i``, stores ``stay = None`` and ``cols =
-    slice(None)`` and holds no per-state array but its moves.  A tile
-    scatters, ``stay * x + bincount(rows, moved * x[cols])``, and its
-    transpose gathers, ``stay * x`` plus ``moved * x[rows]`` added at
-    ``cols``.  The tiles act in list order, so the operator is ``tiles[-1]
-    @ ... @ tiles[0]``; :attr:`T` applies the transposed tiles in reverse.
-    ``x`` may be a vector or a block of columns.  All moves share one
-    dtype, and ``x`` is cast once to the result type of both, which also
-    picks the scatter for every tile: ``bincount`` for a real vector,
-    ``np.add.at`` otherwise.
+    The kept columns ``c`` send weight ``moved[k]`` to row ``rows[k]`` for
+    ``indptr[c] <= k < indptr[c + 1]``; ``indptr`` and ``rows`` share one
+    integer dtype, ``int32`` when compiled from a map.  ``stay = None`` is
+    the diagonal of ones.
     """
 
-    tiles: list[tuple[np.ndarray | None, np.ndarray | slice, np.ndarray, np.ndarray]]
+    stay: np.ndarray | None
+    indptr: np.ndarray
+    rows: np.ndarray
+    moved: np.ndarray
+
+
+def _compile(stay, cols, rows, moved) -> _Tile:
+    """The :class:`_Tile` of one tile map ``(stay, cols, rows, moved)``.
+
+    A map without ``stay`` (weight one) keeps every column: ``dim`` is its
+    number of rows.  The compiled kernel checks no bounds, so a map with a
+    row outside ``[0, dim)``, kept columns out of it or not strictly
+    ascending, arrays of unequal lengths, or ``dim >= 2**31`` raises
+    ``ValueError``.
+    """
+    cols, rows, moved = np.asarray(cols), np.asarray(rows), np.ascontiguousarray(moved)
+    dim = len(rows) if stay is None else len(stay)
+    if dim >= 2**31:
+        raise ValueError(f"a tile of dimension {dim} does not fit int32 indices")
+    if len(cols) and (cols[0] < 0 or cols[-1] >= dim or np.any(cols[1:] <= cols[:-1])):
+        raise ValueError(f"the kept columns must be strictly ascending in [0, {dim})")
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    indptr[1:][cols] = 1
+    np.cumsum(indptr, out=indptr)
+    if not len(rows) == len(moved) == indptr[-1]:
+        raise ValueError("a tile needs one row and one weight per kept column")
+    if len(rows) and (rows.min() < 0 or rows.max() >= dim):
+        raise ValueError(f"a tile's rows must lie in [0, {dim})")
+    return _Tile(stay, indptr, rows.astype(np.int32), moved)
+
+
+@dataclass
+class TransferOperator:
+    """A product of tiles kept unformed and applied one tile at a time.
+
+    A tile sends every state ``c`` to itself with weight ``stay[c]`` and its
+    kept columns to their rows with their ``moved`` weights.  It is built
+    from a map ``(stay, cols, rows, moved)``: the kept columns ``cols``
+    (ascending) go to ``rows``; a tile that keeps every column with weight
+    one, such as a cylinder plaquette ``1 + e_i``, has ``stay = None``.  Each
+    map is compiled once into a :class:`_Tile` (:func:`_compile`, which
+    refuses an out-of-range map); already compiled tiles, such as the
+    plaquettes :func:`build_dense_loop_T` compiles from its cup-cap maps,
+    are shared, not copied.  A tile applies as ``stay * x`` plus its moves,
+    added by scipy's compiled sparse kernel on the compressed-column arrays,
+    and its transpose the same way with the same arrays read as compressed
+    rows.  The tiles act in list order, so the operator is ``tiles[-1] @
+    ... @ tiles[0]``; :attr:`T` applies the transposed tiles in reverse.
+    ``x`` may be a vector or a block of columns, and is cast once to the
+    result type of ``x`` and the moves, which all tiles share.
+    """
+
+    tiles: list
     transposed: bool = False
+
+    def __post_init__(self):
+        self.tiles = [t if isinstance(t, _Tile) else _compile(*t) for t in self.tiles]
+        if len({len(t.indptr) for t in self.tiles}) > 1:
+            raise ValueError("the tiles of one operator act on one basis")
+        if len({t.moved.dtype for t in self.tiles}) > 1:
+            raise ValueError("the tiles of one operator share one weight dtype")
 
     @property
     def shape(self) -> tuple[int, int]:
-        stay, _, rows, _ = self.tiles[0]
-        dim = len(rows if stay is None else stay)
+        dim = len(self.tiles[0].indptr) - 1
         return (dim, dim)
 
     @property
@@ -273,30 +326,18 @@ class TransferOperator:
         return TransferOperator(self.tiles, not self.transposed)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.result_type(x, self.tiles[0][3]))
-        if self.transposed:
-            for stay, cols, rows, moved in reversed(self.tiles):
-                moves = (moved * x[rows].T).T
-                if stay is None:
-                    x = x + moves
-                else:
-                    x = (stay * x.T).T
-                    x[cols] += moves
-            return x
+        x = np.ascontiguousarray(x, dtype=np.result_type(x, self.tiles[0].moved))
         dim = self.shape[0]
-        if x.ndim == 1 and x.dtype.kind != "c":
-            for stay, cols, rows, moved in self.tiles:
-                if stay is None:  # every column kept with weight one
-                    x = x + np.bincount(rows, moved * x, minlength=dim)
-                else:
-                    out = stay * x
-                    out += np.bincount(rows, moved * x[cols], minlength=dim)
-                    x = out
-            return x
-        for stay, cols, rows, moved in self.tiles:  # bincount takes no blocks and no complex weights
-            moves = np.zeros_like(x)
-            np.add.at(moves, rows, (moved * x[cols].T).T)
-            x = moves + (x if stay is None else (stay * x.T).T)
+        if x.ndim == 1:
+            kernel = _sparsetools.csr_matvec if self.transposed else _sparsetools.csc_matvec
+            sizes, diagonal = (dim, dim), np.s_[:]
+        else:
+            kernel = _sparsetools.csr_matvecs if self.transposed else _sparsetools.csc_matvecs
+            sizes, diagonal = (dim, dim, x.shape[1]), np.s_[:, None]
+        for stay, indptr, rows, moved in reversed(self.tiles) if self.transposed else self.tiles:
+            y = x.copy() if stay is None else stay[diagonal] * x
+            kernel(*sizes, indptr, rows, moved, x, y)  # y += moves @ x, in place
+            x = y
         return x
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -346,7 +387,9 @@ def build_dense_loop_T(L: int, n: float) -> TransferRow:
     ...``, the upper half-row on ``(2,3), (4,5), ..., (L,1)``; each
     plaquette is a tile ``1 + e_i`` that keeps every column, its moves the
     cached cup-cap map of the basis (:func:`loopcells.tl._cup_caps`)
-    weighted by ``n`` where it closes a loop.  Every plaquette is
+    weighted by ``n`` where it closes a loop.  The plaquettes are compiled
+    here, on those cached rows and one column pointer that they all share,
+    so they copy no index array.  Every plaquette is
     self-adjoint under the loop form ``G``, and those of a half-row
     commute, so ``G ket_row = bra_row^T G``: ``G`` maps the ket row's
     eigenvectors to those of the transposed bra row at the same eigenvalue.
@@ -356,11 +399,11 @@ def build_dense_loop_T(L: int, n: float) -> TransferRow:
     basis = _dense_sites(L)
     maps = _cup_caps(basis)
     dtype = np.complex128 if np.iscomplexobj(n) else np.float64
+    every = np.arange(len(basis) + 1, dtype=maps[0][0].dtype)  # one move per column
 
     def half_row(sites):
         return TransferOperator([
-            (None, slice(None), maps[i][0], _cup_cap_weights(maps[i], n, 1.0, dtype))
-            for i in sites
+            _Tile(None, every, maps[i][0], _cup_cap_weights(maps[i], n, 1.0, dtype)) for i in sites
         ])
 
     return TransferRow(basis, half_row(range(0, L, 2)), half_row(range(1, L, 2)))
@@ -459,26 +502,30 @@ def dilute_blocks(row: TransferRow):
     upper triangular, so the diagonal blocks of the row are the products of
     the tiles' diagonal blocks: ``T00`` and ``T22`` are
     :class:`TransferOperator` s of the tiles restricted to a sector (``T00``'s
-    as views, the kept columns being ascending; ``T22`` drops the moves that
-    leave the two-string sector).  ``T02 = P0 T P2^T`` is a
+    as views of the row's compiled arrays, the columns being ascending;
+    ``T22`` copies the moves that stay in the two-string sector, its
+    indices ``int32``).  ``T02 = P0 T P2^T`` is a
     ``LinearOperator`` that applies the whole row to a vector padded with
     zeros on the zero-string sector.  The bra row's blocks are those of the
     row with its two halves swapped.
     """
     strings = np.count_nonzero(_arrays(row.basis)[0] == _STRING_SITE, axis=1)
     dim = len(strings)
-    n0 = np.count_nonzero(strings == 0)
+    n0 = int(np.count_nonzero(strings == 0))  # a Python int keeps the indices int32
     if np.any(strings != np.where(np.arange(dim) < n0, 0, 2)):
         raise ValueError("a dilute row basis lists its zero-string states, then its two-string ones")
     ket_row = row.ket_row
     zero, two = [], []
-    for stay, cols, rows, moved in ket_row.tiles:
-        m0 = np.searchsorted(cols, n0)
+    for stay, indptr, rows, moved in ket_row.tiles:
+        m0 = indptr[n0]  # the moves of the zero-string columns come first
         if np.any(rows[:m0] >= n0):
             raise AssertionError("strings were created by a dilute half-row")
-        zero.append((stay[:n0], cols[:m0], rows[:m0], moved[:m0]))
-        kept = m0 + np.flatnonzero(rows[m0:] >= n0)
-        two.append((stay[n0:], cols[kept] - n0, rows[kept] - n0, moved[kept]))
+        zero.append(_Tile(stay[:n0], indptr[:n0 + 1], rows[:m0], moved[:m0]))
+        kept = rows[m0:] >= n0
+        before = np.zeros(len(kept) + 1, dtype=np.int32)  # kept moves before each move
+        np.cumsum(kept, out=before[1:])
+        indptr2 = before[indptr[n0:] - m0]
+        two.append(_Tile(stay[n0:], indptr2, rows[m0:][kept] - n0, moved[m0:][kept]))
 
     def feed(x2):
         padded = np.zeros((dim, *x2.shape[1:]), dtype=x2.dtype)

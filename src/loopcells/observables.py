@@ -495,16 +495,26 @@ def b_polymer(
     vectors into genuine left eigenvectors; it is applied to three vectors
     and never formed (:func:`loopcells.forms.dilute_form`).  One cell solve
     serves both sides.  The two cell scales ``right_scale``/``left_scale``
-    must cancel (tested).
+    must cancel (tested).  The Perron value of the zero-string block, which
+    sets ``delta``, is the leading Ritz value that the cell solve already
+    found; its Ritz vector must leave a residual of at most ``1e-9``
+    relative, and the value must lie above the cell's level, otherwise
+    ``ArithmeticError`` is raised.
     """
     if L % 2:
         raise ValueError("b for the dilute strip needs even L")
     x = fixtures.X_CRITICAL if x is None else x
     row = models.build_dilute_T(L, x)
     T00, T02, T22, _, _ = models.dilute_blocks(row)
-    right = spectral.block_jordan_cell(T00, T02, T22)
+    right, (lam0, u0) = spectral.block_jordan_cell(T00, T02, T22)
     lam1 = right.value
-    lam0, _ = spectral.perron_pair(T00)
+    # the cell's leading zero-string Ritz pair is the Perron pair of T00
+    residual = np.linalg.norm(T00 @ u0 - lam0 * u0) / abs(lam0)
+    if not (residual <= 1e-9 and lam0.real > lam1):
+        raise ArithmeticError(
+            f"leading zero-string Ritz value {lam0} at L={L} is not a Perron value above "
+            f"the cell's level {lam1}: residual {residual:.2e}"
+        )
     # the row basis lists the zero-string sector first, so the stacked
     # coordinates of the cell are the row's own
     v_r, w_r = right.vector, right.partner
@@ -520,7 +530,7 @@ def b_polymer(
         ket,
         forms.dilute_form(row.basis),
     )
-    delta = spectral.transfer_delta(L, lam1, lam0)
+    delta = spectral.transfer_delta(L, lam1, lam0.real)
     return BMeasurement(
         "polymer", L, float(b), gauge, float(delta), complex(lam1), "transfer",
         max(right.residual_w, left.residual_w),

@@ -529,26 +529,32 @@ def perron_pair(M, tol: float = 1e-14, max_iter: int = 100000):
     raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
 
 
-def _ritz_near(op, target: float):
-    """The three largest-modulus Ritz values of ``op`` and the unit vector nearest ``target``.
+def _ritz(op):
+    """The three largest-modulus Ritz pairs ``(values, vectors)`` of ``op``.
 
     ``op`` is anything with ``shape`` and ``@``.  ARPACK runs from the
     all-ones start; an operator of dimension four or less is decomposed
-    densely instead.  The vector is scaled so that its largest component is
-    positive real, then its real part is kept (the target level is real).
+    densely instead.
     """
     n = op.shape[0]
     if n > 4:
         linear = spla.LinearOperator(op.shape, matvec=lambda x: op @ x, dtype=float)
-        vals, vecs = spla.eigs(linear, k=3, which="LM", v0=np.ones(n))
-    else:
-        vals, vecs = np.linalg.eig(op @ np.eye(n))
+        return spla.eigs(linear, k=3, which="LM", v0=np.ones(n))
+    return np.linalg.eig(op @ np.eye(n))
+
+
+def _ritz_near(vals, vecs, target: complex) -> np.ndarray:
+    """The unit Ritz vector whose value is nearest ``target``, made real.
+
+    It is scaled so that its largest component is positive real, then its
+    real part is kept (the levels it is asked for are real).
+    """
     j = int(np.argmin(np.abs(vals - target)))
     x = vecs[:, j] / vecs[np.argmax(np.abs(vecs[:, j])), j]
-    return vals, x.real / np.linalg.norm(x.real)
+    return x.real / np.linalg.norm(x.real)
 
 
-def block_jordan_cell(T00, T02, T22) -> JordanCell:
+def block_jordan_cell(T00, T02, T22) -> tuple[JordanCell, tuple[complex, np.ndarray]]:
     """Jordan cell of ``[[T00, T02], [0, T22]]`` at the leading level of ``T22``.
 
     The blocks are dense or sparse matrices or any operators with ``shape``,
@@ -557,7 +563,7 @@ def block_jordan_cell(T00, T02, T22) -> JordanCell:
     The leading two-string eigenvalue comes from :func:`perron_pair`; the
     shared zero-string eigenvector and its left companion are the Ritz
     vectors nearest it from ARPACK on ``T00`` and ``T00^T``
-    (:func:`_ritz_near`), so that level must be among the
+    (:func:`_ritz`, :func:`_ritz_near`), so that level must be among the
     three eigenvalues of ``T00`` largest in modulus (in the dilute rows it
     is the second, below the Perron value).  Both must leave a residual below
     ``1e-9`` times ``max |mu - lambda|`` over the Ritz values ``mu``
@@ -573,11 +579,18 @@ def block_jordan_cell(T00, T02, T22) -> JordanCell:
     above ``1e-8`` raises ``ArithmeticError``.  The cell is in stacked
     coordinates, with the minimal-norm gauge applied to the partner; its
     ``regularization`` is always 0.0.
+
+    Returns ``(cell, (mu, u))``: the cell, and the Ritz value ``mu`` of
+    ``T00`` largest in modulus with its real unit Ritz vector ``u`` (the
+    Perron pair of a nonnegative ``T00``), uncertified, so that a caller
+    that needs it runs no eigensolve of its own.
     """
     lam1, u2 = perron_pair(T22)
     n0, n2 = T00.shape[0], T22.shape[0]
-    right, v0 = _ritz_near(T00, lam1)
-    left, ell0 = _ritz_near(T00.T, lam1)
+    right, right_vecs = _ritz(T00)
+    left, left_vecs = _ritz(T00.T)
+    v0 = _ritz_near(right, right_vecs, lam1)
+    ell0 = _ritz_near(left, left_vecs, lam1)
     cut = 1e-9 * float(np.max(np.abs(np.concatenate([right, left]) - lam1)))
     if (
         np.linalg.norm(T00 @ v0 - lam1 * v0) > cut
@@ -620,7 +633,8 @@ def block_jordan_cell(T00, T02, T22) -> JordanCell:
         raise ArithmeticError(
             f"block Jordan cell at {lam1} fails its partner relation: residual {cell.residual_w:.2e}"
         )
-    return cell
+    lead = right[np.argmax(np.abs(right))]
+    return cell, (lead, _ritz_near(right, right_vecs, lead))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@
   applies and :func:`loopcells.models.build_ising_sector` restricts;
 * :func:`geometric_multiplicity` and :func:`nilpotent_norm` -- the kernel
   dimension and the nilpotent part of a dense operator at a level, the dense
-  twins of :func:`loopcells.spectral.cell_structure`.
+  twins of :func:`loopcells.spectral.cell_structure`;
+* :func:`tile_maps` and :func:`tile_matrix` -- the ``(stay, cols, rows,
+  moved)`` map of each compiled tile of a
+  :class:`loopcells.models.TransferOperator`, and the tile as a public
+  ``scipy.sparse`` array built from that map.
 """
 
 from __future__ import annotations
@@ -140,3 +144,23 @@ def nilpotent_norm(A: np.ndarray, level: complex, radius: float) -> float:
     block = t[:sdim, :sdim]
     nil = block - np.diag(np.diag(block))
     return float(np.max(np.abs(nil))) if sdim > 1 else 0.0
+
+
+def tile_maps(op: models.TransferOperator) -> list[tuple]:
+    """The ``(stay, cols, rows, moved)`` map of every compiled tile of ``op``.
+
+    A kept column holds exactly one move, so ``cols`` are the columns whose
+    compressed-column range is not empty.
+    """
+    return [(t.stay, np.flatnonzero(np.diff(t.indptr)), t.rows, t.moved) for t in op.tiles]
+
+
+def tile_matrix(stay, cols, rows, moved) -> sp.csc_array:
+    """One tile map as a ``scipy.sparse.csc_array``: its diagonal plus its moves.
+
+    A tile without ``stay`` keeps every column with weight one.
+    """
+    dim = len(rows) if stay is None else len(stay)
+    diagonal = np.ones(dim) if stay is None else stay
+    moves = sp.csc_array((moved, (rows, cols)), shape=(dim, dim))
+    return sp.csc_array(sp.diags_array(diagonal)) + moves

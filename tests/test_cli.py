@@ -228,6 +228,25 @@ class TestOtherCommands:
         assert code == 1 and out == ""
         assert "three sizes, all distinct, got [4, 4, 8]" in err
 
+    @pytest.mark.parametrize(
+        "command, sizes", [("xxz-b", "4,4,8"), ("polymer-b", "2,4,2"), ("xxz-b", "8,8")]
+    )
+    def test_repeated_widths_are_refused_before_any_solve(self, command, sizes, capsys,
+                                                           monkeypatch):
+        from loopcells import observables
+
+        calls = []
+
+        def record(L, *args, **kwargs):
+            calls.append(L)
+
+        monkeypatch.setattr(observables, "b_xxz", record)
+        monkeypatch.setattr(observables, "b_polymer", record)
+        code, out, err = run(capsys, command, "--sizes", sizes)
+        assert code == 1 and out == ""
+        assert "repeated widths" in err
+        assert calls == []
+
     def test_fixtures_pass_and_exit_zero(self, capsys):
         code, out, _ = run(capsys, "fixtures")
         assert code == 0

@@ -386,7 +386,7 @@ class TestDenseLoopTransfer:
     def test_plaquettes_match_the_csr_factors(self, L, n):
         # both orders of the half-rows, on blocks of columns too: perron_pair
         # decomposes dimensions up to two as op @ eye(dim), and a complex
-        # weight takes the same scatter
+        # weight takes the same kernel
         row = models.build_dense_loop_T(L, n)
         lower, upper = csr_half_rows(L, n)
         dim = lower.shape[0]
@@ -577,7 +577,7 @@ class TestDiluteRow:
         row = models.build_dilute_T(3)
         idx0 = string_sector(row.basis, 0)
         idx2 = string_sector(row.basis, 2)
-        stay, cols, rows, moved = row.upper.tiles[0]
+        stay, cols, rows, moved = oracles.tile_maps(row.upper)[0]
         assert cols[0] in idx0
         kicked = rows.copy()
         kicked[0] = idx2[0]
@@ -594,6 +594,89 @@ class TestDiluteRow:
         col = row.ket_row.matrix()[:, empty]
         assert col[empty] == pytest.approx(1.0)
 
+
+class TestCompiledTiles:
+    """Each compiled tile against a public ``scipy.sparse`` array of its map.
+
+    The tiles apply through scipy's private compiled kernels; a change of
+    scipy that breaks them fails here rather than moving a number.
+    """
+
+    ROWS = [
+        ("dilute", 5, None), ("dilute", 8, None),
+        ("loop", 6, 1.3), ("loop", 8, 0.4 + 0.9j),
+    ]
+
+    @staticmethod
+    def build(kind, L, n):
+        return models.build_dilute_T(L) if kind == "dilute" else models.build_dense_loop_T(L, n)
+
+    @pytest.mark.parametrize("kind, L, n", ROWS)
+    def test_each_tile_matches_the_public_sparse_array(self, kind, L, n):
+        row = self.build(kind, L, n)
+        rng = np.random.default_rng(L)
+        for half in (row.lower, row.upper):
+            for tile, tile_map in zip(half.tiles, oracles.tile_maps(half)):
+                op, expect = models.TransferOperator([tile]), oracles.tile_matrix(*tile_map)
+                dim = op.shape[0]
+                for x in (rng.standard_normal(dim), rng.standard_normal((dim, 3)),
+                          rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
+                          rng.standard_normal((dim, 2)) * (1 - 2j)):
+                    for got, want in ((op @ x, expect @ x), (op.T @ x, expect.T @ x)):
+                        assert got.shape == x.shape
+                        assert got.dtype == np.result_type(x, tile.moved)
+                        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("kind, L, n", ROWS)
+    def test_rows_share_one_compiled_form(self, kind, L, n):
+        row = self.build(kind, L, n)
+        ket, bra = row.ket_row, row.bra_row
+        if kind == "dilute":
+            for tile in ket.tiles:
+                assert tile.indptr.dtype == tile.rows.dtype == np.int32
+        else:
+            # the plaquettes read the cached cup-cap rows and one column pointer
+            maps = tl._cup_caps(row.basis)
+            sites = [*range(0, L, 2), *range(1, L, 2)]
+            for i, tile in zip(sites, row.lower.tiles + row.upper.tiles):
+                assert tile.rows is maps[i][0]
+                assert tile.indptr is ket.tiles[0].indptr
+        # both orders and the transpose read the same compiled arrays
+        for op in (bra, ket.T, bra.T):
+            assert {id(t) for t in op.tiles} == {id(t) for t in ket.tiles}
+
+    @pytest.mark.parametrize("L", [3, 6, 9])
+    def test_zero_string_block_is_views_of_the_row(self, L):
+        row = models.build_dilute_T(L)
+        T00, _, T22, _, _ = models.dilute_blocks(row)
+        for whole, zero, two in zip(row.ket_row.tiles, T00.tiles, T22.tiles):
+            for field in ("stay", "indptr", "rows", "moved"):
+                assert np.shares_memory(getattr(zero, field), getattr(whole, field))
+            for tile in (zero, two):
+                assert tile.indptr.dtype == tile.rows.dtype == np.int32
+
+    def test_bad_maps_are_refused(self):
+        stay, rows, moved = np.ones(4), np.array([1, 2]), np.ones(2)
+        bad = {
+            "rows must lie": [(stay, [0, 1], [1, 4], moved), (stay, [0, 1], [-1, 2], moved)],
+            "strictly ascending": [
+                (stay, [1, 0], rows, moved), (stay, [1, 1], rows, moved),
+                (stay, [-1, 0], rows, moved), (stay, [2, 4], rows, moved),
+            ],
+            "one row and one weight": [
+                (stay, [0, 1, 2], rows, moved), (stay, [0, 1], rows, np.ones(3)),
+                (None, [0, 1], np.arange(4), np.ones(4)),  # weight one keeps every column
+            ],
+            "int32": [(np.broadcast_to(1.0, (2**31,)), [], [], [])],
+        }
+        for match, maps in bad.items():
+            for tile in maps:
+                with pytest.raises(ValueError, match=match):
+                    models.TransferOperator([tile])
+        with pytest.raises(ValueError, match="one basis"):
+            models.TransferOperator([(stay, [0], [1], [1.0]), (np.ones(3), [0], [1], [1.0])])
+        with pytest.raises(ValueError, match="one weight dtype"):
+            models.TransferOperator([(stay, [0], [1], [1.0]), (stay, [0], [1], [1j])])
 
 class TestPercolationChain:
     def test_matches_generator_sum(self):

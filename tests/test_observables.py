@@ -117,7 +117,8 @@ class TestTrousers:
 
     def test_vanishing_bra_ground_is_refused(self):
         row = models.build_dilute_T(2)
-        zero = models.TransferOperator([(0 * s, c, r, 0 * m) for s, c, r, m in row.lower.tiles])
+        maps = oracles.tile_maps(row.lower)
+        zero = models.TransferOperator([(0 * s, c, r, 0 * m) for s, c, r, m in maps])
         fake = models.TransferRow(row.basis, zero, row.upper)
         with pytest.raises(ArithmeticError, match="annihilates"):
             obs._dilute_trousers(fake, models.build_dilute_T(4).basis)
@@ -264,7 +265,7 @@ def ket_row_cell(L):
     """The width-L dilute row, its ket-row cell, and the cell on the row basis."""
     row = models.build_dilute_T(L)
     T00, T02, T22, idx0, idx2 = models.dilute_blocks(row)
-    cell = spectral.block_jordan_cell(T00, T02, T22)
+    cell, _ = spectral.block_jordan_cell(T00, T02, T22)
     v = stacked_to_row(row, idx0, idx2, cell.vector)
     w = stacked_to_row(row, idx0, idx2, cell.partner)
     return row, cell, v, w
@@ -274,6 +275,33 @@ class TestPolymerB:
     def test_width_two_equals_closed_form(self):
         m = obs.b_polymer(2)
         assert m.value == pytest.approx(fx.b_polymer_l2_exact(), abs=1e-12)
+
+    @pytest.mark.parametrize("L", [4, 6])
+    def test_delta_reads_the_cells_leading_ritz_value(self, L, monkeypatch):
+        # no eigensolve of b_polymer's own: delta comes from the Perron
+        # value of T00 that the cell solve's Ritz values already hold
+        m = obs.b_polymer(L)
+        T00 = models.dilute_blocks(models.build_dilute_T(L))[0]
+        lam0, _ = spectral.perron_pair(T00)
+        assert m.delta == pytest.approx(spectral.transfer_delta(L, m.level.real, lam0), abs=1e-12)
+        calls = count_calls(monkeypatch, spectral, "perron_pair")
+        obs.b_polymer(L)
+        # T22 in the cell, and the half-width ground of the trousers
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("kick", ["vector", "value"])
+    def test_uncertified_leading_ritz_pair_is_refused(self, kick, monkeypatch):
+        solve = spectral.block_jordan_cell
+
+        def kicked(*blocks):
+            cell, (lam0, u0) = solve(*blocks)
+            if kick == "vector":
+                return cell, (lam0, u0 + 1e-6 * np.arange(len(u0)))
+            return cell, (0.5 * cell.value, u0)
+
+        monkeypatch.setattr(spectral, "block_jordan_cell", kicked)
+        with pytest.raises(ArithmeticError, match="not a Perron value above"):
+            obs.b_polymer(6)
 
     def test_invariant_under_cell_rescaling(self):
         base = obs.b_polymer(4).value
@@ -336,7 +364,7 @@ class TestPolymerB:
         # the bra row lower @ upper is the ket row of the swapped halves
         swapped = models.TransferRow(row.basis, row.upper, row.lower)
         M00, M02, M22, idx0, idx2 = models.dilute_blocks(swapped)
-        oracle = spectral.block_jordan_cell(M00, M02, M22)
+        oracle, _ = spectral.block_jordan_cell(M00, M02, M22)
         u = stacked_to_row(row, idx0, idx2, oracle.vector)
         cos = abs(np.vdot(u, left.vector)) / (np.linalg.norm(u) * np.linalg.norm(left.vector))
         assert 1 - cos < 1e-12

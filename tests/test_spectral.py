@@ -565,7 +565,7 @@ class TestBlockJordan:
     @pytest.mark.parametrize("n0", [6, 40])
     def test_cell_satisfies_defining_relations(self, seed, n0):
         T00, T02, T22, lam_expect = self.make_blocks(n0=n0, seed=seed)
-        cell = spectral.block_jordan_cell(T00, T02, T22)
+        cell, _ = spectral.block_jordan_cell(T00, T02, T22)
         lam, v, w = cell.value, cell.vector, cell.partner
         assert lam == pytest.approx(lam_expect, rel=1e-12)
         assert cell.residual_v < 1e-12 and cell.residual_w < 1e-8
@@ -595,11 +595,19 @@ class TestBlockJordan:
         # formed half-rows' slices
         row = models.build_dilute_T(L)
         blocks = models.dilute_blocks(row)[:3]
-        cell = spectral.block_jordan_cell(*blocks)
+        cell, _ = spectral.block_jordan_cell(*blocks)
         assert cell.regularization == 0.0
         formed = formed_blocks(formed_row(L))[:3]
         assert_same_cell(cell, lu_block_cell(*(b.matrix() for b in formed)))
-        assert_same_cell(cell, spectral.block_jordan_cell(*formed))
+        assert_same_cell(cell, spectral.block_jordan_cell(*formed)[0])
+
+    @pytest.mark.parametrize("L", [4, 8])
+    def test_leading_ritz_pair_is_the_perron_pair_of_T00(self, L):
+        T00, T02, T22 = models.dilute_blocks(models.build_dilute_T(L))[:3]
+        _, (lam0, u0) = spectral.block_jordan_cell(T00, T02, T22)
+        lam, u = spectral.perron_pair(T00)
+        assert lam0 == pytest.approx(lam, rel=1e-13)
+        assert np.linalg.norm(u0 - u) < 1e-10
 
     @given(st.integers(2, 30), st.integers(1, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -608,7 +616,7 @@ class TestBlockJordan:
         # the iterative cell sees the three largest-modulus levels of T00,
         # so at most two may lie above the planted one (beyond roundoff)
         assume(np.sum(np.abs(np.linalg.eigvals(T00)) > (1 + 1e-9) * lam1) < 3)
-        cell = spectral.block_jordan_cell(T00, T02, T22)
+        cell, _ = spectral.block_jordan_cell(T00, T02, T22)
         assert cell.residual_w < 1e-8
         assert_same_cell(cell, lu_block_cell(T00, T02, T22))
 
