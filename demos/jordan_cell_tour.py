@@ -26,12 +26,13 @@ for c in clusters:
 level = spectral.level_cluster(clusters, 3)
 values, vectors = np.linalg.eig(H)
 pair = np.argsort(np.abs(values - level.value))[: level.size]  # the cluster's eigenvectors
-gm, nilpotent = spectral.cell_structure(H, level.value, vectors[:, pair])
+form = np.eye(6)  # H is complex symmetric, so the identity is its invariant form
+gm, nilpotent = spectral.cell_structure(H, level.value, vectors[:, pair], form)
 print(f"\nfourth level {level.value.real:+.6f}: algebraic multiplicity {level.size}, "
       f"geometric multiplicity {gm}, nilpotent part {nilpotent:.6f} -> rank-two Jordan cell")
 print()
 
-cell = spectral.extract_jordan_cell(H, level.value)
+cell = spectral.extract_jordan_cell(H, level.value, vectors[:, pair], form)
 print("eigenvector v and minimal-norm partner w of the cell:")
 print("  v =", cell.vector)
 print("  w =", cell.partner)

@@ -117,21 +117,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _require_sizes(parser: argparse.ArgumentParser, args) -> list[int]:
+    """The sweep's widths; none, or a repeated one where no fit reads them, is a usage error."""
     if not args.sizes:
         parser.error("at least one size is required")
+    if args.command in ("deformed-b", "percolation-check"):
+        try:
+            _distinct_widths(args.sizes, fitted=False)
+        except ValueError as exc:
+            parser.error(str(exc))
     return args.sizes
 
 
-def _distinct_widths(sizes: list[int]) -> list[int]:
-    """``sizes`` as given, refused before any width is solved if one repeats.
+def _distinct_widths(sizes: list[int], fitted: bool) -> list[int]:
+    """``sizes`` as given, refused with ``ValueError`` before any width is solved if one repeats.
 
-    The b sweeps solve each width once and extrapolate over distinct sizes.
+    Every sweep solves each width once and prints one row per width; a
+    ``fitted`` sweep also extrapolates over its distinct sizes.
     """
     if len(set(sizes)) < len(sizes):
-        raise ValueError(
-            "repeated widths: each width is solved once, and the extrapolation "
-            f"needs three sizes, all distinct, got {sizes}"
-        )
+        need = ", and the extrapolation needs three sizes, all distinct" if fitted else ""
+        raise ValueError(f"repeated widths: each width is solved once{need}, got {sizes}")
     return sizes
 
 
@@ -143,7 +148,7 @@ def cmd_xxz_b(args, params: dict) -> list[dict]:
         kwargs["cluster_tol"] = args.tol
     rows = []
     measurements = []
-    for L in _distinct_widths(args.sizes):
+    for L in _distinct_widths(args.sizes, fitted=True):
         m = observables.b_xxz(L, q=params.get("q"), **kwargs)
         measurements.append(m)
         rows.append(_b_row(m, form="spin-bilinear"))
@@ -156,7 +161,7 @@ def cmd_polymer_b(args, params: dict) -> list[dict]:
 
     rows = []
     measurements = []
-    for L in _distinct_widths(args.sizes):
+    for L in _distinct_widths(args.sizes, fitted=True):
         m = observables.b_polymer(L, x=params.get("x"))
         measurements.append(m)
         rows.append(_b_row(m, form="dilute-gram"))

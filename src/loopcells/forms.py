@@ -150,6 +150,13 @@ def dilute_form(basis) -> DiluteForm:
     return DiluteForm(len(sites), tuple(blocks))
 
 
+def _upper_pairs(size: int, chunk: int):
+    """The pairs ``a <= b < size`` as two index arrays, ``chunk`` bra rows ``a`` at a time."""
+    for lo in range(0, size, chunk):
+        a, b = np.nonzero(np.arange(lo, min(lo + chunk, size))[:, None] <= np.arange(size))
+        yield a + lo, b
+
+
 def _pattern_gram(patterns: np.ndarray) -> np.ndarray:
     """Dense 0/1 form of distinct link patterns on ``k`` sites, all occupied.
 
@@ -158,11 +165,10 @@ def _pattern_gram(patterns: np.ndarray) -> np.ndarray:
     through the bra arc, then the ket arc, with string sites absorbing.  An
     open line is absorbed within ``k//2 + 1`` rounds and a closed loop never
     is, so a pair is loop-free when every walker is.  The bra patterns are
-    walked a fixed number at a time, so the walkers' temporaries grow with
-    the pattern count, not with its square.
+    walked 128 at a time (:func:`_upper_pairs`), so the walkers' temporaries
+    grow with the pattern count, not with its square.
     """
     size, k = patterns.shape
-    chunk = 128  # bra patterns glued at once
     here = np.arange(k)
     # arc partner of every site; string sites go to the sentinel k
     step = np.hstack([np.where(patterns >= 0, patterns, k), np.full((size, 1), k)])
@@ -171,10 +177,7 @@ def _pattern_gram(patterns: np.ndarray) -> np.ndarray:
     arcs = np.count_nonzero(patterns > here, axis=1)
     openers = np.sort(np.where(patterns > here, here, k), axis=1)[:, : arcs.max(initial=0)]
     gram = np.zeros((size, size))
-    for lo in range(0, size, chunk):
-        bras = np.arange(lo, min(lo + chunk, size))
-        a, b = np.nonzero(bras[:, None] <= np.arange(size))
-        a += lo
+    for a, b in _upper_pairs(size, 128):
         start = openers[a].astype(step.dtype)
         ends = _line_ends(step, a[:, None] * (k + 1), step, b[:, None] * (k + 1), start, k // 2 + 1)
         free = np.all(ends == k, axis=1)
@@ -212,7 +215,9 @@ _LINK_CONTRACTIONS: dict[int, tuple] = {}  # id of a basis -> (basis, its counts
 def _link_contractions(basis) -> np.ndarray:
     """String contractions of every glued pair of an open basis, as a read-only ``int8`` matrix.
 
-    All pairs are glued at once (:func:`_line_ends`).  On the bra side a
+    The pairs ``a <= b`` are glued 256 bra rows ``a`` at a time
+    (:func:`_line_ends`), so the walkers' temporaries grow with the state
+    count, not with its square.  On the bra side a
     string at site ``j`` absorbs a line into the sentinel ``L + j``; on the
     ket side every string lets it through to ``2L``.  A line leaving an
     even-labelled bra string downward (ket step, then bra step) reaches its
@@ -231,14 +236,14 @@ def _link_contractions(basis) -> np.ndarray:
     absorb = np.hstack([np.where(string, L + np.arange(L), partner), fixed]).astype(site_type)
     through = np.hstack([np.where(string, 2 * L, partner), fixed]).astype(site_type)
     absorb, through = absorb.ravel(), through.ravel()
-    a, b = np.triu_indices(dim)
-    count = np.zeros(len(a), dtype=np.intp)
-    for own, other in ((a, b), (b, a)):
-        pair, start = np.nonzero(even[own])
-        ends = _line_ends(through, other[pair] * width, absorb, own[pair] * width, start, L // 2)
-        count += np.bincount(pair[(ends > L + start) & (ends < 2 * L)], minlength=len(a))
     counts = np.empty((dim, dim), dtype=np.int8)
-    counts[a, b] = counts[b, a] = count
+    for a, b in _upper_pairs(dim, 256):
+        count = np.zeros(len(a), dtype=np.intp)
+        for own, other in ((a, b), (b, a)):
+            pair, start = np.nonzero(even[own])
+            ends = _line_ends(through, other[pair] * width, absorb, own[pair] * width, start, L // 2)
+            count += np.bincount(pair[(ends > L + start) & (ends < 2 * L)], minlength=len(a))
+        counts[a, b] = counts[b, a] = count
     counts.flags.writeable = False
     return counts
 

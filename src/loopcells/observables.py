@@ -248,7 +248,7 @@ def _chain_b(
     ``chain`` comes from :func:`_xxz_chain` or :func:`_open_chain`.  One
     :func:`_low_spectrum` call locates the level, gives the ground state and
     gives the cell's near-kernel block: the eigenvectors of the level's
-    cluster.  :func:`loopcells.spectral._cluster_cell` decides the kernel on
+    cluster.  :func:`loopcells.spectral.extract_jordan_cell` decides the kernel on
     that block and borders the partner system with ``conj(G v)`` under the
     chain's form ``G``, a certified left kernel vector.  The singular shift
     is never factored: ARPACK's shift (above :data:`_DENSE_SPECTRUM_STATES`
@@ -268,7 +268,7 @@ def _chain_b(
         )
     vals, vecs = spectrum
     block = vecs[:, np.isin(vals, cluster.members)]
-    cell = spectral._cluster_cell(H, cluster.value, block, gram)
+    cell = spectral.extract_jordan_cell(H, cluster.value, block, gram)
     e0, v0 = _ground(spectrum, gram)
     if chain.certify is not None:
         chain.certify(cell.value, cell.vector, cell.partner)
@@ -456,7 +456,7 @@ def _bra_cell(row: models.TransferRow, value: float, v, w, intertwiner) -> spect
     eigenvector, put in the minimal-norm gauge and certified against the
     bra row, applied tile by tile without forming it.  The eigenvector's
     residual is scaled by ``|value|``, a lower bound on the bra row's norm.
-    It has no LU of its own, so its ``regularization`` is 0.0.  An image
+    It solves nothing of its own.  An image
     that vanishes (``||lower v|| <= 1e-12 ||v||``) or a residual above
     ``1e-8`` raises ``ArithmeticError``.
     """
@@ -469,9 +469,7 @@ def _bra_cell(row: models.TransferRow, value: float, v, w, intertwiner) -> spect
     def shift(z):
         return bra_row @ z - value * z
 
-    cell = spectral._jordan_cell(
-        shift, abs(value), value, image / scale, (intertwiner @ w) / scale, 0.0
-    )
+    cell = spectral._jordan_cell(shift, abs(value), value, image / scale, (intertwiner @ w) / scale)
     if max(cell.residual_v, cell.residual_w) > 1e-8:
         raise ArithmeticError(
             f"mapped bra cell at {value} fails the bra row: residuals "
@@ -597,25 +595,34 @@ def percolation_check(
     the cluster at the fourth distinct level and holds its eigenvectors.
     Their span gives the level's geometric multiplicity and the norm of its
     nilpotent part, which vanishes exactly when the level is diagonalizable
-    (:func:`loopcells.spectral.cell_structure`); the y=1 shift is not
-    factored and no dense spectrum is formed.  The spectrum does not depend
-    on ``y``, so each deformed chain in ``y_values`` is probed for a genuine
-    cell at that same level (:func:`loopcells.spectral.extract_jordan_cell`,
-    which certifies the cell by its residuals, not by the kernel dimension
-    alone).  A deformed chain on which the level is simple raises
-    ``ArithmeticError``, one without the level
-    :class:`~loopcells.spectral.ClusterSizeError`, and ``y = 1`` reads
-    ``False``.
+    (:func:`loopcells.spectral.cell_structure`, with the y=1 link Gram); the
+    y=1 shift is not factored and no dense spectrum is formed.  The spectrum
+    does not depend on ``y``, so each deformed chain in ``y_values`` is
+    probed for a genuine cell at that same level: its own low spectrum gives
+    the eigenvectors of its cluster nearest the level, and
+    :func:`loopcells.spectral.extract_jordan_cell` builds the cell on them,
+    bordered by the chain's link Gram, as :func:`b_deformed` does.  The cell
+    is certified by its residuals, not by the kernel dimension alone.  A
+    deformed chain on which the level is simple raises ``ArithmeticError``,
+    one without the level :class:`~loopcells.spectral.ClusterSizeError`, and
+    ``y = 1`` reads ``False``.
     """
     H1 = models.build_percolation_H(L, 1.0)
     spectrum = _low_spectrum(H1, L)
     c3 = _level(spectrum, 3, cluster_tol)
     vals, vecs = spectrum
-    gm, nil = spectral.cell_structure(H1, c3.value, vecs[:, np.isin(vals, c3.members)])
+    block = vecs[:, np.isin(vals, c3.members)]
+    gm, nil = spectral.cell_structure(H1, c3.value, block, forms.link_gram(L, 1.0))
     genuine: dict = {}
     for y in y_values:
+        H = models.build_percolation_H(L, y)
+        vals, vecs = _low_spectrum(H, L)
+        near = min(
+            spectral.cluster_eigenvalues(vals, cluster_tol), key=lambda c: abs(c.value - c3.value)
+        )
+        block = vecs[:, np.isin(vals, near.members)]
         try:
-            spectral.extract_jordan_cell(models.build_percolation_H(L, y), c3.value)
+            spectral.extract_jordan_cell(H, c3.value, block, forms.link_gram(L, y))
             genuine[y] = True
         except spectral.DiagonalizableLevelError:
             genuine[y] = False

@@ -6,34 +6,24 @@ cluster whose diameter scales like the square root of machine precision, so
 and reports cluster means.
 
 Two solvers extract the Jordan cells, one per kind of level.  At interior
-Hamiltonian levels one helper, :func:`_block_cell`, takes a block that
-spans the near-kernel of ``A - lambda`` and a border.  The two singular
-values of the shift on the block decide the structure: one vanishing means
-a genuine cell, two a diagonalizable degeneracy (:func:`_near_kernel`).
-The partner ``w`` of ``(A - lambda) w = v`` solves a bordered system with
-its own LU, and the cell residuals are certified.  The block comes from
-one of two places:
-
-* The b pipelines already hold the cluster's eigenvectors from their low
-  spectrum (:func:`loopcells.observables._low_spectrum`), and
-  :func:`_cluster_cell` takes their (real) span.  The border is ``conj(G
-  v)``, where ``G`` is the chain's invariant form (``G A = A^T G``); it is
-  a left kernel vector, and its left residual is certified.  The singular
-  shift is never factored, so these cells record
-  :attr:`JordanCell.regularization` 0.0.
-* :func:`extract_jordan_cell` (dense or sparse ``A``) serves callers with
-  no spectrum: one sparse LU of the singular shift serves inverse iteration
-  for two right kernel directions and an uncertified left direction for the
-  border (:func:`_kernel_pair`).  When SuperLU finds the shift exactly
-  singular, it refactors once at a tiny identity shift and records that
-  shift as :attr:`JordanCell.regularization`.
+Hamiltonian levels there is one kind of cell, :func:`extract_jordan_cell`
+(dense or sparse ``A``).  Its caller already holds the eigenvectors of the
+level's cluster from a low spectrum
+(:func:`loopcells.observables._low_spectrum`), and their (real) span is the
+near-kernel block of ``A - lambda``.  The two singular values of the shift
+on the block decide the structure: one vanishing means a genuine cell, two
+a diagonalizable degeneracy (:func:`_near_kernel`).  The partner ``w`` of
+``(A - lambda) w = v`` solves a system bordered by ``conj(G v)``, where
+``G`` is the operator's invariant form (``G A = A^T G``); that border is a
+left kernel vector, its left residual is certified, and so are the cell
+residuals (:func:`_block_cell`).  The singular shift is never factored:
+the bordered system is the one LU.
 
 :func:`cell_structure` gives the kernel dimension and nilpotent norm of a
 two-fold cluster without a dense spectrum and without decomposing the whole
-operator.  It decides the kernel on the span of the cluster's eigenvectors,
-as :func:`_cluster_cell` does, and compresses ``A`` onto that span when the level is diagonalizable,
-so it factors nothing there; only a genuine cell goes through
-:func:`extract_jordan_cell`.
+operator.  It decides the kernel on the same span, compresses ``A`` onto
+that span when the level is diagonalizable, so it factors nothing there,
+and onto the certified cell of :func:`_block_cell` when it is genuine.
 
 Every sparse LU here, and the one ARPACK's shift-invert uses in
 :func:`loopcells.observables._low_spectrum`, comes from :func:`_factor`: a
@@ -44,9 +34,8 @@ upper-triangular transfer row (string sectors that only feed downward),
 whose shared level is among the largest in modulus.  It factors nothing and
 needs only products with the blocks, so the blocks may stay unformed, as
 the dilute rows' tile operators do: ARPACK gives the kernel vector and its left
-companion, GMRES the partner from the same bordered operator, and its
-``regularization`` is always 0.0.  Every solver returns a
-:class:`JordanCell` with its residuals and certifies them.
+companion, GMRES the partner from the same bordered operator.  Every solver
+returns a :class:`JordanCell` with its residuals and certifies them.
 
 The ``w`` returned by the solvers is defined up to adding multiples of
 ``v``; the minimal-Euclidean-norm gauge fixes that freedom, and downstream
@@ -174,11 +163,9 @@ def sign_fix(v: np.ndarray) -> np.ndarray:
 class JordanCell:
     """A rank-two cell: ``(A - value) v = 0`` and ``(A - value) w = v``.
 
-    ``regularization`` is the identity shift the LU of ``A - value`` in
-    :func:`extract_jordan_cell` needed because the shift was exactly
-    singular (0.0 when none was applied).  The cells of the b pipelines
-    (:func:`_cluster_cell`) and of :func:`block_jordan_cell` factor no
-    singular shift and always report 0.0.
+    ``residual_v`` is the kernel residual relative to the operator's norm
+    and ``residual_w`` the partner residual relative to ``||v||``; no
+    solver factors the singular shift ``A - value``.
     """
 
     value: complex
@@ -186,7 +173,6 @@ class JordanCell:
     partner: np.ndarray
     residual_v: float
     residual_w: float
-    regularization: float
 
 
 class DiagonalizableLevelError(ValueError):
@@ -220,58 +206,24 @@ def _factor(M):
     )
 
 
-def _kernel_pair(shifted, columns: int = 1):
-    """Right kernel block and a left border direction of a nearly singular sparse shift.
+def _bordered_partner(shifted, v, ell):
+    """Solution ``w`` of ``shifted w = v`` with ``v^H w = 0``.
 
-    One sparse LU of ``shifted`` (:func:`_factor`) serves four steps of
-    inverse iteration from a fixed pseudo-random start: ``columns``
-    orthonormal right directions (kept orthonormal by QR) and one left
-    direction ``ell`` from conjugate-transposed solves; it is real when
-    ``shifted`` is.  ``ell`` is not certified to be a left null
-    vector: it only has to keep the bordered system of
-    :func:`_bordered_partner` regular, and the residuals of the cell built
-    on it are what is checked.  At a Jordan cell it need not converge: on
-    the open chain at L = 14, y = 2, ``||ell^H shifted|| / ||shifted||_F`` is
-    1.6e-4 after four steps and swings between about 1e-17 after odd steps
-    and 1e-4 after even ones.  (The b pipelines border with the certified
-    ``conj(G v)`` instead, :func:`_block_cell`.)  When SuperLU finds the shift
-    exactly singular it is refactored once, through the same helper, at
-    ``shifted + delta I`` with ``delta = 1e-13 ||shifted||_F``; the identity
-    shift moves no eigenvector.
-    Returns ``(X, ell, delta)``, with ``delta = 0.0`` when no shift was needed.
-    """
-    n = shifted.shape[0]
-    try:
-        lu, delta = _factor(shifted), 0.0
-    except RuntimeError:
-        delta = 1e-13 * spla.norm(shifted)
-        lu = _factor((shifted + delta * sp.identity(n, format="csc")).tocsc())
-    start = np.random.default_rng(0).standard_normal((n, columns + 1))
-    X, ell = start[:, :columns], start[:, columns:]
-    for _ in range(4):
-        X, _ = np.linalg.qr(lu.solve(X))
-        ell, _ = np.linalg.qr(lu.solve(ell, trans="H"))
-    return X, ell[:, 0], delta
-
-
-def _bordered_partner(shifted, v, ell, rhs):
-    """Solution ``w`` of ``shifted w = rhs`` with ``v^H w = 0``.
-
-    ``rhs`` must lie in the range of the singular ``shifted``; the bordered
-    system ``[[shifted, ell], [v^H, 0]]`` is regular as long as the border
-    column has a component off that range, along the left kernel (any
-    vector inside the range, such as ``v`` itself, would make it singular),
-    and its border row pins the minimal-norm gauge.  Nothing here checks
-    that ``rhs`` lies in the range: on a simple eigenvalue it does not, and
-    only the partner residual of the cell (:func:`extract_jordan_cell`)
-    tells.  It needs its own factorization (:func:`_factor`, real when all
+    The kernel vector ``v`` must lie in the range of the singular
+    ``shifted``, as it does at a Jordan cell; the bordered system
+    ``[[shifted, ell], [v^H, 0]]`` is regular as long as the border column
+    has a component off that range, along the left kernel (any vector
+    inside the range, such as ``v`` itself, would make it singular), and
+    its border row pins the minimal-norm gauge.  Nothing here checks that
+    ``v`` lies in the range: on a simple eigenvalue it does not, and only
+    the partner residual of the cell (:func:`_block_cell`) tells.  It needs its own factorization (:func:`_factor`, real when all
     three inputs are), of the CSC matrix :func:`_bordered` builds.  Its
     dense border row and column fill whatever ordering is used, and this
     is the larger of the two factorizations of a b pipeline's width: at the
     L = 16 spin sector it takes 1.3 s against 0.64 s for ARPACK's shift
     (one BLAS thread).
     """
-    return _factor(_bordered(shifted, v, ell)).solve(np.concatenate([rhs, [0.0]]))[:-1]
+    return _factor(_bordered(shifted, v, ell)).solve(np.append(v, 0.0))[:-1]
 
 
 def _bordered(shifted, v, ell):
@@ -298,7 +250,7 @@ def _bordered(shifted, v, ell):
     )
 
 
-def _jordan_cell(shift, norm: float, value, v, w, regularization: float) -> JordanCell:
+def _jordan_cell(shift, norm: float, value, v, w) -> JordanCell:
     """A :class:`JordanCell` with the minimal-norm gauge and its residuals.
 
     ``shift(x)`` applies the full operator minus ``value`` and ``norm`` is
@@ -307,7 +259,7 @@ def _jordan_cell(shift, norm: float, value, v, w, regularization: float) -> Jord
     w = w - (np.vdot(v, w) / np.vdot(v, v)) * v
     res_v = float(np.linalg.norm(shift(v)) / max(norm, 1e-300))
     res_w = float(np.linalg.norm(shift(w) - v) / max(np.linalg.norm(v), 1e-300))
-    return JordanCell(value, v, w, res_v, res_w, regularization)
+    return JordanCell(value, v, w, res_v, res_w)
 
 
 def _shift(A, level: complex):
@@ -343,49 +295,40 @@ def _near_kernel(shifted, X, level: complex):
     return null_dim, X @ vh[-1].conj()
 
 
-def _block_cell(A, shifted, level: complex, X, border, regularization: float = 0.0) -> JordanCell:
+def _block_cell(A, shifted, level: complex, X, gram) -> JordanCell:
     """The certified Jordan cell whose kernel direction lies in the orthonormal block ``X``.
 
     ``A`` and ``shifted`` come from :func:`_shift`.  The kernel decision of
     :func:`_near_kernel` on ``X`` refuses a diagonalizable level
     (:class:`DiagonalizableLevelError`) or a level that is no eigenvalue
-    (:class:`ClusterSizeError`).  ``border`` gives the border column ``ell``
-    of :func:`_bordered_partner` in one of two ways:
-
-    * a vector: ``ell`` itself, as :func:`_kernel_pair` gives it, which only
-      has to keep the bordered system regular and is not checked;
-    * the invariant form ``G`` of ``A`` (``G A = A^T G``, dense or sparse):
-      then ``ell = conj(G v)`` is a left kernel vector, ``ell^H (A - level)
-      = ((A - level) v)^T G = 0``, and it is certified: a ``G v`` that
-      vanishes (``||G v|| <= 1e-12 ||v||``) or a relative left residual
-      ``||ell^H shifted|| / (||shifted||_F ||ell||)`` above ``1e-8`` raises
-      ``ArithmeticError``.
+    (:class:`ClusterSizeError`).  ``gram`` is the invariant form ``G`` of
+    ``A`` (``G A = A^T G``, dense or sparse), and the border column of
+    :func:`_bordered_partner` is ``ell = conj(G v)``, a left kernel vector:
+    ``ell^H (A - level) = ((A - level) v)^T G = 0``.  It is certified: a
+    ``G v`` that vanishes (``||G v|| <= 1e-12 ||v||``) or a relative left
+    residual ``||ell^H shifted|| / (||shifted||_F ||ell||)`` above ``1e-8``
+    raises ``ArithmeticError``.
 
     The partner solves the bordered system, and a kernel or partner residual
     above ``1e-8`` raises ``ArithmeticError``; that is how a simple
     eigenvalue, whose kernel is one-dimensional too, is refused.
-    ``regularization`` is recorded in the cell.
     """
     null_dim, v = _near_kernel(shifted, X, level)
     if null_dim >= 2:
         raise DiagonalizableLevelError(
             f"level {level} is diagonalizable (kernel dimension {null_dim}); no coupling exists"
         )
-    if np.ndim(border) == 1:
-        ell = border
-    else:
-        form_v = border @ v
-        size = float(np.linalg.norm(form_v))
-        if size <= 1e-12 * np.linalg.norm(v):
-            raise ArithmeticError(f"the form annihilates the kernel vector at {level}")
-        left = float(np.linalg.norm(shifted.T @ form_v) / (spla.norm(shifted) * size))
-        if left > 1e-8:
-            raise ArithmeticError(
-                f"conj(G v) is no left kernel vector at {level}: left residual {left:.2e}"
-            )
-        ell = form_v.conj()
-    w = _bordered_partner(shifted, v, ell, v)
-    cell = _jordan_cell(shifted.dot, spla.norm(A), level, v, w, regularization)
+    form_v = gram @ v
+    size = float(np.linalg.norm(form_v))
+    if size <= 1e-12 * np.linalg.norm(v):
+        raise ArithmeticError(f"the form annihilates the kernel vector at {level}")
+    left = float(np.linalg.norm(shifted.T @ form_v) / (spla.norm(shifted) * size))
+    if left > 1e-8:
+        raise ArithmeticError(
+            f"conj(G v) is no left kernel vector at {level}: left residual {left:.2e}"
+        )
+    w = _bordered_partner(shifted, v, form_v.conj())
+    cell = _jordan_cell(shifted.dot, spla.norm(A), level, v, w)
     if max(cell.residual_v, cell.residual_w) > 1e-8:
         raise ArithmeticError(
             f"Jordan cell at {level} fails its cell relations: residuals "
@@ -411,40 +354,22 @@ def _cluster_span(shifted, vectors) -> np.ndarray:
     return u[:, s > 1e-12 * s[0]]
 
 
-def _cluster_cell(A, level: complex, vectors, gram) -> JordanCell:
+def extract_jordan_cell(A, level: complex, vectors, gram) -> JordanCell:
     """The certified cell at ``level`` from its cluster's eigenvectors; no LU of ``A - level``.
 
-    ``vectors`` are the eigenvectors of the cluster at ``level`` from any
-    eigensolver; their span (:func:`_cluster_span`) is the block of
-    :func:`_block_cell`, and ``gram``, the invariant form of ``A``, borders
-    the partner system.  Nothing is factored but the bordered system.
+    ``A`` is dense or sparse; ``vectors`` are the eigenvectors of the
+    cluster at ``level`` from any eigensolver, and ``gram`` is the invariant
+    form of ``A``.  The span of the vectors (:func:`_cluster_span`) is the
+    block of :func:`_block_cell`, which refuses a diagonalizable level
+    (:class:`DiagonalizableLevelError`), a level that is no eigenvalue
+    (:class:`ClusterSizeError`) and, by the partner residual, a simple one
+    (``ArithmeticError``), and borders the partner system with ``conj(G
+    v)``.  Nothing is factored but the bordered system, in float64 when
+    ``A`` is real and ``level`` has an imaginary part of exactly zero
+    (:func:`_shift`); the cell's ``value`` is ``level`` as passed either way.
     """
     A, shifted = _shift(A, level)
     return _block_cell(A, shifted, level, _cluster_span(shifted, vectors), gram)
-
-
-def extract_jordan_cell(A, level: complex) -> JordanCell:
-    """Eigenvector and minimal-norm Jordan partner at a degenerate level.
-
-    ``A`` is dense or sparse; ``level`` should be the cluster mean (from
-    :func:`full_spectrum` or any eigensolver).  Two-column inverse iteration
-    on one sparse LU of ``A - level`` spans its near-kernel
-    (:func:`_kernel_pair`), and :func:`_block_cell` decides the structure on
-    that block: a genuine cell has exactly one kernel direction below
-    ``1e-8`` times the Frobenius norm of the shift; two of them mean the
-    level is diagonalizable and no coupling exists
-    (:class:`DiagonalizableLevelError`), none that it is no eigenvalue
-    (:class:`ClusterSizeError`).  The partner solves the bordered system of
-    :func:`_bordered_partner`, bordered by the inverse iteration's left
-    direction.  Both sparse LUs (:func:`_factor`) are real when ``A`` is
-    real and ``level`` has an imaginary part of exactly zero; the cell's
-    ``value`` is ``level`` as passed either way.  A kernel or partner
-    residual above ``1e-8`` raises ``ArithmeticError``; that is how a
-    simple eigenvalue, whose kernel is one-dimensional too, is refused.
-    """
-    A, shifted = _shift(A, level)
-    X, ell, regularization = _kernel_pair(shifted, columns=2)
-    return _block_cell(A, shifted, level, X, ell, regularization)
 
 
 def _compression(A, Q: np.ndarray) -> np.ndarray:
@@ -461,28 +386,29 @@ def _compression(A, Q: np.ndarray) -> np.ndarray:
     return M
 
 
-def cell_structure(A, level: complex, vectors) -> tuple[int, float]:
+def cell_structure(A, level: complex, vectors, gram) -> tuple[int, float]:
     """Kernel dimension of ``A - level`` and the nilpotent norm of ``A`` on its cluster.
 
     For a cluster of two whose eigenvectors ``vectors`` an eigensolver
     already gave; it forms no dense spectrum and works on sparse ``A``.
     The kernel dimension is the decision of :func:`_near_kernel` on their
-    span (:func:`_cluster_span`).  The nilpotent norm is ``|t_12|`` of the
-    complex Schur form of ``A`` compressed onto an orthonormal basis ``Q``
-    of the cluster's invariant subspace: the span itself when the kernel is
-    two-dimensional, so nothing is factored, and the orthonormalized cell
-    ``[v, w]`` of :func:`extract_jordan_cell` when it is one-dimensional.
-    ``|t_12|`` is the same for every orthonormal basis of the subspace,
-    since the Frobenius norm and the eigenvalues of the 2x2 compression
-    are.  The cell and ``Q`` are certified (:func:`_compression`); a failed
-    check raises ``ArithmeticError``, and a level that is no eigenvalue
-    raises :class:`ClusterSizeError`.
+    span ``Q`` (:func:`_cluster_span`).  The nilpotent norm is ``|t_12|`` of
+    the complex Schur form of ``A`` compressed onto an orthonormal basis of
+    the cluster's invariant subspace: ``Q`` itself when the kernel is
+    two-dimensional, so nothing is factored and ``gram`` is not read, and
+    the orthonormalized cell ``[v, w]`` that :func:`_block_cell` builds on
+    ``Q``, bordered by the invariant form ``gram``, when it is
+    one-dimensional.  ``|t_12|`` is the same for every orthonormal basis of
+    the subspace, since the Frobenius norm and the eigenvalues of the 2x2
+    compression are.  The cell and the basis are certified
+    (:func:`_compression`); a failed check raises ``ArithmeticError``, and a
+    level that is no eigenvalue raises :class:`ClusterSizeError`.
     """
     A, shifted = _shift(A, level)
     Q = _cluster_span(shifted, vectors)
     null_dim, _ = _near_kernel(shifted, Q, level)
     if null_dim == 1:
-        cell = extract_jordan_cell(A, level)
+        cell = _block_cell(A, shifted, level, Q, gram)
         Q, _ = np.linalg.qr(np.column_stack([cell.vector, cell.partner]))
     t, _ = sla.schur(_compression(A, Q), output="complex")
     return null_dim, float(abs(t[0, 1]))
@@ -577,8 +503,7 @@ def block_jordan_cell(T00, T02, T22) -> tuple[JordanCell, tuple[complex, np.ndar
     Krylov steps (the second refines from the true residual) and raises
     :class:`ConvergenceError` when it stops unconverged; a partner residual
     above ``1e-8`` raises ``ArithmeticError``.  The cell is in stacked
-    coordinates, with the minimal-norm gauge applied to the partner; its
-    ``regularization`` is always 0.0.
+    coordinates, with the minimal-norm gauge applied to the partner.
 
     Returns ``(cell, (mu, u))``: the cell, and the Ritz value ``mu`` of
     ``T00`` largest in modulus with its real unit Ritz vector ``u`` (the
@@ -628,7 +553,7 @@ def block_jordan_cell(T00, T02, T22) -> tuple[JordanCell, tuple[complex, np.ndar
 
     # the largest eigenvalue modulus bounds the operator norm from below
     norm = max(float(np.max(np.abs(right))), lam1)
-    cell = _jordan_cell(shift, norm, lam1, v, w, 0.0)
+    cell = _jordan_cell(shift, norm, lam1, v, w)
     if cell.residual_w > 1e-8:
         raise ArithmeticError(
             f"block Jordan cell at {lam1} fails its partner relation: residual {cell.residual_w:.2e}"

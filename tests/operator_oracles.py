@@ -13,6 +13,10 @@
 * :func:`geometric_multiplicity` and :func:`nilpotent_norm` -- the kernel
   dimension and the nilpotent part of a dense operator at a level, the dense
   twins of :func:`loopcells.spectral.cell_structure`;
+* :func:`kernel_pair` and :func:`inverse_iteration_cell` -- the Jordan cell
+  at a level from inverse iteration on one sparse LU of the singular shift,
+  bordered by an uncertified left direction, with no spectrum and no form:
+  the twin of :func:`loopcells.spectral.extract_jordan_cell`;
 * :func:`tile_maps` and :func:`tile_matrix` -- the ``(stay, cols, rows,
   moved)`` map of each compiled tile of a
   :class:`loopcells.models.TransferOperator`, and the tile as a public
@@ -26,6 +30,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from loopcells import diagrams as dg
 from loopcells import models, spectral, tl
@@ -144,6 +149,64 @@ def nilpotent_norm(A: np.ndarray, level: complex, radius: float) -> float:
     block = t[:sdim, :sdim]
     nil = block - np.diag(np.diag(block))
     return float(np.max(np.abs(nil))) if sdim > 1 else 0.0
+
+
+def kernel_pair(shifted, columns: int = 1):
+    """Right kernel block and a left border direction of a nearly singular sparse shift.
+
+    One sparse LU of ``shifted`` (:func:`loopcells.spectral._factor`) serves
+    four steps of inverse iteration from a fixed pseudo-random start:
+    ``columns`` orthonormal right directions (kept orthonormal by QR) and
+    one left direction ``ell`` from conjugate-transposed solves; it is real
+    when ``shifted`` is.  ``ell`` is not certified to be a left null vector:
+    it only has to keep the bordered system regular.  At a Jordan cell it
+    need not converge: on the open chain at L = 14, y = 2, ``||ell^H
+    shifted|| / ||shifted||_F`` swings between about 1e-17 after odd steps
+    and 1e-4 after even ones.  When SuperLU finds the shift exactly singular
+    it is refactored once at ``shifted + delta I`` with ``delta = 1e-13
+    ||shifted||_F``; the identity shift moves no eigenvector.  Returns
+    ``(X, ell)``.
+    """
+    n = shifted.shape[0]
+    try:
+        lu = spectral._factor(shifted)
+    except RuntimeError:
+        delta = 1e-13 * spla.norm(shifted)
+        lu = spectral._factor((shifted + delta * sp.identity(n, format="csc")).tocsc())
+    start = np.random.default_rng(0).standard_normal((n, columns + 1))
+    X, ell = start[:, :columns], start[:, columns:]
+    for _ in range(4):
+        X, _ = np.linalg.qr(lu.solve(X))
+        ell, _ = np.linalg.qr(lu.solve(ell, trans="H"))
+    return X, ell[:, 0]
+
+
+def inverse_iteration_cell(A, level: complex) -> spectral.JordanCell:
+    """The Jordan cell of ``A`` (dense or sparse) at ``level`` from inverse iteration alone.
+
+    Two columns of :func:`kernel_pair` span the near-kernel, and the kernel
+    decision on them refuses a diagonalizable level
+    (:class:`~loopcells.spectral.DiagonalizableLevelError`) or one that is
+    no eigenvalue (:class:`~loopcells.spectral.ClusterSizeError`).  The
+    partner solves the system bordered by the inverse iteration's left
+    direction, and a kernel or partner residual above ``1e-8`` raises
+    ``ArithmeticError``.
+    """
+    A, shifted = spectral._shift(A, level)
+    X, ell = kernel_pair(shifted, columns=2)
+    null_dim, v = spectral._near_kernel(shifted, X, level)
+    if null_dim >= 2:
+        raise spectral.DiagonalizableLevelError(
+            f"level {level} is diagonalizable (kernel dimension {null_dim})"
+        )
+    w = spectral._bordered_partner(shifted, v, ell)
+    cell = spectral._jordan_cell(shifted.dot, spla.norm(A), level, v, w)
+    if max(cell.residual_v, cell.residual_w) > 1e-8:
+        raise ArithmeticError(
+            f"Jordan cell at {level} fails its cell relations: residuals "
+            f"{cell.residual_v:.2e}, {cell.residual_w:.2e}"
+        )
+    return cell
 
 
 def tile_maps(op: models.TransferOperator) -> list[tuple]:

@@ -247,6 +247,28 @@ class TestOtherCommands:
         assert "repeated widths" in err
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "command, sizes", [("deformed-b", "4,4"), ("percolation-check", "4,6,4")]
+    )
+    def test_repeated_widths_of_an_unfitted_sweep_are_a_usage_error(self, command, sizes, capsys,
+                                                                     monkeypatch):
+        from loopcells import observables
+
+        calls = []
+
+        def record(L, *args, **kwargs):
+            calls.append(L)
+
+        monkeypatch.setattr(observables, "b_deformed", record)
+        monkeypatch.setattr(observables, "percolation_check", record)
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--sizes", sizes])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and calls == []
+        assert f"repeated widths: each width is solved once, got [{sizes.replace(',', ', ')}]" in err
+        assert "extrapolation" not in err
+
     def test_fixtures_pass_and_exit_zero(self, capsys):
         code, out, _ = run(capsys, "fixtures")
         assert code == 0

@@ -150,6 +150,34 @@ def glue_link_gram(L: int, y) -> np.ndarray:
     return gram
 
 
+def unchunked_contractions(basis) -> np.ndarray:
+    """String contractions of every glued pair, all pairs ``a <= b`` walked at once (the oracle).
+
+    The walk of :func:`loopcells.forms._link_contractions` over
+    ``np.triu_indices``, with no chunking of the bra rows.
+    """
+    dim = len(basis)
+    partner = dg._arrays(basis)[0]
+    L = partner.shape[1]
+    string = partner == dg._STRING_SITE
+    even = string & (np.cumsum(string, axis=1) % 2 == 0)
+    width = 2 * L + 1
+    fixed = np.broadcast_to(np.arange(L, width), (dim, L + 1))
+    absorb = np.hstack([np.where(string, L + np.arange(L), partner), fixed]).ravel()
+    through = np.hstack([np.where(string, 2 * L, partner), fixed]).ravel()
+    a, b = np.triu_indices(dim)
+    count = np.zeros(len(a), dtype=np.intp)
+    for own, other in ((a, b), (b, a)):
+        pair, start = np.nonzero(even[own])
+        ends = forms._line_ends(
+            through, other[pair] * width, absorb, own[pair] * width, start, L // 2
+        )
+        count += np.bincount(pair[(ends > L + start) & (ends < 2 * L)], minlength=len(a))
+    counts = np.empty((dim, dim), dtype=np.int8)
+    counts[a, b] = counts[b, a] = count
+    return counts
+
+
 class TestLinkGram:
     @pytest.mark.parametrize("y", [1.0, 2.0, -1.0, 0.5])
     @pytest.mark.parametrize("L", range(1, 11))
@@ -175,6 +203,13 @@ class TestLinkGram:
         copy = basis.copy()
         assert forms._link_contractions(copy) is not counts
         np.testing.assert_array_equal(forms._link_contractions(copy), counts)
+
+    def test_chunked_counts_match_the_unchunked_walk(self):
+        # width 12 has 924 states: four chunks of 256 bra rows, the last partial
+        basis = dg._open_sites(12)
+        counts = forms._link_contractions(basis)
+        assert counts.dtype == np.int8 and not counts.flags.writeable
+        np.testing.assert_array_equal(counts, unchunked_contractions(basis))
 
     def test_gram_is_a_fresh_array_over_the_cached_counts(self):
         # a plain ndarray, float for a real weight and complex for a complex one

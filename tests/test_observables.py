@@ -717,6 +717,15 @@ class TestBuildOnce:
         assert len(calls) == len(factor_dtypes) == 2
 
 
+def dense_cell(L: int, y: complex) -> spectral.JordanCell:
+    """The cell at the fourth level of the width-L chain, from its two nearest dense eigenvectors."""
+    H = models.build_percolation_H(L, y)
+    vals, vecs = np.linalg.eig(H.toarray())
+    level = spectral.full_spectrum(H)[3].value
+    block = vecs[:, np.argsort(np.abs(vals - level))[:2]]
+    return spectral.extract_jordan_cell(H, level, block, forms.link_gram(L, y))
+
+
 class TestPercolationStructure:
     @pytest.mark.parametrize("L", [4, 6, 8])
     def test_undeformed_level_is_diagonalizable(self, L):
@@ -724,14 +733,12 @@ class TestPercolationStructure:
         level = spectral.full_spectrum(H)[3].value
         assert oracles.geometric_multiplicity(H, level) == 2
         with pytest.raises(spectral.DiagonalizableLevelError):
-            spectral.extract_jordan_cell(H, level)
+            dense_cell(L, 1.0)
 
     @pytest.mark.parametrize("y", [2.0, -1.0, 0.5])
     @pytest.mark.parametrize("L", [4, 6, 8])
     def test_deformed_levels_carry_cells(self, L, y):
-        H = models.build_percolation_H(L, y)
-        cell = spectral.extract_jordan_cell(H, spectral.full_spectrum(H)[3].value)
-        assert cell.residual_w < 1e-8
+        assert dense_cell(L, y).residual_w < 1e-8
 
     def test_width_four_report(self):
         report = obs.percolation_check(4)
@@ -755,7 +762,7 @@ def dense_percolation_check(L: int, y_values=(2.0, -1.0, 0.5), cluster_tol: floa
         Hy = models.build_percolation_H(L, y)
         cy = spectral.level_cluster(spectral.full_spectrum(Hy, cluster_tol), 3)
         try:
-            spectral.extract_jordan_cell(Hy, cy.value)
+            oracles.inverse_iteration_cell(Hy, cy.value)
             genuine[y] = True
         except spectral.DiagonalizableLevelError:
             genuine[y] = False
@@ -814,21 +821,28 @@ class TestPercolationCheck:
         with pytest.raises(ArithmeticError, match="fails its cell relations"):
             obs.percolation_check(8, y_values=(2.0,))
 
-    def test_undeformed_level_runs_no_inverse_iteration(self, monkeypatch):
-        # the y=1 structure is read off the spectrum's eigenvectors; only
-        # each deformed probe factors its shift for inverse iteration
-        shapes = []
-        kernel_pair = spectral._kernel_pair
+    def test_probes_factor_only_their_arpack_shift_and_border(self, monkeypatch):
+        # the y=1 structure is read off the spectrum's eigenvectors, and each
+        # deformed probe takes its cell from its own spectrum: every chain
+        # factors ARPACK's shift, each probe one bordered system, and no
+        # chain its shift at the level
+        factored = []
+        factor = spectral._factor
 
-        def spy(shifted, *args, **kwargs):
-            shapes.append(shifted.shape)
-            return kernel_pair(shifted, *args, **kwargs)
+        def spy(M):
+            factored.append(M)
+            return factor(M)
 
-        monkeypatch.setattr(spectral, "_kernel_pair", spy)
-        assert obs.percolation_check(10, y_values=()).diagonalizable
-        assert shapes == []
-        assert obs.percolation_check(10).diagonalizable
-        assert shapes == [(252, 252)] * 3
+        monkeypatch.setattr(spectral, "_factor", spy)
+        y_values = (2.0, -1.0, 0.5)
+        report = obs.percolation_check(10, y_values)
+        assert report.diagonalizable and all(report.deformed_genuine.values())
+        assert [M.shape for M in factored] == [(252, 252)] + [(252, 252), (253, 253)] * 3
+        sigma = -1.5 * (10 - 1) - 1.0
+        shifts = [M for M in factored if M.shape == (252, 252)]
+        for y, M in zip((1.0,) + y_values, shifts):
+            H = models.build_percolation_H(10, y)
+            np.testing.assert_allclose((H - M).diagonal(), sigma, rtol=0, atol=1e-12)
 
     def test_undeformed_chain_reads_as_no_cell(self):
         assert obs.percolation_check(6, y_values=(1.0, 2.0)).deformed_genuine == {1.0: False, 2.0: True}
