@@ -152,18 +152,27 @@ def _keys(sites: np.ndarray) -> np.ndarray:
     return _digits(sites, np.arange(L)) @ _place(L)
 
 
+def _kept(store: dict, key, build):
+    """``build()``, built once per ``key`` and kept in ``store`` for the last 16 keys.
+
+    ``store`` maps each key to its value, oldest first; the oldest is
+    dropped to make room.
+    """
+    if key not in store:
+        value = build()
+        if len(store) >= 16:
+            del store[next(iter(store))]
+        store[key] = value
+    return store[key]
+
+
 def _per_basis(store: dict, basis, build):
     """``build(basis)``, built once per basis object and kept in ``store`` for the last 16 bases.
 
     ``store`` maps the id of a basis to the basis and its value, oldest
     first; it holds each basis, so the id stays unique.
     """
-    if id(basis) not in store:
-        value = build(basis)
-        if len(store) >= 16:
-            del store[next(iter(store))]
-        store[id(basis)] = (basis, value)
-    return store[id(basis)][1]
+    return _kept(store, id(basis), lambda: (basis, build(basis)))[1]
 
 
 def _cached(basis):

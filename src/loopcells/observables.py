@@ -221,20 +221,21 @@ def _pair_b(v_r, w_r, v_l, w_l, bra, ket, gram):
 class _Chain(NamedTuple):
     """A width-L chain as :func:`_chain_b` solves and pairs it.
 
-    ``H`` is the operator whose low spectrum and Jordan cell are solved,
-    ``gram`` its invariant form as a matrix (the link Gram array of
-    :func:`_open_chain`, the sparse identity of :func:`_xxz_chain`) and
-    ``product`` the unnormalized trousers, all on one basis; the cell sits
-    at the distinct level ``level`` of ``H``.  A chain reduced to a symmetry
-    sector also carries ``lift``, which maps a sector vector to the full
-    chain, and ``certify(value, u, partner=None)``, which checks a lifted
-    eigenvector (and partner) against the full chain and raises
-    ``ArithmeticError``.
+    ``H`` is the operator whose Jordan cell is solved, ``spectrum`` its
+    :func:`_low_spectrum` result, ``gram`` its invariant form as a matrix
+    (the link Gram array of :func:`_open_chain`, the sparse identity of
+    :func:`_xxz_chain`) and ``product`` the unnormalized trousers, all on
+    one basis; the cell sits at the distinct level ``level`` of ``H``.  A
+    chain reduced to a symmetry sector also carries ``lift``, which maps a
+    sector vector to the full chain, and ``certify(value, u, partner=None)``,
+    which checks a lifted eigenvector (and partner) against the full chain
+    and raises ``ArithmeticError``.
     """
 
     H: object
     gram: object
     product: np.ndarray
+    spectrum: tuple
     level: int = 3
     lift: Callable | None = None
     certify: Callable | None = None
@@ -245,10 +246,10 @@ def _chain_b(
 ) -> BMeasurement:
     """The coupling b from the rank-two cell at ``chain.level`` of a chain.
 
-    ``chain`` comes from :func:`_xxz_chain` or :func:`_open_chain`.  One
-    :func:`_low_spectrum` call locates the level, gives the ground state and
-    gives the cell's near-kernel block: the eigenvectors of the level's
-    cluster.  :func:`loopcells.spectral.extract_jordan_cell` decides the kernel on
+    ``chain`` comes from :func:`_xxz_chain` or :func:`_open_chain`.  The
+    chain's spectrum locates the level, gives the ground state and gives
+    the cell's near-kernel block: the eigenvectors of the level's cluster.
+    :func:`loopcells.spectral.extract_jordan_cell` decides the kernel on
     that block and borders the partner system with ``conj(G v)`` under the
     chain's form ``G``, a certified left kernel vector.  The singular shift
     is never factored: ARPACK's shift (above :data:`_DENSE_SPECTRUM_STATES`
@@ -258,9 +259,8 @@ def _chain_b(
     trousers ``product`` at overlap one with the ground.  ``model`` only
     labels the result.
     """
-    H, gram, product = chain.H, chain.gram, chain.product
+    H, gram, product, spectrum = chain.H, chain.gram, chain.product, chain.spectrum
     v_f = fixtures.FERMI_VELOCITY
-    spectrum = _low_spectrum(H, L)
     cluster = _level(spectrum, chain.level, cluster_tol)
     if cluster.size != 2:
         raise spectral.ClusterSizeError(
@@ -344,8 +344,8 @@ def _xxz_chain(L: int, q: complex) -> _Chain:
     lift = sp.csr_matrix((1 / np.sqrt(size[label]), (np.arange(len(masks)), label)))
     mirror = find(models.reflect_flip(masks, L))
     return _Chain(
-        H_s, sp.identity(len(size), format="csr"), lift.T @ product, 2, lift.__matmul__,
-        _lift_certificate(H, lift.__matmul__, mirror, f"L={L} spin chain"),
+        H_s, sp.identity(len(size), format="csr"), lift.T @ product, _low_spectrum(H_s, L), 2,
+        lift.__matmul__, _lift_certificate(H, lift.__matmul__, mirror, f"L={L} spin chain"),
     )
 
 
@@ -360,7 +360,7 @@ def trousers_xxz(L: int, q: complex | None = None) -> TrousersState:
     if L % 4:
         raise ValueError("spin trousers need L/2 even, i.e. L a multiple of 4")
     chain = _xxz_chain(L, fixtures.Q_VALUE if q is None else q)
-    e0, u0 = _ground(_low_spectrum(chain.H, L), chain.gram)
+    e0, u0 = _ground(chain.spectrum, chain.gram)
     chain.certify(e0, u0)
     v0 = spectral.sign_fix(chain.lift(u0))
     product = chain.lift(chain.product)
@@ -539,31 +539,59 @@ def b_polymer(
 # Deformed percolation chain: trousers and b
 
 
+_OPEN_SOLVES: dict[tuple, tuple] = {}  # (L, y, complex y) -> (H, its spectrum), oldest first
+
+
+def _open_solve(L: int, y: complex):
+    """``(H, spectrum)`` of the width-L open chain at ``y``, solved once per process.
+
+    ``H`` is :func:`loopcells.models.build_percolation_H` as built and
+    ``spectrum`` its :func:`_low_spectrum`, whose arrays are made read-only;
+    the last 16 chains are kept.  ``y = 2`` and ``y = 2.0`` build the same
+    real chain and share it, while ``y = 2+0j`` builds a complex chain and
+    is kept apart.
+    """
+    def solve():
+        H = models.build_percolation_H(L, y)
+        spectrum = _low_spectrum(H, L)
+        for array in spectrum:
+            array.flags.writeable = False
+        return H, spectrum
+
+    return diagrams._kept(_OPEN_SOLVES, (L, y, bool(np.iscomplexobj(y))), solve)
+
+
 def _open_chain(L: int, y: complex) -> _Chain:
-    """``(H, y-form, unnormalized trousers)`` of the width-L open chain at loop weight one.
+    """``(H, y-form, unnormalized trousers, spectrum)`` of the width-L open chain at loop weight one.
 
     The whole chain is solved on the open basis
     (:func:`loopcells.diagrams._open_sites`), and ``gram`` is the Gram array
     of :func:`loopcells.forms.link_gram` on it; the cell is at the fourth
-    distinct level.
+    distinct level.  The chain and its half chain come from
+    :func:`_open_solve`, so a process solves each ``(L, y)`` chain once:
+    the half chain of width 8 is the full chain of width 4, and a chain
+    that :func:`percolation_check` probed is not solved again.
     """
     gram, half_gram = forms.link_gram(L, y), forms.link_gram(L // 2, y)
-    _, g = _ground(_low_spectrum(models.build_percolation_H(L // 2, y), L // 2), half_gram)
+    _, g = _ground(_open_solve(L // 2, y)[1], half_gram)
     half = diagrams._open_sites(L // 2)
     rows = diagrams._arrays(diagrams._open_sites(L))[1](diagrams._side_by_side(half, half))
     product = _place(rows, g, g, len(gram))
-    return _Chain(models.build_percolation_H(L, y), gram, product)
+    H, spectrum = _open_solve(L, y)
+    return _Chain(H, gram, product, spectrum)
 
 
 def trousers_open(L: int, y: complex = 1.0) -> TrousersState:
     """Open-chain trousers state, overlap one with the ground state under the y-form.
 
-    As for the spin chain, one vector (labelled ``"right"``) serves both sides.
+    As for the spin chain, one vector (labelled ``"right"``) serves both
+    sides.  The ground state is read off the chain's spectrum, which
+    :func:`_open_chain` takes from :func:`_open_solve`.
     """
     if L % 2:
         raise ValueError("open trousers need even L")
     chain = _open_chain(L, y)
-    _, v0 = _ground(_low_spectrum(chain.H, L), chain.gram)
+    _, v0 = _ground(chain.spectrum, chain.gram)
     vec = chain.product / (chain.product @ (chain.gram @ v0))
     return TrousersState(f"open:y={y}", L, "right", vec, "overlap with ground = 1")
 
@@ -591,10 +619,14 @@ def percolation_check(
 ) -> PercolationReport:
     """Diagnose the would-be Jordan level of the geometric (y=1) chain.
 
-    One low spectrum of the sparse y=1 chain (:func:`_low_spectrum`) locates
-    the cluster at the fourth distinct level and holds its eigenvectors.
-    Their span gives the level's geometric multiplicity and the norm of its
-    nilpotent part, which vanishes exactly when the level is diagonalizable
+    Every chain comes from :func:`_open_solve`, so a chain this check
+    probes is solved once per process and :func:`b_deformed` of the same
+    ``(L, y)`` reads the same solve; each cell is still built and certified
+    on its own.  One low spectrum of the sparse y=1 chain
+    (:func:`_low_spectrum`) locates the cluster at the fourth distinct level
+    and holds its eigenvectors.  Their span gives the level's geometric
+    multiplicity and the norm of its nilpotent part, which vanishes exactly
+    when the level is diagonalizable
     (:func:`loopcells.spectral.cell_structure`, with the y=1 link Gram); the
     y=1 shift is not factored and no dense spectrum is formed.  The spectrum
     does not depend on ``y``, so each deformed chain in ``y_values`` is
@@ -607,16 +639,14 @@ def percolation_check(
     one without the level :class:`~loopcells.spectral.ClusterSizeError`, and
     ``y = 1`` reads ``False``.
     """
-    H1 = models.build_percolation_H(L, 1.0)
-    spectrum = _low_spectrum(H1, L)
+    H1, spectrum = _open_solve(L, 1.0)
     c3 = _level(spectrum, 3, cluster_tol)
     vals, vecs = spectrum
     block = vecs[:, np.isin(vals, c3.members)]
     gm, nil = spectral.cell_structure(H1, c3.value, block, forms.link_gram(L, 1.0))
     genuine: dict = {}
     for y in y_values:
-        H = models.build_percolation_H(L, y)
-        vals, vecs = _low_spectrum(H, L)
+        H, (vals, vecs) = _open_solve(L, y)
         near = min(
             spectral.cluster_eigenvalues(vals, cluster_tol), key=lambda c: abs(c.value - c3.value)
         )

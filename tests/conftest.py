@@ -8,9 +8,15 @@ neither flake nor time out on a slow runner.
 import pytest
 from hypothesis import settings
 
-from loopcells import spectral
+from loopcells import observables, spectral
 
 settings.register_profile("ci", derandomize=True, deadline=None)
+
+
+@pytest.fixture(autouse=True)
+def fresh_open_solves(monkeypatch) -> None:
+    """An empty store of solved open chains for each test, so no test reads another's solves."""
+    monkeypatch.setattr(observables, "_OPEN_SOLVES", {})
 
 
 @pytest.fixture

@@ -2,8 +2,8 @@
 
 One test per checklist item; each prints a visible PASS/FAIL line with the
 measured deviations, then asserts the same conditions, so the suite both
-reports and enforces the full gate.  The two iterative large-size groups
-(spin widths 16/20, polymer widths 12/14) are opt-in via the
+reports and enforces the full gate.  The three iterative large-size groups
+(spin widths 16/20, polymer widths 12/14, percolation widths 12/14) are opt-in via the
 ``LOOPCELLS_BEST_EFFORT`` environment variable, and the heaviest widths
 additionally skip themselves on machines without enough free memory.
 """
@@ -356,3 +356,29 @@ def test_best_effort_polymer_sizes(capsys, L):
     err = abs(obs.b_polymer(L).value - fx.B_POLYMER_TABLE[L])
     announce(capsys, err < TABLE_TOL, f"best-effort polymer width {L}", f"deviation {err:.1e}")
     assert err < TABLE_TOL
+
+
+@pytest.mark.skipif(not RUN_BEST_EFFORT, reason="set LOOPCELLS_BEST_EFFORT=1 to run")
+@pytest.mark.parametrize("L", (12, 14))
+def test_best_effort_percolation_sizes(capsys, xxz_b, L):
+    # test 6 at widths 12 and 14: the probes and b_deformed of one (L, y)
+    # read the same solve of the chain, each cell is certified on its own
+    report = obs.percolation_check(L, y_values=DEFORMATIONS)
+    structure = (
+        report.diagonalizable
+        and report.geometric_multiplicity == 2
+        and report.nilpotent_norm < 1e-8
+        and all(report.deformed_genuine.values())
+    )
+    values = [obs.b_deformed(L, y).value for y in DEFORMATIONS]
+    if L % 4 == 0:
+        err = max(abs(v - xxz_b[L].value) for v in values)
+    else:
+        # no spin counterpart: the deformations must agree pairwise
+        err = max(values) - min(values)
+    announce(
+        capsys, structure and err < CELL_EQUALITY_TOL, f"best-effort percolation width {L}",
+        f"structure {'ok' if structure else 'WRONG'}, b equality {err:.1e}",
+    )
+    assert structure
+    assert err < CELL_EQUALITY_TOL

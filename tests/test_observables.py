@@ -188,7 +188,7 @@ def full_chain_b_xxz(L: int, cell_scale: complex = 1.0) -> obs.BMeasurement:
     half = np.array(half_masks)
     rows = dg._lookup(np.array(masks))(((half[:, None] << L // 2) | half).ravel())
     product = obs._place(rows, g, g, len(masks))
-    chain = obs._Chain(H, sp.identity(len(masks), format="csr"), product)
+    chain = obs._Chain(H, sp.identity(len(masks), format="csr"), product, obs._low_spectrum(H, L))
     return obs._chain_b("xxz", L, chain, cell_scale, 1e-5)
 
 
@@ -520,6 +520,8 @@ class TestGoldenValues:
             return obs.b_xxz(8) if y is None else obs.b_deformed(8, y)
 
         dense = measure()
+        # the dense solves of the open chains are kept; solve them again
+        monkeypatch.setattr(obs, "_OPEN_SOLVES", {})
         solved = []
         low_spectrum = obs._low_spectrum
 
@@ -717,6 +719,58 @@ class TestBuildOnce:
         assert len(calls) == len(factor_dtypes) == 2
 
 
+class TestOpenSolves:
+    def test_warm_deformed_b_equals_a_cold_one(self, monkeypatch):
+        # after the probe has solved the y=2 chain, b_deformed factors only
+        # its bordered partner system: no ARPACK shift, no chain rebuilt
+        cold = obs.b_deformed(10, 2.0)
+        monkeypatch.setattr(obs, "_OPEN_SOLVES", {})
+        obs.percolation_check(10)
+        factored = []
+        factor = spectral._factor
+
+        def spy(M):
+            factored.append(M.shape)
+            return factor(M)
+
+        monkeypatch.setattr(spectral, "_factor", spy)
+        warm = obs.b_deformed(10, 2.0)
+        assert vars(warm) == vars(cold)
+        assert factored == [(253, 253)]
+
+    def test_doubled_widths_share_a_chain(self, monkeypatch):
+        # the half chain of width 8 is the full chain of width 4
+        chains = count_calls(monkeypatch, models, "build_percolation_H")
+        obs.b_deformed(4, 2.0)
+        obs.b_deformed(8, 2.0)
+        assert chains == [2, 4, 8]
+
+    def test_real_and_complex_y_are_kept_apart(self, factor_dtypes):
+        H_real, _ = obs._open_solve(10, 2.0)
+        assert obs._open_solve(10, 2)[0] is H_real
+        H_complex, _ = obs._open_solve(10, 2 + 0j)
+        assert factor_dtypes == [np.dtype(np.float64), np.dtype(np.complex128)]
+        assert (H_real.dtype, H_complex.dtype) == (np.float64, np.complex128)
+        assert len(obs._OPEN_SOLVES) == 2
+
+    @pytest.mark.parametrize("L", [4, 10], ids=["dense", "arpack"])
+    def test_stored_spectrum_is_read_only(self, L):
+        for array in obs._open_solve(L, 2.0)[1]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_seventeenth_chain_drops_the_first(self, monkeypatch):
+        chains = count_calls(monkeypatch, models, "build_percolation_H")
+        ys = [1.0 + k for k in range(17)]
+        for y in ys:
+            obs._open_solve(4, y)
+        assert len(chains) == 17 and len(obs._OPEN_SOLVES) == 16
+        obs._open_solve(4, ys[-1])
+        assert len(chains) == 17
+        obs._open_solve(4, ys[0])
+        assert len(chains) == 18
+
+
 def dense_cell(L: int, y: complex) -> spectral.JordanCell:
     """The cell at the fourth level of the width-L chain, from its two nearest dense eigenvectors."""
     H = models.build_percolation_H(L, y)
@@ -853,7 +907,7 @@ class TestPercolationCheck:
         H = ladder(200)
         spectrum = obs._low_spectrum(H, 2)
         assert len(spectrum[0]) == 6
-        chain = obs._Chain(H, sp.identity(200, format="csr"), np.ones(200))
+        chain = obs._Chain(H, sp.identity(200, format="csr"), np.ones(200), spectrum)
         with pytest.raises(spectral.ClusterSizeError, match="cut short"):
             obs._chain_b("ladder", 2, chain, 1.0, 1e-5)
         monkeypatch.setattr(models, "build_percolation_H", lambda L, y=1.0: H)
