@@ -7,8 +7,9 @@ basis keys shifted at the few sites a move changes.
 
 * :func:`build_xxz` -- the open anisotropic spin chain at ``q = exp(i pi/3)``
   with its boundary field, in the zero-magnetization sector (sparse);
-  :func:`build_xxz_sector` restricts it to the sector even under
-  :func:`reflect_flip`, where its ground state and Jordan cell lie;
+  :func:`reflect_flip_isometry` maps the sector even under
+  :func:`reflect_flip`, where its ground state and Jordan cell lie, into
+  that basis;
 * :func:`build_ising_sector` -- the critical transverse-field chain on a
   ring, restricted to the sector invariant under rotation and global spin
   flip, where its Perron ground state lies (:func:`ising_orbits`);
@@ -61,42 +62,32 @@ from .tl import _cup_cap_weights, _cup_caps, _spins, spin_sector_basis
 # Spin chains
 
 
-def _xxz_columns(cols: np.ndarray, L: int, q: complex):
-    """Nonzero entries of the columns ``cols`` (spin masks) of the open chain.
-
-    Returns ``(rows, at, vals)``: entry ``vals[k]`` sits in the row of mask
-    ``rows[k]`` and the column of mask ``cols[at[k]]``; each column lists its
-    diagonal entry first.  :func:`build_xxz` reads every column of the
-    sector, :func:`build_xxz_sector` only the orbit representatives.
-    """
-    spins = _spins(cols, L)
-    nhalf = (q + 1 / q) / 2
-    delta = (q - 1 / q) / 2
-    diag = sum(nhalf * spins[:, i] * spins[:, i + 1] for i in range(L - 1))
-    diag = diag + delta * (spins[:, 0] - spins[:, L - 1])
-    rows, at = [cols], [np.arange(len(cols))]
-    for i in range(L - 1):
-        # sx sx + sy sy swap antiparallel neighbours with weight 2
-        swap = np.flatnonzero(spins[:, i] != spins[:, i + 1])
-        rows.append(cols[swap] ^ (3 << (L - 2 - i)))
-        at.append(swap)
-    rows, at = np.concatenate(rows), np.concatenate(at)
-    return rows, at, np.concatenate([diag, np.full(len(rows) - len(cols), 2.0)])
-
-
 def build_xxz(L: int, q: complex | None = None) -> tuple[sp.csr_matrix, list[int]]:
     """Sparse zero-magnetization Hamiltonian of the open anisotropic chain.
 
     ``H = sum_i [sx sx + sy sy + ((q+1/q)/2) sz sz] + ((q-1/q)/2)(sz_1 - sz_L)``
 
     Returns the matrix and the list of basis bit masks (bit set = down spin,
-    site 1 = most significant bit, masks ascending).
+    site 1 = most significant bit, masks ascending).  A width below two or
+    an odd one has no zero-magnetization chain and raises ``ValueError``.
     """
-    if L % 2:
-        raise ValueError("zero-magnetization sector needs even L")
+    if L < 2 or L % 2:
+        raise ValueError(f"zero-magnetization sector needs even L >= 2, got {L}")
     q = fixtures.Q_VALUE if q is None else q
     masks = np.array(spin_sector_basis(L, up_count=L // 2))
-    rows, cols, vals = _xxz_columns(masks, L, q)
+    spins = _spins(masks, L)
+    nhalf = (q + 1 / q) / 2
+    delta = (q - 1 / q) / 2
+    diag = sum(nhalf * spins[:, i] * spins[:, i + 1] for i in range(L - 1))
+    diag = diag + delta * (spins[:, 0] - spins[:, L - 1])
+    rows, cols = [masks], [np.arange(len(masks))]
+    for i in range(L - 1):
+        # sx sx + sy sy swap antiparallel neighbours with weight 2
+        swap = np.flatnonzero(spins[:, i] != spins[:, i + 1])
+        rows.append(masks[swap] ^ (3 << (L - 2 - i)))
+        cols.append(swap)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    vals = np.concatenate([diag, np.full(len(rows) - len(masks), 2.0)])
     dim = len(masks)
     # ascending masks are their own lookup keys
     coo = sp.coo_matrix((vals, (_lookup(masks)(rows), cols)), shape=(dim, dim), dtype=complex)
@@ -119,43 +110,25 @@ def reflect_flip(masks: np.ndarray, L: int) -> np.ndarray:
     return mirrored ^ ((1 << L) - 1)
 
 
-def build_xxz_sector(
-    L: int, q: complex | None = None
-) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """The open chain restricted to the sector even under :func:`reflect_flip`.
+def reflect_flip_isometry(masks: np.ndarray, L: int) -> sp.csr_matrix:
+    """The isometry ``S`` onto the sector even under :func:`reflect_flip`.
 
     An orbit of the reflection-flip ``P`` is a mask ``m`` and ``P m``: two
-    masks, or one when ``m`` is its own image.  With ``S`` the isometry whose
-    column ``o`` is ``1/sqrt(N_o)`` on each mask of orbit ``o`` (entries 1
-    and ``1/sqrt(2)``), the reduced operator is ``S^T H S``.  ``P`` commutes
-    with ``H``, so, as in :func:`build_ising_sector`, it is read off the
-    columns of the orbit representatives ``r`` (the smaller mask): each
-    entry ``H[m, r]`` adds ``H[m, r] sqrt(N_r / N_s)`` at ``[s, r]``, ``s``
-    the orbit of ``m``.  ``S`` is real, so the bilinear pairing of two
+    masks, or one when ``m`` is its own image.  Column ``o`` of ``S`` is
+    ``1/sqrt(N_o)`` on each of the ``N_o`` masks of orbit ``o`` (entries 1
+    and ``1/sqrt(2)``); the orbits are ordered by their smaller mask.  With
+    :func:`build_xxz`'s ``H`` and ``masks``, the sector operator is
+    ``S^T H S``, a sector vector ``u`` lifts to ``S u`` and a full vector
+    projects to ``S^T v``.  ``S`` is real, so the bilinear pairing of two
     sector vectors equals that of their lifts.
-
-    Returns ``(H_sector, label, size)``: the orbit index of every mask of
-    :func:`build_xxz`'s basis and the size of every orbit; a sector vector
-    ``u`` lifts to ``u[label] / sqrt(size[label])``.
     """
-    if L % 2:
-        raise ValueError("zero-magnetization sector needs even L")
-    q = fixtures.Q_VALUE if q is None else q
-    masks = np.array(spin_sector_basis(L, up_count=L // 2))
-    images = reflect_flip(masks, L)
-    reps = masks[masks <= images]
-    orbit = _lookup(reps)
-
-    def label_of(m: np.ndarray) -> np.ndarray:
-        return orbit(np.minimum(m, reflect_flip(m, L)))
-
-    size = np.where(reps == reflect_flip(reps, L), 1, 2)
-    rows, cols, vals = _xxz_columns(reps, L, q)
-    rows = label_of(rows)
-    dim = len(reps)
-    vals = vals * np.sqrt(size[cols] / size[rows])
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-    return sp.csr_matrix(coo), label_of(masks), size
+    masks = np.asarray(masks)
+    reps = np.minimum(masks, reflect_flip(masks, L))
+    _, label, size = np.unique(reps, return_inverse=True, return_counts=True)
+    dim = len(masks)
+    return sp.csr_matrix(
+        (1 / np.sqrt(size[label]), (np.arange(dim), label)), shape=(dim, len(size))
+    )
 
 
 def _ising_diagonal(masks: np.ndarray, L: int) -> np.ndarray:

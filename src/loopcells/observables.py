@@ -325,27 +325,29 @@ def _xxz_chain(L: int, q: complex) -> _Chain:
 
     The ground state, the trousers product and the Jordan cell are even
     under the reflection-flip ``P`` (:func:`loopcells.models.reflect_flip`),
-    so the chain is solved on ``S^T H S``
-    (:func:`loopcells.models.build_xxz_sector`).  That spectrum keeps only
-    the even levels, so the cell is at its third distinct level (index 2),
-    not the fourth.  The trousers is projected by ``S^T``; ``S`` is real
-    and the form is the identity, so every pairing equals the full chain's.
-    The chain certifies its lifted vectors against the full sparse ``H``,
-    with ``P`` as the symmetry whose odd part must vanish.
+    so the chain is solved on ``S^T H S``, with ``S`` the isometry onto
+    that sector (:func:`loopcells.models.reflect_flip_isometry`) and ``H``
+    the full sparse chain, assembled once.  That spectrum keeps only the
+    even levels, so the cell is at its third distinct level (index 2), not
+    the fourth.  The trousers is projected by ``S^T`` and sector vectors
+    lift by ``S``; ``S`` is real and the form is the identity, so every
+    pairing equals the full chain's.  The chain certifies its lifted
+    vectors against the same ``H``, with ``P`` as the symmetry whose odd
+    part must vanish.
     """
     H, masks = models.build_xxz(L, q)
-    H_s, label, size = models.build_xxz_sector(L, q)
     half_H, half_masks = models.build_xxz(L // 2, q)
     _, g = _ground(_low_spectrum(half_H, L // 2), np.eye(len(half_masks)))
     half, masks = np.array(half_masks), np.array(masks)
     find = diagrams._lookup(masks)
     rows = find(((half[:, None] << L // 2) | half).ravel())
     product = _place(rows, g, g, len(masks))
-    lift = sp.csr_matrix((1 / np.sqrt(size[label]), (np.arange(len(masks)), label)))
+    S = models.reflect_flip_isometry(masks, L)
+    H_s = (S.T @ H @ S).tocsr()
     mirror = find(models.reflect_flip(masks, L))
     return _Chain(
-        H_s, sp.identity(len(size), format="csr"), lift.T @ product, _low_spectrum(H_s, L), 2,
-        lift.__matmul__, _lift_certificate(H, lift.__matmul__, mirror, f"L={L} spin chain"),
+        H_s, sp.identity(S.shape[1], format="csr"), S.T @ product, _low_spectrum(H_s, L), 2,
+        S.__matmul__, _lift_certificate(H, S.__matmul__, mirror, f"L={L} spin chain"),
     )
 
 
@@ -748,14 +750,17 @@ def _power_law_fit(ell: np.ndarray, val: np.ndarray) -> tuple[float, float]:
 
 
 def _fit_sizes(sizes) -> list:
-    """``sizes`` ascending, refused up front unless there are two or more, all distinct.
+    """``sizes`` ascending, refused unless there are two or more, all distinct and positive.
 
     The exact 1/L interpolation of :func:`_inverse_power_fit` is singular
-    otherwise, so ``ValueError`` is raised before any width is solved.
+    otherwise, and a width below one has no sites, so ``ValueError`` is
+    raised before any width is solved.
     """
     sizes = sorted(sizes)
-    if len(sizes) < 2 or len(set(sizes)) < len(sizes):
-        raise ValueError(f"the 1/L fit needs at least two sizes, all distinct, got {sizes}")
+    if len(sizes) < 2 or len(set(sizes)) < len(sizes) or sizes[0] < 1:
+        raise ValueError(
+            f"the 1/L fit needs at least two sizes, all distinct and positive, got {sizes}"
+        )
     return sizes
 
 
@@ -843,7 +848,8 @@ def ising_boundary_entropy(sizes=(12, 14, 16, 18), bc: str = "fixed") -> FitResu
     every configuration, and certified there against the full ring; see
     :func:`_ising_ground_state`.  :func:`ising_boundary_entropies` gives
     both conditions from one solve per width.  Fewer than two sizes, or a
-    repeated one, raise ``ValueError`` before any width is solved.
+    repeated or non-positive one, raise ``ValueError`` before any width is
+    solved.
     """
     if bc not in ("fixed", "free"):
         raise ValueError(f"unknown boundary condition {bc!r}")
@@ -926,8 +932,8 @@ def loop_boundary_entropy(n: float, n1: float, sizes=(12, 14, 16, 18)) -> LoopEn
     ``ArithmeticError``.  Weights ``n <= 0`` are refused: the row then has
     no positive leading state, and the one of largest modulus has a negative
     or vanishing loop-form square at every width tried.  Fewer than two
-    sizes, or a repeated or odd one, raise ``ValueError`` before any width
-    is solved.
+    sizes, or a repeated, odd or non-positive one, raise ``ValueError``
+    before any width is solved.
     """
     if not (0 < n < 2):
         raise ValueError("the loop weight must satisfy 0 < n < 2")

@@ -42,9 +42,13 @@ The ``w`` returned by the solvers is defined up to adding multiples of
 couplings are insensitive to it (their residual sensitivity is reported as
 the overlap of the probe state with ``v``).
 
-The leading (Perron) eigenpairs that both the transfer rows and the entropy
-fits need come from the single power iteration :func:`perron_pair`, which
-raises :class:`ConvergenceError` rather than return an unconverged iterate.
+The leading (Perron) eigenpairs of the transfer rows and the entropy fits
+come from the power iteration :func:`perron_pair`, which raises
+:class:`ConvergenceError` rather than return an unconverged iterate; the
+one exception is the polymer row's ``lambda_0``, which is the leading Ritz
+value that :func:`block_jordan_cell` already found for the zero-string
+block, certified by its caller
+(:func:`loopcells.observables.b_polymer`).
 
 The dense routines accept scipy sparse operators too; they densify them
 only up to :data:`DENSE_LIMIT` and refuse larger ones before allocating.

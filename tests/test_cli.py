@@ -139,6 +139,11 @@ class TestSpinChainCommand:
         assert code == 1
         assert "error:" in err and "multiple of 4" in err
 
+    def test_width_zero_is_a_pipeline_error(self, capsys):
+        code, out, err = run(capsys, "xxz-b", "--sizes", "0")
+        assert code == 1
+        assert "error:" in err and "needs even L" in err
+
     def test_out_writes_file_and_keeps_stdout_quiet(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(
@@ -190,6 +195,12 @@ class TestOtherCommands:
         assert [r["bc"] for r in rows] == ["fixed", "free"]
         assert rows[0]["difference"] < 5e-3
         assert abs(rows[1]["s"]) < 1e-3
+
+    @pytest.mark.parametrize("sizes", ["0,2", "0,2,4"])
+    def test_ising_entropy_width_zero_is_a_pipeline_error(self, capsys, sizes):
+        code, out, err = run(capsys, "ising-entropy", "--sizes", sizes)
+        assert code == 1
+        assert "error:" in err and "all distinct and positive" in err
 
     def test_ising_entropy_solves_each_width_once(self, capsys, monkeypatch):
         from loopcells import observables

@@ -317,12 +317,17 @@ class TestXXZSector:
 
     @pytest.mark.parametrize("L", range(2, 15, 2))
     def test_sector_is_the_isometric_restriction(self, L):
-        H, label, size = models.build_xxz_sector(L)
-        S = orbit_isometry(label, size)
+        masks = tl.spin_sector_basis(L, L // 2)
+        S = models.reflect_flip_isometry(np.array(masks), L)
+        # one entry per mask, in the column of its orbit; orbits ordered by
+        # their smaller mask
+        assert S.nnz == len(masks)
+        reps = [min(m, reflect_flip_oracle(m, L)) for m in masks]
+        order = sorted(set(reps))
+        assert S.indices.tolist() == [order.index(r) for r in reps]
         assert set(np.unique(S.data).round(15)) <= {1.0, round(1 / np.sqrt(2), 15)}
-        np.testing.assert_allclose((S.T @ S).toarray(), np.eye(len(size)), atol=1e-15)
-        expect = (S.T @ models.build_xxz(L)[0] @ S).toarray()
-        np.testing.assert_allclose(H.toarray(), expect, rtol=0, atol=1e-13)
+        np.testing.assert_allclose((S.T @ S).toarray(), np.eye(len(order)), atol=1e-15)
+        assert abs(xxz_permutation(L) @ S - S).max() == 0
 
     @pytest.mark.parametrize("L, dim", [(4, 5), (8, 43), (12, 494), (16, 6563)])
     def test_sector_dimension(self, L, dim):
@@ -330,17 +335,18 @@ class TestXXZSector:
         masks = tl.spin_sector_basis(L, L // 2)
         fixed = sum(reflect_flip_oracle(m, L) == m for m in masks)
         assert (len(masks) + fixed) // 2 == dim
-        assert models.build_xxz_sector(L)[0].shape == (dim, dim)
+        assert models.reflect_flip_isometry(np.array(masks), L).shape == (len(masks), dim)
 
     @pytest.mark.parametrize("L", [4, 8])
     def test_full_spectrum_is_the_even_and_the_odd_sector(self, L):
         H, masks = models.build_xxz(L)
-        _, label, size = models.build_xxz_sector(L)
+        S = models.reflect_flip_isometry(np.array(masks), L)
         P = xxz_permutation(L)
-        pairs = np.flatnonzero(size[label] == 2)
+        pairs = np.flatnonzero(S.data < 1)  # the masks of two-mask orbits
         odd = (sp.identity(len(masks), format="csr") - P)[:, pairs] / np.sqrt(2)
         odd = odd[:, np.flatnonzero(pairs < P.indices[pairs])]  # one column per orbit
-        even = models.build_xxz_sector(L)[0].toarray()
+        even = (S.T @ H @ S).toarray()
+        np.testing.assert_array_equal(even, even.T)
         both = np.concatenate(
             [np.linalg.eigvals(even), np.linalg.eigvals((odd.T @ H @ odd).toarray())]
         )

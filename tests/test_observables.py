@@ -157,6 +157,10 @@ class TestSpinChainB:
     def test_width_must_be_multiple_of_four(self):
         with pytest.raises(ValueError, match="multiple of 4"):
             obs.b_xxz(6)
+        # multiples of four below two have no zero-magnetization chain
+        for L in (0, -4):
+            with pytest.raises(ValueError, match="needs even L"):
+                obs.b_xxz(L)
 
     def test_width_eight_matches_table(self):
         m = obs.b_xxz(8)
@@ -205,24 +209,36 @@ class TestSpinSector:
         chain = obs._xxz_chain(8, fx.Q_VALUE)
         assert chain.level == 2 and chain.H.shape == (43, 43)
 
-    def test_chain_breaking_the_symmetry_is_refused(self, monkeypatch):
-        # a diagonal kick on one mask of a two-mask orbit: H no longer
-        # commutes with the reflection-flip, so the sector's lifted cell
-        # misses the full chain
+    @pytest.mark.parametrize(
+        "sign, error, match",
+        [
+            # one mask of a two-mask orbit: S^T H S sees the kick, which
+            # splits the cell's cluster
+            (0, spectral.ClusterSizeError, "not a double cluster"),
+            # P-odd, the two masks of one orbit in opposite directions:
+            # S^T H S cannot see it, so the lifted cell misses the full chain
+            (-1, ArithmeticError, "L=8 spin chain .* fails the full chain"),
+        ],
+        ids=["one-sided", "P-odd"],
+    )
+    def test_chain_breaking_the_symmetry_is_refused(self, monkeypatch, sign, error, match):
+        # a diagonal kick that keeps H from commuting with the reflection-flip
         build = models.build_xxz
         masks = np.array(build(8)[1])
-        k = int(np.flatnonzero(models.reflect_flip(masks, 8) != masks)[0])
+        images = dg._lookup(masks)(models.reflect_flip(masks, 8))
+        k = int(np.flatnonzero(images != np.arange(len(masks)))[0])
 
         def kicked(L, q=None):
             H, masks = build(L, q)
             if L == 8:
                 H = H.tolil()
                 H[k, k] += 1e-3
+                H[images[k], images[k]] += sign * 1e-3
                 H = H.tocsr()
             return H, masks
 
         monkeypatch.setattr(models, "build_xxz", kicked)
-        with pytest.raises(ArithmeticError, match="L=8 spin chain .* fails the full chain"):
+        with pytest.raises(error, match=match):
             obs.b_xxz(8)
 
     def test_odd_state_is_refused(self):
@@ -1107,7 +1123,7 @@ class TestIsingEntropy:
         with pytest.raises(ValueError, match="unknown boundary condition"):
             obs.ising_boundary_entropy(bc="twisted")
 
-    @pytest.mark.parametrize("sizes", [(26,), (12, 12), (), (8, 10, 10)])
+    @pytest.mark.parametrize("sizes", [(26,), (12, 12), (), (8, 10, 10), (0, 2), (0, 2, 4)])
     def test_fewer_than_two_sizes_are_refused_before_any_solve(self, sizes, monkeypatch):
         def refuse(L):
             raise AssertionError(f"width {L} was solved")
