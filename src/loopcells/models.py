@@ -443,16 +443,18 @@ def build_dilute_T(L: int, x: float | None = None) -> TransferRow:
     sites = _arrays(basis)[0]
     none = np.zeros(0, dtype=np.intp)
 
-    def half_row(pairs, edges):
-        tiles = [
-            (stay, cols, rows, np.broadcast_to(x**2, cols.shape))
-            for stay, cols, rows in (_lozenge_ops(basis, p, x) for p in pairs)
-        ] or [(np.ones(len(sites)), none, none, np.zeros(0))]
+    def tile(stay, cols, rows, edges=()):
+        moved = np.broadcast_to(x**2, cols.shape)
         for t in edges:
             edge = np.where(sites[:, t] != _EMPTY_SITE, x, 1.0)
-            stay, cols, rows, moved = tiles[0]
-            tiles[0] = (stay * edge, cols, rows, moved * edge[cols])
-        return TransferOperator(tiles)
+            stay, moved = stay * edge, moved * edge[cols]
+        return _compile(stay, cols, rows, moved)
+
+    def half_row(pairs, edges):
+        # each map is compiled as it is made, so no int64 index array outlives its tile
+        maps = (_lozenge_ops(basis, p, x) for p in pairs)
+        first = tile(*(next(maps, None) or (np.ones(len(sites)), none, none)), edges)
+        return TransferOperator([first, *(tile(*m) for m in maps)])
 
     if L % 2 == 0:
         lower = half_row(range(0, L - 1, 2), ())

@@ -834,6 +834,23 @@ def _ising_ground_state(L: int) -> tuple[float, np.ndarray]:
     return energy, v
 
 
+_ISING_OVERLAPS: dict[int, tuple] = {}  # L -> (-log <fixed|0>, -log <free|0>), oldest first
+
+
+def _ising_log_overlaps(L: int) -> tuple[float, float]:
+    """``(-log <fixed|0>, -log <free|0>)`` of the width-L ring, solved once per process.
+
+    The ground state is :func:`_ising_ground_state`, certified on the full
+    ring at every solve; only the two log-overlaps are kept, for the last 16
+    widths, so a ``fixed``/``free`` pair solves each width once.
+    """
+    def solve():
+        _, v = _ising_ground_state(L)
+        return tuple(float(-np.log(float(v @ vec))) for vec in models.ising_boundary_vectors(L))
+
+    return diagrams._kept(_ISING_OVERLAPS, L, solve)
+
+
 def ising_boundary_entropy(sizes=(12, 14, 16, 18), bc: str = "fixed") -> FitResult:
     """Universal boundary term of the critical transverse-field ring.
 
@@ -846,10 +863,11 @@ def ising_boundary_entropy(sizes=(12, 14, 16, 18), bc: str = "fixed") -> FitResu
     Perron vector, it is invariant under rotation and global spin flip, so
     it is found in that sector (about ``2^L / 2L`` orbits), lifted back to
     every configuration, and certified there against the full ring; see
-    :func:`_ising_ground_state`.  :func:`ising_boundary_entropies` gives
-    both conditions from one solve per width.  Fewer than two sizes, or a
-    repeated or non-positive one, raise ``ValueError`` before any width is
-    solved.
+    :func:`_ising_ground_state`.  A process keeps both conditions'
+    log-overlaps of the last 16 widths it solved and none of the state
+    (:func:`_ising_log_overlaps`), so the other condition, or a repeated
+    call, solves no width again.  Fewer than two sizes, or a repeated or
+    non-positive one, raise ``ValueError`` before any width is solved.
     """
     if bc not in ("fixed", "free"):
         raise ValueError(f"unknown boundary condition {bc!r}")
@@ -859,16 +877,13 @@ def ising_boundary_entropy(sizes=(12, 14, 16, 18), bc: str = "fixed") -> FitResu
 def ising_boundary_entropies(sizes=(12, 14, 16, 18)) -> dict[str, FitResult]:
     """:func:`ising_boundary_entropy` for ``"fixed"`` and ``"free"``, keyed by condition.
 
-    Each width's ground state is solved and certified once and paired with
-    both boundary vectors.
+    Each width's ground state is solved and certified once per process and
+    paired with both boundary vectors; the two log-overlaps are what is kept
+    (:func:`_ising_log_overlaps`).
     """
     sizes = _fit_sizes(sizes)
-    logs: dict[str, list[float]] = {"fixed": [], "free": []}
-    for L in sizes:
-        _, v = _ising_ground_state(L)
-        for f, vec in zip(logs.values(), models.ising_boundary_vectors(L)):
-            f.append(-np.log(float(v @ vec)))
-    return {bc: _inverse_power_fit(sizes, f) for bc, f in logs.items()}
+    fixed, free = zip(*(_ising_log_overlaps(L) for L in sizes))
+    return {"fixed": _inverse_power_fit(sizes, fixed), "free": _inverse_power_fit(sizes, free)}
 
 
 def _loop_square(
@@ -918,36 +933,69 @@ def _boundary_overlap(v: np.ndarray, L: int, n1: float, shift: int = 0) -> float
     return float(np.power(float(n1), forms.boundary_loops(L, shift)[1]) @ v)
 
 
+_LOOP_MOMENTS: dict[tuple, np.ndarray] = {}  # (L, n) -> loop-count moments, oldest first
+
+
+def _loop_moments(L: int, n: float) -> np.ndarray:
+    """Moments ``m_k = sum_{loops(s) = k} v_s`` of the width-L ground state, solved once per process.
+
+    ``v`` is the Perron vector of the weight-``n`` cylinder row normalized to
+    bilinear square one (:func:`_loop_square`, certified at every solve),
+    and ``loops`` the boundary's loop counts
+    (:func:`loopcells.forms.boundary_loops`), so the overlap with the
+    boundary at weight ``n1`` is ``sum_k n1**k m_k``.  Only the ``L//2 + 1``
+    moments are kept, read-only, for the last 16 ``(L, float(n))``.
+    """
+    n = float(n)
+
+    def solve():
+        row = models.build_dense_loop_T(L, n)
+        lam, v = spectral.perron_pair(row.ket_row)
+        v = v / np.sqrt(_loop_square(row, v, lam, L, n))
+        moments = np.bincount(forms.boundary_loops(L)[1], weights=v, minlength=L // 2 + 1)
+        moments.flags.writeable = False
+        return moments
+
+    return diagrams._kept(_LOOP_MOMENTS, (L, n), solve)
+
+
+def _refuse_weights(n: float, n1: float) -> None:
+    """``ValueError`` unless ``0 < n < 2`` and ``n1`` is positive and finite."""
+    if not (0 < n < 2):
+        raise ValueError("the loop weight must satisfy 0 < n < 2")
+    if not (0 < n1 < np.inf):
+        raise ValueError(f"the boundary loop weight must be positive and finite, got {n1}")
+
+
 def loop_boundary_entropy(n: float, n1: float, sizes=(12, 14, 16, 18)) -> LoopEntropyReport:
     """Boundary entropy of the dense loop model against its closed form.
 
     The boundary state is the all-adjacent-arcs diagram; every loop closed
     by the final gluing touches the boundary and is weighted ``n1`` instead
     of ``n``, so the overlap with a state is one row of the weight-``n1``
-    loop form (:func:`_boundary_overlap`).
+    loop form, ``sum_s n1 ** loops(s) v_s``.
     The Perron ground state of the ket row is normalized to bilinear square
     one under the weight-``n`` loop form through the Perron vector of the
     transposed bra row (:func:`_loop_square`); neither the loop Gram nor a
     factor of it is formed, and an uncertified square raises
-    ``ArithmeticError``.  Weights ``n <= 0`` are refused: the row then has
-    no positive leading state, and the one of largest modulus has a negative
-    or vanishing loop-form square at every width tried.  Fewer than two
+    ``ArithmeticError``.  The state depends on ``(L, n)`` only, and ``n1``
+    only through its loop-count moments: a process keeps those ``L//2 + 1``
+    numbers for the last 16 ``(L, n)`` it solved (:func:`_loop_moments`),
+    so another ``n1`` solves no width again.  Weights ``n <= 0`` are
+    refused: the row then has no positive leading state, and the one of
+    largest modulus has a negative or vanishing loop-form square at every
+    width tried.  A non-positive or non-finite ``n1``, or fewer than two
     sizes, or a repeated, odd or non-positive one, raise ``ValueError``
     before any width is solved.
     """
-    if not (0 < n < 2):
-        raise ValueError("the loop weight must satisfy 0 < n < 2")
-    if n1 <= 0:
-        raise ValueError("the boundary loop weight must be positive")
+    _refuse_weights(n, n1)
     sizes = _fit_sizes(sizes)
     if any(L % 2 for L in sizes):
         raise ValueError("the cylinder row needs even sizes")
     f_values = []
     for L in sizes:
-        row = models.build_dense_loop_T(L, n)
-        lam, v = spectral.perron_pair(row.ket_row)
-        v = v / np.sqrt(_loop_square(row, v, lam, L, n))
-        f_values.append(-np.log(_boundary_overlap(v, L, n1)))
+        moments = _loop_moments(L, n)
+        f_values.append(-np.log(float(np.power(float(n1), np.arange(len(moments))) @ moments)))
     fit = _inverse_power_fit(sizes, f_values)
     exact = loop_entropy_exact(n, n1)
     return LoopEntropyReport(n, n1, fit, exact, abs(fit.value - exact))
@@ -962,12 +1010,9 @@ def loop_entropy_exact(n: float, n1: float) -> float:
     entropy is ``-log[(2g)^(-1/4) (sin(r gamma/g)/sin(r gamma))
     (sin(gamma)/sin(gamma/g))^(1/2)]``.  It is real only for ``0 < n < 2``
     (for ``n <= 0``, ``gamma/g >= pi``), so other weights are refused, and
-    ``r`` lies in ``(0, pi/gamma - 1)`` only for ``n1 > 0``.
+    ``r`` lies in ``(0, pi/gamma - 1)`` only for finite ``n1 > 0``.
     """
-    if not (0 < n < 2):
-        raise ValueError("the loop weight must satisfy 0 < n < 2")
-    if n1 <= 0:
-        raise ValueError("the boundary loop weight must be positive")
+    _refuse_weights(n, n1)
     gamma = float(np.arccos(n / 2))
     g = 1 - gamma / np.pi
     if abs(n1 - n) < 1e-12:

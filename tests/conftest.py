@@ -19,6 +19,13 @@ def fresh_open_solves(monkeypatch) -> None:
     monkeypatch.setattr(observables, "_OPEN_SOLVES", {})
 
 
+@pytest.fixture(autouse=True)
+def fresh_boundary_stores(monkeypatch) -> None:
+    """Empty stores of Ising log-overlaps and loop moments for each test, as for the open chains."""
+    monkeypatch.setattr(observables, "_ISING_OVERLAPS", {})
+    monkeypatch.setattr(observables, "_LOOP_MOMENTS", {})
+
+
 @pytest.fixture
 def factor_dtypes(monkeypatch) -> list:
     """The dtype of each matrix factored through ``spectral._factor`` during the test."""

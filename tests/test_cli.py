@@ -234,6 +234,14 @@ class TestOtherCommands:
         assert row["n1"] == 1.5
         assert row["difference"] < 5e-2
 
+    @pytest.mark.parametrize("n1", ["nan", "inf"])
+    def test_loop_entropy_nonfinite_boundary_weight_exits_one(self, capsys, n1):
+        code, out, err = run(
+            capsys, "loop-entropy", "--sizes", "8,10,12", "--model-param", f"n1={n1}"
+        )
+        assert code == 1 and out == ""
+        assert "boundary loop weight must be positive and finite" in err
+
     def test_extrapolation_over_two_distinct_sizes_exits_one(self, capsys):
         code, out, err = run(capsys, "xxz-b", "--sizes", "4,4,8")
         assert code == 1 and out == ""

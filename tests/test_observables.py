@@ -1328,6 +1328,17 @@ class TestLoopEntropy:
         with pytest.raises(ValueError, match="boundary loop weight"):
             obs.loop_boundary_entropy(1.0, -0.2)
 
+    @pytest.mark.parametrize("n1", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_boundary_weight_is_refused_before_any_solve(self, n1, monkeypatch):
+        def refuse(L, n):
+            raise AssertionError(f"width {L} was solved")
+
+        monkeypatch.setattr(models, "build_dense_loop_T", refuse)
+        with pytest.raises(ValueError, match="boundary loop weight must be positive and finite"):
+            obs.loop_boundary_entropy(1.0, n1, sizes=(8, 10, 12))
+        with pytest.raises(ValueError, match="boundary loop weight must be positive and finite"):
+            obs.loop_entropy_exact(1.0, n1)
+
     def test_row_parity_is_checked(self):
         with pytest.raises(ValueError, match="even sizes"):
             obs.loop_boundary_entropy(1.0, 1.0, sizes=(7, 9))
@@ -1384,3 +1395,85 @@ class TestLoopEntropy:
             obs._loop_square(row, vec, lam, 6, n)
         with pytest.raises(ArithmeticError, match=f"L=6, n={n}"):
             loop_normalized(vec, 6, n)
+
+
+class TestBoundaryStores:
+    def test_warm_ising_entropy_equals_a_cold_one(self, monkeypatch):
+        cold = obs.ising_boundary_entropy((8, 10, 12), "free")
+        monkeypatch.setattr(obs, "_ISING_OVERLAPS", {})
+        obs.ising_boundary_entropy((8, 10, 12), "fixed")
+        warm = obs.ising_boundary_entropy((8, 10, 12), "free")
+        assert vars(warm) == vars(cold)
+
+    def test_warm_loop_entropy_equals_a_cold_one(self, monkeypatch):
+        cold = obs.loop_boundary_entropy(1.0, 1.5, (6, 8, 10))
+        monkeypatch.setattr(obs, "_LOOP_MOMENTS", {})
+        obs.loop_boundary_entropy(1.0, 0.5, (6, 8, 10))
+        warm = obs.loop_boundary_entropy(1.0, 1.5, (6, 8, 10))
+        assert vars(warm.fit) == vars(cold.fit)
+        assert (warm.exact, warm.difference) == (cold.exact, cold.difference)
+
+    def test_fixed_then_free_solves_each_width_once(self, monkeypatch):
+        solved = count_calls(monkeypatch, obs, "_ising_ground_state")
+        obs.ising_boundary_entropy((8, 10, 12), "fixed")
+        obs.ising_boundary_entropy((8, 10, 12), "free")
+        assert solved == [8, 10, 12]
+
+    def test_boundary_weight_sweep_builds_each_row_once(self, monkeypatch):
+        rows = count_calls(monkeypatch, models, "build_dense_loop_T")
+        for n1 in (0.5, 1.0, 1.5, 1.9):
+            obs.loop_boundary_entropy(1.25, n1, (6, 8, 10))
+        assert rows == [6, 8, 10]
+
+    def test_integer_and_float_loop_weights_share_an_entry(self, monkeypatch):
+        rows = count_calls(monkeypatch, models, "build_dense_loop_T")
+        assert obs._loop_moments(6, 1) is obs._loop_moments(6, 1.0)
+        assert rows == [6] and list(obs._LOOP_MOMENTS) == [(6, 1.0)]
+
+    @pytest.mark.parametrize("L", [6, 10])
+    def test_moments_give_the_boundary_overlap(self, L):
+        n = 0.5
+        row = models.build_dense_loop_T(L, n)
+        lam, v = spectral.perron_pair(row.ket_row)
+        v = v / np.sqrt(obs._loop_square(row, v, lam, L, n))
+        moments = obs._loop_moments(L, n)
+        assert moments.shape == (L // 2 + 1,)
+        for n1 in (0.5, 1.0, 1.5):
+            expect = obs._boundary_overlap(v, L, n1)
+            got = np.power(n1, np.arange(len(moments))) @ moments
+            assert got == pytest.approx(expect, rel=1e-13, abs=0)
+
+    def test_stores_keep_no_state(self):
+        obs.ising_boundary_entropies((8, 10))
+        obs.loop_boundary_entropy(1.0, 1.5, (8, 10))
+        assert all(
+            isinstance(pair, tuple) and [type(x) for x in pair] == [float, float]
+            for pair in obs._ISING_OVERLAPS.values()
+        )
+        assert [m.shape for m in obs._LOOP_MOMENTS.values()] == [(5,), (6,)]
+
+    def test_stored_moments_are_read_only(self):
+        moments = obs._loop_moments(8, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            moments[0] = 1.0
+
+    def test_seventeenth_ising_width_drops_the_first(self, monkeypatch):
+        solved = count_calls(monkeypatch, obs, "_ising_ground_state")
+        for L in range(1, 18):
+            obs._ising_log_overlaps(L)
+        assert len(solved) == 17 and len(obs._ISING_OVERLAPS) == 16
+        obs._ising_log_overlaps(17)
+        assert len(solved) == 17
+        obs._ising_log_overlaps(1)
+        assert len(solved) == 18
+
+    def test_seventeenth_loop_weight_drops_the_first(self, monkeypatch):
+        rows = count_calls(monkeypatch, models, "build_dense_loop_T")
+        weights = [0.1 * k for k in range(1, 18)]
+        for n in weights:
+            obs._loop_moments(4, n)
+        assert len(rows) == 17 and len(obs._LOOP_MOMENTS) == 16
+        obs._loop_moments(4, weights[-1])
+        assert len(rows) == 17
+        obs._loop_moments(4, weights[0])
+        assert len(rows) == 18
