@@ -192,6 +192,31 @@ def _level(spectrum, index: int, cluster_tol: float) -> spectral.Cluster:
     return cluster
 
 
+def _level_cell(L: int, H, spectrum, index: int, gram, cluster_tol: float):
+    """``(cluster, cell)`` at the ``index``-th distinct level of a width-L chain's spectrum.
+
+    The level (:func:`_level`) must be a double cluster, otherwise
+    :class:`~loopcells.spectral.ClusterSizeError` is raised.  Its
+    eigenvectors in ``spectrum`` are the near-kernel block of
+    :func:`loopcells.spectral.extract_jordan_cell`, which certifies the
+    cell and borders its partner system with ``conj(G v)`` under ``gram``.
+    """
+    cluster = _level(spectrum, index, cluster_tol)
+    if cluster.size != 2:
+        raise spectral.ClusterSizeError(
+            f"distinct level {index} of the L={L} chain is not a double cluster: {cluster}"
+        )
+    vals, vecs = spectrum
+    block = vecs[:, np.isin(vals, cluster.members)]
+    return cluster, spectral.extract_jordan_cell(H, cluster.value, block, gram)
+
+
+def _refuse_tolerance(cluster_tol: float) -> None:
+    """``ValueError`` unless the cluster tolerance is positive and finite."""
+    if not (0 < cluster_tol < np.inf):
+        raise ValueError(f"the cluster tolerance must be positive and finite, got {cluster_tol}")
+
+
 def _ground(spectrum, gram):
     """Lowest pair of a :func:`_low_spectrum` result, bilinear square one under ``gram``."""
     vals, vecs = spectrum
@@ -229,7 +254,11 @@ class _Chain(NamedTuple):
     chain reduced to a symmetry sector also carries ``lift``, which maps a
     sector vector to the full chain, and ``certify(value, u, partner=None)``,
     which checks a lifted eigenvector (and partner) against the full chain
-    and raises ``ArithmeticError``.
+    and raises ``ArithmeticError``.  ``cell(gram, cluster_tol)``, when
+    given, returns the ``(cluster, cell)`` at ``level`` bordered by
+    ``gram``: the open chain's reads the store of :func:`_open_cell`, which
+    :func:`percolation_check` shares.  Without it, as on the spin chain,
+    :func:`_chain_b` builds them with :func:`_level_cell`.
     """
 
     H: object
@@ -239,6 +268,7 @@ class _Chain(NamedTuple):
     level: int = 3
     lift: Callable | None = None
     certify: Callable | None = None
+    cell: Callable | None = None
 
 
 def _chain_b(
@@ -248,27 +278,26 @@ def _chain_b(
 
     ``chain`` comes from :func:`_xxz_chain` or :func:`_open_chain`.  The
     chain's spectrum locates the level, gives the ground state and gives
-    the cell's near-kernel block: the eigenvectors of the level's cluster.
-    :func:`loopcells.spectral.extract_jordan_cell` decides the kernel on
-    that block and borders the partner system with ``conj(G v)`` under the
-    chain's form ``G``, a certified left kernel vector.  The singular shift
-    is never factored: ARPACK's shift (above :data:`_DENSE_SPECTRUM_STATES`
-    states) and the bordered system are the only LUs.  A sector chain
-    certifies the cell and the ground state on the full chain.  The partner
-    is rescaled into Hamiltonian convention units and paired with the
-    trousers ``product`` at overlap one with the ground.  ``model`` only
-    labels the result.
+    the cell's near-kernel block: the eigenvectors of the level's cluster
+    (:func:`_level_cell`).  :func:`loopcells.spectral.extract_jordan_cell`
+    decides the kernel on that block and borders the partner system with
+    ``conj(G v)`` under the chain's form ``G``, a certified left kernel
+    vector.  The open chain hands over its ``chain.cell`` hook instead, so
+    a cell that :func:`percolation_check` or an earlier call already
+    certified at the same ``(L, y, cluster_tol)`` is read, not built
+    again (:func:`_open_cell`).  The singular shift is never factored:
+    ARPACK's shift (above :data:`_DENSE_SPECTRUM_STATES` states) and the
+    bordered system are the only LUs.  A sector chain certifies the cell
+    and the ground state on the full chain.  The partner is rescaled into
+    Hamiltonian convention units and paired with the trousers ``product``
+    at overlap one with the ground.  ``model`` only labels the result.
     """
     H, gram, product, spectrum = chain.H, chain.gram, chain.product, chain.spectrum
     v_f = fixtures.FERMI_VELOCITY
-    cluster = _level(spectrum, chain.level, cluster_tol)
-    if cluster.size != 2:
-        raise spectral.ClusterSizeError(
-            f"distinct level {chain.level} of the L={L} chain is not a double cluster: {cluster}"
-        )
-    vals, vecs = spectrum
-    block = vecs[:, np.isin(vals, cluster.members)]
-    cell = spectral.extract_jordan_cell(H, cluster.value, block, gram)
+    if chain.cell is None:
+        _, cell = _level_cell(L, H, spectrum, chain.level, gram, cluster_tol)
+    else:
+        _, cell = chain.cell(gram, cluster_tol)
     e0, v0 = _ground(spectrum, gram)
     if chain.certify is not None:
         chain.certify(cell.value, cell.vector, cell.partner)
@@ -386,10 +415,13 @@ def b_xxz(
     Hamiltonian convention units, and pair with the trousers state.  The
     sector has about half the states (494 of 924 at L=12, 6,563 of 12,870
     at L=16), so each sparse LU is several times cheaper.  ``cell_scale``
-    multiplies the whole cell and must not change the answer (tested).
+    multiplies the whole cell and must not change the answer (tested).  A
+    ``cluster_tol`` that is not positive and finite raises ``ValueError``
+    before the chain is built.
     """
     if L % 4:
         raise ValueError("b for the spin chain needs L a multiple of 4")
+    _refuse_tolerance(cluster_tol)
     q = fixtures.Q_VALUE if q is None else q
     return _chain_b("xxz", L, _xxz_chain(L, q), cell_scale, cluster_tol)
 
@@ -563,6 +595,34 @@ def _open_solve(L: int, y: complex):
     return diagrams._kept(_OPEN_SOLVES, (L, y, bool(np.iscomplexobj(y))), solve)
 
 
+_OPEN_CELLS: dict[tuple, tuple] = {}  # (L, y, complex y, cluster_tol) -> (cluster, cell), oldest first
+
+
+def _open_cell(L: int, y: complex, cluster_tol: float, gram=None):
+    """``(cluster, cell)`` at the fourth distinct level of the width-L open chain, built once per process.
+
+    The cell is built by :func:`_level_cell` on the chain of
+    :func:`_open_solve`, bordered by ``gram`` (the chain's link Gram,
+    :func:`loopcells.forms.link_gram`, when none is passed), and certified
+    then: kernel, left and partner residuals.  Whichever caller comes first
+    builds it, :func:`b_deformed` or :func:`percolation_check`; later calls
+    with the same ``(L, y, cluster_tol)`` read it and build no Gram.  The
+    last 16 cells are kept, each a cluster and two read-only vectors, keyed
+    as :func:`_open_solve` keys its chains plus the tolerance.  A level that
+    is refused (diagonalizable, not a double cluster, or failing its
+    certificate) raises again at every call and is not kept.
+    """
+    def build():
+        H, spectrum = _open_solve(L, y)
+        form = forms.link_gram(L, y) if gram is None else gram
+        cluster, cell = _level_cell(L, H, spectrum, 3, form, cluster_tol)
+        for array in (cell.vector, cell.partner):
+            array.flags.writeable = False
+        return cluster, cell
+
+    return diagrams._kept(_OPEN_CELLS, (L, y, bool(np.iscomplexobj(y)), cluster_tol), build)
+
+
 def _open_chain(L: int, y: complex) -> _Chain:
     """``(H, y-form, unnormalized trousers, spectrum)`` of the width-L open chain at loop weight one.
 
@@ -572,7 +632,9 @@ def _open_chain(L: int, y: complex) -> _Chain:
     distinct level.  The chain and its half chain come from
     :func:`_open_solve`, so a process solves each ``(L, y)`` chain once:
     the half chain of width 8 is the full chain of width 4, and a chain
-    that :func:`percolation_check` probed is not solved again.
+    that :func:`percolation_check` probed is not solved again.  The chain's
+    ``cell`` hook reads :func:`_open_cell`, bordered by the chain's own
+    ``gram`` when the cell is built there.
     """
     gram, half_gram = forms.link_gram(L, y), forms.link_gram(L // 2, y)
     _, g = _ground(_open_solve(L // 2, y)[1], half_gram)
@@ -580,7 +642,7 @@ def _open_chain(L: int, y: complex) -> _Chain:
     rows = diagrams._arrays(diagrams._open_sites(L))[1](diagrams._side_by_side(half, half))
     product = _place(rows, g, g, len(gram))
     H, spectrum = _open_solve(L, y)
-    return _Chain(H, gram, product, spectrum)
+    return _Chain(H, gram, product, spectrum, cell=lambda form, tol: _open_cell(L, y, tol, form))
 
 
 def trousers_open(L: int, y: complex = 1.0) -> TrousersState:
@@ -607,13 +669,39 @@ def b_deformed(
     """The coupling b of the y-deformed geometric chain at loop weight one.
 
     The spin chain's pipeline (:func:`_chain_b`), with the parity-deformed
-    loop pairing supplying the left states.  At ``y = 1`` the fourth level
-    is diagonalizable and extraction raises ``DiagonalizableLevelError`` --
-    there is no cell, hence no b, at the undeformed point.
+    loop pairing supplying the left states.  The cell is the chain's
+    stored one (:func:`_open_cell`): a :func:`percolation_check` of the
+    same ``(L, y, cluster_tol)`` has already certified it, and otherwise
+    this call does.  At ``y = 1`` the fourth level is diagonalizable and
+    extraction raises ``DiagonalizableLevelError`` -- there is no cell,
+    hence no b, at the undeformed point.  A ``cluster_tol`` that is not
+    positive and finite raises ``ValueError`` before any chain is built.
     """
     if L % 2:
         raise ValueError("b for the open chain needs even L")
+    _refuse_tolerance(cluster_tol)
     return _chain_b(f"deformed:y={y}", L, _open_chain(L, y), cell_scale, cluster_tol)
+
+
+def _nearest_cell(L: int, y: complex, level: complex, cluster_tol: float) -> bool:
+    """Whether the width-L chain at ``y`` has a cell on its cluster nearest ``level``, built afresh.
+
+    The fallback of :func:`percolation_check` where the stored fourth level
+    (:func:`_open_cell`) is not ``level``: the eigenvectors of the chain's
+    own cluster nearest ``level`` are the block of
+    :func:`loopcells.spectral.extract_jordan_cell`, bordered by the chain's
+    link Gram.  A diagonalizable cluster reads ``False``; a simple one
+    raises ``ArithmeticError`` and one without a kernel at ``level``
+    :class:`~loopcells.spectral.ClusterSizeError`.
+    """
+    H, (vals, vecs) = _open_solve(L, y)
+    near = min(spectral.cluster_eigenvalues(vals, cluster_tol), key=lambda c: abs(c.value - level))
+    block = vecs[:, np.isin(vals, near.members)]
+    try:
+        spectral.extract_jordan_cell(H, level, block, forms.link_gram(L, y))
+    except spectral.DiagonalizableLevelError:
+        return False
+    return True
 
 
 def percolation_check(
@@ -621,43 +709,50 @@ def percolation_check(
 ) -> PercolationReport:
     """Diagnose the would-be Jordan level of the geometric (y=1) chain.
 
-    Every chain comes from :func:`_open_solve`, so a chain this check
-    probes is solved once per process and :func:`b_deformed` of the same
-    ``(L, y)`` reads the same solve; each cell is still built and certified
-    on its own.  One low spectrum of the sparse y=1 chain
-    (:func:`_low_spectrum`) locates the cluster at the fourth distinct level
-    and holds its eigenvectors.  Their span gives the level's geometric
-    multiplicity and the norm of its nilpotent part, which vanishes exactly
-    when the level is diagonalizable
-    (:func:`loopcells.spectral.cell_structure`, with the y=1 link Gram); the
-    y=1 shift is not factored and no dense spectrum is formed.  The spectrum
-    does not depend on ``y``, so each deformed chain in ``y_values`` is
-    probed for a genuine cell at that same level: its own low spectrum gives
-    the eigenvectors of its cluster nearest the level, and
-    :func:`loopcells.spectral.extract_jordan_cell` builds the cell on them,
-    bordered by the chain's link Gram, as :func:`b_deformed` does.  The cell
-    is certified by its residuals, not by the kernel dimension alone.  A
-    deformed chain on which the level is simple raises ``ArithmeticError``,
-    one without the level :class:`~loopcells.spectral.ClusterSizeError`, and
-    ``y = 1`` reads ``False``.
+    Every chain comes from :func:`_open_solve` and every deformed cell from
+    :func:`_open_cell`, so a chain this check probes is solved, and its
+    cell built and certified, once per process, and :func:`b_deformed` of
+    the same ``(L, y, cluster_tol)`` reads both.  One low spectrum of the
+    sparse y=1 chain (:func:`_low_spectrum`) locates the cluster at the
+    fourth distinct level and holds its eigenvectors.  Their span gives the
+    level's geometric multiplicity and the norm of its nilpotent part,
+    which vanishes exactly when the level is diagonalizable
+    (:func:`loopcells.spectral.cell_structure`, with the y=1 link Gram);
+    the y=1 shift is not factored and no dense spectrum is formed.  The
+    spectrum does not depend on ``y``, so each deformed chain in
+    ``y_values`` is probed for a genuine cell at that same level.  Its
+    stored cell, at its own fourth level, is read when that level lies
+    within the y=1 spectrum's clustering reach of the y=1 level:
+    ``cluster_tol`` times the largest eigenvalue magnitude of that spectrum,
+    the spacing within which :func:`loopcells.spectral.cluster_eigenvalues`
+    joins two eigenvalues.  A chain whose fourth level is diagonalizable
+    reads ``False``, as ``y = 1`` does.  Where the stored level lies
+    elsewhere, or is not a double cluster, the cell on the chain's cluster
+    nearest the y=1 level is built afresh (:func:`_nearest_cell`).  Cells
+    are certified by their residuals, not by the kernel dimension alone,
+    so a deformed chain on which the level is simple raises
+    ``ArithmeticError`` and one without the level
+    :class:`~loopcells.spectral.ClusterSizeError`.  A ``cluster_tol`` that
+    is not positive and finite raises ``ValueError`` before any chain is
+    built.
     """
+    _refuse_tolerance(cluster_tol)
     H1, spectrum = _open_solve(L, 1.0)
     c3 = _level(spectrum, 3, cluster_tol)
     vals, vecs = spectrum
     block = vecs[:, np.isin(vals, c3.members)]
     gm, nil = spectral.cell_structure(H1, c3.value, block, forms.link_gram(L, 1.0))
+    reach = spectral._cluster_reach(vals, cluster_tol)
     genuine: dict = {}
     for y in y_values:
-        H, (vals, vecs) = _open_solve(L, y)
-        near = min(
-            spectral.cluster_eigenvalues(vals, cluster_tol), key=lambda c: abs(c.value - c3.value)
-        )
-        block = vecs[:, np.isin(vals, near.members)]
         try:
-            spectral.extract_jordan_cell(H, c3.value, block, forms.link_gram(L, y))
-            genuine[y] = True
+            stored = _open_cell(L, y, cluster_tol)[0].value
         except spectral.DiagonalizableLevelError:
             genuine[y] = False
+            continue
+        except spectral.ClusterSizeError:
+            stored = np.inf  # no double cluster there: the level lies elsewhere
+        genuine[y] = abs(stored - c3.value) <= reach or _nearest_cell(L, y, c3.value, cluster_tol)
     return PercolationReport(
         L, complex(c3.value), c3.size, gm, nil, gm >= c3.size, genuine
     )

@@ -91,21 +91,30 @@ class Cluster:
     members: tuple[complex, ...]
 
 
+def _cluster_reach(eigs: np.ndarray, rel_tol: float) -> float:
+    """The spacing within which :func:`cluster_eigenvalues` joins two of ``eigs``.
+
+    It is ``rel_tol`` times the largest eigenvalue magnitude, floored at
+    ``1e-300`` so that a zero spectrum still has a scale.
+    """
+    return rel_tol * max(float(np.max(np.abs(eigs))), 1e-300)
+
+
 def cluster_eigenvalues(eigs: np.ndarray, rel_tol: float = 1e-5) -> list[Cluster]:
     """Group eigenvalues whose spacing is below ``rel_tol`` times the spread.
 
     Sorting is by real part, then imaginary part; the scale is the largest
-    eigenvalue magnitude (or one, for a zero matrix).  No eigenvalues make
-    no clusters.
+    eigenvalue magnitude (:func:`_cluster_reach`).  No eigenvalues make no
+    clusters.
     """
     order = np.lexsort((np.imag(eigs), np.real(eigs)))
     vals = np.asarray(eigs)[order]
     if not vals.size:
         return []
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
+    reach = _cluster_reach(vals, rel_tol)
     clusters: list[list[complex]] = [[vals[0]]]
     for lam in vals[1:]:
-        if abs(lam - clusters[-1][-1]) <= rel_tol * scale:
+        if abs(lam - clusters[-1][-1]) <= reach:
             clusters[-1].append(lam)
         else:
             clusters.append([lam])

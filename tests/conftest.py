@@ -15,8 +15,9 @@ settings.register_profile("ci", derandomize=True, deadline=None)
 
 @pytest.fixture(autouse=True)
 def fresh_open_solves(monkeypatch) -> None:
-    """An empty store of solved open chains for each test, so no test reads another's solves."""
+    """Empty stores of solved open chains and their cells for each test, so no test reads another's."""
     monkeypatch.setattr(observables, "_OPEN_SOLVES", {})
+    monkeypatch.setattr(observables, "_OPEN_CELLS", {})
 
 
 @pytest.fixture(autouse=True)

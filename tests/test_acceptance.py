@@ -362,7 +362,7 @@ def test_best_effort_polymer_sizes(capsys, L):
 @pytest.mark.parametrize("L", (12, 14))
 def test_best_effort_percolation_sizes(capsys, xxz_b, L):
     # test 6 at widths 12 and 14: the probes and b_deformed of one (L, y)
-    # read the same solve of the chain, each cell is certified on its own
+    # read the same solve of the chain and the same cell, certified once
     report = obs.percolation_check(L, y_values=DEFORMATIONS)
     structure = (
         report.diagonalizable

@@ -242,6 +242,13 @@ class TestOtherCommands:
         assert code == 1 and out == ""
         assert "boundary loop weight must be positive and finite" in err
 
+    @pytest.mark.parametrize("command", ["xxz-b", "deformed-b", "percolation-check"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_cluster_tolerance_exits_one(self, capsys, command, tol):
+        code, out, err = run(capsys, command, "--sizes", "4", "--tol", tol)
+        assert code == 1 and out == ""
+        assert f"cluster tolerance must be positive and finite, got {float(tol)}" in err
+
     def test_extrapolation_over_two_distinct_sizes_exits_one(self, capsys):
         code, out, err = run(capsys, "xxz-b", "--sizes", "4,4,8")
         assert code == 1 and out == ""

@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import warnings
@@ -536,8 +537,10 @@ class TestGoldenValues:
             return obs.b_xxz(8) if y is None else obs.b_deformed(8, y)
 
         dense = measure()
-        # the dense solves of the open chains are kept; solve them again
+        # the dense solves of the open chains and their cells are kept;
+        # solve and build them again
         monkeypatch.setattr(obs, "_OPEN_SOLVES", {})
+        monkeypatch.setattr(obs, "_OPEN_CELLS", {})
         solved = []
         low_spectrum = obs._low_spectrum
 
@@ -735,24 +738,41 @@ class TestBuildOnce:
         assert len(calls) == len(factor_dtypes) == 2
 
 
+def factor_shapes(monkeypatch) -> list:
+    """The shape of each matrix factored through ``spectral._factor`` from now on."""
+    shapes = []
+    factor = spectral._factor
+
+    def spy(M):
+        shapes.append(M.shape)
+        return factor(M)
+
+    monkeypatch.setattr(spectral, "_factor", spy)
+    return shapes
+
+
 class TestOpenSolves:
     def test_warm_deformed_b_equals_a_cold_one(self, monkeypatch):
-        # after the probe has solved the y=2 chain, b_deformed factors only
-        # its bordered partner system: no ARPACK shift, no chain rebuilt
-        cold = obs.b_deformed(10, 2.0)
+        # after the probe has solved each deformed chain and certified its
+        # cell, b_deformed factors nothing: no ARPACK shift, no bordered
+        # system, no chain rebuilt
+        ys = (2.0, -1.0, 0.5)
+        cold = [obs.b_deformed(10, y) for y in ys]
         monkeypatch.setattr(obs, "_OPEN_SOLVES", {})
-        obs.percolation_check(10)
-        factored = []
-        factor = spectral._factor
+        monkeypatch.setattr(obs, "_OPEN_CELLS", {})
+        obs.percolation_check(10, ys)
+        factored = factor_shapes(monkeypatch)
+        for y, expect in zip(ys, cold):
+            assert vars(obs.b_deformed(10, y)) == vars(expect)
+        assert factored == []
 
-        def spy(M):
-            factored.append(M.shape)
-            return factor(M)
-
-        monkeypatch.setattr(spectral, "_factor", spy)
-        warm = obs.b_deformed(10, 2.0)
-        assert vars(warm) == vars(cold)
-        assert factored == [(253, 253)]
+    def test_probe_after_deformed_b_factors_only_the_undeformed_shift(self, monkeypatch):
+        # b_deformed stored the y=2 cell, so the probe solves only the y=1
+        # chain, whose level is read off its eigenvectors with no border
+        obs.b_deformed(10, 2.0)
+        factored = factor_shapes(monkeypatch)
+        assert obs.percolation_check(10, (2.0,)).deformed_genuine == {2.0: True}
+        assert factored == [(252, 252)]
 
     def test_doubled_widths_share_a_chain(self, monkeypatch):
         # the half chain of width 8 is the full chain of width 4
@@ -787,6 +807,70 @@ class TestOpenSolves:
         assert len(chains) == 18
 
 
+class TestOpenCells:
+    def test_real_and_complex_y_and_tolerances_are_kept_apart(self, factor_dtypes):
+        _, cell = obs._open_cell(10, 2.0, 1e-5)
+        assert obs._open_cell(10, 2, 1e-5)[1] is cell
+        assert obs._open_cell(10, 2 + 0j, 1e-5)[1] is not cell
+        assert obs._open_cell(10, 2.0, 1e-6)[1] is not cell
+        assert len(obs._OPEN_CELLS) == 3
+        # one float and one complex chain, and a bordered system per cell
+        assert factor_dtypes.count(np.dtype(np.complex128)) == 2
+        assert len(factor_dtypes) == 5
+
+    def test_seventeenth_cell_drops_the_first(self, monkeypatch):
+        cells = count_calls(monkeypatch, obs, "_level_cell")
+        ys = [2.0 + k for k in range(17)]
+        for y in ys:
+            obs._open_cell(4, y, 1e-5)
+        assert len(cells) == 17 and len(obs._OPEN_CELLS) == 16
+        obs._open_cell(4, ys[-1], 1e-5)
+        assert len(cells) == 17
+        obs._open_cell(4, ys[0], 1e-5)
+        assert len(cells) == 18
+
+    def test_store_keeps_no_gram(self):
+        obs.percolation_check(10)
+        obs.b_deformed(8, 2.0)
+        assert len(obs._OPEN_CELLS) == 4
+        for cluster, cell in obs._OPEN_CELLS.values():
+            assert cluster.size == 2 and cell.value == cluster.value
+            arrays = [v for v in vars(cell).values() if isinstance(v, np.ndarray)]
+            assert len(arrays) == 2
+            for array in arrays:
+                assert array.ndim == 1 and not array.flags.writeable
+
+    def test_refused_level_is_not_kept(self):
+        with pytest.raises(spectral.DiagonalizableLevelError):
+            obs._open_cell(6, 1.0, 1e-5)
+        assert obs._OPEN_CELLS == {}
+
+    @pytest.mark.parametrize("L", [4, 6, 8, 10])
+    def test_stored_level_is_the_undeformed_one(self, monkeypatch, L):
+        # the probe reads every stored cell: each chain's fourth level lies
+        # within the y=1 spectrum's clustering reach of the y=1 level
+        fallbacks = count_calls(monkeypatch, obs, "_nearest_cell")
+        ys = (2.0, -1.0, 0.5)
+        report = obs.percolation_check(L, ys)
+        assert report.deformed_genuine == dict.fromkeys(ys, True)
+        assert fallbacks == []
+        vals = obs._open_solve(L, 1.0)[1][0]
+        reach = 1e-5 * np.max(np.abs(vals))
+        for y in ys:
+            cluster, _ = obs._OPEN_CELLS[(L, y, False, 1e-5)]
+            assert abs(cluster.value - report.level) <= reach
+
+    @pytest.mark.parametrize(
+        "refusal", ["test_deformed_chain_without_the_level_is_refused", "test_simple_deformed_level_is_refused"]
+    )
+    def test_moved_chains_fall_back_to_the_nearest_cluster(self, monkeypatch, refusal):
+        # the refusal tests move each deformed chain off the y=1 level, so
+        # the stored level lies elsewhere and the probe builds its cell afresh
+        fallbacks = count_calls(monkeypatch, obs, "_nearest_cell")
+        getattr(TestPercolationCheck(), refusal)(monkeypatch)
+        assert fallbacks and len(obs._OPEN_CELLS) == 1
+
+
 def dense_cell(L: int, y: complex) -> spectral.JordanCell:
     """The cell at the fourth level of the width-L chain, from its two nearest dense eigenvectors."""
     H = models.build_percolation_H(L, y)
@@ -794,6 +878,23 @@ def dense_cell(L: int, y: complex) -> spectral.JordanCell:
     level = spectral.full_spectrum(H)[3].value
     block = vecs[:, np.argsort(np.abs(vals - level))[:2]]
     return spectral.extract_jordan_cell(H, level, block, forms.link_gram(L, y))
+
+
+class TestClusterTolerance:
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf], ids=["negative", "zero", "nan", "inf"])
+    def test_bad_tolerance_is_refused_before_any_chain(self, monkeypatch, tol):
+        def refuse(L, *args):
+            raise AssertionError(f"a width-{L} chain was built")
+
+        monkeypatch.setattr(models, "build_percolation_H", refuse)
+        monkeypatch.setattr(models, "build_xxz", refuse)
+        message = re.escape(f"cluster tolerance must be positive and finite, got {tol}")
+        with pytest.raises(ValueError, match=message):
+            obs.b_xxz(8, cluster_tol=tol)
+        with pytest.raises(ValueError, match=message):
+            obs.b_deformed(6, 2.0, cluster_tol=tol)
+        with pytest.raises(ValueError, match=message):
+            obs.percolation_check(6, cluster_tol=tol)
 
 
 class TestPercolationStructure:
