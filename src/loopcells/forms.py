@@ -27,8 +27,6 @@ The spin chain pairs with the identity.  The dilute and link forms follow
 the lines of all pairs at once (:func:`_line_ends`): the dilute form those
 of the link patterns of one occupancy count, the link form those of the
 states, and the boundary row those of one pair per state.
-:func:`adjointness_matrix_defect` measures ``G A = A^T G`` for a Gram array
-and a dense or sparse operator.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ import numpy as np
 
 from .diagrams import _EMPTY_SITE, _STRING_SITE, _arrays, _dense_sites, _keys
 from .diagrams import _open_sites, _per_basis
-from .spectral import _dense
 
 
 @lru_cache(maxsize=None)
@@ -246,15 +243,3 @@ def _link_contractions(basis) -> np.ndarray:
         counts[a, b] = counts[b, a] = count
     counts.flags.writeable = False
     return counts
-
-
-def adjointness_matrix_defect(op, gram: np.ndarray) -> float:
-    """Exact test of ``G A = A^T G``: ``max |G A - A^T G|`` over entries, normalized.
-
-    ``op`` is dense or sparse and ``gram`` the Gram array ``G``.
-    """
-    op = _dense(op)
-    lhs = gram @ op
-    rhs = op.T @ gram
-    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
-    return float(np.max(np.abs(lhs - rhs))) / scale

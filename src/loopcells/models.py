@@ -135,12 +135,12 @@ def _ising_diagonal(masks: np.ndarray, L: int) -> np.ndarray:
     """``- sum_i sz_i sz_{i+1}`` of each ring configuration.
 
     Each bond adds ``sz sz = +1`` on aligned spins and ``-1`` on anti-aligned
-    ("broken") ones.
+    ("broken") ones, and the broken bonds are the set bits of a mask xor its
+    one-site rotation.
     """
-    broken = np.zeros(masks.shape, dtype=np.int64)
-    for i in range(L):
-        broken += ((masks >> i) ^ (masks >> ((i + 1) % L))) & 1
-    return (2 * broken - L).astype(float)
+    full = (1 << L) - 1
+    rotated = ((masks >> 1) | (masks << (L - 1))) & full
+    return 2.0 * np.bitwise_count(masks ^ rotated) - L
 
 
 def ising_orbits(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,17 +150,22 @@ def ising_orbits(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (ascending), the orbit index of every mask, and the number of masks in
     each orbit.  A mask's orbit is named by the minimum of its ``L``
     rotations and their complements, so one pass of ``L - 1`` vectorized
-    rotations labels the whole space.
+    rotations, made in place in two mask-sized buffers, labels the whole
+    space.
     """
     dim = 1 << L
     full = dim - 1
-    masks = np.arange(dim, dtype=np.min_scalar_type(full))  # bits past L are masked off
-    canon = np.minimum(masks, masks ^ full)
-    turned = masks
+    turned = np.arange(dim, dtype=np.min_scalar_type(full))  # bits past L are masked off
+    canon = np.minimum(turned, turned ^ full)
+    spill = np.empty_like(turned)
     for _ in range(L - 1):
-        turned = ((turned << 1) | (turned >> (L - 1))) & full
+        np.right_shift(turned, L - 1, out=spill)
+        np.left_shift(turned, 1, out=turned)
+        np.bitwise_or(turned, spill, out=turned)
+        np.bitwise_and(turned, full, out=turned)
         np.minimum(canon, turned, out=canon)
-        np.minimum(canon, turned ^ full, out=canon)
+        np.bitwise_xor(turned, full, out=spill)
+        np.minimum(canon, spill, out=canon)
     counts = np.bincount(canon, minlength=dim)
     reps = np.flatnonzero(counts)
     rank = np.cumsum(counts > 0) - 1
@@ -196,12 +201,15 @@ def apply_ising(L: int, v: np.ndarray) -> np.ndarray:
     """``H v`` for the full critical transverse-field ring, without forming ``H``.
 
     ``H = - sum_i sz_i sz_{i+1} - sum_i sx_i`` on the ``2^L`` spin masks
-    (bit set = down).  Each of the ``L`` single-flip terms is one gather.
+    (bit set = down).  Seen as an array of ``L`` axes of length two, ``v``
+    takes the flip of bit ``i`` as the reversal of axis ``L - 1 - i``, so
+    each single-flip term is one strided pass with no index array.
     """
     masks = np.arange(1 << L, dtype=np.min_scalar_type((1 << L) - 1))
     out = _ising_diagonal(masks, L) * v
+    spins, flipped = v.reshape((2,) * L), out.reshape((2,) * L)
     for i in range(L):
-        out -= v[masks ^ (1 << i)]
+        flipped -= np.flip(spins, axis=L - 1 - i)
     return out
 
 

@@ -143,18 +143,21 @@ def _low_spectrum(H, L: int):
     """Low eigenpairs ``(vals, vecs)`` of a width-L chain at loop weight one.
 
     Up to :data:`_DENSE_SPECTRUM_STATES` states LAPACK returns all of them;
-    above, ARPACK returns the 6 eigenvalues nearest a point below the ground
-    energy (``(L-1)/2 - 2 sum e_i`` with each ``e_i`` spectrum in ``[0, 1]``
-    at loop weight one).  A cell needs at most 5 of them: the open chain's
-    fourth distinct level is its 4th and 5th eigenvalue, and the sixth
-    closes that level off, so :func:`_level` does not refuse it as cut
-    short.  Six pairs take about 45 shift-invert solves against 77 (spin
-    sector, L = 12 and 16) and 93 (open chain, L = 10) for eight.  ARPACK's
-    shift-invert operator is the LU of ``H`` minus that point from
-    :func:`loopcells.spectral._factor`, in the arithmetic of ``H``, so
-    scipy factors nothing of its own.  The crossover is measured (open
-    chains at y = 2, L = 8 and 10, in float64; the spin sector at L = 12;
-    best of 7 calls, one BLAS thread on a 2-vCPU Xeon):
+    above, ARPACK returns the 6 eigenvalues (8 at odd ``L``) nearest a point
+    below the ground energy (``(L-1)/2 - 2 sum e_i`` with each ``e_i``
+    spectrum in ``[0, 1]`` at loop weight one).  A cell needs at most 5 of
+    them at even ``L``: the open chain's fourth distinct level is its 4th and
+    5th eigenvalue, and the sixth closes that level off, so :func:`_level`
+    does not refuse it as cut short.  On an odd open chain the ground is
+    simple and the next levels are double, so the fourth level is the 6th
+    and 7th eigenvalue and the 8th closes it off.  Six pairs take about 45
+    shift-invert solves against 77 (spin sector, L = 12 and 16) and 93
+    (open chain, L = 10) for eight.  ARPACK's shift-invert operator is the
+    LU of ``H`` minus that point from :func:`loopcells.spectral._factor`, in
+    the arithmetic of ``H``, so scipy factors nothing of its own.  The
+    crossover is measured (open chains at y = 2, L = 8 and 10, in float64;
+    the spin sector at L = 12; best of 7 calls, one BLAS thread on a 2-vCPU
+    Xeon):
 
     ======  ==========  ===========  ===========
     states  dense eig   ARPACK k=8   ARPACK k=6
@@ -171,7 +174,8 @@ def _low_spectrum(H, L: int):
     shifted = H - sigma * sp.identity(H.shape[0], dtype=H.dtype, format="csc")
     lu = spectral._factor(shifted)
     inverse = spla.LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
-    return spla.eigs(H, k=6, sigma=sigma, OPinv=inverse, v0=np.ones(H.shape[0]))
+    k = 8 if L % 2 else 6
+    return spla.eigs(H, k=k, sigma=sigma, OPinv=inverse, v0=np.ones(H.shape[0]))
 
 
 def _level(spectrum, index: int, cluster_tol: float) -> spectral.Cluster:
@@ -209,6 +213,36 @@ def _level_cell(L: int, H, spectrum, index: int, gram, cluster_tol: float):
     vals, vecs = spectrum
     block = vecs[:, np.isin(vals, cluster.members)]
     return cluster, spectral.extract_jordan_cell(H, cluster.value, block, gram)
+
+
+_SOLVES: dict[tuple, object] = {}  # chain key -> solved chain, oldest first
+_CELLS: dict[tuple, tuple] = {}  # chain key + (cluster_tol,) -> (cluster, cell), oldest first
+
+
+def _chain_key(kind: str, L: int, parameter) -> tuple:
+    """The store key of the width-L chain of ``kind`` at ``parameter`` (its ``y`` or ``q``).
+
+    ``2`` and ``2.0`` build the same real chain and share a key, while
+    ``2+0j`` builds a complex chain and is kept apart.
+    """
+    return kind, L, parameter, bool(np.iscomplexobj(parameter))
+
+
+def _kept_cell(key: tuple, cluster_tol: float, build):
+    """``build()``'s ``(cluster, cell)`` for the chain of ``key``, built once per ``cluster_tol``.
+
+    ``build`` certifies the cell.  Its two vectors are made read-only, and
+    the last 16 cells of any chain are kept in :data:`_CELLS`, keyed by the
+    chain's :func:`_chain_key` and the tolerance.  A level that ``build``
+    refuses raises again at every call and is not kept.
+    """
+    def certified():
+        cluster, cell = build()
+        for array in (cell.vector, cell.partner):
+            array.flags.writeable = False
+        return cluster, cell
+
+    return diagrams._kept(_CELLS, (*key, cluster_tol), certified)
 
 
 def _refuse_tolerance(cluster_tol: float) -> None:
@@ -250,57 +284,52 @@ class _Chain(NamedTuple):
     :func:`_low_spectrum` result, ``gram`` its invariant form as a matrix
     (the link Gram array of :func:`_open_chain`, the sparse identity of
     :func:`_xxz_chain`) and ``product`` the unnormalized trousers, all on
-    one basis; the cell sits at the distinct level ``level`` of ``H``.  A
-    chain reduced to a symmetry sector also carries ``lift``, which maps a
-    sector vector to the full chain, and ``certify(value, u, partner=None)``,
+    one basis.  ``cell(gram, cluster_tol)`` returns the ``(cluster, cell)``
+    at the chain's cell level from the store of certified cells
+    (:func:`_kept_cell`), bordered by ``gram`` when it is built there; the
+    open chain's store is shared with :func:`percolation_check`.  A chain
+    reduced to a symmetry sector also carries ``lift``, which maps a sector
+    vector to the full chain, and ``certify(value, u, partner=None)``,
     which checks a lifted eigenvector (and partner) against the full chain
-    and raises ``ArithmeticError``.  ``cell(gram, cluster_tol)``, when
-    given, returns the ``(cluster, cell)`` at ``level`` bordered by
-    ``gram``: the open chain's reads the store of :func:`_open_cell`, which
-    :func:`percolation_check` shares.  Without it, as on the spin chain,
-    :func:`_chain_b` builds them with :func:`_level_cell`.
+    and raises ``ArithmeticError``.
     """
 
     H: object
     gram: object
     product: np.ndarray
     spectrum: tuple
-    level: int = 3
+    cell: Callable
     lift: Callable | None = None
     certify: Callable | None = None
-    cell: Callable | None = None
 
 
 def _chain_b(
     model: str, L: int, chain: _Chain, cell_scale: complex, cluster_tol: float
 ) -> BMeasurement:
-    """The coupling b from the rank-two cell at ``chain.level`` of a chain.
+    """The coupling b from the rank-two cell of a chain.
 
-    ``chain`` comes from :func:`_xxz_chain` or :func:`_open_chain`.  The
-    chain's spectrum locates the level, gives the ground state and gives
-    the cell's near-kernel block: the eigenvectors of the level's cluster
-    (:func:`_level_cell`).  :func:`loopcells.spectral.extract_jordan_cell`
+    ``chain`` comes from :func:`_xxz_chain` or :func:`_open_chain`, and its
+    ``cell`` hook gives the certified cell.  The eigenvectors of the level's
+    cluster in the chain's spectrum are the cell's near-kernel block
+    (:func:`_level_cell`); :func:`loopcells.spectral.extract_jordan_cell`
     decides the kernel on that block and borders the partner system with
     ``conj(G v)`` under the chain's form ``G``, a certified left kernel
-    vector.  The open chain hands over its ``chain.cell`` hook instead, so
-    a cell that :func:`percolation_check` or an earlier call already
-    certified at the same ``(L, y, cluster_tol)`` is read, not built
-    again (:func:`_open_cell`).  The singular shift is never factored:
-    ARPACK's shift (above :data:`_DENSE_SPECTRUM_STATES` states) and the
-    bordered system are the only LUs.  A sector chain certifies the cell
-    and the ground state on the full chain.  The partner is rescaled into
-    Hamiltonian convention units and paired with the trousers ``product``
-    at overlap one with the ground.  ``model`` only labels the result.
+    vector.  Each chain keeps its cell per ``cluster_tol``
+    (:func:`_kept_cell`), so a cell that an earlier call, or on the open
+    chain :func:`percolation_check`, already certified is read, not built
+    again.  The singular shift is never factored: ARPACK's shift (above
+    :data:`_DENSE_SPECTRUM_STATES` states) and the bordered system are the
+    only LUs, each made once per chain.  The spectrum also gives the ground
+    state, which a sector chain certifies on the full chain at every call.
+    The partner is rescaled into Hamiltonian convention units and paired
+    with the trousers ``product`` at overlap one with the ground.  ``model``
+    only labels the result.
     """
-    H, gram, product, spectrum = chain.H, chain.gram, chain.product, chain.spectrum
+    gram, product, spectrum = chain.gram, chain.product, chain.spectrum
     v_f = fixtures.FERMI_VELOCITY
-    if chain.cell is None:
-        _, cell = _level_cell(L, H, spectrum, chain.level, gram, cluster_tol)
-    else:
-        _, cell = chain.cell(gram, cluster_tol)
+    _, cell = chain.cell(gram, cluster_tol)
     e0, v0 = _ground(spectrum, gram)
     if chain.certify is not None:
-        chain.certify(cell.value, cell.vector, cell.partner)
         chain.certify(e0, v0)
     v3 = cell_scale * cell.vector
     w_tilde = (np.pi * v_f / L) * (cell_scale * cell.partner)
@@ -350,7 +379,7 @@ def _lift_certificate(H, lift, mirror, what: str) -> Callable:
 
 
 def _xxz_chain(L: int, q: complex) -> _Chain:
-    """The width-L spin chain, solved in its reflection-flip even sector.
+    """The width-L spin chain, solved in its reflection-flip even sector once per process.
 
     The ground state, the trousers product and the Jordan cell are even
     under the reflection-flip ``P`` (:func:`loopcells.models.reflect_flip`),
@@ -363,30 +392,55 @@ def _xxz_chain(L: int, q: complex) -> _Chain:
     pairing equals the full chain's.  The chain certifies its lifted
     vectors against the same ``H``, with ``P`` as the symmetry whose odd
     part must vanish.
+
+    The solved chain is kept with the open chains in :data:`_SOLVES` (the
+    last 16 chains, keyed by :func:`_chain_key`), its spectrum and trousers
+    read-only.  Its ``cell`` hook keeps the cell per ``cluster_tol``
+    (:func:`_kept_cell`), certified on the full chain when it is built, so
+    a repeated :func:`b_xxz` or a :func:`trousers_xxz` of the same width
+    solves and factors nothing.
     """
+    return diagrams._kept(_SOLVES, _chain_key("xxz", L, q), lambda: _solve_xxz(L, q))
+
+
+def _solve_xxz(L: int, q: complex) -> _Chain:
+    """The chain of :func:`_xxz_chain`, solved afresh."""
     H, masks = models.build_xxz(L, q)
     half_H, half_masks = models.build_xxz(L // 2, q)
     _, g = _ground(_low_spectrum(half_H, L // 2), np.eye(len(half_masks)))
     half, masks = np.array(half_masks), np.array(masks)
     find = diagrams._lookup(masks)
     rows = find(((half[:, None] << L // 2) | half).ravel())
-    product = _place(rows, g, g, len(masks))
     S = models.reflect_flip_isometry(masks, L)
     H_s = (S.T @ H @ S).tocsr()
+    product = S.T @ _place(rows, g, g, len(masks))
+    spectrum = _low_spectrum(H_s, L)
+    for array in (product, *spectrum):
+        array.flags.writeable = False
     mirror = find(models.reflect_flip(masks, L))
-    return _Chain(
-        H_s, sp.identity(S.shape[1], format="csr"), S.T @ product, _low_spectrum(H_s, L), 2,
-        S.__matmul__, _lift_certificate(H, S.__matmul__, mirror, f"L={L} spin chain"),
-    )
+    certify = _lift_certificate(H, S.__matmul__, mirror, f"L={L} spin chain")
+
+    def kept_cell(gram, cluster_tol):
+        def build():
+            cluster, cell = _level_cell(L, H_s, spectrum, 2, gram, cluster_tol)
+            certify(cell.value, cell.vector, cell.partner)
+            return cluster, cell
+
+        return _kept_cell(_chain_key("xxz", L, q), cluster_tol, build)
+
+    identity = sp.identity(S.shape[1], format="csr")
+    return _Chain(H_s, identity, product, spectrum, kept_cell, S.__matmul__, certify)
 
 
 def trousers_xxz(L: int, q: complex | None = None) -> TrousersState:
     """Spin-chain trousers state, overlap one with the width-L ground state.
 
     Needs ``L`` divisible by four so each half chain has a zero-magnetization
-    sector.  The ground state is solved in the reflection-flip sector
-    (:func:`_xxz_chain`) and certified on the full chain.  The pairing is
-    bilinear, so one vector (labelled ``"right"``) serves both sides.
+    sector.  The ground state is read off the chain that :func:`_xxz_chain`
+    solved in the reflection-flip sector, so after a :func:`b_xxz` of the
+    same width nothing is solved again, and it is certified on the full
+    chain.  The pairing is bilinear, so one vector (labelled ``"right"``)
+    serves both sides.
     """
     if L % 4:
         raise ValueError("spin trousers need L/2 even, i.e. L a multiple of 4")
@@ -414,7 +468,10 @@ def b_xxz(
     ground state lifted to the full chain, rescale the partner into
     Hamiltonian convention units, and pair with the trousers state.  The
     sector has about half the states (494 of 924 at L=12, 6,563 of 12,870
-    at L=16), so each sparse LU is several times cheaper.  ``cell_scale``
+    at L=16), so each sparse LU is several times cheaper.  A process keeps
+    the solved chain and its certified cell (:func:`_xxz_chain`), so a
+    repeated call of the same width and tolerance solves, factors and
+    certifies nothing but the ground state.  ``cell_scale``
     multiplies the whole cell and must not change the answer (tested).  A
     ``cluster_tol`` that is not positive and finite raises ``ValueError``
     before the chain is built.
@@ -573,17 +630,14 @@ def b_polymer(
 # Deformed percolation chain: trousers and b
 
 
-_OPEN_SOLVES: dict[tuple, tuple] = {}  # (L, y, complex y) -> (H, its spectrum), oldest first
-
-
 def _open_solve(L: int, y: complex):
     """``(H, spectrum)`` of the width-L open chain at ``y``, solved once per process.
 
     ``H`` is :func:`loopcells.models.build_percolation_H` as built and
-    ``spectrum`` its :func:`_low_spectrum`, whose arrays are made read-only;
-    the last 16 chains are kept.  ``y = 2`` and ``y = 2.0`` build the same
-    real chain and share it, while ``y = 2+0j`` builds a complex chain and
-    is kept apart.
+    ``spectrum`` its :func:`_low_spectrum`, whose arrays are made read-only.
+    It is kept with the spin chains in :data:`_SOLVES` (the last 16 chains,
+    keyed by :func:`_chain_key`), so ``y = 2`` and ``y = 2.0`` share a real
+    chain while ``y = 2+0j`` keeps a complex one.
     """
     def solve():
         H = models.build_percolation_H(L, y)
@@ -592,10 +646,7 @@ def _open_solve(L: int, y: complex):
             array.flags.writeable = False
         return H, spectrum
 
-    return diagrams._kept(_OPEN_SOLVES, (L, y, bool(np.iscomplexobj(y))), solve)
-
-
-_OPEN_CELLS: dict[tuple, tuple] = {}  # (L, y, complex y, cluster_tol) -> (cluster, cell), oldest first
+    return diagrams._kept(_SOLVES, _chain_key("open", L, y), solve)
 
 
 def _open_cell(L: int, y: complex, cluster_tol: float, gram=None):
@@ -606,21 +657,17 @@ def _open_cell(L: int, y: complex, cluster_tol: float, gram=None):
     :func:`loopcells.forms.link_gram`, when none is passed), and certified
     then: kernel, left and partner residuals.  Whichever caller comes first
     builds it, :func:`b_deformed` or :func:`percolation_check`; later calls
-    with the same ``(L, y, cluster_tol)`` read it and build no Gram.  The
-    last 16 cells are kept, each a cluster and two read-only vectors, keyed
-    as :func:`_open_solve` keys its chains plus the tolerance.  A level that
-    is refused (diagonalizable, not a double cluster, or failing its
-    certificate) raises again at every call and is not kept.
+    with the same ``(L, y, cluster_tol)`` read it from :func:`_kept_cell`'s
+    store and build no Gram.  It keeps a cluster and two read-only vectors,
+    and a level that is refused (diagonalizable, not a double cluster, or
+    failing its certificate) raises again at every call and is not kept.
     """
     def build():
         H, spectrum = _open_solve(L, y)
         form = forms.link_gram(L, y) if gram is None else gram
-        cluster, cell = _level_cell(L, H, spectrum, 3, form, cluster_tol)
-        for array in (cell.vector, cell.partner):
-            array.flags.writeable = False
-        return cluster, cell
+        return _level_cell(L, H, spectrum, 3, form, cluster_tol)
 
-    return diagrams._kept(_OPEN_CELLS, (L, y, bool(np.iscomplexobj(y)), cluster_tol), build)
+    return _kept_cell(_chain_key("open", L, y), cluster_tol, build)
 
 
 def _open_chain(L: int, y: complex) -> _Chain:
@@ -642,7 +689,7 @@ def _open_chain(L: int, y: complex) -> _Chain:
     rows = diagrams._arrays(diagrams._open_sites(L))[1](diagrams._side_by_side(half, half))
     product = _place(rows, g, g, len(gram))
     H, spectrum = _open_solve(L, y)
-    return _Chain(H, gram, product, spectrum, cell=lambda form, tol: _open_cell(L, y, tol, form))
+    return _Chain(H, gram, product, spectrum, lambda form, tol: _open_cell(L, y, tol, form))
 
 
 def trousers_open(L: int, y: complex = 1.0) -> TrousersState:

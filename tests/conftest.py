@@ -14,17 +14,15 @@ settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture(autouse=True)
-def fresh_open_solves(monkeypatch) -> None:
-    """Empty stores of solved open chains and their cells for each test, so no test reads another's."""
-    monkeypatch.setattr(observables, "_OPEN_SOLVES", {})
-    monkeypatch.setattr(observables, "_OPEN_CELLS", {})
+def fresh_stores(monkeypatch) -> None:
+    """Empty every per-process store of :mod:`loopcells.observables` for each test, so no test reads another's.
 
-
-@pytest.fixture(autouse=True)
-def fresh_boundary_stores(monkeypatch) -> None:
-    """Empty stores of Ising log-overlaps and loop moments for each test, as for the open chains."""
-    monkeypatch.setattr(observables, "_ISING_OVERLAPS", {})
-    monkeypatch.setattr(observables, "_LOOP_MOMENTS", {})
+    A store is a module-level dict named in capitals: the solved chains and
+    their cells, the Ising log-overlaps and the loop moments.
+    """
+    for name, value in vars(observables).items():
+        if isinstance(value, dict) and name.lstrip("_").isupper():
+            monkeypatch.setattr(observables, name, {})
 
 
 @pytest.fixture

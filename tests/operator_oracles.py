@@ -9,7 +9,13 @@
   contraction, by label parity;
 * :func:`build_ising` -- the critical Ising ring on all ``2^L``
   configurations, the operator that :func:`loopcells.models.apply_ising`
-  applies and :func:`loopcells.models.build_ising_sector` restricts;
+  applies and :func:`loopcells.models.build_ising_sector` restricts, with
+  its diagonal summed bond by bond (:func:`ising_diagonal`);
+* :func:`apply_ising_gather` -- that ring applied matrix-free with one
+  index gather per single-flip term, the twin of
+  :func:`loopcells.models.apply_ising`;
+* :func:`adjointness_matrix_defect` -- how far an operator is from
+  self-adjoint under a Gram array, entry by entry;
 * :func:`geometric_multiplicity` and :func:`nilpotent_norm` -- the kernel
   dimension and the nilpotent part of a dense operator at a level, the dense
   twins of :func:`loopcells.spectral.cell_structure`;
@@ -105,6 +111,27 @@ def contraction_weight(label: int, y: complex) -> complex:
     return y if label % 2 == 0 else 1.0
 
 
+def ising_diagonal(masks: np.ndarray, L: int) -> np.ndarray:
+    """``- sum_i sz_i sz_{i+1}`` of each ring configuration, one bond at a time.
+
+    Each bond adds ``sz sz = +1`` on aligned spins and ``-1`` on anti-aligned
+    ("broken") ones.
+    """
+    broken = np.zeros(masks.shape, dtype=np.int64)
+    for i in range(L):
+        broken += ((masks >> i) ^ (masks >> ((i + 1) % L))) & 1
+    return (2 * broken - L).astype(float)
+
+
+def apply_ising_gather(L: int, v: np.ndarray) -> np.ndarray:
+    """``H v`` for the full critical transverse-field ring, each single-flip term one gather."""
+    masks = np.arange(1 << L, dtype=np.min_scalar_type((1 << L) - 1))
+    out = ising_diagonal(masks, L) * v
+    for i in range(L):
+        out -= v[masks ^ (1 << i)]
+    return out
+
+
 def build_ising(L: int) -> sp.csr_matrix:
     """Critical transverse-field chain on a ring of ``L`` spins.
 
@@ -114,7 +141,7 @@ def build_ising(L: int) -> sp.csr_matrix:
     """
     dim = 1 << L
     masks = np.arange(dim)
-    diag = models._ising_diagonal(masks, L)
+    diag = ising_diagonal(masks, L)
     # row r holds r itself and its L single flips, sorted into CSR order
     cols = masks[:, None] ^ np.concatenate([[0], 1 << np.arange(L)])
     cols.sort(axis=1)
@@ -227,3 +254,15 @@ def tile_matrix(stay, cols, rows, moved) -> sp.csc_array:
     diagonal = np.ones(dim) if stay is None else stay
     moves = sp.csc_array((moved, (rows, cols)), shape=(dim, dim))
     return sp.csc_array(sp.diags_array(diagonal)) + moves
+
+
+def adjointness_matrix_defect(op, gram: np.ndarray) -> float:
+    """Exact test of ``G A = A^T G``: ``max |G A - A^T G|`` over entries, normalized.
+
+    ``op`` is dense or sparse and ``gram`` the Gram array ``G``.
+    """
+    op = spectral._dense(op)
+    lhs = gram @ op
+    rhs = op.T @ gram
+    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
+    return float(np.max(np.abs(lhs - rhs))) / scale

@@ -251,11 +251,11 @@ def test_7_property_suites(capsys, xxz_b, polymer_b):
         H, masks = models.build_xxz(L)
         adjoint = max(
             adjoint,
-            forms.adjointness_matrix_defect(H.toarray(), np.eye(len(masks))),
+            oracles.adjointness_matrix_defect(H.toarray(), np.eye(len(masks))),
         )
         Hp = models.build_percolation_H(L, 1.0)
         adjoint = max(
-            adjoint, forms.adjointness_matrix_defect(Hp, forms.link_gram(L, 1.0))
+            adjoint, oracles.adjointness_matrix_defect(Hp, forms.link_gram(L, 1.0))
         )
 
     rng = np.random.default_rng(20260816)

@@ -186,6 +186,16 @@ class TestOtherCommands:
         assert row["jordan_cell_y=2"] == "yes"
         assert row["jordan_cell_y=-1"] == "yes"
 
+    def test_percolation_check_answers_at_odd_widths_above_the_dense_cut(self, capsys):
+        # width 11 has 462 states, so ARPACK solves every chain
+        code, out, _ = run(capsys, "percolation-check", "--sizes", "9,11", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["L"] for row in rows] == [9, 11]
+        for row in rows:
+            assert row["diagonalizable"] == "yes"
+            assert row["jordan_cell_y=2"] == row["jordan_cell_y=-1"] == "yes"
+
     def test_ising_entropy_rows(self, capsys):
         code, out, _ = run(
             capsys, "ising-entropy", "--sizes", "8,10,12", "--format", "json"

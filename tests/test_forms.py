@@ -260,18 +260,18 @@ class TestLinkGram:
     def test_generators_self_adjoint(self, L, y):
         gram = forms.link_gram(L, y)
         for e in tl.open_generators(L, 1.0, y):
-            assert forms.adjointness_matrix_defect(e, gram) < 1e-12
+            assert oracles.adjointness_matrix_defect(e, gram) < 1e-12
 
 
 class TestSpinForm:
     def test_xxz_hamiltonian_self_adjoint(self):
         H, masks = models.build_xxz(4)
-        assert forms.adjointness_matrix_defect(H.toarray(), np.eye(len(masks))) < 1e-12
+        assert oracles.adjointness_matrix_defect(H.toarray(), np.eye(len(masks))) < 1e-12
 
     def test_defects_accept_sparse_operators(self):
         H, masks = models.build_xxz(4)
         gram = np.eye(len(masks))
-        defect = forms.adjointness_matrix_defect
+        defect = oracles.adjointness_matrix_defect
         assert defect(H, gram) == pytest.approx(defect(H.toarray(), gram), rel=1e-12, abs=1e-15)
 
     def test_width_two_singlet_square(self):
@@ -549,9 +549,9 @@ class TestDefectMeasures:
     def test_defect_detects_asymmetry(self):
         sym = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2.0]])
         skew = sym + np.array([[0, 0.5, 0, 0], [-0.5, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0.0]])
-        assert forms.adjointness_matrix_defect(sym, np.eye(4)) < 1e-15
-        assert forms.adjointness_matrix_defect(skew, np.eye(4)) > 0.1
+        assert oracles.adjointness_matrix_defect(sym, np.eye(4)) < 1e-15
+        assert oracles.adjointness_matrix_defect(skew, np.eye(4)) > 0.1
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
-            forms.adjointness_matrix_defect(np.eye(3), np.eye(4))
+            oracles.adjointness_matrix_defect(np.eye(3), np.eye(4))

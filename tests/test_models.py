@@ -177,7 +177,7 @@ class TestXXZ:
 
     def test_self_adjoint_under_identity_form(self):
         H, masks = models.build_xxz(6)
-        assert forms.adjointness_matrix_defect(H.toarray(), np.eye(len(masks))) < 1e-12
+        assert oracles.adjointness_matrix_defect(H.toarray(), np.eye(len(masks))) < 1e-12
 
 
 class TestIsing:
@@ -279,6 +279,17 @@ class TestIsingSector:
         v = np.random.default_rng(L).standard_normal(1 << L)
         np.testing.assert_allclose(
             models.apply_ising(L, v), oracles.build_ising(L) @ v, atol=1e-12
+        )
+
+
+    @pytest.mark.parametrize("L", range(1, 13))
+    def test_matrix_free_ring_matches_the_gather_oracle(self, L):
+        # the same terms in the same order, so the same bits
+        v = np.random.default_rng(L).standard_normal(1 << L)
+        np.testing.assert_array_equal(models.apply_ising(L, v), oracles.apply_ising_gather(L, v))
+        masks = np.arange(1 << L)
+        np.testing.assert_array_equal(
+            models._ising_diagonal(masks, L), oracles.ising_diagonal(masks, L)
         )
 
 
@@ -710,4 +721,4 @@ class TestPercolationChain:
     def test_self_adjoint_under_link_form(self):
         for y in (1.0, 2.0):
             H = models.build_percolation_H(4, y)
-            assert forms.adjointness_matrix_defect(H, forms.link_gram(4, y)) < 1e-12
+            assert oracles.adjointness_matrix_defect(H, forms.link_gram(4, y)) < 1e-12

@@ -193,8 +193,38 @@ def full_chain_b_xxz(L: int, cell_scale: complex = 1.0) -> obs.BMeasurement:
     half = np.array(half_masks)
     rows = dg._lookup(np.array(masks))(((half[:, None] << L // 2) | half).ravel())
     product = obs._place(rows, g, g, len(masks))
-    chain = obs._Chain(H, sp.identity(len(masks), format="csr"), product, obs._low_spectrum(H, L))
+    spectrum = obs._low_spectrum(H, L)
+
+    def cell(gram, tol):
+        return obs._level_cell(L, H, spectrum, 3, gram, tol)
+
+    chain = obs._Chain(H, sp.identity(len(masks), format="csr"), product, spectrum, cell)
     return obs._chain_b("xxz", L, chain, cell_scale, 1e-5)
+
+
+def kick_spin_chain(monkeypatch, L: int, sign: int) -> None:
+    """Kick the diagonal of the width-L spin chain so it no longer commutes with the reflection-flip.
+
+    The first mask of a two-mask orbit gets ``1e-3`` and its image
+    ``sign * 1e-3``.  With ``sign = 0`` the sector operator ``S^T H S`` sees
+    the kick; with ``sign = -1`` (P-odd) it cannot, so the chain and its
+    cell solve and the lifted cell fails the full chain.
+    """
+    build = models.build_xxz
+    masks = np.array(build(L)[1])
+    images = dg._lookup(masks)(models.reflect_flip(masks, L))
+    k = int(np.flatnonzero(images != np.arange(len(masks)))[0])
+
+    def kicked(width, q=None):
+        H, masks = build(width, q)
+        if width == L:
+            H = H.tolil()
+            H[k, k] += 1e-3
+            H[images[k], images[k]] += sign * 1e-3
+            H = H.tocsr()
+        return H, masks
+
+    monkeypatch.setattr(models, "build_xxz", kicked)
 
 
 class TestSpinSector:
@@ -208,7 +238,9 @@ class TestSpinSector:
 
     def test_cell_is_the_third_sector_level(self):
         chain = obs._xxz_chain(8, fx.Q_VALUE)
-        assert chain.level == 2 and chain.H.shape == (43, 43)
+        cluster, cell = chain.cell(chain.gram, 1e-5)
+        assert cluster == obs._level(chain.spectrum, 2, 1e-5) and cell.value == cluster.value
+        assert chain.H.shape == (43, 43)
 
     @pytest.mark.parametrize(
         "sign, error, match",
@@ -223,22 +255,7 @@ class TestSpinSector:
         ids=["one-sided", "P-odd"],
     )
     def test_chain_breaking_the_symmetry_is_refused(self, monkeypatch, sign, error, match):
-        # a diagonal kick that keeps H from commuting with the reflection-flip
-        build = models.build_xxz
-        masks = np.array(build(8)[1])
-        images = dg._lookup(masks)(models.reflect_flip(masks, 8))
-        k = int(np.flatnonzero(images != np.arange(len(masks)))[0])
-
-        def kicked(L, q=None):
-            H, masks = build(L, q)
-            if L == 8:
-                H = H.tolil()
-                H[k, k] += 1e-3
-                H[images[k], images[k]] += sign * 1e-3
-                H = H.tocsr()
-            return H, masks
-
-        monkeypatch.setattr(models, "build_xxz", kicked)
+        kick_spin_chain(monkeypatch, 8, sign)
         with pytest.raises(error, match=match):
             obs.b_xxz(8)
 
@@ -539,8 +556,8 @@ class TestGoldenValues:
         dense = measure()
         # the dense solves of the open chains and their cells are kept;
         # solve and build them again
-        monkeypatch.setattr(obs, "_OPEN_SOLVES", {})
-        monkeypatch.setattr(obs, "_OPEN_CELLS", {})
+        monkeypatch.setattr(obs, "_SOLVES", {})
+        monkeypatch.setattr(obs, "_CELLS", {})
         solved = []
         low_spectrum = obs._low_spectrum
 
@@ -609,7 +626,7 @@ ORACLE_NAMES = {
     "enumerate_open", "enumerate_dilute", "basis_index", "sector_indices",
     "spin_generators", "check_relations_chain", "check_relations_periodic",
     "_relation_residual", "contraction_weight", "build_ising", "geometric_multiplicity",
-    "nilpotent_norm",
+    "nilpotent_norm", "ising_diagonal", "apply_ising_gather", "adjointness_matrix_defect",
 }
 
 
@@ -758,8 +775,8 @@ class TestOpenSolves:
         # system, no chain rebuilt
         ys = (2.0, -1.0, 0.5)
         cold = [obs.b_deformed(10, y) for y in ys]
-        monkeypatch.setattr(obs, "_OPEN_SOLVES", {})
-        monkeypatch.setattr(obs, "_OPEN_CELLS", {})
+        monkeypatch.setattr(obs, "_SOLVES", {})
+        monkeypatch.setattr(obs, "_CELLS", {})
         obs.percolation_check(10, ys)
         factored = factor_shapes(monkeypatch)
         for y, expect in zip(ys, cold):
@@ -787,7 +804,7 @@ class TestOpenSolves:
         H_complex, _ = obs._open_solve(10, 2 + 0j)
         assert factor_dtypes == [np.dtype(np.float64), np.dtype(np.complex128)]
         assert (H_real.dtype, H_complex.dtype) == (np.float64, np.complex128)
-        assert len(obs._OPEN_SOLVES) == 2
+        assert len(obs._SOLVES) == 2
 
     @pytest.mark.parametrize("L", [4, 10], ids=["dense", "arpack"])
     def test_stored_spectrum_is_read_only(self, L):
@@ -800,7 +817,7 @@ class TestOpenSolves:
         ys = [1.0 + k for k in range(17)]
         for y in ys:
             obs._open_solve(4, y)
-        assert len(chains) == 17 and len(obs._OPEN_SOLVES) == 16
+        assert len(chains) == 17 and len(obs._SOLVES) == 16
         obs._open_solve(4, ys[-1])
         assert len(chains) == 17
         obs._open_solve(4, ys[0])
@@ -813,7 +830,7 @@ class TestOpenCells:
         assert obs._open_cell(10, 2, 1e-5)[1] is cell
         assert obs._open_cell(10, 2 + 0j, 1e-5)[1] is not cell
         assert obs._open_cell(10, 2.0, 1e-6)[1] is not cell
-        assert len(obs._OPEN_CELLS) == 3
+        assert len(obs._CELLS) == 3
         # one float and one complex chain, and a bordered system per cell
         assert factor_dtypes.count(np.dtype(np.complex128)) == 2
         assert len(factor_dtypes) == 5
@@ -823,7 +840,7 @@ class TestOpenCells:
         ys = [2.0 + k for k in range(17)]
         for y in ys:
             obs._open_cell(4, y, 1e-5)
-        assert len(cells) == 17 and len(obs._OPEN_CELLS) == 16
+        assert len(cells) == 17 and len(obs._CELLS) == 16
         obs._open_cell(4, ys[-1], 1e-5)
         assert len(cells) == 17
         obs._open_cell(4, ys[0], 1e-5)
@@ -832,8 +849,8 @@ class TestOpenCells:
     def test_store_keeps_no_gram(self):
         obs.percolation_check(10)
         obs.b_deformed(8, 2.0)
-        assert len(obs._OPEN_CELLS) == 4
-        for cluster, cell in obs._OPEN_CELLS.values():
+        assert len(obs._CELLS) == 4
+        for cluster, cell in obs._CELLS.values():
             assert cluster.size == 2 and cell.value == cluster.value
             arrays = [v for v in vars(cell).values() if isinstance(v, np.ndarray)]
             assert len(arrays) == 2
@@ -843,7 +860,7 @@ class TestOpenCells:
     def test_refused_level_is_not_kept(self):
         with pytest.raises(spectral.DiagonalizableLevelError):
             obs._open_cell(6, 1.0, 1e-5)
-        assert obs._OPEN_CELLS == {}
+        assert obs._CELLS == {}
 
     @pytest.mark.parametrize("L", [4, 6, 8, 10])
     def test_stored_level_is_the_undeformed_one(self, monkeypatch, L):
@@ -857,7 +874,7 @@ class TestOpenCells:
         vals = obs._open_solve(L, 1.0)[1][0]
         reach = 1e-5 * np.max(np.abs(vals))
         for y in ys:
-            cluster, _ = obs._OPEN_CELLS[(L, y, False, 1e-5)]
+            cluster, _ = obs._CELLS[("open", L, y, False, 1e-5)]
             assert abs(cluster.value - report.level) <= reach
 
     @pytest.mark.parametrize(
@@ -868,7 +885,100 @@ class TestOpenCells:
         # the stored level lies elsewhere and the probe builds its cell afresh
         fallbacks = count_calls(monkeypatch, obs, "_nearest_cell")
         getattr(TestPercolationCheck(), refusal)(monkeypatch)
-        assert fallbacks and len(obs._OPEN_CELLS) == 1
+        assert fallbacks and len(obs._CELLS) == 1
+
+
+class TestSpinSolves:
+    @pytest.mark.parametrize("L", [8, 12], ids=["dense", "arpack"])
+    def test_warm_b_xxz_solves_nothing(self, monkeypatch, L):
+        # the second call builds no chain and factors nothing: no ARPACK
+        # shift, no bordered system; only the ground state is certified again
+        cold = obs.b_xxz(L, cell_scale=0.7 - 0.2j)
+        chains = count_calls(monkeypatch, models, "build_xxz")
+        factored = factor_shapes(monkeypatch)
+        assert vars(obs.b_xxz(L, cell_scale=0.7 - 0.2j)) == vars(cold)
+        for scale in (13.0, -2.0 + 1j):
+            assert obs.b_xxz(L, cell_scale=scale).value == pytest.approx(cold.value, abs=1e-10)
+        assert chains == [] and factored == []
+
+    def test_trousers_after_b_xxz_solves_nothing(self, monkeypatch):
+        obs.b_xxz(12)
+        chains = count_calls(monkeypatch, models, "build_xxz")
+        spectra = count_calls(monkeypatch, obs, "_low_spectrum")
+        factored = factor_shapes(monkeypatch)
+        trousers = obs.trousers_xxz(12)
+        assert chains == [] and spectra == [] and factored == []
+        monkeypatch.setattr(obs, "_SOLVES", {})
+        np.testing.assert_array_equal(obs.trousers_xxz(12).vector, trousers.vector)
+        assert sorted(chains) == [6, 12]
+
+    def test_real_and_complex_q_and_tolerances_are_kept_apart(self):
+        chain = obs._xxz_chain(8, 2.0)
+        assert obs._xxz_chain(8, 2) is chain
+        assert obs._xxz_chain(8, 2 + 0j) is not chain
+        assert list(obs._SOLVES) == [("xxz", 8, 2.0, False), ("xxz", 8, 2 + 0j, True)]
+        q = fx.Q_VALUE
+        chain = obs._xxz_chain(8, q)
+        _, cell = chain.cell(chain.gram, 1e-5)
+        assert obs._xxz_chain(8, q).cell(chain.gram, 1e-5)[1] is cell
+        assert obs._xxz_chain(8, q).cell(chain.gram, 1e-6)[1] is not cell
+        assert list(obs._CELLS) == [("xxz", 8, q, True, 1e-5), ("xxz", 8, q, True, 1e-6)]
+
+    @pytest.mark.parametrize("L", [8, 12], ids=["dense", "arpack"])
+    def test_stored_arrays_are_read_only(self, L):
+        obs.b_xxz(L)
+        chain = obs._xxz_chain(L, fx.Q_VALUE)
+        (cluster, cell), = obs._CELLS.values()
+        assert cluster.size == 2 and cell.value == cluster.value
+        for array in (chain.product, *chain.spectrum, cell.vector, cell.partner):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_refused_level_is_not_kept(self, monkeypatch):
+        # the chain is kept, and its cell, refused on the full chain, is
+        # certified and refused again at every call
+        kick_spin_chain(monkeypatch, 8, -1)
+        cells = count_calls(monkeypatch, obs, "_level_cell")
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="L=8 spin chain .* fails the full chain"):
+                obs.b_xxz(8)
+        assert len(cells) == 2 and obs._CELLS == {}
+        assert list(obs._SOLVES) == [("xxz", 8, fx.Q_VALUE, True)]
+
+    def test_seventeenth_chain_drops_the_first(self, monkeypatch):
+        # spin and open chains share one store of 16 chains
+        chains = count_calls(monkeypatch, models, "build_xxz")
+        obs._open_solve(4, 2.0)
+        qs = [np.exp(1j * np.pi / (3 + k)) for k in range(16)]
+        for q in qs:
+            obs._xxz_chain(4, q)
+        assert len(chains) == 32 and len(obs._SOLVES) == 16
+        assert ("open", 4, 2.0, False) not in obs._SOLVES
+        obs._xxz_chain(4, qs[-1])
+        assert len(chains) == 32
+        obs._open_solve(4, 2.0)
+        assert ("xxz", 4, qs[0], True) not in obs._SOLVES
+
+    def test_seventeenth_cell_drops_the_first(self, monkeypatch):
+        cells = count_calls(monkeypatch, obs, "_level_cell")
+        chain = obs._xxz_chain(8, fx.Q_VALUE)
+        tols = [1e-5 * (1 + k / 100) for k in range(17)]
+        for tol in tols:
+            chain.cell(chain.gram, tol)
+        assert len(cells) == 17 and len(obs._CELLS) == 16
+        chain.cell(chain.gram, tols[-1])
+        assert len(cells) == 17
+        chain.cell(chain.gram, tols[0])
+        assert len(cells) == 18
+
+
+def test_store_fixture_empties_every_store():
+    # the autouse fixture of conftest has replaced each store by an empty one
+    stores = {name: value for name, value in vars(obs).items() if name.lstrip("_").isupper()}
+    assert {name for name, value in stores.items() if isinstance(value, dict)} == {
+        "_SOLVES", "_CELLS", "_ISING_OVERLAPS", "_LOOP_MOMENTS",
+    }
+    assert all(value == {} for value in stores.values() if isinstance(value, dict))
 
 
 def dense_cell(L: int, y: complex) -> spectral.JordanCell:
@@ -1024,7 +1134,10 @@ class TestPercolationCheck:
         H = ladder(200)
         spectrum = obs._low_spectrum(H, 2)
         assert len(spectrum[0]) == 6
-        chain = obs._Chain(H, sp.identity(200, format="csr"), np.ones(200), spectrum)
+        chain = obs._Chain(
+            H, sp.identity(200, format="csr"), np.ones(200), spectrum,
+            lambda gram, tol: obs._level_cell(2, H, spectrum, 3, gram, tol),
+        )
         with pytest.raises(spectral.ClusterSizeError, match="cut short"):
             obs._chain_b("ladder", 2, chain, 1.0, 1e-5)
         monkeypatch.setattr(models, "build_percolation_H", lambda L, y=1.0: H)
@@ -1046,6 +1159,41 @@ class TestPercolationCheck:
         spectrum = obs._low_spectrum(H, L)
         assert len(spectrum[0]) == 6 < H.shape[0]
         assert obs._level(spectrum, index, 1e-5).size == 2
+
+    @pytest.mark.parametrize("y", [1.0, 2.0])
+    @pytest.mark.parametrize("L", [11, 13])
+    def test_eight_arpack_pairs_hold_the_odd_fourth_level(self, L, y):
+        # on an odd chain the ground is simple and the next levels double:
+        # the fourth level is the 6th and 7th eigenvalue, the 8th closes it off
+        H = models.build_percolation_H(L, y)
+        spectrum = obs._low_spectrum(H, L)
+        assert len(spectrum[0]) == 8 < H.shape[0]
+        assert [c.size for c in spectral.cluster_eigenvalues(spectrum[0], 1e-5)][:4] == [1, 2, 2, 2]
+        assert obs._level(spectrum, 3, 1e-5).size == 2
+
+    def test_arpack_reports_match_lapack_at_odd_widths(self, monkeypatch):
+        dense = [obs.percolation_check(L) for L in (7, 9)]
+        monkeypatch.setattr(obs, "_SOLVES", {})
+        monkeypatch.setattr(obs, "_CELLS", {})
+        monkeypatch.setattr(obs, "_DENSE_SPECTRUM_STATES", 20)
+        solved = []
+        low_spectrum = obs._low_spectrum
+
+        def recorded(H, L):
+            vals, vecs = low_spectrum(H, L)
+            solved.append((L, H.shape[0], len(vals)))
+            return vals, vecs
+
+        monkeypatch.setattr(obs, "_low_spectrum", recorded)
+        sparse = [obs.percolation_check(L) for L in (7, 9)]
+        assert sorted(set(solved)) == [(7, 35, 8), (9, 126, 8)]
+        for got, expect in zip(sparse, dense):
+            assert got.level == pytest.approx(expect.level, abs=1e-10)
+            assert (got.cluster_size, got.geometric_multiplicity, got.diagonalizable) == (
+                expect.cluster_size, expect.geometric_multiplicity, expect.diagonalizable
+            )
+            assert got.nilpotent_norm < 1e-8 and expect.nilpotent_norm < 1e-8
+            assert got.deformed_genuine == expect.deformed_genuine
 
     def test_dense_spectrum_is_never_cut_short(self):
         # all nine eigenvalues: the last level is whole
