@@ -23,22 +23,65 @@ generator builds them all (:func:`_path_sites`): it grows all paths one site
 at a time with vectorized steps and sorts them by string count, then roles,
 then partners; each basis is kept once per width.  Builders and forms read a
 basis through its array form (:func:`_arrays`): the site array and a checked
-lookup of the row of a mapped state by a sorted integer key.  A cup-cap or a
+lookup of the row of a mapped state by a sorted integer key, kept once per
+basis object.  A cup-cap or a
 lozenge changes at most four sites, so it finds its rows from the basis keys
 shifted at those sites (:func:`_key_shift`).
+
+Every per-process store of the package, here and in :mod:`loopcells.tl`,
+:mod:`loopcells.forms` and :mod:`loopcells.observables`, is a function
+wrapped by :func:`_kept`: built once per key and kept for the last 16 keys.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import functools
+import inspect
 
 import numpy as np
 
 _STRING_SITE = -1  # site value of a string end in a site array
 _EMPTY_SITE = -2  # site value of an empty site
 
+_STORES: list = []  # every function made by :func:`_kept`; its ``store`` attribute is its memo
 
-@lru_cache(maxsize=None)
+
+def _kept(build):
+    """``build``, built once per key of its arguments and kept for the last 16 keys.
+
+    The key is the positional arguments.  An unhashable one (a site array,
+    a list) counts by its identity and is held with the value, so the
+    identity stays unique; any other counts by its value and by whether it
+    is complex, so ``2`` and ``2.0`` share a key while ``2+0j`` is kept
+    apart.  Keyword-only parameters of ``build`` are build inputs outside
+    the key, and any other keyword raises ``TypeError``.  A build that
+    raises keeps nothing.  The store (``.store``, oldest key first) drops
+    its oldest key to make room; every store is listed in :data:`_STORES`.
+    """
+    parameters = inspect.signature(build).parameters.values()
+    inputs = {p.name for p in parameters if p.kind is p.KEYWORD_ONLY}
+    store: dict = {}
+
+    @functools.wraps(build)
+    def kept(*args, **kwargs):
+        if not kwargs.keys() <= inputs:
+            raise TypeError(f"{build.__name__} takes {sorted(kwargs.keys() - inputs)} by position")
+        key = tuple(
+            (id(a), None) if a.__hash__ is None else (a, bool(np.iscomplexobj(a))) for a in args
+        )
+        if key not in store:
+            value = build(*args, **kwargs)
+            if len(store) >= 16:
+                del store[next(iter(store))]
+            store[key] = args, value
+        return store[key][1]
+
+    kept.store = store
+    _STORES.append(kept)
+    return kept
+
+
+@_kept
 def dilute_row_sites(L: int) -> np.ndarray:
     """The zero- and two-string dilute states as one read-only site array per width."""
     if L < 1:
@@ -46,7 +89,7 @@ def dilute_row_sites(L: int) -> np.ndarray:
     return _path_sites(L, True, 2, 0)
 
 
-@lru_cache(maxsize=None)
+@_kept
 def _dense_sites(L: int) -> np.ndarray:
     """The periodic all-arc basis (Dyck paths) as one read-only site array per width."""
     if L < 2 or L % 2:
@@ -54,7 +97,7 @@ def _dense_sites(L: int) -> np.ndarray:
     return _path_sites(L, False, 0, None)
 
 
-@lru_cache(maxsize=None)
+@_kept
 def _open_sites(L: int) -> np.ndarray:
     """The open arc/string basis as one read-only site array per width."""
     if L < 1:
@@ -111,8 +154,6 @@ def _path_sites(L: int, empty: bool, strings: int, parity: int | None) -> np.nda
 # ---------------------------------------------------------------------------
 # Array form of a basis
 
-_ARRAYS: dict[int, tuple] = {}  # id of a basis -> (basis, (array form, keyed form)), oldest first
-
 
 def _lookup(keys: np.ndarray):
     """``find(query)``: positions of query keys in the distinct ``keys``, or ``LookupError``.
@@ -152,40 +193,13 @@ def _keys(sites: np.ndarray) -> np.ndarray:
     return _digits(sites, np.arange(L)) @ _place(L)
 
 
-def _kept(store: dict, key, build):
-    """``build()``, built once per ``key`` and kept in ``store`` for the last 16 keys.
-
-    ``store`` maps each key to its value, oldest first; the oldest is
-    dropped to make room.
-    """
-    if key not in store:
-        value = build()
-        if len(store) >= 16:
-            del store[next(iter(store))]
-        store[key] = value
-    return store[key]
-
-
-def _per_basis(store: dict, basis, build):
-    """``build(basis)``, built once per basis object and kept in ``store`` for the last 16 bases.
-
-    ``store`` maps the id of a basis to the basis and its value, oldest
-    first; it holds each basis, so the id stays unique.
-    """
-    return _kept(store, id(basis), lambda: (basis, build(basis)))[1]
-
-
-def _cached(basis):
+@_kept
+def _array_forms(sites):
     """``((sites, rows), (digits, keys, find))`` of a basis, built once per basis object.
 
     A basis is an ``int8`` site array with one row per state, which is used
     as it is and made read-only; anything else raises ``TypeError``.
     """
-    return _per_basis(_ARRAYS, basis, _array_forms)
-
-
-def _array_forms(sites):
-    """The value of :func:`_cached`, built afresh."""
     if not (isinstance(sites, np.ndarray) and sites.dtype == np.int8 and sites.ndim == 2):
         raise TypeError("a basis is an int8 site array with one row per state")
     L = sites.shape[1]
@@ -204,7 +218,7 @@ def _arrays(basis):
     ``_STRING_SITE``/``_EMPTY_SITE`` (read-only ``int8``); ``rows(new)`` finds
     the row of every state of a site array (:func:`_lookup`).
     """
-    return _cached(basis)[0]
+    return _array_forms(basis)[0]
 
 
 def _keyed(basis):
@@ -214,7 +228,7 @@ def _keyed(basis):
     A local move finds its rows as ``find(keys + shift)``, with the key
     change ``shift`` of :func:`_key_shift`, and keys no moved site array.
     """
-    return _cached(basis)[1]
+    return _array_forms(basis)[1]
 
 
 def _key_shift(basis, i: int, j: int, near, far) -> np.ndarray:
@@ -227,7 +241,7 @@ def _key_shift(basis, i: int, j: int, near, far) -> np.ndarray:
     its term weighs nothing; a far end at ``i`` or ``j`` (the arc ``(i,
     j)``) must be given the value it gets in ``near``.
     """
-    (sites, _), (digits, _, _) = _cached(basis)
+    (sites, _), (digits, _, _) = _array_forms(basis)
     at = np.array([[i], [j]])
     ends = sites[:, [i, j]].T
     # index -1 (a string end) and -2 (an empty site) weigh nothing

@@ -21,7 +21,8 @@ follows the lines of that picture on the site arrays of
 * :func:`link_gram` -- the Gram array of the open arc/string basis
   (:func:`loopcells.diagrams._open_sites`) at loop weight one, where
   contracting a string pair whose left label is even costs ``y``; the
-  contraction counts do not depend on ``y`` and are kept once per basis.
+  contraction counts do not depend on ``y`` and are kept once per basis
+  object, by the memo of :mod:`loopcells.diagrams`.
 
 The spin chain pairs with the identity.  The dilute and link forms follow
 the lines of all pairs at once (:func:`_line_ends`): the dilute form those
@@ -32,16 +33,14 @@ states, and the boundary row those of one pair per state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .diagrams import _EMPTY_SITE, _STRING_SITE, _arrays, _dense_sites, _keys
-from .diagrams import _open_sites, _per_basis
+from .diagrams import _EMPTY_SITE, _STRING_SITE, _arrays, _dense_sites, _keys, _kept, _open_sites
 
 
-@lru_cache(maxsize=None)
-def boundary_loops(L: int, shift: int = 0) -> tuple[int, np.ndarray]:
+@_kept
+def boundary_loops(L: int, shift: int) -> tuple[int, np.ndarray]:
     """The all-adjacent-arcs boundary of width ``L`` rotated by ``shift`` sites, glued to each state.
 
     The boundary pairs the sites ``(1, 2), (3, 4), ...``, or ``(2, 3), ...,
@@ -49,7 +48,8 @@ def boundary_loops(L: int, shift: int = 0) -> tuple[int, np.ndarray]:
     :func:`loopcells.diagrams._dense_sites` and the number of closed loops
     it makes with every state of that basis, row for row, so that row of the
     weight-``n`` loop Gram is ``n ** loops``.  The counts do not depend on
-    the weight and are built once per width (read-only).
+    the weight and are kept read-only once per ``(L, shift)``
+    (:func:`loopcells.diagrams._kept`).
 
     A walker steps across a boundary arc, then across the state's arc.  Arcs
     join sites of opposite parity, so the walk keeps to one parity and meets
@@ -197,7 +197,7 @@ def link_gram(L: int, y: complex = 1.0) -> np.ndarray:
     depend on ``y`` and is counted once per basis (:func:`_link_contractions`).
     """
     basis = _open_sites(L)
-    count = _per_basis(_LINK_CONTRACTIONS, basis, _link_contractions)
+    count = _link_contractions(basis)
     dtype = complex if np.iscomplexobj(y) else float
     # y ** k as k repeated products: each entry is exactly the product of its weights
     powers = [1.0]
@@ -206,16 +206,14 @@ def link_gram(L: int, y: complex = 1.0) -> np.ndarray:
     return np.asarray(powers, dtype=dtype)[count]
 
 
-_LINK_CONTRACTIONS: dict[int, tuple] = {}  # id of a basis -> (basis, its counts), oldest first
-
-
+@_kept
 def _link_contractions(basis) -> np.ndarray:
     """String contractions of every glued pair of an open basis, as a read-only ``int8`` matrix.
 
-    The pairs ``a <= b`` are glued 256 bra rows ``a`` at a time
-    (:func:`_line_ends`), so the walkers' temporaries grow with the state
-    count, not with its square.  On the bra side a
-    string at site ``j`` absorbs a line into the sentinel ``L + j``; on the
+    The matrix is kept per basis object.  The pairs ``a <= b`` are glued
+    256 bra rows ``a`` at a time (:func:`_line_ends`), so the walkers'
+    temporaries grow with the state count, not with its square.  On the bra
+    side a string at site ``j`` absorbs a line into the sentinel ``L + j``; on the
     ket side every string lets it through to ``2L``.  A line leaving an
     even-labelled bra string downward (ket step, then bra step) reaches its
     end within ``L // 2`` rounds, and it is a contraction when that end is a

@@ -204,6 +204,7 @@ def _level_cell(L: int, H, spectrum, index: int, gram, cluster_tol: float):
     eigenvectors in ``spectrum`` are the near-kernel block of
     :func:`loopcells.spectral.extract_jordan_cell`, which certifies the
     cell and borders its partner system with ``conj(G v)`` under ``gram``.
+    The cell's two vectors are made read-only, so a store may keep it.
     """
     cluster = _level(spectrum, index, cluster_tol)
     if cluster.size != 2:
@@ -212,37 +213,10 @@ def _level_cell(L: int, H, spectrum, index: int, gram, cluster_tol: float):
         )
     vals, vecs = spectrum
     block = vecs[:, np.isin(vals, cluster.members)]
-    return cluster, spectral.extract_jordan_cell(H, cluster.value, block, gram)
-
-
-_SOLVES: dict[tuple, object] = {}  # chain key -> solved chain, oldest first
-_CELLS: dict[tuple, tuple] = {}  # chain key + (cluster_tol,) -> (cluster, cell), oldest first
-
-
-def _chain_key(kind: str, L: int, parameter) -> tuple:
-    """The store key of the width-L chain of ``kind`` at ``parameter`` (its ``y`` or ``q``).
-
-    ``2`` and ``2.0`` build the same real chain and share a key, while
-    ``2+0j`` builds a complex chain and is kept apart.
-    """
-    return kind, L, parameter, bool(np.iscomplexobj(parameter))
-
-
-def _kept_cell(key: tuple, cluster_tol: float, build):
-    """``build()``'s ``(cluster, cell)`` for the chain of ``key``, built once per ``cluster_tol``.
-
-    ``build`` certifies the cell.  Its two vectors are made read-only, and
-    the last 16 cells of any chain are kept in :data:`_CELLS`, keyed by the
-    chain's :func:`_chain_key` and the tolerance.  A level that ``build``
-    refuses raises again at every call and is not kept.
-    """
-    def certified():
-        cluster, cell = build()
-        for array in (cell.vector, cell.partner):
-            array.flags.writeable = False
-        return cluster, cell
-
-    return diagrams._kept(_CELLS, (*key, cluster_tol), certified)
+    cell = spectral.extract_jordan_cell(H, cluster.value, block, gram)
+    for array in (cell.vector, cell.partner):
+        array.flags.writeable = False
+    return cluster, cell
 
 
 def _refuse_tolerance(cluster_tol: float) -> None:
@@ -285,13 +259,13 @@ class _Chain(NamedTuple):
     (the link Gram array of :func:`_open_chain`, the sparse identity of
     :func:`_xxz_chain`) and ``product`` the unnormalized trousers, all on
     one basis.  ``cell(gram, cluster_tol)`` returns the ``(cluster, cell)``
-    at the chain's cell level from the store of certified cells
-    (:func:`_kept_cell`), bordered by ``gram`` when it is built there; the
-    open chain's store is shared with :func:`percolation_check`.  A chain
-    reduced to a symmetry sector also carries ``lift``, which maps a sector
-    vector to the full chain, and ``certify(value, u, partner=None)``,
-    which checks a lifted eigenvector (and partner) against the full chain
-    and raises ``ArithmeticError``.
+    at the chain's cell level from the chain's store of certified cells
+    (:func:`_xxz_cell`, :func:`_open_cell`), bordered by ``gram`` when it
+    is built there; the open chain's store is shared with
+    :func:`percolation_check`.  A chain reduced to a symmetry sector also
+    carries ``lift``, which maps a sector vector to the full chain, and
+    ``certify(value, u, partner=None)``, which checks a lifted eigenvector
+    (and partner) against the full chain and raises ``ArithmeticError``.
     """
 
     H: object
@@ -314,10 +288,9 @@ def _chain_b(
     (:func:`_level_cell`); :func:`loopcells.spectral.extract_jordan_cell`
     decides the kernel on that block and borders the partner system with
     ``conj(G v)`` under the chain's form ``G``, a certified left kernel
-    vector.  Each chain keeps its cell per ``cluster_tol``
-    (:func:`_kept_cell`), so a cell that an earlier call, or on the open
-    chain :func:`percolation_check`, already certified is read, not built
-    again.  The singular shift is never factored: ARPACK's shift (above
+    vector.  Each chain keeps its cell per ``cluster_tol`` (its ``cell``
+    hook), so a cell that an earlier call, or on the open chain
+    :func:`percolation_check`, already certified is read, not built again.  The singular shift is never factored: ARPACK's shift (above
     :data:`_DENSE_SPECTRUM_STATES` states) and the bordered system are the
     only LUs, each made once per chain.  The spectrum also gives the ground
     state, which a sector chain certifies on the full chain at every call.
@@ -378,6 +351,7 @@ def _lift_certificate(H, lift, mirror, what: str) -> Callable:
     return certify
 
 
+@diagrams._kept
 def _xxz_chain(L: int, q: complex) -> _Chain:
     """The width-L spin chain, solved in its reflection-flip even sector once per process.
 
@@ -393,18 +367,13 @@ def _xxz_chain(L: int, q: complex) -> _Chain:
     vectors against the same ``H``, with ``P`` as the symmetry whose odd
     part must vanish.
 
-    The solved chain is kept with the open chains in :data:`_SOLVES` (the
-    last 16 chains, keyed by :func:`_chain_key`), its spectrum and trousers
-    read-only.  Its ``cell`` hook keeps the cell per ``cluster_tol``
-    (:func:`_kept_cell`), certified on the full chain when it is built, so
+    The solved chain is kept for the last 16 ``(L, q)``
+    (:func:`loopcells.diagrams._kept`), so ``q = 2`` and ``q = 2.0`` share
+    a real chain while ``q = 2+0j`` keeps a complex one; its spectrum and
+    trousers are read-only.  Its ``cell`` hook reads :func:`_xxz_cell`, so
     a repeated :func:`b_xxz` or a :func:`trousers_xxz` of the same width
     solves and factors nothing.
     """
-    return diagrams._kept(_SOLVES, _chain_key("xxz", L, q), lambda: _solve_xxz(L, q))
-
-
-def _solve_xxz(L: int, q: complex) -> _Chain:
-    """The chain of :func:`_xxz_chain`, solved afresh."""
     H, masks = models.build_xxz(L, q)
     half_H, half_masks = models.build_xxz(L // 2, q)
     _, g = _ground(_low_spectrum(half_H, L // 2), np.eye(len(half_masks)))
@@ -419,17 +388,26 @@ def _solve_xxz(L: int, q: complex) -> _Chain:
         array.flags.writeable = False
     mirror = find(models.reflect_flip(masks, L))
     certify = _lift_certificate(H, S.__matmul__, mirror, f"L={L} spin chain")
-
-    def kept_cell(gram, cluster_tol):
-        def build():
-            cluster, cell = _level_cell(L, H_s, spectrum, 2, gram, cluster_tol)
-            certify(cell.value, cell.vector, cell.partner)
-            return cluster, cell
-
-        return _kept_cell(_chain_key("xxz", L, q), cluster_tol, build)
-
     identity = sp.identity(S.shape[1], format="csr")
-    return _Chain(H_s, identity, product, spectrum, kept_cell, S.__matmul__, certify)
+    return _Chain(
+        H_s, identity, product, spectrum, lambda gram, tol: _xxz_cell(L, q, tol, gram=gram),
+        S.__matmul__, certify,
+    )
+
+
+@diagrams._kept
+def _xxz_cell(L: int, q: complex, cluster_tol: float, *, gram):
+    """``(cluster, cell)`` at the third sector level of :func:`_xxz_chain`, per tolerance.
+
+    The cell is built by :func:`_level_cell`, bordered by ``gram``, and
+    lifted and certified on the full chain when it is built; the last 16
+    ``(L, q, cluster_tol)`` are kept.  A refused level raises again at
+    every call and is not kept.
+    """
+    chain = _xxz_chain(L, q)
+    cluster, cell = _level_cell(L, chain.H, chain.spectrum, 2, gram, cluster_tol)
+    chain.certify(cell.value, cell.vector, cell.partner)
+    return cluster, cell
 
 
 def trousers_xxz(L: int, q: complex | None = None) -> TrousersState:
@@ -630,26 +608,25 @@ def b_polymer(
 # Deformed percolation chain: trousers and b
 
 
+@diagrams._kept
 def _open_solve(L: int, y: complex):
     """``(H, spectrum)`` of the width-L open chain at ``y``, solved once per process.
 
     ``H`` is :func:`loopcells.models.build_percolation_H` as built and
     ``spectrum`` its :func:`_low_spectrum`, whose arrays are made read-only.
-    It is kept with the spin chains in :data:`_SOLVES` (the last 16 chains,
-    keyed by :func:`_chain_key`), so ``y = 2`` and ``y = 2.0`` share a real
-    chain while ``y = 2+0j`` keeps a complex one.
+    The last 16 chains are kept (:func:`loopcells.diagrams._kept`), so
+    ``y = 2`` and ``y = 2.0`` share a real chain while ``y = 2+0j`` keeps a
+    complex one.
     """
-    def solve():
-        H = models.build_percolation_H(L, y)
-        spectrum = _low_spectrum(H, L)
-        for array in spectrum:
-            array.flags.writeable = False
-        return H, spectrum
-
-    return diagrams._kept(_SOLVES, _chain_key("open", L, y), solve)
+    H = models.build_percolation_H(L, y)
+    spectrum = _low_spectrum(H, L)
+    for array in spectrum:
+        array.flags.writeable = False
+    return H, spectrum
 
 
-def _open_cell(L: int, y: complex, cluster_tol: float, gram=None):
+@diagrams._kept
+def _open_cell(L: int, y: complex, cluster_tol: float, *, gram=None):
     """``(cluster, cell)`` at the fourth distinct level of the width-L open chain, built once per process.
 
     The cell is built by :func:`_level_cell` on the chain of
@@ -657,17 +634,15 @@ def _open_cell(L: int, y: complex, cluster_tol: float, gram=None):
     :func:`loopcells.forms.link_gram`, when none is passed), and certified
     then: kernel, left and partner residuals.  Whichever caller comes first
     builds it, :func:`b_deformed` or :func:`percolation_check`; later calls
-    with the same ``(L, y, cluster_tol)`` read it from :func:`_kept_cell`'s
-    store and build no Gram.  It keeps a cluster and two read-only vectors,
-    and a level that is refused (diagonalizable, not a double cluster, or
-    failing its certificate) raises again at every call and is not kept.
+    with the same ``(L, y, cluster_tol)`` read it from the store of the last
+    16 cells and build no Gram (``gram`` is a build input, not part of the
+    key).  It keeps a cluster and two read-only vectors, and a level that is
+    refused (diagonalizable, not a double cluster, or failing its
+    certificate) raises again at every call and is not kept.
     """
-    def build():
-        H, spectrum = _open_solve(L, y)
-        form = forms.link_gram(L, y) if gram is None else gram
-        return _level_cell(L, H, spectrum, 3, form, cluster_tol)
-
-    return _kept_cell(_chain_key("open", L, y), cluster_tol, build)
+    H, spectrum = _open_solve(L, y)
+    form = forms.link_gram(L, y) if gram is None else gram
+    return _level_cell(L, H, spectrum, 3, form, cluster_tol)
 
 
 def _open_chain(L: int, y: complex) -> _Chain:
@@ -689,7 +664,7 @@ def _open_chain(L: int, y: complex) -> _Chain:
     rows = diagrams._arrays(diagrams._open_sites(L))[1](diagrams._side_by_side(half, half))
     product = _place(rows, g, g, len(gram))
     H, spectrum = _open_solve(L, y)
-    return _Chain(H, gram, product, spectrum, lambda form, tol: _open_cell(L, y, tol, form))
+    return _Chain(H, gram, product, spectrum, lambda form, tol: _open_cell(L, y, tol, gram=form))
 
 
 def trousers_open(L: int, y: complex = 1.0) -> TrousersState:
@@ -820,8 +795,10 @@ def extrapolate_b(sizes, values) -> FitResult:
     parameters, which leaves no residual to estimate them from), when its
     exponent lands farther than ``1e-6`` from the bounds ``[0.2, 5]`` and
     when the fit is finite.  Fewer than three distinct sizes leave the
-    three parameters undetermined and raise ``ValueError`` before any fit.
+    three parameters undetermined, and a value count other than the size
+    count pairs nothing; both raise ``ValueError`` before any fit.
     """
+    _refuse_unpaired(sizes, values)
     if len(set(sizes)) < 3:
         raise ValueError(
             f"extrapolation needs at least three sizes, all distinct, got {list(sizes)}"
@@ -845,6 +822,14 @@ def extrapolate_b(sizes, values) -> FitResult:
         float(c3[0]), "b + a1/L + a2/L^2", tuple(float(c) for c in c3),
         residual, float(uncertainty), candidates,
     )
+
+
+def _refuse_unpaired(sizes, values) -> None:
+    """``ValueError`` unless there is one value per size."""
+    if len(sizes) != len(values):
+        raise ValueError(
+            f"a fit needs one value per size, got {len(sizes)} sizes and {len(values)} values"
+        )
 
 
 def _power_law_fit(ell: np.ndarray, val: np.ndarray) -> tuple[float, float]:
@@ -911,8 +896,11 @@ def _inverse_power_fit(sizes, values) -> FitResult:
 
     The constant coefficient c_0 is the universal (size-independent) term.
     The uncertainty is the change of c_0 when the smallest size is dropped
-    and the ansatz shortened accordingly.
+    and the ansatz shortened accordingly.  A value count other than the
+    size count raises ``ValueError`` before any fit.
     """
+    _refuse_unpaired(sizes, values)
+
     def solve(ls, vs):
         powers = list(range(-1, len(ls) - 1))
         a = np.array([[length ** (-k) for k in powers] for length in ls])
@@ -976,9 +964,7 @@ def _ising_ground_state(L: int) -> tuple[float, np.ndarray]:
     return energy, v
 
 
-_ISING_OVERLAPS: dict[int, tuple] = {}  # L -> (-log <fixed|0>, -log <free|0>), oldest first
-
-
+@diagrams._kept
 def _ising_log_overlaps(L: int) -> tuple[float, float]:
     """``(-log <fixed|0>, -log <free|0>)`` of the width-L ring, solved once per process.
 
@@ -986,11 +972,8 @@ def _ising_log_overlaps(L: int) -> tuple[float, float]:
     ring at every solve; only the two log-overlaps are kept, for the last 16
     widths, so a ``fixed``/``free`` pair solves each width once.
     """
-    def solve():
-        _, v = _ising_ground_state(L)
-        return tuple(float(-np.log(float(v @ vec))) for vec in models.ising_boundary_vectors(L))
-
-    return diagrams._kept(_ISING_OVERLAPS, L, solve)
+    _, v = _ising_ground_state(L)
+    return tuple(float(-np.log(float(v @ vec))) for vec in models.ising_boundary_vectors(L))
 
 
 def ising_boundary_entropy(sizes=(12, 14, 16, 18), bc: str = "fixed") -> FitResult:
@@ -1075,9 +1058,7 @@ def _boundary_overlap(v: np.ndarray, L: int, n1: float, shift: int = 0) -> float
     return float(np.power(float(n1), forms.boundary_loops(L, shift)[1]) @ v)
 
 
-_LOOP_MOMENTS: dict[tuple, np.ndarray] = {}  # (L, n) -> loop-count moments, oldest first
-
-
+@diagrams._kept
 def _loop_moments(L: int, n: float) -> np.ndarray:
     """Moments ``m_k = sum_{loops(s) = k} v_s`` of the width-L ground state, solved once per process.
 
@@ -1086,19 +1067,16 @@ def _loop_moments(L: int, n: float) -> np.ndarray:
     and ``loops`` the boundary's loop counts
     (:func:`loopcells.forms.boundary_loops`), so the overlap with the
     boundary at weight ``n1`` is ``sum_k n1**k m_k``.  Only the ``L//2 + 1``
-    moments are kept, read-only, for the last 16 ``(L, float(n))``.
+    moments are kept, read-only, for the last 16 ``(L, n)``; ``1`` and
+    ``1.0`` share a key.
     """
     n = float(n)
-
-    def solve():
-        row = models.build_dense_loop_T(L, n)
-        lam, v = spectral.perron_pair(row.ket_row)
-        v = v / np.sqrt(_loop_square(row, v, lam, L, n))
-        moments = np.bincount(forms.boundary_loops(L)[1], weights=v, minlength=L // 2 + 1)
-        moments.flags.writeable = False
-        return moments
-
-    return diagrams._kept(_LOOP_MOMENTS, (L, n), solve)
+    row = models.build_dense_loop_T(L, n)
+    lam, v = spectral.perron_pair(row.ket_row)
+    v = v / np.sqrt(_loop_square(row, v, lam, L, n))
+    moments = np.bincount(forms.boundary_loops(L, 0)[1], weights=v, minlength=L // 2 + 1)
+    moments.flags.writeable = False
+    return moments
 
 
 def _refuse_weights(n: float, n1: float) -> None:

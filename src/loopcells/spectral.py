@@ -229,12 +229,13 @@ def _bordered_partner(shifted, v, ell):
     inside the range, such as ``v`` itself, would make it singular), and
     its border row pins the minimal-norm gauge.  Nothing here checks that
     ``v`` lies in the range: on a simple eigenvalue it does not, and only
-    the partner residual of the cell (:func:`_block_cell`) tells.  It needs its own factorization (:func:`_factor`, real when all
-    three inputs are), of the CSC matrix :func:`_bordered` builds.  Its
-    dense border row and column fill whatever ordering is used, and this
-    is the larger of the two factorizations of a b pipeline's width: at the
-    L = 16 spin sector it takes 1.3 s against 0.64 s for ARPACK's shift
-    (one BLAS thread).
+    the partner residual of the cell (:func:`_block_cell`) tells.  It needs
+    its own factorization (:func:`_factor`, real when all three inputs
+    are), of the CSC matrix :func:`_bordered` builds.  Its dense border row
+    and column fill whatever ordering is used, and this is the larger of
+    the two factorizations of a b pipeline's width: at the L = 16 spin
+    sector it takes 1.3 s against 0.64 s for ARPACK's shift (one BLAS
+    thread).
     """
     return _factor(_bordered(shifted, v, ell)).solve(np.append(v, 0.0))[:-1]
 
@@ -438,14 +439,14 @@ def level_cluster(clusters: list[Cluster], index: int) -> Cluster:
 # Structured paths
 
 
-def perron_pair(M, tol: float = 1e-14, max_iter: int = 100000):
+def perron_pair(M, max_iter: int = 100000):
     """Leading eigenvalue and positive eigenvector of a nonnegative operator.
 
     ``M`` is a dense or sparse matrix, or any operator with ``shape`` and
     ``@`` such as a transfer row kept per tile
     (:class:`loopcells.models.TransferOperator`).  Deterministic power
     iteration from the all-ones vector stops once the eigenvalue moves by at
-    most ``tol`` relative and the normalized vector by at most ``1e-13``; an
+    most ``1e-14`` relative and the normalized vector by at most ``1e-13``; an
     unconverged run raises :class:`ConvergenceError` after ``max_iter``
     steps.  Operators of dimension two or less are decomposed densely.
     """
@@ -462,7 +463,7 @@ def perron_pair(M, tol: float = 1e-14, max_iter: int = 100000):
         nv = M @ v
         nlam = float(np.linalg.norm(nv))
         nv = nv / nlam
-        if abs(nlam - lam) <= tol * nlam and float(np.linalg.norm(nv - v)) <= 1e-13:
+        if abs(nlam - lam) <= 1e-14 * nlam and float(np.linalg.norm(nv - v)) <= 1e-13:
             return nlam, nv
         v, lam = nv, nlam
     raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")

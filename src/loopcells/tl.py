@@ -22,8 +22,9 @@ A cup-cap sends each link state to exactly one state, so both link-pattern
 families are CSR matrices with one entry per column (:func:`_one_per_column`)
 from one array map on the basis's site array, which the generator of
 :mod:`loopcells.diagrams` keeps once per width.  The maps do not depend on
-the loop weight or the deformation and are kept once per basis, open or
-periodic (:func:`_cup_caps`); each chain or row only weighs them
+the loop weight or the deformation and are kept once per basis object,
+open or periodic, by the memo of :mod:`loopcells.diagrams`
+(:func:`_cup_caps`); each chain or row only weighs them
 (:func:`_cup_cap_weights`), and the cylinder transfer row applies them
 directly, without forming a CSR matrix.  Moved states find their rows from
 the basis keys shifted at the sites a cup-cap changes, through the checked
@@ -38,20 +39,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .diagrams import (
-    _STRING_SITE,
-    _arrays,
-    _dense_sites,
-    _key_shift,
-    _keyed,
-    _open_sites,
-    _per_basis,
-)
+from .diagrams import _STRING_SITE, _arrays, _dense_sites, _key_shift, _keyed, _kept, _open_sites
 
 
-_CUP_CAPS: dict[int, tuple] = {}  # id of a basis -> (basis, its cup-cap maps), oldest first
-
-
+@_kept
 def _cup_caps(basis) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """``(rows, closes, even_contraction)`` of every cup-cap generator, built once per basis.
 
@@ -66,16 +57,11 @@ def _cup_caps(basis) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     on the two sites it closes into a loop, and ``even_contraction`` those
     where it contracts two strings whose left label is even.  None of them
     depends on the loop weight or the deformation, which
-    :func:`_cup_cap_weights` applies.  The maps are cached per basis object,
-    as :func:`loopcells.diagrams._arrays` is
-    (:func:`loopcells.diagrams._per_basis`), so a basis that is not closed
+    :func:`_cup_cap_weights` applies.  The maps are read-only and kept per
+    basis object (:func:`loopcells.diagrams._kept`), as
+    :func:`loopcells.diagrams._arrays` is, so a basis that is not closed
     under a generator raises ``LookupError`` on every call.
     """
-    return _per_basis(_CUP_CAPS, basis, _cup_cap_maps)
-
-
-def _cup_cap_maps(basis) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """The value of :func:`_cup_caps`, built afresh (read-only)."""
     sites = _arrays(basis)[0]
     _, keys, find = _keyed(basis)
     L = sites.shape[1]

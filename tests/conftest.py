@@ -8,21 +8,22 @@ neither flake nor time out on a slow runner.
 import pytest
 from hypothesis import settings
 
-from loopcells import observables, spectral
+from loopcells import diagrams, spectral
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture(autouse=True)
-def fresh_stores(monkeypatch) -> None:
-    """Empty every per-process store of :mod:`loopcells.observables` for each test, so no test reads another's.
+def fresh_stores() -> None:
+    """Empty every per-process store of the package for each test, so no test reads another's.
 
-    A store is a module-level dict named in capitals: the solved chains and
-    their cells, the Ising log-overlaps and the loop moments.
+    The stores are the functions that :func:`loopcells.diagrams._kept`
+    wraps, listed in its registry: the bases and their per-basis maps, the
+    boundary loop counts, the solved chains and their cells, the Ising
+    log-overlaps and the loop moments.
     """
-    for name, value in vars(observables).items():
-        if isinstance(value, dict) and name.lstrip("_").isupper():
-            monkeypatch.setattr(observables, name, {})
+    for kept in diagrams._STORES:
+        kept.store.clear()
 
 
 @pytest.fixture

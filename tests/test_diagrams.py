@@ -441,3 +441,54 @@ class TestArrayForm:
             assert np.flatnonzero(string_counts(sites) == k).tolist() == [
                 i for i, s in enumerate(ls.states(sites)) if s.n_strings == k
             ]
+
+
+KEY_RULES = (
+    "arrays by identity", "complex apart", "equal reals shared", "refusal not kept",
+    "eviction at 16", "keyword inputs outside the key",
+)
+
+
+@pytest.mark.parametrize("rule", KEY_RULES)
+def test_kept_key_rule(monkeypatch, rule):
+    # every store of the package is a function of _kept: one probe store,
+    # outside the registry, checks the key rule for all of them
+    monkeypatch.setattr(dg, "_STORES", [])
+    built = []
+
+    @dg._kept
+    def probe(*args, scale=1.0):
+        built.append(args)
+        if args[0] is None:
+            raise ValueError("refused")
+        return [scale]
+
+    assert dg._STORES == [probe]
+    if rule == "arrays by identity":
+        basis = np.arange(3)
+        value = probe(basis)
+        assert probe(basis) is value and probe(basis.copy()) is not value
+        assert len(built) == 2 and any(args[0] is basis for args, _ in probe.store.values())
+    elif rule == "complex apart":
+        value = probe(4, 2.0)
+        assert probe(4, 2 + 0j) is not value and probe(4, np.complex128(2)) is not value
+        assert len(built) == 2
+    elif rule == "equal reals shared":
+        value = probe(4, 2)
+        assert probe(4, 2.0) is value and probe(np.int64(4), np.float64(2.0)) is value
+        assert built == [(4, 2)]
+    elif rule == "refusal not kept":
+        for _ in range(2):
+            with pytest.raises(ValueError, match="refused"):
+                probe(None)
+        assert built == [(None,), (None,)] and probe.store == {}
+    elif rule == "eviction at 16":
+        values = [probe(k) for k in range(17)]
+        assert len(built) == 17 and len(probe.store) == 16
+        assert probe(16) is values[16] and len(built) == 17
+        assert probe(0) is not values[0] and len(built) == 18
+    else:
+        assert probe(4, scale=2.0) == [2.0]
+        assert probe(4, scale=3.0) == [2.0] and built == [(4,)]
+        with pytest.raises(TypeError, match="by position"):
+            probe(4, size=2)

@@ -196,10 +196,10 @@ class TestLinkGram:
 
     def test_contractions_are_counted_once_per_basis_object(self):
         basis = dg._open_sites(6)
-        counts = forms._per_basis(forms._LINK_CONTRACTIONS, basis, forms._link_contractions)
+        counts = forms._link_contractions(basis)
         assert counts.dtype == np.int8 and not counts.flags.writeable
         np.testing.assert_array_equal(counts, counts.T)
-        assert forms._per_basis(forms._LINK_CONTRACTIONS, basis, forms._link_contractions) is counts
+        assert forms._link_contractions(basis) is counts
         copy = basis.copy()
         assert forms._link_contractions(copy) is not counts
         np.testing.assert_array_equal(forms._link_contractions(copy), counts)

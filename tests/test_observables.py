@@ -346,9 +346,9 @@ class TestPolymerB:
         )
 
     def test_builds_no_link_state(self, monkeypatch):
-        # every basis is generated as a site array: with the basis caches
-        # cleared and every LinkState construction of the tests' oracle
-        # refused, every pipeline still runs to the same values
+        # every basis is generated as a site array: with every store emptied
+        # and every LinkState construction of the tests' oracle refused,
+        # every pipeline still runs to the same values
         def refuse(*args, **kwargs):
             raise AssertionError("a LinkState was built")
 
@@ -367,8 +367,8 @@ class TestPolymerB:
             lambda: obs.ising_boundary_entropy((8, 10)).value,
         ]
         expect = [run() for run in runs]
-        for cache in (dg.dilute_row_sites, dg._dense_sites, dg._open_sites, forms.boundary_loops):
-            cache.cache_clear()
+        for kept in dg._STORES:
+            kept.store.clear()
         monkeypatch.setattr(ls.LinkState, "__init__", refuse)
         for run, value in zip(runs, expect):
             np.testing.assert_allclose(run(), value, rtol=0, atol=1e-12)
@@ -554,10 +554,10 @@ class TestGoldenValues:
             return obs.b_xxz(8) if y is None else obs.b_deformed(8, y)
 
         dense = measure()
-        # the dense solves of the open chains and their cells are kept;
-        # solve and build them again
-        monkeypatch.setattr(obs, "_SOLVES", {})
-        monkeypatch.setattr(obs, "_CELLS", {})
+        # the dense solves of the chains and their cells are kept; solve and
+        # build them again
+        for kept in (obs._xxz_chain, obs._xxz_cell, obs._open_solve, obs._open_cell):
+            kept.store.clear()
         solved = []
         low_spectrum = obs._low_spectrum
 
@@ -648,30 +648,15 @@ class TestBuildOnce:
         assert sorted(grams) == [3, 6]
         assert sorted(chains) == [3, 6]
 
-    def test_open_maps_and_link_walk_are_built_once_per_width(self, monkeypatch):
-        # empty stores, so every basis is new to them
-        monkeypatch.setattr(tl, "_CUP_CAPS", {})
-        monkeypatch.setattr(forms, "_LINK_CONTRACTIONS", {})
-
-        def count_builds(module, name):
-            """Replace the builder ``module.name`` by one that records each basis width and value."""
-            built = []
-            original = getattr(module, name)
-
-            def wrapper(basis):
-                built.append((dg._arrays(basis)[0].shape[1], original(basis)))
-                return built[-1][1]
-
-            monkeypatch.setattr(module, name, wrapper)
-            return built
-
-        maps = count_builds(tl, "_cup_cap_maps")
-        walks = count_builds(forms, "_link_contractions")
+    def test_open_maps_and_link_walk_are_built_once_per_width(self):
+        # the stores start empty and hold each basis with its value, so one
+        # entry per width means one basis object and one build
         obs.percolation_check(6)
         for y in (2.0, -1.0, 0.5):
             obs.b_deformed(6, y)
-        assert sorted(L for L, _ in maps) == [3, 6]
-        assert sorted(L for L, _ in walks) == [3, 6]
+        maps, walks = tl._cup_caps.store.values(), forms._link_contractions.store.values()
+        assert sorted(basis.shape[1] for (basis,), _ in maps) == [3, 6]
+        assert sorted(basis.shape[1] for (basis,), _ in walks) == [3, 6]
         cached = [a for _, value in maps for cup_cap in value for a in cup_cap]
         cached += [counts for _, counts in walks]
         assert len(cached) == 3 * (2 + 5) + 2  # three arrays per generator, one count matrix per width
@@ -775,8 +760,8 @@ class TestOpenSolves:
         # system, no chain rebuilt
         ys = (2.0, -1.0, 0.5)
         cold = [obs.b_deformed(10, y) for y in ys]
-        monkeypatch.setattr(obs, "_SOLVES", {})
-        monkeypatch.setattr(obs, "_CELLS", {})
+        obs._open_solve.store.clear()
+        obs._open_cell.store.clear()
         obs.percolation_check(10, ys)
         factored = factor_shapes(monkeypatch)
         for y, expect in zip(ys, cold):
@@ -804,7 +789,7 @@ class TestOpenSolves:
         H_complex, _ = obs._open_solve(10, 2 + 0j)
         assert factor_dtypes == [np.dtype(np.float64), np.dtype(np.complex128)]
         assert (H_real.dtype, H_complex.dtype) == (np.float64, np.complex128)
-        assert len(obs._SOLVES) == 2
+        assert len(obs._open_solve.store) == 2
 
     @pytest.mark.parametrize("L", [4, 10], ids=["dense", "arpack"])
     def test_stored_spectrum_is_read_only(self, L):
@@ -817,7 +802,7 @@ class TestOpenSolves:
         ys = [1.0 + k for k in range(17)]
         for y in ys:
             obs._open_solve(4, y)
-        assert len(chains) == 17 and len(obs._SOLVES) == 16
+        assert len(chains) == 17 and len(obs._open_solve.store) == 16
         obs._open_solve(4, ys[-1])
         assert len(chains) == 17
         obs._open_solve(4, ys[0])
@@ -830,7 +815,7 @@ class TestOpenCells:
         assert obs._open_cell(10, 2, 1e-5)[1] is cell
         assert obs._open_cell(10, 2 + 0j, 1e-5)[1] is not cell
         assert obs._open_cell(10, 2.0, 1e-6)[1] is not cell
-        assert len(obs._CELLS) == 3
+        assert len(obs._open_cell.store) == 3
         # one float and one complex chain, and a bordered system per cell
         assert factor_dtypes.count(np.dtype(np.complex128)) == 2
         assert len(factor_dtypes) == 5
@@ -840,17 +825,19 @@ class TestOpenCells:
         ys = [2.0 + k for k in range(17)]
         for y in ys:
             obs._open_cell(4, y, 1e-5)
-        assert len(cells) == 17 and len(obs._CELLS) == 16
+        assert len(cells) == 17 and len(obs._open_cell.store) == 16
         obs._open_cell(4, ys[-1], 1e-5)
         assert len(cells) == 17
         obs._open_cell(4, ys[0], 1e-5)
         assert len(cells) == 18
 
     def test_store_keeps_no_gram(self):
+        # the Gram a cell is bordered by is a build input, held by no entry
         obs.percolation_check(10)
         obs.b_deformed(8, 2.0)
-        assert len(obs._CELLS) == 4
-        for cluster, cell in obs._CELLS.values():
+        assert len(obs._open_cell.store) == 4
+        for args, (cluster, cell) in obs._open_cell.store.values():
+            assert all(np.isscalar(arg) for arg in args)
             assert cluster.size == 2 and cell.value == cluster.value
             arrays = [v for v in vars(cell).values() if isinstance(v, np.ndarray)]
             assert len(arrays) == 2
@@ -860,7 +847,7 @@ class TestOpenCells:
     def test_refused_level_is_not_kept(self):
         with pytest.raises(spectral.DiagonalizableLevelError):
             obs._open_cell(6, 1.0, 1e-5)
-        assert obs._CELLS == {}
+        assert obs._open_cell.store == {}
 
     @pytest.mark.parametrize("L", [4, 6, 8, 10])
     def test_stored_level_is_the_undeformed_one(self, monkeypatch, L):
@@ -874,8 +861,9 @@ class TestOpenCells:
         vals = obs._open_solve(L, 1.0)[1][0]
         reach = 1e-5 * np.max(np.abs(vals))
         for y in ys:
-            cluster, _ = obs._CELLS[("open", L, y, False, 1e-5)]
+            cluster, _ = obs._open_cell(L, y, 1e-5)
             assert abs(cluster.value - report.level) <= reach
+        assert len(obs._open_cell.store) == len(ys)  # every cell was read, none built
 
     @pytest.mark.parametrize(
         "refusal", ["test_deformed_chain_without_the_level_is_refused", "test_simple_deformed_level_is_refused"]
@@ -885,7 +873,7 @@ class TestOpenCells:
         # the stored level lies elsewhere and the probe builds its cell afresh
         fallbacks = count_calls(monkeypatch, obs, "_nearest_cell")
         getattr(TestPercolationCheck(), refusal)(monkeypatch)
-        assert fallbacks and len(obs._CELLS) == 1
+        assert fallbacks and len(obs._open_cell.store) == 1
 
 
 class TestSpinSolves:
@@ -908,7 +896,7 @@ class TestSpinSolves:
         factored = factor_shapes(monkeypatch)
         trousers = obs.trousers_xxz(12)
         assert chains == [] and spectra == [] and factored == []
-        monkeypatch.setattr(obs, "_SOLVES", {})
+        obs._xxz_chain.store.clear()
         np.testing.assert_array_equal(obs.trousers_xxz(12).vector, trousers.vector)
         assert sorted(chains) == [6, 12]
 
@@ -916,19 +904,19 @@ class TestSpinSolves:
         chain = obs._xxz_chain(8, 2.0)
         assert obs._xxz_chain(8, 2) is chain
         assert obs._xxz_chain(8, 2 + 0j) is not chain
-        assert list(obs._SOLVES) == [("xxz", 8, 2.0, False), ("xxz", 8, 2 + 0j, True)]
+        assert len(obs._xxz_chain.store) == 2
         q = fx.Q_VALUE
         chain = obs._xxz_chain(8, q)
         _, cell = chain.cell(chain.gram, 1e-5)
         assert obs._xxz_chain(8, q).cell(chain.gram, 1e-5)[1] is cell
         assert obs._xxz_chain(8, q).cell(chain.gram, 1e-6)[1] is not cell
-        assert list(obs._CELLS) == [("xxz", 8, q, True, 1e-5), ("xxz", 8, q, True, 1e-6)]
+        assert [args for args, _ in obs._xxz_cell.store.values()] == [(8, q, 1e-5), (8, q, 1e-6)]
 
     @pytest.mark.parametrize("L", [8, 12], ids=["dense", "arpack"])
     def test_stored_arrays_are_read_only(self, L):
         obs.b_xxz(L)
         chain = obs._xxz_chain(L, fx.Q_VALUE)
-        (cluster, cell), = obs._CELLS.values()
+        (_, (cluster, cell)), = obs._xxz_cell.store.values()
         assert cluster.size == 2 and cell.value == cluster.value
         for array in (chain.product, *chain.spectrum, cell.vector, cell.partner):
             with pytest.raises(ValueError, match="read-only"):
@@ -942,22 +930,23 @@ class TestSpinSolves:
         for _ in range(2):
             with pytest.raises(ArithmeticError, match="L=8 spin chain .* fails the full chain"):
                 obs.b_xxz(8)
-        assert len(cells) == 2 and obs._CELLS == {}
-        assert list(obs._SOLVES) == [("xxz", 8, fx.Q_VALUE, True)]
+        assert len(cells) == 2 and obs._xxz_cell.store == {}
+        assert [args for args, _ in obs._xxz_chain.store.values()] == [(8, fx.Q_VALUE)]
 
     def test_seventeenth_chain_drops_the_first(self, monkeypatch):
-        # spin and open chains share one store of 16 chains
+        # spin chains keep 16 of their own and evict no open chain; each
+        # chain builds its full and its half chain
         chains = count_calls(monkeypatch, models, "build_xxz")
-        obs._open_solve(4, 2.0)
-        qs = [np.exp(1j * np.pi / (3 + k)) for k in range(16)]
+        H, _ = obs._open_solve(4, 2.0)
+        qs = [np.exp(1j * np.pi / (3 + k)) for k in range(17)]
         for q in qs:
             obs._xxz_chain(4, q)
-        assert len(chains) == 32 and len(obs._SOLVES) == 16
-        assert ("open", 4, 2.0, False) not in obs._SOLVES
+        assert len(chains) == 34 and len(obs._xxz_chain.store) == 16
+        assert obs._open_solve(4, 2.0)[0] is H
         obs._xxz_chain(4, qs[-1])
-        assert len(chains) == 32
-        obs._open_solve(4, 2.0)
-        assert ("xxz", 4, qs[0], True) not in obs._SOLVES
+        assert len(chains) == 34
+        obs._xxz_chain(4, qs[0])
+        assert len(chains) == 36
 
     def test_seventeenth_cell_drops_the_first(self, monkeypatch):
         cells = count_calls(monkeypatch, obs, "_level_cell")
@@ -965,7 +954,7 @@ class TestSpinSolves:
         tols = [1e-5 * (1 + k / 100) for k in range(17)]
         for tol in tols:
             chain.cell(chain.gram, tol)
-        assert len(cells) == 17 and len(obs._CELLS) == 16
+        assert len(cells) == 17 and len(obs._xxz_cell.store) == 16
         chain.cell(chain.gram, tols[-1])
         assert len(cells) == 17
         chain.cell(chain.gram, tols[0])
@@ -973,12 +962,34 @@ class TestSpinSolves:
 
 
 def test_store_fixture_empties_every_store():
-    # the autouse fixture of conftest has replaced each store by an empty one
-    stores = {name: value for name, value in vars(obs).items() if name.lstrip("_").isupper()}
-    assert {name for name, value in stores.items() if isinstance(value, dict)} == {
-        "_SOLVES", "_CELLS", "_ISING_OVERLAPS", "_LOOP_MOMENTS",
+    # every store is a function of diagrams._kept, listed in its registry,
+    # which the autouse fixture of conftest has emptied
+    assert {f"{kept.__module__}.{kept.__name__}" for kept in dg._STORES} == {
+        f"loopcells.{name}" for name in (
+            "diagrams.dilute_row_sites", "diagrams._dense_sites", "diagrams._open_sites",
+            "diagrams._array_forms", "tl._cup_caps", "forms.boundary_loops",
+            "forms._link_contractions", "observables._xxz_chain", "observables._xxz_cell",
+            "observables._open_solve", "observables._open_cell",
+            "observables._ising_log_overlaps", "observables._loop_moments",
+        )
     }
-    assert all(value == {} for value in stores.values() if isinstance(value, dict))
+    assert all(kept.store == {} for kept in dg._STORES)
+    # no lru_cache is left, and no pipeline keeps anything in a module-level dict
+    modules = [
+        importlib.import_module(f"loopcells.{info.name}")
+        for info in pkgutil.iter_modules(loopcells.__path__)
+    ]
+    names = [(module, name) for module in modules for name in vars(module) if name[:2] != "__"]
+    assert not [name for module, name in names if hasattr(getattr(module, name), "cache_info")]
+    dicts = {key: dict(getattr(*key)) for key in names if isinstance(getattr(*key), dict)}
+    obs.b_xxz(4)
+    obs.percolation_check(4)
+    obs.b_deformed(4, 2.0)
+    obs.b_polymer(4)
+    obs.ising_boundary_entropies((4, 6))
+    obs.loop_boundary_entropy(1.0, 1.5, (4, 6))
+    assert {key: getattr(*key) for key in dicts} == dicts
+    assert all(kept.store for kept in dg._STORES)
 
 
 def dense_cell(L: int, y: complex) -> spectral.JordanCell:
@@ -1173,8 +1184,8 @@ class TestPercolationCheck:
 
     def test_arpack_reports_match_lapack_at_odd_widths(self, monkeypatch):
         dense = [obs.percolation_check(L) for L in (7, 9)]
-        monkeypatch.setattr(obs, "_SOLVES", {})
-        monkeypatch.setattr(obs, "_CELLS", {})
+        obs._open_solve.store.clear()
+        obs._open_cell.store.clear()
         monkeypatch.setattr(obs, "_DENSE_SPECTRUM_STATES", 20)
         solved = []
         low_spectrum = obs._low_spectrum
@@ -1219,6 +1230,15 @@ class TestExtrapolation:
     def test_needs_three_sizes(self):
         with pytest.raises(ValueError, match="three sizes"):
             obs.extrapolate_b([4, 8], [1.0, 2.0])
+
+    @pytest.mark.parametrize("fit", [obs.extrapolate_b, obs._inverse_power_fit])
+    @pytest.mark.parametrize(
+        "values", [[-0.6, -0.62, -0.63, 99.0], [-0.6, -0.62]], ids=["more values", "fewer values"]
+    )
+    def test_one_value_per_size(self, fit, values):
+        # a fourth value was dropped silently, a missing one raised IndexError
+        with pytest.raises(ValueError, match=f"got 3 sizes and {len(values)} values"):
+            fit([4, 8, 12], values)
 
     @pytest.mark.parametrize("sizes", [[4, 4, 8], [8, 4, 8, 4]])
     def test_needs_three_distinct_sizes(self, sizes, monkeypatch):
@@ -1649,14 +1669,14 @@ class TestLoopEntropy:
 class TestBoundaryStores:
     def test_warm_ising_entropy_equals_a_cold_one(self, monkeypatch):
         cold = obs.ising_boundary_entropy((8, 10, 12), "free")
-        monkeypatch.setattr(obs, "_ISING_OVERLAPS", {})
+        obs._ising_log_overlaps.store.clear()
         obs.ising_boundary_entropy((8, 10, 12), "fixed")
         warm = obs.ising_boundary_entropy((8, 10, 12), "free")
         assert vars(warm) == vars(cold)
 
     def test_warm_loop_entropy_equals_a_cold_one(self, monkeypatch):
         cold = obs.loop_boundary_entropy(1.0, 1.5, (6, 8, 10))
-        monkeypatch.setattr(obs, "_LOOP_MOMENTS", {})
+        obs._loop_moments.store.clear()
         obs.loop_boundary_entropy(1.0, 0.5, (6, 8, 10))
         warm = obs.loop_boundary_entropy(1.0, 1.5, (6, 8, 10))
         assert vars(warm.fit) == vars(cold.fit)
@@ -1677,7 +1697,7 @@ class TestBoundaryStores:
     def test_integer_and_float_loop_weights_share_an_entry(self, monkeypatch):
         rows = count_calls(monkeypatch, models, "build_dense_loop_T")
         assert obs._loop_moments(6, 1) is obs._loop_moments(6, 1.0)
-        assert rows == [6] and list(obs._LOOP_MOMENTS) == [(6, 1.0)]
+        assert rows == [6] and len(obs._loop_moments.store) == 1
 
     @pytest.mark.parametrize("L", [6, 10])
     def test_moments_give_the_boundary_overlap(self, L):
@@ -1697,9 +1717,9 @@ class TestBoundaryStores:
         obs.loop_boundary_entropy(1.0, 1.5, (8, 10))
         assert all(
             isinstance(pair, tuple) and [type(x) for x in pair] == [float, float]
-            for pair in obs._ISING_OVERLAPS.values()
+            for _, pair in obs._ising_log_overlaps.store.values()
         )
-        assert [m.shape for m in obs._LOOP_MOMENTS.values()] == [(5,), (6,)]
+        assert [m.shape for _, m in obs._loop_moments.store.values()] == [(5,), (6,)]
 
     def test_stored_moments_are_read_only(self):
         moments = obs._loop_moments(8, 1.0)
@@ -1710,7 +1730,7 @@ class TestBoundaryStores:
         solved = count_calls(monkeypatch, obs, "_ising_ground_state")
         for L in range(1, 18):
             obs._ising_log_overlaps(L)
-        assert len(solved) == 17 and len(obs._ISING_OVERLAPS) == 16
+        assert len(solved) == 17 and len(obs._ising_log_overlaps.store) == 16
         obs._ising_log_overlaps(17)
         assert len(solved) == 17
         obs._ising_log_overlaps(1)
@@ -1721,7 +1741,7 @@ class TestBoundaryStores:
         weights = [0.1 * k for k in range(1, 18)]
         for n in weights:
             obs._loop_moments(4, n)
-        assert len(rows) == 17 and len(obs._LOOP_MOMENTS) == 16
+        assert len(rows) == 17 and len(obs._loop_moments.store) == 16
         obs._loop_moments(4, weights[-1])
         assert len(rows) == 17
         obs._loop_moments(4, weights[0])
