@@ -213,12 +213,12 @@ def _link_contractions(basis) -> np.ndarray:
     The matrix is kept per basis object.  The pairs ``a <= b`` are glued
     256 bra rows ``a`` at a time (:func:`_line_ends`), so the walkers'
     temporaries grow with the state count, not with its square.  On the bra
-    side a string at site ``j`` absorbs a line into the sentinel ``L + j``; on the
-    ket side every string lets it through to ``2L``.  A line leaving an
-    even-labelled bra string downward (ket step, then bra step) reaches its
-    end within ``L // 2`` rounds, and it is a contraction when that end is a
-    bra string to its right; the same walk with the sides swapped finds the
-    ket contractions.
+    side a string at site ``j`` absorbs a line into the sentinel ``L + j``;
+    on the ket side every string lets it through to ``2L``.  A line leaving
+    an even-labelled bra string downward (ket step, then bra step) reaches
+    its end within ``L // 2`` rounds, and it is a contraction when that end
+    is a bra string to its right; the same walk with the sides swapped finds
+    the ket contractions.
     """
     dim = len(basis)
     partner = _arrays(basis)[0]

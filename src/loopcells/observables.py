@@ -260,9 +260,9 @@ class _Chain(NamedTuple):
     :func:`_xxz_chain`) and ``product`` the unnormalized trousers, all on
     one basis.  ``cell(gram, cluster_tol)`` returns the ``(cluster, cell)``
     at the chain's cell level from the chain's store of certified cells
-    (:func:`_xxz_cell`, :func:`_open_cell`), bordered by ``gram`` when it
-    is built there; the open chain's store is shared with
-    :func:`percolation_check`.  A chain reduced to a symmetry sector also
+    (:func:`_xxz_cell`, :func:`_open_cell`), bordered by the chain's form
+    when it is built there (the open chain's by the ``gram`` passed); the
+    open chain's store is shared with :func:`percolation_check`.  A chain reduced to a symmetry sector also
     carries ``lift``, which maps a sector vector to the full chain, and
     ``certify(value, u, partner=None)``, which checks a lifted eigenvector
     (and partner) against the full chain and raises ``ArithmeticError``.
@@ -290,7 +290,8 @@ def _chain_b(
     ``conj(G v)`` under the chain's form ``G``, a certified left kernel
     vector.  Each chain keeps its cell per ``cluster_tol`` (its ``cell``
     hook), so a cell that an earlier call, or on the open chain
-    :func:`percolation_check`, already certified is read, not built again.  The singular shift is never factored: ARPACK's shift (above
+    :func:`percolation_check`, already certified is read, not built again.
+    The singular shift is never factored: ARPACK's shift (above
     :data:`_DENSE_SPECTRUM_STATES` states) and the bordered system are the
     only LUs, each made once per chain.  The spectrum also gives the ground
     state, which a sector chain certifies on the full chain at every call.
@@ -390,22 +391,22 @@ def _xxz_chain(L: int, q: complex) -> _Chain:
     certify = _lift_certificate(H, S.__matmul__, mirror, f"L={L} spin chain")
     identity = sp.identity(S.shape[1], format="csr")
     return _Chain(
-        H_s, identity, product, spectrum, lambda gram, tol: _xxz_cell(L, q, tol, gram=gram),
+        H_s, identity, product, spectrum, lambda gram, tol: _xxz_cell(L, q, tol),
         S.__matmul__, certify,
     )
 
 
 @diagrams._kept
-def _xxz_cell(L: int, q: complex, cluster_tol: float, *, gram):
+def _xxz_cell(L: int, q: complex, cluster_tol: float):
     """``(cluster, cell)`` at the third sector level of :func:`_xxz_chain`, per tolerance.
 
-    The cell is built by :func:`_level_cell`, bordered by ``gram``, and
-    lifted and certified on the full chain when it is built; the last 16
-    ``(L, q, cluster_tol)`` are kept.  A refused level raises again at
+    The cell is built by :func:`_level_cell`, bordered by the chain's form,
+    and lifted and certified on the full chain when it is built; the last
+    16 ``(L, q, cluster_tol)`` are kept.  A refused level raises again at
     every call and is not kept.
     """
     chain = _xxz_chain(L, q)
-    cluster, cell = _level_cell(L, chain.H, chain.spectrum, 2, gram, cluster_tol)
+    cluster, cell = _level_cell(L, chain.H, chain.spectrum, 2, chain.gram, cluster_tol)
     chain.certify(cell.value, cell.vector, cell.partner)
     return cluster, cell
 

@@ -858,12 +858,14 @@ class TestOpenCells:
         report = obs.percolation_check(L, ys)
         assert report.deformed_genuine == dict.fromkeys(ys, True)
         assert fallbacks == []
+        assert len(obs._open_cell.store) == len(ys)  # the probe kept every cell
         vals = obs._open_solve(L, 1.0)[1][0]
         reach = 1e-5 * np.max(np.abs(vals))
+        cells = count_calls(monkeypatch, obs, "_level_cell")
         for y in ys:
             cluster, _ = obs._open_cell(L, y, 1e-5)
             assert abs(cluster.value - report.level) <= reach
-        assert len(obs._open_cell.store) == len(ys)  # every cell was read, none built
+        assert cells == []  # every cell was read, none built
 
     @pytest.mark.parametrize(
         "refusal", ["test_deformed_chain_without_the_level_is_refused", "test_simple_deformed_level_is_refused"]
