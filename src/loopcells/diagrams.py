@@ -30,13 +30,13 @@ shifted at those sites (:func:`_key_shift`).
 
 Every per-process store of the package, here and in :mod:`loopcells.tl`,
 :mod:`loopcells.forms` and :mod:`loopcells.observables`, is a function
-wrapped by :func:`_kept`: built once per key and kept for the last 16 keys.
+wrapped by :func:`_kept`: built once per key of all its arguments and kept
+for the last 16 keys.
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
 
 import numpy as np
 
@@ -49,28 +49,23 @@ _STORES: list = []  # every function made by :func:`_kept`; its ``store`` attrib
 def _kept(build):
     """``build``, built once per key of its arguments and kept for the last 16 keys.
 
-    The key is the positional arguments.  An unhashable one (a site array,
-    a list) counts by its identity and is held with the value, so the
-    identity stays unique; any other counts by its value and by whether it
-    is complex, so ``2`` and ``2.0`` share a key while ``2+0j`` is kept
-    apart.  Keyword-only parameters of ``build`` are build inputs outside
-    the key, and any other keyword raises ``TypeError``.  A build that
-    raises keeps nothing.  The store (``.store``, oldest key first) drops
+    The key is all of the arguments, which are positional; a keyword raises
+    ``TypeError``.  An unhashable one (a site array, a list) counts by its
+    identity and is held with the value, so the identity stays unique; any
+    other counts by its value and by whether it is complex, so ``2`` and
+    ``2.0`` share a key while ``2+0j`` is kept apart.  A build that raises
+    keeps nothing.  The store (``.store``, oldest key first) drops
     its oldest key to make room; every store is listed in :data:`_STORES`.
     """
-    parameters = inspect.signature(build).parameters.values()
-    inputs = {p.name for p in parameters if p.kind is p.KEYWORD_ONLY}
     store: dict = {}
 
     @functools.wraps(build)
-    def kept(*args, **kwargs):
-        if not kwargs.keys() <= inputs:
-            raise TypeError(f"{build.__name__} takes {sorted(kwargs.keys() - inputs)} by position")
+    def kept(*args):
         key = tuple(
             (id(a), None) if a.__hash__ is None else (a, bool(np.iscomplexobj(a))) for a in args
         )
         if key not in store:
-            value = build(*args, **kwargs)
+            value = build(*args)
             if len(store) >= 16:
                 del store[next(iter(store))]
             store[key] = args, value

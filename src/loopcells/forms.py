@@ -1,11 +1,11 @@
 """Bilinear pairings under which the lattice operators are self-adjoint.
 
 All pairings here are bilinear, never sesquilinear: ``u @ (G @ v)`` with no
-complex conjugation, so "norms" may vanish or be negative.  The Gram
-matrices ``G`` are symmetric.  An entry is read off the picture of the
-mirror image of one basis diagram glued on top of another; every form
-follows the lines of that picture on the site arrays of
-:func:`loopcells.diagrams._arrays`, many pairs at once:
+complex conjugation, so "norms" may vanish or be negative.  The forms
+``G`` are symmetric and are applied, never formed as ``dim x dim`` arrays.
+An entry is read off the picture of the mirror image of one basis diagram
+glued on top of another; every form follows the lines of that picture on
+the site arrays of :func:`loopcells.diagrams._arrays`, many pairs at once:
 
 * :func:`boundary_loops` -- periodic all-arc basis, weight ``n`` per closed
   loop: the loop counts of one row of the Gram, the all-adjacent-arcs
@@ -18,11 +18,11 @@ follows the lines of that picture on the site arrays of
   link patterns on its occupied sites, so the line walk runs once per
   occupancy count and every mask reuses its count's block; the form is
   applied to vectors without being formed;
-* :func:`link_gram` -- the Gram array of the open arc/string basis
+* :func:`link_form` -- the open arc/string basis
   (:func:`loopcells.diagrams._open_sites`) at loop weight one, where
   contracting a string pair whose left label is even costs ``y``; the
-  contraction counts do not depend on ``y`` and are kept once per basis
-  object, by the memo of :mod:`loopcells.diagrams`.
+  contraction counts do not depend on ``y``, are kept once per basis
+  object (:func:`loopcells.diagrams._kept`) and are applied from there.
 
 The spin chain pairs with the identity.  The dilute and link forms follow
 the lines of all pairs at once (:func:`_line_ends`): the dilute form those
@@ -182,12 +182,28 @@ def _pattern_gram(patterns: np.ndarray) -> np.ndarray:
     return gram
 
 
-def link_gram(L: int, y: complex = 1.0) -> np.ndarray:
-    """Gram array of the open arc/string basis at loop weight one.
+@dataclass(frozen=True)
+class LinkForm:
+    """The link form: the kept ``counts`` of :func:`_link_contractions` and ``weights[k] = y ** k``.
+
+    ``form @ x`` applies the entries ``weights[counts]`` to a vector or to a
+    block of columns 256 rows at a time, without forming them.
+    """
+
+    counts: np.ndarray
+    weights: np.ndarray
+
+    def __matmul__(self, x):
+        rows = range(0, len(self.counts), 256)
+        return np.concatenate([self.weights[self.counts[lo : lo + 256]] @ x for lo in rows])
+
+
+def link_form(L: int, y: complex = 1.0) -> LinkForm:
+    """The link form of the open arc/string basis at loop weight one, unformed.
 
     Rows and columns follow the site array
-    :func:`loopcells.diagrams._open_sites` ``(L)``; the array is complex for
-    a complex ``y`` and float otherwise.
+    :func:`loopcells.diagrams._open_sites` ``(L)``; the weights are complex
+    for a complex ``y`` and float otherwise.
 
     Every closed loop counts one.  Contracting a pair of same-side strings
     picks up ``y`` when the left label of the pair is even (the contraction
@@ -196,14 +212,13 @@ def link_gram(L: int, y: complex = 1.0) -> np.ndarray:
     An entry is ``y`` to the number of such contractions, which does not
     depend on ``y`` and is counted once per basis (:func:`_link_contractions`).
     """
-    basis = _open_sites(L)
-    count = _link_contractions(basis)
+    counts = _link_contractions(_open_sites(L))
     dtype = complex if np.iscomplexobj(y) else float
     # y ** k as k repeated products: each entry is exactly the product of its weights
     powers = [1.0]
-    for _ in range(int(count.max())):
+    for _ in range(int(counts.max())):
         powers.append(powers[-1] * y)
-    return np.asarray(powers, dtype=dtype)[count]
+    return LinkForm(counts, np.asarray(powers, dtype=dtype))
 
 
 @_kept

@@ -219,10 +219,11 @@ def _level_cell(L: int, H, spectrum, index: int, gram, cluster_tol: float):
     return cluster, cell
 
 
-def _refuse_tolerance(cluster_tol: float) -> None:
-    """``ValueError`` unless the cluster tolerance is positive and finite."""
-    if not (0 < cluster_tol < np.inf):
-        raise ValueError(f"the cluster tolerance must be positive and finite, got {cluster_tol}")
+def _refuse_unless_finite(what: str, *values, positive: bool = False) -> None:
+    """``ValueError`` naming ``what`` unless every value is finite (and positive, if asked)."""
+    for value in values:
+        if not (np.isfinite(value) and (not positive or value > 0)):
+            raise ValueError(f"the {what} must be {'positive and ' * positive}finite, got {value}")
 
 
 def _ground(spectrum, gram):
@@ -255,15 +256,11 @@ class _Chain(NamedTuple):
     """A width-L chain as :func:`_chain_b` solves and pairs it.
 
     ``H`` is the operator whose Jordan cell is solved, ``spectrum`` its
-    :func:`_low_spectrum` result, ``gram`` its invariant form as a matrix
-    (the link Gram array of :func:`_open_chain`, the sparse identity of
-    :func:`_xxz_chain`) and ``product`` the unnormalized trousers, all on
-    one basis.  ``cell(gram, cluster_tol)`` returns the ``(cluster, cell)``
-    at the chain's cell level from the chain's store of certified cells
-    (:func:`_xxz_cell`, :func:`_open_cell`), bordered by the chain's form
-    when it is built there (the open chain's by the ``gram`` passed); the
-    open chain's store is shared with :func:`percolation_check`.  A chain reduced to a symmetry sector also
-    carries ``lift``, which maps a sector vector to the full chain, and
+    :func:`_low_spectrum` result, ``gram`` its invariant form, applied by
+    ``gram @ x`` (the link form of :func:`_open_chain`, the sparse identity
+    of :func:`_xxz_chain`), and ``product`` the unnormalized trousers, all
+    on one basis.  A chain reduced to a symmetry sector also carries
+    ``lift``, which maps a sector vector to the full chain, and
     ``certify(value, u, partner=None)``, which checks a lifted eigenvector
     (and partner) against the full chain and raises ``ArithmeticError``.
     """
@@ -272,25 +269,23 @@ class _Chain(NamedTuple):
     gram: object
     product: np.ndarray
     spectrum: tuple
-    cell: Callable
     lift: Callable | None = None
     certify: Callable | None = None
 
 
-def _chain_b(
-    model: str, L: int, chain: _Chain, cell_scale: complex, cluster_tol: float
-) -> BMeasurement:
+def _chain_b(model: str, L: int, chain: _Chain, cell, cell_scale: complex) -> BMeasurement:
     """The coupling b from the rank-two cell of a chain.
 
-    ``chain`` comes from :func:`_xxz_chain` or :func:`_open_chain`, and its
-    ``cell`` hook gives the certified cell.  The eigenvectors of the level's
-    cluster in the chain's spectrum are the cell's near-kernel block
+    ``chain`` comes from :func:`_xxz_chain` or :func:`_open_chain`, and
+    ``cell`` is its certified cell, read from the chain's store of cells
+    (:func:`_xxz_cell`, :func:`_open_cell`).  The eigenvectors of the
+    level's cluster in the chain's spectrum are the cell's near-kernel block
     (:func:`_level_cell`); :func:`loopcells.spectral.extract_jordan_cell`
     decides the kernel on that block and borders the partner system with
     ``conj(G v)`` under the chain's form ``G``, a certified left kernel
-    vector.  Each chain keeps its cell per ``cluster_tol`` (its ``cell``
-    hook), so a cell that an earlier call, or on the open chain
-    :func:`percolation_check`, already certified is read, not built again.
+    vector.  The stores keep each cell per ``cluster_tol``, so a cell that
+    an earlier call, or on the open chain :func:`percolation_check`, already
+    certified is read, not built again.
     The singular shift is never factored: ARPACK's shift (above
     :data:`_DENSE_SPECTRUM_STATES` states) and the bordered system are the
     only LUs, each made once per chain.  The spectrum also gives the ground
@@ -301,7 +296,6 @@ def _chain_b(
     """
     gram, product, spectrum = chain.gram, chain.product, chain.spectrum
     v_f = fixtures.FERMI_VELOCITY
-    _, cell = chain.cell(gram, cluster_tol)
     e0, v0 = _ground(spectrum, gram)
     if chain.certify is not None:
         chain.certify(e0, v0)
@@ -371,8 +365,8 @@ def _xxz_chain(L: int, q: complex) -> _Chain:
     The solved chain is kept for the last 16 ``(L, q)``
     (:func:`loopcells.diagrams._kept`), so ``q = 2`` and ``q = 2.0`` share
     a real chain while ``q = 2+0j`` keeps a complex one; its spectrum and
-    trousers are read-only.  Its ``cell`` hook reads :func:`_xxz_cell`, so
-    a repeated :func:`b_xxz` or a :func:`trousers_xxz` of the same width
+    trousers are read-only, so a repeated :func:`b_xxz`, whose cell
+    :func:`_xxz_cell` keeps, or a :func:`trousers_xxz` of the same width
     solves and factors nothing.
     """
     H, masks = models.build_xxz(L, q)
@@ -390,10 +384,7 @@ def _xxz_chain(L: int, q: complex) -> _Chain:
     mirror = find(models.reflect_flip(masks, L))
     certify = _lift_certificate(H, S.__matmul__, mirror, f"L={L} spin chain")
     identity = sp.identity(S.shape[1], format="csr")
-    return _Chain(
-        H_s, identity, product, spectrum, lambda gram, tol: _xxz_cell(L, q, tol),
-        S.__matmul__, certify,
-    )
+    return _Chain(H_s, identity, product, spectrum, S.__matmul__, certify)
 
 
 @diagrams._kept
@@ -452,14 +443,15 @@ def b_xxz(
     repeated call of the same width and tolerance solves, factors and
     certifies nothing but the ground state.  ``cell_scale``
     multiplies the whole cell and must not change the answer (tested).  A
-    ``cluster_tol`` that is not positive and finite raises ``ValueError``
-    before the chain is built.
+    ``cluster_tol`` that is not positive and finite, or a ``q`` that is not
+    finite, raises ``ValueError`` before the chain is built.
     """
     if L % 4:
         raise ValueError("b for the spin chain needs L a multiple of 4")
-    _refuse_tolerance(cluster_tol)
+    _refuse_unless_finite("cluster tolerance", cluster_tol, positive=True)
     q = fixtures.Q_VALUE if q is None else q
-    return _chain_b("xxz", L, _xxz_chain(L, q), cell_scale, cluster_tol)
+    _refuse_unless_finite("parameter q", q)
+    return _chain_b("xxz", L, _xxz_chain(L, q), _xxz_cell(L, q, cluster_tol)[1], cell_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +559,12 @@ def b_polymer(
     sets ``delta``, is the leading Ritz value that the cell solve already
     found; its Ritz vector must leave a residual of at most ``1e-9``
     relative, and the value must lie above the cell's level, otherwise
-    ``ArithmeticError`` is raised.
+    ``ArithmeticError`` is raised (``ValueError`` first for a non-finite ``x``).
     """
     if L % 2:
         raise ValueError("b for the dilute strip needs even L")
     x = fixtures.X_CRITICAL if x is None else x
+    _refuse_unless_finite("parameter x", x)
     row = models.build_dilute_T(L, x)
     T00, T02, T22, _, _ = models.dilute_blocks(row)
     right, (lam0, u0) = spectral.block_jordan_cell(T00, T02, T22)
@@ -627,45 +620,40 @@ def _open_solve(L: int, y: complex):
 
 
 @diagrams._kept
-def _open_cell(L: int, y: complex, cluster_tol: float, *, gram=None):
+def _open_cell(L: int, y: complex, cluster_tol: float):
     """``(cluster, cell)`` at the fourth distinct level of the width-L open chain, built once per process.
 
     The cell is built by :func:`_level_cell` on the chain of
-    :func:`_open_solve`, bordered by ``gram`` (the chain's link Gram,
-    :func:`loopcells.forms.link_gram`, when none is passed), and certified
-    then: kernel, left and partner residuals.  Whichever caller comes first
-    builds it, :func:`b_deformed` or :func:`percolation_check`; later calls
-    with the same ``(L, y, cluster_tol)`` read it from the store of the last
-    16 cells and build no Gram (``gram`` is a build input, not part of the
-    key).  It keeps a cluster and two read-only vectors, and a level that is
-    refused (diagonalizable, not a double cluster, or failing its
+    :func:`_open_solve`, bordered by the chain's link form
+    (:func:`loopcells.forms.link_form`), and certified then: kernel, left
+    and partner residuals.  Whichever caller comes first builds it,
+    :func:`b_deformed` or :func:`percolation_check`; later calls with the
+    same ``(L, y, cluster_tol)`` read it from the store of the last 16
+    cells.  It keeps a cluster and two read-only vectors, and a level that
+    is refused (diagonalizable, not a double cluster, or failing its
     certificate) raises again at every call and is not kept.
     """
     H, spectrum = _open_solve(L, y)
-    form = forms.link_gram(L, y) if gram is None else gram
-    return _level_cell(L, H, spectrum, 3, form, cluster_tol)
+    return _level_cell(L, H, spectrum, 3, forms.link_form(L, y), cluster_tol)
 
 
 def _open_chain(L: int, y: complex) -> _Chain:
     """``(H, y-form, unnormalized trousers, spectrum)`` of the width-L open chain at loop weight one.
 
     The whole chain is solved on the open basis
-    (:func:`loopcells.diagrams._open_sites`), and ``gram`` is the Gram array
-    of :func:`loopcells.forms.link_gram` on it; the cell is at the fourth
-    distinct level.  The chain and its half chain come from
-    :func:`_open_solve`, so a process solves each ``(L, y)`` chain once:
-    the half chain of width 8 is the full chain of width 4, and a chain
-    that :func:`percolation_check` probed is not solved again.  The chain's
-    ``cell`` hook reads :func:`_open_cell`, bordered by the chain's own
-    ``gram`` when the cell is built there.
+    (:func:`loopcells.diagrams._open_sites`), and ``gram`` is the link form
+    of :func:`loopcells.forms.link_form` on it; the cell is at the fourth
+    distinct level (:func:`_open_cell`).  The chain and its half chain come
+    from :func:`_open_solve`, so a process solves each ``(L, y)`` chain
+    once: the half chain of width 8 is the full chain of width 4, and a
+    chain that :func:`percolation_check` probed is not solved again.
     """
-    gram, half_gram = forms.link_gram(L, y), forms.link_gram(L // 2, y)
-    _, g = _ground(_open_solve(L // 2, y)[1], half_gram)
+    _, g = _ground(_open_solve(L // 2, y)[1], forms.link_form(L // 2, y))
     half = diagrams._open_sites(L // 2)
-    rows = diagrams._arrays(diagrams._open_sites(L))[1](diagrams._side_by_side(half, half))
-    product = _place(rows, g, g, len(gram))
+    sites, rows = diagrams._arrays(diagrams._open_sites(L))
+    product = _place(rows(diagrams._side_by_side(half, half)), g, g, len(sites))
     H, spectrum = _open_solve(L, y)
-    return _Chain(H, gram, product, spectrum, lambda form, tol: _open_cell(L, y, tol, gram=form))
+    return _Chain(H, forms.link_form(L, y), product, spectrum)
 
 
 def trousers_open(L: int, y: complex = 1.0) -> TrousersState:
@@ -698,12 +686,14 @@ def b_deformed(
     this call does.  At ``y = 1`` the fourth level is diagonalizable and
     extraction raises ``DiagonalizableLevelError`` -- there is no cell,
     hence no b, at the undeformed point.  A ``cluster_tol`` that is not
-    positive and finite raises ``ValueError`` before any chain is built.
+    positive and finite, or a non-finite ``y``, raises ``ValueError`` first.
     """
     if L % 2:
         raise ValueError("b for the open chain needs even L")
-    _refuse_tolerance(cluster_tol)
-    return _chain_b(f"deformed:y={y}", L, _open_chain(L, y), cell_scale, cluster_tol)
+    _refuse_unless_finite("cluster tolerance", cluster_tol, positive=True)
+    _refuse_unless_finite("parameter y", y)
+    chain = _open_chain(L, y)
+    return _chain_b(f"deformed:y={y}", L, chain, _open_cell(L, y, cluster_tol)[1], cell_scale)
 
 
 def _nearest_cell(L: int, y: complex, level: complex, cluster_tol: float) -> bool:
@@ -713,7 +703,7 @@ def _nearest_cell(L: int, y: complex, level: complex, cluster_tol: float) -> boo
     (:func:`_open_cell`) is not ``level``: the eigenvectors of the chain's
     own cluster nearest ``level`` are the block of
     :func:`loopcells.spectral.extract_jordan_cell`, bordered by the chain's
-    link Gram.  A diagonalizable cluster reads ``False``; a simple one
+    link form.  A diagonalizable cluster reads ``False``; a simple one
     raises ``ArithmeticError`` and one without a kernel at ``level``
     :class:`~loopcells.spectral.ClusterSizeError`.
     """
@@ -721,7 +711,7 @@ def _nearest_cell(L: int, y: complex, level: complex, cluster_tol: float) -> boo
     near = min(spectral.cluster_eigenvalues(vals, cluster_tol), key=lambda c: abs(c.value - level))
     block = vecs[:, np.isin(vals, near.members)]
     try:
-        spectral.extract_jordan_cell(H, level, block, forms.link_gram(L, y))
+        spectral.extract_jordan_cell(H, level, block, forms.link_form(L, y))
     except spectral.DiagonalizableLevelError:
         return False
     return True
@@ -740,7 +730,7 @@ def percolation_check(
     fourth distinct level and holds its eigenvectors.  Their span gives the
     level's geometric multiplicity and the norm of its nilpotent part,
     which vanishes exactly when the level is diagonalizable
-    (:func:`loopcells.spectral.cell_structure`, with the y=1 link Gram);
+    (:func:`loopcells.spectral.cell_structure`, with the y=1 link form);
     the y=1 shift is not factored and no dense spectrum is formed.  The
     spectrum does not depend on ``y``, so each deformed chain in
     ``y_values`` is probed for a genuine cell at that same level.  Its
@@ -756,15 +746,16 @@ def percolation_check(
     so a deformed chain on which the level is simple raises
     ``ArithmeticError`` and one without the level
     :class:`~loopcells.spectral.ClusterSizeError`.  A ``cluster_tol`` that
-    is not positive and finite raises ``ValueError`` before any chain is
-    built.
+    is not positive and finite, or a ``y`` in ``y_values`` that is not
+    finite, raises ``ValueError`` before any chain is built.
     """
-    _refuse_tolerance(cluster_tol)
+    _refuse_unless_finite("cluster tolerance", cluster_tol, positive=True)
+    _refuse_unless_finite("parameter y", *y_values)
     H1, spectrum = _open_solve(L, 1.0)
     c3 = _level(spectrum, 3, cluster_tol)
     vals, vecs = spectrum
     block = vecs[:, np.isin(vals, c3.members)]
-    gm, nil = spectral.cell_structure(H1, c3.value, block, forms.link_gram(L, 1.0))
+    gm, nil = spectral.cell_structure(H1, c3.value, block, forms.link_form(L, 1.0))
     reach = spectral._cluster_reach(vals, cluster_tol)
     genuine: dict = {}
     for y in y_values:
@@ -1084,8 +1075,7 @@ def _refuse_weights(n: float, n1: float) -> None:
     """``ValueError`` unless ``0 < n < 2`` and ``n1`` is positive and finite."""
     if not (0 < n < 2):
         raise ValueError("the loop weight must satisfy 0 < n < 2")
-    if not (0 < n1 < np.inf):
-        raise ValueError(f"the boundary loop weight must be positive and finite, got {n1}")
+    _refuse_unless_finite("boundary loop weight", n1, positive=True)
 
 
 def loop_boundary_entropy(n: float, n1: float, sizes=(12, 14, 16, 18)) -> LoopEntropyReport:

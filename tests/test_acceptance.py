@@ -254,9 +254,8 @@ def test_7_property_suites(capsys, xxz_b, polymer_b):
             oracles.adjointness_matrix_defect(H.toarray(), np.eye(len(masks))),
         )
         Hp = models.build_percolation_H(L, 1.0)
-        adjoint = max(
-            adjoint, oracles.adjointness_matrix_defect(Hp, forms.link_gram(L, 1.0))
-        )
+        gram = forms.link_form(L, 1.0) @ np.eye(Hp.shape[0])
+        adjoint = max(adjoint, oracles.adjointness_matrix_defect(Hp, gram))
 
     rng = np.random.default_rng(20260816)
     gauge = 0.0

@@ -144,6 +144,20 @@ class TestSpinChainCommand:
         assert code == 1
         assert "error:" in err and "needs even L" in err
 
+    @pytest.mark.parametrize(
+        "command, param, shown",
+        [
+            ("xxz-b", "q=nan", "nan"),
+            ("polymer-b", "x=nan", "nan"),
+            ("deformed-b", "y=inf", "inf"),
+            ("deformed-b", "y=nan+1j", "(nan+1j)"),
+        ],
+    )
+    def test_non_finite_model_param_is_a_pipeline_error(self, capsys, command, param, shown):
+        code, out, err = run(capsys, command, "--sizes", "4", "--model-param", param)
+        assert code == 1 and out == ""
+        assert f"error: the parameter {param[0]} must be finite, got {shown}" in err
+
     def test_out_writes_file_and_keeps_stdout_quiet(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(

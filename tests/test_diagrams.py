@@ -445,7 +445,7 @@ class TestArrayForm:
 
 KEY_RULES = (
     "arrays by identity", "complex apart", "equal reals shared", "refusal not kept",
-    "eviction at 16", "keyword inputs outside the key",
+    "eviction at 16", "keyword refused",
 )
 
 
@@ -457,11 +457,11 @@ def test_kept_key_rule(monkeypatch, rule):
     built = []
 
     @dg._kept
-    def probe(*args, scale=1.0):
+    def probe(*args):
         built.append(args)
         if args[0] is None:
             raise ValueError("refused")
-        return [scale]
+        return [len(args)]
 
     assert dg._STORES == [probe]
     if rule == "arrays by identity":
@@ -488,7 +488,7 @@ def test_kept_key_rule(monkeypatch, rule):
         assert probe(16) is values[16] and len(built) == 17
         assert probe(0) is not values[0] and len(built) == 18
     else:
-        assert probe(4, scale=2.0) == [2.0]
-        assert probe(4, scale=3.0) == [2.0] and built == [(4,)]
-        with pytest.raises(TypeError, match="by position"):
-            probe(4, size=2)
+        # every input is part of the key, so none may come by keyword
+        with pytest.raises(TypeError, match="keyword"):
+            probe(4, scale=2.0)
+        assert built == [] and probe.store == {}

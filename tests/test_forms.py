@@ -178,21 +178,37 @@ def unchunked_contractions(basis) -> np.ndarray:
     return counts
 
 
+def link_gram(L: int, y) -> np.ndarray:
+    """The link form of width ``L`` applied to the identity: its Gram array."""
+    return forms.link_form(L, y) @ np.eye(len(dg._open_sites(L)))
+
+
 class TestLinkGram:
     @pytest.mark.parametrize("y", [1.0, 2.0, -1.0, 0.5])
     @pytest.mark.parametrize("L", range(1, 11))
     def test_matches_glue_oracle(self, L, y):
-        gram = forms.link_gram(L, y)
+        gram = link_gram(L, y)
         assert type(gram) is np.ndarray and gram.dtype == np.float64
         np.testing.assert_array_equal(gram, glue_link_gram(L, y))
 
     @pytest.mark.parametrize("y", [0.3, 0.3 + 0.7j])
     @pytest.mark.parametrize("L", range(1, 11))
     def test_matches_glue_oracle_at_inexact_weights(self, L, y):
-        gram = forms.link_gram(L, y)
+        gram = link_gram(L, y)
         assert type(gram) is np.ndarray
         assert gram.dtype == (np.complex128 if isinstance(y, complex) else np.float64)
         np.testing.assert_allclose(gram, glue_link_gram(L, y), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("y", [2.0, -1.0, 0.3, 0.5 + 1j])
+    @pytest.mark.parametrize("L", [4, 7, 10, 12])
+    def test_applies_the_glue_oracle_to_random_blocks(self, L, y):
+        # width 12 has 924 states, so its rows are applied in four chunks of 256
+        gram = glue_link_gram(L, y)
+        rng = np.random.default_rng(L)
+        form = forms.link_form(L, y)
+        for X in (rng.standard_normal(len(gram)), rng.standard_normal((len(gram), 3))):
+            for block in (X, X * (1 - 2j)):
+                np.testing.assert_allclose(form @ block, gram @ block, rtol=1e-13, atol=1e-12)
 
     def test_contractions_are_counted_once_per_basis_object(self):
         basis = dg._open_sites(6)
@@ -212,12 +228,16 @@ class TestLinkGram:
         np.testing.assert_array_equal(counts, unchunked_contractions(basis))
 
     def test_gram_is_a_fresh_array_over_the_cached_counts(self):
-        # a plain ndarray, float for a real weight and complex for a complex one
+        # the form holds the kept read-only counts; applied, it
+        # gives a plain ndarray, float for a real weight and complex for a complex one
+        counts = forms._link_contractions(dg._open_sites(6))
         for y, dtype in ((2.0, np.float64), (0.5 + 1j, np.complex128)):
-            gram = forms.link_gram(6, y)
+            form = forms.link_form(6, y)
+            assert form.counts is counts
+            gram = form @ np.eye(20)
             assert type(gram) is np.ndarray and gram.dtype == dtype
             gram[:] = 0.0
-            np.testing.assert_array_equal(forms.link_gram(6, y), glue_link_gram(6, y))
+            np.testing.assert_array_equal(link_gram(6, y), glue_link_gram(6, y))
 
     def test_glues_no_pair(self, monkeypatch):
         def refuse(*args):
@@ -226,12 +246,12 @@ class TestLinkGram:
         assert not hasattr(dg, "glue")  # the one-pair gluing is the tests' oracle
         monkeypatch.setattr(ls, "glue", refuse)
         monkeypatch.setattr(forms, "glue", refuse, raising=False)
-        assert forms.link_gram(6, 2.0).shape == (20, 20)
+        assert link_gram(6, 2.0).shape == (20, 20)
 
     @pytest.mark.parametrize("y", [np.complex64(1 + 1j), np.complex128(0.5 - 2j)])
     def test_numpy_complex_weight_keeps_imaginary_part(self, y):
         sites = dg._open_sites(4)
-        gram = forms.link_gram(4, y)
+        gram = link_gram(4, y)
         assert gram.dtype == np.complex128
         assert gram[text_index(sites, "(())"), text_index(sites, "||||")] == y
         assert all(e.dtype == np.complex128 for e in tl.open_generators(4, 1.0, y))
@@ -239,18 +259,18 @@ class TestLinkGram:
     def test_weight_one_width_two(self):
         # basis {arc, strings}: arc/arc closes a loop, arc/strings and
         # strings/strings each give a single line
-        np.testing.assert_allclose(forms.link_gram(2, 1.0), [[1, 1], [1, 1]])
+        np.testing.assert_allclose(link_gram(2, 1.0), [[1, 1], [1, 1]])
 
     def test_deformed_width_two(self):
         # contracting the single pair of strings keeps weight one (odd label)
-        np.testing.assert_allclose(forms.link_gram(2, 3.0), [[1, 1], [1, 1]])
+        np.testing.assert_allclose(link_gram(2, 3.0), [[1, 1], [1, 1]])
 
     @pytest.mark.parametrize("y", [2.0, -1.0, 0.5])
     def test_deformed_width_four_contraction(self, y):
         # four strings against the all-arcs state: one contraction of
         # strings 2,3 (even label -> weight y) and one of strings 1,4
         sites = dg._open_sites(4)
-        gram = forms.link_gram(4, y)
+        gram = link_gram(4, y)
         a = text_index(sites, "(())")
         b = text_index(sites, "||||")
         assert gram[a, b] == pytest.approx(y)
@@ -258,7 +278,7 @@ class TestLinkGram:
     @pytest.mark.parametrize("y", [1.0, 2.0, -1.0, 0.5])
     @pytest.mark.parametrize("L", [2, 4, 6])
     def test_generators_self_adjoint(self, L, y):
-        gram = forms.link_gram(L, y)
+        gram = link_gram(L, y)
         for e in tl.open_generators(L, 1.0, y):
             assert oracles.adjointness_matrix_defect(e, gram) < 1e-12
 

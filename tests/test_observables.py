@@ -9,6 +9,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -194,12 +195,9 @@ def full_chain_b_xxz(L: int, cell_scale: complex = 1.0) -> obs.BMeasurement:
     rows = dg._lookup(np.array(masks))(((half[:, None] << L // 2) | half).ravel())
     product = obs._place(rows, g, g, len(masks))
     spectrum = obs._low_spectrum(H, L)
-
-    def cell(gram, tol):
-        return obs._level_cell(L, H, spectrum, 3, gram, tol)
-
-    chain = obs._Chain(H, sp.identity(len(masks), format="csr"), product, spectrum, cell)
-    return obs._chain_b("xxz", L, chain, cell_scale, 1e-5)
+    identity = sp.identity(len(masks), format="csr")
+    _, cell = obs._level_cell(L, H, spectrum, 3, identity, 1e-5)
+    return obs._chain_b("xxz", L, obs._Chain(H, identity, product, spectrum), cell, cell_scale)
 
 
 def kick_spin_chain(monkeypatch, L: int, sign: int) -> None:
@@ -238,7 +236,7 @@ class TestSpinSector:
 
     def test_cell_is_the_third_sector_level(self):
         chain = obs._xxz_chain(8, fx.Q_VALUE)
-        cluster, cell = chain.cell(chain.gram, 1e-5)
+        cluster, cell = obs._xxz_cell(8, fx.Q_VALUE, 1e-5)
         assert cluster == obs._level(chain.spectrum, 2, 1e-5) and cell.value == cluster.value
         assert chain.H.shape == (43, 43)
 
@@ -470,23 +468,34 @@ class TestDeformedB:
     @pytest.mark.parametrize("chain, L", [("_xxz_chain", 8), ("_xxz_chain", 12), ("_open_chain", 10)])
     def test_border_form_that_does_not_intertwine_is_refused(self, monkeypatch, chain, L):
         # scaling the columns of the form breaks G H = H^T G, so conj(G v)
-        # is no left kernel vector and may not border the partner system
-        build = getattr(obs, chain)
+        # is no left kernel vector and may not border the partner system;
+        # the open chain's cell is bordered by the link form it builds
+        def bent(form, dim):
+            return form @ np.diag(np.random.default_rng(4).uniform(0.5, 1.5, dim))
 
-        def bent(*args):
-            built = build(*args)
-            scale = np.random.default_rng(4).uniform(0.5, 1.5, built.H.shape[0])
-            return built._replace(gram=built.gram @ sp.diags(scale))
+        if chain == "_xxz_chain":
+            build = obs._xxz_chain
 
-        monkeypatch.setattr(obs, chain, bent)
-        measure = obs.b_xxz if chain == "_xxz_chain" else lambda L: obs.b_deformed(L, 2.0)
+            def bent_chain(*args):
+                built = build(*args)
+                return built._replace(gram=bent(built.gram, built.H.shape[0]))
+
+            monkeypatch.setattr(obs, chain, bent_chain)
+            measure = obs.b_xxz
+        else:
+            link_form = forms.link_form
+            monkeypatch.setattr(
+                forms, "link_form", lambda L, y: bent(link_form(L, y), len(dg._open_sites(L)))
+            )
+            measure = lambda L: obs.b_deformed(L, 2.0)  # noqa: E731
         with pytest.raises(ArithmeticError, match="left residual"):
             measure(L)
 
     def test_border_form_that_annihilates_the_kernel_vector_is_refused(self, monkeypatch):
-        build = obs._open_chain
+        # the half chain's form is kept, so only the cell's border vanishes
+        link_form = forms.link_form
         monkeypatch.setattr(
-            obs, "_open_chain", lambda L, y: build(L, y)._replace(gram=sp.csr_matrix((70, 70)))
+            forms, "link_form", lambda L, y: sp.csr_matrix((70, 70)) if L == 8 else link_form(L, y)
         )
         with pytest.raises(ArithmeticError, match="annihilates"):
             obs.b_deformed(8, 2.0)
@@ -641,11 +650,12 @@ class TestBuildOnce:
         obs.b_polymer(6)
         assert sorted(rows) == [3, 6]
 
-    def test_deformed_builds_each_chain_and_gram_once(self, monkeypatch):
-        grams = count_calls(monkeypatch, forms, "link_gram")
+    def test_deformed_builds_each_chain_and_contraction_walk_once(self, monkeypatch):
+        # every contraction walk goes through _upper_pairs once, by the state count
+        walks = count_calls(monkeypatch, forms, "_upper_pairs")
         chains = count_calls(monkeypatch, models, "build_percolation_H")
         obs.b_deformed(6, 2.0)
-        assert sorted(grams) == [3, 6]
+        assert sorted(walks) == [3, 20]
         assert sorted(chains) == [3, 6]
 
     def test_open_maps_and_link_walk_are_built_once_per_width(self):
@@ -661,6 +671,25 @@ class TestBuildOnce:
         cached += [counts for _, counts in walks]
         assert len(cached) == 3 * (2 + 5) + 2  # three arrays per generator, one count matrix per width
         assert not any(a.flags.writeable for a in cached)
+
+    def test_open_chain_holds_no_gram(self):
+        # with the contraction counts and the solves already kept, the traced
+        # peak of either open-chain pipeline stays below one float Gram of width 14
+        dim = len(dg._open_sites(14))
+        for L in (7, 14):
+            forms._link_contractions(dg._open_sites(L))
+        for y in (1.0, 2.0, -1.0, 0.5):
+            obs._open_solve(14, y)
+        obs._open_solve(7, 2.0)
+        for run in (lambda: obs.b_deformed(14, 2.0), lambda: obs.percolation_check(14)):
+            obs._open_cell.store.clear()
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < dim * dim * 8
 
     def test_polymer_forms_no_gram(self, monkeypatch):
         # the dilute form is applied through its per-count blocks: with every
@@ -908,10 +937,9 @@ class TestSpinSolves:
         assert obs._xxz_chain(8, 2 + 0j) is not chain
         assert len(obs._xxz_chain.store) == 2
         q = fx.Q_VALUE
-        chain = obs._xxz_chain(8, q)
-        _, cell = chain.cell(chain.gram, 1e-5)
-        assert obs._xxz_chain(8, q).cell(chain.gram, 1e-5)[1] is cell
-        assert obs._xxz_chain(8, q).cell(chain.gram, 1e-6)[1] is not cell
+        _, cell = obs._xxz_cell(8, q, 1e-5)
+        assert obs._xxz_cell(8, q, 1e-5)[1] is cell
+        assert obs._xxz_cell(8, q, 1e-6)[1] is not cell
         assert [args for args, _ in obs._xxz_cell.store.values()] == [(8, q, 1e-5), (8, q, 1e-6)]
 
     @pytest.mark.parametrize("L", [8, 12], ids=["dense", "arpack"])
@@ -952,14 +980,13 @@ class TestSpinSolves:
 
     def test_seventeenth_cell_drops_the_first(self, monkeypatch):
         cells = count_calls(monkeypatch, obs, "_level_cell")
-        chain = obs._xxz_chain(8, fx.Q_VALUE)
         tols = [1e-5 * (1 + k / 100) for k in range(17)]
         for tol in tols:
-            chain.cell(chain.gram, tol)
+            obs._xxz_cell(8, fx.Q_VALUE, tol)
         assert len(cells) == 17 and len(obs._xxz_cell.store) == 16
-        chain.cell(chain.gram, tols[-1])
+        obs._xxz_cell(8, fx.Q_VALUE, tols[-1])
         assert len(cells) == 17
-        chain.cell(chain.gram, tols[0])
+        obs._xxz_cell(8, fx.Q_VALUE, tols[0])
         assert len(cells) == 18
 
 
@@ -1000,7 +1027,7 @@ def dense_cell(L: int, y: complex) -> spectral.JordanCell:
     vals, vecs = np.linalg.eig(H.toarray())
     level = spectral.full_spectrum(H)[3].value
     block = vecs[:, np.argsort(np.abs(vals - level))[:2]]
-    return spectral.extract_jordan_cell(H, level, block, forms.link_gram(L, y))
+    return spectral.extract_jordan_cell(H, level, block, forms.link_form(L, y))
 
 
 class TestClusterTolerance:
@@ -1018,6 +1045,29 @@ class TestClusterTolerance:
             obs.b_deformed(6, 2.0, cluster_tol=tol)
         with pytest.raises(ValueError, match=message):
             obs.percolation_check(6, cluster_tol=tol)
+
+
+class TestModelParameter:
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, complex(np.nan, 1), complex(2, np.inf)],
+        ids=["nan", "inf", "-inf", "complex nan", "complex inf"],
+    )
+    def test_non_finite_parameter_is_refused_before_any_chain_or_row(self, monkeypatch, value):
+        def refuse(L, *args):
+            raise AssertionError(f"a width-{L} chain or row was built")
+
+        for name in ("build_percolation_H", "build_xxz", "build_dilute_T"):
+            monkeypatch.setattr(models, name, refuse)
+        calls = [
+            ("q", lambda: obs.b_xxz(8, q=value)),
+            ("x", lambda: obs.b_polymer(6, x=value)),
+            ("y", lambda: obs.b_deformed(6, value)),
+            ("y", lambda: obs.percolation_check(6, (2.0, value))),
+        ]
+        for name, call in calls:
+            message = re.escape(f"the parameter {name} must be finite, got {value}")
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestPercolationStructure:
@@ -1147,12 +1197,8 @@ class TestPercolationCheck:
         H = ladder(200)
         spectrum = obs._low_spectrum(H, 2)
         assert len(spectrum[0]) == 6
-        chain = obs._Chain(
-            H, sp.identity(200, format="csr"), np.ones(200), spectrum,
-            lambda gram, tol: obs._level_cell(2, H, spectrum, 3, gram, tol),
-        )
         with pytest.raises(spectral.ClusterSizeError, match="cut short"):
-            obs._chain_b("ladder", 2, chain, 1.0, 1e-5)
+            obs._level_cell(2, H, spectrum, 3, sp.identity(200, format="csr"), 1e-5)
         monkeypatch.setattr(models, "build_percolation_H", lambda L, y=1.0: H)
         with pytest.raises(spectral.ClusterSizeError, match="cut short"):
             obs.percolation_check(2)

@@ -276,7 +276,7 @@ class TestClusterCell:
         vals, vecs = obs._low_spectrum(H, 8)
         cluster = obs._level((vals, vecs), 3, 1e-5)
         block = vecs[:, np.isin(vals, cluster.members)]
-        cell = spectral.extract_jordan_cell(H, cluster.value, block, forms.link_gram(8, 2.0))
+        cell = spectral.extract_jordan_cell(H, cluster.value, block, forms.link_form(8, 2.0))
         assert cell.vector.dtype == cell.partner.dtype == np.float64
         assert_same_cell(cell, oracles.inverse_iteration_cell(H, cluster.value))
 
@@ -334,7 +334,7 @@ class TestClusterCell:
         if pair != "complex":
             assert np.any(np.imag(cluster.members) != 0) == (pair == "conjugate")
         block = vecs[:, np.isin(vals, cluster.members)]
-        gram = forms.link_gram(L, y)
+        gram = forms.link_form(L, y)
         if y == 1.0:
             with pytest.raises(spectral.DiagonalizableLevelError):
                 spectral.extract_jordan_cell(H, cluster.value, block, gram)
@@ -433,7 +433,7 @@ class TestFactor:
         level = cluster.value
         assert isinstance(level, complex) and level.imag == 0
         block = vecs[:, np.isin(vals, cluster.members)]
-        cell = spectral.extract_jordan_cell(H, level, block, forms.link_gram(8, 2.0))
+        cell = spectral.extract_jordan_cell(H, level, block, forms.link_form(8, 2.0))
         assert cell.value is level
 
     @pytest.mark.parametrize("chain", ["open", "spin"])
@@ -464,7 +464,7 @@ class TestCellStructure:
         radius = 1e-4 * max(abs(c.value) for c in clusters)
         H = models.build_percolation_H(L, y)
         _, vectors = cluster_vectors(H.toarray(), level)
-        kernel_dim, norm = spectral.cell_structure(H, level, vectors, forms.link_gram(L, y))
+        kernel_dim, norm = spectral.cell_structure(H, level, vectors, forms.link_form(L, y))
         dense = oracles.nilpotent_norm(H, level, radius)
         assert kernel_dim == oracles.geometric_multiplicity(H, level)
         if y == 1.0:
