@@ -226,11 +226,28 @@ def _refuse_unless_finite(what: str, *values, positive: bool = False) -> None:
             raise ValueError(f"the {what} must be {'positive and ' * positive}finite, got {value}")
 
 
-def _ground(spectrum, gram):
-    """Lowest pair of a :func:`_low_spectrum` result, bilinear square one under ``gram``."""
+def _lowest(spectrum):
+    """The lowest pair of a :func:`_low_spectrum` result, the vector as the solver scaled it."""
     vals, vecs = spectrum
     k0 = int(np.argmin(vals.real))
-    return vals[k0], spectral.sign_fix(spectral.normalize_bilinear(vecs[:, k0], gram))
+    return vals[k0], vecs[:, k0]
+
+
+def _ground(spectrum, gram):
+    """``(value, v, G v)``: the lowest pair of a :func:`_low_spectrum` result and its form image.
+
+    ``v`` has bilinear square one under ``gram`` (principal square root, then
+    the sign of :func:`loopcells.spectral.sign_fix`); the form is applied
+    once.  A vanishing bilinear square raises ``ValueError``.
+    """
+    value, v = _lowest(spectrum)
+    image = gram @ v
+    root = np.sqrt(complex(v @ image))
+    if root == 0:
+        raise ValueError("state has vanishing bilinear square; cannot normalize")
+    if spectral._flips_sign(v / root):
+        root = -root
+    return value, v / root, image / root
 
 
 def _pair_b(v_r, w_r, v_l, w_l, bra, ket, gram):
@@ -241,14 +258,11 @@ def _pair_b(v_r, w_r, v_l, w_l, bra, ket, gram):
     are the trousers states and ``gram`` the invariant form.  The gauge
     sensitivity is the larger normalized overlap of a trousers state with a
     cell eigenvector, which is what the partner's gauge freedom can move.
+    The form is applied once, to the column block ``[w_r, ket, v_r]``.
     """
-    g_w = gram @ w_r
-    g_ket = gram @ ket
+    g_w, g_ket, g_v = (gram @ np.column_stack([w_r, ket, v_r])).T
     b = 4 * (bra @ g_w) * (w_l @ g_ket) / (v_l @ g_w)
-    gauge = max(
-        abs(bra @ (gram @ v_r) / np.linalg.norm(v_r)),
-        abs(v_l @ g_ket / np.linalg.norm(v_l)),
-    )
+    gauge = max(abs(bra @ g_v / np.linalg.norm(v_r)), abs(v_l @ g_ket / np.linalg.norm(v_l)))
     return b, float(gauge)
 
 
@@ -296,12 +310,12 @@ def _chain_b(model: str, L: int, chain: _Chain, cell, cell_scale: complex) -> BM
     """
     gram, product, spectrum = chain.gram, chain.product, chain.spectrum
     v_f = fixtures.FERMI_VELOCITY
-    e0, v0 = _ground(spectrum, gram)
+    e0, v0, g_v0 = _ground(spectrum, gram)
     if chain.certify is not None:
         chain.certify(e0, v0)
     v3 = cell_scale * cell.vector
     w_tilde = (np.pi * v_f / L) * (cell_scale * cell.partner)
-    trousers = product / (product @ (gram @ v0))
+    trousers = product / (product @ g_v0)
     b, gauge = _pair_b(v3, w_tilde, v3, w_tilde, trousers, trousers, gram)
     delta = spectral.hamiltonian_delta(L, cell.value.real, complex(e0).real, v_f)
     return BMeasurement(
@@ -371,7 +385,8 @@ def _xxz_chain(L: int, q: complex) -> _Chain:
     """
     H, masks = models.build_xxz(L, q)
     half_H, half_masks = models.build_xxz(L // 2, q)
-    _, g = _ground(_low_spectrum(half_H, L // 2), np.eye(len(half_masks)))
+    # the trousers is divided by its overlap with the ground, so the half ground needs no scale
+    _, g = _lowest(_low_spectrum(half_H, L // 2))
     half, masks = np.array(half_masks), np.array(masks)
     find = diagrams._lookup(masks)
     rows = find(((half[:, None] << L // 2) | half).ravel())
@@ -415,7 +430,7 @@ def trousers_xxz(L: int, q: complex | None = None) -> TrousersState:
     if L % 4:
         raise ValueError("spin trousers need L/2 even, i.e. L a multiple of 4")
     chain = _xxz_chain(L, fixtures.Q_VALUE if q is None else q)
-    e0, u0 = _ground(chain.spectrum, chain.gram)
+    e0, u0, _ = _ground(chain.spectrum, chain.gram)
     chain.certify(e0, u0)
     v0 = spectral.sign_fix(chain.lift(u0))
     product = chain.lift(chain.product)
@@ -552,8 +567,8 @@ def b_polymer(
     leading two-string eigenvalue is extracted blockwise; the lower half-row
     intertwines the ket and bra rows, so it carries that cell over to the
     bra row (:func:`_bra_cell`), and the dilute form turns the bra-row
-    vectors into genuine left eigenvectors; it is applied to three vectors
-    and never formed (:func:`loopcells.forms.dilute_form`).  One cell solve
+    vectors into genuine left eigenvectors; it is applied once, to a block
+    of three vectors, and never formed (:func:`loopcells.forms.dilute_form`).  One cell solve
     serves both sides.  The two cell scales ``right_scale``/``left_scale``
     must cancel (tested).  The Perron value of the zero-string block, which
     sets ``delta``, is the leading Ritz value that the cell solve already
@@ -648,7 +663,8 @@ def _open_chain(L: int, y: complex) -> _Chain:
     once: the half chain of width 8 is the full chain of width 4, and a
     chain that :func:`percolation_check` probed is not solved again.
     """
-    _, g = _ground(_open_solve(L // 2, y)[1], forms.link_form(L // 2, y))
+    # the trousers is divided by its overlap with the ground, so the half ground needs no scale
+    _, g = _lowest(_open_solve(L // 2, y)[1])
     half = diagrams._open_sites(L // 2)
     sites, rows = diagrams._arrays(diagrams._open_sites(L))
     product = _place(rows(diagrams._side_by_side(half, half)), g, g, len(sites))
@@ -666,8 +682,8 @@ def trousers_open(L: int, y: complex = 1.0) -> TrousersState:
     if L % 2:
         raise ValueError("open trousers need even L")
     chain = _open_chain(L, y)
-    _, v0 = _ground(chain.spectrum, chain.gram)
-    vec = chain.product / (chain.product @ (chain.gram @ v0))
+    _, _, g_v0 = _ground(chain.spectrum, chain.gram)
+    vec = chain.product / (chain.product @ g_v0)
     return TrousersState(f"open:y={y}", L, "right", vec, "overlap with ground = 1")
 
 

@@ -33,8 +33,9 @@ in float64 when ``A`` and the level are real (:func:`_shift`).
 upper-triangular transfer row (string sectors that only feed downward),
 whose shared level is among the largest in modulus.  It factors nothing and
 needs only products with the blocks, so the blocks may stay unformed, as
-the dilute rows' tile operators do: ARPACK gives the kernel vector and its left
-companion, GMRES the partner from the same bordered operator.  Every solver
+the dilute rows' tile operators do: ARPACK gives the kernel vector, and one
+GMRES run on the system bordered by it gives the partner and the coupling
+of the sectors together.  Every solver
 returns a :class:`JordanCell` with its residuals and certifies them.
 
 The ``w`` returned by the solvers is defined up to adding multiples of
@@ -66,7 +67,7 @@ import scipy.sparse.linalg as spla
 DENSE_LIMIT = 4096
 
 #: Krylov steps per GMRES cycle of :func:`block_jordan_cell` (the dilute
-#: partners converge in one cycle, in 19 steps at width 14 and 20 at 16).
+#: partners converge in one cycle, in 17 steps at width 14 and 18 at 16).
 GMRES_STEPS = 100
 
 
@@ -111,14 +112,9 @@ def cluster_eigenvalues(eigs: np.ndarray, rel_tol: float = 1e-5) -> list[Cluster
     vals = np.asarray(eigs)[order]
     if not vals.size:
         return []
-    reach = _cluster_reach(vals, rel_tol)
-    clusters: list[list[complex]] = [[vals[0]]]
-    for lam in vals[1:]:
-        if abs(lam - clusters[-1][-1]) <= reach:
-            clusters[-1].append(lam)
-        else:
-            clusters.append([lam])
-    return [Cluster(complex(np.mean(c)), len(c), tuple(c)) for c in clusters]
+    # a cluster starts at each value whose step from the one before is not within reach
+    starts = np.flatnonzero(~(np.abs(np.diff(vals)) <= _cluster_reach(vals, rel_tol))) + 1
+    return [Cluster(complex(np.mean(c)), len(c), tuple(c)) for c in np.split(vals, starts)]
 
 
 def full_spectrum(A: np.ndarray, rel_tol: float = 1e-5) -> list[Cluster]:
@@ -165,11 +161,13 @@ def sign_fix(v: np.ndarray) -> np.ndarray:
     picks the representative whose largest-magnitude component has positive
     real part (positive imaginary part on the boundary).
     """
-    k = int(np.argmax(np.abs(v)))
-    z = complex(v[k])
-    if z.real < 0 or (z.real == 0 and z.imag < 0):
-        return -v
-    return v
+    return -v if _flips_sign(v) else v
+
+
+def _flips_sign(v: np.ndarray) -> bool:
+    """Whether :func:`sign_fix` negates ``v``."""
+    z = complex(v[int(np.argmax(np.abs(v)))])
+    return z.real < 0 or (z.real == 0 and z.imag < 0)
 
 
 @dataclass(frozen=True)
@@ -497,27 +495,28 @@ def _ritz_near(vals, vecs, target: complex) -> np.ndarray:
 def block_jordan_cell(T00, T02, T22) -> tuple[JordanCell, tuple[complex, np.ndarray]]:
     """Jordan cell of ``[[T00, T02], [0, T22]]`` at the leading level of ``T22``.
 
-    The blocks are dense or sparse matrices or any operators with ``shape``,
-    ``@`` and ``T`` (such as :class:`loopcells.models.TransferOperator`;
-    ``T02`` needs only ``shape`` and ``@``); nothing is factored or formed.
-    The leading two-string eigenvalue comes from :func:`perron_pair`; the
-    shared zero-string eigenvector and its left companion are the Ritz
-    vectors nearest it from ARPACK on ``T00`` and ``T00^T``
+    The blocks are dense or sparse matrices or any operators with ``shape``
+    and ``@`` (such as :class:`loopcells.models.TransferOperator`); nothing
+    is factored or formed.  The leading two-string eigenpair ``(lambda,
+    u2)`` comes from :func:`perron_pair`; the shared zero-string eigenvector
+    ``v0`` is the Ritz vector nearest ``lambda`` from ARPACK on ``T00``
     (:func:`_ritz`, :func:`_ritz_near`), so that level must be among the
     three eigenvalues of ``T00`` largest in modulus (in the dilute rows it
-    is the second, below the Perron value).  Both must leave a residual below
-    ``1e-9`` times ``max |mu - lambda|`` over the Ritz values ``mu``
-    (a lower bound on the norm of the shift), otherwise the level is not
-    shared.  The partner's second-block component is fixed by the
-    solvability condition against the left vector, and its first-block
-    component comes from GMRES on the bordered operator
-    ``[[T00 - lambda, ell], [v^H, 0]]``, which is regular because the
-    border column is the left kernel direction.  GMRES runs to a relative
-    residual of ``1e-13`` in at most two cycles of :data:`GMRES_STEPS`
-    Krylov steps (the second refines from the true residual) and raises
-    :class:`ConvergenceError` when it stops unconverged; a partner residual
-    above ``1e-8`` raises ``ArithmeticError``.  The cell is in stacked
-    coordinates, with the minimal-norm gauge applied to the partner.
+    is the second, below the Perron value).  It must leave a residual below
+    ``1e-9`` times ``max |mu - lambda|`` over the Ritz values ``mu`` (a
+    lower bound on the norm of the shift), otherwise the level is not
+    shared; a feed ``T02 u2`` of zero means the sectors decouple.  GMRES
+    solves ``[[T00 - lambda, v0], [v0^T, 0]] [y; t] = [T02 u2; 0]``, regular
+    because ``lambda`` is a simple eigenvalue of ``T00``, however weakly the
+    sectors couple; ``t`` is the feed's component off the range of the
+    shift, and the partner is ``[-y, u2] / t``.  A ``t`` of zero raises
+    ``ArithmeticError``.  GMRES runs to a relative residual of ``1e-13`` in
+    at most two cycles of :data:`GMRES_STEPS` Krylov steps (the second
+    refines from the true residual) and raises :class:`ConvergenceError`
+    when it stops unconverged; a partner residual above ``1e-8`` raises
+    ``ArithmeticError``, which refuses a ``t`` at roundoff too.  The cell is
+    in stacked coordinates, with the minimal-norm gauge applied to the
+    partner.
 
     Returns ``(cell, (mu, u))``: the cell, and the Ritz value ``mu`` of
     ``T00`` largest in modulus with its real unit Ritz vector ``u`` (the
@@ -527,39 +526,33 @@ def block_jordan_cell(T00, T02, T22) -> tuple[JordanCell, tuple[complex, np.ndar
     lam1, u2 = perron_pair(T22)
     n0, n2 = T00.shape[0], T22.shape[0]
     right, right_vecs = _ritz(T00)
-    left, left_vecs = _ritz(T00.T)
     v0 = _ritz_near(right, right_vecs, lam1)
-    ell0 = _ritz_near(left, left_vecs, lam1)
-    cut = 1e-9 * float(np.max(np.abs(np.concatenate([right, left]) - lam1)))
-    if (
-        np.linalg.norm(T00 @ v0 - lam1 * v0) > cut
-        or np.linalg.norm(T00.T @ ell0 - lam1 * ell0) > cut
-    ):
+    if np.linalg.norm(T00 @ v0 - lam1 * v0) > 1e-9 * float(np.max(np.abs(right - lam1))):
         raise DiagonalizableLevelError(
             f"leading two-string level {lam1} is not shared by the zero-string sector "
             "(or is not among its three largest eigenvalues in modulus)"
         )
     feed = T02 @ u2
-    denom = ell0 @ feed
-    if abs(denom) < 1e-300:
+    if np.linalg.norm(feed) < 1e-300:
         raise DiagonalizableLevelError("the sectors decouple at this level; no cell")
-    c = (ell0 @ v0) / denom
 
     def bordered(x):
         x0 = x[:n0]
-        return np.concatenate([T00 @ x0 - lam1 * x0 + x[n0] * ell0, [v0 @ x0]])
+        return np.concatenate([T00 @ x0 - lam1 * x0 + x[n0] * v0, [v0 @ x0]])
 
-    rhs = np.concatenate([v0 - c * feed, [0.0]])
     solution, info = spla.gmres(
         spla.LinearOperator((n0 + 1, n0 + 1), matvec=bordered, dtype=float),
-        rhs, rtol=1e-13, atol=0.0, restart=GMRES_STEPS, maxiter=2,
+        np.append(feed, 0.0), rtol=1e-13, atol=0.0, restart=GMRES_STEPS, maxiter=2,
     )
     if info != 0:
         raise ConvergenceError(
             f"GMRES did not converge in two cycles of {GMRES_STEPS} steps at level {lam1}"
         )
+    y, t = solution[:n0], solution[n0]
+    if t == 0:
+        raise ArithmeticError(f"the feed has no component off the range at {lam1}; no cell")
     v = np.concatenate([v0, np.zeros(n2)])
-    w = np.concatenate([solution[:n0], c * u2])
+    w = np.concatenate([-y, u2]) / t
 
     def shift(x):
         x0, x2 = x[:n0], x[n0:]

@@ -190,7 +190,7 @@ def full_chain_b_xxz(L: int, cell_scale: complex = 1.0) -> obs.BMeasurement:
     q = fx.Q_VALUE
     H, masks = models.build_xxz(L, q)
     half_H, half_masks = models.build_xxz(L // 2, q)
-    _, g = obs._ground(obs._low_spectrum(half_H, L // 2), np.eye(len(half_masks)))
+    _, g, _ = obs._ground(obs._low_spectrum(half_H, L // 2), np.eye(len(half_masks)))
     half = np.array(half_masks)
     rows = dg._lookup(np.array(masks))(((half[:, None] << L // 2) | half).ravel())
     product = obs._place(rows, g, g, len(masks))
@@ -607,10 +607,11 @@ class TestGoldenValues:
     )
     def test_chain_ground_matches_dense_reference(self, chain, L):
         H, gram, *_ = obs._xxz_chain(L, fx.Q_VALUE) if chain == "xxz" else obs._open_chain(L, 2.0)
-        e0, v0 = obs._ground(obs._low_spectrum(H, L), gram)
+        e0, v0, g_v0 = obs._ground(obs._low_spectrum(H, L), gram)
         lam, ref = spectral.ground_state(H, "min", gram=gram)
         assert abs(e0 - lam) < 1e-10
         np.testing.assert_allclose(v0, ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(g_v0, gram @ v0, rtol=0, atol=1e-12)
 
 
 def count_calls(monkeypatch, module, name):
@@ -651,11 +652,13 @@ class TestBuildOnce:
         assert sorted(rows) == [3, 6]
 
     def test_deformed_builds_each_chain_and_contraction_walk_once(self, monkeypatch):
-        # every contraction walk goes through _upper_pairs once, by the state count
+        # every contraction walk goes through _upper_pairs once, by the state
+        # count; the half chain's ground is used unnormalized, so its form is
+        # never applied and its counts are never walked
         walks = count_calls(monkeypatch, forms, "_upper_pairs")
         chains = count_calls(monkeypatch, models, "build_percolation_H")
         obs.b_deformed(6, 2.0)
-        assert sorted(walks) == [3, 20]
+        assert walks == [20]
         assert sorted(chains) == [3, 6]
 
     def test_open_maps_and_link_walk_are_built_once_per_width(self):
@@ -666,10 +669,11 @@ class TestBuildOnce:
             obs.b_deformed(6, y)
         maps, walks = tl._cup_caps.store.values(), forms._link_contractions.store.values()
         assert sorted(basis.shape[1] for (basis,), _ in maps) == [3, 6]
-        assert sorted(basis.shape[1] for (basis,), _ in walks) == [3, 6]
+        # the half width's counts are never walked: its ground is used unnormalized
+        assert [basis.shape[1] for (basis,), _ in walks] == [6]
         cached = [a for _, value in maps for cup_cap in value for a in cup_cap]
         cached += [counts for _, counts in walks]
-        assert len(cached) == 3 * (2 + 5) + 2  # three arrays per generator, one count matrix per width
+        assert len(cached) == 3 * (2 + 5) + 1  # three arrays per generator, one count matrix
         assert not any(a.flags.writeable for a in cached)
 
     def test_open_chain_holds_no_gram(self):
@@ -691,11 +695,38 @@ class TestBuildOnce:
                 tracemalloc.stop()
             assert peak < dim * dim * 8
 
+    @staticmethod
+    def form_applications(monkeypatch, form) -> list:
+        """The shape of each block or vector ``form`` (a form class) is applied to."""
+        shapes = []
+        apply = form.__matmul__
+
+        def recorded(self, x):
+            shapes.append(np.shape(x))
+            return apply(self, x)
+
+        monkeypatch.setattr(form, "__matmul__", recorded)
+        return shapes
+
+    def test_warm_deformed_applies_the_link_form_twice(self, monkeypatch):
+        # the ground's normalization, whose image the trousers overlap reads,
+        # and one block for the pairing; the half ground is not normalized
+        obs.b_deformed(10, 2.0)
+        shapes = self.form_applications(monkeypatch, forms.LinkForm)
+        obs.b_deformed(10, 2.0)
+        assert shapes == [(252,), (252, 3)]
+
+    def test_polymer_applies_the_dilute_form_once(self, monkeypatch):
+        shapes = self.form_applications(monkeypatch, forms.DiluteForm)
+        obs.b_polymer(8)
+        assert shapes == [(len(dg.dilute_row_sites(8)), 3)]
+
     def test_polymer_forms_no_gram(self, monkeypatch):
         # the dilute form is applied through its per-count blocks: with every
         # array constructor of forms refusing a dim x dim array on the row
-        # basis, b_polymer still runs, at the edge width 2 too, while
-        # forming the Gram as the form applied to the identity is refused
+        # basis, b_polymer still runs, while forming the Gram as the form
+        # applied to the identity is refused. Width 4 is the narrowest guarded:
+        # width 2 has 3 states, so its three-column pairing block is 3 x 3 too
         class Guarded:
             """``numpy`` whose constructors refuse an array with two axes of ``dim`` or more."""
 
@@ -714,14 +745,15 @@ class TestBuildOnce:
 
                 return refuse_gram
 
-        expect = {L: obs.b_polymer(L).value for L in (2, 8)}
+        edge = obs.b_polymer(2).value
+        expect = {L: obs.b_polymer(L).value for L in (4, 8)}
         for L, value in expect.items():
             basis = models.build_dilute_T(L).basis
             monkeypatch.setattr(forms, "np", Guarded(len(basis)))
             assert obs.b_polymer(L).value == pytest.approx(value, abs=1e-12)
             with pytest.raises(AssertionError, match="Gram matrix was formed"):
                 forms.dilute_form(basis) @ np.eye(len(basis))
-        assert expect[2] == pytest.approx(fx.b_polymer_l2_exact(), abs=1e-12)
+        assert edge == pytest.approx(fx.b_polymer_l2_exact(), abs=1e-12)
 
     @pytest.mark.parametrize("L, counts", [(1, [0]), (2, [0, 2]), (8, [0, 2, 4, 6, 8])])
     def test_dilute_form_walks_once_per_occupancy_count(self, monkeypatch, L, counts):

@@ -49,7 +49,44 @@ def synthetic_cell(seed: int = 7):
     return A, cluster_vectors(A, 1.5)[1], cell_form(similarity(len(A), seed))
 
 
+def loop_clusters(eigs: np.ndarray, rel_tol: float = 1e-5) -> list[spectral.Cluster]:
+    """:func:`loopcells.spectral.cluster_eigenvalues` as a walk over the sorted values (the oracle)."""
+    order = np.lexsort((np.imag(eigs), np.real(eigs)))
+    vals = np.asarray(eigs)[order]
+    if not vals.size:
+        return []
+    reach = spectral._cluster_reach(vals, rel_tol)
+    clusters: list[list[complex]] = [[vals[0]]]
+    for lam in vals[1:]:
+        if abs(lam - clusters[-1][-1]) <= reach:
+            clusters[-1].append(lam)
+        else:
+            clusters.append([lam])
+    return [spectral.Cluster(complex(np.mean(c)), len(c), tuple(c)) for c in clusters]
+
+
+#: spectra with exact repeats, near repeats at the reach and conjugate pairs
+near_repeats = st.lists(
+    st.tuples(
+        st.floats(-3, 3), st.floats(-3, 3), st.sampled_from([0.0, 1e-14, 1e-9, 1e-5, 1e-3])
+    ),
+    max_size=12,
+)
+
+
 class TestClustering:
+    @given(near_repeats, st.booleans(), st.sampled_from([1e-12, 1e-5, 1e-2]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_loop_oracle_bit_for_bit(self, seeds, real, rel_tol):
+        vals = []
+        for re, im, step in seeds:
+            z = complex(re, 0.0 if real else im)
+            vals += [z, z + step, z.conjugate()]
+        eigs = np.array(vals).real if real else np.array(vals, dtype=complex)
+        got, want = spectral.cluster_eigenvalues(eigs, rel_tol), loop_clusters(eigs, rel_tol)
+        # repr round-trips every float, so equal reprs are equal bits
+        assert repr(got) == repr(want)
+
     def test_groups_nearby_values(self):
         eigs = np.array([1.0, 1.0 + 1e-9, 2.0, 3.0, 3.0 - 2e-9])
         clusters = spectral.cluster_eigenvalues(eigs)
@@ -576,7 +613,8 @@ def assert_same_cell(cell, oracle):
 
 class TestBlockJordan:
     @staticmethod
-    def make_blocks(n0: int = 6, n2: int = 6, seed: int = 13):
+    def planted_blocks(n0: int = 6, n2: int = 6, seed: int = 13):
+        """``(T00, T02, T22, lam1, Q)``: ``T00`` has the eigenvectors ``Q``, ``Q[:, 0]`` at ``lam1``."""
         rng = np.random.default_rng(seed)
         T22 = rng.random((n2, n2)) + 0.1
         lam1, _ = spectral.perron_pair(T22)
@@ -585,7 +623,11 @@ class TestBlockJordan:
         spectrum = np.concatenate([[lam1], lam1 - 0.5 - rng.random(n0 - 1)])
         T00 = Q @ np.diag(spectrum) @ np.linalg.inv(Q)
         T02 = rng.random((n0, n2))
-        return T00, T02, T22, lam1
+        return T00, T02, T22, lam1, Q
+
+    @classmethod
+    def make_blocks(cls, n0: int = 6, n2: int = 6, seed: int = 13):
+        return cls.planted_blocks(n0, n2, seed)[:4]
 
     @staticmethod
     def assemble(T00, T02, T22):
@@ -661,6 +703,64 @@ class TestBlockJordan:
         assert np.sum(np.abs(np.linalg.eigvals(T00)) > lam1) >= 3
         with pytest.raises(spectral.DiagonalizableLevelError, match="three largest"):
             spectral.block_jordan_cell(T00, T02, T22)
+
+    @pytest.mark.parametrize("seed", [13, 21, 34])
+    @pytest.mark.parametrize("n0", [6, 40])
+    def test_feed_in_the_range_of_the_shift_is_refused(self, n0, seed):
+        # a nonzero T02 whose feed T02 u2 lies in the span of the other
+        # eigenvectors of T00, the range of T00 - lam1: the sectors do not
+        # couple at the level, the coupling t of the bordered system is zero
+        # up to roundoff, and no certified cell comes of it
+        T00, _, T22, lam1, Q = self.planted_blocks(n0=n0, seed=seed)
+        _, u2 = spectral.perron_pair(T22)
+        rng = np.random.default_rng(seed + 1)
+        M = rng.random((n0, len(u2)))
+        T02 = np.outer(Q[:, 1:] @ rng.standard_normal(n0 - 1), u2) + M - np.outer(M @ u2, u2)
+        feed = T02 @ u2
+        assert np.linalg.norm(feed) > 0.1
+        assert np.linalg.matrix_rank(np.column_stack([T00 - lam1 * np.eye(n0), feed])) == n0 - 1
+        with pytest.raises(ArithmeticError):
+            spectral.block_jordan_cell(T00, T02, T22)
+
+    def test_weakly_coupled_blocks_match_the_lu_oracle(self):
+        # the feed's component along the left kernel is 0.35 % of its norm, so
+        # the partner is about 240 times the kernel vector; the partner system
+        # is bordered by v0, whose left-kernel component sets its condition,
+        # and still converges to the oracle's cell
+        T00, T02, T22, _ = self.make_blocks(n0=19, n2=6, seed=19)
+        cell, _ = spectral.block_jordan_cell(T00, T02, T22)
+        assert np.linalg.norm(cell.partner) > 200
+        assert_same_cell(cell, lu_block_cell(T00, T02, T22))
+
+    @pytest.mark.parametrize("n0", [3, 6, 40])
+    def test_feed_along_another_eigenvector_is_refused(self, n0):
+        # a diagonal T00 fed along its second eigenvector: the Krylov space of
+        # the bordered system never leaves that direction, so the coupling
+        # entry is exactly zero
+        rng = np.random.default_rng(1)
+        T22 = rng.random((4, 4)) + 0.1
+        lam1, u2 = spectral.perron_pair(T22)
+        T00 = np.diag(np.concatenate([[lam1], lam1 - 0.5 - rng.random(n0 - 1)]))
+        T02 = np.outer(np.eye(n0)[1], u2)
+        with pytest.raises(ArithmeticError, match="no component off the range"):
+            spectral.block_jordan_cell(T00, T02, T22)
+
+    @pytest.mark.parametrize("blocks", ["planted", "dilute L=8"])
+    def test_one_ritz_run_and_never_on_a_transpose(self, blocks, monkeypatch):
+        if blocks == "planted":
+            T00, T02, T22, _ = self.make_blocks(n0=40)
+        else:
+            T00, T02, T22 = models.dilute_blocks(models.build_dilute_T(8))[:3]
+        ops = []
+        ritz = spectral._ritz
+
+        def spy(op):
+            ops.append(op)
+            return ritz(op)
+
+        monkeypatch.setattr(spectral, "_ritz", spy)
+        spectral.block_jordan_cell(T00, T02, T22)
+        assert len(ops) == 1 and ops[0] is T00
 
     def test_unconverged_gmres_raises(self, monkeypatch):
         T00, T02, T22, _ = self.make_blocks(n0=40)
